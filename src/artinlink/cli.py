@@ -20,7 +20,7 @@ import sys
 from . import batteries
 from .complex_link import build_complex, build_link
 from .curvature import A2, B2, certify
-from .cycles import enumerate_short_loops
+from .cycles import LOOP_ENUMERATION_GUARD, enumerate_short_loops
 from .errors import InternalInconsistencyError
 from .forbidden import search_orientation
 from .gamma_io import ParseError, load_gamma
@@ -61,7 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     loops_p = sub.add_parser("loops", help="enumerate short embedded loops")
     loops_p.add_argument("input")
-    loops_p.add_argument("--max", type=int, default=6, help="maximum loop length")
+    loops_p.add_argument(
+        "--max", type=int, default=6, help="maximum loop length, 3 to 8"
+    )
     loops_p.add_argument("--format", choices=("text", "json"), default="text")
 
     orient_p = sub.add_parser(
@@ -154,6 +156,13 @@ def _cmd_link(args) -> int:
 
 
 def _cmd_loops(args) -> int:
+    if not 3 <= args.max <= LOOP_ENUMERATION_GUARD:
+        print(
+            f"error: --max must be between 3 and {LOOP_ENUMERATION_GUARD}, "
+            f"got {args.max}",
+            file=sys.stderr,
+        )
+        return 1
     gamma = load_gamma(args.input)
     pres, _ = build_triangular(gamma)
     link = build_link(build_complex(pres))

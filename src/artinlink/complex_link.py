@@ -19,6 +19,8 @@ piece, and an optional exact angle (a Fraction, in units of pi).
 
 from __future__ import annotations
 
+import copy
+import functools
 from collections import deque
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
@@ -163,20 +165,30 @@ _KIND_BY_LEVELS = {(1, 2): BOTTOM, (2, 3): MIDDLE, (3, 4): TOP}
 
 
 class LinkGraph:
-    """The link of the unique 0-cell, as an undirected simple graph."""
+    """The link of the unique 0-cell, as an undirected simple graph.
+
+    Besides the named view (``vertices``, ``edges`` and the
+    ``LinkVertex``-keyed ``adjacency``) the graph keeps a dense integer
+    core for the searches: a vertex's id is its position in the sorted
+    ``vertices`` tuple, ``index`` maps a vertex to its id, ``nbrs[id]``
+    lists (neighbour id, edge index) pairs in the order of
+    ``adjacency``, and ``ends[ei]`` holds the ids of edge ``ei``.
+    Because ids follow the vertex order, comparing ids compares
+    vertices.
+    """
 
     def __init__(self, vertices: Iterable[LinkVertex], edges: Iterable[LinkEdge]):
         self.vertices = tuple(sorted(set(vertices)))
         self.edges = tuple(edges)
-        self._vertex_set = set(self.vertices)
-        seen: set[tuple[LinkVertex, LinkVertex]] = set()
-        adj: dict[LinkVertex, list[tuple[LinkVertex, int]]] = {
-            v: [] for v in self.vertices
-        }
-        for idx, e in enumerate(self.edges):
-            if e.a not in self._vertex_set or e.b not in self._vertex_set:
+        index = {v: i for i, v in enumerate(self.vertices)}
+        nbrs: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        edge_ids: dict[tuple[int, int], int] = {}
+        for ei, e in enumerate(self.edges):
+            ia = index.get(e.a)
+            ib = index.get(e.b)
+            if ia is None or ib is None:
                 raise InternalInconsistencyError(f"edge {e} uses unknown vertex")
-            if (e.a, e.b) in seen:
+            if (ia, ib) in edge_ids:
                 raise InternalInconsistencyError(
                     f"parallel link edge between {e.a} and {e.b}"
                 )
@@ -184,32 +196,53 @@ class LinkGraph:
                 raise InternalInconsistencyError(
                     f"link edge {e.a}-{e.b} skips a level"
                 )
-            seen.add((e.a, e.b))
-            adj[e.a].append((e.b, idx))
-            adj[e.b].append((e.a, idx))
-        self.adjacency = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        self._edge_index = {(e.a, e.b): i for i, e in enumerate(self.edges)}
+            edge_ids[(ia, ib)] = ei
+            nbrs[ia].append((ib, ei))
+            nbrs[ib].append((ia, ei))
+        for ns in nbrs:
+            ns.sort()
+        self.index = index
+        self.nbrs = nbrs
+        self.ends = tuple(edge_ids)  # keys in insertion order: one per edge
+        self._edge_ids = edge_ids
+
+    @functools.cached_property
+    def adjacency(self) -> dict[LinkVertex, tuple[tuple[LinkVertex, int], ...]]:
+        """Neighbours of each vertex with the joining edge index, sorted."""
+        vs = self.vertices
+        return {
+            v: tuple((vs[nb], ei) for nb, ei in ns) for v, ns in zip(vs, self.nbrs)
+        }
 
     # -- basic accessors -------------------------------------------------
 
     def degree(self, v: LinkVertex) -> int:
-        return len(self.adjacency[v])
+        return len(self.nbrs[self.index[v]])
 
     def has_edge(self, a: LinkVertex, b: LinkVertex) -> bool:
-        if a > b:
-            a, b = b, a
-        return (a, b) in self._edge_index
+        return self._edge_between(a, b) is not None
 
     def edge_index(self, a: LinkVertex, b: LinkVertex) -> int:
-        if a > b:
-            a, b = b, a
-        return self._edge_index[(a, b)]
+        ei = self._edge_between(a, b)
+        if ei is None:
+            raise KeyError((a, b))
+        return ei
+
+    def _edge_between(self, a: LinkVertex, b: LinkVertex) -> int | None:
+        ia, ib = self.index.get(a), self.index.get(b)
+        if ia is None or ib is None:
+            return None
+        return self._edge_ids.get((ia, ib) if ia < ib else (ib, ia))
 
     def vertex(self, gen: str, end: str) -> LinkVertex:
-        for v in self.vertices:
-            if v.gen == gen and v.end == end:
-                return v
-        raise VertexNotFoundError(f"{gen}/{end}")
+        v = self._by_name.get((gen, end))
+        if v is None:
+            raise VertexNotFoundError(f"{gen}/{end}")
+        return v
+
+    @functools.cached_property
+    def _by_name(self) -> dict[tuple[str, str], LinkVertex]:
+        return {(v.gen, v.end): v for v in self.vertices}
 
     @property
     def special_vertices(self) -> tuple[LinkVertex, ...]:
@@ -229,7 +262,7 @@ class LinkGraph:
     def induced(self, vertices: Iterable[LinkVertex]) -> "LinkGraph":
         vs = set(vertices)
         for v in vs:
-            if v not in self._vertex_set:
+            if v not in self.index:
                 raise VertexNotFoundError(str(v))
         edges = [e for e in self.edges if e.a in vs and e.b in vs]
         return LinkGraph(vs, edges)
@@ -239,19 +272,20 @@ class LinkGraph:
 
     def neighborhood(self, v: LinkVertex, radius: int) -> "LinkGraph":
         """Induced subgraph on vertices within edge-distance ``radius``."""
-        if v not in self._vertex_set:
+        if v not in self.index:
             raise VertexNotFoundError(str(v))
-        dist = {v: 0}
-        queue = deque([v])
+        start = self.index[v]
+        dist = {start: 0}
+        queue = deque([start])
         while queue:
             cur = queue.popleft()
             if dist[cur] == radius:
                 continue
-            for nb, _ in self.adjacency[cur]:
+            for nb, _ in self.nbrs[cur]:
                 if nb not in dist:
                     dist[nb] = dist[cur] + 1
                     queue.append(nb)
-        return self.induced(dist)
+        return self.induced(self.vertices[i] for i in dist)
 
     def local_pieces(self) -> dict[str, tuple[int, ...]]:
         """Edge indices grouped by the hub of their 2-cell."""
@@ -261,24 +295,27 @@ class LinkGraph:
         return {piece: tuple(idxs) for piece, idxs in sorted(out.items())}
 
     def components(self) -> list[tuple[tuple[LinkVertex, ...], tuple[int, ...]]]:
-        seen: set[LinkVertex] = set()
+        """Connected components as (sorted vertices, sorted edge indices)."""
+        seen = [False] * len(self.vertices)
         out = []
-        for start in self.vertices:
-            if start in seen:
+        for start in range(len(self.vertices)):
+            if seen[start]:
                 continue
-            comp = {start}
+            seen[start] = True
+            comp = [start]
+            edge_idxs = set()
             queue = deque([start])
             while queue:
                 cur = queue.popleft()
-                for nb, _ in self.adjacency[cur]:
-                    if nb not in comp:
-                        comp.add(nb)
+                for nb, ei in self.nbrs[cur]:
+                    edge_idxs.add(ei)
+                    if not seen[nb]:
+                        seen[nb] = True
+                        comp.append(nb)
                         queue.append(nb)
-            seen |= comp
-            edge_idxs = tuple(
-                i for i, e in enumerate(self.edges) if e.a in comp
+            out.append(
+                (tuple(self.vertices[i] for i in sorted(comp)), tuple(sorted(edge_idxs)))
             )
-            out.append((tuple(sorted(comp)), edge_idxs))
         return out
 
     def is_forest(self) -> bool:
@@ -289,11 +326,16 @@ class LinkGraph:
     # -- metric ----------------------------------------------------------
 
     def with_angles(self, angle_of: Mapping[tuple[int, int], Fraction]) -> "LinkGraph":
-        """Copy of the link with each edge given the angle of its corner."""
-        edges = [
+        """Copy of the link with each edge given the angle of its corner.
+
+        Only the angles change, so the copy shares this link's vertices
+        and integer core instead of rebuilding and revalidating them.
+        """
+        angled = copy.copy(self)
+        angled.edges = tuple(
             e._replace(angle=angle_of[(e.cell, e.corner)]) for e in self.edges
-        ]
-        return LinkGraph(self.vertices, edges)
+        )
+        return angled
 
     @property
     def angles_assigned(self) -> bool:

@@ -211,7 +211,12 @@ def certify(
             notes.append("no pattern-free orientation exists; using u->v defaults")
             g = _default_orientation(g)
 
-    witnesses = tuple(detect_forbidden(g))
+    p, _ = build_triangular(g)
+    k = build_complex(p)
+    link = build_link(k)
+    # One detection serves the verdict and checks its witness loops
+    # against the link.
+    witnesses = tuple(detect_forbidden(g, link))
     labels_ok = all(e.label >= 3 for e in g.edges)
 
     if scheme == "auto":
@@ -226,12 +231,8 @@ def certify(
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    p, _ = build_triangular(g)
-    k = build_complex(p)
-    link = build_link(k)
-    detect_forbidden(g, link)  # witness loops must exist in the link
     girth_value, girth_loop = girth(link)
-    small = check_conditions(p, link)
+    small = check_conditions(p, link, girth_value)
 
     diagnostic_scheme = chosen or A2
     metric = assign_metric(k, link, diagnostic_scheme)

@@ -1,5 +1,14 @@
 """Embedded loops in links: girth, minimum-angle cycles, enumeration.
 
+Every search runs on the link's dense integer core (``LinkGraph.nbrs``
+and ``LinkGraph.ends``): vertices are ids, positions in the sorted
+vertex tuple, and loops are tuples of ids until one is returned.
+Because ids follow the sorted vertex order, every heap, tuple and
+canonical-rotation tie-break on ids orders exactly as it would on the
+vertices themselves, so the witnesses are the canonically least loops.
+A search builds an :class:`EmbeddedLoop` (validated, with its exact
+angle sum) only for the loops it returns.
+
 Links built by this package are bipartite (every edge joins adjacent
 levels) and simple, so embedded loops have even length >= 4.  The girth
 search therefore first scans for 4-loops via common neighbours and only
@@ -13,10 +22,11 @@ them to integers, so no comparison ever happens in floating point.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import lcm
 
 from .complex_link import LinkGraph, LinkVertex
 
@@ -57,16 +67,13 @@ class EmbeddedLoop:
         return " - ".join(names + [names[0]])
 
 
-def _canonical_cycle(vertices: list[LinkVertex]) -> tuple[LinkVertex, ...]:
-    n = len(vertices)
-    best = None
-    for seq in (vertices, vertices[::-1]):
-        doubled = seq + seq
-        for i in range(n):
-            cand = tuple(doubled[i : i + n])
-            if best is None or cand < best:
-                best = cand
-    return best
+def _canonical_cycle(cycle: list) -> tuple:
+    """Least tuple over all rotations and both directions of a cycle of
+    pairwise distinct vertices: it starts at the least vertex."""
+    i = cycle.index(min(cycle))
+    forward = cycle[i:] + cycle[:i]
+    backward = forward[:1] + forward[:0:-1]
+    return tuple(min(forward, backward))
 
 
 def make_loop(link: LinkGraph, vertices: list[LinkVertex]) -> EmbeddedLoop:
@@ -87,21 +94,22 @@ def make_loop(link: LinkGraph, vertices: list[LinkVertex]) -> EmbeddedLoop:
     return EmbeddedLoop(canon, tuple(idxs), total)
 
 
-def _four_loops(link: LinkGraph) -> list[EmbeddedLoop]:
-    """All embedded 4-loops, via pairs of vertices with >= 2 common
-    neighbours.  Valid for simple graphs."""
-    pair_hubs: dict[tuple[LinkVertex, LinkVertex], list[LinkVertex]] = {}
-    for w in link.vertices:
-        nbs = [nb for nb, _ in link.adjacency[w]]
-        for x, y in combinations(sorted(nbs), 2):
-            pair_hubs.setdefault((x, y), []).append(w)
-    loops = []
+def _loop_of_ids(link: LinkGraph, ids) -> EmbeddedLoop:
+    return make_loop(link, [link.vertices[i] for i in ids])
+
+
+def _four_cycles(link: LinkGraph) -> list[tuple[int, ...]]:
+    """All embedded 4-loops as canonical id tuples, sorted, via pairs of
+    vertices with >= 2 common neighbours.  Valid for simple graphs."""
+    pair_hubs: dict[tuple[int, int], list[int]] = {}
+    for w, ns in enumerate(link.nbrs):
+        for pair in combinations([nb for nb, _ in ns], 2):
+            pair_hubs.setdefault(pair, []).append(w)
+    cycles = set()
     for (x, y), hubs in pair_hubs.items():
-        if len(hubs) < 2:
-            continue
         for w1, w2 in combinations(hubs, 2):
-            loops.append(make_loop(link, [x, w1, y, w2]))
-    return sorted(set(loops), key=lambda lp: lp.vertices)
+            cycles.add(_canonical_cycle([x, w1, y, w2]))
+    return sorted(cycles)
 
 
 def has_short_loop(link: LinkGraph) -> bool:
@@ -110,13 +118,14 @@ def has_short_loop(link: LinkGraph) -> bool:
     Links are bipartite and simple, so this is exactly "some two
     vertices share two neighbours", i.e. girth 4.
     """
-    seen: set[tuple[LinkVertex, LinkVertex]] = set()
-    for w in link.vertices:
-        nbs = link.adjacency[w]
-        for i in range(len(nbs)):
-            x = nbs[i][0]
-            for j in range(i + 1, len(nbs)):
-                key = (x, nbs[j][0])
+    n = len(link.vertices)
+    seen: set[int] = set()
+    for ns in link.nbrs:
+        ids = [nb for nb, _ in ns]
+        for i, x in enumerate(ids):
+            base = x * n
+            for y in ids[i + 1 :]:
+                key = base + y
                 if key in seen:
                     return True
                 seen.add(key)
@@ -125,24 +134,23 @@ def has_short_loop(link: LinkGraph) -> bool:
 
 def _bfs_shortest_path(
     link: LinkGraph,
-    source: LinkVertex,
-    target: LinkVertex,
+    source: int,
+    target: int,
     banned_edge: int,
     max_len: int | None,
-) -> list[LinkVertex] | None:
-    """Shortest path avoiding one edge, among paths of length <= max_len."""
-    from collections import deque
-
-    parent: dict[LinkVertex, LinkVertex | None] = {source: None}
+) -> list[int] | None:
+    """Shortest id path avoiding one edge, among paths of length <= max_len."""
+    parent: dict[int, int | None] = {source: None}
     depth = {source: 0}
     queue = deque([source])
+    nbrs = link.nbrs
     while queue:
         cur = queue.popleft()
         if cur == target:
             break
         if max_len is not None and depth[cur] >= max_len:
             continue
-        for nb, ei in link.adjacency[cur]:
+        for nb, ei in nbrs[cur]:
             if ei == banned_edge or nb in parent:
                 continue
             parent[nb] = cur
@@ -166,9 +174,9 @@ def girth(link: LinkGraph) -> tuple[int | None, EmbeddedLoop | None]:
     """
     if not link.edges:
         return None, None
-    four = _four_loops(link)
+    four = _four_cycles(link)
     if four:
-        return 4, four[0]
+        return 4, _loop_of_ids(link, four[0])
     return _girth_by_edge_removal(link)
 
 
@@ -178,20 +186,21 @@ def _girth_by_edge_removal(
     """Shortest cycle as min over edges of (shortest path avoiding the
     edge) + the edge itself."""
     best_len: int | None = None
-    best_loop: EmbeddedLoop | None = None
-    for ei, e in enumerate(link.edges):
+    best: tuple[int, ...] | None = None
+    for ei, (a, b) in enumerate(link.ends):
         cap = None if best_len is None else best_len - 1
-        path = _bfs_shortest_path(link, e.a, e.b, ei, cap)
+        path = _bfs_shortest_path(link, a, b, ei, cap)
         if path is None:
             continue
-        loop = make_loop(link, path)
-        if (
-            best_len is None
-            or loop.length < best_len
-            or (loop.length == best_len and loop.vertices < best_loop.vertices)
-        ):
-            best_len, best_loop = loop.length, loop
-    return best_len, best_loop
+        if best_len is None or len(path) < best_len:
+            best_len, best = len(path), _canonical_cycle(path)
+        else:  # len(path) == best_len, by the cap
+            canon = _canonical_cycle(path)
+            if canon < best:
+                best = canon
+    if best is None:
+        return None, None
+    return best_len, _loop_of_ids(link, best)
 
 
 def min_angle_cycle(
@@ -202,6 +211,11 @@ def min_angle_cycle(
     Angles must be assigned on every edge.  Ties prefer the shorter
     loop, then the canonically least one.  Returns ``(None, None)``
     for forests.
+
+    One Dijkstra per edge finds the lightest loop through it; the
+    candidates are compared as (integer weight, length), and by
+    canonical id tuple only on a tie, so a loop is built just for the
+    winner.
     """
     if not link.angles_assigned:
         raise UnassignedAnglesError("link has edges without angles")
@@ -212,65 +226,93 @@ def min_angle_cycle(
             raise UnassignedAnglesError(f"non-positive angle on edge {e.a}-{e.b}")
 
     # Scale the rational angles to integers for exact arithmetic.
-    denom = 1
-    for e in link.edges:
-        denom = denom * e.angle.denominator // gcd(denom, e.angle.denominator)
-    weight = [int(e.angle * denom) for e in link.edges]
+    denom = lcm(*(e.angle.denominator for e in link.edges))
+    weight = [
+        e.angle.numerator * (denom // e.angle.denominator) for e in link.edges
+    ]
 
-    best: tuple[int, int, tuple] | None = None  # (weight, length, vertices)
-    best_loop: EmbeddedLoop | None = None
-    for ei, e in enumerate(link.edges):
-        bound = None if best is None else best[0] - weight[ei]
-        path = _dijkstra_path(link, weight, e.a, e.b, ei, bound)
-        if path is None:
+    # The best loop so far, as (weight, length) and id path; the
+    # canonical form of the path is computed only when a tie needs it.
+    # The starting weight lies above every loop, so the first search
+    # runs unbounded.
+    best_w, best_len = sum(weight) + 1, 0
+    best_path: list[int] | None = None
+    best_canon: tuple[int, ...] | None = None
+    n = len(link.vertices)
+    # Per vertex: (neighbour, key step of the edge, edge), where a key
+    # step adds the edge's weight and one hop to a packed key (below).
+    steps = [
+        [(nb, weight[ei] * n + 1, ei) for nb, ei in ns] for ns in link.nbrs
+    ]
+    for ei, (a, b) in enumerate(link.ends):
+        w = weight[ei]
+        found = _dijkstra_path(steps, a, b, ei, best_w - w, best_len - 1)
+        if found is None:
             continue
-        loop = make_loop(link, path)
-        total = sum(weight[i] for i in loop.edge_indices)
-        key = (total, loop.length, loop.vertices)
-        if best is None or key < best:
-            best, best_loop = key, loop
-    if best_loop is None:
+        path_w, cand = found
+        total = path_w + w
+        if total == best_w and len(cand) == best_len:
+            if best_canon is None:
+                best_canon = _canonical_cycle(best_path)
+            canon = _canonical_cycle(cand)
+            if canon >= best_canon:
+                continue
+            best_canon = canon
+        else:
+            best_canon = None
+        best_w, best_len, best_path = total, len(cand), cand
+    if best_path is None:
         return None, None
-    return best_loop.angle_sum, best_loop
+    loop = _loop_of_ids(link, best_path)
+    return loop.angle_sum, loop
 
 
 def _dijkstra_path(
-    link: LinkGraph,
-    weight: list[int],
-    source: LinkVertex,
-    target: LinkVertex,
+    steps: list[list[tuple[int, int, int]]],
+    source: int,
+    target: int,
     banned_edge: int,
-    bound: int | None,
-) -> list[LinkVertex] | None:
-    """Path minimizing (weight, hop count), avoiding one edge.
+    max_weight: int,
+    max_hops: int,
+) -> tuple[int, list[int]] | None:
+    """(weight, id path) minimizing (weight, hop count), avoiding one edge.
 
-    Returns None when every path weighs more than ``bound``.  Breaking
-    weight ties by hop count keeps witness loops as short as possible.
+    Only paths lexicographically at most ``(max_weight, max_hops)`` in
+    (weight, hops) count; returns None when the target has none.
+    Breaking weight ties by hop count keeps witness loops as short as
+    possible, and ties in both by vertex id keep the search identical to
+    one over the vertices themselves.
+
+    With ``n`` vertices, a path's (weight, hops) is packed into the key
+    ``weight * n + hops`` and a heap entry is ``key * n + vertex``; both
+    order exactly as the tuples would.  Every key past the limit is
+    dropped before it is pushed, so the search ends as soon as no path
+    can still qualify.
     """
-    dist: dict[LinkVertex, tuple[int, int]] = {source: (0, 0)}
-    parent: dict[LinkVertex, LinkVertex | None] = {source: None}
-    done: set[LinkVertex] = set()
-    heap: list[tuple[int, int, LinkVertex]] = [(0, 0, source)]
+    n = len(steps)
+    # dist[v] is the least key found for v; the limit key is the first
+    # that does not qualify, so it doubles as "unreached".
+    limit = max_weight * n + max_hops + 1
+    dist = [limit] * n
+    parent = [-1] * n
+    dist[source] = 0
+    heap = [source]
     while heap:
-        d, hops, cur = heapq.heappop(heap)
-        if cur in done:
-            continue
-        if bound is not None and d > bound:
-            return None
+        key, cur = divmod(heapq.heappop(heap), n)
+        if key != dist[cur]:
+            continue  # stale entry
         if cur == target:
             path = [target]
-            while parent[path[-1]] is not None:
+            while path[-1] != source:
                 path.append(parent[path[-1]])
-            return path[::-1]
-        done.add(cur)
-        for nb, ei in link.adjacency[cur]:
-            if ei == banned_edge or nb in done:
-                continue
-            cand = (d + weight[ei], hops + 1)
-            if nb not in dist or cand < dist[nb]:
+            path.reverse()
+            return key // n, path
+        for nb, step, ei in steps[cur]:
+            cand = key + step
+            if cand < dist[nb] and ei != banned_edge:
                 dist[nb] = cand
                 parent[nb] = cur
-                heapq.heappush(heap, (cand[0], cand[1], nb))
+                heapq.heappush(heap, cand * n + nb)
     return None
 
 
@@ -289,20 +331,20 @@ def enumerate_short_loops(link: LinkGraph, max_len: int) -> list[EmbeddedLoop]:
     if max_len < 6:
         # Links are bipartite (levels alternate), so loops under length 6
         # are exactly the 4-loops; the common-neighbour scan finds them.
-        return _four_loops(link) if max_len >= 4 else []
-    loops: set[EmbeddedLoop] = set()
-    order = {v: i for i, v in enumerate(link.vertices)}
+        cycles = _four_cycles(link) if max_len >= 4 else []
+        return [_loop_of_ids(link, c) for c in cycles]
+    nbrs = link.nbrs
+    found: set[tuple[int, ...]] = set()
 
-    def extend(start: LinkVertex, path: list[LinkVertex], on_path: set[LinkVertex]):
-        cur = path[-1]
-        for nb, _ in link.adjacency[cur]:
+    def extend(start: int, path: list[int], on_path: set[int]):
+        for nb, _ in nbrs[path[-1]]:
             if nb == start and len(path) >= 3:
                 # close a cycle; count each once: fix direction by the
                 # neighbours of the minimal vertex
-                if order[path[1]] < order[path[-1]]:
-                    loops.add(make_loop(link, path))
+                if path[1] < path[-1]:
+                    found.add(_canonical_cycle(path))
                 continue
-            if nb in on_path or order[nb] <= order[start]:
+            if nb in on_path or nb <= start:
                 continue
             if len(path) == max_len:
                 continue
@@ -312,6 +354,6 @@ def enumerate_short_loops(link: LinkGraph, max_len: int) -> list[EmbeddedLoop]:
             on_path.remove(nb)
             path.pop()
 
-    for start in link.vertices:
+    for start in range(len(link.vertices)):
         extend(start, [start], {start})
-    return sorted(loops, key=lambda lp: (lp.length, lp.vertices))
+    return [_loop_of_ids(link, c) for c in sorted(found, key=lambda c: (len(c), c))]

@@ -106,14 +106,23 @@ class SmallCancellation(NamedTuple):
         return self.t_value >= 6
 
 
-def check_conditions(p: Presentation, link: LinkGraph) -> SmallCancellation:
+_UNKNOWN = object()
+
+
+def check_conditions(
+    p: Presentation, link: LinkGraph, link_girth: int | None | object = _UNKNOWN
+) -> SmallCancellation:
     """Largest C(p) and T(q) (both capped at 12) for a presentation and
-    the link of its complex."""
+    the link of its complex.
+
+    A caller that already has ``girth(link)[0]`` (None for a forest)
+    passes it as ``link_girth`` to save a second search.
+    """
     table = compute_pieces(p)
     # An undecomposable relator is never a product of < p pieces, so it
     # contributes no constraint; only decomposable relators bound C(p).
     finite = [n for n in table.decompositions.values() if n is not None]
     c_value = min(min(finite), CONDITION_CAP) if finite else CONDITION_CAP
-    g, _ = girth(link)
+    g = girth(link)[0] if link_girth is _UNKNOWN else link_girth
     t_value = CONDITION_CAP if g is None else min(g, CONDITION_CAP)
     return SmallCancellation(c_value, t_value)

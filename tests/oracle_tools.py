@@ -101,6 +101,56 @@ def dfs_min_angle(link, max_len: int = 12):
     return best[0]
 
 
+def dfs_min_loops(link, max_len: int):
+    """Minimum (angle sum, length) over embedded cycles of length <=
+    max_len, and every cycle attaining it, by exhaustive DFS over the
+    angled link.
+
+    Returns ``(angle_sum, length, loops)``, each loop as its least
+    vertex tuple over all rotations and both directions, sorted; or
+    ``(None, None, [])`` when there is no such cycle.  Exact whenever
+    the minimum is below (max_len + 1) times the smallest edge angle.
+    """
+    order = {v: i for i, v in enumerate(sorted(link.vertices))}
+    best = [None, []]  # (angle sum, length), cycles attaining it
+
+    def canonical(cycle):
+        forms = []
+        for seq in (cycle, cycle[::-1]):
+            for i in range(len(seq)):
+                forms.append(tuple(seq[i:] + seq[:i]))
+        return min(forms)
+
+    def walk(start, path, on_path, total):
+        for nb, ei in link.adjacency[path[-1]]:
+            angle = link.edges[ei].angle
+            if nb == start and len(path) >= 3:
+                if order[path[1]] < order[path[-1]]:
+                    key = (total + angle, len(path))
+                    if best[0] is None or key < best[0]:
+                        best[0], best[1] = key, [list(path)]
+                    elif key == best[0]:
+                        best[1].append(list(path))
+            elif (
+                nb not in on_path
+                and order[nb] > order[start]
+                and len(path) < max_len
+            ):
+                path.append(nb)
+                on_path.add(nb)
+                walk(start, path, on_path, total + angle)
+                on_path.discard(nb)
+                path.pop()
+
+    from fractions import Fraction
+
+    for start in link.vertices:
+        walk(start, [start], {start}, Fraction(0))
+    if best[0] is None:
+        return None, None, []
+    return best[0][0], best[0][1], sorted(canonical(c) for c in best[1])
+
+
 def all_orientation_completions(gamma: DefiningGraph):
     """Every way of directing the unoriented edges of gamma."""
     keys = [e.key for e in gamma.unoriented_edges()]

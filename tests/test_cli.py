@@ -92,6 +92,15 @@ def test_loops_json(gamma_file, capsys):
     assert len(json.loads(out)) == 2
 
 
+@pytest.mark.parametrize("value", ["100", "-5", "2"])
+def test_loops_max_out_of_range_is_a_one_line_error(gamma_file, capsys, value):
+    code, out, err = run(capsys, ["loops", gamma_file(TRIANGLE_245), "--max", value])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--max" in err and value in err
+
+
 def test_link_dot_output(gamma_file, capsys):
     code, out, _ = run(capsys, ["link", gamma_file(TRIANGLE_333)])
     assert code == 0

@@ -217,6 +217,39 @@ def test_min_angle_matches_brute_force_under_b2():
             assert witness.angle_sum == value
 
 
+def test_min_angle_witness_is_least_of_all_minimal_loops():
+    from oracle_tools import dfs_min_loops
+
+    from artinlink.batteries import (
+        enumerate_triangle_free_oriented_states,
+        graph_from_state,
+    )
+
+    def b2_angled(gamma):
+        pres, _ = build_triangular(gamma)
+        k = build_complex(pres)
+        link = build_link(k)
+        return link.with_angles(assign_metric(k, link, B2).corner_angles)
+
+    angled_links = [
+        b2_angled(graph_from_state(state, 4))
+        for state in enumerate_triangle_free_oriented_states(4)
+    ] + [a2_link(link) for link in assorted_links()]
+    with_loops = 0
+    for angled in angled_links:
+        value, witness = min_angle_cycle(angled)
+        oracle_value, oracle_len, minimal = dfs_min_loops(angled, 8)
+        if value is None:
+            assert minimal == []
+            continue
+        # any loop longer than 8 weighs at least 9 times the least angle
+        assert value < 9 * min(e.angle for e in angled.edges)
+        assert (value, witness.length) == (oracle_value, oracle_len)
+        assert witness.vertices == minimal[0]
+        with_loops += 1
+    assert with_loops == 214 + 7
+
+
 # -- loop enumeration ---------------------------------------------------------
 
 

@@ -1,0 +1,58 @@
+"""Static guard: no floating point in the modules that decide the 2-pi
+comparison.  Angles are Fractions and the loop searches compare
+integers; a float literal, a ``float(...)`` call or an infinity
+sentinel would bring rounding next to that comparison."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import artinlink
+
+SRC = Path(artinlink.__file__).parent
+GUARDED = ("cycles.py", "curvature.py")
+
+
+def float_uses(source: str) -> list[str]:
+    """Line and kind of every float literal, ``float`` call and
+    ``math.inf`` / ``inf`` import in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"line {node.lineno}: float literal {node.value!r}")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            found.append(f"line {node.lineno}: float(...) call")
+        elif isinstance(node, ast.Attribute) and node.attr in ("inf", "nan"):
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            for alias in node.names:
+                if alias.name in ("inf", "nan"):
+                    found.append(f"line {node.lineno}: imports math.{alias.name}")
+    return found
+
+
+@pytest.mark.parametrize("module", GUARDED)
+def test_no_floating_point_in_exact_modules(module):
+    assert float_uses((SRC / module).read_text()) == []
+
+
+def test_guard_catches_each_float_form():
+    source = """
+import math
+from math import inf
+a = 0.5
+b = float("inf")
+c = math.inf
+"""
+    kinds = [use.split(": ", 1)[1] for use in float_uses(source)]
+    assert kinds == [
+        "imports math.inf",
+        "float literal 0.5",
+        "float(...) call",
+        ".inf",
+    ]
