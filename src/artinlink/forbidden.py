@@ -18,10 +18,12 @@ colouring of an embedded even-degree graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 from .complex_link import HEAD, TAIL, LinkGraph, LinkVertex
+from .errors import InternalInconsistencyError
 from .presentations import (
     DefiningGraph,
     GammaEdge,
@@ -29,6 +31,7 @@ from .presentations import (
     OrientationAssignment,
     UnorientedEdgeError,
     hub_name,
+    resolve_orientations,
 )
 
 
@@ -173,8 +176,6 @@ def detect_forbidden(
             witnesses.append(w)
     witnesses.sort(key=lambda w: (w.kind, w.vertices))
     if link is not None:
-        from .errors import InternalInconsistencyError
-
         for w in witnesses:
             n = len(w.loop)
             for i in range(n):
@@ -186,101 +187,99 @@ def detect_forbidden(
     return witnesses
 
 
-def _has_pattern_among(gamma: DefiningGraph, structures) -> bool:
-    triangles, cycles = structures
-    return any(_triangle_witness(gamma, t) is not None for t in triangles) or any(
-        _four_cycle_witness(gamma, c) is not None for c in cycles
-    )
+# Direction array values; an unoriented edge has none (None: undecided).
+_DIRECTION = {Orientation.FORWARD: 1, Orientation.BACKWARD: -1, Orientation.WILDCARD: 0}
+
+
+def _walk(edge_id: dict[tuple[str, str], int], cycle) -> tuple[tuple[int, int], ...]:
+    """The closed walk around ``cycle`` as (edge id, walk sign) steps.
+
+    The sign is +1 where the walk runs u -> v along the stored edge
+    (u < v) and -1 where it runs against it.
+    """
+    steps = []
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        steps.append((edge_id[a, b], 1) if a < b else (edge_id[b, a], -1))
+    return tuple(steps)
+
+
+def _forms_pattern(walk, dirs) -> bool:
+    """Whether some wildcard completion of a compiled walk is forbidden.
+
+    Each product sign * direction is +1 for an edge directed along the
+    walk, -1 against it and 0 for a wildcard.  A triangle is clean only
+    when it is a directed cycle: all three products non-zero and equal.
+    A 4-cycle is bad when its products alternate in either phase, a 0
+    matching either side.
+    """
+    if len(walk) == 3:
+        (a, sa), (b, sb), (c, sc) = walk
+        p = sa * dirs[a]
+        return not p or p != sb * dirs[b] or p != sc * dirs[c]
+    (a, sa), (b, sb), (c, sc), (d, sd) = walk
+    p, q, r, s = sa * dirs[a], sb * dirs[b], sc * dirs[c], sd * dirs[d]
+    return p >= 0 >= q and r >= 0 >= s or p <= 0 <= q and r <= 0 <= s
 
 
 def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
     """Complete the unoriented edges so that no forbidden pattern occurs.
 
-    Backtracking over the unoriented edges, most-constrained first
-    (edges on many triangles and 4-cycles come earliest); each decision
-    is checked incrementally against the triangles and 4-cycles that
-    just became fully decided.  Wildcard edges are never assigned.
-    Returns None when the exhaustive search proves no completion works.
+    The search runs on integer edge ids (positions in ``gamma.edges``)
+    and one direction array: +1 for u -> v, -1 for v -> u, 0 for a
+    wildcard and None while undecided.  Every triangle and 4-cycle is
+    compiled once into its walk of (edge id, sign) steps and checked by
+    :func:`_forms_pattern` at the decision that completes it.  The
+    unoriented edges are decided most-constrained first (most
+    triangles and 4-cycles, then edge order), "forward" before
+    "backward"; backtracking sets a slot of the array and clears it
+    again.  Wildcard edges are never assigned.  Returns None when the
+    exhaustive search proves no completion works; a completion found
+    is confirmed with :func:`detect_forbidden` before it is returned.
     """
-    triangles = gamma.triangles()
-    cycles = gamma.four_cycles()
-    todo = [e.key for e in gamma.unoriented_edges()]
+    edges = gamma.edges
+    edge_id = {e.key: i for i, e in enumerate(edges)}
+    dirs = [_DIRECTION.get(e.orientation) for e in edges]
+    walks = [_walk(edge_id, t) for t in gamma.triangles()]
+    walks += [_walk(edge_id, c) for c in gamma.four_cycles()]
 
-    def in_tri(key, tri):
-        return key[0] in tri and key[1] in tri
-
-    def in_cyc(key, cyc):
-        pairs = {
-            tuple(sorted((cyc[i], cyc[(i + 1) % 4]))) for i in range(4)
-        }
-        return key in pairs
-
-    load = {
-        key: sum(in_tri(key, t) for t in triangles)
-        + sum(in_cyc(key, c) for c in cycles)
-        for key in todo
-    }
-    todo.sort(key=lambda key: (-load[key], key))
-    decided_later = {key: set() for key in todo}
-    position = {key: i for i, key in enumerate(todo)}
-
-    def decision_point(struct_keys):
-        """Index of the last searched edge in the structure, or -1."""
-        idxs = [position[k] for k in struct_keys if k in position]
-        return max(idxs, default=-1)
-
-    tri_at: dict[int, list] = {}
-    cyc_at: dict[int, list] = {}
-    for t in triangles:
-        keys = [tuple(sorted(p)) for p in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))]
-        tri_at.setdefault(decision_point(keys), []).append(t)
-    for c in cycles:
-        keys = [tuple(sorted((c[i], c[(i + 1) % 4]))) for i in range(4)]
-        cyc_at.setdefault(decision_point(keys), []).append(c)
-
-    # Structures with no searched edge must already be clean.
-    base = gamma
-    if _has_pattern_among(base, (tri_at.get(-1, []), cyc_at.get(-1, []))):
+    load = Counter(e for walk in walks for e, _ in walk)
+    order = sorted(
+        (i for i, d in enumerate(dirs) if d is None), key=lambda i: (-load[i], i)
+    )
+    position = {e: i for i, e in enumerate(order)}
+    # checks[i + 1] holds the walks completed by decision i; checks[0]
+    # those with no searched edge, which must already be clean.
+    checks: list[list] = [[] for _ in range(len(order) + 1)]
+    for walk in walks:
+        last = max((position[e] + 1 for e, _ in walk if e in position), default=0)
+        checks[last].append(walk)
+    if any(_forms_pattern(w, dirs) for w in checks[0]):
         return None
 
-    directions: dict[tuple[str, str], str] = {}
+    i = 0
+    while 0 <= i < len(order):
+        e = order[i]
+        # Directions left at this edge: both when undecided, then -1 after +1.
+        untried = (1, -1) if dirs[e] is None else (-1,) if dirs[e] == 1 else ()
+        for d in untried:
+            dirs[e] = d
+            if not any(map(_forms_pattern, checks[i + 1], repeat(dirs))):
+                i += 1
+                break
+        else:
+            dirs[e] = None
+            i -= 1
+    if i < 0:
+        return None
 
-    def apply(graph: DefiningGraph, key, direction) -> DefiningGraph:
-        new_edges = []
-        for e in graph.edges:
-            if e.key == key:
-                o = (
-                    Orientation.FORWARD
-                    if direction == "forward"
-                    else Orientation.BACKWARD
-                )
-                new_edges.append(GammaEdge(e.u, e.v, e.label, o))
-            else:
-                new_edges.append(e)
-        return graph.with_edges(new_edges)
-
-    def backtrack(i: int, graph: DefiningGraph) -> bool:
-        if i == len(todo):
-            return True
-        key = todo[i]
-        for direction in ("forward", "backward"):
-            candidate = apply(graph, key, direction)
-            if not _has_pattern_among(
-                candidate, (tri_at.get(i, []), cyc_at.get(i, []))
-            ):
-                directions[key] = direction
-                if backtrack(i + 1, candidate):
-                    return True
-                del directions[key]
-        return False
-
-    if backtrack(0, base):
-        assignment = OrientationAssignment(directions)
-        from .presentations import resolve_orientations
-
-        assert not detect_forbidden(resolve_orientations(gamma, assignment))
-        return assignment
-    return None
+    assignment = OrientationAssignment(
+        {edges[e].key: "forward" if dirs[e] == 1 else "backward" for e in order}
+    )
+    if detect_forbidden(resolve_orientations(gamma, assignment)):
+        raise InternalInconsistencyError(
+            "orientation search returned an assignment with a forbidden pattern"
+        )
+    return assignment
 
 
 def trace_faces(

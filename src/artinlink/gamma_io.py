@@ -19,21 +19,25 @@ import json
 from .presentations import (
     ORIENTATION_SYMBOLS,
     DefiningGraph,
+    EdgeError,
     GammaEdge,
     Orientation,
+    check_vertex_name,
 )
 
 
 class ParseError(ValueError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    """Bad input; ``line`` is its source line, or None if it has none."""
+
+    def __init__(self, line: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
         self.message = message
 
 
 def parse_gamma(text: str) -> DefiningGraph:
     vertices: list[str] = []
-    edges: list[tuple] = []
+    edges: list[GammaEdge] = []
     rotations: dict[str, tuple[str, ...]] = {}
     edge_lines: dict[tuple[str, str], int] = {}
 
@@ -48,6 +52,10 @@ def parse_gamma(text: str) -> DefiningGraph:
                 raise ParseError(lineno, "expected: vertex <name>")
             if fields[1] in vertices:
                 raise ParseError(lineno, f"duplicate vertex {fields[1]!r}")
+            try:
+                check_vertex_name(fields[1])
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from exc
             vertices.append(fields[1])
         elif kind == "edge":
             if len(fields) not in (4, 5):
@@ -60,8 +68,12 @@ def parse_gamma(text: str) -> DefiningGraph:
             symbol = fields[4] if len(fields) == 5 else "."
             if symbol not in ORIENTATION_SYMBOLS:
                 raise ParseError(lineno, f"unknown direction symbol {symbol!r}")
-            edges.append((u, v, label, ORIENTATION_SYMBOLS[symbol]))
-            edge_lines[(min(u, v), max(u, v))] = lineno
+            try:
+                edge = GammaEdge(u, v, label, ORIENTATION_SYMBOLS[symbol])
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from exc
+            edges.append(edge)
+            edge_lines[edge.key] = lineno
         elif kind == "rot":
             if len(fields) < 2 or not fields[1].endswith(":"):
                 raise ParseError(lineno, "expected: rot <v>: <n1> <n2> ...")
@@ -72,8 +84,10 @@ def parse_gamma(text: str) -> DefiningGraph:
 
     try:
         return DefiningGraph(vertices, edges, rotations or None)
+    except EdgeError as exc:
+        raise ParseError(edge_lines[exc.key], str(exc)) from exc
     except ValueError as exc:
-        raise ParseError(0, str(exc)) from exc
+        raise ParseError(None, str(exc)) from exc
 
 
 _SYMBOL_OF = {o: s for s, o in ORIENTATION_SYMBOLS.items()}
@@ -118,16 +132,22 @@ def parse_gamma_json(text: str) -> DefiningGraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        kind = type(obj).__name__
+        raise ParseError(None, f"graph JSON must be an object, not {kind}")
     try:
         return gamma_from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(0, f"bad graph object: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(None, f"bad graph object: {exc}") from exc
 
 
 def load_gamma(path: str) -> DefiningGraph:
     """Read a defining graph from a ``.json`` or line-format file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(None, f"{path} is not UTF-8 text: {exc.reason}") from exc
     if path.endswith(".json"):
         return parse_gamma_json(text)
     return parse_gamma(text)

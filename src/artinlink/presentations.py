@@ -29,6 +29,28 @@ class IncompleteAssignmentError(ValueError):
     """An orientation assignment misses or mismatches edges."""
 
 
+class EdgeError(ValueError):
+    """A defining graph cannot hold this edge; ``key`` is its (u, v) pair."""
+
+    def __init__(self, key: tuple[str, str], message: str):
+        super().__init__(message)
+        self.key = key
+
+
+def check_vertex_name(name) -> None:
+    """Reject a name that could collide with a generated generator.
+
+    Hub and chain generators are named ``x_{u,v}`` and ``d_{u,v,i}``,
+    so a vertex name must be a non-empty string without braces or
+    commas.
+    """
+    if not isinstance(name, str) or not name or any(c in name for c in "{},"):
+        raise ValueError(
+            f"vertex name {name!r} must be a non-empty string without "
+            f"'{{', '}}' or ','"
+        )
+
+
 class Orientation(str, Enum):
     FORWARD = "forward"
     BACKWARD = "backward"
@@ -136,19 +158,20 @@ class DefiningGraph:
         rotations: Mapping[str, Iterable[str]] | None = None,
     ):
         self.vertices = tuple(vertices)
+        for v in self.vertices:
+            check_vertex_name(v)
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex names")
         norm = sorted((_make_edge(e) for e in edges), key=lambda e: e.key)
         self.edges = tuple(norm)
         self._by_key: dict[tuple[str, str], GammaEdge] = {}
-        for e in self.edges:
-            if e.u not in self.vertices or e.v not in self.vertices:
-                raise ValueError(f"edge {e.key} uses undeclared vertices")
-            if e.key in self._by_key:
-                raise ValueError(f"multiple edges between {e.u!r} and {e.v!r}")
-            self._by_key[e.key] = e
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
         for e in self.edges:
+            if e.u not in adj or e.v not in adj:
+                raise EdgeError(e.key, f"edge {e.key} uses undeclared vertices")
+            if e.key in self._by_key:
+                raise EdgeError(e.key, f"multiple edges between {e.u!r} and {e.v!r}")
+            self._by_key[e.key] = e
             adj[e.u].append(e.v)
             adj[e.v].append(e.u)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
@@ -195,37 +218,31 @@ class DefiningGraph:
         return not self.triangles()
 
     def triangles(self) -> list[tuple[str, str, str]]:
-        out = []
-        vs = self.vertices
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                if not self.has_edge(vs[i], vs[j]):
-                    continue
-                for k in range(j + 1, len(vs)):
-                    if self.has_edge(vs[i], vs[k]) and self.has_edge(vs[j], vs[k]):
-                        out.append(tuple(sorted((vs[i], vs[j], vs[k]))))
-        return sorted(out)
+        """Triangles as sorted vertex triples (u, v, w), in sorted order."""
+        adj = self._adj
+        return [
+            (u, v, w)
+            for u, v in self._by_key
+            for w in adj[v]
+            if w > v and (u, w) in self._by_key
+        ]
 
     def four_cycles(self) -> list[tuple[str, str, str, str]]:
         """Embedded 4-cycles as vertex sequences (v0,v1,v2,v3), each once.
 
         Canonical form: v0 is the least vertex and v1 < v3.
         """
-        out = []
-        vs = sorted(self.vertices)
-        for i, v0 in enumerate(vs):
-            rest = vs[i + 1 :]
-            for v1 in rest:
-                if not self.has_edge(v0, v1):
-                    continue
-                for v2 in rest:
-                    if v2 == v1 or not self.has_edge(v1, v2):
-                        continue
-                    for v3 in rest:
-                        if v3 in (v1, v2) or v3 < v1:
-                            continue
-                        if self.has_edge(v2, v3) and self.has_edge(v3, v0):
-                            out.append((v0, v1, v2, v3))
+        adj = self._adj
+        out = [
+            (v0, v1, v2, v3)
+            for v0 in self.vertices
+            for v1 in adj[v0]
+            if v1 > v0
+            for v2 in adj[v1]
+            if v2 > v0
+            for v3 in adj[v2]
+            if v3 > v1 and (v0, v3) in self._by_key
+        ]
         return sorted(out)
 
     def with_edges(self, edges: Iterable[GammaEdge]) -> "DefiningGraph":

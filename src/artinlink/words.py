@@ -109,13 +109,6 @@ class FreeWord:
 
     __invert__ = inverse
 
-    @property
-    def is_reduced(self) -> bool:
-        return all(
-            a.gen != b.gen or a.exp != -b.exp
-            for a, b in zip(self.letters, self.letters[1:])
-        )
-
     def reduce(self) -> "FreeWord":
         """Unique freely reduced form; never longer than the input."""
         stack: list[Letter] = []
@@ -233,9 +226,6 @@ class CyclicWord:
             return set()
         doubled = self.letters * (length // n + 2)
         return {FreeWord(doubled[i : i + length]) for i in range(n)}
-
-    def as_word(self) -> FreeWord:
-        return FreeWord(self.letters)
 
     def __str__(self) -> str:
         return " ".join(str(lt) for lt in self.letters)

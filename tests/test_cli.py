@@ -174,6 +174,47 @@ def test_missing_file_exit_code(capsys):
     assert "error" in err
 
 
+def assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "error: " in err
+    assert "Traceback" not in err
+
+
+def test_json_top_level_list_is_a_one_line_error(gamma_file, capsys):
+    code, out, err = run(capsys, ["certify", gamma_file("[1, 2]", "graph.json")])
+    assert_one_line_error(code, out, err)
+    assert "must be an object" in err
+
+
+def test_directory_as_graph_path_is_a_one_line_error(tmp_path, capsys):
+    code, out, err = run(capsys, ["certify", str(tmp_path)])
+    assert_one_line_error(code, out, err)
+    assert "Is a directory" in err
+
+
+def test_vertex_named_like_a_hub_is_a_one_line_error(gamma_file, capsys):
+    text = "vertex a\nvertex b\nvertex x_{a,b}\nedge a b 3 >\n"
+    code, out, err = run(capsys, ["certify", gamma_file(text)])
+    assert_one_line_error(code, out, err)
+    assert "line 3:" in err and "x_{a,b}" in err
+
+
+def test_binary_file_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "graph.gamma"
+    path.write_bytes(b"\xff\xfe vertex a\n")
+    code, out, err = run(capsys, ["certify", str(path)])
+    assert_one_line_error(code, out, err)
+    assert "UTF-8" in err
+
+
+def test_graph_level_error_reports_the_edge_line(gamma_file, capsys):
+    text = "vertex a\nvertex b\nedge a b 3 >\nedge a c 3 >\n"
+    code, out, err = run(capsys, ["certify", gamma_file(text)])
+    assert_one_line_error(code, out, err)
+    assert "line 4: edge ('a', 'c') uses undeclared vertices" in err
+
+
 def test_loops_on_unoriented_input_suggests_orient(gamma_file, capsys):
     code, _, err = run(capsys, ["loops", gamma_file(UNORIENTED_SQUARE)])
     assert code == 1

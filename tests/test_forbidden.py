@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle_tools import (
     all_orientation_completions,
     brute_force_girth,
@@ -10,6 +12,7 @@ from oracle_tools import (
 from artinlink import (
     DefiningGraph,
     DualNotBipartiteError,
+    InternalInconsistencyError,
     OddDegreeVertexError,
     Orientation,
     UnorientedEdgeError,
@@ -22,6 +25,7 @@ from artinlink import (
     search_orientation,
     trace_faces,
 )
+from artinlink import forbidden
 
 F, B, WILD = Orientation.FORWARD, Orientation.BACKWARD, Orientation.WILDCARD
 
@@ -264,6 +268,84 @@ def test_search_is_deterministic():
         [("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("a", "d", 3)],
     )
     assert search_orientation(g) == search_orientation(g)
+
+
+# The search's compiled predicate must agree with the witness builders
+# that detect_forbidden uses, on every direction pattern: +1 and -1 for
+# the two directions of an edge, 0 for a wildcard.
+EDGE_STATES = {1: (3, F), -1: (3, B), 0: (2, WILD)}
+
+
+def compiled_verdict(g, cycle):
+    edge_id = {e.key: i for i, e in enumerate(g.edges)}
+    dirs = [forbidden._DIRECTION.get(e.orientation) for e in g.edges]
+    return forbidden._forms_pattern(forbidden._walk(edge_id, cycle), dirs)
+
+
+@pytest.mark.parametrize("pattern", list(itertools.product((1, -1, 0), repeat=3)))
+def test_compiled_triangle_predicate_matches_witness(pattern):
+    pairs = [("a", "b"), ("b", "c"), ("a", "c")]
+    g = DefiningGraph(
+        ("a", "b", "c"),
+        [(u, v, *EDGE_STATES[d]) for (u, v), d in zip(pairs, pattern)],
+    )
+    (tri,) = g.triangles()
+    expected = forbidden._triangle_witness(g, tri) is not None
+    assert compiled_verdict(g, tri) == expected
+
+
+@pytest.mark.parametrize("pattern", list(itertools.product((1, -1, 0), repeat=4)))
+def test_compiled_four_cycle_predicate_matches_witness(pattern):
+    pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
+    g = DefiningGraph(
+        ("a", "b", "c", "d"),
+        [(u, v, *EDGE_STATES[d]) for (u, v), d in zip(pairs, pattern)],
+    )
+    (cyc,) = g.four_cycles()
+    expected = forbidden._four_cycle_witness(g, cyc) is not None
+    assert compiled_verdict(g, cyc) == expected
+
+
+@st.composite
+def mixed_graphs(draw, max_unoriented=8):
+    """Graphs on at most 6 vertices with fixed, wildcard and unoriented
+    edges, at most ``max_unoriented`` of them unoriented."""
+    names = "abcdef"[: draw(st.integers(1, 6))]
+    edges = []
+    unoriented = 0
+    for u, v in itertools.combinations(names, 2):
+        kinds = ["none", "forward", "backward", "wildcard"]
+        if unoriented < max_unoriented:
+            kinds += ["unoriented"] * 3  # mostly searched edges
+        kind = draw(st.sampled_from(kinds))
+        if kind == "unoriented":
+            unoriented += 1
+            edges.append((u, v, draw(st.sampled_from((3, 4)))))
+        elif kind == "wildcard":
+            edges.append((u, v, 2, WILD))
+        elif kind != "none":
+            edges.append((u, v, 3, F if kind == "forward" else B))
+    return DefiningGraph(tuple(names), edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_graphs())
+def test_search_agrees_with_exhaustive_completions(g):
+    found = search_orientation(g)
+    any_good = any(good(g, asg) for asg in all_orientation_completions(g))
+    assert (found is not None) == any_good
+    if found is not None:
+        assert good(g, found)
+
+
+def test_search_self_check_raises_on_a_bad_assignment(monkeypatch):
+    # A predicate that never sees a pattern lets K4 "succeed"; the final
+    # detect_forbidden check must refuse the result, even under python -O.
+    monkeypatch.setattr(forbidden, "_forms_pattern", lambda walk, dirs: False)
+    names = ("a", "b", "c", "d")
+    g = DefiningGraph(names, [(u, v, 3) for u, v in itertools.combinations(names, 2)])
+    with pytest.raises(InternalInconsistencyError):
+        search_orientation(g)
 
 
 # -- checkerboard orientation ----------------------------------------------------

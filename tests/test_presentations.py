@@ -48,6 +48,34 @@ def test_graph_rejects_loops_multiedges_bad_labels():
         DefiningGraph(("a", "b"), [("a", "b", 3, Orientation.WILDCARD)])
 
 
+@pytest.mark.parametrize("name", ["x_{a,b}", "d_{a,b,3}", "a,b", "", 7])
+def test_graph_rejects_names_that_clash_with_generators(name):
+    with pytest.raises(ValueError):
+        DefiningGraph(("a", "b", name), [("a", "b", 3, Orientation.FORWARD)])
+
+
+def brute_force_triangles_and_four_cycles(g):
+    vs = sorted(g.vertices)
+    tris = [t for t in itertools.combinations(vs, 3)
+            if all(g.has_edge(x, y) for x, y in itertools.combinations(t, 2))]
+    cycs = [
+        (v0, v1, v2, v3)
+        for v0, v1, v2, v3 in itertools.permutations(vs, 4)
+        if v0 == min(v0, v1, v2, v3) and v1 < v3
+        and all(g.has_edge(x, y) for x, y in ((v0, v1), (v1, v2), (v2, v3), (v3, v0)))
+    ]
+    return sorted(tris), sorted(cycs)
+
+
+def test_triangles_and_four_cycles_match_brute_force_on_all_five_vertex_graphs():
+    names = ("e", "b", "d", "a", "c")  # declaration order differs from sorted
+    pairs = list(itertools.combinations(names, 2))
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        g = DefiningGraph(names, [(u, v, 3) for (u, v), b in zip(pairs, bits) if b])
+        expected = brute_force_triangles_and_four_cycles(g)
+        assert (g.triangles(), g.four_cycles()) == expected
+
+
 def test_edge_normalization_flips_direction():
     e = GammaEdge("b", "a", 3, Orientation.FORWARD)  # drawn b -> a
     assert e.key == ("a", "b")
@@ -287,17 +315,27 @@ def test_parse_gamma_json_round_trip():
     "bad,line",
     [
         ("vertex a\nvertex a\n", 2),
-        ("vertex a\nedge a b 3\n", 0),
+        ("vertex a\nedge a b 3\n", 2),
         ("vertex a\nvertex b\nedge a b x\n", 3),
         ("vertex a\nvertex b\nedge a b 3 !\n", 3),
         ("flurb\n", 1),
-        ("vertex a\nvertex b\nedge a b 3 ?\n", 0),
+        ("vertex a\nvertex b\nedge a b 3 ?\n", 3),
+        ("vertex a\nvertex b\nedge a b 3\n\nedge b a 4\n", 5),
+        ("edge a c 3\nvertex a\nvertex b\n", 1),
+        ("vertex a\nvertex x_{a,b}\n", 2),
     ],
 )
 def test_parse_gamma_errors(bad, line):
     with pytest.raises(ParseError) as err:
         parse_gamma(bad)
     assert err.value.line == line
+
+
+def test_rotation_error_has_no_line():
+    with pytest.raises(ParseError) as err:
+        parse_gamma("vertex a\nrot b: a\n")
+    assert err.value.line is None
+    assert str(err.value) == "rotation at undeclared vertex 'b'"
 
 
 def test_rotation_lines_parse():
