@@ -354,16 +354,23 @@ class LinkGraph:
             lines.append(f"  {{ rank=same;  // level {level}")
             for v in members:
                 shape = ", shape=doublecircle" if v.special else ""
-                lines.append(f'    "{v.bar_name}" [label="{v.bar_name}"{shape}];')
+                name = _dot_quote(v.bar_name)
+                lines.append(f"    {name} [label={name}{shape}];")
             lines.append("  }")
         for e in self.edges:
             style = " [style=bold]" if e.kind == MIDDLE else ""
-            lines.append(f'  "{e.a.bar_name}" -- "{e.b.bar_name}"{style};')
+            a, b = _dot_quote(e.a.bar_name), _dot_quote(e.b.bar_name)
+            lines.append(f"  {a} -- {b}{style};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
         return f"LinkGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+
+
+def _dot_quote(name: str) -> str:
+    """A DOT quoted string for ``name``: backslashes and quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _terminal(lt: Letter, vertex_of) -> LinkVertex:

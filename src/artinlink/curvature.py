@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .complex_link import LinkGraph, TwoComplex, build_complex, build_link
 from .cycles import EmbeddedLoop, girth, min_angle_cycle
+from .errors import InternalInconsistencyError
 from .forbidden import ForbiddenWitness, detect_forbidden, search_orientation
 from .presentations import (
     DefiningGraph,
@@ -80,7 +81,10 @@ def assign_metric(k: TwoComplex, link: LinkGraph, scheme: str) -> MetricAssignme
     else:
         raise ValueError(f"unknown metric scheme {scheme!r}")
     for ci in range(len(k.cells)):
-        assert sum(angles[(ci, c)] for c in range(3)) == 1  # pi per triangle
+        if sum(angles[(ci, c)] for c in range(3)) != 1:  # pi per triangle
+            raise InternalInconsistencyError(
+                f"{scheme} angles of 2-cell {ci} do not sum to pi"
+            )
     return MetricAssignment(scheme, lengths, angles)
 
 
@@ -91,10 +95,19 @@ class LinkCondition:
     witness: EmbeddedLoop | None
 
 
-def check_link_condition(link: LinkGraph, metric: MetricAssignment) -> LinkCondition:
-    """Does every embedded loop measure at least 2*pi?  Exact comparison."""
+def check_link_condition(
+    link: LinkGraph,
+    metric: MetricAssignment,
+    shortest: tuple[int | None, EmbeddedLoop | None] | None = None,
+) -> LinkCondition:
+    """Does every embedded loop measure at least 2*pi?  Exact comparison.
+
+    A caller that already has ``girth(link)`` passes it as ``shortest``;
+    under a metric with one angle everywhere (A2) it is the answer, so
+    the loop search does not run again.
+    """
     angled = link.with_angles(metric.corner_angles)
-    value, witness = min_angle_cycle(angled)
+    value, witness = min_angle_cycle(angled, shortest)
     holds = value is None or value >= TWO_PI
     return LinkCondition(holds, value, witness)
 
@@ -236,7 +249,7 @@ def certify(
 
     diagnostic_scheme = chosen or A2
     metric = assign_metric(k, link, diagnostic_scheme)
-    condition = check_link_condition(link, metric)
+    condition = check_link_condition(link, metric, (girth_value, girth_loop))
 
     if chosen is None:
         verdict, theorem = VERDICT_INCONCLUSIVE, None

@@ -1,34 +1,29 @@
 """Embedded loops in links: girth, minimum-angle cycles, enumeration.
 
 Every search runs on the link's dense integer core (``LinkGraph.nbrs``
-and ``LinkGraph.ends``): vertices are ids, positions in the sorted
-vertex tuple, and loops are tuples of ids until one is returned.
-Because ids follow the sorted vertex order, every heap, tuple and
-canonical-rotation tie-break on ids orders exactly as it would on the
-vertices themselves, so the witnesses are the canonically least loops.
-A search builds an :class:`EmbeddedLoop` (validated, with its exact
-angle sum) only for the loops it returns.
+and ``LinkGraph.ends``): vertices are ids, their positions in the
+sorted vertex tuple, so every tie-break on ids is the tie-break on the
+vertices and each witness is the canonically least loop.  A search
+builds an :class:`EmbeddedLoop` (validated, with its exact angle sum)
+only for the loops it returns.
 
-Links built by this package are bipartite (every edge joins adjacent
-levels) and simple, so embedded loops have even length >= 4.  The girth
-search therefore first scans for 4-loops via common neighbours and only
-then falls back to the general per-edge algorithm: remove an edge,
-take a shortest path between its ends, and close it up.
-
-Angles are exact Fractions in units of pi; the weighted search scales
-them to integers, so no comparison ever happens in floating point.
+One shortest-cycle engine finds the girth: a BFS from each vertex over
+the larger ids (Itai and Rodeh, 1978), then one DFS for the witness.
+It also answers the minimum-angle question when every edge has the same
+angle; otherwise one Dijkstra per edge runs.  Angles are exact
+Fractions in units of pi, scaled to integers, so no comparison ever
+happens in floating point.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 from .complex_link import LinkGraph, LinkVertex
+from .errors import InternalInconsistencyError
 
 LOOP_ENUMERATION_GUARD = 8
 
@@ -98,20 +93,6 @@ def _loop_of_ids(link: LinkGraph, ids) -> EmbeddedLoop:
     return make_loop(link, [link.vertices[i] for i in ids])
 
 
-def _four_cycles(link: LinkGraph) -> list[tuple[int, ...]]:
-    """All embedded 4-loops as canonical id tuples, sorted, via pairs of
-    vertices with >= 2 common neighbours.  Valid for simple graphs."""
-    pair_hubs: dict[tuple[int, int], list[int]] = {}
-    for w, ns in enumerate(link.nbrs):
-        for pair in combinations([nb for nb, _ in ns], 2):
-            pair_hubs.setdefault(pair, []).append(w)
-    cycles = set()
-    for (x, y), hubs in pair_hubs.items():
-        for w1, w2 in combinations(hubs, 2):
-            cycles.add(_canonical_cycle([x, w1, y, w2]))
-    return sorted(cycles)
-
-
 def has_short_loop(link: LinkGraph) -> bool:
     """Whether the link has an embedded loop of length < 6.
 
@@ -132,79 +113,87 @@ def has_short_loop(link: LinkGraph) -> bool:
     return False
 
 
-def _bfs_shortest_path(
-    link: LinkGraph,
-    source: int,
-    target: int,
-    banned_edge: int,
-    max_len: int | None,
-) -> list[int] | None:
-    """Shortest id path avoiding one edge, among paths of length <= max_len."""
-    parent: dict[int, int | None] = {source: None}
-    depth = {source: 0}
-    queue = deque([source])
-    nbrs = link.nbrs
-    while queue:
-        cur = queue.popleft()
-        if cur == target:
-            break
-        if max_len is not None and depth[cur] >= max_len:
-            continue
-        for nb, ei in nbrs[cur]:
-            if ei == banned_edge or nb in parent:
-                continue
-            parent[nb] = cur
-            depth[nb] = depth[cur] + 1
-            queue.append(nb)
-    if target not in parent:
-        return None
-    path = [target]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path[::-1]
+def _least_cycle_through(
+    nbrs: list[list[int]], s: int, best: int
+) -> tuple[int, dict[int, int]]:
+    """BFS from ``s`` over the ids > s, each vertex labelled with its
+    first hop; an edge between two such branches closes a simple cycle
+    through ``s``.  Returns the least length below ``best`` of such a
+    cycle (else ``best``) and the depth of each vertex reached.  Levels
+    from ``best // 2`` on are not expanded: they close no shorter cycle.
+    """
+    branch = {nb: nb for nb in nbrs[s] if nb > s}
+    depth = dict.fromkeys(branch, 1)
+    depth[s] = 0
+    frontier = list(branch)
+    d = 1
+    while frontier and 2 * d + 1 < best:
+        ahead = []
+        for cur in frontier:
+            b = branch[cur]
+            for nb in nbrs[cur]:
+                if nb <= s:
+                    continue
+                nb_branch = branch.get(nb)
+                if nb_branch is None:
+                    depth[nb] = d + 1
+                    branch[nb] = b
+                    ahead.append(nb)
+                elif nb_branch != b and d + depth[nb] + 1 < best:
+                    best = d + depth[nb] + 1
+        frontier = ahead
+        d += 1
+    return best, depth
+
+
+def _shortest_cycle(link: LinkGraph) -> tuple[int | None, tuple[int, ...] | None]:
+    """Girth and the canonically least shortest loop, as an id tuple.
+
+    The first start to reach the girth is the least vertex of that
+    loop.  A DFS from it over larger ids, in increasing order, meets
+    the loop first; shortest loops are isometric, so it prunes every
+    vertex farther from the start than the steps left to close up.
+    """
+    nbrs = [[nb for nb, _ in ns] for ns in link.nbrs]  # sorted ids
+    best, start = len(nbrs) + 1, None
+    for s in range(len(nbrs)):
+        length, _ = _least_cycle_through(nbrs, s, best)
+        if length < best:
+            best, start = length, s
+    if start is None:
+        return None, None
+    # best + 1 keeps loops of length best in range: depths reach best // 2
+    _, depth = _least_cycle_through(nbrs, start, best + 1)
+    path, pending = [start], [iter(nbrs[start])]
+    while pending:
+        nb = next(pending[-1], None)
+        if nb is None:
+            pending.pop()
+            path.pop()
+        elif nb > start and depth.get(nb, best) + len(path) <= best and nb not in path:
+            path.append(nb)
+            if len(path) < best:
+                pending.append(iter(nbrs[nb]))
+            elif path[1] < nb:  # the canonical direction of the loop
+                return best, tuple(path)
+            else:
+                path.pop()
+    raise InternalInconsistencyError("no loop of the girth through its start")
 
 
 def girth(link: LinkGraph) -> tuple[int | None, EmbeddedLoop | None]:
     """Minimum edge count over embedded loops, with a canonical witness.
 
     Returns ``(None, None)`` for forests.  Ties between witness loops
-    are broken by the canonical lexicographic vertex order.  A
-    common-neighbour scan answers girth-4 links immediately; otherwise
-    the per-edge-removal search runs.
+    are broken by the canonical lexicographic vertex order.
     """
-    if not link.edges:
-        return None, None
-    four = _four_cycles(link)
-    if four:
-        return 4, _loop_of_ids(link, four[0])
-    return _girth_by_edge_removal(link)
-
-
-def _girth_by_edge_removal(
-    link: LinkGraph,
-) -> tuple[int | None, EmbeddedLoop | None]:
-    """Shortest cycle as min over edges of (shortest path avoiding the
-    edge) + the edge itself."""
-    best_len: int | None = None
-    best: tuple[int, ...] | None = None
-    for ei, (a, b) in enumerate(link.ends):
-        cap = None if best_len is None else best_len - 1
-        path = _bfs_shortest_path(link, a, b, ei, cap)
-        if path is None:
-            continue
-        if best_len is None or len(path) < best_len:
-            best_len, best = len(path), _canonical_cycle(path)
-        else:  # len(path) == best_len, by the cap
-            canon = _canonical_cycle(path)
-            if canon < best:
-                best = canon
-    if best is None:
-        return None, None
-    return best_len, _loop_of_ids(link, best)
+    length, ids = _shortest_cycle(link)
+    return length, None if ids is None else _loop_of_ids(link, ids)
 
 
 def min_angle_cycle(
     link: LinkGraph,
+    shortest: tuple[int | None, EmbeddedLoop | None] | None = None,
 ) -> tuple[Fraction | None, EmbeddedLoop | None]:
     """Minimum total angle over embedded loops, computed exactly.
 
@@ -212,7 +201,11 @@ def min_angle_cycle(
     loop, then the canonically least one.  Returns ``(None, None)``
     for forests.
 
-    One Dijkstra per edge finds the lightest loop through it; the
+    With one angle on every edge the lightest loops are the shortest,
+    and the tie-breaks agree, so the answer is the girth loop; a caller
+    that has ``girth(link)`` (of this link, with or without angles)
+    passes it as ``shortest`` to save the search.  Otherwise one
+    Dijkstra per edge finds the lightest loop through it; the
     candidates are compared as (integer weight, length), and by
     canonical id tuple only on a tie, so a loop is built just for the
     winner.
@@ -230,6 +223,12 @@ def min_angle_cycle(
     weight = [
         e.angle.numerator * (denom // e.angle.denominator) for e in link.edges
     ]
+    if min(weight) == max(weight):
+        _, loop = girth(link) if shortest is None else shortest
+        if loop is None:
+            return None, None
+        loop = make_loop(link, list(loop.vertices))  # sums this link's angles
+        return loop.angle_sum, loop
 
     # The best loop so far, as (weight, length) and id path; the
     # canonical form of the path is computed only when a tie needs it.
@@ -328,11 +327,6 @@ def enumerate_short_loops(link: LinkGraph, max_len: int) -> list[EmbeddedLoop]:
         )
     if max_len < 3 or not link.edges:
         return []
-    if max_len < 6:
-        # Links are bipartite (levels alternate), so loops under length 6
-        # are exactly the 4-loops; the common-neighbour scan finds them.
-        cycles = _four_cycles(link) if max_len >= 4 else []
-        return [_loop_of_ids(link, c) for c in cycles]
     nbrs = link.nbrs
     found: set[tuple[int, ...]] = set()
 

@@ -22,6 +22,7 @@ from .presentations import (
     EdgeError,
     GammaEdge,
     Orientation,
+    RotationError,
     check_vertex_name,
 )
 
@@ -40,6 +41,7 @@ def parse_gamma(text: str) -> DefiningGraph:
     edges: list[GammaEdge] = []
     rotations: dict[str, tuple[str, ...]] = {}
     edge_lines: dict[tuple[str, str], int] = {}
+    rotation_lines: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -79,6 +81,7 @@ def parse_gamma(text: str) -> DefiningGraph:
                 raise ParseError(lineno, "expected: rot <v>: <n1> <n2> ...")
             vtx = fields[1][:-1]
             rotations[vtx] = tuple(fields[2:])
+            rotation_lines[vtx] = lineno
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
 
@@ -86,6 +89,8 @@ def parse_gamma(text: str) -> DefiningGraph:
         return DefiningGraph(vertices, edges, rotations or None)
     except EdgeError as exc:
         raise ParseError(edge_lines[exc.key], str(exc)) from exc
+    except RotationError as exc:
+        raise ParseError(rotation_lines[exc.vertex], str(exc)) from exc
     except ValueError as exc:
         raise ParseError(None, str(exc)) from exc
 

@@ -37,6 +37,14 @@ class EdgeError(ValueError):
         self.key = key
 
 
+class RotationError(ValueError):
+    """A rotation entry does not fit the graph; ``vertex`` is its vertex."""
+
+    def __init__(self, vertex: str, message: str):
+        super().__init__(message)
+        self.vertex = vertex
+
+
 def check_vertex_name(name) -> None:
     """Reject a name that could collide with a generated generator.
 
@@ -180,10 +188,10 @@ class DefiningGraph:
             rot = {v: tuple(order) for v, order in rotations.items()}
             for v, order in rot.items():
                 if v not in self.vertices:
-                    raise ValueError(f"rotation at undeclared vertex {v!r}")
+                    raise RotationError(v, f"rotation at undeclared vertex {v!r}")
                 if sorted(order) != sorted(self._adj[v]):
-                    raise ValueError(
-                        f"rotation at {v!r} must list its neighbours exactly"
+                    raise RotationError(
+                        v, f"rotation at {v!r} must list its neighbours exactly"
                     )
             self.rotations = rot
 

@@ -327,6 +327,21 @@ def test_dot_export_structure():
     assert dot == link_of(g).to_dot()  # deterministic
 
 
+def test_dot_quotes_names_safely():
+    import re
+
+    # check_vertex_name accepts quotes and backslashes
+    g = DefiningGraph(("a\"x", "b\\"), [("a\"x", "b\\", 2, Orientation.WILDCARD)])
+    link = link_of(g)
+    quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+    names = set()
+    for line in link.to_dot().splitlines():
+        # balanced: no quote is left over once the quoted strings are gone
+        assert '"' not in quoted.sub("", line)
+        names.update(re.sub(r"\\(.)", r"\1", m) for m in quoted.findall(line))
+    assert names == {v.bar_name for v in link.vertices}
+
+
 def test_dot_golden_hexagon():
     g = DefiningGraph(("a", "b"), [("a", "b", 2, Orientation.WILDCARD)])
     dot = link_of(g).to_dot()

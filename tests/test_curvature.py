@@ -82,6 +82,19 @@ def test_b2_triangle_angle_sums():
         assert sum(metric.corner_angles[(ci, c)] for c in range(3)) == 1
 
 
+def test_angle_sums_are_checked_without_assert(monkeypatch):
+    import pytest
+
+    from artinlink import InternalInconsistencyError, curvature
+
+    k, link = complex_and_link(triangle_graph(3, 3, 3))
+    # corners of pi/4 sum to 3*pi/4; the check must not be a bare assert,
+    # which python -O strips
+    monkeypatch.setattr(curvature, "Fraction", lambda n, d: Fraction(1, 4))
+    with pytest.raises(InternalInconsistencyError, match="do not sum to pi"):
+        assign_metric(k, link, A2)
+
+
 # -- link condition --------------------------------------------------------
 
 
@@ -205,6 +218,31 @@ def test_certify_edgeless_graph_is_vacuously_npc():
     assert report.verdict == VERDICT_NPC
     assert report.girth is None
     assert report.min_angle_over_pi is None
+
+
+def test_certify_runs_the_shortest_cycle_engine_once(monkeypatch):
+    from artinlink import cycles
+
+    engine = cycles._shortest_cycle
+    runs = []
+
+    def counted(link):
+        runs.append(link)
+        return engine(link)
+
+    monkeypatch.setattr(cycles, "_shortest_cycle", counted)
+    k33 = DefiningGraph(
+        ("a", "b", "c", "x", "y", "z"),
+        [(u, v, 3, F) for u in "abc" for v in "xyz"],
+    )
+    for gamma, scheme in [
+        (triangle_graph(3, 3, 3), A2),  # one angle everywhere: no Dijkstra
+        (triangle_graph(2, 4, 5), None),  # A2 diagnostics
+        (k33, B2),  # girth, then the Dijkstra for the B2 angles
+    ]:
+        runs.clear()
+        assert certify(gamma).scheme == scheme
+        assert len(runs) == 1
 
 
 def test_certify_with_explicit_assignment():

@@ -103,19 +103,46 @@ def assorted_links():
 
 
 def test_girth_matches_brute_force_enumeration():
-    from artinlink.cycles import _girth_by_edge_removal
+    from artinlink.cycles import _shortest_cycle
 
     for link in assorted_links():
         assert len(link.vertices) <= 40
         expected = brute_force_girth(link)
         value, witness = girth(link)
         assert value == expected
-        # the per-edge-removal algorithm must agree on its own, without
-        # the girth-4 fast path in front of it
-        assert _girth_by_edge_removal(link)[0] == expected
+        # the shortest-cycle engine must agree on its own, below the
+        # loop-building wrapper
+        assert _shortest_cycle(link)[0] == expected
         if expected is not None:
             assert witness.length == expected
         assert has_short_loop(link) == (expected is not None and expected < 6)
+
+
+def test_girth_witness_is_least_of_all_minimal_loops():
+    from oracle_tools import dfs_min_loops
+
+    from artinlink.batteries import (
+        enumerate_triangle_free_oriented_states,
+        graph_from_state,
+    )
+
+    links = [
+        link_of(graph_from_state(state, 5))
+        for state in enumerate_triangle_free_oriented_states(5, (2, 3))
+    ] + list(assorted_links())
+    with_loops = 0
+    for link in links:
+        value, witness = girth(link)
+        # under one angle everywhere the least angle sum is the girth
+        oracle_value, oracle_len, minimal = dfs_min_loops(a2_link(link), 8)
+        if value is None:
+            assert minimal == []
+            continue
+        assert value <= 8  # within the oracle's exact range
+        assert (oracle_value, oracle_len) == (Fraction(value, 3), value)
+        assert witness.vertices == minimal[0]
+        with_loops += 1
+    assert with_loops == 435 + 6
 
 
 def test_girth_is_even_on_links():
@@ -154,19 +181,28 @@ def test_min_angle_forest_is_none():
     assert min_angle_cycle(tree) == (None, None)
 
 
-def test_min_angle_uniform_is_theta_times_girth():
-    for link in assorted_links():
+def test_min_angle_uniform_is_theta_times_girth(monkeypatch):
+    from artinlink import cycles
+
+    def no_dijkstra(*args):
+        raise AssertionError("uniform angles must not run the Dijkstra")
+
+    monkeypatch.setattr(cycles, "_dijkstra_path", no_dijkstra)
+    link = classic_link(3, 3, 3)
+    forest = link.neighborhood(link.vertex("y", "head"), 2)
+    for link in [*assorted_links(), forest]:
         theta = Fraction(2, 7)
         uniform = link.with_angles(
             {(e.cell, e.corner): theta for e in link.edges}
         )
-        g, _ = girth(link)
+        g, girth_loop = girth(link)
         value, witness = min_angle_cycle(uniform)
+        assert min_angle_cycle(uniform, (g, girth_loop)) == (value, witness)
         if g is None:
-            assert value is None
+            assert (value, witness) == (None, None)
         else:
-            assert value == theta * g
-            assert witness.length == g
+            assert value == theta * g == witness.angle_sum
+            assert witness.vertices == girth_loop.vertices
 
 
 def test_min_angle_square_b2_is_exactly_two_pi_via_middles():

@@ -25,6 +25,7 @@ from artinlink.gamma_io import (
     gamma_from_json_dict,
     gamma_to_text,
     parse_gamma,
+    parse_gamma_json,
 )
 
 W = FreeWord.parse
@@ -323,6 +324,7 @@ def test_parse_gamma_json_round_trip():
         ("vertex a\nvertex b\nedge a b 3\n\nedge b a 4\n", 5),
         ("edge a c 3\nvertex a\nvertex b\n", 1),
         ("vertex a\nvertex x_{a,b}\n", 2),
+        ("vertex a\nvertex b\nedge a b 3\n# b is missing\nrot a:\n", 5),
     ],
 )
 def test_parse_gamma_errors(bad, line):
@@ -331,11 +333,15 @@ def test_parse_gamma_errors(bad, line):
     assert err.value.line == line
 
 
-def test_rotation_error_has_no_line():
+def test_rotation_error_names_its_line():
     with pytest.raises(ParseError) as err:
         parse_gamma("vertex a\nrot b: a\n")
+    assert str(err.value) == "line 2: rotation at undeclared vertex 'b'"
+    # a JSON graph has no source line for its rotations
+    with pytest.raises(ParseError) as err:
+        parse_gamma_json('{"vertices": ["a"], "rotations": {"b": ["a"]}}')
     assert err.value.line is None
-    assert str(err.value) == "rotation at undeclared vertex 'b'"
+    assert str(err.value) == "bad graph object: rotation at undeclared vertex 'b'"
 
 
 def test_rotation_lines_parse():
