@@ -20,7 +20,12 @@ Enumeration is by canonical forms: a labelled state assigns each
 vertex pair one of {absent, label...}, and a state is kept only if no
 vertex permutation maps it to a lexicographically smaller state.
 Orientations are then reduced modulo the automorphisms of the
-labelled graph.
+labelled graph.  Wildcard variants are deduplicated by their least
+image under vertex permutations with direction flips.  An image opens
+with the row of new vertex 0 (its codes to the other vertices, seen
+from it), so only permutations that send a vertex with the least
+sorted row to 0 and sort that row can give the least image, and only
+those are tried.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from multiprocessing import Pool
+from operator import itemgetter
 
 from .complex_link import build_complex, build_link
 from .curvature import B2, assign_metric
@@ -166,30 +172,6 @@ def _is_canonical(state: tuple[int, ...], srcs, transform=None) -> bool:
     return True
 
 
-def _canonical_form(state: tuple[int, ...], srcs, transform=None) -> tuple[int, ...]:
-    m = len(state)
-    best = state
-    for src, flip_at in srcs:
-        # lazy comparison; materialize a candidate only when it wins
-        verdict = 0
-        for j in range(m):
-            v = state[src[j]]
-            if transform is not None and flip_at[j]:
-                v = transform(v)
-            if v != best[j]:
-                verdict = -1 if v < best[j] else 1
-                break
-        if verdict == -1:
-            if transform is None:
-                best = tuple(state[src[j]] for j in range(m))
-            else:
-                best = tuple(
-                    transform(state[src[j]]) if flip_at[j] else state[src[j]]
-                    for j in range(m)
-                )
-    return best
-
-
 # Oriented pair states: 0 absent; labelled states come in (forward,
 # backward) pairs, plus one wildcard code per label-2 edge.
 _FLIP = {0: 0, 5: 5}
@@ -207,6 +189,94 @@ def _flip_value(v: int) -> int:
     return _FLIP[v]
 
 
+def _getter(indices):
+    """``itemgetter`` that returns a tuple for any number of indices."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda s: tuple(s[i] for i in indices)
+
+
+def _canonicaliser(n: int):
+    """Least image of an oriented state under vertex permutations.
+
+    Images are read from ``ext = state + flipped state``, where
+    ``ext[i + m]`` is pair i seen from its larger end.  The first n-1
+    entries of an image are new vertex 0's row: its codes to the new
+    vertices 1..n-1, seen from it.  So only permutations that send a
+    vertex with the least sorted row to 0, and order the others to sort
+    that row, can give the least image; their getters are cached per
+    (vertex, row).
+    """
+    pairs = list(combinations(range(n), 2))
+    m = len(pairs)
+    index = {p: i for i, p in enumerate(pairs)}
+
+    def seen_from(a, b):
+        return index[(a, b)] if a < b else index[(b, a)] + m
+
+    others = [[b for b in range(n) if b != a] for a in range(n)]
+    rows = [_getter([seen_from(a, b) for b in others[a]]) for a in range(n)]
+
+    def image(a, order):
+        # a becomes vertex 0, others[a][order[k]] becomes vertex k + 1
+        new_to_old = [a] + [others[a][k] for k in order]
+        return _getter([seen_from(new_to_old[x], new_to_old[y]) for x, y in pairs])
+
+    images = [
+        [(order, image(a, order)) for order in permutations(range(n - 1))]
+        for a in range(n)
+    ]
+    winners: dict = {}
+
+    def canon(state: tuple[int, ...]) -> tuple[int, ...]:
+        ext = state + tuple(map(_FLIP.__getitem__, state))
+        views = [row(ext) for row in rows]
+        keys = [sorted(r) for r in views]
+        least = min(keys)
+        best = None
+        for a in range(n):
+            if keys[a] != least:
+                continue
+            row = views[a]
+            getters = winners.get((a, row))
+            if getters is None:
+                getters = winners[(a, row)] = [
+                    get
+                    for order, get in images[a]
+                    if all(row[i] <= row[j] for i, j in zip(order, order[1:]))
+                ]
+            for get in getters:
+                cand = get(ext)
+                if best is None or cand < best:
+                    best = cand
+        return best
+
+    return canon
+
+
+_LABEL_CODES = {3: (1, 2), 4: (3, 4)}  # label -> (forward, backward) code
+
+
+def _orientations_of(und, branching, srcs):
+    """Canonical direction choices for the branching edges of one
+    undirected labelled state, modulo its automorphisms."""
+    m = len(und)
+    aut = [
+        (src, flip_at)
+        for src, flip_at in srcs
+        if all(und[src[j]] == und[j] for j in range(m))
+    ]
+    out = []
+    base = list(und)
+    for codes in product(*(_LABEL_CODES[und[i]] for i in branching)):
+        for i, code in zip(branching, codes):
+            base[i] = code
+        state = tuple(base)
+        if _is_canonical(state, aut, _flip_value):
+            out.append(state)
+    return out
+
+
 def enumerate_oriented_states(
     n: int, labels: tuple[int, ...] = (3, 4)
 ) -> list[tuple[int, ...]]:
@@ -216,77 +286,16 @@ def enumerate_oriented_states(
     (absent) or an (label, direction) code.
     """
     pairs, tables = _pair_tables(n)
-    m = len(pairs)
-    srcs = _source_tables(tables, m)
-    label_codes = {3: (1, 2), 4: (3, 4)}
+    srcs = _source_tables(tables, len(pairs))
     for lab in labels:
-        if lab not in label_codes:
+        if lab not in _LABEL_CODES:
             raise ValueError(f"unsupported sweep label {lab}")
 
-    undirected: list[tuple[int, ...]] = []
-    base_values = [0] + [lab for lab in labels]
-
-    def gen_undirected(prefix):
-        if len(prefix) == m:
-            undirected.append(tuple(prefix))
-            return
-        for v in base_values:
-            prefix.append(v)
-            gen_undirected(prefix)
-            prefix.pop()
-
-    gen_undirected([])
-    canon_undirected = [s for s in undirected if _is_canonical(s, srcs)]
-
     out: list[tuple[int, ...]] = []
-    for und in canon_undirected:
-        present = [i for i, v in enumerate(und) if v]
-        aut = [
-            (src, flip_at)
-            for src, flip_at in srcs
-            if all(und[src[j]] == und[j] for j in range(m))
-        ]
-        base = list(und)
-        for i in present:
-            base[i] = label_codes[und[i]][0]
-
-        def gen_orientations(idx):
-            if idx == len(present):
-                state = tuple(base)
-                if _is_canonical(state, aut, _flip_value):
-                    out.append(state)
-                return
-            i = present[idx]
-            fwd, bwd = label_codes[und[i]]
-            for code in (fwd, bwd):
-                base[i] = code
-                gen_orientations(idx + 1)
-            base[i] = fwd
-
-        gen_orientations(0)
-    return out
-
-
-def _orientations_of(und, present_branching, aut, label_codes):
-    """Canonical direction choices for the branching edges of one
-    undirected labelled state."""
-    out = []
-    base = list(und)
-
-    def gen(idx):
-        if idx == len(present_branching):
-            state = tuple(base)
-            if _is_canonical(state, aut, _flip_value):
-                out.append(state)
-            return
-        i = present_branching[idx]
-        fwd, bwd = label_codes[und[i]]
-        for code in (fwd, bwd):
-            base[i] = code
-            gen(idx + 1)
-        base[i] = und[i]
-
-    gen(0)
+    for und in product((0,) + tuple(labels), repeat=len(pairs)):
+        if _is_canonical(und, srcs):
+            present = [i for i, v in enumerate(und) if v]
+            out.extend(_orientations_of(und, present, srcs))
     return out
 
 
@@ -309,7 +318,6 @@ def enumerate_triangle_free_oriented_states(
         )
         for a, b, c in combinations(range(n), 3)
     ]
-    label_codes = {3: (1, 2), 4: (3, 4)}
 
     out = []
     for bits in product((0, 1), repeat=m):
@@ -320,22 +328,15 @@ def enumerate_triangle_free_oriented_states(
             state = [0] * m
             for i, lab in zip(present, labelling):
                 state[i] = lab
-            state = tuple(state)
-            if not _is_canonical(state, srcs):
+            if not _is_canonical(tuple(state), srcs):
                 continue
-            aut = [
-                (src, flip_at)
-                for src, flip_at in srcs
-                if all(state[src[j]] == state[j] for j in range(m))
-            ]
-            base = list(state)
             branching = []
             for i in present:
                 if state[i] == 2:
-                    base[i] = 5  # wildcard code
+                    state[i] = 5  # wildcard code
                 else:
                     branching.append(i)
-            out.extend(_orientations_of(tuple(base), branching, aut, label_codes))
+            out.extend(_orientations_of(tuple(state), branching, srcs))
     return out
 
 
@@ -365,12 +366,19 @@ def b2_case(state: tuple[int, ...], n: int):
 
 def _b2_chunk(args):
     states, n = args
-    failures = []
-    for state in states:
-        holds, _, _ = b2_case(state, n)
-        if not holds:
-            failures.append(f"state={state}")
-    return len(states), failures
+    return [f"state={state}" for state in states if not b2_case(state, n)[0]]
+
+
+def _run_chunks(chunk_fn, items: list, n: int, size: int, processes) -> list[str]:
+    """Sorted failures of ``chunk_fn`` over ``items`` in chunks of
+    ``size``, mapped over a pool when ``processes`` > 1."""
+    chunks = [(items[i : i + size], n) for i in range(0, len(items), size)]
+    if processes and processes > 1:
+        with Pool(processes) as pool:
+            results = pool.map(chunk_fn, chunks)
+    else:
+        results = [chunk_fn(c) for c in chunks]
+    return sorted(f for fails in results for f in fails)
 
 
 def battery_triangle_free_b2(
@@ -381,20 +389,9 @@ def battery_triangle_free_b2(
     start = time.perf_counter()
     n = max_vertices
     states = enumerate_triangle_free_oriented_states(n)
-    chunks = [(states[i : i + 256], n) for i in range(0, len(states), 256)]
-    if processes and processes > 1:
-        with Pool(processes) as pool:
-            results = pool.map(_b2_chunk, chunks)
-    else:
-        results = [_b2_chunk(c) for c in chunks]
-    failures = []
-    total = 0
-    for count, fails in results:
-        total += count
-        failures.extend(fails)
-    failures.sort()
+    failures = _run_chunks(_b2_chunk, states, n, 256, processes)
     return BatteryResult(
-        "triangle-free-b2", total, failures, time.perf_counter() - start
+        "triangle-free-b2", len(states), failures, time.perf_counter() - start
     )
 
 
@@ -402,9 +399,13 @@ def wildcard_variants(
     states: list[tuple[int, ...]], n: int
 ) -> list[tuple[int, ...]]:
     """One variant per graph: its canonically first edge becomes a
-    label-2 wildcard.  Deduplicated up to isomorphism."""
-    pairs, tables = _pair_tables(n)
-    srcs = _source_tables(tables, len(pairs))
+    label-2 wildcard.
+
+    Variants are deduplicated up to isomorphism by their least image
+    under vertex permutations (see ``_canonicaliser``), kept in the
+    order they are first seen.
+    """
+    canonical_form = _canonicaliser(n)
     seen = set()
     out = []
     for state in states:
@@ -413,7 +414,7 @@ def wildcard_variants(
             continue
         variant = list(state)
         variant[present[0]] = 5
-        canon = _canonical_form(tuple(variant), srcs, _flip_value)
+        canon = canonical_form(tuple(variant))
         if canon not in seen:
             seen.add(canon)
             out.append(canon)
@@ -456,16 +457,12 @@ _GIRTH_SAMPLE_STRIDE = 97
 def _oracle_chunk(args):
     states, n = args
     failures = []
-    girth_checked = 0
-    short_count = 0
     for idx, state in states:
         sample = idx % _GIRTH_SAMPLE_STRIDE == 0
-        ok, short, girth_ok = oracle_case(state, n, with_girth=sample)
-        girth_checked += sample
-        short_count += short
+        ok, _, girth_ok = oracle_case(state, n, with_girth=sample)
         if not ok or not girth_ok:
             failures.append(f"state={state}")
-    return len(states), failures, girth_checked, short_count
+    return failures
 
 
 def battery_pattern_oracle(
@@ -482,24 +479,10 @@ def battery_pattern_oracle(
     n = max_vertices
     states = enumerate_oriented_states(n)
     wilds = wildcard_variants(states, n) if wildcard_sweep else []
-    work = [(i, s) for i, s in enumerate(states + wilds)]
-
-    chunks = [
-        (work[i : i + 512], n) for i in range(0, len(work), 512)
-    ]
-    failures: list[str] = []
-    total = 0
-    if processes and processes > 1:
-        with Pool(processes) as pool:
-            results = pool.map(_oracle_chunk, chunks)
-    else:
-        results = [_oracle_chunk(c) for c in chunks]
-    for count, fails, _, _ in results:
-        total += count
-        failures.extend(fails)
-    failures.sort()
+    work = list(enumerate(states + wilds))
+    failures = _run_chunks(_oracle_chunk, work, n, 512, processes)
     name = "pattern-girth-oracle" + ("+wildcards" if wildcard_sweep else "")
-    return BatteryResult(name, total, failures, time.perf_counter() - start)
+    return BatteryResult(name, len(work), failures, time.perf_counter() - start)
 
 
 def battery_random_spot_checks(

@@ -80,22 +80,31 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-lemmas", help="run the exhaustive verification batteries"
     )
     lemmas_p.add_argument(
-        "--max-label", type=int, default=5, help="largest triangle label to sweep"
+        "--max-label",
+        type=int,
+        default=5,
+        help="largest triangle label to sweep, at least 3",
     )
     lemmas_p.add_argument(
         "--max-vertices",
         type=int,
         default=4,
-        help="graph size for the pattern oracle sweep",
+        help="graph size for the pattern oracle sweep, 2 to 5",
     )
     lemmas_p.add_argument(
-        "--tietze-max", type=int, default=50, help="largest two-generator label"
+        "--tietze-max",
+        type=int,
+        default=50,
+        help="largest two-generator label, at least 2",
     )
     lemmas_p.add_argument(
         "--seed", type=int, default=None, help="also run seeded random spot checks"
     )
     lemmas_p.add_argument(
-        "--processes", type=int, default=None, help="parallel workers for the sweep"
+        "--processes",
+        type=int,
+        default=None,
+        help="parallel workers for the sweep, at least 1",
     )
     return parser
 
@@ -213,6 +222,19 @@ def _cmd_pieces(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    # 5 vertices is the acceptance size; 6 (3^15 labelled states, 720
+    # permutations each) is out of reach
+    for flag, value, low, high in (
+        ("--max-vertices", args.max_vertices, 2, 5),
+        ("--max-label", args.max_label, 3, None),
+        ("--tietze-max", args.tietze_max, 2, None),
+        ("--processes", args.processes, 1, None),
+    ):
+        if value is None or low <= value and (high is None or value <= high):
+            continue
+        bounds = f"between {low} and {high}" if high else f"at least {low}"
+        print(f"error: {flag} must be {bounds}, got {value}", file=sys.stderr)
+        return 1
     results = batteries.run_all(
         max_label=args.max_label,
         max_vertices=args.max_vertices,

@@ -80,6 +80,8 @@ def parse_gamma(text: str) -> DefiningGraph:
             if len(fields) < 2 or not fields[1].endswith(":"):
                 raise ParseError(lineno, "expected: rot <v>: <n1> <n2> ...")
             vtx = fields[1][:-1]
+            if vtx in rotations:
+                raise ParseError(lineno, f"second rotation for vertex {vtx!r}")
             rotations[vtx] = tuple(fields[2:])
             rotation_lines[vtx] = lineno
         else:

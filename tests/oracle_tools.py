@@ -1,13 +1,14 @@
 """Independent brute-force oracles used to cross-check the library.
 
 These deliberately avoid the library's own algorithms: girth is found
-by exhaustive DFS cycle enumeration, and orientation searches by
-enumerating every completion.
+by exhaustive DFS cycle enumeration, orientation searches by
+enumerating every completion, and canonical forms of sweep states by
+trying every vertex permutation.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, permutations, product
 
 from artinlink import (
     DefiningGraph,
@@ -171,3 +172,36 @@ def oriented_copy(gamma: DefiningGraph, assignment: OrientationAssignment):
         else:
             edges.append(e)
     return gamma.with_edges(edges)
+
+
+# direction codes of the sweep states: 1/2 and 3/4 are the two
+# directions of labels 3 and 4; 0 (absent) and 5 (wildcard) have none
+_REVERSED_CODE = {0: 0, 1: 2, 2: 1, 3: 4, 4: 3, 5: 5}
+
+
+def least_images(states, n: int) -> list[tuple[int, ...]]:
+    """Least image of each state (a tuple over the vertex pairs of K_n
+    in ``combinations`` order) over all n! vertex permutations, with a
+    pair's direction code reversed when its endpoints swap order."""
+    pairs = list(combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    perms = []
+    for perm in permutations(range(n)):
+        moves = []
+        for a, b in pairs:
+            x, y = perm[a], perm[b]
+            moves.append((index[(x, y) if x < y else (y, x)], x > y))
+        perms.append(moves)
+
+    out = []
+    for state in states:
+        best = None
+        for moves in perms:
+            mapped = [0] * len(pairs)
+            for v, (j, reverse) in zip(state, moves):
+                mapped[j] = _REVERSED_CODE[v] if reverse else v
+            cand = tuple(mapped)
+            if best is None or cand < best:
+                best = cand
+        out.append(best)
+    return out

@@ -1,6 +1,9 @@
 """The enumeration machinery behind the sweeps, validated brute-force."""
 
 import itertools
+import random
+
+from oracle_tools import least_images
 
 from artinlink import DefiningGraph, Orientation, build_complex, build_link, build_triangular
 from artinlink.batteries import (
@@ -15,6 +18,7 @@ from artinlink.batteries import (
     graph_from_state,
     middle_decomposition,
     oracle_case,
+    wildcard_variants,
 )
 
 
@@ -86,6 +90,36 @@ def test_triangle_free_enumeration_matches_brute_force_on_four_vertices():
 
     states = enumerate_triangle_free_oriented_states(4)
     assert len(states) == len(canon)
+
+
+def raw_wildcard_variants(states):
+    """Each state with its first present pair turned into a wildcard."""
+    out = []
+    for state in states:
+        present = [i for i, v in enumerate(state) if v]
+        if present:
+            out.append(state[: present[0]] + (5,) + state[present[0] + 1 :])
+    return out
+
+
+def test_wildcard_variants_match_brute_force_on_four_vertices():
+    states = enumerate_oriented_states(4)
+    expected = list(dict.fromkeys(least_images(raw_wildcard_variants(states), 4)))
+    assert wildcard_variants(states, 4) == expected
+    assert len(expected) == 369
+
+
+def test_wildcard_variants_on_five_vertices_are_the_least_images():
+    states = enumerate_oriented_states(5)
+    wilds = wildcard_variants(states, 5)
+    assert len(wilds) == len(set(wilds)) == 41_498
+    rng = random.Random(20261018)
+    # every output is its own least image ...
+    sample = rng.sample(wilds, 1_000)
+    assert least_images(sample, 5) == sample
+    # ... and every raw variant's least image is an output
+    raw = rng.sample(raw_wildcard_variants(states), 2_000)
+    assert set(least_images(raw, 5)) <= set(wilds)
 
 
 def test_graph_from_state_decodes_labels_and_directions():

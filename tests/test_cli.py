@@ -146,6 +146,28 @@ def test_pieces_json(gamma_file, capsys):
     assert data["max_piece_len"] == 1
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--max-vertices", "0"),
+        ("--max-vertices", "-1"),
+        ("--max-vertices", "1"),
+        ("--max-vertices", "6"),
+        ("--max-label", "1"),
+        ("--max-label", "2"),
+        ("--tietze-max", "1"),
+        ("--processes", "-4"),
+        ("--processes", "0"),
+    ],
+)
+def test_verify_lemmas_flag_out_of_range_is_a_one_line_error(capsys, flag, value):
+    code, out, err = run(capsys, ["verify-lemmas", flag, value])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err and value in err
+
+
 def test_verify_lemmas_small(gamma_file, capsys):
     code, out, _ = run(
         capsys,

@@ -325,6 +325,7 @@ def test_parse_gamma_json_round_trip():
         ("edge a c 3\nvertex a\nvertex b\n", 1),
         ("vertex a\nvertex x_{a,b}\n", 2),
         ("vertex a\nvertex b\nedge a b 3\n# b is missing\nrot a:\n", 5),
+        ("vertex a\nvertex b\nedge a b 3\nrot a: x y z\nrot a: b\n", 5),
     ],
 )
 def test_parse_gamma_errors(bad, line):
