@@ -60,6 +60,7 @@ from .presentations import (
     OrientationAssignment,
     Presentation,
     TietzeReport,
+    TooManyGeneratorsError,
     UnorientedEdgeError,
     alternating_word,
     build_standard,

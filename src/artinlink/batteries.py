@@ -519,6 +519,7 @@ def run_all(
         battery_tietze(tietze_max),
         battery_triangle_girth(3, max_label),
         battery_pattern_oracle(max_vertices, True, processes),
+        battery_triangle_free_b2(max_vertices, processes),
     ]
     if seed is not None:
         results.append(battery_random_spot_checks(seed))

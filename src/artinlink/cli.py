@@ -24,7 +24,11 @@ from .cycles import LOOP_ENUMERATION_GUARD, enumerate_short_loops
 from .errors import InternalInconsistencyError
 from .forbidden import search_orientation
 from .gamma_io import ParseError, load_gamma
-from .presentations import UnorientedEdgeError, build_triangular
+from .presentations import (
+    TooManyGeneratorsError,
+    UnorientedEdgeError,
+    build_triangular,
+)
 from .smallcancel import compute_pieces
 
 _SCHEMES = {"auto": "auto", "a2": A2, "b2": B2}
@@ -267,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except OSError as exc:
+    except (OSError, TooManyGeneratorsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ParseError as exc:

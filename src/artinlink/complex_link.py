@@ -244,10 +244,6 @@ class LinkGraph:
     def _by_name(self) -> dict[tuple[str, str], LinkVertex]:
         return {(v.gen, v.end): v for v in self.vertices}
 
-    @property
-    def special_vertices(self) -> tuple[LinkVertex, ...]:
-        return tuple(v for v in self.vertices if v.special)
-
     def middle_edges(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.edges) if e.kind == MIDDLE)
 

@@ -7,12 +7,13 @@ vertices and each witness is the canonically least loop.  A search
 builds an :class:`EmbeddedLoop` (validated, with its exact angle sum)
 only for the loops it returns.
 
-One shortest-cycle engine finds the girth: a BFS from each vertex over
-the larger ids (Itai and Rodeh, 1978), then one DFS for the witness.
-It also answers the minimum-angle question when every edge has the same
-angle; otherwise one Dijkstra per edge runs.  Angles are exact
-Fractions in units of pi, scaled to integers, so no comparison ever
-happens in floating point.
+One shortest-cycle engine finds the girth and the minimum-angle loop:
+a search from each vertex over the larger ids (Itai and Rodeh, 1978),
+then one DFS for the witness.  The search is a BFS on hop counts, and
+a Dijkstra on integer weights when the angles differ (Roditty and
+Vassilevska Williams, 2011).  Angles are exact Fractions in units of
+pi, scaled to integers, so no comparison ever happens in floating
+point.
 """
 
 from __future__ import annotations
@@ -62,22 +63,16 @@ class EmbeddedLoop:
         return " - ".join(names + [names[0]])
 
 
-def _canonical_cycle(cycle: list) -> tuple:
-    """Least tuple over all rotations and both directions of a cycle of
-    pairwise distinct vertices: it starts at the least vertex."""
-    i = cycle.index(min(cycle))
-    forward = cycle[i:] + cycle[:i]
-    backward = forward[:1] + forward[:0:-1]
-    return tuple(min(forward, backward))
-
-
 def make_loop(link: LinkGraph, vertices: list[LinkVertex]) -> EmbeddedLoop:
     """Canonicalize and validate a vertex cycle against ``link``."""
     if len(vertices) != len(set(vertices)):
         raise ValueError("loop vertices must be pairwise distinct")
     if len(vertices) < 3:
         raise ValueError("a loop needs at least 3 vertices")
-    canon = _canonical_cycle(list(vertices))
+    # the least rotation of either direction starts at the least vertex
+    i = vertices.index(min(vertices))
+    forward = vertices[i:] + vertices[:i]
+    canon = tuple(min(forward, forward[:1] + forward[:0:-1]))
     idxs = []
     for i, v in enumerate(canon):
         w = canon[(i + 1) % len(canon)]
@@ -146,39 +141,97 @@ def _least_cycle_through(
     return best, depth
 
 
-def _shortest_cycle(link: LinkGraph) -> tuple[int | None, tuple[int, ...] | None]:
-    """Girth and the canonically least shortest loop, as an id tuple.
-
-    The first start to reach the girth is the least vertex of that
-    loop.  A DFS from it over larger ids, in increasing order, meets
-    the loop first; shortest loops are isometric, so it prunes every
-    vertex farther from the start than the steps left to close up.
+def _lightest_cycle_through(
+    steps: list[list[tuple[int, int]]], s: int, best: int
+) -> tuple[int, dict[int, int]]:
+    """The weighted form of :func:`_least_cycle_through`: a Dijkstra
+    over the ids > s on the packed keys of ``steps``, with the same
+    branch labels.  Each edge is checked against the branch at its far
+    end before it is relaxed, so a neighbour of ``s`` first reached
+    round another branch closes the cycle back over its edge to ``s``.
+    Returns the least cycle key below ``best`` (else ``best``) and the
+    key of each vertex reached, exact below half the returned key.
     """
-    nbrs = [[nb for nb, _ in ns] for ns in link.nbrs]  # sorted ids
-    best, start = len(nbrs) + 1, None
-    for s in range(len(nbrs)):
-        length, _ = _least_cycle_through(nbrs, s, best)
-        if length < best:
-            best, start = length, s
+    n = len(steps)
+    dist = {s: 0}
+    branch = {}
+    heap = []
+    for nb, step in steps[s]:
+        if nb > s:
+            branch[nb] = nb
+            dist[nb] = step
+            heap.append(step * n + nb)
+    heapq.heapify(heap)
+    while heap:
+        key, cur = divmod(heapq.heappop(heap), n)
+        if 2 * key >= best:
+            break  # no cycle through a farther vertex is lighter
+        if key != dist[cur]:
+            continue  # stale entry
+        b = branch[cur]
+        for nb, step in steps[cur]:
+            if nb <= s:
+                continue
+            cand = key + step
+            old = dist.get(nb)
+            if old is not None:
+                if branch[nb] != b and cand + old < best:
+                    best = cand + old
+                if cand >= old:
+                    continue
+            dist[nb] = cand
+            branch[nb] = b
+            heapq.heappush(heap, cand * n + nb)
+    return best, dist
+
+
+def _shortest_cycle(
+    link: LinkGraph, weight: list[int] | None = None
+) -> tuple[int | None, tuple[int, ...] | None]:
+    """Least cycle key and the canonically least loop of that key, as
+    an id tuple; ``(None, None)`` for forests.
+
+    Without ``weight`` the key is the length and each start runs a BFS.
+    With a positive integer weight per edge it is ``weight * n +
+    length`` for ``n`` vertices, which orders as the pair, and each
+    start runs a Dijkstra.  The first start to reach the least key is
+    the least vertex on any loop of that key: a loop whose two arcs
+    meet in one branch leaves a lighter loop.  A DFS from it over larger
+    ids, in increasing order, meets the canonical loop first.  Each
+    vertex of that loop lies within half the key of the start, so the
+    DFS prunes every vertex farther away than the key left to close up.
+    """
+    n = len(link.nbrs)
+    if weight is None:
+        adj = [[nb for nb, _ in ns] for ns in link.nbrs]  # sorted ids
+        search, best = _least_cycle_through, n + 1
+    else:
+        adj = [[(nb, weight[ei] * n + 1) for nb, ei in ns] for ns in link.nbrs]
+        # above every loop key, a Hamiltonian loop's (sum(weight), n) too
+        search, best = _lightest_cycle_through, (sum(weight) + 1) * n + 1
+    start = None
+    for s in range(n):
+        key, dist = search(adj, s, best)
+        if key < best:
+            best, start, start_dist = key, s, dist
     if start is None:
         return None, None
-    # best + 1 keeps loops of length best in range: depths reach best // 2
-    _, depth = _least_cycle_through(nbrs, start, best + 1)
-    path, pending = [start], [iter(nbrs[start])]
+    steps = adj if weight else [[(nb, 1) for nb in ns] for ns in adj]
+    path, pending = [start], [(iter(steps[start]), 0)]
     while pending:
-        nb = next(pending[-1], None)
+        ahead, prefix = pending[-1]
+        nb, step = next(ahead, (None, 0))
         if nb is None:
             pending.pop()
             path.pop()
-        elif nb > start and depth.get(nb, best) + len(path) <= best and nb not in path:
-            path.append(nb)
-            if len(path) < best:
-                pending.append(iter(nbrs[nb]))
-            elif path[1] < nb:  # the canonical direction of the loop
-                return best, tuple(path)
-            else:
-                path.pop()
-    raise InternalInconsistencyError("no loop of the girth through its start")
+        elif nb == start and prefix + step == best:
+            # canonical: its reverse, a least loop too, would close first
+            return best, tuple(path)
+        elif nb > start and prefix + step + start_dist.get(nb, best) <= best:
+            if nb not in path:
+                path.append(nb)
+                pending.append((iter(steps[nb]), prefix + step))
+    raise InternalInconsistencyError("no least loop through its start")
 
 
 def girth(link: LinkGraph) -> tuple[int | None, EmbeddedLoop | None]:
@@ -204,11 +257,9 @@ def min_angle_cycle(
     With one angle on every edge the lightest loops are the shortest,
     and the tie-breaks agree, so the answer is the girth loop; a caller
     that has ``girth(link)`` (of this link, with or without angles)
-    passes it as ``shortest`` to save the search.  Otherwise one
-    Dijkstra per edge finds the lightest loop through it; the
-    candidates are compared as (integer weight, length), and by
-    canonical id tuple only on a tie, so a loop is built just for the
-    winner.
+    passes it as ``shortest`` to save the search.  Otherwise the
+    shortest-cycle engine runs on the angles scaled to integers, keyed
+    by (weight, length), and a loop is built just for its winner.
     """
     if not link.angles_assigned:
         raise UnassignedAnglesError("link has edges without angles")
@@ -225,94 +276,14 @@ def min_angle_cycle(
     ]
     if min(weight) == max(weight):
         _, loop = girth(link) if shortest is None else shortest
-        if loop is None:
-            return None, None
-        loop = make_loop(link, list(loop.vertices))  # sums this link's angles
-        return loop.angle_sum, loop
-
-    # The best loop so far, as (weight, length) and id path; the
-    # canonical form of the path is computed only when a tie needs it.
-    # The starting weight lies above every loop, so the first search
-    # runs unbounded.
-    best_w, best_len = sum(weight) + 1, 0
-    best_path: list[int] | None = None
-    best_canon: tuple[int, ...] | None = None
-    n = len(link.vertices)
-    # Per vertex: (neighbour, key step of the edge, edge), where a key
-    # step adds the edge's weight and one hop to a packed key (below).
-    steps = [
-        [(nb, weight[ei] * n + 1, ei) for nb, ei in ns] for ns in link.nbrs
-    ]
-    for ei, (a, b) in enumerate(link.ends):
-        w = weight[ei]
-        found = _dijkstra_path(steps, a, b, ei, best_w - w, best_len - 1)
-        if found is None:
-            continue
-        path_w, cand = found
-        total = path_w + w
-        if total == best_w and len(cand) == best_len:
-            if best_canon is None:
-                best_canon = _canonical_cycle(best_path)
-            canon = _canonical_cycle(cand)
-            if canon >= best_canon:
-                continue
-            best_canon = canon
-        else:
-            best_canon = None
-        best_w, best_len, best_path = total, len(cand), cand
-    if best_path is None:
+        vertices = None if loop is None else list(loop.vertices)
+    else:
+        _, ids = _shortest_cycle(link, weight)
+        vertices = None if ids is None else [link.vertices[i] for i in ids]
+    if vertices is None:
         return None, None
-    loop = _loop_of_ids(link, best_path)
+    loop = make_loop(link, vertices)  # sums this link's angles
     return loop.angle_sum, loop
-
-
-def _dijkstra_path(
-    steps: list[list[tuple[int, int, int]]],
-    source: int,
-    target: int,
-    banned_edge: int,
-    max_weight: int,
-    max_hops: int,
-) -> tuple[int, list[int]] | None:
-    """(weight, id path) minimizing (weight, hop count), avoiding one edge.
-
-    Only paths lexicographically at most ``(max_weight, max_hops)`` in
-    (weight, hops) count; returns None when the target has none.
-    Breaking weight ties by hop count keeps witness loops as short as
-    possible, and ties in both by vertex id keep the search identical to
-    one over the vertices themselves.
-
-    With ``n`` vertices, a path's (weight, hops) is packed into the key
-    ``weight * n + hops`` and a heap entry is ``key * n + vertex``; both
-    order exactly as the tuples would.  Every key past the limit is
-    dropped before it is pushed, so the search ends as soon as no path
-    can still qualify.
-    """
-    n = len(steps)
-    # dist[v] is the least key found for v; the limit key is the first
-    # that does not qualify, so it doubles as "unreached".
-    limit = max_weight * n + max_hops + 1
-    dist = [limit] * n
-    parent = [-1] * n
-    dist[source] = 0
-    heap = [source]
-    while heap:
-        key, cur = divmod(heapq.heappop(heap), n)
-        if key != dist[cur]:
-            continue  # stale entry
-        if cur == target:
-            path = [target]
-            while path[-1] != source:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return key // n, path
-        for nb, step, ei in steps[cur]:
-            cand = key + step
-            if cand < dist[nb] and ei != banned_edge:
-                dist[nb] = cand
-                parent[nb] = cur
-                heapq.heappush(heap, cand * n + nb)
-    return None
 
 
 def enumerate_short_loops(link: LinkGraph, max_len: int) -> list[EmbeddedLoop]:
@@ -327,27 +298,21 @@ def enumerate_short_loops(link: LinkGraph, max_len: int) -> list[EmbeddedLoop]:
         )
     if max_len < 3 or not link.edges:
         return []
-    nbrs = link.nbrs
-    found: set[tuple[int, ...]] = set()
+    nbrs = [[nb for nb, _ in ns] for ns in link.nbrs]
+    found: list[tuple[int, ...]] = []
 
-    def extend(start: int, path: list[int], on_path: set[int]):
-        for nb, _ in nbrs[path[-1]]:
-            if nb == start and len(path) >= 3:
-                # close a cycle; count each once: fix direction by the
-                # neighbours of the minimal vertex
-                if path[1] < path[-1]:
-                    found.add(_canonical_cycle(path))
-                continue
-            if nb in on_path or nb <= start:
-                continue
-            if len(path) == max_len:
-                continue
-            path.append(nb)
-            on_path.add(nb)
-            extend(start, path, on_path)
-            on_path.remove(nb)
-            path.pop()
+    def extend(path: list[int]):
+        # a path starts at its loop's least vertex and closes only in
+        # the canonical direction, so each loop is met once, canonical
+        for nb in nbrs[path[-1]]:
+            if nb == path[0] and path[1] < path[-1]:
+                found.append(tuple(path))
+            elif nb > path[0] and len(path) < max_len and nb not in path:
+                path.append(nb)
+                extend(path)
+                path.pop()
 
-    for start in range(len(link.vertices)):
-        extend(start, [start], {start})
-    return [_loop_of_ids(link, c) for c in sorted(found, key=lambda c: (len(c), c))]
+    for start in range(len(nbrs)):
+        extend([start])
+    found.sort(key=lambda c: (len(c), c))
+    return [_loop_of_ids(link, c) for c in found]

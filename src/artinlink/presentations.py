@@ -25,6 +25,10 @@ class UnorientedEdgeError(ValueError):
     """An operation needed a direction on an edge that has none."""
 
 
+class TooManyGeneratorsError(ValueError):
+    """A triangular presentation would exceed ``MAX_GENERATORS``."""
+
+
 class IncompleteAssignmentError(ValueError):
     """An orientation assignment misses or mismatches edges."""
 
@@ -218,10 +222,6 @@ class DefiningGraph:
             e for e in self.edges if e.orientation == Orientation.UNORIENTED
         )
 
-    @property
-    def fully_oriented(self) -> bool:
-        return not self.unoriented_edges()
-
     def is_triangle_free(self) -> bool:
         return not self.triangles()
 
@@ -392,18 +392,6 @@ class Presentation:
         """Generators that are vertices of the defining graph."""
         return frozenset(self.generators) - self.hubs - self.chain_generators
 
-    def is_triangular(self) -> bool:
-        """Every relator has length 3 and shape h^-1 u v, one inverse letter."""
-        for r in self.relators:
-            if len(r) != 3:
-                return False
-            negs = [lt for lt in r.letters if lt.exp == -1]
-            if len(negs) != 1:
-                return False
-            if self.hub_records and negs[0].gen not in self.hubs:
-                return False
-        return True
-
     def rename(self, mapping: Mapping[str, str]) -> "Presentation":
         """Rename generators; names absent from the mapping are kept."""
         table = {g: mapping.get(g, g) for g in self.generators}
@@ -471,6 +459,13 @@ def chain_name(tail: str, head: str, i: int) -> str:
     return f"d_{{{tail},{head},{i}}}"
 
 
+# The most generators build_triangular creates, checked before it
+# builds anything.  The (200, 200, 200) triangle has 600.  The girth
+# search is quadratic in the length of one edge's hub cycle, so a
+# single edge at the cap takes about 16 s to certify.
+MAX_GENERATORS = 5_000
+
+
 def build_triangular(
     gamma: DefiningGraph,
 ) -> tuple[Presentation, tuple[HubRecord, ...]]:
@@ -480,8 +475,16 @@ def build_triangular(
     fresh generators d3..dm and emits the m relators
     h^-1 (tail)(head), h^-1 (head)d3, h^-1 d3 d4, ..., h^-1 dm (tail).
     Raises :class:`UnorientedEdgeError` for non-wildcard edges without
-    a direction.
+    a direction, and :class:`TooManyGeneratorsError`, before building
+    anything, when the generators would number over ``MAX_GENERATORS``.
     """
+    # the vertices, and per edge its hub and m - 2 chain generators
+    count = len(gamma.vertices) + sum(e.label - 1 for e in gamma.edges)
+    if count > MAX_GENERATORS:
+        raise TooManyGeneratorsError(
+            f"the triangular presentation would have {count} generators, "
+            f"over the limit of {MAX_GENERATORS}"
+        )
     gens = list(gamma.vertices)
     relators: list[CyclicWord] = []
     prov: dict[CyclicWord, tuple] = {}

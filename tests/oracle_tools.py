@@ -102,7 +102,7 @@ def dfs_min_angle(link, max_len: int = 12):
     return best[0]
 
 
-def dfs_min_loops(link, max_len: int):
+def dfs_min_loops(link, max_len: int, max_angle=None):
     """Minimum (angle sum, length) over embedded cycles of length <=
     max_len, and every cycle attaining it, by exhaustive DFS over the
     angled link.
@@ -111,6 +111,9 @@ def dfs_min_loops(link, max_len: int):
     vertex tuple over all rotations and both directions, sorted; or
     ``(None, None, [])`` when there is no such cycle.  Exact whenever
     the minimum is below (max_len + 1) times the smallest edge angle.
+    With ``max_angle``, paths heavier than it are not extended, which
+    keeps the result exact whenever the minimum is at most ``max_angle``
+    (with ``max_len`` the vertex count: any minimum at all).
     """
     order = {v: i for i, v in enumerate(sorted(link.vertices))}
     best = [None, []]  # (angle sum, length), cycles attaining it
@@ -136,6 +139,7 @@ def dfs_min_loops(link, max_len: int):
                 nb not in on_path
                 and order[nb] > order[start]
                 and len(path) < max_len
+                and (max_angle is None or total + angle <= max_angle)
             ):
                 path.append(nb)
                 on_path.add(nb)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -181,7 +182,19 @@ def test_verify_lemmas_small(gamma_file, capsys):
     )
     assert code == 0
     assert "all batteries passed" in out
-    assert out.count("PASS") == 4
+    assert out.count("PASS") == 5
+    assert "triangle-free-b2" in out
+
+
+def test_huge_label_is_a_fast_one_line_error(gamma_file, capsys):
+    path = gamma_file("vertex a\nvertex b\nedge a b 3000000 >\n")
+    start = time.perf_counter()
+    for command in ("certify", "link", "loops", "pieces"):
+        code, out, err = run(capsys, [command, path])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "3000001 generators" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_parse_error_exit_code(gamma_file, capsys):

@@ -226,23 +226,25 @@ def test_certify_runs_the_shortest_cycle_engine_once(monkeypatch):
     engine = cycles._shortest_cycle
     runs = []
 
-    def counted(link):
-        runs.append(link)
-        return engine(link)
+    def counted(link, weight=None):
+        runs.append("hops" if weight is None else "weights")
+        return engine(link, weight)
 
     monkeypatch.setattr(cycles, "_shortest_cycle", counted)
     k33 = DefiningGraph(
         ("a", "b", "c", "x", "y", "z"),
         [(u, v, 3, F) for u in "abc" for v in "xyz"],
     )
-    for gamma, scheme in [
-        (triangle_graph(3, 3, 3), A2),  # one angle everywhere: no Dijkstra
-        (triangle_graph(2, 4, 5), None),  # A2 diagnostics
-        (k33, B2),  # girth, then the Dijkstra for the B2 angles
+    for gamma, scheme, expected in [
+        # one angle everywhere: the girth answers the min-angle question
+        (triangle_graph(3, 3, 3), A2, ["hops"]),
+        (triangle_graph(2, 4, 5), None, ["hops"]),  # A2 diagnostics
+        # girth, then one weighted run for the B2 angles
+        (k33, B2, ["hops", "weights"]),
     ]:
         runs.clear()
         assert certify(gamma).scheme == scheme
-        assert len(runs) == 1
+        assert runs == expected
 
 
 def test_certify_with_explicit_assignment():

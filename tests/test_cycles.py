@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -184,10 +185,10 @@ def test_min_angle_forest_is_none():
 def test_min_angle_uniform_is_theta_times_girth(monkeypatch):
     from artinlink import cycles
 
-    def no_dijkstra(*args):
-        raise AssertionError("uniform angles must not run the Dijkstra")
+    def no_weighted_search(*args):
+        raise AssertionError("uniform angles must not run the weighted search")
 
-    monkeypatch.setattr(cycles, "_dijkstra_path", no_dijkstra)
+    monkeypatch.setattr(cycles, "_lightest_cycle_through", no_weighted_search)
     link = classic_link(3, 3, 3)
     forest = link.neighborhood(link.vertex("y", "head"), 2)
     for link in [*assorted_links(), forest]:
@@ -284,6 +285,57 @@ def test_min_angle_witness_is_least_of_all_minimal_loops():
         assert witness.vertices == minimal[0]
         with_loops += 1
     assert with_loops == 214 + 7
+
+
+def test_min_angle_on_a_link_that_is_one_loop():
+    # the whole link is one hexagon, so the loop key is the largest
+    # possible: (total weight, vertex count)
+    link = next(assorted_links())
+    assert (len(link.vertices), len(link.edges), girth(link)[0]) == (6, 6, 6)
+    angles = {(e.cell, e.corner): Fraction(1, 4) for e in link.edges}
+    angles[(link.edges[0].cell, link.edges[0].corner)] = Fraction(1, 2)
+    value, witness = min_angle_cycle(link.with_angles(angles))
+    assert (value, witness.length) == (Fraction(7, 4), 6)
+
+
+RANDOM_ANGLES = (Fraction(1, 12), Fraction(1, 4), Fraction(1, 2), Fraction(1))
+
+
+def test_min_angle_matches_oracle_under_random_angles():
+    """The weighted engine against the exhaustive DFS, with angles no
+    A2 or B2 metric gives.  The oracle extends only paths no heavier
+    than the engine's value: a value that is too high is undercut, and
+    one that is too low finds no loop or a heavier one."""
+    from oracle_tools import dfs_min_loops
+
+    from artinlink.batteries import (
+        enumerate_triangle_free_oriented_states,
+        graph_from_state,
+    )
+
+    links = list(assorted_links()) + [
+        link_of(graph_from_state(state, 4))
+        for state in enumerate_triangle_free_oriented_states(4)
+    ]
+    rng = random.Random(6)
+    weighted = 0
+    for _ in range(3):
+        for link in links:
+            angled = link.with_angles(
+                {(e.cell, e.corner): rng.choice(RANDOM_ANGLES) for e in link.edges}
+            )
+            value, witness = min_angle_cycle(angled)
+            oracle_value, oracle_len, minimal = dfs_min_loops(
+                angled, len(link.vertices), value
+            )
+            if value is None:
+                assert minimal == []
+                continue
+            assert (value, witness.length) == (oracle_value, oracle_len)
+            assert witness.vertices == minimal[0]
+            assert witness.angle_sum == value
+            weighted += len({e.angle for e in angled.edges}) > 1
+    assert weighted > 600  # nearly every draw runs the weighted search
 
 
 # -- loop enumeration ---------------------------------------------------------

@@ -4,6 +4,7 @@ integers; a float literal, a ``float(...)`` call or an infinity
 sentinel would bring rounding next to that comparison."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,36 @@ def float_uses(source: str) -> list[str]:
 @pytest.mark.parametrize("module", GUARDED)
 def test_no_floating_point_in_exact_modules(module):
     assert float_uses((SRC / module).read_text()) == []
+
+
+def test_loop_engine_is_guarded_and_keys_are_integers():
+    from fractions import Fraction
+
+    from artinlink import build_complex, build_link, make_loop, triangle_presentation
+    from artinlink.cycles import (
+        _least_cycle_through,
+        _lightest_cycle_through,
+        _shortest_cycle,
+        min_angle_cycle,
+    )
+
+    # moving a search out of the guarded modules would hide it from
+    # the static check above
+    for fn in (_least_cycle_through, _lightest_cycle_through, _shortest_cycle):
+        assert Path(inspect.getsourcefile(fn)).name in GUARDED
+    pres, _ = triangle_presentation(3, 4, 5)
+    link = build_link(build_complex(pres))
+    weight = [1 + i % 3 for i in range(len(link.edges))]
+    key, ids = _shortest_cycle(link, weight)
+    assert type(key) is int and all(type(i) is int for i in ids)
+    loop = make_loop(link, [link.vertices[i] for i in ids])
+    n = len(link.vertices)
+    assert divmod(key, n) == (sum(weight[e] for e in loop.edge_indices), loop.length)
+    angled = link.with_angles(
+        {(e.cell, e.corner): Fraction(w, 12) for e, w in zip(link.edges, weight)}
+    )
+    value, _ = min_angle_cycle(angled)
+    assert value == Fraction(key // n, 12)
 
 
 def test_guard_catches_each_float_form():

@@ -10,6 +10,7 @@ from artinlink import (
     IncompleteAssignmentError,
     Orientation,
     OrientationAssignment,
+    TooManyGeneratorsError,
     UnorientedEdgeError,
     build_standard,
     build_triangular,
@@ -161,6 +162,22 @@ def test_triangular_requires_orientations():
     g = DefiningGraph(("a", "b"), [("a", "b", 3)])
     with pytest.raises(UnorientedEdgeError):
         build_triangular(g)
+
+
+def test_triangular_generator_cap_is_checked_before_building():
+    from artinlink.presentations import MAX_GENERATORS
+
+    def one_edge(label):
+        return DefiningGraph(("a", "b"), [("a", "b", label, Orientation.FORWARD)])
+
+    # two vertices, one hub and label - 2 chain generators
+    pres, _ = build_triangular(one_edge(MAX_GENERATORS - 1))
+    assert len(pres.generators) == MAX_GENERATORS
+    with pytest.raises(TooManyGeneratorsError, match=f"{MAX_GENERATORS + 1} gen"):
+        build_triangular(one_edge(MAX_GENERATORS))
+    # a label far beyond the cap fails at once: nothing is built first
+    with pytest.raises(TooManyGeneratorsError, match="1000000001 generators"):
+        build_triangular(one_edge(10**9))
 
 
 def test_unique_positive_products_across_relators():
