@@ -12,9 +12,15 @@ which for a boundary h^-1 u v yields exactly
 
 Vertices fall into four levels: hub tails at level 1, non-hub tails at
 level 2, non-hub heads at level 3 and hub heads at level 4.  Every edge
-joins adjacent levels, so links are bipartite.  Edges carry their
-2-cell corner as provenance, the hub of that 2-cell as their local
-piece, and an optional exact angle (a Fraction, in units of pi).
+joins adjacent levels, so links are bipartite.
+
+Both objects are integer-first.  A 2-cell is the (hub, left, right)
+triple of its generators' positions, and ``build_link`` turns each
+cell straight into the ids of its three corner edges.  The searches
+read only that core.  The named view, a ``LinkVertex`` per vertex and a
+``LinkEdge`` per edge (with its 2-cell corner as provenance, the hub of
+that 2-cell as its local piece, and an optional exact angle, a
+Fraction in units of pi), is built on first read.
 """
 
 from __future__ import annotations
@@ -55,24 +61,20 @@ class LinkVertex(NamedTuple):
         return self.bar_name
 
 
-class TwoCell(NamedTuple):
-    boundary: tuple[Letter, Letter, Letter]  # (h^-1, u, v)
-    hub: str
-    left: str  # u
-    right: str  # v
-    source: tuple
-
-
 class TwoComplex:
-    """One 0-cell, a 1-cell per generator, a triangular 2-cell per relator."""
+    """One 0-cell, a 1-cell per generator, a triangular 2-cell per relator.
 
-    def __init__(self, presentation: Presentation, cells: Iterable[TwoCell]):
+    ``cells`` holds each 2-cell as the (hub, left, right) triple of
+    positions in ``one_cells``, for the boundary h^-1 u v.
+    """
+
+    def __init__(
+        self, presentation: Presentation, cells: Iterable[tuple[int, int, int]]
+    ):
         self.presentation = presentation
         self.cells = tuple(cells)
         self.zero_cells = 1
-        self.one_cells = tuple(presentation.generators)
-        # Squared lengths, so sqrt(2) stays exact; default is the unit metric.
-        self.one_cell_lengths_sq = {g: 1 for g in self.one_cells}
+        self.one_cells = presentation.generators
 
     def __repr__(self) -> str:
         return (
@@ -130,24 +132,26 @@ def _infer_hub_records(p: Presentation) -> tuple[HubRecord, ...]:
 def build_complex(p: Presentation) -> TwoComplex:
     """Glue one triangular 2-cell per relator h^-1 u v.
 
-    Raises :class:`NotTriangularError` if any relator is not a
-    length-3 word with exactly one inverted letter.
+    A presentation from ``build_triangular`` already holds its cells
+    and is used as it is.  A hand-built one is read relator by relator,
+    and given inferred hub records if it has none.  Raises
+    :class:`NotTriangularError` if any relator is not a length-3 word
+    with exactly one inverted letter, led by a hub.
     """
+    if p.cells is not None:
+        return TwoComplex(p, p.cells)
     records = p.hub_records or _infer_hub_records(p)
     hubs = {rec.hub for rec in records}
+    position = {g: i for i, g in enumerate(p.generators)}
     cells = []
     for r in p.relators:
         rot = _hub_rotation(r.letters)
         if rot is None or rot[0].gen not in hubs:
             raise NotTriangularError(f"relator {r} is not of the form h^-1 u v")
-        h, u, v = rot
-        cells.append(
-            TwoCell(tuple(rot), h.gen, u.gen, v.gen, p.provenance.get(r, (r, 0)))
-        )
-    complex_ = TwoComplex(
-        Presentation(p.generators, p.relators, p.provenance, records), cells
-    )
-    return complex_
+        cells.append(tuple(position[lt.gen] for lt in rot))
+    if not p.hub_records:
+        p = Presentation(p.generators, p.relators, p.provenance, records)
+    return TwoComplex(p, cells)
 
 
 class LinkEdge(NamedTuple):
@@ -161,50 +165,106 @@ class LinkEdge(NamedTuple):
 
 
 BOTTOM, MIDDLE, TOP = "bottom", "middle", "top"
-_KIND_BY_LEVELS = {(1, 2): BOTTOM, (2, 3): MIDDLE, (3, 4): TOP}
+_KINDS = (BOTTOM, MIDDLE, TOP)  # by the lower level of the edge's ends
 
 
 class LinkGraph:
     """The link of the unique 0-cell, as an undirected simple graph.
 
-    Besides the named view (``vertices``, ``edges`` and the
-    ``LinkVertex``-keyed ``adjacency``) the graph keeps a dense integer
-    core for the searches: a vertex's id is its position in the sorted
-    ``vertices`` tuple, ``index`` maps a vertex to its id, ``nbrs[id]``
-    lists (neighbour id, edge index) pairs in the order of
-    ``adjacency``, and ``ends[ei]`` holds the ids of edge ``ei``.
-    Because ids follow the vertex order, comparing ids compares
-    vertices.
+    The graph is a dense integer core: vertex ids ``0..n-1``,
+    ``levels[id]``, ``ends[ei]`` holding the ids of edge ``ei`` (lower
+    first) and ``nbrs[id]`` listing sorted (neighbour id, edge index)
+    pairs.  The named view (``vertices``, ``edges``, ``index`` and the
+    ``LinkVertex``-keyed ``adjacency``) is built only when read.  A
+    vertex's id is its position in the sorted ``vertices`` tuple, so
+    comparing ids compares vertices.
+
+    ``LinkGraph(vertices, edges)`` builds a graph from named parts and
+    refuses an edge on an unknown vertex; :func:`build_link` builds one
+    from a complex's cells and refuses a cell on an unknown generator.
+    Either way the core is then checked on integers: every edge joins
+    adjacent levels, and no two edges join the same pair.
     """
 
     def __init__(self, vertices: Iterable[LinkVertex], edges: Iterable[LinkEdge]):
         self.vertices = tuple(sorted(set(vertices)))
         self.edges = tuple(edges)
-        index = {v: i for i, v in enumerate(self.vertices)}
-        nbrs: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        edge_ids: dict[tuple[int, int], int] = {}
-        for ei, e in enumerate(self.edges):
-            ia = index.get(e.a)
-            ib = index.get(e.b)
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        ends = []
+        for e in self.edges:
+            ia, ib = self.index.get(e.a), self.index.get(e.b)
             if ia is None or ib is None:
                 raise InternalInconsistencyError(f"edge {e} uses unknown vertex")
-            if (ia, ib) in edge_ids:
+            ends.append((ia, ib) if ia < ib else (ib, ia))
+        self._set_core([v.level for v in self.vertices], ends)
+
+    @classmethod
+    def _of_cells(
+        cls, k: TwoComplex, by_rank: list[int], levels: list[int], ends: list
+    ) -> "LinkGraph":
+        """The link of ``k`` from its core: vertex id 2 * r (head) and
+        2 * r + 1 (tail) belong to generator ``by_rank[r]``, and edge
+        3 * c + corner to corner ``corner`` of cell ``c``."""
+        link = cls.__new__(cls)
+        link._complex, link._by_rank = k, by_rank
+        link._set_core(levels, ends)
+        return link
+
+    def _set_core(self, levels: list[int], ends: list[tuple[int, int]]) -> None:
+        self.levels = levels
+        nbrs: list[list[tuple[int, int]]] = [[] for _ in levels]
+        for ei, (a, b) in enumerate(ends):
+            if abs(levels[a] - levels[b]) != 1:
+                va, vb = self.vertices[a], self.vertices[b]
                 raise InternalInconsistencyError(
-                    f"parallel link edge between {e.a} and {e.b}"
+                    f"link edge {va}-{vb} joins levels {va.level} and {vb.level}"
                 )
-            if abs(e.a.level - e.b.level) != 1:
-                raise InternalInconsistencyError(
-                    f"link edge {e.a}-{e.b} skips a level"
-                )
-            edge_ids[(ia, ib)] = ei
-            nbrs[ia].append((ib, ei))
-            nbrs[ib].append((ia, ei))
+            nbrs[a].append((b, ei))
+            nbrs[b].append((a, ei))
+        edge_ids = {pair: ei for ei, pair in enumerate(ends)}
+        if len(edge_ids) != len(ends):
+            ei = next(ei for ei, pair in enumerate(ends) if edge_ids[pair] != ei)
+            va, vb = (self.vertices[i] for i in ends[ei])
+            raise InternalInconsistencyError(
+                f"parallel link edge between {va} and {vb}"
+            )
         for ns in nbrs:
             ns.sort()
-        self.index = index
         self.nbrs = nbrs
-        self.ends = tuple(edge_ids)  # keys in insertion order: one per edge
+        self.ends = tuple(ends)
         self._edge_ids = edge_ids
+
+    # -- the named view, for links built by build_link ---------------------
+
+    @functools.cached_property
+    def vertices(self) -> tuple[LinkVertex, ...]:
+        gens = self._complex.one_cells
+        special = self._complex.presentation.special_generators
+        out = []
+        for i, level in enumerate(self.levels):
+            g = gens[self._by_rank[i // 2]]
+            out.append(LinkVertex(g, TAIL if i % 2 else HEAD, level, g in special))
+        return tuple(out)
+
+    @functools.cached_property
+    def edges(self) -> tuple[LinkEdge, ...]:
+        vs, levels = self.vertices, self.levels
+        gens, cells = self._complex.one_cells, self._complex.cells
+        return tuple(
+            LinkEdge(
+                vs[a],
+                vs[b],
+                _KINDS[min(levels[a], levels[b]) - 1],
+                ei // 3,
+                ei % 3,
+                gens[cells[ei // 3][0]],
+            )
+            for ei, (a, b) in enumerate(self.ends)
+        )
+
+    @functools.cached_property
+    def index(self) -> dict[LinkVertex, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
 
     @functools.cached_property
     def adjacency(self) -> dict[LinkVertex, tuple[tuple[LinkVertex, int], ...]]:
@@ -292,9 +352,9 @@ class LinkGraph:
 
     def components(self) -> list[tuple[tuple[LinkVertex, ...], tuple[int, ...]]]:
         """Connected components as (sorted vertices, sorted edge indices)."""
-        seen = [False] * len(self.vertices)
+        seen = [False] * len(self.nbrs)
         out = []
-        for start in range(len(self.vertices)):
+        for start in range(len(self.nbrs)):
             if seen[start]:
                 continue
             seen[start] = True
@@ -327,9 +387,10 @@ class LinkGraph:
         Only the angles change, so the copy shares this link's vertices
         and integer core instead of rebuilding and revalidating them.
         """
+        edges = self.edges
         angled = copy.copy(self)
         angled.edges = tuple(
-            e._replace(angle=angle_of[(e.cell, e.corner)]) for e in self.edges
+            e._replace(angle=angle_of[(e.cell, e.corner)]) for e in edges
         )
         return angled
 
@@ -361,7 +422,7 @@ class LinkGraph:
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
-        return f"LinkGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        return f"LinkGraph({len(self.nbrs)} vertices, {len(self.ends)} edges)"
 
 
 def _dot_quote(name: str) -> str:
@@ -369,49 +430,33 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _terminal(lt: Letter, vertex_of) -> LinkVertex:
-    return vertex_of(lt.gen, HEAD if lt.exp == 1 else TAIL)
-
-
-def _initial(lt: Letter, vertex_of) -> LinkVertex:
-    return vertex_of(lt.gen, TAIL if lt.exp == 1 else HEAD)
-
-
 def build_link(k: TwoComplex) -> LinkGraph:
-    """Two vertices per 1-cell, one edge per 2-cell corner."""
-    p = k.presentation
-    hubs = p.hubs
-    special = p.special_generators
+    """Two vertices per 1-cell, one edge per 2-cell corner.
 
-    cache: dict[tuple[str, str], LinkVertex] = {}
-
-    def vertex_of(gen: str, end: str) -> LinkVertex:
-        key = (gen, end)
-        got = cache.get(key)
-        if got is None:
-            if gen in hubs:
-                level = 4 if end == HEAD else 1
-            else:
-                level = 3 if end == HEAD else 2
-            got = LinkVertex(gen, end, level, gen in special)
-            cache[key] = got
-        return got
-
-    vertices = [vertex_of(g, end) for g in p.generators for end in (HEAD, TAIL)]
-    edges = []
-    for cell_idx, cell in enumerate(k.cells):
-        letters = cell.boundary
-        for corner in range(3):
-            l1, l2 = letters[corner], letters[(corner + 1) % 3]
-            a = _terminal(l1, vertex_of)
-            b = _initial(l2, vertex_of)
-            if a > b:
-                a, b = b, a
-            kind = _KIND_BY_LEVELS.get(tuple(sorted((a.level, b.level))))
-            if kind is None:
-                raise InternalInconsistencyError(
-                    f"corner {corner} of cell {cell_idx} joins levels "
-                    f"{a.level} and {b.level}"
-                )
-            edges.append(LinkEdge(a, b, kind, cell_idx, corner, cell.hub))
-    return LinkGraph(vertices, edges)
+    Generator g of sorted rank r gets head id 2 * r and tail id
+    2 * r + 1, the order of the named vertices.  A cell h^-1 u v gives
+    its bottom {h_bar, u_bar}, middle {u, v_bar} and top {v, h} edges,
+    in that order.
+    """
+    gens = k.one_cells
+    hubs = k.presentation.hubs
+    by_rank = sorted(range(len(gens)), key=gens.__getitem__)
+    head = {}
+    levels = []
+    for r, gi in enumerate(by_rank):
+        head[gi] = 2 * r
+        levels += (4, 1) if gens[gi] in hubs else (3, 2)
+    ends = []
+    try:
+        for h, u, v in k.cells:
+            h, u, v = head[h], head[u], head[v]
+            ends += (
+                (h + 1, u + 1) if h < u else (u + 1, h + 1),
+                (u, v + 1) if u <= v else (v + 1, u),
+                (v, h) if v < h else (h, v),
+            )
+    except KeyError as exc:
+        raise InternalInconsistencyError(
+            f"2-cell {len(ends) // 3} uses unknown generator {exc.args[0]!r}"
+        ) from None
+    return LinkGraph._of_cells(k, by_rank, levels, ends)

@@ -94,7 +94,7 @@ def has_short_loop(link: LinkGraph) -> bool:
     Links are bipartite and simple, so this is exactly "some two
     vertices share two neighbours", i.e. girth 4.
     """
-    n = len(link.vertices)
+    n = len(link.nbrs)
     seen: set[int] = set()
     for ns in link.nbrs:
         ids = [nb for nb, _ in ns]

@@ -126,12 +126,25 @@ def gamma_to_json_dict(gamma: DefiningGraph) -> dict:
     }
 
 
+def _json_list(value, what: str) -> list:
+    # a string or an object would otherwise be read as a sequence
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
 def gamma_from_json_dict(obj: dict) -> DefiningGraph:
     edges = [
         GammaEdge(e["u"], e["v"], e["label"], Orientation(e["orientation"]))
-        for e in obj.get("edges", ())
+        for e in _json_list(obj.get("edges", []), "edges")
     ]
-    return DefiningGraph(obj["vertices"], edges, obj.get("rotations") or None)
+    rotations = obj.get("rotations") or None
+    if rotations is not None:
+        rotations = {
+            v: _json_list(order, f"rotation at {v!r}")
+            for v, order in rotations.items()
+        }
+    return DefiningGraph(_json_list(obj["vertices"], "vertices"), edges, rotations)
 
 
 def parse_gamma_json(text: str) -> DefiningGraph:
@@ -139,6 +152,10 @@ def parse_gamma_json(text: str) -> DefiningGraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(None, "invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # e.g. an integer over the digit limit
+        raise ParseError(None, f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         kind = type(obj).__name__
         raise ParseError(None, f"graph JSON must be an object, not {kind}")

@@ -14,6 +14,7 @@ edge.  The two presentations define the same group, and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
@@ -355,8 +356,13 @@ class Presentation:
     ``provenance`` maps each relator to its source (edge key and
     position in the relation chain); ``hub_records`` is non-empty
     exactly for triangular presentations, where it remembers which
-    generators are hubs and which are chain fillers.
+    generators are hubs and which are chain fillers.  A presentation
+    made by :meth:`from_cells` also keeps its 2-cells as integer
+    triples in ``cells`` (``None`` otherwise) and builds ``relators``
+    and ``provenance`` from them on first read.
     """
+
+    cells: tuple[tuple[int, int, int], ...] | None = None
 
     def __init__(
         self,
@@ -378,6 +384,52 @@ class Presentation:
                     raise ValueError(f"relator uses undeclared generator {lt.gen!r}")
         self.provenance = dict(provenance or {})
         self.hub_records = tuple(hub_records)
+
+    @classmethod
+    def from_cells(
+        cls,
+        generators: Iterable[str],
+        cells: Iterable[tuple[int, int, int]],
+        sources: Iterable[tuple],
+        hub_records: Iterable[HubRecord],
+    ) -> "Presentation":
+        """A triangular presentation given by its 2-cells.
+
+        Each cell is a (hub, left, right) triple of positions in
+        ``generators`` and stands for the relator h^-1 u v, whose
+        provenance is the matching entry of ``sources``.  The hub must
+        differ from left and right, so that the relator is cyclically
+        reduced; ``ValueError`` otherwise, as for an undeclared
+        generator.
+        """
+        p = cls.__new__(cls)
+        p.generators = tuple(generators)
+        if len(set(p.generators)) != len(p.generators):
+            raise ValueError("duplicate generator names")
+        p.cells = tuple(cells)
+        used = set().union(*p.cells)
+        if used and (min(used) < 0 or max(used) >= len(p.generators)):
+            bad = min(used) if min(used) < 0 else max(used)
+            raise ValueError(f"relator uses undeclared generator id {bad}")
+        if any(h == u or h == v for h, u, v in p.cells):
+            raise ValueError("a relator h^-1 u v must have h distinct from u, v")
+        p._sources = tuple(sources)
+        p.hub_records = tuple(hub_records)
+        return p
+
+    @functools.cached_property
+    def relators(self) -> tuple[CyclicWord, ...]:
+        gens = self.generators
+        return tuple(
+            CyclicWord._from_cyclically_reduced(
+                (Letter(gens[h], -1), Letter(gens[u], 1), Letter(gens[v], 1))
+            )
+            for h, u, v in self.cells
+        )
+
+    @functools.cached_property
+    def provenance(self) -> dict[CyclicWord, tuple]:
+        return dict(zip(self.relators, self._sources))
 
     @property
     def hubs(self) -> frozenset[str]:
@@ -474,8 +526,11 @@ def build_triangular(
     For an edge tail -> head labelled m this introduces a hub h and
     fresh generators d3..dm and emits the m relators
     h^-1 (tail)(head), h^-1 (head)d3, h^-1 d3 d4, ..., h^-1 dm (tail).
-    Raises :class:`UnorientedEdgeError` for non-wildcard edges without
-    a direction, and :class:`TooManyGeneratorsError`, before building
+    The presentation keeps each relator as a 2-cell, the integer
+    triple (h, u, v) of generator positions (see
+    :meth:`Presentation.from_cells`).  Raises
+    :class:`UnorientedEdgeError` for non-wildcard edges without a
+    direction, and :class:`TooManyGeneratorsError`, before building
     anything, when the generators would number over ``MAX_GENERATORS``.
     """
     # the vertices, and per edge its hub and m - 2 chain generators
@@ -486,27 +541,25 @@ def build_triangular(
             f"over the limit of {MAX_GENERATORS}"
         )
     gens = list(gamma.vertices)
-    relators: list[CyclicWord] = []
-    prov: dict[CyclicWord, tuple] = {}
+    vertex_id = {v: i for i, v in enumerate(gens)}
+    cells: list[tuple[int, int, int]] = []
+    sources: list[tuple] = []
     records: list[HubRecord] = []
     for e in gamma.edges:
-        tail, head = e.tail, e.head
+        tail, head, m = e.tail, e.head, e.label
         hub = hub_name(tail, head)
-        chain = [chain_name(tail, head, i) for i in range(3, e.label + 1)]
-        cycle = (tail, head, *chain)
+        chain = [chain_name(tail, head, i) for i in range(3, m + 1)]
+        h = len(gens)
+        ids = (vertex_id[tail], vertex_id[head], *range(h + 1, h + m - 1))
         gens.append(hub)
         gens.extend(chain)
-        records.append(HubRecord(hub, cycle, e.label, (tail, head)))
-        for i in range(e.label):
-            u, v = cycle[i], cycle[(i + 1) % e.label]
-            # h^-1 u v is cyclically reduced: h differs from u and v
-            r = CyclicWord._from_cyclically_reduced(
-                (Letter(hub, -1), Letter(u, 1), Letter(v, 1))
-            )
-            relators.append(r)
-            prov[r] = (e.key, i)
-    p = Presentation(gens, relators, prov, records)
-    return p, tuple(records)
+        records.append(HubRecord(hub, (tail, head, *chain), m, (tail, head)))
+        key = e.key
+        for i in range(m):
+            cells.append((h, ids[i], ids[(i + 1) % m]))
+            sources.append((key, i))
+    p = Presentation.from_cells(gens, cells, sources, records)
+    return p, p.hub_records
 
 
 def _power(gen: str, k: int) -> FreeWord:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own algorithms: girth is found
 by exhaustive DFS cycle enumeration, orientation searches by
-enumerating every completion, and canonical forms of sweep states by
-trying every vertex permutation.
+enumerating every completion, canonical forms of sweep states by
+trying every vertex permutation, and links by the named corner rule
+read from each relator's letters.
 """
 
 from __future__ import annotations
@@ -154,6 +155,57 @@ def dfs_min_loops(link, max_len: int, max_angle=None):
     if best[0] is None:
         return None, None, []
     return best[0][0], best[0][1], sorted(canonical(c) for c in best[1])
+
+
+_LEVEL = {("head", True): 4, ("tail", True): 1, ("head", False): 3, ("tail", False): 2}
+_KIND = {(1, 2): "bottom", (2, 3): "middle", (3, 4): "top"}
+
+
+def reference_link(pres):
+    """The link of a triangular presentation with hub records, by the
+    named corner rule: for consecutive letters l1 l2 of a boundary
+    h^-1 u v, the corner joins the terminal end of l1 to the initial
+    end of l2.
+
+    Returns ``(vertices, edges, nbrs, ends)`` in the layout of
+    ``LinkGraph``, with vertices as (gen, end, level, special) and
+    edges as (a, b, kind, cell, corner, piece, angle) plain tuples,
+    which compare equal to ``LinkVertex`` and ``LinkEdge``.
+    """
+    hubs = {rec.hub for rec in pres.hub_records}
+    fillers = {g for rec in pres.hub_records for g in rec.cycle[2:]}
+
+    def vertex(gen, end):
+        special = gen not in hubs and gen not in fillers
+        return (gen, end, _LEVEL[(end, gen in hubs)], special)
+
+    def terminal(letter):
+        return vertex(letter.gen, "head" if letter.exp == 1 else "tail")
+
+    def initial(letter):
+        return vertex(letter.gen, "tail" if letter.exp == 1 else "head")
+
+    vertices = tuple(
+        sorted(vertex(g, end) for g in pres.generators for end in ("head", "tail"))
+    )
+    edges = []
+    for cell, relator in enumerate(pres.relators):
+        letters = relator.letters
+        i = next(j for j, lt in enumerate(letters) if lt.exp == -1)
+        boundary = letters[i:] + letters[:i]
+        for corner in range(3):
+            a, b = sorted(
+                (terminal(boundary[corner]), initial(boundary[(corner + 1) % 3]))
+            )
+            kind = _KIND[(min(a[2], b[2]), max(a[2], b[2]))]
+            edges.append((a, b, kind, cell, corner, boundary[0].gen, None))
+    index = {v: i for i, v in enumerate(vertices)}
+    ends = tuple((index[e[0]], index[e[1]]) for e in edges)
+    nbrs = [[] for _ in vertices]
+    for ei, (a, b) in enumerate(ends):
+        nbrs[a].append((b, ei))
+        nbrs[b].append((a, ei))
+    return vertices, tuple(edges), [sorted(ns) for ns in nbrs], ends
 
 
 def all_orientation_completions(gamma: DefiningGraph):

@@ -222,6 +222,39 @@ def test_json_top_level_list_is_a_one_line_error(gamma_file, capsys):
     assert "must be an object" in err
 
 
+def assert_json_parse_error(gamma_file, capsys, text, message):
+    path = gamma_file(text, "graph.json")
+    for command in ("certify", "link", "orient"):
+        code, out, err = run(capsys, [command, path])
+        assert_one_line_error(code, out, err)
+        assert err.startswith("parse error: ") and message in err
+
+
+def test_deeply_nested_json_is_a_one_line_error(gamma_file, capsys):
+    text = "[" * 200000 + "]" * 200000
+    assert_json_parse_error(gamma_file, capsys, text, "nested too deeply")
+
+
+def test_json_integer_over_the_digit_limit_is_a_one_line_error(gamma_file, capsys):
+    text = '{"vertices": ["a"], "edges": [], "x": ' + "9" * 5000 + "}"
+    assert_json_parse_error(gamma_file, capsys, text, "4300 digits")
+
+
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        ({"vertices": "ab", "edges": []}, "vertices must be a list"),
+        ({"vertices": ["a"], "edges": {}}, "edges must be a list"),
+        (
+            {"vertices": ["a", "b", "c"], "edges": [], "rotations": {"a": "bc"}},
+            "rotation at 'a' must be a list",
+        ),
+    ],
+)
+def test_json_non_list_field_is_a_one_line_error(gamma_file, capsys, obj, message):
+    assert_json_parse_error(gamma_file, capsys, json.dumps(obj), message)
+
+
 def test_directory_as_graph_path_is_a_one_line_error(tmp_path, capsys):
     code, out, err = run(capsys, ["certify", str(tmp_path)])
     assert_one_line_error(code, out, err)

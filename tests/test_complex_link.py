@@ -1,7 +1,9 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
+from oracle_tools import reference_link
 
 from artinlink import (
     HEAD,
@@ -20,7 +22,13 @@ from artinlink import (
     triangle_graph,
     triangle_presentation,
 )
-from artinlink.presentations import chain_name, hub_name
+from artinlink.batteries import (
+    enumerate_oriented_states,
+    graph_from_state,
+    wildcard_variants,
+)
+from artinlink.presentations import HubRecord, chain_name, hub_name
+from artinlink.words import CyclicWord, FreeWord
 
 
 def link_of(gamma):
@@ -148,6 +156,116 @@ def test_degree_laws():
             else:
                 assert link.degree(v) == 2
         assert sum(link.degree(v) for v in link.vertices) == 2 * len(link.edges)
+
+
+def sweep_presentations():
+    """Presentations from every builder path: the 4-vertex oriented
+    states and their wildcard variants, seeded 5-vertex states, the
+    renamed triangles and the hand-built two-generator I_m."""
+    states4 = enumerate_oriented_states(4)
+    for state in states4 + wildcard_variants(states4, 4):
+        yield build_triangular(graph_from_state(state, 4))[0]
+    rng = random.Random(20260)
+    for _ in range(2000):
+        state = tuple(rng.choice((0, 0, 1, 2, 3, 4, 5)) for _ in range(10))
+        yield build_triangular(graph_from_state(state, 5))[0]
+    for m, n, p in itertools.product((3, 4, 5), repeat=3):
+        yield triangle_presentation(m, n, p)[0]
+    for m in range(2, 8):
+        yield build_two_generator_family(m)[2]
+
+
+def test_link_matches_the_named_corner_rule():
+    cases = 0
+    for pres in sweep_presentations():
+        link = build_link(build_complex(pres))
+        vertices, edges, nbrs, ends = reference_link(pres)
+        assert link.vertices == vertices
+        assert link.edges == edges
+        assert link.nbrs == nbrs
+        assert link.ends == ends
+        cases += 1
+    assert cases == 695 + 369 + 2000 + 27 + 6
+
+
+def test_triangular_relators_and_provenance_follow_the_hub_records():
+    gamma = DefiningGraph(
+        ("a", "b", "c", "d"),
+        [
+            ("a", "b", 4, Orientation.BACKWARD),
+            ("b", "c", 2, Orientation.WILDCARD),
+            ("c", "d", 5, Orientation.FORWARD),
+            ("a", "d", 3, Orientation.FORWARD),
+        ],
+    )
+    pres, records = build_triangular(gamma)
+    relators, provenance = [], {}
+    for rec in records:
+        for i in range(rec.label):
+            u, v = rec.cycle[i], rec.cycle[(i + 1) % rec.label]
+            r = CyclicWord(FreeWord([(rec.hub, -1), (u, 1), (v, 1)]))
+            relators.append(r)
+            provenance[r] = (tuple(sorted(rec.edge)), i)
+    assert pres.relators == tuple(relators)
+    assert pres.provenance == provenance
+
+
+def two_hub_presentation(second_relators):
+    """Hub x over a, b, plus a hub y with the given relators."""
+    records = (HubRecord("x", ("a", "b"), 2, ("a", "b")),)
+    relators = ["x^-1 a b", "x^-1 b a", *second_relators]
+    return Presentation(
+        ("x", "y", "a", "b"),
+        [CyclicWord(FreeWord.parse(r)) for r in relators],
+        hub_records=records + (HubRecord("y", ("a", "x"), 2, ("a", "x")),),
+    )
+
+
+@pytest.mark.parametrize(
+    "second_relators",
+    [
+        ("y^-1 a x", "y^-1 x a"),  # a hub as u or v: the corner joins levels
+        ("y^-1 a b", "y^-1 b a"),  # the corners of x's cells again: parallel
+    ],
+)
+def test_malformed_hand_built_link_is_rejected(second_relators):
+    k = build_complex(two_hub_presentation(second_relators))
+    with pytest.raises(InternalInconsistencyError):
+        build_link(k)
+
+
+def test_unknown_vertices_and_level_skips_are_rejected():
+    from artinlink import LinkEdge, LinkGraph, LinkVertex, TwoComplex
+
+    a = LinkVertex("a", HEAD, 3, True)
+    b = LinkVertex("b", TAIL, 2, True)
+    x = LinkVertex("x", TAIL, 1, False)
+    with pytest.raises(InternalInconsistencyError):
+        LinkGraph([a], [LinkEdge(a, b, "middle", 0, 1, "x")])
+    with pytest.raises(InternalInconsistencyError):
+        LinkGraph([a, x], [LinkEdge(a, x, "middle", 0, 1, "x")])
+    pres, _ = triangle_presentation(3, 3, 3)
+    for cell in ((0, 1, 99), (-1, 0, 1)):
+        with pytest.raises(InternalInconsistencyError):
+            build_link(TwoComplex(pres, [cell]))
+        with pytest.raises(ValueError, match="undeclared generator"):
+            Presentation.from_cells(pres.generators, [cell], [None], ())
+    with pytest.raises(ValueError, match="distinct"):
+        Presentation.from_cells(pres.generators, [(0, 1, 0)], [None], ())
+    with pytest.raises(ValueError, match="duplicate"):
+        Presentation.from_cells(("x", "a", "a"), [(0, 1, 2)], [None], ())
+
+
+def test_parallel_corners_from_cells_are_rejected():
+    # hubs x and y over the same sides a, b: the middle corners coincide
+    records = (
+        HubRecord("x", ("a", "b"), 2, ("a", "b")),
+        HubRecord("y", ("a", "b"), 2, ("a", "b")),
+    )
+    cells = [(0, 2, 3), (0, 3, 2), (1, 2, 3), (1, 3, 2)]
+    pres = Presentation.from_cells(("x", "y", "a", "b"), cells, range(4), records)
+    with pytest.raises(InternalInconsistencyError, match="parallel"):
+        build_link(build_complex(pres))
 
 
 def test_parallel_edges_rejected():

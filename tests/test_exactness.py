@@ -12,7 +12,7 @@ import pytest
 import artinlink
 
 SRC = Path(artinlink.__file__).parent
-GUARDED = ("cycles.py", "curvature.py")
+GUARDED = ("complex_link.py", "cycles.py", "curvature.py")
 
 
 def float_uses(source: str) -> list[str]:
