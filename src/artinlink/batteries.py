@@ -16,16 +16,17 @@ Three sweeps:
   cross-check.  A second sweep turns one edge per graph (the
   canonically first) into a label-2 wildcard.
 
-Enumeration is by canonical forms: a labelled state assigns each
-vertex pair one of {absent, label...}, and a state is kept only if no
-vertex permutation maps it to a lexicographically smaller state.
-Orientations are then reduced modulo the automorphisms of the
-labelled graph.  Wildcard variants are deduplicated by their least
-image under vertex permutations with direction flips.  An image opens
-with the row of new vertex 0 (its codes to the other vertices, seen
-from it), so only permutations that send a vertex with the least
-sorted row to 0 and sort that row can give the least image, and only
-those are tried.
+Enumeration keeps the least member of each orbit.  A labelled state
+assigns each vertex pair one of {absent, label...}; it is kept if none
+of its images under the n! vertex permutations is smaller, and that
+one scan also gives its automorphisms.  Its orientations are walked
+in lexicographic order: the first one not yet seen is the least of
+its orbit, and its images under the automorphisms are marked seen.
+Wildcard variants are deduplicated by their least image with
+direction flips.  An image opens with the row of new vertex 0 (its
+codes to the others, seen from it), so only a state with a sorted
+vertex-0 row can be canonical, and only permutations that send a
+vertex with the least sorted row to 0 and sort that row are tried.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from multiprocessing import Pool
 from operator import itemgetter
 
@@ -128,54 +129,10 @@ def battery_triangle_girth(
 # -- canonical enumeration of small labelled graphs ----------------------
 
 
-def _pair_tables(n: int):
-    """Vertex pairs of K_n and, per permutation, where each pair goes
-    and whether its endpoints swap order."""
-    pairs = list(combinations(range(n), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    tables = []
-    for perm in permutations(range(n)):
-        dest = []
-        flip = []
-        for a, b in pairs:
-            x, y = perm[a], perm[b]
-            dest.append(index[(x, y) if x < y else (y, x)])
-            flip.append(x > y)
-        tables.append((tuple(dest), tuple(flip)))
-    return pairs, tables
-
-
-def _source_tables(tables, m: int):
-    """Per permutation: src such that permuted_state[j] = state[src[j]]."""
-    out = []
-    for dest, flip in tables:
-        src = [0] * m
-        flip_at = [False] * m
-        for i, j in enumerate(dest):
-            src[j] = i
-            flip_at[j] = flip[i]
-        out.append((tuple(src), tuple(flip_at)))
-    return out
-
-
-def _is_canonical(state: tuple[int, ...], srcs, transform=None) -> bool:
-    m = len(state)
-    for src, flip_at in srcs:
-        for j in range(m):
-            v = state[src[j]]
-            if transform is not None and flip_at[j]:
-                v = transform(v)
-            if v < state[j]:
-                return False
-            if v > state[j]:
-                break
-    return True
-
-
-# Oriented pair states: 0 absent; labelled states come in (forward,
-# backward) pairs, plus one wildcard code per label-2 edge.
-_FLIP = {0: 0, 5: 5}
-_FLIP.update({1: 2, 2: 1, 3: 4, 4: 3})
+# Pair codes: 0 absent; labelled edges come in (forward, backward) code
+# pairs, plus one wildcard code per label-2 edge.  _FLIP maps each code
+# to the same edge seen from the pair's other end.
+_FLIP = bytes.maketrans(bytes(range(6)), bytes((0, 2, 1, 4, 3, 5)))
 _ORIENTED_DECODE = {
     1: (3, Orientation.FORWARD),
     2: (3, Orientation.BACKWARD),
@@ -183,10 +140,9 @@ _ORIENTED_DECODE = {
     4: (4, Orientation.BACKWARD),
     5: (2, Orientation.WILDCARD),
 }
-
-
-def _flip_value(v: int) -> int:
-    return _FLIP[v]
+# the codes an undirected entry can take: a label's two directions, or
+# the wildcard for label 2
+_CODES = {0: (0,), 2: (5,), 3: (1, 2), 4: (3, 4)}
 
 
 def _getter(indices):
@@ -196,16 +152,14 @@ def _getter(indices):
     return lambda s: tuple(s[i] for i in indices)
 
 
-def _canonicaliser(n: int):
-    """Least image of an oriented state under vertex permutations.
+def _permutation_table(n: int):
+    """Row and image getters over ``ext = state + flipped state``
+    (``ext[i + m]`` is pair i seen from its larger end).
 
-    Images are read from ``ext = state + flipped state``, where
-    ``ext[i + m]`` is pair i seen from its larger end.  The first n-1
-    entries of an image are new vertex 0's row: its codes to the new
-    vertices 1..n-1, seen from it.  So only permutations that send a
-    vertex with the least sorted row to 0, and order the others to sort
-    that row, can give the least image; their getters are cached per
-    (vertex, row).
+    ``rows[a]`` reads vertex a's codes to the others, seen from a.
+    ``blocks[a]`` holds (order, getter) for each permutation that makes
+    a vertex 0 and its ``order[k]``-th other vertex k + 1.  ``getters``
+    is all blocks in ``permutations(range(n))`` order, identity first.
     """
     pairs = list(combinations(range(n), 2))
     m = len(pairs)
@@ -214,67 +168,112 @@ def _canonicaliser(n: int):
     def seen_from(a, b):
         return index[(a, b)] if a < b else index[(b, a)] + m
 
-    others = [[b for b in range(n) if b != a] for a in range(n)]
-    rows = [_getter([seen_from(a, b) for b in others[a]]) for a in range(n)]
+    rows, blocks = [], []
+    for a in range(n):
+        others = [b for b in range(n) if b != a]
+        rows.append(_getter([seen_from(a, b) for b in others]))
+        block = []
+        for order in permutations(range(n - 1)):
+            new_to_old = [a] + [others[k] for k in order]
+            get = _getter([seen_from(new_to_old[x], new_to_old[y]) for x, y in pairs])
+            block.append((order, get))
+        blocks.append(block)
+    getters = [get for block in blocks for _, get in block]
+    return rows, blocks, getters
 
-    def image(a, order):
-        # a becomes vertex 0, others[a][order[k]] becomes vertex k + 1
-        new_to_old = [a] + [others[a][k] for k in order]
-        return _getter([seen_from(new_to_old[x], new_to_old[y]) for x, y in pairs])
 
-    images = [
-        [(order, image(a, order)) for order in permutations(range(n - 1))]
-        for a in range(n)
-    ]
+def _extended(codes: bytes) -> bytes:
+    """``state + flipped state``, the sequence every getter reads."""
+    return codes + codes.translate(_FLIP)
+
+
+def _automorphisms(und: tuple[int, ...], getters):
+    """The getters that fix an undirected state, or None if one of them
+    maps it to a smaller state (it is then not canonical).  Undirected
+    codes read the same from both ends of a pair."""
+    ext = bytes(und) * 2
+    auts = []
+    for get in getters:
+        image = get(ext)
+        if image < und:
+            return None
+        if image == und:
+            auts.append(get)
+    return auts
+
+
+def _orientations(und: tuple[int, ...], auts) -> list[tuple[int, ...]]:
+    """The least orientation of each orbit of an undirected state's
+    automorphisms, in lexicographic order.
+
+    Orientations run in lexicographic order, so the first one of an
+    orbit reached is its least; its images then mark the rest.
+    """
+    states = product(*map(_CODES.__getitem__, und))
+    if len(auts) == 1:
+        return list(states)
+    seen = set()
+    out = []
+    for state in states:
+        if state not in seen:
+            out.append(state)
+            ext = _extended(bytes(state))
+            seen.update([get(ext) for get in auts])
+    return out
+
+
+class _SortedRows(dict):
+    """Memo: row -> its codes in sorted order."""
+
+    def __missing__(self, row):
+        key = self[row] = tuple(sorted(row))
+        return key
+
+
+def _canonicaliser(n: int):
+    """Least image of an oriented state under vertex permutations.
+
+    The first n-1 entries of an image are new vertex 0's row: its codes
+    to the new vertices 1..n-1, seen from it.  So only permutations that
+    send a vertex with the least sorted row to 0, and order the others
+    to sort that row, can give the least image; their getters are
+    cached per (vertex, row).
+    """
+    rows, blocks, _ = _permutation_table(n)
+    sorted_rows = _SortedRows()
     winners: dict = {}
 
-    def canon(state: tuple[int, ...]) -> tuple[int, ...]:
-        ext = state + tuple(map(_FLIP.__getitem__, state))
+    def canon(codes: bytes) -> tuple[int, ...]:
+        ext = _extended(codes)
         views = [row(ext) for row in rows]
-        keys = [sorted(r) for r in views]
+        keys = list(map(sorted_rows.__getitem__, views))
         least = min(keys)
         best = None
-        for a in range(n):
-            if keys[a] != least:
+        for a, key in enumerate(keys):
+            if key != least:
                 continue
             row = views[a]
             getters = winners.get((a, row))
             if getters is None:
                 getters = winners[(a, row)] = [
                     get
-                    for order, get in images[a]
+                    for order, get in blocks[a]
                     if all(row[i] <= row[j] for i, j in zip(order, order[1:]))
                 ]
-            for get in getters:
-                cand = get(ext)
-                if best is None or cand < best:
-                    best = cand
+            cand = min([get(ext) for get in getters])
+            if best is None or cand < best:
+                best = cand
         return best
 
     return canon
 
 
-_LABEL_CODES = {3: (1, 2), 4: (3, 4)}  # label -> (forward, backward) code
-
-
-def _orientations_of(und, branching, srcs):
-    """Canonical direction choices for the branching edges of one
-    undirected labelled state, modulo its automorphisms."""
-    m = len(und)
-    aut = [
-        (src, flip_at)
-        for src, flip_at in srcs
-        if all(und[src[j]] == und[j] for j in range(m))
-    ]
-    out = []
-    base = list(und)
-    for codes in product(*(_LABEL_CODES[und[i]] for i in branching)):
-        for i, code in zip(branching, codes):
-            base[i] = code
-        state = tuple(base)
-        if _is_canonical(state, aut, _flip_value):
-            out.append(state)
-    return out
+def _sorted_head_product(values, head: int, tail: int):
+    """``product(values, repeat=head + tail)`` in order, restricted to
+    tuples whose first ``head`` entries are nondecreasing."""
+    for first in combinations_with_replacement(values, head):
+        for rest in product(values, repeat=tail):
+            yield first + rest
 
 
 def enumerate_oriented_states(
@@ -285,17 +284,17 @@ def enumerate_oriented_states(
     States are tuples over the vertex pairs of K_n with values 0
     (absent) or an (label, direction) code.
     """
-    pairs, tables = _pair_tables(n)
-    srcs = _source_tables(tables, len(pairs))
     for lab in labels:
-        if lab not in _LABEL_CODES:
+        if lab not in (3, 4):
             raise ValueError(f"unsupported sweep label {lab}")
-
+    _, _, getters = _permutation_table(n)
+    m = n * (n - 1) // 2
     out: list[tuple[int, ...]] = []
-    for und in product((0,) + tuple(labels), repeat=len(pairs)):
-        if _is_canonical(und, srcs):
-            present = [i for i, v in enumerate(und) if v]
-            out.extend(_orientations_of(und, present, srcs))
+    values = (0,) + tuple(sorted(set(labels)))
+    for und in _sorted_head_product(values, n - 1, m - (n - 1)):
+        auts = _automorphisms(und, getters)
+        if auts is not None:
+            out.extend(_orientations(und, auts))
     return out
 
 
@@ -307,36 +306,33 @@ def enumerate_triangle_free_oriented_states(
     Label-2 edges are wildcards and carry no direction; every direction
     assignment of the other edges appears once per isomorphism class.
     """
-    pairs, tables = _pair_tables(n)
+    pairs = list(combinations(range(n), 2))
     m = len(pairs)
-    srcs = _source_tables(tables, m)
+    labels = tuple(sorted(set(labels)))
+    _, _, getters = _permutation_table(n)
     pair_index = {p: i for i, p in enumerate(pairs)}
     triples = [
-        tuple(
-            pair_index[p]
-            for p in ((a, b), (a, c), (b, c))
-        )
+        tuple(pair_index[p] for p in ((a, b), (a, c), (b, c)))
         for a, b, c in combinations(range(n), 3)
     ]
 
     out = []
     for bits in product((0, 1), repeat=m):
+        # a canonical state's vertex-0 row (its first n - 1 pairs) is sorted
+        head = sum(bits[: n - 1])
+        if bits[n - 1 - head : n - 1] != (1,) * head:
+            continue
         if any(all(bits[i] for i in t) for t in triples):
             continue
         present = [i for i, b in enumerate(bits) if b]
-        for labelling in product(labels, repeat=len(present)):
+        for labelling in _sorted_head_product(labels, head, len(present) - head):
             state = [0] * m
             for i, lab in zip(present, labelling):
                 state[i] = lab
-            if not _is_canonical(tuple(state), srcs):
-                continue
-            branching = []
-            for i in present:
-                if state[i] == 2:
-                    state[i] = 5  # wildcard code
-                else:
-                    branching.append(i)
-            out.extend(_orientations_of(tuple(state), branching, srcs))
+            und = tuple(state)
+            auts = _automorphisms(und, getters)
+            if auts is not None:
+                out.extend(_orientations(und, auts))
     return out
 
 
@@ -409,12 +405,11 @@ def wildcard_variants(
     seen = set()
     out = []
     for state in states:
-        present = [i for i, v in enumerate(state) if v]
-        if not present:
+        codes = bytes(state)
+        rest = codes.lstrip(b"\0")  # from the first present pair on
+        if not rest:
             continue
-        variant = list(state)
-        variant[present[0]] = 5
-        canon = canonical_form(tuple(variant))
+        canon = canonical_form(codes[: len(codes) - len(rest)] + b"\5" + rest[1:])
         if canon not in seen:
             seen.add(canon)
             out.append(canon)

@@ -126,25 +126,47 @@ def gamma_to_json_dict(gamma: DefiningGraph) -> dict:
     }
 
 
+_JSON_TYPES = {dict: "object", list: "list", str: "string", int: "number",
+               float: "number", bool: "boolean", type(None): "null"}
+
+
 def _json_list(value, what: str) -> list:
     # a string or an object would otherwise be read as a sequence
     if not isinstance(value, list):
-        raise TypeError(f"{what} must be a list, not {type(value).__name__}")
+        kind = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise TypeError(f"{what} must be a list, not {kind}")
     return value
+
+
+_ORIENTATIONS = {o.value: o for o in Orientation}
+
+
+def _json_edge(k: int, e) -> GammaEdge:
+    if not isinstance(e, dict) or not {"u", "v", "label", "orientation"} <= e.keys():
+        raise TypeError(f"edge {k} must be an object with u, v, label and orientation")
+    if not isinstance(e["u"], str) or not isinstance(e["v"], str):
+        raise TypeError(f"edge {k}: u and v must be vertex names")
+    if not isinstance(e["orientation"], str) or e["orientation"] not in _ORIENTATIONS:
+        raise ValueError(f"edge {k}: orientation must be one of {', '.join(_ORIENTATIONS)}")
+    return GammaEdge(e["u"], e["v"], e["label"], _ORIENTATIONS[e["orientation"]])
 
 
 def gamma_from_json_dict(obj: dict) -> DefiningGraph:
     edges = [
-        GammaEdge(e["u"], e["v"], e["label"], Orientation(e["orientation"]))
-        for e in _json_list(obj.get("edges", []), "edges")
+        _json_edge(k, e) for k, e in enumerate(_json_list(obj.get("edges", []), "edges"))
     ]
-    rotations = obj.get("rotations") or None
+    rotations = obj.get("rotations")
     if rotations is not None:
+        if not isinstance(rotations, dict):
+            raise TypeError("rotations must be an object from vertex names to lists")
         rotations = {
             v: _json_list(order, f"rotation at {v!r}")
             for v, order in rotations.items()
         }
-    return DefiningGraph(_json_list(obj["vertices"], "vertices"), edges, rotations)
+        if not all(isinstance(w, str) for order in rotations.values() for w in order):
+            raise TypeError("rotations must list vertex names")
+    vertices = _json_list(obj.get("vertices"), "vertices")
+    return DefiningGraph(vertices, edges, rotations or None)
 
 
 def parse_gamma_json(text: str) -> DefiningGraph:
@@ -157,7 +179,7 @@ def parse_gamma_json(text: str) -> DefiningGraph:
     except ValueError as exc:  # e.g. an integer over the digit limit
         raise ParseError(None, f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        kind = type(obj).__name__
+        kind = _JSON_TYPES[type(obj)]
         raise ParseError(None, f"graph JSON must be an object, not {kind}")
     try:
         return gamma_from_json_dict(obj)

@@ -134,7 +134,7 @@ def test_acceptance_06_pattern_girth_oracle_equivalence():
 def test_acceptance_07_triangle_free_b2_at_desk_scale():
     result = battery_triangle_free_b2(max_vertices=5, processes=PROCESSES)
     assert result.ok, result.failures[:5]
-    assert result.cases > 4000
+    assert result.cases == 4_487
 
     square = DefiningGraph(
         ("u", "v", "w", "t"),

@@ -1,13 +1,15 @@
 """The enumeration machinery behind the sweeps, validated brute-force."""
 
+import hashlib
 import itertools
 import random
+
+import pytest
 
 from oracle_tools import least_images
 
 from artinlink import DefiningGraph, Orientation, build_complex, build_link, build_triangular
 from artinlink.batteries import (
-    _FLIP,
     battery_pattern_oracle,
     battery_random_spot_checks,
     battery_tietze,
@@ -22,37 +24,26 @@ from artinlink.batteries import (
 )
 
 
-def brute_force_class_count(n, states_per_pair):
-    """Distinct isomorphism classes by canonicalizing every raw state."""
-    pairs = list(itertools.combinations(range(n), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    perms = []
-    for perm in itertools.permutations(range(n)):
-        moves = []
-        for a, b in pairs:
-            x, y = perm[a], perm[b]
-            moves.append((index[(x, y) if x < y else (y, x)], x > y))
-        perms.append(moves)
+def brute_force_classes(n, codes, keep=None):
+    """Least images of every raw state over ``codes`` that ``keep``
+    accepts: one per isomorphism class."""
+    raws = itertools.product(codes, repeat=n * (n - 1) // 2)
+    return set(least_images([r for r in raws if keep is None or keep(r)], n))
 
-    canon = set()
-    for raw in itertools.product(states_per_pair, repeat=len(pairs)):
-        best = raw
-        for moves in perms:
-            mapped = [0] * len(pairs)
-            for i, (j, flip) in enumerate(moves):
-                mapped[j] = _FLIP[raw[i]] if flip else raw[i]
-            cand = tuple(mapped)
-            if cand < best:
-                best = cand
-        canon.add(best)
-    return len(canon)
+
+def assert_one_per_class(states, n, classes):
+    """``states`` meets every class exactly once."""
+    images = least_images(states, n)
+    assert len(set(images)) == len(images)
+    assert set(images) == classes
 
 
 def test_oriented_enumeration_matches_brute_force_on_four_vertices():
     # states: 0 absent, 1/2 label-3 fwd/bwd, 3/4 label-4 fwd/bwd
-    expected = brute_force_class_count(4, (0, 1, 2, 3, 4))
+    classes = brute_force_classes(4, (0, 1, 2, 3, 4))
     states = enumerate_oriented_states(4)
-    assert len(states) == expected == 695
+    assert len(states) == len(classes) == 695
+    assert_one_per_class(states, 4, classes)
 
 
 def test_triangle_free_enumeration_matches_brute_force_on_four_vertices():
@@ -63,33 +54,14 @@ def test_triangle_free_enumeration_matches_brute_force_on_four_vertices():
         for a, b, c in itertools.combinations(range(4), 3)
     ]
 
-    # brute force restricted to triangle-free states
     def triangle_free(raw):
         return not any(all(raw[i] for i in t) for t in triples)
 
-    perms = []
-    for perm in itertools.permutations(range(4)):
-        moves = []
-        for a, b in pairs:
-            x, y = perm[a], perm[b]
-            moves.append((index[(x, y) if x < y else (y, x)], x > y))
-        perms.append(moves)
-    canon = set()
-    for raw in itertools.product((0, 1, 2, 3, 4, 5), repeat=len(pairs)):
-        if not triangle_free(raw):
-            continue
-        best = raw
-        for moves in perms:
-            mapped = [0] * len(pairs)
-            for i, (j, flip) in enumerate(moves):
-                mapped[j] = _FLIP[raw[i]] if flip else raw[i]
-            cand = tuple(mapped)
-            if cand < best:
-                best = cand
-        canon.add(best)
-
+    # 5 is the label-2 wildcard, which has no direction
+    classes = brute_force_classes(4, (0, 1, 2, 3, 4, 5), triangle_free)
     states = enumerate_triangle_free_oriented_states(4)
-    assert len(states) == len(canon)
+    assert len(states) == len(classes) == 215
+    assert_one_per_class(states, 4, classes)
 
 
 def raw_wildcard_variants(states):
@@ -120,6 +92,52 @@ def test_wildcard_variants_on_five_vertices_are_the_least_images():
     # ... and every raw variant's least image is an output
     raw = rng.sample(raw_wildcard_variants(states), 2_000)
     assert set(least_images(raw, 5)) <= set(wilds)
+
+
+# The sweeps and the bench sample index into the enumerations, so each
+# list is pinned in order: (length, sha256 of its repr) of the oriented
+# states, their wildcard variants and the triangle-free states, per n.
+ORDERED_DIGESTS = {
+    1: (
+        (1, "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab"),
+        (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        (1, "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab"),
+    ),
+    2: (
+        (3, "44a0947254f9355a66f6e6b99fc103eef0c98e185a6fbffa106a234f58b1249f"),
+        (1, "63da0649ab6537eb8c8205f3546f3a080fce881b8e9ca4ae02ed330b0c04349a"),
+        (4, "46f22c38ec3c58cfe8de39c33f13c79047ed4e366266e3bc6e9bcca6436483fb"),
+    ),
+    3: (
+        (25, "bb916f47cbda10a8194cfc7a44faf4d2ddb2b7be070495ed03c752fdbc0ed1f6"),
+        (13, "16d03f2dda42b7b54cca79df58477e3af6fccc75fe80677f95785239ffbc1f18"),
+        (19, "49ba238b2c27d8f100c74dca82804604d0c753655212488424f61eaa9f5985cf"),
+    ),
+    4: (
+        (695, "62d5c149cc40fb5ee5ed6bcc0bf48256a4c3d029d25ec21782a6e551fadd8b4c"),
+        (369, "c2ed7522852f25ab78095656eefbd0cbf54b42db46b48ed85be0a956f51de4e8"),
+        (215, "0eed1f2453d423308d74a8fd2032ebaeb7443134dce0c3ce08daeee8066ca019"),
+    ),
+    5: (
+        (82_880, "2e84bbd71240e6ccca7ef0062436466b97c76c75647e9817fea263161faedc83"),
+        (41_498, "43ef182df8084bdebf23337371733efdf907d6446a3941819a2c5e6b4977c92b"),
+        (4_487, "1552e723518432ec5805c61c176c2454cf89985a4684a7ae56ea87ced57ffd89"),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(ORDERED_DIGESTS))
+def test_enumerations_are_pinned_in_order(n):
+    def digest(states):
+        return len(states), hashlib.sha256(repr(states).encode()).hexdigest()
+
+    states = enumerate_oriented_states(n)
+    got = (
+        digest(states),
+        digest(wildcard_variants(states, n)),
+        digest(enumerate_triangle_free_oriented_states(n)),
+    )
+    assert got == ORDERED_DIGESTS[n]
 
 
 def test_graph_from_state_decodes_labels_and_directions():

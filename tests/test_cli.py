@@ -255,6 +255,36 @@ def test_json_non_list_field_is_a_one_line_error(gamma_file, capsys, obj, messag
     assert_json_parse_error(gamma_file, capsys, json.dumps(obj), message)
 
 
+AB = {"vertices": ["a", "b"]}
+AB_EDGE = {"u": "a", "v": "b", "label": 3, "orientation": "forward"}
+
+
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        (
+            {**AB, "edges": [["a", "b", 3, "forward"]]},
+            "edge 0 must be an object with u, v, label and orientation",
+        ),
+        (
+            {**AB, "edges": [AB_EDGE, {"u": "a", "v": "b", "label": 3}]},
+            "edge 1 must be an object with u, v, label and orientation",
+        ),
+        ({**AB, "edges": [{**AB_EDGE, "u": ["a"]}]}, "edge 0: u and v must be vertex names"),
+        (
+            {**AB, "edges": [{**AB_EDGE, "orientation": ["x"]}]},
+            "edge 0: orientation must be one of forward, backward",
+        ),
+        ({**AB, "edges": [], "rotations": ["a"]}, "rotations must be an object"),
+        ({**AB, "edges": [], "rotations": 0}, "rotations must be an object"),
+        ({**AB, "edges": [], "rotations": {"a": ["b", 3]}}, "rotations must list vertex names"),
+        ({"edges": []}, "vertices must be a list, not null"),
+    ],
+)
+def test_json_malformed_field_is_named_in_the_error(gamma_file, capsys, obj, message):
+    assert_json_parse_error(gamma_file, capsys, json.dumps(obj), message)
+
+
 def test_directory_as_graph_path_is_a_one_line_error(tmp_path, capsys):
     code, out, err = run(capsys, ["certify", str(tmp_path)])
     assert_one_line_error(code, out, err)

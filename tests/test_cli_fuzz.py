@@ -1,0 +1,145 @@
+"""Fuzzed input boundary: any file ends in exit 0, or exit 1 with one
+line on stderr, never a traceback."""
+
+import contextlib
+import io
+import itertools
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from artinlink.cli import main
+
+COMMANDS = ("certify", "link", "orient", "pieces")
+
+NAMES = ("a", "b", "c", "d", "e")
+# junk names, with braces, commas and comment marks
+TOKENS = st.sampled_from(NAMES) | st.text(alphabet="ab{},#:x_ \t", min_size=1, max_size=4)
+# labels stay small: a label near the generator cap takes seconds to certify
+LABELS = st.integers(2, 50)
+SYMBOLS = st.sampled_from([">", "<", ">", "<", "?", ".", ""])
+ORIENTATIONS = st.sampled_from(["forward", "backward", "forward", "wildcard", "unoriented"])
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 50) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def graphs(draw):
+    """(vertices, edges as (u, v, label), rotations), well formed so
+    that the commands get past parsing."""
+    vertices = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=5))
+    pairs = list(itertools.combinations(vertices, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []
+    edges = [(u, v, draw(LABELS)) for u, v in chosen]
+    rotations = {}
+    for v in draw(st.lists(st.sampled_from(vertices), unique=True)) if vertices else []:
+        around = [w for e in chosen for w in e if v in e and w != v]
+        rotations[v] = draw(st.permutations(around))
+    return vertices, edges, rotations
+
+
+JUNK_LINES = st.one_of(
+    st.builds(lambda v: f"vertex {v}", TOKENS),
+    st.builds(
+        lambda u, v, label, d: f"edge {u} {v} {label} {d}",
+        TOKENS,
+        TOKENS,
+        st.integers(-1, 50) | TOKENS,
+        SYMBOLS | TOKENS,
+    ),
+    st.builds(lambda v, ns: f"rot {v}: " + " ".join(ns), TOKENS, st.lists(TOKENS, max_size=4)),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def text_files(draw):
+    vertices, edges, rotations = draw(graphs())
+    lines = [f"vertex {v}" for v in vertices]
+    lines += [f"edge {u} {v} {label} {draw(SYMBOLS)}" for u, v, label in edges]
+    lines += [f"rot {v}: " + " ".join(order) for v, order in rotations.items()]
+    lines += draw(st.lists(JUNK_LINES, max_size=2))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@st.composite
+def json_files(draw):
+    vertices, edges, rotations = draw(graphs())
+    obj = {
+        "vertices": vertices,
+        "edges": [
+            {"u": u, "v": v, "label": label, "orientation": draw(ORIENTATIONS)}
+            for u, v, label in edges
+        ],
+        "rotations": {v: list(order) for v, order in rotations.items()} or None,
+    }
+    # corrupt a few fields, at the top level or inside one edge
+    targets = [obj] + obj["edges"]
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.sampled_from(targets))
+        if not target:
+            continue
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(JSON_VALUES)
+    return json.dumps(obj)
+
+
+TEXT_FILES = text_files() | st.text(max_size=60)
+JSON_FILES = json_files() | JSON_VALUES.map(json.dumps) | st.text(max_size=60)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def assert_clean_exit(path):
+    for command in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+        message = err.getvalue()
+        assert code in (0, 1), (command, code, message)
+        assert message.count("\n") <= 1, (command, message)
+        assert "Traceback" not in message
+        if code == 1:
+            assert message, command
+
+
+FUZZ_SETTINGS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@FUZZ_SETTINGS
+@given(text=TEXT_FILES)
+def test_fuzzed_line_format_files_exit_cleanly(fuzz_dir, text):
+    path = fuzz_dir / "graph.gamma"
+    path.write_text(text, encoding="utf-8")
+    assert_clean_exit(path)
+
+
+@FUZZ_SETTINGS
+@given(text=JSON_FILES)
+def test_fuzzed_json_files_exit_cleanly(fuzz_dir, text):
+    path = fuzz_dir / "graph.json"
+    path.write_text(text, encoding="utf-8")
+    assert_clean_exit(path)
+
+
+@FUZZ_SETTINGS
+@given(data=st.binary(max_size=40), suffix=st.sampled_from([".gamma", ".json"]))
+def test_fuzzed_bytes_exit_cleanly(fuzz_dir, data, suffix):
+    path = fuzz_dir / f"graph{suffix}"
+    path.write_bytes(data)
+    assert_clean_exit(path)
