@@ -16,11 +16,12 @@ joins adjacent levels, so links are bipartite.
 
 Both objects are integer-first.  A 2-cell is the (hub, left, right)
 triple of its generators' positions, and ``build_link`` turns each
-cell straight into the ids of its three corner edges.  The searches
-read only that core.  The named view, a ``LinkVertex`` per vertex and a
-``LinkEdge`` per edge (with its 2-cell corner as provenance, the hub of
-that 2-cell as its local piece, and an optional exact angle, a
-Fraction in units of pi), is built on first read.
+cell straight into the ids of its three corner edges; angles join that
+core as integer weights.  The searches read only that core.  The named
+view, a ``LinkVertex`` per vertex and a ``LinkEdge`` per edge (with its
+2-cell corner as provenance, the hub of that 2-cell as its local piece,
+and an optional exact angle, a Fraction in units of pi), is built on
+first read.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import copy
 import functools
 from collections import deque
 from fractions import Fraction
+from itertools import product, repeat
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InternalInconsistencyError
@@ -174,8 +177,9 @@ class LinkGraph:
     The graph is a dense integer core: vertex ids ``0..n-1``,
     ``levels[id]``, ``ends[ei]`` holding the ids of edge ``ei`` (lower
     first) and ``nbrs[id]`` listing sorted (neighbour id, edge index)
-    pairs.  The named view (``vertices``, ``edges``, ``index`` and the
-    ``LinkVertex``-keyed ``adjacency``) is built only when read.  A
+    pairs; an angled link adds ``weight[ei]``, the angle of edge ``ei``
+    in units of pi / ``angle_unit``.  The named view (``vertices``,
+    ``edges``, ``index`` and ``adjacency``) is built only when read.  A
     vertex's id is its position in the sorted ``vertices`` tuple, so
     comparing ids compares vertices.
 
@@ -183,8 +187,14 @@ class LinkGraph:
     refuses an edge on an unknown vertex; :func:`build_link` builds one
     from a complex's cells and refuses a cell on an unknown generator.
     Either way the core is then checked on integers: every edge joins
-    adjacent levels, and no two edges join the same pair.
+    adjacent levels, and no two edges join the same pair.  A named edge
+    must have the kind of its lower level, and named angles, if all are
+    set, become the weights.
     """
+
+    _complex = None  # set for links built from cells
+    weight: list[int] | None = None
+    angle_unit = 1
 
     def __init__(self, vertices: Iterable[LinkVertex], edges: Iterable[LinkEdge]):
         self.vertices = tuple(sorted(set(vertices)))
@@ -197,6 +207,11 @@ class LinkGraph:
                 raise InternalInconsistencyError(f"edge {e} uses unknown vertex")
             ends.append((ia, ib) if ia < ib else (ib, ia))
         self._set_core([v.level for v in self.vertices], ends)
+        for e, (a, b) in zip(self.edges, ends):
+            if _KINDS[min(self.levels[a], self.levels[b]) - 1] != e.kind:
+                raise InternalInconsistencyError(f"edge {e.a}-{e.b} is not {e.kind}")
+        if all(e.angle is not None for e in self.edges):
+            self._set_weights([e.angle for e in self.edges])
 
     @classmethod
     def _of_cells(
@@ -248,6 +263,8 @@ class LinkGraph:
 
     @functools.cached_property
     def edges(self) -> tuple[LinkEdge, ...]:
+        w, unit = self.weight, self.angle_unit
+        angles = repeat(None) if w is None else [Fraction(x, unit) for x in w]
         vs, levels = self.vertices, self.levels
         gens, cells = self._complex.one_cells, self._complex.cells
         return tuple(
@@ -258,8 +275,9 @@ class LinkGraph:
                 ei // 3,
                 ei % 3,
                 gens[cells[ei // 3][0]],
+                t,
             )
-            for ei, (a, b) in enumerate(self.ends)
+            for (ei, (a, b)), t in zip(enumerate(self.ends), angles)
         )
 
     @functools.cached_property
@@ -304,8 +322,13 @@ class LinkGraph:
     def _by_name(self) -> dict[tuple[str, str], LinkVertex]:
         return {(v.gen, v.end): v for v in self.vertices}
 
+    def is_middle(self, ei: int) -> bool:
+        """Whether edge ``ei`` is a middle edge: its lower end is on level 2."""
+        a, b = self.ends[ei]
+        return min(self.levels[a], self.levels[b]) == 2
+
     def middle_edges(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.edges) if e.kind == MIDDLE)
+        return tuple(filter(self.is_middle, range(len(self.ends))))
 
     # -- subgraphs -------------------------------------------------------
 
@@ -375,28 +398,34 @@ class LinkGraph:
         return out
 
     def is_forest(self) -> bool:
-        return all(
-            len(vs) == len(es) + 1 for vs, es in self.components()
-        )
+        return all(len(vs) == len(es) + 1 for vs, es in self.components())
 
     # -- metric ----------------------------------------------------------
 
     def with_angles(self, angle_of: Mapping[tuple[int, int], Fraction]) -> "LinkGraph":
-        """Copy of the link with each edge given the angle of its corner.
-
-        Only the angles change, so the copy shares this link's vertices
-        and integer core instead of rebuilding and revalidating them.
+        """Copy of the link with each edge given the angle of its corner,
+        held as integer weights; a link built from cells shares the rest.
         """
-        edges = self.edges
+        if self._complex is None:  # named edges hold their angles
+            return LinkGraph(
+                self.vertices,
+                (e._replace(angle=angle_of[(e.cell, e.corner)]) for e in self.edges),
+            )
         angled = copy.copy(self)
-        angled.edges = tuple(
-            e._replace(angle=angle_of[(e.cell, e.corner)]) for e in edges
-        )
+        angled.__dict__.pop("edges", None)
+        corners = product(range(len(self.ends) // 3), range(3))
+        angled._set_weights(list(map(angle_of.__getitem__, corners)))
         return angled
+
+    def _set_weights(self, angles: list[Fraction]) -> None:
+        """Angle ``angles[ei]`` is ``weight[ei] / angle_unit`` (units of pi)."""
+        unit = lcm(*{a.denominator for a in angles})
+        self.weight = [a.numerator * (unit // a.denominator) for a in angles]
+        self.angle_unit = unit
 
     @property
     def angles_assigned(self) -> bool:
-        return all(e.angle is not None for e in self.edges)
+        return self.weight is not None or not self.ends
 
     # -- export ----------------------------------------------------------
 

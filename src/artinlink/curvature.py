@@ -8,8 +8,8 @@ sqrt(2) and the others length 1, making each 2-cell a right isosceles
 triangle: the middle corner (opposite the hub side) gets pi/2 and the
 top and bottom corners get pi/4.
 
-All angles are Fractions in units of pi; the 2*pi comparison is exact
-integer arithmetic, never floating point.  The certificate never
+Angles are Fractions in units of pi, integer weights on the link; the
+2*pi comparison is exact, never floating point.  The certificate never
 assumes a theorem: the link condition is recomputed for the verdict,
 so the pipeline doubles as a mechanical check of the statements it
 cites.  (At points other than the unique 0-cell the link condition is
@@ -54,37 +54,34 @@ class MetricAssignment:
     corner_angles: dict[tuple[int, int], Fraction]
 
 
+# Squared lengths of a hub 1-cell and of every other 1-cell, per scheme.
+_LENGTHS_SQ = {A2: (1, 1), B2: (2, 1)}
+
+
 def assign_metric(k: TwoComplex, link: LinkGraph, scheme: str) -> MetricAssignment:
     """Attach corner angles per scheme; see the module docstring.
 
     Corner indices follow the boundary h^-1 u v: corner 0 (bottom) and
     corner 2 (top) are adjacent to the hub side, corner 1 (middle) is
-    opposite it.
+    opposite it.  Every cell shares one corner triple, checked on the
+    squared side lengths: A2 is equilateral; under B2, hub^2 = u^2 + v^2
+    makes the middle corner right and u^2 = v^2 the other two equal.
     """
-    if scheme == A2:
-        lengths = {g: 1 for g in k.presentation.generators}
-        angles = {
-            (ci, corner): Fraction(1, 3)
-            for ci in range(len(k.cells))
-            for corner in range(3)
-        }
-    elif scheme == B2:
-        hubs = k.presentation.hubs
-        lengths = {
-            g: 2 if g in hubs else 1 for g in k.presentation.generators
-        }
-        angles = {}
-        for ci in range(len(k.cells)):
-            angles[(ci, 0)] = Fraction(1, 4)
-            angles[(ci, 1)] = Fraction(1, 2)
-            angles[(ci, 2)] = Fraction(1, 4)
-    else:
+    if scheme not in _LENGTHS_SQ:
         raise ValueError(f"unknown metric scheme {scheme!r}")
-    for ci in range(len(k.cells)):
-        if sum(angles[(ci, c)] for c in range(3)) != 1:  # pi per triangle
-            raise InternalInconsistencyError(
-                f"{scheme} angles of 2-cell {ci} do not sum to pi"
-            )
+    hub_sq, side_sq = _LENGTHS_SQ[scheme]
+    if scheme == A2:
+        corners, fits = (Fraction(1, 3),) * 3, hub_sq == side_sq
+    else:  # u and v are both non-hub sides
+        corners = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+        fits = hub_sq == side_sq + side_sq
+    if not fits:
+        raise InternalInconsistencyError(f"{scheme} side lengths do not fit its angles")
+    if sum(corners) != 1:  # pi per triangle
+        raise InternalInconsistencyError(f"{scheme} corner angles do not sum to pi")
+    hubs = k.presentation.hubs
+    lengths = {g: hub_sq if g in hubs else side_sq for g in k.presentation.generators}
+    angles = {(ci, c): a for ci in range(len(k.cells)) for c, a in enumerate(corners)}
     return MetricAssignment(scheme, lengths, angles)
 
 
@@ -130,18 +127,14 @@ class CurvatureReport:
     notes: tuple[str, ...] = field(default=())
 
     def to_json_dict(self) -> dict:
-        def loop_json(loop: EmbeddedLoop | None):
-            return None if loop is None else [v.bar_name for v in loop.vertices]
-
-        witnesses = []
-        if self.min_angle_witness is not None:
-            witnesses.append(
-                {"kind": "min-angle-loop", "loop": loop_json(self.min_angle_witness)}
+        witnesses = [
+            {"kind": kind, "loop": [v.bar_name for v in loop.vertices]}
+            for kind, loop in (
+                ("min-angle-loop", self.min_angle_witness),
+                ("girth-loop", self.girth_witness),
             )
-        if self.girth_witness is not None:
-            witnesses.append(
-                {"kind": "girth-loop", "loop": loop_json(self.girth_witness)}
-            )
+            if loop is not None
+        ]
         witnesses.extend(w.to_json_dict() | {"kind": f"type-{w.kind}"}
                          for w in self.forbidden)
         return {
@@ -260,11 +253,7 @@ def certify(
         verdict = VERDICT_NPC
         if chosen == B2:
             theorem = THEOREM_TRIANGLE_FREE
-        elif (
-            len(g.vertices) == 3
-            and len(g.edges) == 3
-            and not g.is_triangle_free()
-        ):
+        elif len(g.vertices) == len(g.edges) == 3 and not g.is_triangle_free():
             theorem = THEOREM_TRIANGLE
         else:
             theorem = THEOREM_ORIENTATION

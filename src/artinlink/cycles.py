@@ -11,8 +11,8 @@ One shortest-cycle engine finds the girth and the minimum-angle loop:
 a search from each vertex over the larger ids (Itai and Rodeh, 1978),
 then one DFS for the witness.  The search is a BFS on hop counts, and
 a Dijkstra on integer weights when the angles differ (Roditty and
-Vassilevska Williams, 2011).  Angles are exact Fractions in units of
-pi, scaled to integers, so no comparison ever happens in floating
+Vassilevska Williams, 2011).  Angles are read as the link's integer
+weights over one unit of pi, so no comparison is ever in floating
 point.
 """
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .complex_link import LinkGraph, LinkVertex
 from .errors import InternalInconsistencyError
@@ -56,7 +55,7 @@ class EmbeddedLoop:
         return len(self.edge_indices)
 
     def middle_edge_count(self, link: LinkGraph) -> int:
-        return sum(1 for i in self.edge_indices if link.edges[i].kind == "middle")
+        return sum(map(link.is_middle, self.edge_indices))
 
     def __str__(self) -> str:
         names = [v.bar_name for v in self.vertices]
@@ -79,8 +78,8 @@ def make_loop(link: LinkGraph, vertices: list[LinkVertex]) -> EmbeddedLoop:
         if not link.has_edge(v, w):
             raise ValueError(f"loop step {v} - {w} is not a link edge")
         idxs.append(link.edge_index(v, w))
-    angles = [link.edges[i].angle for i in idxs]
-    total = sum(angles, Fraction(0)) if all(a is not None for a in angles) else None
+    w = link.weight
+    total = None if w is None else Fraction(sum(w[i] for i in idxs), link.angle_unit)
     return EmbeddedLoop(canon, tuple(idxs), total)
 
 
@@ -258,23 +257,19 @@ def min_angle_cycle(
     and the tie-breaks agree, so the answer is the girth loop; a caller
     that has ``girth(link)`` (of this link, with or without angles)
     passes it as ``shortest`` to save the search.  Otherwise the
-    shortest-cycle engine runs on the angles scaled to integers, keyed
-    by (weight, length), and a loop is built just for its winner.
+    shortest-cycle engine runs on the link's integer weights, keyed by
+    (weight, length), and a loop is built just for its winner.
     """
     if not link.angles_assigned:
         raise UnassignedAnglesError("link has edges without angles")
-    if not link.edges:
+    weight = link.weight
+    if not weight:
         return None, None
-    for e in link.edges:
-        if e.angle <= 0:
-            raise UnassignedAnglesError(f"non-positive angle on edge {e.a}-{e.b}")
-
-    # Scale the rational angles to integers for exact arithmetic.
-    denom = lcm(*(e.angle.denominator for e in link.edges))
-    weight = [
-        e.angle.numerator * (denom // e.angle.denominator) for e in link.edges
-    ]
-    if min(weight) == max(weight):
+    least = min(weight)
+    if least <= 0:
+        e = link.edges[next(ei for ei, w in enumerate(weight) if w <= 0)]
+        raise UnassignedAnglesError(f"non-positive angle on edge {e.a}-{e.b}")
+    if least == max(weight):
         _, loop = girth(link) if shortest is None else shortest
         vertices = None if loop is None else list(loop.vertices)
     else:
@@ -296,7 +291,7 @@ def enumerate_short_loops(link: LinkGraph, max_len: int) -> list[EmbeddedLoop]:
         raise LimitExceededError(
             f"max_len {max_len} exceeds the guard {LOOP_ENUMERATION_GUARD}"
         )
-    if max_len < 3 or not link.edges:
+    if max_len < 3 or not link.ends:
         return []
     nbrs = [[nb for nb, _ in ns] for ns in link.nbrs]
     found: list[tuple[int, ...]] = []

@@ -436,13 +436,10 @@ class Presentation:
         return frozenset(rec.hub for rec in self.hub_records)
 
     @property
-    def chain_generators(self) -> frozenset[str]:
-        return frozenset(g for rec in self.hub_records for g in rec.cycle[2:])
-
-    @property
     def special_generators(self) -> frozenset[str]:
         """Generators that are vertices of the defining graph."""
-        return frozenset(self.generators) - self.hubs - self.chain_generators
+        fillers = {g for rec in self.hub_records for g in rec.cycle[2:]}
+        return frozenset(self.generators) - self.hubs - fillers
 
     def rename(self, mapping: Mapping[str, str]) -> "Presentation":
         """Rename generators; names absent from the mapping are kept."""

@@ -27,11 +27,7 @@ CONDITION_CAP = 12
 
 def symmetrize(p: Presentation) -> tuple[CyclicWord, ...]:
     """Relators closed under inversion, as canonical cyclic words."""
-    out = set()
-    for r in p.relators:
-        out.add(r)
-        out.add(r.inverse())
-    return tuple(sorted(out))
+    return tuple(sorted({*p.relators, *(r.inverse() for r in p.relators)}))
 
 
 @dataclass(frozen=True)
@@ -64,9 +60,7 @@ def compute_pieces(p: Presentation) -> PieceTable:
     pieces = tuple(sorted(FreeWord(key) for key in piece_keys))
     max_len = max((len(key) for key in piece_keys), default=0)
 
-    decompositions = {}
-    for r in p.relators:
-        decompositions[r] = _min_piece_decomposition(r, piece_keys)
+    decompositions = {r: _min_piece_decomposition(r, piece_keys) for r in p.relators}
     return PieceTable(pieces, max_len, decompositions)
 
 

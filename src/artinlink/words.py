@@ -212,11 +212,6 @@ class CyclicWord:
     def inverse(self) -> "CyclicWord":
         return CyclicWord(FreeWord(self.letters).inverse())
 
-    def rotations(self) -> list[FreeWord]:
-        n = len(self.letters)
-        doubled = self.letters + self.letters
-        return [FreeWord(doubled[i : i + n]) for i in range(n)]
-
     def subwords(self, length: int) -> set[FreeWord]:
         """All length-``length`` subwords of the bi-infinite periodic word."""
         if length < 1:

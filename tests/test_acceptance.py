@@ -132,9 +132,12 @@ def test_acceptance_06_pattern_girth_oracle_equivalence():
 
 
 def test_acceptance_07_triangle_free_b2_at_desk_scale():
+    start = time.perf_counter()
     result = battery_triangle_free_b2(max_vertices=5, processes=PROCESSES)
+    elapsed = time.perf_counter() - start
     assert result.ok, result.failures[:5]
     assert result.cases == 4_487
+    assert elapsed < 5.0, f"sweep took {elapsed:.1f}s"
 
     square = DefiningGraph(
         ("u", "v", "w", "t"),
@@ -155,7 +158,8 @@ def test_acceptance_07_triangle_free_b2_at_desk_scale():
     assert witness.middle_edge_count(angled) == 4
     print(
         f"ACCEPTANCE 07 PASS: B2 minimum is >= 2*pi on {result.cases} "
-        f"triangle-free classes; alternating square is tight via 4 middles"
+        f"triangle-free classes in {elapsed:.1f}s; alternating square is "
+        f"tight via 4 middles"
     )
 
 

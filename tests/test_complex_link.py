@@ -234,6 +234,29 @@ def test_malformed_hand_built_link_is_rejected(second_relators):
         build_link(k)
 
 
+def test_edge_kind_must_match_its_levels():
+    from artinlink import LinkEdge, LinkGraph, LinkVertex
+
+    h = LinkVertex("h", TAIL, 1, False)
+    u = LinkVertex("u", TAIL, 2, True)
+    v = LinkVertex("v", HEAD, 3, True)
+    # levels 1-2 make a bottom edge, levels 2-3 a middle one
+    with pytest.raises(InternalInconsistencyError, match="is not middle"):
+        LinkGraph([h, u], [LinkEdge(h, u, "middle", 0, 1, "h")])
+    with pytest.raises(InternalInconsistencyError, match="is not top"):
+        LinkGraph([u, v], [LinkEdge(v, u, "top", 0, 2, "h")])
+    link = LinkGraph(
+        [h, u, v],
+        [LinkEdge(h, u, "bottom", 0, 0, "h"), LinkEdge(v, u, "middle", 0, 1, "h")],
+    )
+    assert link.middle_edges() == (1,)
+    # the level rule and the kinds agree on every built link too
+    for link in (classic_link(2, 4, 5), classic_link(3, 4, 5)):
+        assert link.middle_edges() == tuple(
+            i for i, e in enumerate(link.edges) if e.kind == "middle"
+        )
+
+
 def test_unknown_vertices_and_level_skips_are_rejected():
     from artinlink import LinkEdge, LinkGraph, LinkVertex, TwoComplex
 

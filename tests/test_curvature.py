@@ -95,6 +95,23 @@ def test_angle_sums_are_checked_without_assert(monkeypatch):
         assign_metric(k, link, A2)
 
 
+def test_corner_angles_must_fit_the_side_lengths(monkeypatch):
+    import pytest
+
+    from artinlink import InternalInconsistencyError, curvature
+
+    k, link = complex_and_link(alternating_square((2, 2, 2, 2)))
+    # (hub^2, other^2) per scheme: a hub side of length 1 would make the
+    # B2 cell equilateral, and one of length sqrt(3) its middle corner
+    # obtuse; a hub side of length sqrt(2) is no equilateral A2 cell
+    for scheme, lengths_sq in ((B2, (1, 1)), (B2, (3, 1)), (A2, (2, 1))):
+        monkeypatch.setitem(curvature._LENGTHS_SQ, scheme, lengths_sq)
+        with pytest.raises(InternalInconsistencyError, match="do not fit"):
+            assign_metric(k, link, scheme)
+    monkeypatch.setitem(curvature._LENGTHS_SQ, B2, (4, 2))  # B2 scaled by sqrt(2)
+    assert assign_metric(k, link, B2).one_cell_lengths_sq["u"] == 2
+
+
 # -- link condition --------------------------------------------------------
 
 

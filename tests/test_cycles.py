@@ -5,6 +5,7 @@ import pytest
 from oracle_tools import brute_force_girth, dfs_all_cycle_lengths
 
 from artinlink import (
+    A2,
     B2,
     DefiningGraph,
     LimitExceededError,
@@ -23,14 +24,22 @@ from artinlink import (
 from artinlink.cycles import has_short_loop
 
 
-def link_of(gamma):
+def complex_of(gamma):
     pres, _ = build_triangular(gamma)
-    return build_link(build_complex(pres))
+    return build_complex(pres)
+
+
+def triangle_complex(m, n, p):
+    pres, _ = triangle_presentation(m, n, p)
+    return build_complex(pres)
+
+
+def link_of(gamma):
+    return build_link(complex_of(gamma))
 
 
 def classic_link(m, n, p):
-    pres, _ = triangle_presentation(m, n, p)
-    return build_link(build_complex(pres))
+    return build_link(triangle_complex(m, n, p))
 
 
 def a2_link(link):
@@ -72,14 +81,14 @@ def test_girth_none_for_forest():
     assert girth(tree) == (None, None)
 
 
-def assorted_links():
-    yield link_of(DefiningGraph(("a", "b"), [("a", "b", 2, Orientation.WILDCARD)]))
-    yield link_of(DefiningGraph(("a", "b"), [("a", "b", 5, Orientation.FORWARD)]))
-    yield classic_link(2, 4, 5)
-    yield classic_link(3, 3, 3)
-    yield classic_link(2, 2, 2)
+def assorted_complexes():
+    yield complex_of(DefiningGraph(("a", "b"), [("a", "b", 2, Orientation.WILDCARD)]))
+    yield complex_of(DefiningGraph(("a", "b"), [("a", "b", 5, Orientation.FORWARD)]))
+    yield triangle_complex(2, 4, 5)
+    yield triangle_complex(3, 3, 3)
+    yield triangle_complex(2, 2, 2)
     # a transitive (pattern-carrying) triangle
-    yield link_of(
+    yield complex_of(
         DefiningGraph(
             ("a", "b", "c"),
             [
@@ -90,7 +99,7 @@ def assorted_links():
         )
     )
     # square with alternating orientation
-    yield link_of(
+    yield complex_of(
         DefiningGraph(
             ("u", "v", "w", "t"),
             [
@@ -101,6 +110,10 @@ def assorted_links():
             ],
         )
     )
+
+
+def assorted_links():
+    return map(build_link, assorted_complexes())
 
 
 def test_girth_matches_brute_force_enumeration():
@@ -301,6 +314,14 @@ def test_min_angle_on_a_link_that_is_one_loop():
 RANDOM_ANGLES = (Fraction(1, 12), Fraction(1, 4), Fraction(1, 2), Fraction(1))
 
 
+def assert_weights_are_the_angles(angled, angle_of):
+    """Each integer weight over the unit is exactly the edge's angle."""
+    assert len(angled.weight) == len(angled.ends)
+    for ei, e in enumerate(angled.edges):
+        exact = Fraction(angled.weight[ei], angled.angle_unit)
+        assert exact == e.angle == angle_of[(e.cell, e.corner)]
+
+
 def test_min_angle_matches_oracle_under_random_angles():
     """The weighted engine against the exhaustive DFS, with angles no
     A2 or B2 metric gives.  The oracle extends only paths no heavier
@@ -321,9 +342,11 @@ def test_min_angle_matches_oracle_under_random_angles():
     weighted = 0
     for _ in range(3):
         for link in links:
-            angled = link.with_angles(
-                {(e.cell, e.corner): rng.choice(RANDOM_ANGLES) for e in link.edges}
-            )
+            angle_of = {
+                (e.cell, e.corner): rng.choice(RANDOM_ANGLES) for e in link.edges
+            }
+            angled = link.with_angles(angle_of)
+            assert_weights_are_the_angles(angled, angle_of)
             value, witness = min_angle_cycle(angled)
             oracle_value, oracle_len, minimal = dfs_min_loops(
                 angled, len(link.vertices), value
@@ -336,6 +359,66 @@ def test_min_angle_matches_oracle_under_random_angles():
             assert witness.angle_sum == value
             weighted += len({e.angle for e in angled.edges}) > 1
     assert weighted > 600  # nearly every draw runs the weighted search
+
+
+@pytest.mark.parametrize("scheme", [A2, B2])
+def test_metric_weights_are_exact(scheme):
+    for k in assorted_complexes():
+        link = build_link(k)
+        angle_of = assign_metric(k, link, scheme).corner_angles
+        angled = link.with_angles(angle_of)
+        assert_weights_are_the_angles(angled, angle_of)
+        assert link.weight is None and not link.angles_assigned
+        assert angled.nbrs is link.nbrs and angled.ends is link.ends
+
+
+def test_subgraphs_of_an_angled_link_carry_its_weights():
+    rng = random.Random(9)
+    link = classic_link(2, 4, 5)
+    angled = link.with_angles(
+        {(e.cell, e.corner): rng.choice(RANDOM_ANGLES) for e in link.edges}
+    )
+    parts = [
+        angled.subgraph(range(0, len(angled.ends), 3)),
+        angled.middle_subgraph(),
+        angled.induced(angled.vertices[:7]),
+        angled.neighborhood(angled.vertex("x", "head"), 2),
+    ]
+    for part in parts:
+        assert part.ends and part.angles_assigned
+        for ei, e in enumerate(part.edges):
+            whole = angled.edge_index(e.a, e.b)
+            assert Fraction(part.weight[ei], part.angle_unit) == Fraction(
+                angled.weight[whole], angled.angle_unit
+            )
+        # re-angling a link of named edges replaces every angle
+        half = {(e.cell, e.corner): Fraction(1, 2) for e in part.edges}
+        reangled = part.with_angles(half)
+        assert_weights_are_the_angles(reangled, half)
+
+
+def test_b2_paths_never_build_named_edges(monkeypatch):
+    from artinlink import LinkGraph, certify
+    from artinlink.batteries import (
+        b2_case,
+        enumerate_triangle_free_oriented_states,
+    )
+
+    states = enumerate_triangle_free_oriented_states(4)
+    expected = [b2_case(state, 4) for state in states]
+
+    def named_edges(link):
+        raise AssertionError("the named edges of a link were built")
+
+    monkeypatch.setattr(LinkGraph, "edges", property(named_edges))
+    assert [b2_case(state, 4) for state in states] == expected
+    sides = ("a0", "a1", "a2"), ("b0", "b1", "b2")
+    k33 = DefiningGraph(
+        sides[0] + sides[1],
+        [(a, b, 2, Orientation.WILDCARD) for a in sides[0] for b in sides[1]],
+    )
+    report = certify(k33)
+    assert (report.scheme, report.min_angle_over_pi) == (B2, Fraction(2))
 
 
 # -- loop enumeration ---------------------------------------------------------
