@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import batteries
@@ -108,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--processes",
         type=int,
         default=None,
-        help="parallel workers for the sweep, at least 1",
+        help="parallel workers for the sweep, 1 to the CPU count",
     )
     return parser
 
@@ -232,7 +233,7 @@ def _cmd_verify_lemmas(args) -> int:
         ("--max-vertices", args.max_vertices, 2, 5),
         ("--max-label", args.max_label, 3, None),
         ("--tietze-max", args.tietze_max, 2, None),
-        ("--processes", args.processes, 1, None),
+        ("--processes", args.processes, 1, os.cpu_count()),
     ):
         if value is None or low <= value and (high is None or value <= high):
             continue

@@ -14,14 +14,16 @@ Vertices fall into four levels: hub tails at level 1, non-hub tails at
 level 2, non-hub heads at level 3 and hub heads at level 4.  Every edge
 joins adjacent levels, so links are bipartite.
 
-Both objects are integer-first.  A 2-cell is the (hub, left, right)
-triple of its generators' positions, and ``build_link`` turns each
-cell straight into the ids of its three corner edges; angles join that
-core as integer weights.  The searches read only that core.  The named
-view, a ``LinkVertex`` per vertex and a ``LinkEdge`` per edge (with its
-2-cell corner as provenance, the hub of that 2-cell as its local piece,
-and an optional exact angle, a Fraction in units of pi), is built on
-first read.
+Both objects are integer-first.  A triangular presentation is its
+2-cells, each the (hub, left, right) triple of its generators'
+positions, plus hub records; its relator words are built only when
+read.  ``build_complex`` takes those cells as they are and refuses a
+presentation without them, and ``build_link`` turns each cell straight
+into the ids of its three corner edges; angles join that core as
+integer weights.  The searches read only that core.  The named view, a
+``LinkVertex`` per vertex and a ``LinkEdge`` per edge (with its 2-cell
+and corner, the hub of that 2-cell as its local piece, and an optional
+exact angle, a Fraction in units of pi), is built on first read.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from math import lcm
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InternalInconsistencyError
-from .presentations import HubRecord, Presentation
-from .words import Letter
+from .presentations import Presentation
 
 HEAD = "head"
 TAIL = "tail"
@@ -86,75 +87,15 @@ class TwoComplex:
         )
 
 
-def _hub_rotation(letters) -> tuple[Letter, Letter, Letter] | None:
-    """Rotate a length-3 cyclic boundary to the form (h^-1, u, v)."""
-    if len(letters) != 3:
-        return None
-    negs = [i for i, lt in enumerate(letters) if lt.exp == -1]
-    if len(negs) != 1:
-        return None
-    i = negs[0]
-    rotated = letters[i:] + letters[:i]
-    return rotated  # (h^-1, u, v)
-
-
-def _infer_hub_records(p: Presentation) -> tuple[HubRecord, ...]:
-    """Reconstruct relation chains from the relators alone.
-
-    Used for hand-built triangular presentations without provenance;
-    the cycle is started at its lexicographically least generator, and
-    its first two entries are then treated as the special ones.
-    """
-    chains: dict[str, dict[str, str]] = {}
-    labels: dict[str, int] = {}
-    for r in p.relators:
-        rot = _hub_rotation(r.letters)
-        if rot is None:
-            raise NotTriangularError(f"relator {r} is not of the form h^-1 u v")
-        h, u, v = rot[0].gen, rot[1].gen, rot[2].gen
-        chains.setdefault(h, {})[u] = v
-        labels[h] = labels.get(h, 0) + 1
-    records = []
-    for h in sorted(chains):
-        succ = chains[h]
-        with_pred = set(succ.values())
-        starts = sorted(set(succ) - with_pred)
-        start = starts[0] if starts else min(succ)  # open chain vs closed cycle
-        cycle = [start]
-        while cycle[-1] in succ:
-            nxt = succ[cycle[-1]]
-            if nxt == start:
-                break
-            cycle.append(nxt)
-        if len({*cycle}) != len(cycle) or len(succ) != labels[h]:
-            raise NotTriangularError(f"relators of hub {h!r} do not chain up")
-        records.append(HubRecord(h, tuple(cycle), labels[h], (cycle[0], cycle[1])))
-    return tuple(records)
-
-
 def build_complex(p: Presentation) -> TwoComplex:
-    """Glue one triangular 2-cell per relator h^-1 u v.
+    """Glue one triangular 2-cell per cell h^-1 u v of ``p``.
 
-    A presentation from ``build_triangular`` already holds its cells
-    and is used as it is.  A hand-built one is read relator by relator,
-    and given inferred hub records if it has none.  Raises
-    :class:`NotTriangularError` if any relator is not a length-3 word
-    with exactly one inverted letter, led by a hub.
+    Raises :class:`NotTriangularError` if ``p`` has no cells, as for
+    the standard presentation or any other built from relator words.
     """
-    if p.cells is not None:
-        return TwoComplex(p, p.cells)
-    records = p.hub_records or _infer_hub_records(p)
-    hubs = {rec.hub for rec in records}
-    position = {g: i for i, g in enumerate(p.generators)}
-    cells = []
-    for r in p.relators:
-        rot = _hub_rotation(r.letters)
-        if rot is None or rot[0].gen not in hubs:
-            raise NotTriangularError(f"relator {r} is not of the form h^-1 u v")
-        cells.append(tuple(position[lt.gen] for lt in rot))
-    if not p.hub_records:
-        p = Presentation(p.generators, p.relators, p.provenance, records)
-    return TwoComplex(p, cells)
+    if p.cells is None:
+        raise NotTriangularError(f"{p!r} has no triangular 2-cells")
+    return TwoComplex(p, p.cells)
 
 
 class LinkEdge(NamedTuple):

@@ -54,13 +54,19 @@ def check_vertex_name(name) -> None:
     """Reject a name that could collide with a generated generator.
 
     Hub and chain generators are named ``x_{u,v}`` and ``d_{u,v,i}``,
-    so a vertex name must be a non-empty string without braces or
-    commas.
+    and the link writes the tail of generator g as ``g_bar``, so a
+    vertex name must be a non-empty string without braces or commas
+    that does not end in ``_bar``.
     """
-    if not isinstance(name, str) or not name or any(c in name for c in "{},"):
+    if (
+        not isinstance(name, str)
+        or not name
+        or any(c in name for c in "{},")
+        or name.endswith("_bar")
+    ):
         raise ValueError(
             f"vertex name {name!r} must be a non-empty string without "
-            f"'{{', '}}' or ','"
+            f"'{{', '}}' or ',' that does not end in '_bar'"
         )
 
 
@@ -353,24 +359,17 @@ class HubRecord(NamedTuple):
 class Presentation:
     """Generators plus relators as cyclic words.
 
-    ``provenance`` maps each relator to its source (edge key and
-    position in the relation chain); ``hub_records`` is non-empty
-    exactly for triangular presentations, where it remembers which
-    generators are hubs and which are chain fillers.  A presentation
-    made by :meth:`from_cells` also keeps its 2-cells as integer
-    triples in ``cells`` (``None`` otherwise) and builds ``relators``
-    and ``provenance`` from them on first read.
+    A triangular presentation is made by :meth:`from_cells`: it holds
+    its 2-cells as integer triples in ``cells`` and its ``hub_records``,
+    which say which generators are hubs and which are chain fillers,
+    and it builds ``relators`` from the cells on first read.  Any other
+    presentation has ``cells`` ``None`` and no hub records.
     """
 
     cells: tuple[tuple[int, int, int], ...] | None = None
+    hub_records: tuple[HubRecord, ...] = ()
 
-    def __init__(
-        self,
-        generators: Iterable[str],
-        relators: Iterable[CyclicWord],
-        provenance: Mapping[CyclicWord, tuple] | None = None,
-        hub_records: Iterable[HubRecord] = (),
-    ):
+    def __init__(self, generators: Iterable[str], relators: Iterable[CyclicWord]):
         self.generators = tuple(generators)
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
@@ -382,25 +381,21 @@ class Presentation:
             for lt in r.letters:
                 if lt.gen not in gen_set:
                     raise ValueError(f"relator uses undeclared generator {lt.gen!r}")
-        self.provenance = dict(provenance or {})
-        self.hub_records = tuple(hub_records)
 
     @classmethod
     def from_cells(
         cls,
         generators: Iterable[str],
         cells: Iterable[tuple[int, int, int]],
-        sources: Iterable[tuple],
         hub_records: Iterable[HubRecord],
     ) -> "Presentation":
-        """A triangular presentation given by its 2-cells.
+        """A triangular presentation given by its 2-cells and hub records.
 
         Each cell is a (hub, left, right) triple of positions in
-        ``generators`` and stands for the relator h^-1 u v, whose
-        provenance is the matching entry of ``sources``.  The hub must
-        differ from left and right, so that the relator is cyclically
-        reduced; ``ValueError`` otherwise, as for an undeclared
-        generator.
+        ``generators`` and stands for the relator h^-1 u v.  The hub
+        must differ from left and right, so that the relator is
+        cyclically reduced; ``ValueError`` otherwise, as for an
+        undeclared generator or a duplicate generator name.
         """
         p = cls.__new__(cls)
         p.generators = tuple(generators)
@@ -413,7 +408,6 @@ class Presentation:
             raise ValueError(f"relator uses undeclared generator id {bad}")
         if any(h == u or h == v for h, u, v in p.cells):
             raise ValueError("a relator h^-1 u v must have h distinct from u, v")
-        p._sources = tuple(sources)
         p.hub_records = tuple(hub_records)
         return p
 
@@ -427,10 +421,6 @@ class Presentation:
             for h, u, v in self.cells
         )
 
-    @functools.cached_property
-    def provenance(self) -> dict[CyclicWord, tuple]:
-        return dict(zip(self.relators, self._sources))
-
     @property
     def hubs(self) -> frozenset[str]:
         return frozenset(rec.hub for rec in self.hub_records)
@@ -442,19 +432,15 @@ class Presentation:
         return frozenset(self.generators) - self.hubs - fillers
 
     def rename(self, mapping: Mapping[str, str]) -> "Presentation":
-        """Rename generators; names absent from the mapping are kept."""
+        """Rename the generators of a triangular presentation; names
+        absent from the mapping are kept.  The cells stay as they are,
+        and a renaming that collides two names raises ``ValueError``,
+        as does a presentation without cells.
+        """
+        if self.cells is None:
+            raise ValueError("only a triangular presentation can be renamed")
         table = {g: mapping.get(g, g) for g in self.generators}
-        if len(set(table.values())) != len(table):
-            raise ValueError("renaming collides generator names")
-
-        def map_word(cw: CyclicWord) -> CyclicWord:
-            return CyclicWord(
-                FreeWord(Letter(table[lt.gen], lt.exp) for lt in cw.letters)
-            )
-
-        relators = tuple(map_word(r) for r in self.relators)
-        prov = {map_word(r): src for r, src in self.provenance.items()}
-        recs = tuple(
+        recs = (
             HubRecord(
                 table[rec.hub],
                 tuple(table[g] for g in rec.cycle),
@@ -463,9 +449,7 @@ class Presentation:
             )
             for rec in self.hub_records
         )
-        return Presentation(
-            tuple(table[g] for g in self.generators), relators, prov, recs
-        )
+        return Presentation.from_cells(table.values(), self.cells, recs)
 
     def to_text(self) -> str:
         lines = [f"gen: {g}" for g in self.generators]
@@ -488,16 +472,14 @@ def alternating_word(a: str, b: str, m: int) -> FreeWord:
 
 def build_standard(gamma: DefiningGraph) -> Presentation:
     """The standard Artin presentation: one relator (u,v)_m ((v,u)_m)^-1 per edge."""
-    relators = []
-    prov = {}
-    for e in gamma.edges:
-        w = alternating_word(e.u, e.v, e.label) * alternating_word(
-            e.v, e.u, e.label
-        ).inverse()
-        r = CyclicWord(w)
-        relators.append(r)
-        prov[r] = (e.key, 0)
-    return Presentation(gamma.vertices, relators, prov)
+    relators = [
+        CyclicWord(
+            alternating_word(e.u, e.v, e.label)
+            * alternating_word(e.v, e.u, e.label).inverse()
+        )
+        for e in gamma.edges
+    ]
+    return Presentation(gamma.vertices, relators)
 
 
 def hub_name(tail: str, head: str) -> str:
@@ -540,7 +522,6 @@ def build_triangular(
     gens = list(gamma.vertices)
     vertex_id = {v: i for i, v in enumerate(gens)}
     cells: list[tuple[int, int, int]] = []
-    sources: list[tuple] = []
     records: list[HubRecord] = []
     for e in gamma.edges:
         tail, head, m = e.tail, e.head, e.label
@@ -551,11 +532,8 @@ def build_triangular(
         gens.append(hub)
         gens.extend(chain)
         records.append(HubRecord(hub, (tail, head, *chain), m, (tail, head)))
-        key = e.key
-        for i in range(m):
-            cells.append((h, ids[i], ids[(i + 1) % m]))
-            sources.append((key, i))
-    p = Presentation.from_cells(gens, cells, sources, records)
+        cells += ((h, ids[i], ids[(i + 1) % m]) for i in range(m))
+    p = Presentation.from_cells(gens, cells, records)
     return p, p.hub_records
 
 
@@ -580,7 +558,7 @@ def build_two_generator_family(
     g_rel = CyclicWord(
         alternating_word(a1, a2, m) * alternating_word(a2, a1, m).inverse()
     )
-    g = Presentation((a1, a2), (g_rel,), {g_rel: ("G", 0)})
+    g = Presentation((a1, a2), (g_rel,))
 
     k = m // 2
     if m % 2 == 0:
@@ -594,18 +572,12 @@ def build_two_generator_family(
             FreeWord([(a1, 1)]) * _power(x, k) * FreeWord([(a1, 1)])
         ).inverse()
     h_rel = CyclicWord(h_word)
-    h = Presentation((x, a1), (h_rel,), {h_rel: ("H", 0)})
+    h = Presentation((x, a1), (h_rel,))
 
     chain_gens = tuple(f"a{i}" for i in range(1, m + 1))
-    relators = []
-    prov = {}
-    for i in range(m):
-        u, v = chain_gens[i], chain_gens[(i + 1) % m]
-        r = CyclicWord(FreeWord([(x, -1), (u, 1), (v, 1)]))
-        relators.append(r)
-        prov[r] = ("I", i)
+    cells = [(0, i + 1, (i + 1) % m + 1) for i in range(m)]
     rec = HubRecord(x, chain_gens, m, (a1, a2))
-    i_pres = Presentation((x, *chain_gens), relators, prov, (rec,))
+    i_pres = Presentation.from_cells((x, *chain_gens), cells, (rec,))
     return g, h, i_pres
 
 
@@ -685,23 +657,16 @@ def triangle_presentation(
     """The triangular presentation of the (m,n,p) triangle with the classic
     generator names x, y, z for hubs and d/e/f for the chains."""
     pres, _ = build_triangular(triangle_graph(m, n, p))
+    letters = {
+        frozenset("ab"): ("x", "d"),
+        frozenset("bc"): ("y", "e"),
+        frozenset("ca"): ("z", "f"),
+    }
     mapping: dict[str, str] = {}
-    for (tail, head), hub_letter, chain_letter, label in (
-        (("a", "b"), "x", "d", m),
-        (("b", "c"), "y", "e", n),
-        (("c", "a"), "z", "f", p),
-    ):
-        mapping[hub_name(*tail_head(tail, head, label))] = hub_letter
-        for i in range(3, label + 1):
-            mapping[chain_name(*tail_head(tail, head, label), i)] = (
-                f"{chain_letter}{i}"
-            )
+    for rec in pres.hub_records:
+        hub_letter, chain_letter = letters[frozenset(rec.edge)]
+        mapping[rec.hub] = hub_letter
+        for i, g in enumerate(rec.cycle[2:], start=3):
+            mapping[g] = f"{chain_letter}{i}"
     renamed = pres.rename(mapping)
     return renamed, renamed.hub_records
-
-
-def tail_head(u: str, v: str, label: int) -> tuple[str, str]:
-    """Tail/head of a triangle_graph edge drawn from u to v."""
-    if label == 2:
-        return (u, v) if u < v else (v, u)
-    return (u, v)

@@ -1,8 +1,10 @@
 import json
+import os
 import time
 
 import pytest
 
+from artinlink import batteries
 from artinlink.cli import main
 
 TRIANGLE_333 = """\
@@ -159,9 +161,17 @@ def test_pieces_json(gamma_file, capsys):
         ("--tietze-max", "1"),
         ("--processes", "-4"),
         ("--processes", "0"),
+        ("--processes", str(os.cpu_count() + 1)),
     ],
 )
-def test_verify_lemmas_flag_out_of_range_is_a_one_line_error(capsys, flag, value):
+def test_verify_lemmas_flag_out_of_range_is_a_one_line_error(
+    capsys, monkeypatch, flag, value
+):
+    # a bad flag must be refused before any battery, or any worker, starts
+    def refuse(**kwargs):
+        raise AssertionError("batteries.run_all called with a bad flag")
+
+    monkeypatch.setattr(batteries, "run_all", refuse)
     code, out, err = run(capsys, ["verify-lemmas", flag, value])
     assert code == 1
     assert out == ""
@@ -296,6 +306,13 @@ def test_vertex_named_like_a_hub_is_a_one_line_error(gamma_file, capsys):
     code, out, err = run(capsys, ["certify", gamma_file(text)])
     assert_one_line_error(code, out, err)
     assert "line 3:" in err and "x_{a,b}" in err
+
+
+def test_vertex_named_like_a_tail_is_a_one_line_error(gamma_file, capsys):
+    text = "vertex a\nvertex a_bar\nedge a a_bar 3 >\n"
+    code, out, err = run(capsys, ["link", gamma_file(text), "--format", "text"])
+    assert_one_line_error(code, out, err)
+    assert "line 2:" in err and "a_bar" in err
 
 
 def test_binary_file_is_a_one_line_error(tmp_path, capsys):

@@ -71,13 +71,22 @@ def test_complex_rejects_non_triangular():
         build_complex(build_standard(g))
 
 
-def test_complex_infers_hub_records_when_missing():
+def test_complex_refuses_a_presentation_without_cells():
     _, _, i4 = build_two_generator_family(4)
-    bare = Presentation(i4.generators, i4.relators)
-    k = build_complex(bare)
-    rec = k.presentation.hub_records[0]
-    assert rec.hub == "x"
-    assert set(rec.cycle) == {"a1", "a2", "a3", "a4"}
+    assert build_complex(i4).cells == ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1))
+    with pytest.raises(NotTriangularError):
+        build_complex(Presentation(i4.generators, i4.relators))
+
+
+def test_rename_keeps_the_cells_and_refuses_collisions():
+    pres, _ = build_triangular(triangle_graph(3, 4, 5))
+    renamed = pres.rename({hub_name("a", "b"): "x"})
+    assert renamed.cells == pres.cells
+    assert "x" in renamed.hubs and hub_name("a", "b") not in renamed.generators
+    with pytest.raises(ValueError, match="duplicate"):
+        pres.rename({hub_name("a", "b"): "a"})
+    with pytest.raises(ValueError, match="triangular"):
+        build_standard(triangle_graph(3, 4, 5)).rename({"a": "v"})
 
 
 # -- the corner rule ------------------------------------------------------
@@ -161,7 +170,7 @@ def test_degree_laws():
 def sweep_presentations():
     """Presentations from every builder path: the 4-vertex oriented
     states and their wildcard variants, seeded 5-vertex states, the
-    renamed triangles and the hand-built two-generator I_m."""
+    renamed triangles and the two-generator I_m."""
     states4 = enumerate_oriented_states(4)
     for state in states4 + wildcard_variants(states4, 4):
         yield build_triangular(graph_from_state(state, 4))[0]
@@ -178,6 +187,7 @@ def sweep_presentations():
 def test_link_matches_the_named_corner_rule():
     cases = 0
     for pres in sweep_presentations():
+        assert pres.cells is not None
         link = build_link(build_complex(pres))
         vertices, edges, nbrs, ends = reference_link(pres)
         assert link.vertices == vertices
@@ -188,7 +198,7 @@ def test_link_matches_the_named_corner_rule():
     assert cases == 695 + 369 + 2000 + 27 + 6
 
 
-def test_triangular_relators_and_provenance_follow_the_hub_records():
+def test_triangular_relators_follow_the_hub_records():
     gamma = DefiningGraph(
         ("a", "b", "c", "d"),
         [
@@ -199,26 +209,26 @@ def test_triangular_relators_and_provenance_follow_the_hub_records():
         ],
     )
     pres, records = build_triangular(gamma)
-    relators, provenance = [], {}
-    for rec in records:
-        for i in range(rec.label):
-            u, v = rec.cycle[i], rec.cycle[(i + 1) % rec.label]
-            r = CyclicWord(FreeWord([(rec.hub, -1), (u, 1), (v, 1)]))
-            relators.append(r)
-            provenance[r] = (tuple(sorted(rec.edge)), i)
+    relators = [
+        CyclicWord(FreeWord([(rec.hub, -1), (u, 1), (v, 1)]))
+        for rec in records
+        for u, v in zip(rec.cycle, rec.cycle[1:] + rec.cycle[:1])
+    ]
     assert pres.relators == tuple(relators)
-    assert pres.provenance == provenance
 
 
 def two_hub_presentation(second_relators):
-    """Hub x over a, b, plus a hub y with the given relators."""
-    records = (HubRecord("x", ("a", "b"), 2, ("a", "b")),)
+    """Hub x over a, b, plus a hub y with the given relators h^-1 u v."""
+    gens = ("x", "y", "a", "b")
     relators = ["x^-1 a b", "x^-1 b a", *second_relators]
-    return Presentation(
-        ("x", "y", "a", "b"),
-        [CyclicWord(FreeWord.parse(r)) for r in relators],
-        hub_records=records + (HubRecord("y", ("a", "x"), 2, ("a", "x")),),
+    cells = [
+        tuple(gens.index(g.removesuffix("^-1")) for g in r.split()) for r in relators
+    ]
+    records = (
+        HubRecord("x", ("a", "b"), 2, ("a", "b")),
+        HubRecord("y", ("a", "x"), 2, ("a", "x")),
     )
+    return Presentation.from_cells(gens, cells, records)
 
 
 @pytest.mark.parametrize(
@@ -272,11 +282,11 @@ def test_unknown_vertices_and_level_skips_are_rejected():
         with pytest.raises(InternalInconsistencyError):
             build_link(TwoComplex(pres, [cell]))
         with pytest.raises(ValueError, match="undeclared generator"):
-            Presentation.from_cells(pres.generators, [cell], [None], ())
+            Presentation.from_cells(pres.generators, [cell], ())
     with pytest.raises(ValueError, match="distinct"):
-        Presentation.from_cells(pres.generators, [(0, 1, 0)], [None], ())
+        Presentation.from_cells(pres.generators, [(0, 1, 0)], ())
     with pytest.raises(ValueError, match="duplicate"):
-        Presentation.from_cells(("x", "a", "a"), [(0, 1, 2)], [None], ())
+        Presentation.from_cells(("x", "a", "a"), [(0, 1, 2)], ())
 
 
 def test_parallel_corners_from_cells_are_rejected():
@@ -286,7 +296,7 @@ def test_parallel_corners_from_cells_are_rejected():
         HubRecord("y", ("a", "b"), 2, ("a", "b")),
     )
     cells = [(0, 2, 3), (0, 3, 2), (1, 2, 3), (1, 3, 2)]
-    pres = Presentation.from_cells(("x", "y", "a", "b"), cells, range(4), records)
+    pres = Presentation.from_cells(("x", "y", "a", "b"), cells, records)
     with pytest.raises(InternalInconsistencyError, match="parallel"):
         build_link(build_complex(pres))
 

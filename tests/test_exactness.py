@@ -87,3 +87,51 @@ c = math.inf
         "float(...) call",
         ".inf",
     ]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Every name that ``source`` imports and never reads, including
+    reads in quoted annotations; ``from __future__`` is exempt."""
+    tree = ast.parse(source)
+    imported, quoted = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        for ann in (getattr(node, "returns", None), getattr(node, "annotation", None)):
+            if ann is not None:
+                quoted += (
+                    ast.parse(c.value, mode="eval")
+                    for c in ast.walk(ann)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                )
+    read = {
+        n.id
+        for t in (tree, *quoted)
+        for n in ast.walk(t)
+        if isinstance(n, ast.Name)
+    }
+    return [
+        f"line {line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+        if name not in read
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+)
+def test_every_import_is_used(module):
+    assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_import_guard_catches_an_unused_name():
+    source = """
+from __future__ import annotations
+import os, os.path as osp
+from typing import Iterable, Mapping
+def f(x: "Mapping[str, int]") -> None:
+    return os
+"""
+    assert unused_imports(source) == ["line 3: osp", "line 4: Iterable"]

@@ -4,6 +4,7 @@ from artinlink import (
     CyclicWord,
     DefiningGraph,
     FreeWord,
+    HubRecord,
     Orientation,
     Presentation,
     build_complex,
@@ -90,8 +91,8 @@ def test_check_conditions_245():
 
 
 def test_check_conditions_caps_on_pieceless_relator():
-    r = rel("x^-1 a b")
-    p = Presentation(("x", "a", "b"), (r,))
+    rec = HubRecord("x", ("a", "b"), 1, ("a", "b"))
+    p = Presentation.from_cells(("x", "a", "b"), [(0, 1, 2)], [rec])
     link = build_link(build_complex(p))
     cond = check_conditions(p, link)
     assert cond == (12, 12)
