@@ -10,23 +10,24 @@ link:
   edges.
 
 Label-2 edges read both ways in the link, so during pattern matching
-they are wildcards that may adopt either direction.  ``search_orientation``
-looks for a direction assignment avoiding both patterns, and
-``orient_from_rotation_system`` builds one from a checkerboard face
-colouring of an embedded even-degree graph.
+they are wildcards that may adopt either direction.  One predicate on
+compiled walks, ``_forms_pattern``, decides both patterns for
+``detect_forbidden`` and for ``search_orientation``, which looks for a
+direction assignment avoiding them; ``orient_from_rotation_system``
+builds one from a checkerboard face colouring of an embedded
+even-degree graph.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import repeat
 
 from .complex_link import HEAD, TAIL, LinkGraph, LinkVertex
 from .errors import InternalInconsistencyError
 from .presentations import (
     DefiningGraph,
-    GammaEdge,
     Orientation,
     OrientationAssignment,
     UnorientedEdgeError,
@@ -70,123 +71,6 @@ def _special(gen: str, end: str) -> LinkVertex:
     return LinkVertex(gen, end, 3 if end == HEAD else 2, True)
 
 
-def _hub_vertex(gamma: DefiningGraph, u: str, v: str, end: str) -> LinkVertex:
-    e = gamma.edge(u, v)
-    return LinkVertex(hub_name(e.tail, e.head), end, 4 if end == HEAD else 1, False)
-
-
-def _edge_direction(e: GammaEdge) -> str | None:
-    """'forward' (u->v), 'backward', or None for a wildcard."""
-    if e.orientation == Orientation.FORWARD:
-        return "forward"
-    if e.orientation == Orientation.BACKWARD:
-        return "backward"
-    if e.orientation == Orientation.WILDCARD:
-        return None
-    raise UnorientedEdgeError(f"edge {e.key} has no direction")
-
-
-def _triangle_witness(
-    gamma: DefiningGraph, tri: tuple[str, str, str]
-) -> ForbiddenWitness | None:
-    """A type-A witness if some wildcard completion is acyclic."""
-    pairs = [(tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])]
-    fixed: list[tuple[str, str] | None] = []
-    for u, v in pairs:
-        d = _edge_direction(gamma.edge(u, v))
-        key = (u, v) if u < v else (v, u)
-        if d is None:
-            fixed.append(None)
-        else:
-            fixed.append(key if d == "forward" else key[::-1])
-    free = [i for i, d in enumerate(fixed) if d is None]
-    for choice in product((0, 1), repeat=len(free)):
-        directed = list(fixed)
-        for i, c in zip(free, choice):
-            u, v = pairs[i]
-            key = (u, v) if u < v else (v, u)
-            directed[i] = key if c == 0 else key[::-1]
-        indeg = {v: 0 for v in tri}
-        for _, h in directed:
-            indeg[h] += 1
-        if 2 in indeg.values():  # a sink exists, so the triangle is acyclic
-            sink = next(v for v, d in indeg.items() if d == 2)
-            others = sorted(v for v in tri if v != sink)
-            q, r = others
-            loop = (
-                _special(sink, TAIL),
-                _special(q, HEAD),
-                _hub_vertex(gamma, q, r, HEAD),
-                _special(r, HEAD),
-            )
-            return ForbiddenWitness("A", tri, tuple(directed), loop)
-    return None
-
-
-def _four_cycle_witness(
-    gamma: DefiningGraph, cyc: tuple[str, str, str, str]
-) -> ForbiddenWitness | None:
-    """A type-B witness if some wildcard completion alternates."""
-    edge_pairs = [(cyc[i], cyc[(i + 1) % 4]) for i in range(4)]
-    for sources in ((cyc[0], cyc[2]), (cyc[1], cyc[3])):
-        directed = []
-        ok = True
-        for u, v in edge_pairs:
-            tail, head = (u, v) if u in sources else (v, u)
-            d = _edge_direction(gamma.edge(u, v))
-            if d is not None:
-                actual_tail = u if ((u < v) == (d == "forward")) else v
-                if actual_tail != tail:
-                    ok = False
-                    break
-            directed.append((tail, head))
-        if ok:
-            s1, s2 = sources
-            t1, t2 = (v for v in cyc if v not in sources)
-            loop = (
-                _special(s1, HEAD),
-                _special(t1, TAIL),
-                _special(s2, HEAD),
-                _special(t2, TAIL),
-            )
-            return ForbiddenWitness("B", cyc, tuple(directed), loop)
-    return None
-
-
-def detect_forbidden(
-    gamma: DefiningGraph, link: LinkGraph | None = None
-) -> list[ForbiddenWitness]:
-    """All minimal type-A and type-B occurrences in an oriented graph.
-
-    Wildcard (label-2) edges match either direction as needed.  Raises
-    :class:`UnorientedEdgeError` when a non-wildcard edge has no
-    direction.  If ``link`` is given, every witness loop is verified to
-    be present in it.
-    """
-    for e in gamma.edges:
-        _edge_direction(e)  # raises on unoriented edges
-    witnesses = []
-    for tri in gamma.triangles():
-        w = _triangle_witness(gamma, tri)
-        if w is not None:
-            witnesses.append(w)
-    for cyc in gamma.four_cycles():
-        w = _four_cycle_witness(gamma, cyc)
-        if w is not None:
-            witnesses.append(w)
-    witnesses.sort(key=lambda w: (w.kind, w.vertices))
-    if link is not None:
-        for w in witnesses:
-            n = len(w.loop)
-            for i in range(n):
-                if not link.has_edge(w.loop[i], w.loop[(i + 1) % n]):
-                    raise InternalInconsistencyError(
-                        f"witness loop step {w.loop[i]} - {w.loop[(i + 1) % n]} "
-                        f"missing from the link"
-                    )
-    return witnesses
-
-
 # Direction array values; an unoriented edge has none (None: undecided).
 _DIRECTION = {Orientation.FORWARD: 1, Orientation.BACKWARD: -1, Orientation.WILDCARD: 0}
 
@@ -201,6 +85,15 @@ def _walk(edge_id: dict[tuple[str, str], int], cycle) -> tuple[tuple[int, int], 
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         steps.append((edge_id[a, b], 1) if a < b else (edge_id[b, a], -1))
     return tuple(steps)
+
+
+def _compile(gamma: DefiningGraph):
+    """The direction array of ``gamma``, its triangles then its 4-cycles
+    (each in sorted order), and the walk of each."""
+    edge_id = {e.key: i for i, e in enumerate(gamma.edges)}
+    dirs = [_DIRECTION.get(e.orientation) for e in gamma.edges]
+    cycles = gamma.triangles() + gamma.four_cycles()
+    return dirs, cycles, [_walk(edge_id, c) for c in cycles]
 
 
 def _forms_pattern(walk, dirs) -> bool:
@@ -221,6 +114,75 @@ def _forms_pattern(walk, dirs) -> bool:
     return p >= 0 >= q and r >= 0 >= s or p <= 0 <= q and r <= 0 <= s
 
 
+def _witness(edges, cycle, walk, dirs) -> ForbiddenWitness:
+    """The witness of a walk on which :func:`_forms_pattern` holds.
+
+    A triangle reads its wildcards u -> v, reversing the last one in
+    (v0v1, v0v2, v1v2) order if that closes a directed cycle; its sink
+    is the vertex both edges enter.  A 4-cycle has sources (v0, v2)
+    when its products alternate in that phase, else (v1, v3).
+    """
+    steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+    if len(walk) == 3:
+        prods = [s * (dirs[e] or 1) for e, s in walk]
+        if prods[0] == prods[1] == prods[2]:
+            k = next(k for k in (1, 2, 0) if not dirs[walk[k][0]])
+            prods[k] = -prods[k]
+        arcs = [(a, b) if p > 0 else (b, a) for (a, b), p in zip(steps, prods)]
+        k = next(k for k in range(3) if prods[k - 1] > 0 > prods[k])
+        sink = cycle[k]
+        q, r = (v for v in cycle if v != sink)
+        hub = edges[walk[(k + 1) % 3][0]]
+        loop = (
+            _special(sink, TAIL),
+            _special(q, HEAD),
+            LinkVertex(hub_name(hub.tail, hub.head), HEAD, 4, False),
+            _special(r, HEAD),
+        )
+        return ForbiddenWitness("A", cycle, (arcs[0], arcs[2], arcs[1]), loop)
+    p, q, r, s = (s * dirs[e] for e, s in walk)
+    v0, v1, v2, v3 = cycle
+    phase = p >= 0 >= q and r >= 0 >= s
+    (s1, s2), (t1, t2) = ((v0, v2), (v1, v3)) if phase else ((v1, v3), (v0, v2))
+    directed = tuple((a, b) if a in (s1, s2) else (b, a) for a, b in steps)
+    loop = (
+        _special(s1, HEAD), _special(t1, TAIL), _special(s2, HEAD), _special(t2, TAIL)
+    )
+    return ForbiddenWitness("B", cycle, directed, loop)
+
+
+def detect_forbidden(
+    gamma: DefiningGraph, link: LinkGraph | None = None
+) -> list[ForbiddenWitness]:
+    """All minimal type-A and type-B occurrences in an oriented graph.
+
+    Every triangle and 4-cycle is compiled into its walk and tested
+    with :func:`_forms_pattern`, the predicate that
+    :func:`search_orientation` uses; a witness is built only for a hit.
+    Wildcard (label-2) edges match either direction as needed.  Raises
+    :class:`UnorientedEdgeError` when a non-wildcard edge has no
+    direction.  If ``link`` is given, every witness loop is verified to
+    be present in it.
+    """
+    dirs, cycles, walks = _compile(gamma)
+    if None in dirs:
+        e = gamma.edges[dirs.index(None)]
+        raise UnorientedEdgeError(f"edge {e.key} has no direction")
+    witnesses = [
+        _witness(gamma.edges, cycle, walk, dirs)
+        for cycle, walk in zip(cycles, walks)
+        if _forms_pattern(walk, dirs)
+    ]
+    if link is not None:
+        for w in witnesses:
+            for a, b in zip(w.loop, w.loop[1:] + w.loop[:1]):
+                if not link.has_edge(a, b):
+                    raise InternalInconsistencyError(
+                        f"witness loop step {a} - {b} missing from the link"
+                    )
+    return witnesses
+
+
 def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
     """Complete the unoriented edges so that no forbidden pattern occurs.
 
@@ -234,13 +196,11 @@ def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
     "backward"; backtracking sets a slot of the array and clears it
     again.  Wildcard edges are never assigned.  Returns None when the
     exhaustive search proves no completion works; a completion found
-    is confirmed with :func:`detect_forbidden` before it is returned.
+    is confirmed with :func:`detect_forbidden`, which runs the same
+    predicate on the completed graph, before it is returned.
     """
     edges = gamma.edges
-    edge_id = {e.key: i for i, e in enumerate(edges)}
-    dirs = [_DIRECTION.get(e.orientation) for e in edges]
-    walks = [_walk(edge_id, t) for t in gamma.triangles()]
-    walks += [_walk(edge_id, c) for c in gamma.four_cycles()]
+    dirs, _, walks = _compile(gamma)
 
     load = Counter(e for walk in walks for e, _ in walk)
     order = sorted(

@@ -54,19 +54,20 @@ def check_vertex_name(name) -> None:
     """Reject a name that could collide with a generated generator.
 
     Hub and chain generators are named ``x_{u,v}`` and ``d_{u,v,i}``,
-    and the link writes the tail of generator g as ``g_bar``, so a
-    vertex name must be a non-empty string without braces or commas
-    that does not end in ``_bar``.
+    the link writes the tail of generator g as ``g_bar``, words write
+    its inverse as ``g^-1`` and output separates names by spaces, so a
+    vertex name must be a non-empty string without braces, commas,
+    ``^`` or whitespace that does not end in ``_bar``.
     """
     if (
         not isinstance(name, str)
         or not name
-        or any(c in name for c in "{},")
+        or any(c in "{},^" or c.isspace() for c in name)
         or name.endswith("_bar")
     ):
         raise ValueError(
             f"vertex name {name!r} must be a non-empty string without "
-            f"'{{', '}}' or ',' that does not end in '_bar'"
+            f"'{{', '}}', ',', '^' or whitespace that does not end in '_bar'"
         )
 
 
@@ -219,10 +220,6 @@ class DefiningGraph:
 
     def degree(self, v: str) -> int:
         return len(self._adj[v])
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(e.label for e in self.edges)
 
     def unoriented_edges(self) -> tuple[GammaEdge, ...]:
         return tuple(

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own algorithms: girth is found
 by exhaustive DFS cycle enumeration, orientation searches by
-enumerating every completion, canonical forms of sweep states by
-trying every vertex permutation, and links by the named corner rule
-read from each relator's letters.
+enumerating every completion, forbidden-pattern witnesses by trying
+every wildcard completion of every triangle and 4-cycle, canonical
+forms of sweep states by trying every vertex permutation, and links by
+the named corner rule read from each relator's letters.
 """
 
 from __future__ import annotations
@@ -12,11 +13,15 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from artinlink import (
+    HEAD,
+    TAIL,
     DefiningGraph,
     GammaEdge,
+    LinkVertex,
     Orientation,
     OrientationAssignment,
 )
+from artinlink.presentations import hub_name
 
 
 def dfs_all_cycle_lengths(link, max_len: int | None = None) -> list[int]:
@@ -206,6 +211,69 @@ def reference_link(pres):
         nbrs[a].append((b, ei))
         nbrs[b].append((a, ei))
     return vertices, tuple(edges), [sorted(ns) for ns in nbrs], ends
+
+
+def brute_force_witnesses(gamma: DefiningGraph) -> list[tuple]:
+    """Every forbidden pattern of an oriented graph, as (kind, vertices,
+    directed_edges, loop) tuples in the layout of ``ForbiddenWitness``,
+    sorted by kind and vertices.
+
+    Triangles and 4-cycles are found over all vertex subsets.  A
+    triangle (v0, v1, v2) is type A if some wildcard completion, tried
+    in ``product`` order over the edges v0v1, v0v2, v1v2 (u -> v
+    first), has a vertex of in-degree 2; that completion and sink give
+    the witness.  A 4-cycle is type B with sources (v0, v2) if every
+    edge can be directed away from them, else with (v1, v3).
+    """
+
+    def arcs(u, v):  # the (tail, head) pairs edge u-v may take
+        e = gamma.edge(u, v)
+        options = {
+            Orientation.FORWARD: [(e.u, e.v)],
+            Orientation.BACKWARD: [(e.v, e.u)],
+            Orientation.WILDCARD: [(e.u, e.v), (e.v, e.u)],
+        }
+        if e.orientation not in options:
+            raise ValueError(f"edge {e.key} has no direction")
+        return options[e.orientation]
+
+    def special(gen, end):
+        return LinkVertex(gen, end, 3 if end == HEAD else 2, True)
+
+    def joined(pairs):
+        return all(gamma.has_edge(a, b) for a, b in pairs)
+
+    vs = sorted(gamma.vertices)
+    out = []
+    for tri in combinations(vs, 3):
+        pairs = list(combinations(tri, 2))
+        if not joined(pairs):
+            continue
+        for directed in product(*(arcs(u, v) for u, v in pairs)):
+            heads = [h for _, h in directed]
+            sinks = [v for v in tri if heads.count(v) == 2]
+            if sinks:
+                (sink,) = sinks
+                q, r = (v for v in tri if v != sink)
+                e = gamma.edge(q, r)
+                hub = LinkVertex(hub_name(e.tail, e.head), HEAD, 4, False)
+                loop = (special(sink, TAIL), special(q, HEAD), hub, special(r, HEAD))
+                out.append(("A", tri, directed, loop))
+                break
+    for v0, a, b, c in combinations(vs, 4):
+        for cyc in ((v0, a, b, c), (v0, a, c, b), (v0, b, a, c)):
+            steps = list(zip(cyc, cyc[1:] + cyc[:1]))
+            if not joined(steps):
+                continue
+            for sources in (cyc[0::2], cyc[1::2]):
+                directed = tuple((u, v) if u in sources else (v, u) for u, v in steps)
+                if all(d in arcs(*d) for d in directed):
+                    (s1, s2), (t1, t2) = sources, [v for v in cyc if v not in sources]
+                    loop = (special(s1, HEAD), special(t1, TAIL),
+                            special(s2, HEAD), special(t2, TAIL))
+                    out.append(("B", cyc, directed, loop))
+                    break
+    return sorted(out, key=lambda w: (w[0], w[1]))
 
 
 def all_orientation_completions(gamma: DefiningGraph):

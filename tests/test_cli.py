@@ -315,6 +315,18 @@ def test_vertex_named_like_a_tail_is_a_one_line_error(gamma_file, capsys):
     assert "line 2:" in err and "a_bar" in err
 
 
+def test_vertex_name_with_caret_or_space_is_a_one_line_error(gamma_file, capsys):
+    # `a^-1` would print like the inverse of `a`, and `a b` like two names
+    text = "vertex a\nvertex a^-1\nedge a a^-1 3 >\n"
+    code, out, err = run(capsys, ["pieces", gamma_file(text)])
+    assert_one_line_error(code, out, err)
+    assert "line 2:" in err and "'a^-1'" in err
+    obj = {"vertices": ["a b", "c"], "edges": []}
+    code, out, err = run(capsys, ["link", gamma_file(json.dumps(obj), "graph.json")])
+    assert_one_line_error(code, out, err)
+    assert "'a b'" in err and "whitespace" in err
+
+
 def test_binary_file_is_a_one_line_error(tmp_path, capsys):
     path = tmp_path / "graph.gamma"
     path.write_bytes(b"\xff\xfe vertex a\n")

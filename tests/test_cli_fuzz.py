@@ -15,8 +15,8 @@ from artinlink.cli import main
 COMMANDS = ("certify", "link", "orient", "pieces")
 
 NAMES = ("a", "b", "c", "d", "e")
-# junk names, with braces, commas and comment marks
-TOKENS = st.sampled_from(NAMES) | st.text(alphabet="ab{},#:x_ \t", min_size=1, max_size=4)
+# junk names, with braces, commas, carets, blanks and comment marks
+TOKENS = st.sampled_from(NAMES) | st.text(alphabet="ab{},#:x_^ \t", min_size=1, max_size=4)
 # labels stay small: a label near the generator cap takes seconds to certify
 LABELS = st.integers(2, 50)
 SYMBOLS = st.sampled_from([">", "<", ">", "<", "?", ".", ""])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracle_tools import (
     all_orientation_completions,
     brute_force_girth,
+    brute_force_witnesses,
     oriented_copy,
 )
 
@@ -25,7 +26,7 @@ from artinlink import (
     search_orientation,
     trace_faces,
 )
-from artinlink import forbidden
+from artinlink.batteries import enumerate_oriented_states, graph_from_state, wildcard_variants
 
 F, B, WILD = Orientation.FORWARD, Orientation.BACKWARD, Orientation.WILDCARD
 
@@ -270,16 +271,15 @@ def test_search_is_deterministic():
     assert search_orientation(g) == search_orientation(g)
 
 
-# The search's compiled predicate must agree with the witness builders
-# that detect_forbidden uses, on every direction pattern: +1 and -1 for
-# the two directions of an edge, 0 for a wildcard.
+# The compiled predicate and the witnesses built from its walks must
+# match the brute-force witnesses of tests/oracle_tools.py on every
+# direction pattern: +1 and -1 for the two directions of an edge, 0 for
+# a wildcard.
 EDGE_STATES = {1: (3, F), -1: (3, B), 0: (2, WILD)}
 
 
-def compiled_verdict(g, cycle):
-    edge_id = {e.key: i for i, e in enumerate(g.edges)}
-    dirs = [forbidden._DIRECTION.get(e.orientation) for e in g.edges]
-    return forbidden._forms_pattern(forbidden._walk(edge_id, cycle), dirs)
+def witness_tuples(g):
+    return [(w.kind, w.vertices, w.directed_edges, w.loop) for w in detect_forbidden(g)]
 
 
 @pytest.mark.parametrize("pattern", list(itertools.product((1, -1, 0), repeat=3)))
@@ -289,9 +289,7 @@ def test_compiled_triangle_predicate_matches_witness(pattern):
         ("a", "b", "c"),
         [(u, v, *EDGE_STATES[d]) for (u, v), d in zip(pairs, pattern)],
     )
-    (tri,) = g.triangles()
-    expected = forbidden._triangle_witness(g, tri) is not None
-    assert compiled_verdict(g, tri) == expected
+    assert witness_tuples(g) == brute_force_witnesses(g)
 
 
 @pytest.mark.parametrize("pattern", list(itertools.product((1, -1, 0), repeat=4)))
@@ -301,9 +299,16 @@ def test_compiled_four_cycle_predicate_matches_witness(pattern):
         ("a", "b", "c", "d"),
         [(u, v, *EDGE_STATES[d]) for (u, v), d in zip(pairs, pattern)],
     )
-    (cyc,) = g.four_cycles()
-    expected = forbidden._four_cycle_witness(g, cyc) is not None
-    assert compiled_verdict(g, cyc) == expected
+    assert witness_tuples(g) == brute_force_witnesses(g)
+
+
+def test_witnesses_match_brute_force_on_sampled_sweep_states():
+    # every 97th graph of the acceptance-06 sweep, wildcard variants included
+    states = enumerate_oriented_states(5)
+    work = (states + wildcard_variants(states, 5))[::97]
+    for state in work:
+        g = graph_from_state(state, 5)
+        assert witness_tuples(g) == brute_force_witnesses(g), state
 
 
 @st.composite
@@ -339,13 +344,18 @@ def test_search_agrees_with_exhaustive_completions(g):
 
 
 def test_search_self_check_raises_on_a_bad_assignment(monkeypatch):
-    # A predicate that never sees a pattern lets K4 "succeed"; the final
+    # Hide the 4-cycles of graphs that still have unoriented edges, so
+    # the search alone misses them: it then makes every octahedron face
+    # cyclic, which forces each equator to alternate, and the closing
     # detect_forbidden check must refuse the result, even under python -O.
-    monkeypatch.setattr(forbidden, "_forms_pattern", lambda walk, dirs: False)
-    names = ("a", "b", "c", "d")
-    g = DefiningGraph(names, [(u, v, 3) for u, v in itertools.combinations(names, 2)])
+    four_cycles = DefiningGraph.four_cycles
+    monkeypatch.setattr(
+        DefiningGraph,
+        "four_cycles",
+        lambda g: [] if g.unoriented_edges() else four_cycles(g),
+    )
     with pytest.raises(InternalInconsistencyError):
-        search_orientation(g)
+        search_orientation(octahedron())
 
 
 # -- checkerboard orientation ----------------------------------------------------

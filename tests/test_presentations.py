@@ -50,7 +50,9 @@ def test_graph_rejects_loops_multiedges_bad_labels():
         DefiningGraph(("a", "b"), [("a", "b", 3, Orientation.WILDCARD)])
 
 
-@pytest.mark.parametrize("name", ["x_{a,b}", "d_{a,b,3}", "a,b", "", 7, "a_bar"])
+@pytest.mark.parametrize(
+    "name", ["x_{a,b}", "d_{a,b,3}", "a,b", "", 7, "a_bar", "a^-1", "a b", "a\tb"]
+)
 def test_graph_rejects_names_that_clash_with_generators(name):
     with pytest.raises(ValueError):
         DefiningGraph(("a", "b", name), [("a", "b", 3, Orientation.FORWARD)])
