@@ -76,7 +76,6 @@ from .smallcancel import (
     SmallCancellation,
     check_conditions,
     compute_pieces,
-    symmetrize,
 )
 from .words import (
     CyclicWord,

@@ -342,7 +342,7 @@ def b2_case(state: tuple[int, ...], n: int):
     Returns (holds: bool, is_tight: bool, witness_is_4_middles: bool).
     """
     gamma = graph_from_state(state, n)
-    pres, _ = build_triangular(gamma)
+    pres = build_triangular(gamma)
     k = build_complex(pres)
     link = build_link(k)
     metric = assign_metric(k, link, B2)
@@ -435,7 +435,7 @@ def oracle_case(state: tuple[int, ...], n: int, with_girth: bool = False):
     """
     gamma = graph_from_state(state, n)
     witnesses = detect_forbidden(gamma)
-    pres, _ = build_triangular(gamma)
+    pres = build_triangular(gamma)
     link = build_link(build_complex(pres))
     short = has_short_loop(link)
     ok = bool(witnesses) == short

@@ -156,7 +156,7 @@ def _link_json_dict(link) -> dict:
 
 def _cmd_link(args) -> int:
     gamma = load_gamma(args.input)
-    pres, _ = build_triangular(gamma)
+    pres = build_triangular(gamma)
     link = build_link(build_complex(pres))
     if args.format == "dot":
         sys.stdout.write(link.to_dot())
@@ -178,7 +178,7 @@ def _cmd_loops(args) -> int:
         )
         return 1
     gamma = load_gamma(args.input)
-    pres, _ = build_triangular(gamma)
+    pres = build_triangular(gamma)
     link = build_link(build_complex(pres))
     loops = enumerate_short_loops(link, args.max)
     if args.format == "json":
@@ -209,8 +209,8 @@ def _cmd_orient(args) -> int:
 
 def _cmd_pieces(args) -> int:
     gamma = load_gamma(args.input)
-    pres, _ = build_triangular(gamma)
-    table = compute_pieces(pres)
+    pres = build_triangular(gamma)
+    table = compute_pieces(pres, build_link(build_complex(pres)))
     if args.format == "json":
         _emit_json(
             {

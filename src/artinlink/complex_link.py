@@ -307,13 +307,6 @@ class LinkGraph:
                     queue.append(nb)
         return self.induced(self.vertices[i] for i in dist)
 
-    def local_pieces(self) -> dict[str, tuple[int, ...]]:
-        """Edge indices grouped by the hub of their 2-cell."""
-        out: dict[str, list[int]] = {}
-        for i, e in enumerate(self.edges):
-            out.setdefault(e.piece, []).append(i)
-        return {piece: tuple(idxs) for piece, idxs in sorted(out.items())}
-
     def components(self) -> list[tuple[tuple[LinkVertex, ...], tuple[int, ...]]]:
         """Connected components as (sorted vertices, sorted edge indices)."""
         seen = [False] * len(self.nbrs)

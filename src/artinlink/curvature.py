@@ -217,7 +217,7 @@ def certify(
             notes.append("no pattern-free orientation exists; using u->v defaults")
             g = _default_orientation(g)
 
-    p, _ = build_triangular(g)
+    p = build_triangular(g)
     k = build_complex(p)
     link = build_link(k)
     # One detection serves the verdict and checks its witness loops

@@ -494,17 +494,15 @@ def chain_name(tail: str, head: str, i: int) -> str:
 MAX_GENERATORS = 5_000
 
 
-def build_triangular(
-    gamma: DefiningGraph,
-) -> tuple[Presentation, tuple[HubRecord, ...]]:
+def build_triangular(gamma: DefiningGraph) -> Presentation:
     """Rewrite every edge relation into a chain of length-3 relators.
 
     For an edge tail -> head labelled m this introduces a hub h and
     fresh generators d3..dm and emits the m relators
     h^-1 (tail)(head), h^-1 (head)d3, h^-1 d3 d4, ..., h^-1 dm (tail).
     The presentation keeps each relator as a 2-cell, the integer
-    triple (h, u, v) of generator positions (see
-    :meth:`Presentation.from_cells`).  Raises
+    triple (h, u, v) of generator positions, and each edge's chain in
+    ``hub_records`` (see :meth:`Presentation.from_cells`).  Raises
     :class:`UnorientedEdgeError` for non-wildcard edges without a
     direction, and :class:`TooManyGeneratorsError`, before building
     anything, when the generators would number over ``MAX_GENERATORS``.
@@ -530,8 +528,7 @@ def build_triangular(
         gens.extend(chain)
         records.append(HubRecord(hub, (tail, head, *chain), m, (tail, head)))
         cells += ((h, ids[i], ids[(i + 1) % m]) for i in range(m))
-    p = Presentation.from_cells(gens, cells, records)
-    return p, p.hub_records
+    return Presentation.from_cells(gens, cells, records)
 
 
 def _power(gen: str, k: int) -> FreeWord:
@@ -653,7 +650,7 @@ def triangle_presentation(
 ) -> tuple[Presentation, tuple[HubRecord, ...]]:
     """The triangular presentation of the (m,n,p) triangle with the classic
     generator names x, y, z for hubs and d/e/f for the chains."""
-    pres, _ = build_triangular(triangle_graph(m, n, p))
+    pres = build_triangular(triangle_graph(m, n, p))
     letters = {
         frozenset("ab"): ("x", "d"),
         frozenset("bc"): ("y", "e"),

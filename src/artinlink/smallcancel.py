@@ -8,26 +8,36 @@ as the link girth: every embedded loop in the link has at least q
 edges.  (The classical star-graph formulation of T(q) is not computed
 separately; the reported value is girth in that operational sense.)
 
-Pieces are found by brute-force subword indexing; relators here are
-tiny, so clarity wins over cleverness.
+Pieces are counted from the 2-cells of a triangular presentation
+whose link has been built, never from words.  A cell (h, u, v) stands
+for h^-1 u v and its inverse v^-1 u^-1 h, so the symmetrized set has
+exactly 6 positions per cell: cells are distinct (two equal cells are
+parallel link edges), and no length-3 relator with one inverted letter
+is a proper power or the inverse of another.  A length-2 subword l1 l2
+is a corner of a cell, naming the link edge from the terminal end of
+l1 to the initial end of l2; read backwards it is another word,
+l2^-1 l1^-1.  So a length-2 piece is two corners with the same ends, a
+parallel edge that ``build_link`` refuses, and a longer piece starts
+with one.  Every piece is therefore one letter (the star graph of
+Lyndon and Schupp, *Combinatorial Group Theory*, V.2): g and g^-1 are
+pieces when g occurs twice among the cells.  A relator is a product of
+3 pieces when its three letters are pieces, and of none otherwise.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
-from .complex_link import LinkGraph
+from .complex_link import LinkGraph, NotTriangularError
 from .cycles import girth
+from .errors import InternalInconsistencyError
 from .presentations import Presentation
 from .words import CyclicWord, FreeWord
 
 CONDITION_CAP = 12
-
-
-def symmetrize(p: Presentation) -> tuple[CyclicWord, ...]:
-    """Relators closed under inversion, as canonical cyclic words."""
-    return tuple(sorted({*p.relators, *(r.inverse() for r in p.relators)}))
 
 
 @dataclass(frozen=True)
@@ -46,45 +56,32 @@ class PieceTable:
         return "\n".join(lines) + "\n"
 
 
-def compute_pieces(p: Presentation) -> PieceTable:
-    symmetrized = symmetrize(p)
-    positions: dict[tuple, set[tuple[int, int]]] = {}
-    for ri, cw in enumerate(symmetrized):
-        n = len(cw)
-        doubled = cw.letters * 2
-        for length in range(1, n + 1):
-            for off in range(n):
-                key = doubled[off : off + length]
-                positions.setdefault(key, set()).add((ri, off))
-    piece_keys = {key for key, pos in positions.items() if len(pos) >= 2}
-    pieces = tuple(sorted(FreeWord(key) for key in piece_keys))
-    max_len = max((len(key) for key in piece_keys), default=0)
+def _occurrences(p: Presentation, link: LinkGraph) -> Counter:
+    """How often each generator id occurs among the cells of ``p``.
 
-    decompositions = {r: _min_piece_decomposition(r, piece_keys) for r in p.relators}
-    return PieceTable(pieces, max_len, decompositions)
+    ``link`` must be built from ``p``'s cells, so that its parallel-edge
+    check has ruled out pieces longer than one letter.
+    """
+    if p.cells is None:
+        raise NotTriangularError(f"{p!r} has no triangular 2-cells")
+    if link._complex is None or link._complex.presentation is not p:
+        raise InternalInconsistencyError(f"{link!r} is not the link of {p!r}")
+    return Counter(chain.from_iterable(p.cells))
 
 
-def _min_piece_decomposition(r: CyclicWord, piece_keys: set[tuple]) -> int | None:
-    """Fewest pieces concatenating to some rotation of ``r``; None if
-    the relator cannot be written as a product of pieces at all."""
-    best: int | None = None
-    n = len(r)
-    doubled = r.letters * 2
-    for start in range(n):
-        window = doubled[start : start + n]
-        dp: list[int | None] = [None] * (n + 1)
-        dp[0] = 0
-        for j in range(1, n + 1):
-            options = [
-                dp[i] + 1
-                for i in range(j)
-                if dp[i] is not None and window[i:j] in piece_keys
-            ]
-            if options:
-                dp[j] = min(options)
-        if dp[n] is not None and (best is None or dp[n] < best):
-            best = dp[n]
-    return best
+def compute_pieces(p: Presentation, link: LinkGraph) -> PieceTable:
+    """The pieces of ``p``, sorted, and per relator the fewest pieces
+    it is a product of (None if it is none)."""
+    occ = _occurrences(p, link)
+    gens = p.generators
+    pieces = sorted(
+        FreeWord([(gens[g], e)]) for g, n in occ.items() if n > 1 for e in (1, -1)
+    )
+    decompositions = {
+        r: 3 if all(occ[g] > 1 for g in cell) else None
+        for r, cell in zip(p.relators, p.cells)
+    }
+    return PieceTable(tuple(pieces), 1 if pieces else 0, decompositions)
 
 
 class SmallCancellation(NamedTuple):
@@ -106,17 +103,19 @@ _UNKNOWN = object()
 def check_conditions(
     p: Presentation, link: LinkGraph, link_girth: int | None | object = _UNKNOWN
 ) -> SmallCancellation:
-    """Largest C(p) and T(q) (both capped at 12) for a presentation and
-    the link of its complex.
+    """Largest C(p) and T(q) (both capped at 12) for a triangular
+    presentation and the link built from its cells.
 
     A caller that already has ``girth(link)[0]`` (None for a forest)
-    passes it as ``link_girth`` to save a second search.
+    passes it as ``link_girth`` to save a second search.  Raises
+    :class:`NotTriangularError` for a presentation without cells and
+    :class:`InternalInconsistencyError` for a link not built from them.
     """
-    table = compute_pieces(p)
-    # An undecomposable relator is never a product of < p pieces, so it
-    # contributes no constraint; only decomposable relators bound C(p).
-    finite = [n for n in table.decompositions.values() if n is not None]
-    c_value = min(min(finite), CONDITION_CAP) if finite else CONDITION_CAP
+    occ = _occurrences(p, link)
+    # A relator of three pieces bounds C(p) by 3; one with a letter that
+    # is no piece is no product of pieces and bounds nothing.
+    splits = any(occ[h] > 1 and occ[u] > 1 and occ[v] > 1 for h, u, v in p.cells)
+    c_value = 3 if splits else CONDITION_CAP
     g = girth(link)[0] if link_girth is _UNKNOWN else link_girth
     t_value = CONDITION_CAP if g is None else min(g, CONDITION_CAP)
     return SmallCancellation(c_value, t_value)

@@ -4,8 +4,9 @@ These deliberately avoid the library's own algorithms: girth is found
 by exhaustive DFS cycle enumeration, orientation searches by
 enumerating every completion, forbidden-pattern witnesses by trying
 every wildcard completion of every triangle and 4-cycle, canonical
-forms of sweep states by trying every vertex permutation, and links by
-the named corner rule read from each relator's letters.
+forms of sweep states by trying every vertex permutation, links by
+the named corner rule read from each relator's letters, and pieces by
+indexing every subword of every symmetrized relator.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from itertools import combinations, permutations, product
 from artinlink import (
     HEAD,
     TAIL,
+    CyclicWord,
     DefiningGraph,
+    FreeWord,
     GammaEdge,
     LinkVertex,
     Orientation,
@@ -211,6 +214,60 @@ def reference_link(pres):
         nbrs[a].append((b, ei))
         nbrs[b].append((a, ei))
     return vertices, tuple(edges), [sorted(ns) for ns in nbrs], ends
+
+
+def symmetrize(pres) -> tuple[CyclicWord, ...]:
+    """Relators closed under inversion, as canonical cyclic words."""
+    return tuple(sorted({*pres.relators, *(r.inverse() for r in pres.relators)}))
+
+
+def brute_force_pieces(pres):
+    """``(pieces, max piece length, decompositions)`` of any presentation,
+    with or without cells.
+
+    A piece is a subword found at two or more (relator, offset)
+    positions of the symmetrized relators, every length and rotation
+    indexed; ``decompositions`` maps each relator to the fewest pieces
+    that concatenate to one of its rotations, or None.
+    """
+    positions: dict[tuple, set[tuple[int, int]]] = {}
+    for ri, cw in enumerate(symmetrize(pres)):
+        n = len(cw)
+        doubled = cw.letters * 2
+        for length in range(1, n + 1):
+            for off in range(n):
+                key = doubled[off : off + length]
+                positions.setdefault(key, set()).add((ri, off))
+    piece_keys = {key for key, pos in positions.items() if len(pos) >= 2}
+    pieces = tuple(sorted(FreeWord(key) for key in piece_keys))
+    max_len = max((len(key) for key in piece_keys), default=0)
+    decompositions = {
+        r: _min_piece_decomposition(r, piece_keys) for r in pres.relators
+    }
+    return pieces, max_len, decompositions
+
+
+def _min_piece_decomposition(r: CyclicWord, piece_keys: set[tuple]) -> int | None:
+    """Fewest pieces concatenating to some rotation of ``r``, by a DP
+    over each rotation; None if no rotation is a product of pieces."""
+    best: int | None = None
+    n = len(r)
+    doubled = r.letters * 2
+    for start in range(n):
+        window = doubled[start : start + n]
+        dp: list[int | None] = [None] * (n + 1)
+        dp[0] = 0
+        for j in range(1, n + 1):
+            options = [
+                dp[i] + 1
+                for i in range(j)
+                if dp[i] is not None and window[i:j] in piece_keys
+            ]
+            if options:
+                dp[j] = min(options)
+        if dp[n] is not None and (best is None or dp[n] < best):
+            best = dp[n]
+    return best
 
 
 def brute_force_witnesses(gamma: DefiningGraph) -> list[tuple]:

@@ -57,10 +57,10 @@ def test_acceptance_01_two_generator_equivalences():
 
 def test_acceptance_02_triangular_presentation_counts():
     for m, n, p in itertools.product((2, 3, 4, 5, 6), repeat=3):
-        pres, records = build_triangular(triangle_graph(m, n, p))
+        pres = build_triangular(triangle_graph(m, n, p))
         assert len(pres.generators) == m + n + p
         assert len(pres.relators) == m + n + p
-        assert sorted(rec.label for rec in records) == sorted((m, n, p))
+        assert sorted(rec.label for rec in pres.hub_records) == sorted((m, n, p))
     print("ACCEPTANCE 02 PASS: generator/relator counts exact for m,n,p in 2..6")
 
 
@@ -148,7 +148,7 @@ def test_acceptance_07_triangle_free_b2_at_desk_scale():
             ("u", "t", 3, Orientation.FORWARD),
         ],
     )
-    pres, _ = build_triangular(square)
+    pres = build_triangular(square)
     k = build_complex(pres)
     link = build_link(k)
     angled = link.with_angles(assign_metric(k, link, B2).corner_angles)

@@ -167,7 +167,7 @@ def test_middle_decomposition_rejects_stars():
          ("c", "q", 3, Orientation.FORWARD),
          ("c", "r", 3, Orientation.FORWARD)],
     )
-    link = build_link(build_complex(build_triangular(g)[0]))
+    link = build_link(build_complex(build_triangular(g)))
     singles, chains, clean = middle_decomposition(link)
     assert not clean and chains == 0
 

@@ -32,7 +32,7 @@ from artinlink.words import CyclicWord, FreeWord
 
 
 def link_of(gamma):
-    pres, _ = build_triangular(gamma)
+    pres = build_triangular(gamma)
     return build_link(build_complex(pres))
 
 
@@ -55,12 +55,12 @@ def test_complex_cell_counts(m, n, p):
 
 def test_complex_counts_single_edge():
     g2 = DefiningGraph(("a", "b"), [("a", "b", 2, Orientation.WILDCARD)])
-    p2, _ = build_triangular(g2)
+    p2 = build_triangular(g2)
     k2 = build_complex(p2)
     assert (len(k2.one_cells), len(k2.cells)) == (3, 2)
 
     g5 = DefiningGraph(("a", "b"), [("a", "b", 5, Orientation.FORWARD)])
-    p5, _ = build_triangular(g5)
+    p5 = build_triangular(g5)
     k5 = build_complex(p5)
     assert (len(k5.one_cells), len(k5.cells)) == (6, 5)
 
@@ -79,7 +79,7 @@ def test_complex_refuses_a_presentation_without_cells():
 
 
 def test_rename_keeps_the_cells_and_refuses_collisions():
-    pres, _ = build_triangular(triangle_graph(3, 4, 5))
+    pres = build_triangular(triangle_graph(3, 4, 5))
     renamed = pres.rename({hub_name("a", "b"): "x"})
     assert renamed.cells == pres.cells
     assert "x" in renamed.hubs and hub_name("a", "b") not in renamed.generators
@@ -138,7 +138,7 @@ def test_link_contains_the_two_example_paths():
 
 def test_vertex_and_edge_counts():
     for m, n, p in itertools.product((2, 3, 5), repeat=3):
-        pres, _ = build_triangular(triangle_graph(m, n, p))
+        pres = build_triangular(triangle_graph(m, n, p))
         link = build_link(build_complex(pres))
         assert len(link.vertices) == 2 * len(pres.generators)
         assert len(link.edges) == 3 * len(pres.relators)
@@ -153,9 +153,9 @@ def test_bipartite_by_levels():
 def test_degree_laws():
     for m, n, p in [(3, 3, 3), (2, 4, 5), (4, 5, 6)]:
         gamma = triangle_graph(m, n, p)
-        pres, records = build_triangular(gamma)
+        pres = build_triangular(gamma)
         link = build_link(build_complex(pres))
-        label_of_hub = {rec.hub: rec.label for rec in records}
+        label_of_hub = {rec.hub: rec.label for rec in pres.hub_records}
         gamma_degree = {v: gamma.degree(v) for v in gamma.vertices}
         for v in link.vertices:
             if v.level in (1, 4):
@@ -173,11 +173,11 @@ def sweep_presentations():
     renamed triangles and the two-generator I_m."""
     states4 = enumerate_oriented_states(4)
     for state in states4 + wildcard_variants(states4, 4):
-        yield build_triangular(graph_from_state(state, 4))[0]
+        yield build_triangular(graph_from_state(state, 4))
     rng = random.Random(20260)
     for _ in range(2000):
         state = tuple(rng.choice((0, 0, 1, 2, 3, 4, 5)) for _ in range(10))
-        yield build_triangular(graph_from_state(state, 5))[0]
+        yield build_triangular(graph_from_state(state, 5))
     for m, n, p in itertools.product((3, 4, 5), repeat=3):
         yield triangle_presentation(m, n, p)[0]
     for m in range(2, 8):
@@ -208,10 +208,10 @@ def test_triangular_relators_follow_the_hub_records():
             ("a", "d", 3, Orientation.FORWARD),
         ],
     )
-    pres, records = build_triangular(gamma)
+    pres = build_triangular(gamma)
     relators = [
         CyclicWord(FreeWord([(rec.hub, -1), (u, 1), (v, 1)]))
-        for rec in records
+        for rec in pres.hub_records
         for u, v in zip(rec.cycle, rec.cycle[1:] + rec.cycle[:1])
     ]
     assert pres.relators == tuple(relators)
@@ -374,19 +374,33 @@ def test_radius_two_neighborhoods_all_top_bottom_acyclic(m, n, p):
             assert link.neighborhood(v, 2).is_forest()
 
 
-# -- local pieces -----------------------------------------------------------
+# -- local pieces: the link edges of one hub's cells -------------------------
+
+
+def local_pieces(pres):
+    """The link of ``pres`` and its edge ids grouped by the hub of their
+    cell (edge ``ei`` is a corner of cell ``ei // 3``)."""
+    k = build_complex(pres)
+    link = build_link(k)
+    pieces = {}
+    for ei in range(len(link.ends)):
+        pieces.setdefault(k.cells[ei // 3][0], []).append(ei)
+    return link, list(pieces.values())
+
+
+def piece_vertex_sets(pres):
+    link, pieces = local_pieces(pres)
+    return [{link.vertices[i] for ei in idxs for i in link.ends[ei]} for idxs in pieces]
 
 
 def test_local_piece_sizes_245():
-    link = classic_link(2, 4, 5)
-    sizes = sorted(len(idxs) for idxs in link.local_pieces().values())
-    assert sizes == [6, 12, 15]
+    _, pieces = local_pieces(triangle_presentation(2, 4, 5)[0])
+    assert sorted(len(idxs) for idxs in pieces) == [6, 12, 15]
 
 
 def test_single_edge_graph_is_one_piece():
     g = DefiningGraph(("a", "b"), [("a", "b", 4, Orientation.FORWARD)])
-    link = link_of(g)
-    assert len(link.local_pieces()) == 1
+    assert len(local_pieces(build_triangular(g))[1]) == 1
 
 
 def test_star_pieces_meet_exactly_at_center_pair():
@@ -398,14 +412,8 @@ def test_star_pieces_meet_exactly_at_center_pair():
             ("c", "r", 3, Orientation.BACKWARD),
         ],
     )
-    link = link_of(g)
-    pieces = list(link.local_pieces().values())
-    vertex_sets = []
-    for idxs in pieces:
-        vs = set()
-        for i in idxs:
-            vs.update((link.edges[i].a, link.edges[i].b))
-        vertex_sets.append(vs)
+    vertex_sets = piece_vertex_sets(build_triangular(g))
+    assert len(vertex_sets) == 3
     for s1, s2 in itertools.combinations(vertex_sets, 2):
         inter = {v.bar_name for v in s1 & s2}
         assert inter == {"c", "c_bar"}
@@ -413,13 +421,8 @@ def test_star_pieces_meet_exactly_at_center_pair():
 
 def test_pieces_overlap_only_in_special_vertices():
     for m, n, p in [(3, 3, 3), (2, 4, 5)]:
-        link = classic_link(m, n, p)
-        sets = []
-        for idxs in link.local_pieces().values():
-            vs = set()
-            for i in idxs:
-                vs.update((link.edges[i].a, link.edges[i].b))
-            sets.append(vs)
+        sets = piece_vertex_sets(triangle_presentation(m, n, p)[0])
+        assert len(sets) == 3
         for s1, s2 in itertools.combinations(sets, 2):
             assert all(v.special for v in s1 & s2)
 
@@ -430,10 +433,10 @@ def test_pieces_overlap_only_in_special_vertices():
 def reversed_isomorphism_edge_set(gamma):
     """Edge set of link(reversed gamma) mapped back through the head/tail
     swap, top/bottom exchange and chain-index reversal."""
-    pres_fwd, recs_fwd = build_triangular(gamma)
+    pres_fwd = build_triangular(gamma)
     link_fwd = build_link(build_complex(pres_fwd))
     rev = gamma.reversed()
-    pres_rev, _ = build_triangular(rev)
+    pres_rev = build_triangular(rev)
     link_rev = build_link(build_complex(pres_rev))
 
     rename = {}

@@ -29,7 +29,7 @@ F, WILD = Orientation.FORWARD, Orientation.WILDCARD
 
 
 def complex_and_link(gamma):
-    pres, _ = build_triangular(gamma)
+    pres = build_triangular(gamma)
     k = build_complex(pres)
     return k, build_link(k)
 

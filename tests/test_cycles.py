@@ -25,7 +25,7 @@ from artinlink.cycles import has_short_loop
 
 
 def complex_of(gamma):
-    pres, _ = build_triangular(gamma)
+    pres = build_triangular(gamma)
     return build_complex(pres)
 
 
@@ -229,7 +229,7 @@ def test_min_angle_square_b2_is_exactly_two_pi_via_middles():
             ("u", "t", 3, Orientation.FORWARD),
         ],
     )
-    pres, _ = build_triangular(square)
+    pres = build_triangular(square)
     k = build_complex(pres)
     link = build_link(k)
     metric = assign_metric(k, link, B2)
@@ -276,7 +276,7 @@ def test_min_angle_witness_is_least_of_all_minimal_loops():
     )
 
     def b2_angled(gamma):
-        pres, _ = build_triangular(gamma)
+        pres = build_triangular(gamma)
         k = build_complex(pres)
         link = build_link(k)
         return link.with_angles(assign_metric(k, link, B2).corner_angles)

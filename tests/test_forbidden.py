@@ -32,7 +32,7 @@ F, B, WILD = Orientation.FORWARD, Orientation.BACKWARD, Orientation.WILDCARD
 
 
 def link_of(gamma):
-    pres, _ = build_triangular(gamma)
+    pres = build_triangular(gamma)
     return build_link(build_complex(pres))
 
 

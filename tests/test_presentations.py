@@ -119,7 +119,7 @@ def test_standard_triangle_relator_lengths(m, n, p):
 
 def test_triangular_single_edge_label_five():
     g = DefiningGraph(("a", "b"), [("a", "b", 5, Orientation.FORWARD)])
-    p, records = build_triangular(g)
+    p = build_triangular(g)
     h = "x_{a,b}"
     d = "d_{{a,b},I}"  # noqa: F841  (readability only)
     d3, d4, d5 = "d_{a,b,3}", "d_{a,b,4}", "d_{a,b,5}"
@@ -130,12 +130,12 @@ def test_triangular_single_edge_label_five():
         rel(f"{h}^-1 {d4} {d5}"),
         rel(f"{h}^-1 {d5} a"),
     }
-    assert records[0].cycle == ("a", "b", d3, d4, d5)
+    assert p.hub_records[0].cycle == ("a", "b", d3, d4, d5)
 
 
 def test_triangular_label_two_gives_both_orders():
     g = DefiningGraph(("a", "b"), [("a", "b", 2, Orientation.WILDCARD)])
-    p, _ = build_triangular(g)
+    p = build_triangular(g)
     h = "x_{a,b}"
     assert set(p.relators) == {rel(f"{h}^-1 a b"), rel(f"{h}^-1 b a")}
 
@@ -144,7 +144,7 @@ def test_triangular_label_two_gives_both_orders():
     "m,n,p", list(itertools.product((2, 3, 4, 5, 6), repeat=3))
 )
 def test_triangular_triangle_counts(m, n, p):
-    pres, _ = build_triangular(triangle_graph(m, n, p))
+    pres = build_triangular(triangle_graph(m, n, p))
     assert len(pres.generators) == m + n + p
     assert len(pres.relators) == m + n + p
 
@@ -173,7 +173,7 @@ def test_triangular_generator_cap_is_checked_before_building():
         return DefiningGraph(("a", "b"), [("a", "b", label, Orientation.FORWARD)])
 
     # two vertices, one hub and label - 2 chain generators
-    pres, _ = build_triangular(one_edge(MAX_GENERATORS - 1))
+    pres = build_triangular(one_edge(MAX_GENERATORS - 1))
     assert len(pres.generators) == MAX_GENERATORS
     with pytest.raises(TooManyGeneratorsError, match=f"{MAX_GENERATORS + 1} gen"):
         build_triangular(one_edge(MAX_GENERATORS))
@@ -184,7 +184,7 @@ def test_triangular_generator_cap_is_checked_before_building():
 
 def test_unique_positive_products_across_relators():
     for m, n, p in [(3, 3, 3), (2, 4, 5), (4, 5, 6)]:
-        pres, _ = build_triangular(triangle_graph(m, n, p))
+        pres = build_triangular(triangle_graph(m, n, p))
         seen = set()
         for r in pres.relators:
             rot = [lt for lt in r.letters]
@@ -231,7 +231,7 @@ def test_generator_relator_count_closed_forms():
                     for i, (a, b) in enumerate(edge_set)
                 ]
                 g = DefiningGraph(tuple(f"v{i}" for i in range(n)), edges)
-                pres, _ = build_triangular(g)
+                pres = build_triangular(g)
                 labels = [e.label for e in g.edges]
                 assert len(pres.generators) == n + len(labels) + sum(
                     m - 2 for m in labels

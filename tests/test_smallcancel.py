@@ -1,23 +1,32 @@
 import itertools
 
+import pytest
+from oracle_tools import brute_force_pieces, symmetrize
+from test_complex_link import sweep_presentations
+
 from artinlink import (
     CyclicWord,
     DefiningGraph,
     FreeWord,
     HubRecord,
+    InternalInconsistencyError,
+    NotTriangularError,
     Orientation,
     Presentation,
     build_complex,
     build_link,
     build_standard,
     build_triangular,
+    certify,
     check_conditions,
     compute_pieces,
+    curvature,
     girth,
-    symmetrize,
+    parse_gamma,
     triangle_graph,
     triangle_presentation,
 )
+from artinlink.smallcancel import CONDITION_CAP
 
 W = FreeWord.parse
 
@@ -26,6 +35,23 @@ F, WILD = Orientation.FORWARD, Orientation.WILDCARD
 
 def rel(text):
     return CyclicWord(W(text))
+
+
+def pieces_and_link(pres):
+    link = build_link(build_complex(pres))
+    return compute_pieces(pres, link), link
+
+
+def assert_matches_brute_force(pres, link, cond=None):
+    """The piece table and C value from the cells equal the oracle's."""
+    pieces, max_len, decompositions = brute_force_pieces(pres)
+    table = compute_pieces(pres, link)
+    assert (table.pieces, table.max_piece_len) == (pieces, max_len)
+    assert table.decompositions == decompositions
+    finite = [n for n in decompositions.values() if n is not None]
+    c_value = min(min(finite), CONDITION_CAP) if finite else CONDITION_CAP
+    cond = cond or check_conditions(pres, link, None)  # no girth search
+    assert cond.c_value == c_value
 
 
 def test_symmetrize_single_relator():
@@ -48,31 +74,28 @@ def test_no_triangular_relator_is_its_own_inverse():
 
 def test_pieces_of_triangular_presentations_have_length_one():
     for m, n, p in itertools.product((2, 3, 4, 5), repeat=3):
-        pres, _ = build_triangular(triangle_graph(m, n, p))
-        table = compute_pieces(pres)
+        table, _ = pieces_and_link(build_triangular(triangle_graph(m, n, p)))
         assert table.max_piece_len == 1, (m, n, p)
 
 
 def test_pieces_closed_under_inversion():
     for gamma in (triangle_graph(3, 3, 3), triangle_graph(2, 4, 5)):
-        pres, _ = build_triangular(gamma)
-        table = compute_pieces(pres)
+        table, _ = pieces_and_link(build_triangular(gamma))
         pieces = set(table.pieces)
         assert all(w.inverse() in pieces for w in pieces)
 
 
 def test_pieces_repeated_subword_unit_case():
     p = Presentation(("a", "b"), (rel("a b a b"),))
-    table = compute_pieces(p)
-    assert W("a b") in table.pieces
-    assert table.max_piece_len == 4  # the whole relator repeats at offset 2
-    assert table.decompositions[rel("a b a b")] == 1
+    pieces, max_len, decompositions = brute_force_pieces(p)
+    assert W("a b") in pieces
+    assert max_len == 4  # the whole relator repeats at offset 2
+    assert decompositions[rel("a b a b")] == 1
 
 
 def test_pieces_of_standard_presentation_are_longer():
     pres = build_standard(triangle_graph(3, 3, 3))
-    table = compute_pieces(pres)
-    assert table.max_piece_len >= 2
+    assert brute_force_pieces(pres)[1] >= 2
 
 
 def test_check_conditions_c3_t6_large_triangles():
@@ -96,6 +119,7 @@ def test_check_conditions_caps_on_pieceless_relator():
     link = build_link(build_complex(p))
     cond = check_conditions(p, link)
     assert cond == (12, 12)
+    assert_matches_brute_force(p, link, cond)
 
 
 def test_t_value_equals_girth():
@@ -117,12 +141,158 @@ def test_max_piece_len_one_for_small_graphs():
             edges.append((u, v, lab, WILD if lab == 2 else F))
         if not edges:
             continue
-        pres, _ = build_triangular(DefiningGraph(names, edges))
-        assert compute_pieces(pres).max_piece_len == 1
+        table, _ = pieces_and_link(build_triangular(DefiningGraph(names, edges)))
+        assert table.max_piece_len == 1
 
 
 def test_piece_table_text_dump_is_sorted_and_stable():
     pres, _ = triangle_presentation(2, 2, 2)
-    table = compute_pieces(pres)
-    assert table.to_text() == compute_pieces(pres).to_text()
+    table, link = pieces_and_link(pres)
+    assert table.to_text() == compute_pieces(pres, link).to_text()
     assert table.to_text().startswith("max piece length: 1")
+
+
+# -- the counts against the brute-force oracle --------------------------------
+
+
+def _grid(n):
+    lines = [f"vertex v{i}_{j}" for i in range(n) for j in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        if i + 1 < n:
+            lines.append(f"edge v{i}_{j} v{i + 1}_{j} 3")
+        if j + 1 < n:
+            lines.append(f"edge v{i}_{j} v{i}_{j + 1} 3")
+    return "\n".join(lines)
+
+
+def _complete_bipartite(n, direction):
+    lines = [f"vertex a{i}" for i in range(n)] + [f"vertex b{i}" for i in range(n)]
+    lines += [f"edge a{i} b{j} 3 {direction}" for i in range(n) for j in range(n)]
+    return "\n".join(lines)
+
+
+def _triangle(m, n, p):
+    return f"vertex a\nvertex b\nvertex c\nedge a b {m} >\nedge b c {n} >\nedge c a {p} >"
+
+
+# The certify corpus of bench/workloads.py.
+CORPUS = {
+    "grid4": _grid(4),
+    "grid8": _grid(8),
+    "grid12": _grid(12),
+    "k55": _complete_bipartite(5, "."),
+    "k88": _complete_bipartite(8, ">"),
+    "tri345": _triangle(3, 4, 5),
+    "tri50": _triangle(50, 50, 50),
+    "tri200": _triangle(200, 200, 200),
+}
+
+
+def test_pieces_match_brute_force_on_the_certify_corpus(monkeypatch):
+    seen = []
+
+    def spy(p, link, *args):
+        cond = check_conditions(p, link, *args)
+        seen.append((p, link, cond))
+        return cond
+
+    monkeypatch.setattr(curvature, "check_conditions", spy)
+    for text in CORPUS.values():
+        certify(parse_gamma(text))
+    assert len(seen) == len(CORPUS)
+    for p, link, cond in seen:
+        assert_matches_brute_force(p, link, cond)
+        assert cond.c_value == 3
+
+
+def test_pieces_match_brute_force_on_sweep_presentations():
+    cases = 0
+    for pres in sweep_presentations():
+        assert_matches_brute_force(pres, build_link(build_complex(pres)))
+        cases += 1
+    assert cases == 3097
+
+
+# Cells over the generators x, y (hubs), a, b, c (ids 0 to 4).
+HAND_BUILT = [
+    # one cell: no letter repeats, so no pieces
+    [(0, 2, 3)],
+    # a label-2 hub: every letter is a piece
+    [(0, 2, 3), (0, 3, 2)],
+    # a partial chain: x and b are pieces, a and c are not
+    [(0, 2, 3), (0, 3, 4)],
+    # a relator of pieces next to one with no piece but a
+    [(0, 2, 3), (0, 3, 2), (1, 2, 4)],
+    # y^-1 c c is 3 pieces, its c twice; x^-1 a b is none
+    [(0, 2, 3), (1, 4, 4), (1, 3, 2)],
+]
+HUBS = (
+    HubRecord("x", ("a", "b"), 2, ("a", "b")),
+    HubRecord("y", ("b", "c"), 2, ("b", "c")),
+)
+
+
+@pytest.mark.parametrize("cells", HAND_BUILT)
+def test_pieces_match_brute_force_on_hand_built_cells(cells):
+    p = Presentation.from_cells(("x", "y", "a", "b", "c"), cells, HUBS)
+    assert_matches_brute_force(p, build_link(build_complex(p)))
+
+
+@pytest.mark.parametrize(
+    "cells, max_len, fewest",
+    [
+        ([(0, 1, 2), (1, 0, 3)], 2, None),
+        ([(0, 1, 2), (0, 2, 1), (0, 1, 3)], 2, 2),
+        ([(0, 1, 2), (0, 1, 2)], 0, None),  # the oracle's set merges the copies
+    ],
+)
+def test_cells_with_longer_pieces_have_no_link(cells, max_len, fewest):
+    """The oracle finds pieces of two letters, or a relator of two
+    pieces, only where build_link refuses the cells, so the counts are
+    never asked about them."""
+    rec = HubRecord("x", ("a", "b"), 2, ("a", "b"))
+    p = Presentation.from_cells(("x", "a", "b", "c"), cells, [rec])
+    _, found_len, decompositions = brute_force_pieces(p)
+    assert found_len == max_len
+    assert min(filter(None, decompositions.values()), default=None) == fewest
+    with pytest.raises(InternalInconsistencyError):
+        build_link(build_complex(p))
+
+
+def test_conditions_need_the_presentations_own_link():
+    pres = build_triangular(triangle_graph(3, 4, 5))
+    twin = build_triangular(triangle_graph(3, 4, 5))
+    link = build_link(build_complex(twin))
+    for fn in (check_conditions, compute_pieces):
+        with pytest.raises(InternalInconsistencyError):
+            fn(pres, link)
+        with pytest.raises(NotTriangularError):
+            fn(build_standard(triangle_graph(3, 4, 5)), link)
+    unnamed = build_link(build_complex(pres)).subgraph(range(6))
+    with pytest.raises(InternalInconsistencyError):
+        check_conditions(pres, unnamed)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a word was built")
+
+
+@pytest.mark.parametrize(
+    "text, scheme",
+    [
+        pytest.param(CORPUS["grid4"], "A2", id="grid4"),
+        pytest.param(CORPUS["tri50"], "A2", id="tri50"),
+        # triangle-free, and every edge a -> b makes 4-cycle patterns
+        pytest.param(_complete_bipartite(3, ">"), "B2", id="k33"),
+    ],
+)
+def test_certify_builds_no_words(monkeypatch, text, scheme):
+    """Every word starts from one of these three constructors; the rest
+    derive new words from existing ones."""
+    monkeypatch.setattr(Presentation, "relators", property(_refuse))
+    monkeypatch.setattr(CyclicWord, "_from_cyclically_reduced", _refuse)
+    for cls in (CyclicWord, FreeWord):
+        monkeypatch.setattr(cls, "__init__", _refuse)
+    report = certify(parse_gamma(text))
+    assert report.scheme == scheme
+    assert report.small_cancellation.c_value == 3
