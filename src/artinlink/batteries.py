@@ -1,6 +1,8 @@
 """Exhaustive verification batteries behind the ``verify-lemmas`` command.
 
-Three sweeps:
+Each battery is a list of cases and a module-level predicate, run by
+one runner, :func:`_sweep`: timed, in chunks, over a process pool or in
+turn, with failing cases reported in case order for any pool size.
 
 * two-generator equivalences: replay the presentation rewriting
   symbolically for every label in a range;
@@ -12,9 +14,10 @@ Three sweeps:
   the forbidden-pattern detector fires exactly when the link has an
   embedded 4-loop.  Links are bipartite and simple, so "an embedded
   4-loop exists" is the same statement as "girth < 6"; the girth
-  routine itself is re-run on a deterministic subsample as a
-  cross-check.  A second sweep turns one edge per graph (the
-  canonically first) into a label-2 wildcard.
+  routine itself is re-run on every 97th case as a cross-check.  A
+  second sweep turns one edge per graph (the canonically first) into a
+  label-2 wildcard;
+* triangle-free B2, and seeded random spot checks of the pattern oracle.
 
 Enumeration keeps the least member of each orbit.  A labelled state
 assigns each vertex pair one of {absent, label...}; it is kept if none
@@ -71,19 +74,39 @@ class BatteryResult:
         )
 
 
-def battery_tietze(max_label: int = 50) -> BatteryResult:
+_CHUNK = 256  # cases per chunk, and per task of a pool
+
+
+def _failing(args) -> list[int]:
+    """Indices of the cases of one chunk that ``check`` rejects."""
+    check, first, chunk = args
+    return [first + i for i, case in enumerate(chunk) if not check(*case)]
+
+
+def _sweep(
+    name: str, check, cases: list[tuple], label: str, processes: int | None = None
+) -> BatteryResult:
+    """Run ``check(*case)`` on every case, in chunks mapped over a pool
+    when ``processes`` > 1.  Failing cases are reported as
+    ``label.format(*case, i=index)``, in case order."""
     start = time.perf_counter()
-    failures = []
-    for m in range(2, max_label + 1):
-        report = verify_tietze_equivalence(m)
-        if not report.ok:
-            failures.append(f"m={m}")
-    return BatteryResult(
-        "two-generator-equivalences",
-        max_label - 1,
-        failures,
-        time.perf_counter() - start,
-    )
+    chunks = [(check, i, cases[i : i + _CHUNK]) for i in range(0, len(cases), _CHUNK)]
+    if processes and processes > 1:
+        with Pool(processes) as pool:
+            results = pool.map(_failing, chunks)
+    else:
+        results = map(_failing, chunks)
+    failures = [label.format(*cases[i], i=i) for fails in results for i in fails]
+    return BatteryResult(name, len(cases), failures, time.perf_counter() - start)
+
+
+def _tietze_ok(m: int) -> bool:
+    return verify_tietze_equivalence(m).ok
+
+
+def battery_tietze(max_label: int = 50) -> BatteryResult:
+    cases = [(m,) for m in range(2, max_label + 1)]
+    return _sweep("two-generator-equivalences", _tietze_ok, cases, "m={0}")
 
 
 def middle_decomposition(link) -> tuple[int, int, bool]:
@@ -104,26 +127,17 @@ def middle_decomposition(link) -> tuple[int, int, bool]:
     return singles, chains, clean
 
 
-def battery_triangle_girth(
-    min_label: int = 3, max_label: int = 5
-) -> BatteryResult:
-    start = time.perf_counter()
-    failures = []
-    cases = 0
-    rng = range(min_label, max_label + 1)
-    for m in rng:
-        for n in rng:
-            for p in rng:
-                cases += 1
-                pres, _ = triangle_presentation(m, n, p)
-                link = build_link(build_complex(pres))
-                g, _ = girth(link)
-                singles, chains, clean = middle_decomposition(link)
-                if g != 6 or not clean or chains != 3 or singles != m + n + p - 9:
-                    failures.append(f"(m,n,p)=({m},{n},{p})")
-    return BatteryResult(
-        "triangle-girth", cases, failures, time.perf_counter() - start
-    )
+def _triangle_girth_ok(m: int, n: int, p: int) -> bool:
+    pres, _ = triangle_presentation(m, n, p)
+    link = build_link(build_complex(pres))
+    g, _ = girth(link)
+    singles, chains, clean = middle_decomposition(link)
+    return g == 6 and clean and chains == 3 and singles == m + n + p - 9
+
+
+def battery_triangle_girth(max_label: int = 5) -> BatteryResult:
+    cases = list(product(range(3, max_label + 1), repeat=3))
+    return _sweep("triangle-girth", _triangle_girth_ok, cases, "(m,n,p)=({0},{1},{2})")
 
 
 # -- canonical enumeration of small labelled graphs ----------------------
@@ -276,22 +290,16 @@ def _sorted_head_product(values, head: int, tail: int):
             yield first + rest
 
 
-def enumerate_oriented_states(
-    n: int, labels: tuple[int, ...] = (3, 4)
-) -> list[tuple[int, ...]]:
-    """Canonical representatives of oriented labelled graphs on n vertices.
+def enumerate_oriented_states(n: int) -> list[tuple[int, ...]]:
+    """Canonical representatives of oriented graphs with labels 3 and 4.
 
     States are tuples over the vertex pairs of K_n with values 0
     (absent) or an (label, direction) code.
     """
-    for lab in labels:
-        if lab not in (3, 4):
-            raise ValueError(f"unsupported sweep label {lab}")
     _, _, getters = _permutation_table(n)
     m = n * (n - 1) // 2
     out: list[tuple[int, ...]] = []
-    values = (0,) + tuple(sorted(set(labels)))
-    for und in _sorted_head_product(values, n - 1, m - (n - 1)):
+    for und in _sorted_head_product((0, 3, 4), n - 1, m - (n - 1)):
         auts = _automorphisms(und, getters)
         if auts is not None:
             out.extend(_orientations(und, auts))
@@ -341,9 +349,7 @@ def b2_case(state: tuple[int, ...], n: int):
 
     Returns (holds: bool, is_tight: bool, witness_is_4_middles: bool).
     """
-    gamma = graph_from_state(state, n)
-    pres = build_triangular(gamma)
-    k = build_complex(pres)
+    k = build_complex(build_triangular(graph_from_state(state, n)))
     link = build_link(k)
     metric = assign_metric(k, link, B2)
     angled = link.with_angles(metric.corner_angles)
@@ -360,21 +366,8 @@ def b2_case(state: tuple[int, ...], n: int):
     return holds, tight, four_middles
 
 
-def _b2_chunk(args):
-    states, n = args
-    return [f"state={state}" for state in states if not b2_case(state, n)[0]]
-
-
-def _run_chunks(chunk_fn, items: list, n: int, size: int, processes) -> list[str]:
-    """Sorted failures of ``chunk_fn`` over ``items`` in chunks of
-    ``size``, mapped over a pool when ``processes`` > 1."""
-    chunks = [(items[i : i + size], n) for i in range(0, len(items), size)]
-    if processes and processes > 1:
-        with Pool(processes) as pool:
-            results = pool.map(chunk_fn, chunks)
-    else:
-        results = [chunk_fn(c) for c in chunks]
-    return sorted(f for fails in results for f in fails)
+def _b2_ok(state: tuple[int, ...], n: int) -> bool:
+    return b2_case(state, n)[0]
 
 
 def battery_triangle_free_b2(
@@ -382,13 +375,9 @@ def battery_triangle_free_b2(
 ) -> BatteryResult:
     """The B2 metric satisfies the link condition on every triangle-free
     graph with labels in {2, 3, 4}, for every orientation."""
-    start = time.perf_counter()
     n = max_vertices
-    states = enumerate_triangle_free_oriented_states(n)
-    failures = _run_chunks(_b2_chunk, states, n, 256, processes)
-    return BatteryResult(
-        "triangle-free-b2", len(states), failures, time.perf_counter() - start
-    )
+    cases = [(state, n) for state in enumerate_triangle_free_oriented_states(n)]
+    return _sweep("triangle-free-b2", _b2_ok, cases, "state={0}", processes)
 
 
 def wildcard_variants(
@@ -435,8 +424,7 @@ def oracle_case(state: tuple[int, ...], n: int, with_girth: bool = False):
     """
     gamma = graph_from_state(state, n)
     witnesses = detect_forbidden(gamma)
-    pres = build_triangular(gamma)
-    link = build_link(build_complex(pres))
+    link = build_link(build_complex(build_triangular(gamma)))
     short = has_short_loop(link)
     ok = bool(witnesses) == short
     girth_ok = True
@@ -449,57 +437,43 @@ def oracle_case(state: tuple[int, ...], n: int, with_girth: bool = False):
 _GIRTH_SAMPLE_STRIDE = 97
 
 
-def _oracle_chunk(args):
-    states, n = args
-    failures = []
-    for idx, state in states:
-        sample = idx % _GIRTH_SAMPLE_STRIDE == 0
-        ok, _, girth_ok = oracle_case(state, n, with_girth=sample)
-        if not ok or not girth_ok:
-            failures.append(f"state={state}")
-    return failures
+def _oracle_ok(state: tuple[int, ...], n: int, with_girth: bool) -> bool:
+    ok, _, girth_ok = oracle_case(state, n, with_girth)
+    return ok and girth_ok
 
 
 def battery_pattern_oracle(
-    max_vertices: int = 5,
-    wildcard_sweep: bool = True,
-    processes: int | None = None,
+    max_vertices: int = 5, processes: int | None = None
 ) -> BatteryResult:
-    """Forbidden patterns fire exactly when the link has a 4-loop.
+    """Forbidden patterns fire exactly when the link has a 4-loop, on
+    every graph and on its wildcard variant.
 
     Graphs on fewer vertices appear as classes with isolated vertices,
     so enumerating on ``max_vertices`` covers everything below it.
     """
-    start = time.perf_counter()
     n = max_vertices
     states = enumerate_oriented_states(n)
-    wilds = wildcard_variants(states, n) if wildcard_sweep else []
-    work = list(enumerate(states + wilds))
-    failures = _run_chunks(_oracle_chunk, work, n, 512, processes)
-    name = "pattern-girth-oracle" + ("+wildcards" if wildcard_sweep else "")
-    return BatteryResult(name, len(work), failures, time.perf_counter() - start)
+    cases = [
+        (state, n, i % _GIRTH_SAMPLE_STRIDE == 0)
+        for i, state in enumerate(states + wildcard_variants(states, n))
+    ]
+    return _sweep(
+        "pattern-girth-oracle+wildcards", _oracle_ok, cases, "state={0}", processes
+    )
 
 
 def battery_random_spot_checks(
     seed: int, cases: int = 50, vertices: int = 6
 ) -> BatteryResult:
     """Seeded random graphs beyond the exhaustive range, same oracle."""
-    start = time.perf_counter()
     rng = random.Random(seed)
-    pairs = list(combinations(range(vertices), 2))
-    failures = []
-    for case in range(cases):
-        state = tuple(
-            rng.choice((0, 0, 1, 2, 3, 4)) for _ in pairs
-        )
-        ok, _, girth_ok = oracle_case(state, vertices, with_girth=True)
-        if not ok or not girth_ok:
-            failures.append(f"case {case}: state={state}")
-    return BatteryResult(
-        f"random-spot-checks(seed={seed})",
-        cases,
-        failures,
-        time.perf_counter() - start,
+    pairs = range(vertices * (vertices - 1) // 2)
+    work = [
+        (tuple(rng.choice((0, 0, 1, 2, 3, 4)) for _ in pairs), vertices, True)
+        for _ in range(cases)
+    ]
+    return _sweep(
+        f"random-spot-checks(seed={seed})", _oracle_ok, work, "case {i}: state={0}"
     )
 
 
@@ -512,8 +486,8 @@ def run_all(
 ) -> list[BatteryResult]:
     results = [
         battery_tietze(tietze_max),
-        battery_triangle_girth(3, max_label),
-        battery_pattern_oracle(max_vertices, True, processes),
+        battery_triangle_girth(max_label),
+        battery_pattern_oracle(max_vertices, processes),
         battery_triangle_free_b2(max_vertices, processes),
     ]
     if seed is not None:

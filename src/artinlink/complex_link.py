@@ -194,13 +194,21 @@ class LinkGraph:
 
     @functools.cached_property
     def vertices(self) -> tuple[LinkVertex, ...]:
+        return tuple(self._named(range(len(self.levels))))
+
+    def _named(self, ids: Iterable[int]) -> list[LinkVertex]:
+        """The vertices of ``ids``, named alone unless the whole named
+        view is already built."""
+        if "vertices" in self.__dict__:
+            return [self.vertices[i] for i in ids]
         gens = self._complex.one_cells
         special = self._complex.presentation.special_generators
         out = []
-        for i, level in enumerate(self.levels):
+        for i in ids:
             g = gens[self._by_rank[i // 2]]
-            out.append(LinkVertex(g, TAIL if i % 2 else HEAD, level, g in special))
-        return tuple(out)
+            end = TAIL if i % 2 else HEAD
+            out.append(LinkVertex(g, end, self.levels[i], g in special))
+        return out
 
     @functools.cached_property
     def edges(self) -> tuple[LinkEdge, ...]:

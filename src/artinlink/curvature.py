@@ -224,11 +224,12 @@ def certify(
     # against the link.
     witnesses = tuple(detect_forbidden(g, link))
     labels_ok = all(e.label >= 3 for e in g.edges)
+    triangle_free = g.is_triangle_free()
 
     if scheme == "auto":
         if labels_ok and not witnesses:
             chosen = A2
-        elif g.is_triangle_free():
+        elif triangle_free:
             chosen = B2
         else:
             chosen = None
@@ -253,7 +254,7 @@ def certify(
         verdict = VERDICT_NPC
         if chosen == B2:
             theorem = THEOREM_TRIANGLE_FREE
-        elif len(g.vertices) == len(g.edges) == 3 and not g.is_triangle_free():
+        elif len(g.vertices) == len(g.edges) == 3 and not triangle_free:
             theorem = THEOREM_TRIANGLE
         else:
             theorem = THEOREM_ORIENTATION

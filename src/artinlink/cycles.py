@@ -68,23 +68,36 @@ def make_loop(link: LinkGraph, vertices: list[LinkVertex]) -> EmbeddedLoop:
         raise ValueError("loop vertices must be pairwise distinct")
     if len(vertices) < 3:
         raise ValueError("a loop needs at least 3 vertices")
-    # the least rotation of either direction starts at the least vertex
-    i = vertices.index(min(vertices))
-    forward = vertices[i:] + vertices[:i]
-    canon = tuple(min(forward, forward[:1] + forward[:0:-1]))
-    idxs = []
-    for i, v in enumerate(canon):
-        w = canon[(i + 1) % len(canon)]
-        if not link.has_edge(v, w):
-            raise ValueError(f"loop step {v} - {w} is not a link edge")
-        idxs.append(link.edge_index(v, w))
-    w = link.weight
-    total = None if w is None else Fraction(sum(w[i] for i in idxs), link.angle_unit)
-    return EmbeddedLoop(canon, tuple(idxs), total)
+    canon = _canonical(vertices)
+    index = link.index
+    return _loop(link, tuple(index.get(v, -1) for v in canon), canon)  # -1: no vertex
+
+
+def _canonical(cycle) -> tuple:
+    """The least rotation of either direction: it starts at the least entry."""
+    i = cycle.index(min(cycle))
+    forward = cycle[i:] + cycle[:i]
+    return tuple(min(forward, forward[:1] + forward[:0:-1]))
 
 
 def _loop_of_ids(link: LinkGraph, ids) -> EmbeddedLoop:
-    return make_loop(link, [link.vertices[i] for i in ids])
+    # ids order as vertices do, so the canonical ids name the canonical loop
+    canon = _canonical(ids)
+    return _loop(link, canon, link._named(canon))
+
+
+def _loop(link: LinkGraph, ids: tuple[int, ...], vertices) -> EmbeddedLoop:
+    """The loop through the canonical cycle ``ids``, named ``vertices``."""
+    edge_ids = link._edge_ids
+    steps = zip(ids, ids[1:] + ids[:1])
+    idxs = [edge_ids.get((a, b) if a < b else (b, a)) for a, b in steps]
+    if None in idxs:
+        i = idxs.index(None)
+        v, w = vertices[i], vertices[(i + 1) % len(ids)]
+        raise ValueError(f"loop step {v} - {w} is not a link edge")
+    w = link.weight
+    total = None if w is None else Fraction(sum(w[i] for i in idxs), link.angle_unit)
+    return EmbeddedLoop(tuple(vertices), tuple(idxs), total)
 
 
 def has_short_loop(link: LinkGraph) -> bool:
@@ -269,16 +282,15 @@ def min_angle_cycle(
     if least <= 0:
         e = link.edges[next(ei for ei, w in enumerate(weight) if w <= 0)]
         raise UnassignedAnglesError(f"non-positive angle on edge {e.a}-{e.b}")
-    if least == max(weight):
-        _, loop = girth(link) if shortest is None else shortest
-        vertices = None if loop is None else list(loop.vertices)
+    uniform = least == max(weight)
+    if uniform and shortest is not None:
+        loop = shortest[1] and make_loop(link, list(shortest[1].vertices))
     else:
-        _, ids = _shortest_cycle(link, weight)
-        vertices = None if ids is None else [link.vertices[i] for i in ids]
-    if vertices is None:
+        _, ids = _shortest_cycle(link, None if uniform else weight)
+        loop = ids and _loop_of_ids(link, ids)
+    if loop is None:
         return None, None
-    loop = make_loop(link, vertices)  # sums this link's angles
-    return loop.angle_sum, loop
+    return loop.angle_sum, loop  # summed on this link's weights
 
 
 def enumerate_short_loops(link: LinkGraph, max_len: int) -> list[EmbeddedLoop]:

@@ -118,9 +118,7 @@ def test_acceptance_05_radius_two_neighborhoods_are_trees():
 
 def test_acceptance_06_pattern_girth_oracle_equivalence():
     start = time.perf_counter()
-    result = battery_pattern_oracle(
-        max_vertices=5, wildcard_sweep=True, processes=PROCESSES
-    )
+    result = battery_pattern_oracle(max_vertices=5, processes=PROCESSES)
     elapsed = time.perf_counter() - start
     assert result.ok, result.failures[:5]
     assert result.cases == 124_378

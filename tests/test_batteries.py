@@ -2,13 +2,23 @@
 
 import hashlib
 import itertools
+import multiprocessing
 import random
+import types
 
 import pytest
 
 from oracle_tools import least_images
 
-from artinlink import DefiningGraph, Orientation, build_complex, build_link, build_triangular
+from artinlink import (
+    DefiningGraph,
+    Orientation,
+    batteries,
+    build_complex,
+    build_link,
+    build_triangular,
+    triangle_presentation,
+)
 from artinlink.batteries import (
     battery_pattern_oracle,
     battery_random_spot_checks,
@@ -174,8 +184,8 @@ def test_middle_decomposition_rejects_stars():
 
 def test_batteries_pass_at_small_scale():
     assert battery_tietze(8).ok
-    assert battery_triangle_girth(3, 4).ok
-    assert battery_pattern_oracle(3, wildcard_sweep=True).ok
+    assert battery_triangle_girth(4).ok
+    assert battery_pattern_oracle(3).ok
     assert battery_triangle_free_b2(3).ok
     assert battery_random_spot_checks(seed=5, cases=10).ok
 
@@ -184,3 +194,111 @@ def test_battery_summary_format():
     result = battery_tietze(5)
     s = result.summary()
     assert s.startswith("PASS two-generator-equivalences: 4/4")
+
+
+# -- the failure path of the one sweep runner ---------------------------------
+
+# a pool's workers see the patched predicates only when they are forked
+POOL_SIZES = [
+    None,
+    pytest.param(
+        2,
+        marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="workers must inherit the patched module",
+        ),
+    ),
+]
+
+
+def bad_state(state):
+    return sum(state) % 5 == 1
+
+
+def test_failing_tietze_and_triangle_cases_are_reported_in_case_order(monkeypatch):
+    monkeypatch.setattr(batteries, "_CHUNK", 4)
+    monkeypatch.setattr(
+        batteries,
+        "verify_tietze_equivalence",
+        lambda m: types.SimpleNamespace(ok=m % 3 != 1),
+    )
+    result = battery_tietze(12)
+    assert (result.ok, result.cases) == (False, 11)
+    assert result.failures == ["m=4", "m=7", "m=10"]
+
+    def size(m, n, p):
+        return len(build_link(build_complex(triangle_presentation(m, n, p)[0])).nbrs)
+
+    real_girth = batteries.girth
+    target = size(3, 4, 4)
+    monkeypatch.setattr(
+        batteries,
+        "girth",
+        lambda link: (4, None) if len(link.nbrs) == target else real_girth(link),
+    )
+    result = battery_triangle_girth(5)
+    expected = [
+        f"(m,n,p)=({m},{n},{p})"
+        for m, n, p in itertools.product(range(3, 6), repeat=3)
+        if size(m, n, p) == target
+    ]
+    assert len(expected) == 6  # the orderings of (3, 3, 5) and (3, 4, 4)
+    assert (result.ok, result.cases, result.failures) == (False, 27, expected)
+
+
+@pytest.mark.parametrize("processes", POOL_SIZES)
+def test_failing_oracle_cases_are_reported_in_case_order(monkeypatch, processes):
+    monkeypatch.setattr(batteries, "_CHUNK", 7)
+    monkeypatch.setattr(
+        batteries,
+        "oracle_case",
+        lambda state, n, with_girth: (not bad_state(state), False, True),
+    )
+    states = enumerate_oriented_states(4)
+    work = states + wildcard_variants(states, 4)
+    expected = [f"state={s}" for s in work if bad_state(s)]
+    assert 20 < len(expected) < len(work)
+    result = battery_pattern_oracle(4, processes=processes)
+    assert (result.ok, result.cases, result.failures) == (False, len(work), expected)
+
+
+@pytest.mark.parametrize("processes", POOL_SIZES)
+def test_failing_b2_cases_are_reported_in_case_order(monkeypatch, processes):
+    monkeypatch.setattr(batteries, "_CHUNK", 7)
+    monkeypatch.setattr(
+        batteries, "b2_case", lambda state, n: (not bad_state(state), False, False)
+    )
+    states = enumerate_triangle_free_oriented_states(4)
+    expected = [f"state={s}" for s in states if bad_state(s)]
+    assert 0 < len(expected) < len(states)
+    result = battery_triangle_free_b2(4, processes=processes)
+    assert (result.ok, result.cases, result.failures) == (False, len(states), expected)
+
+
+def test_failing_spot_checks_are_reported_with_their_case_number(monkeypatch):
+    monkeypatch.setattr(batteries, "_CHUNK", 3)
+    seen = []
+
+    def check(state, n, with_girth):
+        assert (n, with_girth) == (6, True)
+        seen.append(state)
+        return not bad_state(state), False, True
+
+    monkeypatch.setattr(batteries, "oracle_case", check)
+    result = battery_random_spot_checks(seed=5, cases=20)
+    expected = [f"case {i}: state={s}" for i, s in enumerate(seen) if bad_state(s)]
+    assert len(seen) == 20 and expected
+    assert (result.ok, result.cases, result.failures) == (False, 20, expected)
+
+
+def test_girth_cross_check_samples_every_97th_case(monkeypatch):
+    flags = []
+
+    def record(state, n, with_girth):
+        flags.append(with_girth)
+        return True, False, True
+
+    monkeypatch.setattr(batteries, "oracle_case", record)
+    assert battery_pattern_oracle(4).ok
+    assert len(flags) == 1064
+    assert flags == [i % 97 == 0 for i in range(len(flags))]

@@ -196,6 +196,29 @@ def test_verify_lemmas_small(gamma_file, capsys):
     assert "triangle-free-b2" in out
 
 
+def test_verify_lemmas_prints_failures_and_exits_one(capsys, monkeypatch):
+    def oracle_case(state, n, with_girth):
+        return state[0] != 1, False, True
+
+    monkeypatch.setattr(batteries, "oracle_case", oracle_case)
+    states = batteries.enumerate_oriented_states(4)
+    work = states + batteries.wildcard_variants(states, 4)
+    bad = [f"state={s}" for s in work if s[0] == 1]
+    assert len(bad) > 20
+    code, out, _ = run(capsys, ["verify-lemmas", "--tietze-max", "3", "--max-label", "3"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("PASS two-generator-equivalences: 2/2 cases in ")
+    assert lines[1].startswith("PASS triangle-girth: 1/1 cases in ")
+    ok = len(work) - len(bad)
+    assert lines[2].startswith(
+        f"FAIL pattern-girth-oracle+wildcards: {ok}/{len(work)} cases in "
+    )
+    assert lines[3:23] == [f"  failed: {f}" for f in bad[:20]]
+    assert lines[23].startswith("PASS triangle-free-b2: 215/215 cases in ")
+    assert len(lines) == 24
+
+
 def test_huge_label_is_a_fast_one_line_error(gamma_file, capsys):
     path = gamma_file("vertex a\nvertex b\nedge a b 3000000 >\n")
     start = time.perf_counter()

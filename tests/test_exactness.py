@@ -135,3 +135,40 @@ def f(x: "Mapping[str, int]") -> None:
     return os
 """
     assert unused_imports(source) == ["line 3: osp", "line 4: Iterable"]
+
+
+def call_sites(source: str, callee: str) -> list[tuple[str | None, int]]:
+    """(top-level definition, line) of every call to a function named
+    ``callee``, bare or as an attribute; None outside definitions."""
+    sites = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and callee in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                sites.append((owner, node.lineno))
+    return sites
+
+
+def test_batteries_have_one_sweep_runner():
+    # one pool and one timed function: every battery goes through the
+    # same chunked case loop, and a second runner shows up here
+    source = (SRC / "batteries.py").read_text()
+    (pool,) = call_sites(source, "Pool")
+    assert pool[0] == "_sweep"
+    assert {owner for owner, _ in call_sites(source, "perf_counter")} == {"_sweep"}
+
+
+def test_runner_guard_sees_a_second_runner():
+    source = """
+import time
+from time import perf_counter
+def a():
+    return time.perf_counter()
+def b():
+    return perf_counter()
+t = time.perf_counter()
+"""
+    assert call_sites(source, "perf_counter") == [("a", 5), ("b", 7), (None, 8)]
