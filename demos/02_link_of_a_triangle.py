@@ -18,9 +18,9 @@ from artinlink import (
     triangle_presentation,
 )
 
-pres, records = triangle_presentation(2, 4, 5)
+pres = triangle_presentation(2, 4, 5)
 print("generators:", ", ".join(pres.generators))
-for rec in records:
+for rec in pres.hub_records:
     print(f"  hub {rec.hub}: chain {' -> '.join(rec.cycle)} (label {rec.label})")
 
 link = build_link(build_complex(pres))

@@ -13,7 +13,7 @@ from artinlink import build_complex, build_link, girth, triangle_presentation
 
 for labels in ((3, 3, 3), (5, 5, 5), (3, 4, 6)):
     m, n, p = labels
-    pres, _ = triangle_presentation(m, n, p)
+    pres = triangle_presentation(m, n, p)
     link = build_link(build_complex(pres))
     value, witness = girth(link)
     mid = link.middle_subgraph()
@@ -24,7 +24,7 @@ for labels in ((3, 3, 3), (5, 5, 5), (3, 4, 6)):
     print(f"  middle subgraph components (vertices, edges): {dict(shapes)}")
     print(f"  expected isolated edges: {m + n + p - 9}, 3-chains: 3")
 
-pres, _ = triangle_presentation(5, 5, 5)
+pres = triangle_presentation(5, 5, 5)
 link = build_link(build_complex(pres))
 y = link.vertex("y", "head")
 nb = link.neighborhood(y, 2)

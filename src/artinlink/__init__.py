@@ -20,6 +20,7 @@ from .complex_link import (
     VertexNotFoundError,
     build_complex,
     build_link,
+    link_of,
 )
 from .curvature import (
     A2,

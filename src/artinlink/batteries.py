@@ -37,20 +37,18 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from multiprocessing import Pool
 from operator import itemgetter
 
-from .complex_link import build_complex, build_link
-from .curvature import B2, assign_metric
-from .cycles import girth, has_short_loop, min_angle_cycle
+from .complex_link import link_of
+from .curvature import B2, assign_metric, check_link_condition
+from .cycles import girth, has_short_loop
 from .forbidden import detect_forbidden
 from .presentations import (
     DefiningGraph,
     Orientation,
-    build_triangular,
-    triangle_presentation,
+    triangle_graph,
     verify_tietze_equivalence,
 )
 
@@ -128,8 +126,8 @@ def middle_decomposition(link) -> tuple[int, int, bool]:
 
 
 def _triangle_girth_ok(m: int, n: int, p: int) -> bool:
-    pres, _ = triangle_presentation(m, n, p)
-    link = build_link(build_complex(pres))
+    # the girth and the middle counts do not depend on generator names
+    link = link_of(triangle_graph(m, n, p))
     g, _ = girth(link)
     singles, chains, clean = middle_decomposition(link)
     return g == 6 and clean and chains == 3 and singles == m + n + p - 9
@@ -349,21 +347,13 @@ def b2_case(state: tuple[int, ...], n: int):
 
     Returns (holds: bool, is_tight: bool, witness_is_4_middles: bool).
     """
-    k = build_complex(build_triangular(graph_from_state(state, n)))
-    link = build_link(k)
-    metric = assign_metric(k, link, B2)
-    angled = link.with_angles(metric.corner_angles)
-    value, witness = min_angle_cycle(angled)
+    link = link_of(graph_from_state(state, n))
+    condition = check_link_condition(link, assign_metric(link, B2))
+    value, witness = condition.min_over_pi, condition.witness
     if value is None:
         return True, False, False
-    holds = value >= Fraction(2)
-    tight = value == Fraction(2)
-    four_middles = (
-        witness is not None
-        and witness.length == 4
-        and witness.middle_edge_count(angled) == 4
-    )
-    return holds, tight, four_middles
+    four_middles = witness.length == 4 and witness.middle_edge_count(link) == 4
+    return condition.holds, value == 2, four_middles
 
 
 def _b2_ok(state: tuple[int, ...], n: int) -> bool:
@@ -424,7 +414,7 @@ def oracle_case(state: tuple[int, ...], n: int, with_girth: bool = False):
     """
     gamma = graph_from_state(state, n)
     witnesses = detect_forbidden(gamma)
-    link = build_link(build_complex(build_triangular(gamma)))
+    link = link_of(gamma)
     short = has_short_loop(link)
     ok = bool(witnesses) == short
     girth_ok = True

@@ -20,10 +20,13 @@ positions, plus hub records; its relator words are built only when
 read.  ``build_complex`` takes those cells as they are and refuses a
 presentation without them, and ``build_link`` turns each cell straight
 into the ids of its three corner edges; angles join that core as
-integer weights.  The searches read only that core.  The named view, a
-``LinkVertex`` per vertex and a ``LinkEdge`` per edge (with its 2-cell
-and corner, the hub of that 2-cell as its local piece, and an optional
-exact angle, a Fraction in units of pi), is built on first read.
+integer weights, one per edge id.  The searches read only that core.
+``link_of`` is the whole chain from a defining graph, and the link
+keeps its complex, so later stages take the link alone.  The named
+view, a ``LinkVertex`` per vertex and a ``LinkEdge`` per edge (with its
+2-cell and corner, the hub of that 2-cell as its local piece, and an
+optional exact angle, a Fraction in units of pi), is built on first
+read.
 """
 
 from __future__ import annotations
@@ -32,12 +35,12 @@ import copy
 import functools
 from collections import deque
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import repeat
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalInconsistencyError
-from .presentations import Presentation
+from .presentations import DefiningGraph, Presentation, build_triangular
 
 HEAD = "head"
 TAIL = "tail"
@@ -126,14 +129,15 @@ class LinkGraph:
 
     ``LinkGraph(vertices, edges)`` builds a graph from named parts and
     refuses an edge on an unknown vertex; :func:`build_link` builds one
-    from a complex's cells and refuses a cell on an unknown generator.
+    from a complex's cells, kept as ``complex``, and refuses a cell on
+    an unknown generator.
     Either way the core is then checked on integers: every edge joins
     adjacent levels, and no two edges join the same pair.  A named edge
     must have the kind of its lower level, and named angles, if all are
     set, become the weights.
     """
 
-    _complex = None  # set for links built from cells
+    complex: TwoComplex | None = None  # set for links built from cells
     weight: list[int] | None = None
     angle_unit = 1
 
@@ -162,7 +166,7 @@ class LinkGraph:
         2 * r + 1 (tail) belong to generator ``by_rank[r]``, and edge
         3 * c + corner to corner ``corner`` of cell ``c``."""
         link = cls.__new__(cls)
-        link._complex, link._by_rank = k, by_rank
+        link.complex, link._by_rank = k, by_rank
         link._set_core(levels, ends)
         return link
 
@@ -201,8 +205,8 @@ class LinkGraph:
         view is already built."""
         if "vertices" in self.__dict__:
             return [self.vertices[i] for i in ids]
-        gens = self._complex.one_cells
-        special = self._complex.presentation.special_generators
+        gens = self.complex.one_cells
+        special = self.complex.presentation.special_generators
         out = []
         for i in ids:
             g = gens[self._by_rank[i // 2]]
@@ -215,7 +219,7 @@ class LinkGraph:
         w, unit = self.weight, self.angle_unit
         angles = repeat(None) if w is None else [Fraction(x, unit) for x in w]
         vs, levels = self.vertices, self.levels
-        gens, cells = self._complex.one_cells, self._complex.cells
+        gens, cells = self.complex.one_cells, self.complex.cells
         return tuple(
             LinkEdge(
                 vs[a],
@@ -344,22 +348,22 @@ class LinkGraph:
 
     # -- metric ----------------------------------------------------------
 
-    def with_angles(self, angle_of: Mapping[tuple[int, int], Fraction]) -> "LinkGraph":
-        """Copy of the link with each edge given the angle of its corner,
-        held as integer weights; a link built from cells shares the rest.
-        """
-        if self._complex is None:  # named edges hold their angles
+    def with_angles(self, angles: Sequence[Fraction]) -> "LinkGraph":
+        """Copy of the link with angle ``angles[ei]`` on edge ``ei``, held
+        as integer weights; a link built from cells shares the rest."""
+        if len(angles) != len(self.ends):
+            raise ValueError(f"{len(angles)} angles for {len(self.ends)} edges")
+        if self.complex is None:  # named edges hold their angles
             return LinkGraph(
                 self.vertices,
-                (e._replace(angle=angle_of[(e.cell, e.corner)]) for e in self.edges),
+                (e._replace(angle=a) for e, a in zip(self.edges, angles)),
             )
         angled = copy.copy(self)
         angled.__dict__.pop("edges", None)
-        corners = product(range(len(self.ends) // 3), range(3))
-        angled._set_weights(list(map(angle_of.__getitem__, corners)))
+        angled._set_weights(angles)
         return angled
 
-    def _set_weights(self, angles: list[Fraction]) -> None:
+    def _set_weights(self, angles: Sequence[Fraction]) -> None:
         """Angle ``angles[ei]`` is ``weight[ei] / angle_unit`` (units of pi)."""
         unit = lcm(*{a.denominator for a in angles})
         self.weight = [a.numerator * (unit // a.denominator) for a in angles]
@@ -431,3 +435,11 @@ def build_link(k: TwoComplex) -> LinkGraph:
             f"2-cell {len(ends) // 3} uses unknown generator {exc.args[0]!r}"
         ) from None
     return LinkGraph._of_cells(k, by_rank, levels, ends)
+
+
+def link_of(gamma: DefiningGraph) -> LinkGraph:
+    """The link of the 0-cell of ``gamma``'s triangular presentation
+    complex, the one handle on a certificate: the complex is
+    ``link.complex`` and the presentation ``link.complex.presentation``.
+    """
+    return build_link(build_complex(build_triangular(gamma)))

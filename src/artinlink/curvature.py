@@ -21,16 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complex_link import LinkGraph, TwoComplex, build_complex, build_link
+from .complex_link import LinkGraph, link_of
 from .cycles import EmbeddedLoop, girth, min_angle_cycle
 from .errors import InternalInconsistencyError
 from .forbidden import ForbiddenWitness, detect_forbidden, search_orientation
-from .presentations import (
-    DefiningGraph,
-    OrientationAssignment,
-    build_triangular,
-    resolve_orientations,
-)
+from .presentations import DefiningGraph, OrientationAssignment, resolve_orientations
 from .smallcancel import SmallCancellation, check_conditions
 
 A2 = "A2"
@@ -47,19 +42,21 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 
 @dataclass(frozen=True)
 class MetricAssignment:
-    """Exact 1-cell lengths (stored squared) and corner angles (over pi)."""
+    """Exact 1-cell lengths (stored squared) and the corner angles (over
+    pi) that every 2-cell shares, by corner."""
 
     scheme: str
     one_cell_lengths_sq: dict[str, int]
-    corner_angles: dict[tuple[int, int], Fraction]
+    corner_angles: tuple[Fraction, Fraction, Fraction]
 
 
 # Squared lengths of a hub 1-cell and of every other 1-cell, per scheme.
 _LENGTHS_SQ = {A2: (1, 1), B2: (2, 1)}
 
 
-def assign_metric(k: TwoComplex, link: LinkGraph, scheme: str) -> MetricAssignment:
-    """Attach corner angles per scheme; see the module docstring.
+def assign_metric(link: LinkGraph, scheme: str) -> MetricAssignment:
+    """The metric of ``scheme`` on the complex of ``link``; see the
+    module docstring.
 
     Corner indices follow the boundary h^-1 u v: corner 0 (bottom) and
     corner 2 (top) are adjacent to the hub side, corner 1 (middle) is
@@ -79,10 +76,12 @@ def assign_metric(k: TwoComplex, link: LinkGraph, scheme: str) -> MetricAssignme
         raise InternalInconsistencyError(f"{scheme} side lengths do not fit its angles")
     if sum(corners) != 1:  # pi per triangle
         raise InternalInconsistencyError(f"{scheme} corner angles do not sum to pi")
-    hubs = k.presentation.hubs
-    lengths = {g: hub_sq if g in hubs else side_sq for g in k.presentation.generators}
-    angles = {(ci, c): a for ci in range(len(k.cells)) for c, a in enumerate(corners)}
-    return MetricAssignment(scheme, lengths, angles)
+    if link.complex is None:
+        raise InternalInconsistencyError(f"{link!r} is not built from cells")
+    p = link.complex.presentation
+    hubs = p.hubs
+    lengths = {g: hub_sq if g in hubs else side_sq for g in p.generators}
+    return MetricAssignment(scheme, lengths, corners)
 
 
 @dataclass(frozen=True)
@@ -99,11 +98,14 @@ def check_link_condition(
 ) -> LinkCondition:
     """Does every embedded loop measure at least 2*pi?  Exact comparison.
 
-    A caller that already has ``girth(link)`` passes it as ``shortest``;
-    under a metric with one angle everywhere (A2) it is the answer, so
-    the loop search does not run again.
+    Edge ``ei`` of a link built from cells is corner ``ei % 3`` of its
+    cell.  A caller that already has ``girth(link)`` passes it as
+    ``shortest``; under a metric with one angle everywhere (A2) it is
+    the answer, so the loop search does not run again.
     """
-    angled = link.with_angles(metric.corner_angles)
+    if link.complex is None:
+        raise InternalInconsistencyError(f"{link!r} is not built from cells")
+    angled = link.with_angles(metric.corner_angles * len(link.complex.cells))
     value, witness = min_angle_cycle(angled, shortest)
     holds = value is None or value >= TWO_PI
     return LinkCondition(holds, value, witness)
@@ -217,9 +219,7 @@ def certify(
             notes.append("no pattern-free orientation exists; using u->v defaults")
             g = _default_orientation(g)
 
-    p = build_triangular(g)
-    k = build_complex(p)
-    link = build_link(k)
+    link = link_of(g)
     # One detection serves the verdict and checks its witness loops
     # against the link.
     witnesses = tuple(detect_forbidden(g, link))
@@ -239,10 +239,10 @@ def certify(
         raise ValueError(f"unknown scheme {scheme!r}")
 
     girth_value, girth_loop = girth(link)
-    small = check_conditions(p, link, girth_value)
+    small = check_conditions(link, girth_value)
 
     diagnostic_scheme = chosen or A2
-    metric = assign_metric(k, link, diagnostic_scheme)
+    metric = assign_metric(link, diagnostic_scheme)
     condition = check_link_condition(link, metric, (girth_value, girth_loop))
 
     if chosen is None:

@@ -100,6 +100,17 @@ def _loop(link: LinkGraph, ids: tuple[int, ...], vertices) -> EmbeddedLoop:
     return EmbeddedLoop(tuple(vertices), tuple(idxs), total)
 
 
+def _reread(link: LinkGraph, loop: EmbeddedLoop) -> EmbeddedLoop:
+    """``loop``, found on a link with the same ids, read on ``link`` by
+    its edge ids: vertex i is the end that edges i - 1 and i share."""
+    ends, n = link.ends, len(link.ends)
+    pairs = [set(ends[ei]) if 0 <= ei < n else set() for ei in loop.edge_indices]
+    ids = tuple(min(a & b, default=-1) for a, b in zip(pairs[-1:] + pairs[:-1], pairs))
+    if -1 in ids or tuple(link._named(ids)) != loop.vertices:
+        raise ValueError(f"loop {loop} is not a closed walk of this link")
+    return _loop(link, ids, loop.vertices)
+
+
 def has_short_loop(link: LinkGraph) -> bool:
     """Whether the link has an embedded loop of length < 6.
 
@@ -284,7 +295,7 @@ def min_angle_cycle(
         raise UnassignedAnglesError(f"non-positive angle on edge {e.a}-{e.b}")
     uniform = least == max(weight)
     if uniform and shortest is not None:
-        loop = shortest[1] and make_loop(link, list(shortest[1].vertices))
+        loop = shortest[1] and _reread(link, shortest[1])
     else:
         _, ids = _shortest_cycle(link, None if uniform else weight)
         loop = ids and _loop_of_ids(link, ids)

@@ -645,11 +645,10 @@ def triangle_graph(m: int, n: int, p: int) -> DefiningGraph:
     )
 
 
-def triangle_presentation(
-    m: int, n: int, p: int
-) -> tuple[Presentation, tuple[HubRecord, ...]]:
+def triangle_presentation(m: int, n: int, p: int) -> Presentation:
     """The triangular presentation of the (m,n,p) triangle with the classic
-    generator names x, y, z for hubs and d/e/f for the chains."""
+    generator names x, y, z for hubs and d/e/f for the chains; its hub
+    records are ``hub_records``."""
     pres = build_triangular(triangle_graph(m, n, p))
     letters = {
         frozenset("ab"): ("x", "d"),
@@ -662,5 +661,4 @@ def triangle_presentation(
         mapping[rec.hub] = hub_letter
         for i, g in enumerate(rec.cycle[2:], start=3):
             mapping[g] = f"{chain_letter}{i}"
-    renamed = pres.rename(mapping)
-    return renamed, renamed.hub_records
+    return pres.rename(mapping)

@@ -8,11 +8,11 @@ as the link girth: every embedded loop in the link has at least q
 edges.  (The classical star-graph formulation of T(q) is not computed
 separately; the reported value is girth in that operational sense.)
 
-Pieces are counted from the 2-cells of a triangular presentation
-whose link has been built, never from words.  A cell (h, u, v) stands
-for h^-1 u v and its inverse v^-1 u^-1 h, so the symmetrized set has
-exactly 6 positions per cell: cells are distinct (two equal cells are
-parallel link edges), and no length-3 relator with one inverted letter
+Pieces are counted from the 2-cells of the complex a link was built
+from, never from words.  A cell (h, u, v) stands for h^-1 u v and its
+inverse v^-1 u^-1 h, so the symmetrized set has exactly 6 positions
+per cell: cells are distinct (two equal cells are parallel link
+edges), and no length-3 relator with one inverted letter
 is a proper power or the inverse of another.  A length-2 subword l1 l2
 is a corner of a cell, naming the link edge from the terminal end of
 l1 to the initial end of l2; read backwards it is another word,
@@ -31,10 +31,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from .complex_link import LinkGraph, NotTriangularError
-from .cycles import girth
+from .complex_link import LinkGraph, TwoComplex
 from .errors import InternalInconsistencyError
-from .presentations import Presentation
 from .words import CyclicWord, FreeWord
 
 CONDITION_CAP = 12
@@ -56,30 +54,30 @@ class PieceTable:
         return "\n".join(lines) + "\n"
 
 
-def _occurrences(p: Presentation, link: LinkGraph) -> Counter:
-    """How often each generator id occurs among the cells of ``p``.
+def _occurrences(link: LinkGraph) -> tuple[TwoComplex, Counter]:
+    """The complex of ``link`` and how often each generator id occurs
+    among its cells.
 
-    ``link`` must be built from ``p``'s cells, so that its parallel-edge
-    check has ruled out pieces longer than one letter.
+    ``link`` must be built from cells, so that its parallel-edge check
+    has ruled out pieces longer than one letter.
     """
-    if p.cells is None:
-        raise NotTriangularError(f"{p!r} has no triangular 2-cells")
-    if link._complex is None or link._complex.presentation is not p:
-        raise InternalInconsistencyError(f"{link!r} is not the link of {p!r}")
-    return Counter(chain.from_iterable(p.cells))
+    k = link.complex
+    if k is None:
+        raise InternalInconsistencyError(f"{link!r} is not built from cells")
+    return k, Counter(chain.from_iterable(k.cells))
 
 
-def compute_pieces(p: Presentation, link: LinkGraph) -> PieceTable:
-    """The pieces of ``p``, sorted, and per relator the fewest pieces
-    it is a product of (None if it is none)."""
-    occ = _occurrences(p, link)
-    gens = p.generators
+def compute_pieces(link: LinkGraph) -> PieceTable:
+    """The pieces of the presentation of ``link``, sorted, and per
+    relator the fewest pieces it is a product of (None if it is none)."""
+    k, occ = _occurrences(link)
+    gens = k.one_cells
     pieces = sorted(
         FreeWord([(gens[g], e)]) for g, n in occ.items() if n > 1 for e in (1, -1)
     )
     decompositions = {
         r: 3 if all(occ[g] > 1 for g in cell) else None
-        for r, cell in zip(p.relators, p.cells)
+        for r, cell in zip(k.presentation.relators, k.cells)
     }
     return PieceTable(tuple(pieces), 1 if pieces else 0, decompositions)
 
@@ -97,25 +95,18 @@ class SmallCancellation(NamedTuple):
         return self.t_value >= 6
 
 
-_UNKNOWN = object()
+def check_conditions(link: LinkGraph, link_girth: int | None) -> SmallCancellation:
+    """Largest C(p) and T(q) (both capped at 12) for the triangular
+    presentation whose cells ``link`` was built from, and the link's
+    girth ``girth(link)[0]`` (None for a forest).
 
-
-def check_conditions(
-    p: Presentation, link: LinkGraph, link_girth: int | None | object = _UNKNOWN
-) -> SmallCancellation:
-    """Largest C(p) and T(q) (both capped at 12) for a triangular
-    presentation and the link built from its cells.
-
-    A caller that already has ``girth(link)[0]`` (None for a forest)
-    passes it as ``link_girth`` to save a second search.  Raises
-    :class:`NotTriangularError` for a presentation without cells and
-    :class:`InternalInconsistencyError` for a link not built from them.
+    Raises :class:`InternalInconsistencyError` for a link not built from
+    cells.
     """
-    occ = _occurrences(p, link)
+    k, occ = _occurrences(link)
     # A relator of three pieces bounds C(p) by 3; one with a letter that
     # is no piece is no product of pieces and bounds nothing.
-    splits = any(occ[h] > 1 and occ[u] > 1 and occ[v] > 1 for h, u, v in p.cells)
+    splits = any(occ[h] > 1 and occ[u] > 1 and occ[v] > 1 for h, u, v in k.cells)
     c_value = 3 if splits else CONDITION_CAP
-    g = girth(link)[0] if link_girth is _UNKNOWN else link_girth
-    t_value = CONDITION_CAP if g is None else min(g, CONDITION_CAP)
+    t_value = CONDITION_CAP if link_girth is None else min(link_girth, CONDITION_CAP)
     return SmallCancellation(c_value, t_value)

@@ -23,7 +23,7 @@ from artinlink import (
     detect_forbidden,
     enumerate_short_loops,
     girth,
-    min_angle_cycle,
+    link_of,
     orient_from_rotation_system,
     resolve_orientations,
     triangle_graph,
@@ -40,8 +40,7 @@ PROCESSES = 2
 
 
 def classic_link(m, n, p):
-    pres, _ = triangle_presentation(m, n, p)
-    return build_link(build_complex(pres))
+    return build_link(build_complex(triangle_presentation(m, n, p)))
 
 
 def test_acceptance_01_two_generator_equivalences():
@@ -146,14 +145,12 @@ def test_acceptance_07_triangle_free_b2_at_desk_scale():
             ("u", "t", 3, Orientation.FORWARD),
         ],
     )
-    pres = build_triangular(square)
-    k = build_complex(pres)
-    link = build_link(k)
-    angled = link.with_angles(assign_metric(k, link, B2).corner_angles)
-    value, witness = min_angle_cycle(angled)
+    link = link_of(square)
+    res = check_link_condition(link, assign_metric(link, B2))
+    value, witness = res.min_over_pi, res.witness
     assert value == Fraction(2)
     assert witness.length == 4
-    assert witness.middle_edge_count(angled) == 4
+    assert witness.middle_edge_count(link) == 4
     print(
         f"ACCEPTANCE 07 PASS: B2 minimum is >= 2*pi on {result.cases} "
         f"triangle-free classes in {elapsed:.1f}s; alternating square is "
@@ -163,13 +160,11 @@ def test_acceptance_07_triangle_free_b2_at_desk_scale():
 
 def test_acceptance_08_small_cancellation_conditions():
     for m, n, p in itertools.product((3, 4, 5, 6), repeat=3):
-        pres, _ = triangle_presentation(m, n, p)
-        link = build_link(build_complex(pres))
-        cond = check_conditions(pres, link)
+        link = classic_link(m, n, p)
+        cond = check_conditions(link, girth(link)[0])
         assert (cond.c_value, cond.t_value) == (3, 6), (m, n, p)
-    pres, _ = triangle_presentation(2, 4, 5)
-    link = build_link(build_complex(pres))
-    cond = check_conditions(pres, link)
+    link = classic_link(2, 4, 5)
+    cond = check_conditions(link, girth(link)[0])
     assert (cond.c_value, cond.t_value) == (3, 4)
     print("ACCEPTANCE 08 PASS: C(3)-T(6) on the 64 large triangles and "
           "C(3)-T(4) on the 2,4,5 triangle")
@@ -219,10 +214,8 @@ def test_acceptance_10_exactness_of_angle_arithmetic():
             return True
 
         assert no_floats(payload)
-    pres, _ = triangle_presentation(3, 3, 3)
-    k = build_complex(pres)
-    link = build_link(k)
-    res = check_link_condition(link, assign_metric(k, link, B2))
+    link = classic_link(3, 3, 3)
+    res = check_link_condition(link, assign_metric(link, B2))
     assert isinstance(res.min_over_pi, Fraction)
     assert checks == ["2", "4/3"]
     print("ACCEPTANCE 10 PASS: every reported angle is an exact rational "

@@ -5,6 +5,7 @@ import itertools
 import multiprocessing
 import random
 import types
+from collections import Counter
 
 import pytest
 
@@ -14,10 +15,8 @@ from artinlink import (
     DefiningGraph,
     Orientation,
     batteries,
-    build_complex,
-    build_link,
-    build_triangular,
-    triangle_presentation,
+    link_of,
+    triangle_graph,
 )
 from artinlink.batteries import (
     battery_pattern_oracle,
@@ -177,7 +176,7 @@ def test_middle_decomposition_rejects_stars():
          ("c", "q", 3, Orientation.FORWARD),
          ("c", "r", 3, Orientation.FORWARD)],
     )
-    link = build_link(build_complex(build_triangular(g)))
+    link = link_of(g)
     singles, chains, clean = middle_decomposition(link)
     assert not clean and chains == 0
 
@@ -227,7 +226,7 @@ def test_failing_tietze_and_triangle_cases_are_reported_in_case_order(monkeypatc
     assert result.failures == ["m=4", "m=7", "m=10"]
 
     def size(m, n, p):
-        return len(build_link(build_complex(triangle_presentation(m, n, p)[0])).nbrs)
+        return len(link_of(triangle_graph(m, n, p)).nbrs)
 
     real_girth = batteries.girth
     target = size(3, 4, 4)
@@ -260,6 +259,21 @@ def test_failing_oracle_cases_are_reported_in_case_order(monkeypatch, processes)
     assert 20 < len(expected) < len(work)
     result = battery_pattern_oracle(4, processes=processes)
     assert (result.ok, result.cases, result.failures) == (False, len(work), expected)
+
+
+def test_b2_case_outcomes_on_four_vertices():
+    """(holds, tight, witness is four middles) over the 215 triangle-free
+    classes: the 2*pi bound is met by every class with a loop, and by
+    a loop of four middle edges in 27 of them."""
+    outcomes = Counter(
+        batteries.b2_case(state, 4)
+        for state in enumerate_triangle_free_oriented_states(4)
+    )
+    assert outcomes == {
+        (True, True, False): 187,
+        (True, True, True): 27,
+        (True, False, False): 1,  # no edges, so no loop
+    }
 
 
 @pytest.mark.parametrize("processes", POOL_SIZES)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from artinlink import batteries
+from artinlink import batteries, cli
 from artinlink.cli import main
 
 TRIANGLE_333 = """\
@@ -159,6 +159,10 @@ def test_pieces_json(gamma_file, capsys):
         ("--max-label", "1"),
         ("--max-label", "2"),
         ("--tietze-max", "1"),
+        # one above the measured bounds: never run, the battery would
+        # take over a minute
+        ("--max-label", str(cli.MAX_TRIANGLE_LABEL + 1)),
+        ("--tietze-max", str(cli.MAX_TIETZE_LABEL + 1)),
         ("--processes", "-4"),
         ("--processes", "0"),
         ("--processes", str(os.cpu_count() + 1)),
@@ -177,6 +181,20 @@ def test_verify_lemmas_flag_out_of_range_is_a_one_line_error(
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err and value in err
+
+
+def test_verify_lemmas_accepts_each_bound(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(batteries, "run_all", lambda **kw: seen.append(kw) or [])
+    argv = [
+        "verify-lemmas",
+        "--max-label", str(cli.MAX_TRIANGLE_LABEL),
+        "--tietze-max", str(cli.MAX_TIETZE_LABEL),
+    ]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (0, "all batteries passed\n", "")
+    assert seen[0]["max_label"] == cli.MAX_TRIANGLE_LABEL
+    assert seen[0]["tietze_max"] == cli.MAX_TIETZE_LABEL
 
 
 def test_verify_lemmas_small(gamma_file, capsys):

@@ -19,6 +19,7 @@ from artinlink import (
     build_standard,
     build_triangular,
     build_two_generator_family,
+    link_of,
     triangle_graph,
     triangle_presentation,
 )
@@ -31,14 +32,8 @@ from artinlink.presentations import HubRecord, chain_name, hub_name
 from artinlink.words import CyclicWord, FreeWord
 
 
-def link_of(gamma):
-    pres = build_triangular(gamma)
-    return build_link(build_complex(pres))
-
-
 def classic_link(m, n, p):
-    pres, _ = triangle_presentation(m, n, p)
-    return build_link(build_complex(pres))
+    return build_link(build_complex(triangle_presentation(m, n, p)))
 
 
 # -- the complex ---------------------------------------------------------
@@ -46,7 +41,7 @@ def classic_link(m, n, p):
 
 @pytest.mark.parametrize("m,n,p", [(3, 3, 3), (2, 4, 5), (4, 5, 6)])
 def test_complex_cell_counts(m, n, p):
-    pres, _ = triangle_presentation(m, n, p)
+    pres = triangle_presentation(m, n, p)
     k = build_complex(pres)
     assert k.zero_cells == 1
     assert len(k.one_cells) == m + n + p
@@ -138,8 +133,8 @@ def test_link_contains_the_two_example_paths():
 
 def test_vertex_and_edge_counts():
     for m, n, p in itertools.product((2, 3, 5), repeat=3):
-        pres = build_triangular(triangle_graph(m, n, p))
-        link = build_link(build_complex(pres))
+        link = link_of(triangle_graph(m, n, p))
+        pres = link.complex.presentation
         assert len(link.vertices) == 2 * len(pres.generators)
         assert len(link.edges) == 3 * len(pres.relators)
 
@@ -153,8 +148,8 @@ def test_bipartite_by_levels():
 def test_degree_laws():
     for m, n, p in [(3, 3, 3), (2, 4, 5), (4, 5, 6)]:
         gamma = triangle_graph(m, n, p)
-        pres = build_triangular(gamma)
-        link = build_link(build_complex(pres))
+        link = link_of(gamma)
+        pres = link.complex.presentation
         label_of_hub = {rec.hub: rec.label for rec in pres.hub_records}
         gamma_degree = {v: gamma.degree(v) for v in gamma.vertices}
         for v in link.vertices:
@@ -179,7 +174,7 @@ def sweep_presentations():
         state = tuple(rng.choice((0, 0, 1, 2, 3, 4, 5)) for _ in range(10))
         yield build_triangular(graph_from_state(state, 5))
     for m, n, p in itertools.product((3, 4, 5), repeat=3):
-        yield triangle_presentation(m, n, p)[0]
+        yield triangle_presentation(m, n, p)
     for m in range(2, 8):
         yield build_two_generator_family(m)[2]
 
@@ -277,7 +272,7 @@ def test_unknown_vertices_and_level_skips_are_rejected():
         LinkGraph([a], [LinkEdge(a, b, "middle", 0, 1, "x")])
     with pytest.raises(InternalInconsistencyError):
         LinkGraph([a, x], [LinkEdge(a, x, "middle", 0, 1, "x")])
-    pres, _ = triangle_presentation(3, 3, 3)
+    pres = triangle_presentation(3, 3, 3)
     for cell in ((0, 1, 99), (-1, 0, 1)):
         with pytest.raises(InternalInconsistencyError):
             build_link(TwoComplex(pres, [cell]))
@@ -394,7 +389,7 @@ def piece_vertex_sets(pres):
 
 
 def test_local_piece_sizes_245():
-    _, pieces = local_pieces(triangle_presentation(2, 4, 5)[0])
+    _, pieces = local_pieces(triangle_presentation(2, 4, 5))
     assert sorted(len(idxs) for idxs in pieces) == [6, 12, 15]
 
 
@@ -421,7 +416,7 @@ def test_star_pieces_meet_exactly_at_center_pair():
 
 def test_pieces_overlap_only_in_special_vertices():
     for m, n, p in [(3, 3, 3), (2, 4, 5)]:
-        sets = piece_vertex_sets(triangle_presentation(m, n, p)[0])
+        sets = piece_vertex_sets(triangle_presentation(m, n, p))
         assert len(sets) == 3
         for s1, s2 in itertools.combinations(sets, 2):
             assert all(v.special for v in s1 & s2)
@@ -433,11 +428,8 @@ def test_pieces_overlap_only_in_special_vertices():
 def reversed_isomorphism_edge_set(gamma):
     """Edge set of link(reversed gamma) mapped back through the head/tail
     swap, top/bottom exchange and chain-index reversal."""
-    pres_fwd = build_triangular(gamma)
-    link_fwd = build_link(build_complex(pres_fwd))
-    rev = gamma.reversed()
-    pres_rev = build_triangular(rev)
-    link_rev = build_link(build_complex(pres_rev))
+    link_fwd = link_of(gamma)
+    link_rev = link_of(gamma.reversed())
 
     rename = {}
     for e in gamma.edges:

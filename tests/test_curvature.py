@@ -9,12 +9,10 @@ from artinlink import (
     Orientation,
     OrientationAssignment,
     assign_metric,
-    build_complex,
-    build_link,
-    build_triangular,
     certify,
     check_link_condition,
     girth,
+    link_of,
     triangle_graph,
 )
 from artinlink.curvature import (
@@ -26,12 +24,6 @@ from artinlink.curvature import (
 )
 
 F, WILD = Orientation.FORWARD, Orientation.WILDCARD
-
-
-def complex_and_link(gamma):
-    pres = build_triangular(gamma)
-    k = build_complex(pres)
-    return k, build_link(k)
 
 
 def alternating_square(labels=(3, 3, 3, 3)):
@@ -55,20 +47,19 @@ def alternating_square(labels=(3, 3, 3, 3)):
 
 
 def test_a2_all_angles_third_of_pi():
-    k, link = complex_and_link(triangle_graph(3, 4, 5))
-    metric = assign_metric(k, link, A2)
-    assert all(a == Fraction(1, 3) for a in metric.corner_angles.values())
+    metric = assign_metric(link_of(triangle_graph(3, 4, 5)), A2)
+    assert metric.corner_angles == (Fraction(1, 3),) * 3
     assert all(s == 1 for s in metric.one_cell_lengths_sq.values())
 
 
 def test_b2_angles_and_lengths_single_edge_label_four():
     g = DefiningGraph(("a", "b"), [("a", "b", 4, F)])
-    k, link = complex_and_link(g)
-    metric = assign_metric(k, link, B2)
+    link = link_of(g)
+    metric = assign_metric(link, B2)
     hub = "x_{a,b}"
     assert metric.one_cell_lengths_sq[hub] == 2  # length sqrt(2)
     assert metric.one_cell_lengths_sq["a"] == 1
-    angled = link.with_angles(metric.corner_angles)
+    angled = link.with_angles(metric.corner_angles * len(link.complex.cells))
     middle = [e for e in angled.edges if e.kind == "middle"]
     extreme = [e for e in angled.edges if e.kind != "middle"]
     assert len(middle) == 4 and all(e.angle == Fraction(1, 2) for e in middle)
@@ -76,10 +67,9 @@ def test_b2_angles_and_lengths_single_edge_label_four():
 
 
 def test_b2_triangle_angle_sums():
-    k, link = complex_and_link(triangle_graph(3, 3, 3))
-    metric = assign_metric(k, link, B2)
-    for ci in range(len(k.cells)):
-        assert sum(metric.corner_angles[(ci, c)] for c in range(3)) == 1
+    metric = assign_metric(link_of(triangle_graph(3, 3, 3)), B2)
+    assert metric.corner_angles == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+    assert sum(metric.corner_angles) == 1
 
 
 def test_angle_sums_are_checked_without_assert(monkeypatch):
@@ -87,12 +77,12 @@ def test_angle_sums_are_checked_without_assert(monkeypatch):
 
     from artinlink import InternalInconsistencyError, curvature
 
-    k, link = complex_and_link(triangle_graph(3, 3, 3))
+    link = link_of(triangle_graph(3, 3, 3))
     # corners of pi/4 sum to 3*pi/4; the check must not be a bare assert,
     # which python -O strips
     monkeypatch.setattr(curvature, "Fraction", lambda n, d: Fraction(1, 4))
     with pytest.raises(InternalInconsistencyError, match="do not sum to pi"):
-        assign_metric(k, link, A2)
+        assign_metric(link, A2)
 
 
 def test_corner_angles_must_fit_the_side_lengths(monkeypatch):
@@ -100,42 +90,53 @@ def test_corner_angles_must_fit_the_side_lengths(monkeypatch):
 
     from artinlink import InternalInconsistencyError, curvature
 
-    k, link = complex_and_link(alternating_square((2, 2, 2, 2)))
+    link = link_of(alternating_square((2, 2, 2, 2)))
     # (hub^2, other^2) per scheme: a hub side of length 1 would make the
     # B2 cell equilateral, and one of length sqrt(3) its middle corner
     # obtuse; a hub side of length sqrt(2) is no equilateral A2 cell
     for scheme, lengths_sq in ((B2, (1, 1)), (B2, (3, 1)), (A2, (2, 1))):
         monkeypatch.setitem(curvature._LENGTHS_SQ, scheme, lengths_sq)
         with pytest.raises(InternalInconsistencyError, match="do not fit"):
-            assign_metric(k, link, scheme)
+            assign_metric(link, scheme)
     monkeypatch.setitem(curvature._LENGTHS_SQ, B2, (4, 2))  # B2 scaled by sqrt(2)
-    assert assign_metric(k, link, B2).one_cell_lengths_sq["u"] == 2
+    assert assign_metric(link, B2).one_cell_lengths_sq["u"] == 2
+
+
+def test_metric_needs_a_link_built_from_cells():
+    import pytest
+
+    from artinlink import InternalInconsistencyError
+
+    link = link_of(triangle_graph(3, 3, 3))
+    part = link.middle_subgraph()
+    with pytest.raises(InternalInconsistencyError, match="not built from cells"):
+        assign_metric(part, A2)
+    with pytest.raises(InternalInconsistencyError, match="not built from cells"):
+        check_link_condition(part, assign_metric(link, A2))
 
 
 # -- link condition --------------------------------------------------------
 
 
 def test_link_condition_holds_for_333_a2():
-    k, link = complex_and_link(triangle_graph(3, 3, 3))
-    res = check_link_condition(link, assign_metric(k, link, A2))
+    link = link_of(triangle_graph(3, 3, 3))
+    res = check_link_condition(link, assign_metric(link, A2))
     assert res.holds and res.min_over_pi == Fraction(2)
 
 
 def test_link_condition_fails_for_245_a2():
-    k, link = complex_and_link(triangle_graph(2, 4, 5))
-    res = check_link_condition(link, assign_metric(k, link, A2))
+    link = link_of(triangle_graph(2, 4, 5))
+    res = check_link_condition(link, assign_metric(link, A2))
     assert not res.holds
     assert res.min_over_pi == Fraction(4, 3)
     assert res.witness.length == 4
 
 
 def test_link_condition_square_b2_tight():
-    k, link = complex_and_link(alternating_square())
-    metric = assign_metric(k, link, B2)
-    res = check_link_condition(link, metric)
+    link = link_of(alternating_square())
+    res = check_link_condition(link, assign_metric(link, B2))
     assert res.holds and res.min_over_pi == Fraction(2)
-    angled = link.with_angles(metric.corner_angles)
-    assert res.witness.middle_edge_count(angled) == 4
+    assert res.witness.middle_edge_count(link) == 4
 
 
 # -- certification -----------------------------------------------------------
@@ -283,8 +284,8 @@ def test_a2_condition_iff_girth_at_least_six():
         DefiningGraph(("a", "b"), [("a", "b", 5, F)]),
     ]
     for g in graphs:
-        k, link = complex_and_link(g)
-        res = check_link_condition(link, assign_metric(k, link, A2))
+        link = link_of(g)
+        res = check_link_condition(link, assign_metric(link, A2))
         gv, _ = girth(link)
         assert res.holds == (gv is None or gv >= 6)
 
@@ -312,9 +313,8 @@ def triangle_free_graphs_up_to_four(labels=(2, 3, 4)):
 def test_b2_theorem_mechanized_up_to_four_vertices():
     seen = 0
     for g in triangle_free_graphs_up_to_four(labels=(2, 3)):
-        k, link = complex_and_link(g)
-        metric = assign_metric(k, link, B2)
-        res = check_link_condition(link, metric)
+        link = link_of(g)
+        res = check_link_condition(link, assign_metric(link, B2))
         assert res.holds, f"B2 link condition failed on {g.edges}"
         seen += 1
     assert seen > 100
@@ -333,9 +333,9 @@ def test_b2_loop_structure_sub_checks():
         ),
     ]:
         assert g.is_triangle_free()
-        k, link = complex_and_link(g)
-        metric = assign_metric(k, link, B2)
-        angled = link.with_angles(metric.corner_angles)
+        link = link_of(g)
+        corners = assign_metric(link, B2).corner_angles
+        angled = link.with_angles(corners * len(link.complex.cells))
         for lp in enumerate_short_loops(angled, 6):
             middles = lp.middle_edge_count(angled)
             if lp.length == 4:

@@ -14,9 +14,9 @@ from artinlink import (
     assign_metric,
     build_complex,
     build_link,
-    build_triangular,
     enumerate_short_loops,
     girth,
+    link_of,
     make_loop,
     min_angle_cycle,
     triangle_presentation,
@@ -24,27 +24,19 @@ from artinlink import (
 from artinlink.cycles import has_short_loop
 
 
-def complex_of(gamma):
-    pres = build_triangular(gamma)
-    return build_complex(pres)
-
-
-def triangle_complex(m, n, p):
-    pres, _ = triangle_presentation(m, n, p)
-    return build_complex(pres)
-
-
-def link_of(gamma):
-    return build_link(complex_of(gamma))
-
-
 def classic_link(m, n, p):
-    return build_link(triangle_complex(m, n, p))
+    return build_link(build_complex(triangle_presentation(m, n, p)))
 
 
 def a2_link(link):
-    angles = {(e.cell, e.corner): Fraction(1, 3) for e in link.edges}
-    return link.with_angles(angles)
+    return link.with_angles([Fraction(1, 3)] * len(link.ends))
+
+
+def metric_link(link, scheme):
+    """``link`` with the corner angles of ``scheme``'s metric: edge
+    ``ei`` is corner ``ei % 3`` of its cell."""
+    corners = assign_metric(link, scheme).corner_angles
+    return link.with_angles(corners * len(link.complex.cells))
 
 
 # -- girth ---------------------------------------------------------------
@@ -81,14 +73,14 @@ def test_girth_none_for_forest():
     assert girth(tree) == (None, None)
 
 
-def assorted_complexes():
-    yield complex_of(DefiningGraph(("a", "b"), [("a", "b", 2, Orientation.WILDCARD)]))
-    yield complex_of(DefiningGraph(("a", "b"), [("a", "b", 5, Orientation.FORWARD)]))
-    yield triangle_complex(2, 4, 5)
-    yield triangle_complex(3, 3, 3)
-    yield triangle_complex(2, 2, 2)
+def assorted_links():
+    yield link_of(DefiningGraph(("a", "b"), [("a", "b", 2, Orientation.WILDCARD)]))
+    yield link_of(DefiningGraph(("a", "b"), [("a", "b", 5, Orientation.FORWARD)]))
+    yield classic_link(2, 4, 5)
+    yield classic_link(3, 3, 3)
+    yield classic_link(2, 2, 2)
     # a transitive (pattern-carrying) triangle
-    yield complex_of(
+    yield link_of(
         DefiningGraph(
             ("a", "b", "c"),
             [
@@ -99,7 +91,7 @@ def assorted_complexes():
         )
     )
     # square with alternating orientation
-    yield complex_of(
+    yield link_of(
         DefiningGraph(
             ("u", "v", "w", "t"),
             [
@@ -110,10 +102,6 @@ def assorted_complexes():
             ],
         )
     )
-
-
-def assorted_links():
-    return map(build_link, assorted_complexes())
 
 
 def test_girth_matches_brute_force_enumeration():
@@ -206,9 +194,7 @@ def test_min_angle_uniform_is_theta_times_girth(monkeypatch):
     forest = link.neighborhood(link.vertex("y", "head"), 2)
     for link in [*assorted_links(), forest]:
         theta = Fraction(2, 7)
-        uniform = link.with_angles(
-            {(e.cell, e.corner): theta for e in link.edges}
-        )
+        uniform = link.with_angles([theta] * len(link.ends))
         g, girth_loop = girth(link)
         value, witness = min_angle_cycle(uniform)
         assert min_angle_cycle(uniform, (g, girth_loop)) == (value, witness)
@@ -229,11 +215,7 @@ def test_min_angle_square_b2_is_exactly_two_pi_via_middles():
             ("u", "t", 3, Orientation.FORWARD),
         ],
     )
-    pres = build_triangular(square)
-    k = build_complex(pres)
-    link = build_link(k)
-    metric = assign_metric(k, link, B2)
-    angled_link = link.with_angles(metric.corner_angles)
+    angled_link = metric_link(link_of(square), B2)
     value, witness = min_angle_cycle(angled_link)
     assert value == Fraction(2)
     assert witness.length == 4
@@ -249,12 +231,7 @@ def test_min_angle_matches_brute_force_under_b2():
     from oracle_tools import dfs_min_angle
 
     for link in assorted_links():
-        k_angles = {}
-        for e in link.edges:
-            k_angles[(e.cell, e.corner)] = (
-                Fraction(1, 2) if e.corner == 1 else Fraction(1, 4)
-            )
-        angled = link.with_angles(k_angles)
+        angled = metric_link(link, B2)
         value, witness = min_angle_cycle(angled)
         oracle = dfs_min_angle(angled, max_len=12)
         # the DFS bound is exact here: any 13-edge cycle weighs > 13/4,
@@ -275,14 +252,8 @@ def test_min_angle_witness_is_least_of_all_minimal_loops():
         graph_from_state,
     )
 
-    def b2_angled(gamma):
-        pres = build_triangular(gamma)
-        k = build_complex(pres)
-        link = build_link(k)
-        return link.with_angles(assign_metric(k, link, B2).corner_angles)
-
     angled_links = [
-        b2_angled(graph_from_state(state, 4))
+        metric_link(link_of(graph_from_state(state, 4)), B2)
         for state in enumerate_triangle_free_oriented_states(4)
     ] + [a2_link(link) for link in assorted_links()]
     with_loops = 0
@@ -305,8 +276,7 @@ def test_min_angle_on_a_link_that_is_one_loop():
     # possible: (total weight, vertex count)
     link = next(assorted_links())
     assert (len(link.vertices), len(link.edges), girth(link)[0]) == (6, 6, 6)
-    angles = {(e.cell, e.corner): Fraction(1, 4) for e in link.edges}
-    angles[(link.edges[0].cell, link.edges[0].corner)] = Fraction(1, 2)
+    angles = [Fraction(1, 2)] + [Fraction(1, 4)] * (len(link.ends) - 1)
     value, witness = min_angle_cycle(link.with_angles(angles))
     assert (value, witness.length) == (Fraction(7, 4), 6)
 
@@ -319,7 +289,7 @@ def assert_weights_are_the_angles(angled, angle_of):
     assert len(angled.weight) == len(angled.ends)
     for ei, e in enumerate(angled.edges):
         exact = Fraction(angled.weight[ei], angled.angle_unit)
-        assert exact == e.angle == angle_of[(e.cell, e.corner)]
+        assert exact == e.angle == angle_of[ei]
 
 
 def test_min_angle_matches_oracle_under_random_angles():
@@ -342,9 +312,7 @@ def test_min_angle_matches_oracle_under_random_angles():
     weighted = 0
     for _ in range(3):
         for link in links:
-            angle_of = {
-                (e.cell, e.corner): rng.choice(RANDOM_ANGLES) for e in link.edges
-            }
+            angle_of = [rng.choice(RANDOM_ANGLES) for _ in link.ends]
             angled = link.with_angles(angle_of)
             assert_weights_are_the_angles(angled, angle_of)
             value, witness = min_angle_cycle(angled)
@@ -363,11 +331,10 @@ def test_min_angle_matches_oracle_under_random_angles():
 
 @pytest.mark.parametrize("scheme", [A2, B2])
 def test_metric_weights_are_exact(scheme):
-    for k in assorted_complexes():
-        link = build_link(k)
-        angle_of = assign_metric(k, link, scheme).corner_angles
-        angled = link.with_angles(angle_of)
-        assert_weights_are_the_angles(angled, angle_of)
+    for link in assorted_links():
+        angled = metric_link(link, scheme)
+        corners = assign_metric(link, scheme).corner_angles
+        assert_weights_are_the_angles(angled, [corners[e.corner] for e in link.edges])
         assert link.weight is None and not link.angles_assigned
         assert angled.nbrs is link.nbrs and angled.ends is link.ends
 
@@ -375,9 +342,7 @@ def test_metric_weights_are_exact(scheme):
 def test_subgraphs_of_an_angled_link_carry_its_weights():
     rng = random.Random(9)
     link = classic_link(2, 4, 5)
-    angled = link.with_angles(
-        {(e.cell, e.corner): rng.choice(RANDOM_ANGLES) for e in link.edges}
-    )
+    angled = link.with_angles([rng.choice(RANDOM_ANGLES) for _ in link.ends])
     parts = [
         angled.subgraph(range(0, len(angled.ends), 3)),
         angled.middle_subgraph(),
@@ -392,7 +357,7 @@ def test_subgraphs_of_an_angled_link_carry_its_weights():
                 angled.weight[whole], angled.angle_unit
             )
         # re-angling a link of named edges replaces every angle
-        half = {(e.cell, e.corner): Fraction(1, 2) for e in part.edges}
+        half = [Fraction(1, 2)] * len(part.ends)
         reangled = part.with_angles(half)
         assert_weights_are_the_angles(reangled, half)
 
@@ -419,6 +384,56 @@ def test_b2_paths_never_build_named_edges(monkeypatch):
     )
     report = certify(k33)
     assert (report.scheme, report.min_angle_over_pi) == (B2, Fraction(2))
+
+
+@pytest.mark.parametrize("name", ["grid4", "tri50"])
+def test_a2_certify_never_builds_named_vertices(monkeypatch, name):
+    """Under A2 the girth loop is the min-angle loop; it is re-read on
+    the angled link by its edge ids, not renamed through the named view."""
+    from test_smallcancel import CORPUS
+
+    from artinlink import LinkGraph, certify, parse_gamma
+
+    gamma = parse_gamma(CORPUS[name])
+    expected = certify(gamma)
+
+    def named_vertices(link):
+        raise AssertionError("the named vertices of a link were built")
+
+    monkeypatch.setattr(LinkGraph, "vertices", property(named_vertices))
+    report = certify(gamma)
+    assert report.scheme == A2
+    assert report.to_json_dict() == expected.to_json_dict()
+
+
+def test_a_passed_girth_loop_must_be_a_loop_of_the_link():
+    import dataclasses
+
+    link = classic_link(3, 4, 5)
+    g, loop = girth(link)
+    uniform = a2_link(link)
+    assert min_angle_cycle(uniform, (g, loop)) == min_angle_cycle(uniform)
+    other = girth(classic_link(3, 3, 3))[1]  # its edge ids are all in range
+    assert max(other.edge_indices) < len(link.ends)
+    far = dataclasses.replace(loop, edge_indices=(len(link.ends),) * g)
+    rotated = loop.edge_indices[1:] + loop.edge_indices[:1]
+    for bad in (
+        other,
+        far,
+        dataclasses.replace(loop, edge_indices=rotated),
+        dataclasses.replace(loop, edge_indices=tuple(range(g))),
+    ):
+        with pytest.raises(ValueError, match="loop"):
+            min_angle_cycle(uniform, (g, bad))
+
+
+def test_with_angles_takes_one_angle_per_edge():
+    link = classic_link(3, 3, 3)
+    part = link.middle_subgraph()
+    for graph in (link, part):
+        for count in (len(graph.ends) - 1, len(graph.ends) + 1):
+            with pytest.raises(ValueError, match="angles for"):
+                graph.with_angles([Fraction(1, 3)] * count)
 
 
 # -- loop enumeration ---------------------------------------------------------

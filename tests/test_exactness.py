@@ -57,17 +57,14 @@ def test_loop_engine_is_guarded_and_keys_are_integers():
     # the static check above
     for fn in (_least_cycle_through, _lightest_cycle_through, _shortest_cycle):
         assert Path(inspect.getsourcefile(fn)).name in GUARDED
-    pres, _ = triangle_presentation(3, 4, 5)
-    link = build_link(build_complex(pres))
+    link = build_link(build_complex(triangle_presentation(3, 4, 5)))
     weight = [1 + i % 3 for i in range(len(link.edges))]
     key, ids = _shortest_cycle(link, weight)
     assert type(key) is int and all(type(i) is int for i in ids)
     loop = make_loop(link, [link.vertices[i] for i in ids])
     n = len(link.vertices)
     assert divmod(key, n) == (sum(weight[e] for e in loop.edge_indices), loop.length)
-    angled = link.with_angles(
-        {(e.cell, e.corner): Fraction(w, 12) for e, w in zip(link.edges, weight)}
-    )
+    angled = link.with_angles([Fraction(w, 12) for w in weight])
     value, _ = min_angle_cycle(angled)
     assert value == Fraction(key // n, 12)
 
@@ -172,3 +169,107 @@ def b():
 t = time.perf_counter()
 """
     assert call_sites(source, "perf_counter") == [("a", 5), ("b", 7), (None, 8)]
+
+
+def chain_builders(sources: dict[str, str]) -> list[tuple[str, str | None]]:
+    """(module, top-level definition) of every call to ``build_complex``
+    or ``build_link`` in ``sources``, module name -> source."""
+    return sorted(
+        {
+            (name, owner)
+            for name, source in sources.items()
+            for callee in ("build_complex", "build_link")
+            for owner, _ in call_sites(source, callee)
+        },
+        key=str,
+    )
+
+
+def test_only_link_of_builds_the_complex_and_link():
+    # the chain presentation -> complex -> link is written out once:
+    # every later stage reads the complex and presentation from the link
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert chain_builders(sources) == [("complex_link.py", "link_of")]
+
+
+def test_chain_guard_sees_a_second_builder():
+    source = """
+from . import complex_link
+from .complex_link import build_complex, build_link
+def link_of(gamma):
+    return build_link(build_complex(build_triangular(gamma)))
+def certify(p):
+    return complex_link.build_complex(p)
+class Runner:
+    def run(self, k):
+        return build_link(k)
+"""
+    assert chain_builders({"m.py": source}) == [
+        ("m.py", "Runner"),
+        ("m.py", "certify"),
+        ("m.py", "link_of"),
+    ]
+
+
+def count_chain_calls(monkeypatch) -> dict[str, int]:
+    """Count the calls of the three build steps through every binding
+    of them in the loaded ``artinlink`` modules."""
+    import sys
+
+    from artinlink import complex_link, presentations
+
+    chain = {
+        "build_triangular": presentations.build_triangular,
+        "build_complex": complex_link.build_complex,
+        "build_link": complex_link.build_link,
+    }
+    counts = dict.fromkeys(chain, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "artinlink"]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            for name, fn in chain.items():
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting(name, fn))
+    return counts
+
+
+def test_each_certificate_builds_its_link_once(monkeypatch):
+    from artinlink import DefiningGraph, Orientation, certify, triangle_graph
+    from artinlink.batteries import (
+        b2_case,
+        enumerate_oriented_states,
+        enumerate_triangle_free_oriented_states,
+        oracle_case,
+    )
+
+    oracle_state = enumerate_oriented_states(4)[-1]
+    b2_state = enumerate_triangle_free_oriented_states(4)[-1]
+    square = DefiningGraph(
+        ("a", "b", "c", "d"),
+        [("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("a", "d", 3)],
+    )
+    k22 = DefiningGraph(
+        ("a0", "a1", "b0", "b1"),
+        [(a, b, 2, Orientation.WILDCARD) for a in ("a0", "a1") for b in ("b0", "b1")],
+    )
+    runs = [
+        lambda: certify(triangle_graph(3, 4, 5)),
+        lambda: certify(triangle_graph(2, 4, 5), scheme="B2"),
+        lambda: certify(square),  # the orientation search runs first
+        lambda: certify(k22),
+        lambda: oracle_case(oracle_state, 4, True),
+        lambda: b2_case(b2_state, 4),
+    ]
+    counts = count_chain_calls(monkeypatch)
+    for run in runs:
+        counts.update(dict.fromkeys(counts, 0))
+        run()
+        assert counts == dict.fromkeys(counts, 1)

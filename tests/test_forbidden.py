@@ -17,10 +17,8 @@ from artinlink import (
     OddDegreeVertexError,
     Orientation,
     UnorientedEdgeError,
-    build_complex,
-    build_link,
-    build_triangular,
     detect_forbidden,
+    link_of,
     orient_from_rotation_system,
     resolve_orientations,
     search_orientation,
@@ -29,11 +27,6 @@ from artinlink import (
 from artinlink.batteries import enumerate_oriented_states, graph_from_state, wildcard_variants
 
 F, B, WILD = Orientation.FORWARD, Orientation.BACKWARD, Orientation.WILDCARD
-
-
-def link_of(gamma):
-    pres = build_triangular(gamma)
-    return build_link(build_complex(pres))
 
 
 def directed_triangle(labels=(3, 3, 3)):

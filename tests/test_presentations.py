@@ -150,7 +150,8 @@ def test_triangular_triangle_counts(m, n, p):
 
 
 def test_triangle_presentation_classic_names_245():
-    pres, _ = triangle_presentation(2, 4, 5)
+    pres = triangle_presentation(2, 4, 5)
+    assert sorted(rec.hub for rec in pres.hub_records) == ["x", "y", "z"]
     expected = {
         rel("x^-1 a b"), rel("x^-1 b a"),
         rel("y^-1 b c"), rel("y^-1 c e3"), rel("y^-1 e3 e4"), rel("y^-1 e4 b"),
@@ -371,7 +372,7 @@ def test_rotation_lines_parse():
 
 
 def test_presentation_text_format():
-    pres, _ = triangle_presentation(2, 2, 2)
+    pres = triangle_presentation(2, 2, 2)
     text = pres.to_text()
     assert text.splitlines()[0] == "gen: a"
     assert any(line.startswith("rel: ") for line in text.splitlines())

@@ -10,18 +10,17 @@ from artinlink import (
     FreeWord,
     HubRecord,
     InternalInconsistencyError,
-    NotTriangularError,
     Orientation,
     Presentation,
     build_complex,
     build_link,
     build_standard,
-    build_triangular,
     certify,
     check_conditions,
     compute_pieces,
     curvature,
     girth,
+    link_of,
     parse_gamma,
     triangle_graph,
     triangle_presentation,
@@ -37,20 +36,16 @@ def rel(text):
     return CyclicWord(W(text))
 
 
-def pieces_and_link(pres):
-    link = build_link(build_complex(pres))
-    return compute_pieces(pres, link), link
-
-
-def assert_matches_brute_force(pres, link, cond=None):
-    """The piece table and C value from the cells equal the oracle's."""
-    pieces, max_len, decompositions = brute_force_pieces(pres)
-    table = compute_pieces(pres, link)
+def assert_matches_brute_force(link, cond=None):
+    """The piece table and C value from the cells of ``link`` equal the
+    oracle's on its presentation."""
+    pieces, max_len, decompositions = brute_force_pieces(link.complex.presentation)
+    table = compute_pieces(link)
     assert (table.pieces, table.max_piece_len) == (pieces, max_len)
     assert table.decompositions == decompositions
     finite = [n for n in decompositions.values() if n is not None]
     c_value = min(min(finite), CONDITION_CAP) if finite else CONDITION_CAP
-    cond = cond or check_conditions(pres, link, None)  # no girth search
+    cond = cond or check_conditions(link, None)  # no girth search
     assert cond.c_value == c_value
 
 
@@ -61,26 +56,26 @@ def test_symmetrize_single_relator():
 
 
 def test_symmetrize_count_333():
-    pres, _ = triangle_presentation(3, 3, 3)
+    pres = triangle_presentation(3, 3, 3)
     assert len(symmetrize(pres)) == 18
 
 
 def test_no_triangular_relator_is_its_own_inverse():
     for m, n, p in [(2, 2, 2), (3, 4, 5), (2, 4, 5)]:
-        pres, _ = triangle_presentation(m, n, p)
+        pres = triangle_presentation(m, n, p)
         for r in pres.relators:
             assert r != r.inverse()
 
 
 def test_pieces_of_triangular_presentations_have_length_one():
     for m, n, p in itertools.product((2, 3, 4, 5), repeat=3):
-        table, _ = pieces_and_link(build_triangular(triangle_graph(m, n, p)))
+        table = compute_pieces(link_of(triangle_graph(m, n, p)))
         assert table.max_piece_len == 1, (m, n, p)
 
 
 def test_pieces_closed_under_inversion():
     for gamma in (triangle_graph(3, 3, 3), triangle_graph(2, 4, 5)):
-        table, _ = pieces_and_link(build_triangular(gamma))
+        table = compute_pieces(link_of(gamma))
         pieces = set(table.pieces)
         assert all(w.inverse() in pieces for w in pieces)
 
@@ -100,15 +95,13 @@ def test_pieces_of_standard_presentation_are_longer():
 
 def test_check_conditions_c3_t6_large_triangles():
     for m, n, p in [(3, 3, 3), (4, 5, 6), (6, 6, 6)]:
-        pres, _ = triangle_presentation(m, n, p)
-        link = build_link(build_complex(pres))
-        assert check_conditions(pres, link) == (3, 6)
+        link = build_link(build_complex(triangle_presentation(m, n, p)))
+        assert check_conditions(link, girth(link)[0]) == (3, 6)
 
 
 def test_check_conditions_245():
-    pres, _ = triangle_presentation(2, 4, 5)
-    link = build_link(build_complex(pres))
-    cond = check_conditions(pres, link)
+    link = build_link(build_complex(triangle_presentation(2, 4, 5)))
+    cond = check_conditions(link, girth(link)[0])
     assert cond == (3, 4)
     assert cond.satisfies_c3 and not cond.satisfies_t6
 
@@ -117,17 +110,17 @@ def test_check_conditions_caps_on_pieceless_relator():
     rec = HubRecord("x", ("a", "b"), 1, ("a", "b"))
     p = Presentation.from_cells(("x", "a", "b"), [(0, 1, 2)], [rec])
     link = build_link(build_complex(p))
-    cond = check_conditions(p, link)
+    cond = check_conditions(link, girth(link)[0])
     assert cond == (12, 12)
-    assert_matches_brute_force(p, link, cond)
+    assert_matches_brute_force(link, cond)
 
 
 def test_t_value_equals_girth():
     for m, n, p in [(3, 3, 3), (2, 4, 5), (2, 2, 2)]:
-        pres, _ = triangle_presentation(m, n, p)
-        link = build_link(build_complex(pres))
-        cond = check_conditions(pres, link)
-        assert cond.t_value == girth(link)[0]
+        gamma = triangle_graph(m, n, p)
+        t_value = certify(gamma).small_cancellation.t_value
+        assert t_value == girth(link_of(gamma))[0]
+    assert check_conditions(link_of(triangle_graph(2, 2, 2)), None).t_value == 12
 
 
 def test_max_piece_len_one_for_small_graphs():
@@ -141,14 +134,14 @@ def test_max_piece_len_one_for_small_graphs():
             edges.append((u, v, lab, WILD if lab == 2 else F))
         if not edges:
             continue
-        table, _ = pieces_and_link(build_triangular(DefiningGraph(names, edges)))
+        table = compute_pieces(link_of(DefiningGraph(names, edges)))
         assert table.max_piece_len == 1
 
 
 def test_piece_table_text_dump_is_sorted_and_stable():
-    pres, _ = triangle_presentation(2, 2, 2)
-    table, link = pieces_and_link(pres)
-    assert table.to_text() == compute_pieces(pres, link).to_text()
+    link = build_link(build_complex(triangle_presentation(2, 2, 2)))
+    table = compute_pieces(link)
+    assert table.to_text() == compute_pieces(link).to_text()
     assert table.to_text().startswith("max piece length: 1")
 
 
@@ -191,24 +184,24 @@ CORPUS = {
 def test_pieces_match_brute_force_on_the_certify_corpus(monkeypatch):
     seen = []
 
-    def spy(p, link, *args):
-        cond = check_conditions(p, link, *args)
-        seen.append((p, link, cond))
+    def spy(link, *args):
+        cond = check_conditions(link, *args)
+        seen.append((link, cond))
         return cond
 
     monkeypatch.setattr(curvature, "check_conditions", spy)
     for text in CORPUS.values():
         certify(parse_gamma(text))
     assert len(seen) == len(CORPUS)
-    for p, link, cond in seen:
-        assert_matches_brute_force(p, link, cond)
+    for link, cond in seen:
+        assert_matches_brute_force(link, cond)
         assert cond.c_value == 3
 
 
 def test_pieces_match_brute_force_on_sweep_presentations():
     cases = 0
     for pres in sweep_presentations():
-        assert_matches_brute_force(pres, build_link(build_complex(pres)))
+        assert_matches_brute_force(build_link(build_complex(pres)))
         cases += 1
     assert cases == 3097
 
@@ -235,7 +228,7 @@ HUBS = (
 @pytest.mark.parametrize("cells", HAND_BUILT)
 def test_pieces_match_brute_force_on_hand_built_cells(cells):
     p = Presentation.from_cells(("x", "y", "a", "b", "c"), cells, HUBS)
-    assert_matches_brute_force(p, build_link(build_complex(p)))
+    assert_matches_brute_force(build_link(build_complex(p)))
 
 
 @pytest.mark.parametrize(
@@ -260,17 +253,13 @@ def test_cells_with_longer_pieces_have_no_link(cells, max_len, fewest):
 
 
 def test_conditions_need_the_presentations_own_link():
-    pres = build_triangular(triangle_graph(3, 4, 5))
-    twin = build_triangular(triangle_graph(3, 4, 5))
-    link = build_link(build_complex(twin))
-    for fn in (check_conditions, compute_pieces):
-        with pytest.raises(InternalInconsistencyError):
-            fn(pres, link)
-        with pytest.raises(NotTriangularError):
-            fn(build_standard(triangle_graph(3, 4, 5)), link)
-    unnamed = build_link(build_complex(pres)).subgraph(range(6))
-    with pytest.raises(InternalInconsistencyError):
-        check_conditions(pres, unnamed)
+    """The counts read the cells of the complex the link was built
+    from; a link of named edges has none and is refused."""
+    unnamed = link_of(triangle_graph(3, 4, 5)).subgraph(range(6))
+    with pytest.raises(InternalInconsistencyError, match="not built from cells"):
+        check_conditions(unnamed, girth(unnamed)[0])
+    with pytest.raises(InternalInconsistencyError, match="not built from cells"):
+        compute_pieces(unnamed)
 
 
 def _refuse(*args, **kwargs):
