@@ -42,11 +42,12 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 
 @dataclass(frozen=True)
 class MetricAssignment:
-    """Exact 1-cell lengths (stored squared) and the corner angles (over
-    pi) that every 2-cell shares, by corner."""
+    """Exact 1-cell lengths, squared, of a hub and of every other
+    1-cell, and the corner angles (over pi) that every 2-cell shares,
+    by corner."""
 
     scheme: str
-    one_cell_lengths_sq: dict[str, int]
+    lengths_sq: tuple[int, int]
     corner_angles: tuple[Fraction, Fraction, Fraction]
 
 
@@ -78,10 +79,7 @@ def assign_metric(link: LinkGraph, scheme: str) -> MetricAssignment:
         raise InternalInconsistencyError(f"{scheme} corner angles do not sum to pi")
     if link.complex is None:
         raise InternalInconsistencyError(f"{link!r} is not built from cells")
-    p = link.complex.presentation
-    hubs = p.hubs
-    lengths = {g: hub_sq if g in hubs else side_sq for g in p.generators}
-    return MetricAssignment(scheme, lengths, corners)
+    return MetricAssignment(scheme, (hub_sq, side_sq), corners)
 
 
 @dataclass(frozen=True)

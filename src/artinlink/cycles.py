@@ -7,13 +7,18 @@ vertices and each witness is the canonically least loop.  A search
 builds an :class:`EmbeddedLoop` (validated, with its exact angle sum)
 only for the loops it returns.
 
-One shortest-cycle engine finds the girth and the minimum-angle loop:
-a search from each vertex over the larger ids (Itai and Rodeh, 1978),
-then one DFS for the witness.  The search is a BFS on hop counts, and
-a Dijkstra on integer weights when the angles differ (Roditty and
-Vassilevska Williams, 2011).  Angles are read as the link's integer
-weights over one unit of pi, so no comparison is ever in floating
-point.
+One shortest-cycle engine finds the girth and the minimum-angle loop.
+Each search starts at one vertex and visits only vertices later than
+it in some order, so a start is in effect removed once it has run
+(Itai and Rodeh, 1978).  The search is a BFS on hop counts, and a
+Dijkstra on integer weights when the angles differ (Roditty and
+Vassilevska Williams, 2011).  A first pass finds the least key with
+the starts in (-degree, id) order: the hubs go first, and no later
+search runs into a hub's star.  A second pass, in id order over the
+vertices near the least loops that the first pass met, stops at the
+first start that reaches that key, and one DFS from it finds the
+canonical witness.  Angles are read as the link's integer weights over
+one unit of pi, so no comparison is ever in floating point.
 """
 
 from __future__ import annotations
@@ -217,28 +222,63 @@ def _shortest_cycle(
     Without ``weight`` the key is the length and each start runs a BFS.
     With a positive integer weight per edge it is ``weight * n +
     length`` for ``n`` vertices, which orders as the pair, and each
-    start runs a Dijkstra.  The first start to reach the least key is
-    the least vertex on any loop of that key: a loop whose two arcs
-    meet in one branch leaves a lighter loop.  A DFS from it over larger
-    ids, in increasing order, meets the canonical loop first.  Each
-    vertex of that loop lies within half the key of the start, so the
-    DFS prunes every vertex farther away than the key left to close up.
+    start runs a Dijkstra.  A search from ``s`` visits only the
+    vertices labelled above ``s`` and closes only simple loops whose
+    least label is ``s``; it sees every least loop whose least label is
+    ``s``, since a loop whose two arcs meet in one branch leaves a
+    lighter loop.
+
+    Pass 1 finds the key.  It labels the vertices by rank in (-degree,
+    id) order and searches from each rank in turn, so the hubs, the
+    vertices of largest degree, are searched first and then left out
+    of every later search.  Each search looks for a loop below the key
+    so far plus one, so the search from the least rank of each least
+    loop reaches the final key, and every vertex of that loop lies
+    within half the key of that rank.  Pass 1 keeps the vertices within
+    half the key of each search that reaches it as candidates.
+
+    Pass 2 finds the start.  It searches from the candidates in id
+    order, with the same bound, and stops at the first that reaches
+    the key.  That start is the least vertex on any least loop: no
+    earlier candidate closes one, since each loop is closed from its
+    least vertex.  A DFS from it over larger ids, in increasing order,
+    meets the canonical loop first.  Each vertex of that loop lies
+    within half the key of the start, so the DFS prunes every vertex
+    farther away than the key left to close up.
     """
     n = len(link.nbrs)
     if weight is None:
         adj = [[nb for nb, _ in ns] for ns in link.nbrs]  # sorted ids
-        search, best = _least_cycle_through, n + 1
+        search, unset = _least_cycle_through, n + 1
     else:
         adj = [[(nb, weight[ei] * n + 1) for nb, ei in ns] for ns in link.nbrs]
         # above every loop key, a Hamiltonian loop's (sum(weight), n) too
-        search, best = _lightest_cycle_through, (sum(weight) + 1) * n + 1
-    start = None
-    for s in range(n):
-        key, dist = search(adj, s, best)
-        if key < best:
-            best, start, start_dist = key, s, dist
-    if start is None:
+        search, unset = _lightest_cycle_through, (sum(weight) + 1) * n + 1
+    # pass 1, the key: hubs first, and ids in order within a degree, as
+    # a reversed sort is still stable
+    degree = [len(ns) for ns in adj]
+    order = sorted(range(n), key=degree.__getitem__, reverse=True)
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    if weight is None:
+        ranked = [[rank[nb] for nb in adj[v]] for v in order]
+    else:
+        ranked = [[(rank[nb], step) for nb, step in adj[v]] for v in order]
+    best = unset
+    for r in range(n):
+        key, dist = search(ranked, r, best + 1)
+        if key <= best:
+            if key < best:
+                best, near = key, set()
+            near.update([order[v] for v, d in dist.items() if 2 * d <= best])
+    if best == unset:
         return None, None
+    # pass 2, the start: the least id on a least loop
+    for start in sorted(near):
+        key, start_dist = search(adj, start, best + 1)
+        if key == best:
+            break
     steps = adj if weight else [[(nb, 1) for nb in ns] for ns in adj]
     path, pending = [start], [(iter(steps[start]), 0)]
     while pending:

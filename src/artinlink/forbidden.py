@@ -194,10 +194,14 @@ def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
     unoriented edges are decided most-constrained first (most
     triangles and 4-cycles, then edge order), "forward" before
     "backward"; backtracking sets a slot of the array and clears it
-    again.  Wildcard edges are never assigned.  Returns None when the
-    exhaustive search proves no completion works; a completion found
-    is confirmed with :func:`detect_forbidden`, which runs the same
-    predicate on the completed graph, before it is returned.
+    again.  When no edge is oriented in advance, the first searched
+    edge goes forward only: reversing every direction keeps each walk
+    clean, so a completion with that edge backward has a mirror image
+    with it forward, which the search meets first.  Wildcard edges are
+    never assigned.  Returns None when the exhaustive search proves no
+    completion works; a completion found is confirmed with
+    :func:`detect_forbidden`, which runs the same predicate on the
+    completed graph, before it is returned.
     """
     edges = gamma.edges
     dirs, _, walks = _compile(gamma)
@@ -215,12 +219,17 @@ def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
         checks[last].append(walk)
     if any(_forms_pattern(w, dirs) for w in checks[0]):
         return None
+    reversible = not any(dirs)  # nothing oriented in advance
 
     i = 0
     while 0 <= i < len(order):
         e = order[i]
-        # Directions left at this edge: both when undecided, then -1 after +1.
-        untried = (1, -1) if dirs[e] is None else (-1,) if dirs[e] == 1 else ()
+        # Directions left at this edge: both when undecided, then -1 after
+        # +1, except at the first edge of a reversible search.
+        if dirs[e] is None:
+            untried = (1, -1)
+        else:
+            untried = (-1,) if dirs[e] == 1 and (i or not reversible) else ()
         for d in untried:
             dirs[e] = d
             if not any(map(_forms_pattern, checks[i + 1], repeat(dirs))):

@@ -358,13 +358,15 @@ class Presentation:
 
     A triangular presentation is made by :meth:`from_cells`: it holds
     its 2-cells as integer triples in ``cells`` and its ``hub_records``,
-    which say which generators are hubs and which are chain fillers,
-    and it builds ``relators`` from the cells on first read.  Any other
+    which say which generators are hubs (the set ``hubs``) and which
+    are chain fillers, and it builds ``relators`` from the cells on
+    first read.  Any other
     presentation has ``cells`` ``None`` and no hub records.
     """
 
     cells: tuple[tuple[int, int, int], ...] | None = None
     hub_records: tuple[HubRecord, ...] = ()
+    hubs: frozenset[str] = frozenset()
 
     def __init__(self, generators: Iterable[str], relators: Iterable[CyclicWord]):
         self.generators = tuple(generators)
@@ -406,6 +408,7 @@ class Presentation:
         if any(h == u or h == v for h, u, v in p.cells):
             raise ValueError("a relator h^-1 u v must have h distinct from u, v")
         p.hub_records = tuple(hub_records)
+        p.hubs = frozenset(rec.hub for rec in p.hub_records)
         return p
 
     @functools.cached_property
@@ -418,11 +421,8 @@ class Presentation:
             for h, u, v in self.cells
         )
 
-    @property
-    def hubs(self) -> frozenset[str]:
-        return frozenset(rec.hub for rec in self.hub_records)
-
-    @property
+    # cached: hub_records is set once, before it is read
+    @functools.cached_property
     def special_generators(self) -> frozenset[str]:
         """Generators that are vertices of the defining graph."""
         fillers = {g for rec in self.hub_records for g in rec.cycle[2:]}
@@ -488,10 +488,12 @@ def chain_name(tail: str, head: str, i: int) -> str:
 
 
 # The most generators build_triangular creates, checked before it
-# builds anything.  The (200, 200, 200) triangle has 600.  The girth
-# search is quadratic in the length of one edge's hub cycle, so a
-# single edge at the cap takes about 16 s to certify.
-MAX_GENERATORS = 5_000
+# builds anything.  The (200, 200, 200) triangle has 600.  Certifying
+# one edge takes time about linear in its label: 0.8 s at the cap on a
+# 2-core x86-64 host, and 1-1.5 s at 50,000.  tests/test_curvature.py
+# holds one edge at the cap under 2 s, so the cap keeps a margin of two
+# for a loaded host.
+MAX_GENERATORS = 30_000
 
 
 def build_triangular(gamma: DefiningGraph) -> Presentation:

@@ -1,12 +1,14 @@
 """Independent brute-force oracles used to cross-check the library.
 
 These deliberately avoid the library's own algorithms: girth is found
-by exhaustive DFS cycle enumeration, orientation searches by
-enumerating every completion, forbidden-pattern witnesses by trying
-every wildcard completion of every triangle and 4-cycle, canonical
-forms of sweep states by trying every vertex permutation, links by
-the named corner rule read from each relator's letters, and pieces by
-indexing every subword of every symmetrized relator.
+by exhaustive DFS cycle enumeration, the loop engine's key and witness
+by the one-pass id-order engine with a Dijkstra of its own,
+orientation searches by enumerating every completion,
+forbidden-pattern witnesses by trying every wildcard completion of
+every triangle and 4-cycle, canonical forms of sweep states by trying
+every vertex permutation, links by the named corner rule read from
+each relator's letters, and pieces by indexing every subword of every
+symmetrized relator.
 """
 
 from __future__ import annotations
@@ -163,6 +165,75 @@ def dfs_min_loops(link, max_len: int, max_angle=None):
     if best[0] is None:
         return None, None, []
     return best[0][0], best[0][1], sorted(canonical(c) for c in best[1])
+
+
+def id_order_shortest_cycle(link, weight=None):
+    """The one-pass loop engine in id order: the least cycle key of
+    ``link`` and the canonically least loop of that key, as ids;
+    ``(None, None)`` for forests.
+
+    The key is the length without ``weight``, and ``weight * n +
+    length`` for ``n`` vertices with one positive integer per edge.
+    Every start s in id order runs its own Dijkstra over the ids > s,
+    labelling each vertex it settles with its first hop; an edge
+    between two labels, or back to s from a vertex not labelled by
+    itself, closes a simple cycle through s, and the least vertex of a
+    least loop sees that loop.  The first start to reach the least key
+    is the least vertex of any least loop, and a DFS from it over
+    larger ids, in increasing order, meets the canonical loop first.
+    """
+    import heapq
+
+    n = len(link.nbrs)
+    steps = [
+        [(nb, 1 if weight is None else weight[ei] * n + 1) for nb, ei in ns]
+        for ns in link.nbrs
+    ]
+
+    def through(s, bound):
+        dist, branch = {s: 0}, {}
+        heap = [(step, nb, nb) for nb, step in steps[s] if nb > s]
+        heapq.heapify(heap)
+        while heap:
+            d, v, b = heapq.heappop(heap)
+            if v in branch:
+                continue
+            if bound is not None and 2 * d >= bound:
+                break  # every vertex of a loop below bound is nearer
+            dist[v], branch[v] = d, b
+            for nb, step in steps[v]:
+                if nb > s and nb not in branch:
+                    heapq.heappush(heap, (d + step, nb, b))
+        keys = [
+            dist[v] + step + dist[nb]
+            for v in branch
+            for nb, step in steps[v]
+            if (nb == s and branch[v] != v)
+            or (nb in branch and branch[nb] != branch[v])
+        ]
+        return min(keys, default=None), dist
+
+    best = start = None
+    for s in range(n):
+        key, dist = through(s, best)
+        if key is not None and (best is None or key < best):
+            best, start, start_dist = key, s, dist
+    if start is None:
+        return None, None
+    path, pending = [start], [(iter(steps[start]), 0)]
+    while pending:
+        ahead, prefix = pending[-1]
+        nb, step = next(ahead, (None, 0))
+        if nb is None:
+            pending.pop()
+            path.pop()
+        elif nb == start and len(path) > 2 and prefix + step == best:
+            return best, tuple(path)
+        elif nb > start and nb not in path:
+            if prefix + step + start_dist.get(nb, best) <= best:
+                path.append(nb)
+                pending.append((iter(steps[nb]), prefix + step))
+    raise AssertionError("no least loop through the least start")
 
 
 _LEVEL = {("head", True): 4, ("tail", True): 1, ("head", False): 3, ("tail", False): 2}

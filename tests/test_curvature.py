@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 from fractions import Fraction
 
 from artinlink import (
@@ -49,16 +50,15 @@ def alternating_square(labels=(3, 3, 3, 3)):
 def test_a2_all_angles_third_of_pi():
     metric = assign_metric(link_of(triangle_graph(3, 4, 5)), A2)
     assert metric.corner_angles == (Fraction(1, 3),) * 3
-    assert all(s == 1 for s in metric.one_cell_lengths_sq.values())
+    assert metric.lengths_sq == (1, 1)  # every 1-cell, hub or not
 
 
 def test_b2_angles_and_lengths_single_edge_label_four():
     g = DefiningGraph(("a", "b"), [("a", "b", 4, F)])
     link = link_of(g)
     metric = assign_metric(link, B2)
-    hub = "x_{a,b}"
-    assert metric.one_cell_lengths_sq[hub] == 2  # length sqrt(2)
-    assert metric.one_cell_lengths_sq["a"] == 1
+    assert link.complex.presentation.hubs == {"x_{a,b}"}
+    assert metric.lengths_sq == (2, 1)  # hub sqrt(2), "a" and the rest 1
     angled = link.with_angles(metric.corner_angles * len(link.complex.cells))
     middle = [e for e in angled.edges if e.kind == "middle"]
     extreme = [e for e in angled.edges if e.kind != "middle"]
@@ -99,7 +99,8 @@ def test_corner_angles_must_fit_the_side_lengths(monkeypatch):
         with pytest.raises(InternalInconsistencyError, match="do not fit"):
             assign_metric(link, scheme)
     monkeypatch.setitem(curvature._LENGTHS_SQ, B2, (4, 2))  # B2 scaled by sqrt(2)
-    assert assign_metric(link, B2).one_cell_lengths_sq["u"] == 2
+    assert "u" not in link.complex.presentation.hubs
+    assert assign_metric(link, B2).lengths_sq == (4, 2)
 
 
 def test_metric_needs_a_link_built_from_cells():
@@ -263,6 +264,20 @@ def test_certify_runs_the_shortest_cycle_engine_once(monkeypatch):
         runs.clear()
         assert certify(gamma).scheme == scheme
         assert runs == expected
+
+
+def test_one_edge_at_the_generator_cap_certifies_within_two_seconds():
+    from artinlink.presentations import MAX_GENERATORS
+
+    # two vertices, one hub and label - 2 chain generators
+    label = MAX_GENERATORS - 1
+    gamma = DefiningGraph(("a", "b"), [("a", "b", label, F)])
+    start = time.perf_counter()
+    report = certify(gamma)
+    elapsed = time.perf_counter() - start
+    assert (report.verdict, report.girth) == (VERDICT_NPC, 6)
+    assert report.min_angle_over_pi == 2
+    assert elapsed < 2.0, f"certify took {elapsed:.2f}s"
 
 
 def test_certify_with_explicit_assignment():

@@ -120,6 +120,89 @@ def test_girth_matches_brute_force_enumeration():
         assert has_short_loop(link) == (expected is not None and expected < 6)
 
 
+def late_least_loops(label):
+    """One edge of ``label`` on the first names beside an alternating
+    square on the last: every least loop, of hops and of B2 weights,
+    lies in the square's link, whose ids follow the edge's ~2 * label
+    vertices, and each of those is next to the edge's hub star."""
+    square = [("z0", "z1"), ("z2", "z1"), ("z2", "z3"), ("z0", "z3")]
+    edges = [("a", "b", label)] + [(u, v, 3) for u, v in square]
+    return DefiningGraph(
+        ("a", "b", "z0", "z1", "z2", "z3"),
+        [(u, v, m, Orientation.FORWARD) for u, v, m in edges],
+    )
+
+
+def late_hub_loops(label):
+    """A transitive triangle with ``label`` on its first edge: every
+    least loop is a 4-loop through that edge's hub, whose star of
+    chain generators lies within half the key of the loop and holds
+    the first ids, none of them on a least loop."""
+    edges = [("z0", "z1", label), ("z0", "z2", 3), ("z1", "z2", 3)]
+    return DefiningGraph(
+        ("z0", "z1", "z2"), [(u, v, m, Orientation.FORWARD) for u, v, m in edges]
+    )
+
+
+def test_two_pass_engine_matches_the_id_order_oracle():
+    """(key, ids) of both forms against the one-pass engine that starts
+    in id order, on every B2 sweep link and on two links with hub
+    stars of 50 and 500 vertices."""
+    from oracle_tools import id_order_shortest_cycle
+
+    from artinlink.batteries import (
+        enumerate_triangle_free_oriented_states,
+        graph_from_state,
+    )
+    from artinlink.cycles import _shortest_cycle
+
+    links = [
+        link_of(graph_from_state(state, 5))
+        for state in enumerate_triangle_free_oriented_states(5)
+    ]
+    assert len(links) == 4_487
+    edge = DefiningGraph(("a", "b"), [("a", "b", 500, Orientation.FORWARD)])
+    links += [classic_link(50, 50, 50), link_of(edge)]
+    for link in links:
+        for weight in (None, metric_link(link, B2).weight):
+            assert _shortest_cycle(link, weight) == id_order_shortest_cycle(link, weight)
+
+
+def test_two_pass_engine_when_every_least_loop_starts_late(monkeypatch):
+    from oracle_tools import id_order_shortest_cycle
+
+    from artinlink import cycles
+
+    starts = []
+    for name in ("_least_cycle_through", "_lightest_cycle_through"):
+        search = getattr(cycles, name)
+
+        def counted(adj, s, best, search=search):
+            starts.append(s)
+            return search(adj, s, best)
+
+        monkeypatch.setattr(cycles, name, counted)
+    label = 200
+    link = link_of(late_least_loops(label))
+    for weight in (None, metric_link(link, B2).weight):
+        starts.clear()
+        key, ids = cycles._shortest_cycle(link, weight)
+        assert (key, ids) == id_order_shortest_cycle(link, weight)
+        assert len(ids) == 4 and ids[0] > 2 * label
+        assert all("z" in v.gen for v in link._named(ids))
+        # pass 1 searches from each rank, and pass 2 only from the
+        # square's link: from none of the edge's 2 * label vertices,
+        # each of them next to its hub star
+        pass_2 = starts[len(link.nbrs) :]
+        assert all("z" in v.gen for v in link._named(pass_2))
+    # here pass 2 walks the hub's star, one start at a time
+    link = link_of(late_hub_loops(label))
+    for weight in (None, metric_link(link, B2).weight):
+        key, ids = cycles._shortest_cycle(link, weight)
+        assert (key, ids) == id_order_shortest_cycle(link, weight)
+        assert len(ids) == 4 and ids[0] >= 2 * label
+
+
 def test_girth_witness_is_least_of_all_minimal_loops():
     from oracle_tools import dfs_min_loops
 

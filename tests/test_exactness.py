@@ -171,6 +171,51 @@ t = time.perf_counter()
     assert call_sites(source, "perf_counter") == [("a", 5), ("b", 7), (None, 8)]
 
 
+def name_uses(source: str, name: str) -> list[tuple[str | None, int]]:
+    """(top-level definition, line) of every read or import of
+    ``name``, bare or as an attribute, called or passed on; None
+    outside definitions."""
+    field_of = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    sites = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            field = field_of.get(type(node))
+            if field and getattr(node, field) == name:
+                sites.append((owner, node.lineno))
+    return sites
+
+
+def test_only_the_engine_runs_the_loop_searches():
+    # one loop engine: a second search order or witness path would have
+    # to read one of the two searches outside _shortest_cycle
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    for search in ("_least_cycle_through", "_lightest_cycle_through"):
+        owners = {
+            (name, owner)
+            for name, source in sources.items()
+            for owner, _ in name_uses(source, search)
+        }
+        assert owners == {("cycles.py", "_shortest_cycle")}
+
+
+def test_search_guard_sees_every_use():
+    source = """
+from .cycles import _least_cycle_through as bfs
+from . import cycles
+def engine(adj):
+    search = cycles._least_cycle_through
+    return search(adj, 0, 9)
+def girth(adj):
+    return _least_cycle_through(adj, 0, 9)
+"""
+    assert name_uses(source, "_least_cycle_through") == [
+        (None, 2),
+        ("engine", 5),
+        ("girth", 8),
+    ]
+
+
 def chain_builders(sources: dict[str, str]) -> list[tuple[str, str | None]]:
     """(module, top-level definition) of every call to ``build_complex``
     or ``build_link`` in ``sources``, module name -> source."""

@@ -295,6 +295,19 @@ def test_compiled_four_cycle_predicate_matches_witness(pattern):
     assert witness_tuples(g) == brute_force_witnesses(g)
 
 
+def test_reversing_every_direction_keeps_the_predicate():
+    # why search_orientation, with nothing oriented in advance, tries
+    # its first edge forward only
+    from artinlink.forbidden import _forms_pattern
+
+    for n in (3, 4):
+        for signs in itertools.product((1, -1), repeat=n):
+            walk = tuple(zip(range(n), signs))
+            for dirs in itertools.product((1, 0, -1), repeat=n):
+                mirror = [-d for d in dirs]
+                assert _forms_pattern(walk, mirror) == _forms_pattern(walk, dirs)
+
+
 def test_witnesses_match_brute_force_on_sampled_sweep_states():
     # every 97th graph of the acceptance-06 sweep, wildcard variants included
     states = enumerate_oriented_states(5)
