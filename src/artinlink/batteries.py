@@ -116,9 +116,7 @@ def middle_decomposition(link) -> tuple[int, int, bool]:
     for vs, es in mid.components():
         if len(vs) == 2 and len(es) == 1:
             singles += 1
-        elif len(vs) == 4 and len(es) == 3 and all(
-            mid.degree(v) <= 2 for v in vs
-        ):
+        elif len(vs) == 4 and len(es) == 3 and all(len(mid.nbrs[i]) <= 2 for i in vs):
             chains += 1
         else:
             clean = False

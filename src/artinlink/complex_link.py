@@ -22,11 +22,13 @@ presentation without them, and ``build_link`` turns each cell straight
 into the ids of its three corner edges; angles join that core as
 integer weights, one per edge id.  The searches read only that core.
 ``link_of`` is the whole chain from a defining graph, and the link
-keeps its complex, so later stages take the link alone.  The named
-view, a ``LinkVertex`` per vertex and a ``LinkEdge`` per edge (with its
+keeps its complex, so later stages take the link alone.  Every other
+``LinkGraph`` (the middle-edge subgraph, a neighbourhood) is a part of
+one whole link: a subset of its vertex and edge ids.  The named view,
+a ``LinkVertex`` per vertex and a ``LinkEdge`` per edge (with its
 2-cell and corner, the hub of that 2-cell as its local piece, and an
 optional exact angle, a Fraction in units of pi), is built on first
-read.
+read, through the whole link.
 """
 
 from __future__ import annotations
@@ -116,59 +118,32 @@ _KINDS = (BOTTOM, MIDDLE, TOP)  # by the lower level of the edge's ends
 
 
 class LinkGraph:
-    """The link of the unique 0-cell, as an undirected simple graph.
+    """The link of the unique 0-cell, or a part of it, as an undirected
+    simple graph.
 
     The graph is a dense integer core: vertex ids ``0..n-1``,
     ``levels[id]``, ``ends[ei]`` holding the ids of edge ``ei`` (lower
     first) and ``nbrs[id]`` listing sorted (neighbour id, edge index)
     pairs; an angled link adds ``weight[ei]``, the angle of edge ``ei``
     in units of pi / ``angle_unit``.  The named view (``vertices``,
-    ``edges``, ``index`` and ``adjacency``) is built only when read.  A
-    vertex's id is its position in the sorted ``vertices`` tuple, so
-    comparing ids compares vertices.
+    ``edges`` and ``index``) is built only when read.  A vertex's id is
+    its position in the sorted ``vertices`` tuple, so comparing ids
+    compares vertices.
 
-    ``LinkGraph(vertices, edges)`` builds a graph from named parts and
-    refuses an edge on an unknown vertex; :func:`build_link` builds one
-    from a complex's cells, kept as ``complex``, and refuses a cell on
-    an unknown generator.
-    Either way the core is then checked on integers: every edge joins
-    adjacent levels, and no two edges join the same pair.  A named edge
-    must have the kind of its lower level, and named angles, if all are
-    set, become the weights.
+    :func:`build_link` makes the whole link from a complex's cells,
+    kept as ``complex``, and refuses a cell on an unknown generator;
+    its core is checked on integers: every edge joins adjacent levels,
+    and no two edges join the same pair.  ``subgraph``, ``induced`` and
+    ``neighborhood`` cut a part from it: the vertices and edges it
+    takes, renumbered in order, with their levels and weights.  A part
+    names them through the whole link, ``_vids[id]`` and ``_eids[ei]``
+    being their ids there, and has no ``complex``.
     """
 
-    complex: TwoComplex | None = None  # set for links built from cells
+    complex: TwoComplex | None = None  # set for the whole link
     weight: list[int] | None = None
     angle_unit = 1
-
-    def __init__(self, vertices: Iterable[LinkVertex], edges: Iterable[LinkEdge]):
-        self.vertices = tuple(sorted(set(vertices)))
-        self.edges = tuple(edges)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        ends = []
-        for e in self.edges:
-            ia, ib = self.index.get(e.a), self.index.get(e.b)
-            if ia is None or ib is None:
-                raise InternalInconsistencyError(f"edge {e} uses unknown vertex")
-            ends.append((ia, ib) if ia < ib else (ib, ia))
-        self._set_core([v.level for v in self.vertices], ends)
-        for e, (a, b) in zip(self.edges, ends):
-            if _KINDS[min(self.levels[a], self.levels[b]) - 1] != e.kind:
-                raise InternalInconsistencyError(f"edge {e.a}-{e.b} is not {e.kind}")
-        if all(e.angle is not None for e in self.edges):
-            self._set_weights([e.angle for e in self.edges])
-
-    @classmethod
-    def _of_cells(
-        cls, k: TwoComplex, by_rank: list[int], levels: list[int], ends: list
-    ) -> "LinkGraph":
-        """The link of ``k`` from its core: vertex id 2 * r (head) and
-        2 * r + 1 (tail) belong to generator ``by_rank[r]``, and edge
-        3 * c + corner to corner ``corner`` of cell ``c``."""
-        link = cls.__new__(cls)
-        link.complex, link._by_rank = k, by_rank
-        link._set_core(levels, ends)
-        return link
+    _whole: LinkGraph | None = None  # set for a part
 
     def _set_core(self, levels: list[int], ends: list[tuple[int, int]]) -> None:
         self.levels = levels
@@ -194,7 +169,7 @@ class LinkGraph:
         self.ends = tuple(ends)
         self._edge_ids = edge_ids
 
-    # -- the named view, for links built by build_link ---------------------
+    # -- the named view, read through the whole link -----------------------
 
     @functools.cached_property
     def vertices(self) -> tuple[LinkVertex, ...]:
@@ -202,48 +177,45 @@ class LinkGraph:
 
     def _named(self, ids: Iterable[int]) -> list[LinkVertex]:
         """The vertices of ``ids``, named alone unless the whole named
-        view is already built."""
+        view is already built.  Whole vertex id 2 * r (head) and
+        2 * r + 1 (tail) belong to generator ``_by_rank[r]``."""
         if "vertices" in self.__dict__:
             return [self.vertices[i] for i in ids]
-        gens = self.complex.one_cells
-        special = self.complex.presentation.special_generators
+        whole = self._whole or self
+        gens = whole.complex.one_cells
+        special = whole.complex.presentation.special_generators
         out = []
         for i in ids:
-            g = gens[self._by_rank[i // 2]]
-            end = TAIL if i % 2 else HEAD
+            w = self._vids[i]
+            g = gens[whole._by_rank[w // 2]]
+            end = TAIL if w % 2 else HEAD
             out.append(LinkVertex(g, end, self.levels[i], g in special))
         return out
 
     @functools.cached_property
     def edges(self) -> tuple[LinkEdge, ...]:
+        """Whole edge id 3 * c + corner is corner ``corner`` of cell ``c``."""
         w, unit = self.weight, self.angle_unit
         angles = repeat(None) if w is None else [Fraction(x, unit) for x in w]
         vs, levels = self.vertices, self.levels
-        gens, cells = self.complex.one_cells, self.complex.cells
+        k = (self._whole or self).complex
+        gens, cells = k.one_cells, k.cells
         return tuple(
             LinkEdge(
                 vs[a],
                 vs[b],
                 _KINDS[min(levels[a], levels[b]) - 1],
-                ei // 3,
-                ei % 3,
-                gens[cells[ei // 3][0]],
+                c // 3,
+                c % 3,
+                gens[cells[c // 3][0]],
                 t,
             )
-            for (ei, (a, b)), t in zip(enumerate(self.ends), angles)
+            for (a, b), c, t in zip(self.ends, self._eids, angles)
         )
 
     @functools.cached_property
     def index(self) -> dict[LinkVertex, int]:
         return {v: i for i, v in enumerate(self.vertices)}
-
-    @functools.cached_property
-    def adjacency(self) -> dict[LinkVertex, tuple[tuple[LinkVertex, int], ...]]:
-        """Neighbours of each vertex with the joining edge index, sorted."""
-        vs = self.vertices
-        return {
-            v: tuple((vs[nb], ei) for nb, ei in ns) for v, ns in zip(vs, self.nbrs)
-        }
 
     # -- basic accessors -------------------------------------------------
 
@@ -252,12 +224,6 @@ class LinkGraph:
 
     def has_edge(self, a: LinkVertex, b: LinkVertex) -> bool:
         return self._edge_between(a, b) is not None
-
-    def edge_index(self, a: LinkVertex, b: LinkVertex) -> int:
-        ei = self._edge_between(a, b)
-        if ei is None:
-            raise KeyError((a, b))
-        return ei
 
     def _edge_between(self, a: LinkVertex, b: LinkVertex) -> int | None:
         ia, ib = self.index.get(a), self.index.get(b)
@@ -286,24 +252,43 @@ class LinkGraph:
     # -- subgraphs -------------------------------------------------------
 
     def subgraph(self, edge_indices: Iterable[int]) -> "LinkGraph":
-        idxs = sorted(set(edge_indices))
-        edges = [self.edges[i] for i in idxs]
-        vertices = {e.a for e in edges} | {e.b for e in edges}
-        return LinkGraph(vertices, edges)
+        eids = sorted(set(edge_indices))
+        if eids and (eids[0] < 0 or eids[-1] >= len(self.ends)):
+            n = len(self.ends)
+            raise ValueError(f"edge ids {eids[0]}..{eids[-1]} not all in 0..{n - 1}")
+        return self._part(sorted({i for ei in eids for i in self.ends[ei]}), eids)
 
     def induced(self, vertices: Iterable[LinkVertex]) -> "LinkGraph":
-        vs = set(vertices)
-        for v in vs:
+        ids = set()
+        for v in vertices:
             if v not in self.index:
                 raise VertexNotFoundError(str(v))
-        edges = [e for e in self.edges if e.a in vs and e.b in vs]
-        return LinkGraph(vs, edges)
+            ids.add(self.index[v])
+        eids = [ei for a in ids for b, ei in self.nbrs[a] if a < b and b in ids]
+        return self._part(sorted(ids), sorted(eids))
+
+    def _part(self, ids: list[int], eids: list[int]) -> "LinkGraph":
+        """The part on sorted vertex ids ``ids`` and sorted edge ids
+        ``eids`` (each joining two of ``ids``), renumbered ``0..n-1``."""
+        new = {i: j for j, i in enumerate(ids)}
+        part = LinkGraph.__new__(LinkGraph)
+        part._whole = self._whole or self
+        part._vids = [self._vids[i] for i in ids]
+        part._eids = [self._eids[ei] for ei in eids]
+        ends = [(new[a], new[b]) for a, b in map(self.ends.__getitem__, eids)]
+        part._set_core([self.levels[i] for i in ids], ends)
+        if self.weight is not None:
+            part.weight = [self.weight[ei] for ei in eids]
+            part.angle_unit = self.angle_unit
+        return part
 
     def middle_subgraph(self) -> "LinkGraph":
         return self.subgraph(self.middle_edges())
 
     def neighborhood(self, v: LinkVertex, radius: int) -> "LinkGraph":
         """Induced subgraph on vertices within edge-distance ``radius``."""
+        if radius < 0:
+            raise ValueError(f"negative radius {radius}")
         if v not in self.index:
             raise VertexNotFoundError(str(v))
         start = self.index[v]
@@ -319,8 +304,8 @@ class LinkGraph:
                     queue.append(nb)
         return self.induced(self.vertices[i] for i in dist)
 
-    def components(self) -> list[tuple[tuple[LinkVertex, ...], tuple[int, ...]]]:
-        """Connected components as (sorted vertices, sorted edge indices)."""
+    def components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Connected components as (sorted vertex ids, sorted edge ids)."""
         seen = [False] * len(self.nbrs)
         out = []
         for start in range(len(self.nbrs)):
@@ -338,9 +323,7 @@ class LinkGraph:
                         seen[nb] = True
                         comp.append(nb)
                         queue.append(nb)
-            out.append(
-                (tuple(self.vertices[i] for i in sorted(comp)), tuple(sorted(edge_idxs)))
-            )
+            out.append((tuple(sorted(comp)), tuple(sorted(edge_idxs))))
         return out
 
     def is_forest(self) -> bool:
@@ -350,14 +333,9 @@ class LinkGraph:
 
     def with_angles(self, angles: Sequence[Fraction]) -> "LinkGraph":
         """Copy of the link with angle ``angles[ei]`` on edge ``ei``, held
-        as integer weights; a link built from cells shares the rest."""
+        as integer weights; it shares the rest."""
         if len(angles) != len(self.ends):
             raise ValueError(f"{len(angles)} angles for {len(self.ends)} edges")
-        if self.complex is None:  # named edges hold their angles
-            return LinkGraph(
-                self.vertices,
-                (e._replace(angle=a) for e, a in zip(self.edges, angles)),
-            )
         angled = copy.copy(self)
         angled.__dict__.pop("edges", None)
         angled._set_weights(angles)
@@ -406,7 +384,8 @@ def _dot_quote(name: str) -> str:
 
 
 def build_link(k: TwoComplex) -> LinkGraph:
-    """Two vertices per 1-cell, one edge per 2-cell corner.
+    """The whole link of ``k``: two vertices per 1-cell, one edge per
+    2-cell corner.
 
     Generator g of sorted rank r gets head id 2 * r and tail id
     2 * r + 1, the order of the named vertices.  A cell h^-1 u v gives
@@ -434,7 +413,11 @@ def build_link(k: TwoComplex) -> LinkGraph:
         raise InternalInconsistencyError(
             f"2-cell {len(ends) // 3} uses unknown generator {exc.args[0]!r}"
         ) from None
-    return LinkGraph._of_cells(k, by_rank, levels, ends)
+    link = LinkGraph.__new__(LinkGraph)
+    link.complex, link._by_rank = k, by_rank
+    link._vids, link._eids = range(len(levels)), range(len(ends))
+    link._set_core(levels, ends)
+    return link
 
 
 def link_of(gamma: DefiningGraph) -> LinkGraph:

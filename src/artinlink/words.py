@@ -212,16 +212,6 @@ class CyclicWord:
     def inverse(self) -> "CyclicWord":
         return CyclicWord(FreeWord(self.letters).inverse())
 
-    def subwords(self, length: int) -> set[FreeWord]:
-        """All length-``length`` subwords of the bi-infinite periodic word."""
-        if length < 1:
-            raise ValueError("subword length must be at least 1")
-        n = len(self.letters)
-        if n == 0:
-            return set()
-        doubled = self.letters * (length // n + 2)
-        return {FreeWord(doubled[i : i + length]) for i in range(n)}
-
     def __str__(self) -> str:
         return " ".join(str(lt) for lt in self.letters)
 

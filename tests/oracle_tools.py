@@ -29,6 +29,16 @@ from artinlink import (
 from artinlink.presentations import hub_name
 
 
+def adjacency(link) -> dict:
+    """Each named vertex's (neighbour, edge index) pairs, read from the
+    named edges rather than the link's own ``nbrs``."""
+    out = {v: [] for v in link.vertices}
+    for ei, e in enumerate(link.edges):
+        out[e.a].append((e.b, ei))
+        out[e.b].append((e.a, ei))
+    return {v: sorted(pairs) for v, pairs in out.items()}
+
+
 def dfs_all_cycle_lengths(link, max_len: int | None = None) -> list[int]:
     """Lengths of all embedded cycles up to ``max_len``, by path DFS.
 
@@ -37,7 +47,7 @@ def dfs_all_cycle_lengths(link, max_len: int | None = None) -> list[int]:
     """
     order = {v: i for i, v in enumerate(sorted(link.vertices))}
     neighbours = {
-        v: [nb for nb, _ in link.adjacency[v]] for v in link.vertices
+        v: [nb for nb, _ in pairs] for v, pairs in adjacency(link).items()
     }
     cap = max_len if max_len is not None else len(link.vertices)
     lengths = []
@@ -85,11 +95,11 @@ def dfs_min_angle(link, max_len: int = 12):
     cycle weighs more than that.
     """
     order = {v: i for i, v in enumerate(sorted(link.vertices))}
-    adjacency = link.adjacency
+    nbrs = adjacency(link)
     best = [None]
 
     def walk(start, path, on_path, total):
-        for nb, ei in adjacency[path[-1]]:
+        for nb, ei in nbrs[path[-1]]:
             if nb == start and len(path) >= 3:
                 if order[path[1]] < order[path[-1]]:
                     closed = total + link.edges[ei].angle
@@ -127,6 +137,7 @@ def dfs_min_loops(link, max_len: int, max_angle=None):
     (with ``max_len`` the vertex count: any minimum at all).
     """
     order = {v: i for i, v in enumerate(sorted(link.vertices))}
+    nbrs = adjacency(link)
     best = [None, []]  # (angle sum, length), cycles attaining it
 
     def canonical(cycle):
@@ -137,7 +148,7 @@ def dfs_min_loops(link, max_len: int, max_angle=None):
         return min(forms)
 
     def walk(start, path, on_path, total):
-        for nb, ei in link.adjacency[path[-1]]:
+        for nb, ei in nbrs[path[-1]]:
             angle = link.edges[ei].angle
             if nb == start and len(path) >= 3:
                 if order[path[1]] < order[path[-1]]:

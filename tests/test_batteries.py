@@ -181,6 +181,18 @@ def test_middle_decomposition_rejects_stars():
     assert not clean and chains == 0
 
 
+def test_middle_decomposition_builds_no_named_view(monkeypatch):
+    from artinlink import LinkGraph
+
+    def named(link):
+        raise AssertionError("the named view of a link was built")
+
+    link = link_of(triangle_graph(3, 4, 5))
+    monkeypatch.setattr(LinkGraph, "vertices", property(named))
+    monkeypatch.setattr(LinkGraph, "edges", property(named))
+    assert middle_decomposition(link) == (3, 3, True)
+
+
 def test_batteries_pass_at_small_scale():
     assert battery_tietze(8).ok
     assert battery_triangle_girth(4).ok

@@ -101,9 +101,9 @@ def test_corner_rule_single_relation():
     assert link.has_edge(hb, ab)
     assert link.has_edge(a, bb)
     assert link.has_edge(b, hh)
-    assert link.edges[link.edge_index(a, bb)].kind == "middle"
-    assert link.edges[link.edge_index(hb, ab)].kind == "bottom"
-    assert link.edges[link.edge_index(b, hh)].kind == "top"
+    assert link.edges[link._edge_between(a, bb)].kind == "middle"
+    assert link.edges[link._edge_between(hb, ab)].kind == "bottom"
+    assert link.edges[link._edge_between(b, hh)].kind == "top"
 
 
 def test_levels_and_special_flags():
@@ -239,42 +239,25 @@ def test_malformed_hand_built_link_is_rejected(second_relators):
         build_link(k)
 
 
-def test_edge_kind_must_match_its_levels():
-    from artinlink import LinkEdge, LinkGraph, LinkVertex
-
-    h = LinkVertex("h", TAIL, 1, False)
-    u = LinkVertex("u", TAIL, 2, True)
-    v = LinkVertex("v", HEAD, 3, True)
-    # levels 1-2 make a bottom edge, levels 2-3 a middle one
-    with pytest.raises(InternalInconsistencyError, match="is not middle"):
-        LinkGraph([h, u], [LinkEdge(h, u, "middle", 0, 1, "h")])
-    with pytest.raises(InternalInconsistencyError, match="is not top"):
-        LinkGraph([u, v], [LinkEdge(v, u, "top", 0, 2, "h")])
-    link = LinkGraph(
-        [h, u, v],
-        [LinkEdge(h, u, "bottom", 0, 0, "h"), LinkEdge(v, u, "middle", 0, 1, "h")],
-    )
-    assert link.middle_edges() == (1,)
-    # the level rule and the kinds agree on every built link too
+def test_edge_kinds_follow_their_levels():
     for link in (classic_link(2, 4, 5), classic_link(3, 4, 5)):
+        for e in link.edges:
+            assert e.kind == ("bottom", "middle", "top")[min(e.a.level, e.b.level) - 1]
         assert link.middle_edges() == tuple(
             i for i, e in enumerate(link.edges) if e.kind == "middle"
         )
 
 
-def test_unknown_vertices_and_level_skips_are_rejected():
-    from artinlink import LinkEdge, LinkGraph, LinkVertex, TwoComplex
+def test_unknown_generators_and_level_skips_are_rejected():
+    from artinlink import TwoComplex
 
-    a = LinkVertex("a", HEAD, 3, True)
-    b = LinkVertex("b", TAIL, 2, True)
-    x = LinkVertex("x", TAIL, 1, False)
-    with pytest.raises(InternalInconsistencyError):
-        LinkGraph([a], [LinkEdge(a, b, "middle", 0, 1, "x")])
-    with pytest.raises(InternalInconsistencyError):
-        LinkGraph([a, x], [LinkEdge(a, x, "middle", 0, 1, "x")])
     pres = triangle_presentation(3, 3, 3)
+    # without hub records every tail is on level 2, so bottom edges skip
+    hubless = Presentation.from_cells(pres.generators, pres.cells, ())
+    with pytest.raises(InternalInconsistencyError, match="joins levels 2 and 2"):
+        build_link(build_complex(hubless))
     for cell in ((0, 1, 99), (-1, 0, 1)):
-        with pytest.raises(InternalInconsistencyError):
+        with pytest.raises(InternalInconsistencyError, match="unknown generator"):
             build_link(TwoComplex(pres, [cell]))
         with pytest.raises(ValueError, match="undeclared generator"):
             Presentation.from_cells(pres.generators, [cell], ())
@@ -296,14 +279,21 @@ def test_parallel_corners_from_cells_are_rejected():
         build_link(build_complex(pres))
 
 
-def test_parallel_edges_rejected():
-    from artinlink import LinkEdge, LinkGraph, LinkVertex
+def test_links_and_parts_are_freed_without_the_cycle_collector():
+    """No link refers to itself, so none waits for the cyclic collector."""
+    import gc
+    import weakref
 
-    a = LinkVertex("a", HEAD, 3, True)
-    b = LinkVertex("b", TAIL, 2, True)
-    e = LinkEdge(a, b, "middle", 0, 1, "x")
-    with pytest.raises(InternalInconsistencyError):
-        LinkGraph([a, b], [e, e._replace(cell=1)])
+    gc.disable()
+    try:
+        link = classic_link(3, 4, 5)
+        part = link.neighborhood(link.vertex("y", HEAD), 2).middle_subgraph()
+        assert link.edges and part.edges
+        refs = [weakref.ref(link), weakref.ref(part)]
+        del link, part
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # -- middle subgraph -------------------------------------------------------
@@ -346,6 +336,8 @@ def test_neighborhood_radius_zero():
     v = link.vertex("a", HEAD)
     nb = link.neighborhood(v, 0)
     assert nb.vertices == (v,) and nb.edges == ()
+    with pytest.raises(ValueError, match="negative radius"):
+        link.neighborhood(v, -1)
 
 
 def test_neighborhood_unknown_vertex():

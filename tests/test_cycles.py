@@ -432,17 +432,22 @@ def test_subgraphs_of_an_angled_link_carry_its_weights():
         angled.induced(angled.vertices[:7]),
         angled.neighborhood(angled.vertex("x", "head"), 2),
     ]
+    parts.append(parts[3].subgraph(range(1, len(parts[3].ends), 2)))  # a part's part
     for part in parts:
-        assert part.ends and part.angles_assigned
+        assert part.ends and part.angles_assigned and part.complex is None
+        for v in part.vertices:
+            assert v in angled.index
         for ei, e in enumerate(part.edges):
-            whole = angled.edge_index(e.a, e.b)
-            assert Fraction(part.weight[ei], part.angle_unit) == Fraction(
-                angled.weight[whole], angled.angle_unit
-            )
-        # re-angling a link of named edges replaces every angle
+            # the whole link's edge, with its cell, corner, piece, kind and angle
+            assert angled.edges[angled._edge_between(e.a, e.b)] == e
+            assert Fraction(part.weight[ei], part.angle_unit) == e.angle
+        # re-angling a part replaces every angle
         half = [Fraction(1, 2)] * len(part.ends)
         reangled = part.with_angles(half)
         assert_weights_are_the_angles(reangled, half)
+    for bad in ([-1], [0, len(angled.ends)]):
+        with pytest.raises(ValueError, match="edge ids"):
+            angled.subgraph(bad)
 
 
 def test_b2_paths_never_build_named_edges(monkeypatch):

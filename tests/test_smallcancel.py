@@ -254,12 +254,12 @@ def test_cells_with_longer_pieces_have_no_link(cells, max_len, fewest):
 
 def test_conditions_need_the_presentations_own_link():
     """The counts read the cells of the complex the link was built
-    from; a link of named edges has none and is refused."""
-    unnamed = link_of(triangle_graph(3, 4, 5)).subgraph(range(6))
+    from; a part of the link has none and is refused."""
+    part = link_of(triangle_graph(3, 4, 5)).subgraph(range(6))
     with pytest.raises(InternalInconsistencyError, match="not built from cells"):
-        check_conditions(unnamed, girth(unnamed)[0])
+        check_conditions(part, girth(part)[0])
     with pytest.raises(InternalInconsistencyError, match="not built from cells"):
-        compute_pieces(unnamed)
+        compute_pieces(part)
 
 
 def _refuse(*args, **kwargs):

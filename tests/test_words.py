@@ -61,21 +61,6 @@ def test_word_serialization_round_trip():
     assert FreeWord.parse(str(w)) == w
 
 
-def test_cyclic_subwords_length_two():
-    c = CyclicWord(W("x^-1 a b"))
-    assert c.subwords(2) == {W("x^-1 a"), W("a b"), W("b x^-1")}
-
-
-def test_cyclic_subwords_length_one():
-    c = CyclicWord(W("x^-1 a b"))
-    assert c.subwords(1) == {W("x^-1"), W("a"), W("b")}
-
-
-def test_cyclic_subwords_full_length_count():
-    c = CyclicWord(W("x^-1 a b"))
-    assert len(c.subwords(3)) == 3
-
-
 def test_cyclic_word_rotation_invariance():
     c1 = CyclicWord(W("x^-1 a b"))
     c2 = CyclicWord(W("a b x^-1"))
