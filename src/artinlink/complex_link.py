@@ -219,8 +219,14 @@ class LinkGraph:
 
     # -- basic accessors -------------------------------------------------
 
+    def _id(self, v: LinkVertex) -> int:
+        i = self.index.get(v)
+        if i is None:
+            raise VertexNotFoundError(str(v))
+        return i
+
     def degree(self, v: LinkVertex) -> int:
-        return len(self.nbrs[self.index[v]])
+        return len(self.nbrs[self._id(v)])
 
     def has_edge(self, a: LinkVertex, b: LinkVertex) -> bool:
         return self._edge_between(a, b) is not None
@@ -259,11 +265,7 @@ class LinkGraph:
         return self._part(sorted({i for ei in eids for i in self.ends[ei]}), eids)
 
     def induced(self, vertices: Iterable[LinkVertex]) -> "LinkGraph":
-        ids = set()
-        for v in vertices:
-            if v not in self.index:
-                raise VertexNotFoundError(str(v))
-            ids.add(self.index[v])
+        ids = {self._id(v) for v in vertices}
         eids = [ei for a in ids for b, ei in self.nbrs[a] if a < b and b in ids]
         return self._part(sorted(ids), sorted(eids))
 
@@ -289,9 +291,7 @@ class LinkGraph:
         """Induced subgraph on vertices within edge-distance ``radius``."""
         if radius < 0:
             raise ValueError(f"negative radius {radius}")
-        if v not in self.index:
-            raise VertexNotFoundError(str(v))
-        start = self.index[v]
+        start = self._id(v)
         dist = {start: 0}
         queue = deque([start])
         while queue:

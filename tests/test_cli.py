@@ -248,6 +248,19 @@ def test_huge_label_is_a_fast_one_line_error(gamma_file, capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_orient_refutes_unoriented_k11_11_fast(gamma_file, capsys):
+    # the bipartite count refutes it at once; the exhaustive search alone
+    # takes seconds here
+    text = "".join(f"vertex a{i}\nvertex b{i}\n" for i in range(11)) + "".join(
+        f"edge a{i} b{j} 3\n" for i in range(11) for j in range(11)
+    )
+    path = gamma_file(text)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["orient", path])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (0, "no pattern-free orientation exists\n")
+
+
 def test_parse_error_exit_code(gamma_file, capsys):
     code, _, err = run(capsys, ["certify", gamma_file("vertex a\nflurb\n")])
     assert code == 1

@@ -10,6 +10,7 @@ from artinlink import (
     TAIL,
     DefiningGraph,
     InternalInconsistencyError,
+    LinkVertex,
     NotTriangularError,
     Orientation,
     Presentation,
@@ -345,6 +346,14 @@ def test_neighborhood_unknown_vertex():
     other = classic_link(2, 4, 5).vertex("e4", HEAD)
     with pytest.raises(VertexNotFoundError):
         link.neighborhood(other, 1)
+
+
+def test_degree_of_an_unknown_vertex_names_it():
+    link = classic_link(3, 3, 3)
+    with pytest.raises(VertexNotFoundError, match="^'q'$"):
+        link.degree(LinkVertex("q", "head", 3, False))
+    with pytest.raises(VertexNotFoundError, match="^'q'$"):
+        link.induced([link.vertex("a", HEAD), LinkVertex("q", "head", 3, False)])
 
 
 def test_radius_two_neighborhood_of_y_is_tree():

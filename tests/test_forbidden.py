@@ -1,7 +1,9 @@
 import itertools
+import time
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle_tools import (
     all_orientation_completions,
@@ -25,6 +27,7 @@ from artinlink import (
     trace_faces,
 )
 from artinlink.batteries import enumerate_oriented_states, graph_from_state, wildcard_variants
+from artinlink.forbidden import _c4_free_edges, _refuted_by_counting
 
 F, B, WILD = Orientation.FORWARD, Orientation.BACKWARD, Orientation.WILDCARD
 
@@ -347,6 +350,131 @@ def test_search_agrees_with_exhaustive_completions(g):
     assert (found is not None) == any_good
     if found is not None:
         assert good(g, found)
+
+
+# -- the counting refutation on bipartite graphs ---------------------------------
+
+
+def complete_bipartite(m, n, extra=(), first=()):
+    """K_{m,n} on a0.. and b0.., its edges in order taking the (label,
+    orientation) states in ``first`` and then label 3 unoriented, plus
+    the ``extra`` edges on new vertices."""
+    a = [f"a{i}" for i in range(m)]
+    b = [f"b{j}" for j in range(n)]
+    states = itertools.chain(first, itertools.repeat((3,)))
+    edges = [(u, v, *st) for (u, v), st in zip(itertools.product(a, b), states)]
+    names = sorted({w for e in extra for w in e[:2]})
+    return DefiningGraph(a + b + names, edges + list(extra))
+
+
+WILDCARDS_3 = [(2, WILD)] * 3
+
+
+def test_complete_bipartite_search_matches_the_rectangle_free_grid_theorem():
+    # Fenner, Gasarch, Glover and Purewal (2012): the m x n grid has a
+    # 2-colouring with no monochromatic rectangle iff it contains neither
+    # 5 x 5 nor 3 x 7; on K_{m,n} the colours are the two directions
+    start = time.perf_counter()
+    for m in range(2, 9):
+        for n in range(m, 9):
+            g = complete_bipartite(m, n)
+            found = search_orientation(g)
+            assert (found is None) == (m >= 5 or (m >= 3 and n >= 7)), (m, n)
+            assert _refuted_by_counting(g) == (found is None), (m, n)
+            if found is not None:
+                assert good(g, found)
+    assert time.perf_counter() - start < 5
+
+
+def test_reiman_count_is_the_optimum_of_its_degree_program():
+    # the largest sum of d_v <= cap_v with sum C(d_v, 2) <= C(n, 2),
+    # by trying every degree vector
+    for n in range(1, 6):
+        for caps in itertools.product(range(6), repeat=3):
+            best = max(
+                sum(ds)
+                for ds in itertools.product(*(range(c + 1) for c in caps))
+                if sum(d * (d - 1) for d in ds) <= n * (n - 1)
+            )
+            stub = SimpleNamespace(degree=caps.__getitem__)
+            assert _c4_free_edges(stub, range(n), range(3)) == best, (n, caps)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(
+            DefiningGraph(
+                complete_bipartite(5, 5).vertices,
+                complete_bipartite(5, 5).edges[1:],
+            ),
+            id="k55-minus-an-edge",
+        ),
+        pytest.param(complete_bipartite(3, 6), id="k36"),
+        pytest.param(complete_bipartite(4, 6), id="k46"),
+        # not bipartite: read as sides {a, c, d, f} and {b, e}, its
+        # edges would exceed the count, yet it is already clean
+        pytest.param(
+            DefiningGraph(
+                tuple("abcdef"),
+                [(u, v, 2, WILD) for u, v in ("ab", "bc", "cd", "de", "ae")]
+                + [("e", "f", 3)],
+            ),
+            id="wildcard-five-cycle",
+        ),
+    ],
+)
+def test_counting_does_not_fire_where_an_orientation_exists(g):
+    assert not _refuted_by_counting(g)
+    found = search_orientation(g)
+    assert found is not None and good(g, found)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(complete_bipartite(5, 5, [("x", "y", 3)]), id="k55-and-an-edge"),
+        pytest.param(
+            complete_bipartite(5, 5, [("x", "y", 3), ("y", "z", 3), ("x", "z", 3)]),
+            id="k55-and-a-triangle",
+        ),
+        pytest.param(complete_bipartite(3, 7), id="k37"),
+        pytest.param(complete_bipartite(3, 4, first=WILDCARDS_3), id="k34-three-wildcards"),
+    ],
+)
+def test_counting_refutes_a_bipartite_component(g):
+    assert _refuted_by_counting(g)
+    assert search_orientation(g) is None
+
+
+@st.composite
+def bipartite_graphs(draw, max_unoriented=10):
+    """Bipartite graphs on at most 3 + 4 vertices with fixed, wildcard
+    and unoriented edges, at most ``max_unoriented`` unoriented."""
+    a = [f"a{i}" for i in range(draw(st.integers(1, 3)))]
+    b = [f"b{j}" for j in range(draw(st.integers(1, 4)))]
+    edges = []
+    for u, v in itertools.product(a, b):
+        kinds = ["none", "forward", "backward", "wildcard", "wildcard"]
+        if sum(len(e) == 3 for e in edges) < max_unoriented:
+            kinds += ["unoriented"] * 3
+        kind = draw(st.sampled_from(kinds))
+        if kind == "unoriented":
+            edges.append((u, v, draw(st.sampled_from((3, 4)))))
+        elif kind == "wildcard":
+            edges.append((u, v, 2, WILD))
+        elif kind != "none":
+            edges.append((u, v, 3, F if kind == "forward" else B))
+    return DefiningGraph(tuple(a + b), edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bipartite_graphs())
+@example(complete_bipartite(3, 4, first=[(3, F)] + WILDCARDS_3))
+def test_counting_refutes_only_graphs_without_a_good_completion(g):
+    if _refuted_by_counting(g):
+        assert search_orientation(g) is None
+        assert not any(good(g, asg) for asg in all_orientation_completions(g))
 
 
 def test_search_self_check_raises_on_a_bad_assignment(monkeypatch):
