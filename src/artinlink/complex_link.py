@@ -168,6 +168,7 @@ class LinkGraph:
         self.nbrs = nbrs
         self.ends = tuple(ends)
         self._edge_ids = edge_ids
+        self._hops: list = []  # the hop search's answer: cycles._hop_search
 
     # -- the named view, read through the whole link -----------------------
 

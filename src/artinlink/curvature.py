@@ -89,22 +89,18 @@ class LinkCondition:
     witness: EmbeddedLoop | None
 
 
-def check_link_condition(
-    link: LinkGraph,
-    metric: MetricAssignment,
-    shortest: tuple[int | None, EmbeddedLoop | None] | None = None,
-) -> LinkCondition:
+def check_link_condition(link: LinkGraph, metric: MetricAssignment) -> LinkCondition:
     """Does every embedded loop measure at least 2*pi?  Exact comparison.
 
     Edge ``ei`` of a link built from cells is corner ``ei % 3`` of its
-    cell.  A caller that already has ``girth(link)`` passes it as
-    ``shortest``; under a metric with one angle everywhere (A2) it is
-    the answer, so the loop search does not run again.
+    cell.  Under a metric with one angle everywhere (A2) the answer is
+    the girth loop, so the hop search that ``girth(link)`` runs or has
+    run serves both.
     """
     if link.complex is None:
         raise InternalInconsistencyError(f"{link!r} is not built from cells")
     angled = link.with_angles(metric.corner_angles * len(link.complex.cells))
-    value, witness = min_angle_cycle(angled, shortest)
+    value, witness = min_angle_cycle(angled)
     holds = value is None or value >= TWO_PI
     return LinkCondition(holds, value, witness)
 
@@ -179,15 +175,6 @@ class CurvatureReport:
         return "\n".join(lines) + "\n"
 
 
-def _default_orientation(gamma: DefiningGraph) -> DefiningGraph:
-    """Orient leftover edges u -> v; used only when no good orientation
-    exists but a presentation is still wanted for diagnostics."""
-    todo = {e.key: "forward" for e in gamma.unoriented_edges()}
-    if not todo:
-        return gamma
-    return resolve_orientations(gamma, OrientationAssignment(todo))
-
-
 def certify(
     gamma: DefiningGraph,
     assignment: OrientationAssignment | None = None,
@@ -215,7 +202,8 @@ def certify(
             notes.append("orientation found by search")
         else:
             notes.append("no pattern-free orientation exists; using u->v defaults")
-            g = _default_orientation(g)
+            todo = {e.key: "forward" for e in g.unoriented_edges()}
+            g = resolve_orientations(g, OrientationAssignment(todo))
 
     link = link_of(g)
     # One detection serves the verdict and checks its witness loops
@@ -241,7 +229,7 @@ def certify(
 
     diagnostic_scheme = chosen or A2
     metric = assign_metric(link, diagnostic_scheme)
-    condition = check_link_condition(link, metric, (girth_value, girth_loop))
+    condition = check_link_condition(link, metric)
 
     if chosen is None:
         verdict, theorem = VERDICT_INCONCLUSIVE, None

@@ -12,13 +12,16 @@ Each search starts at one vertex and visits only vertices later than
 it in some order, so a start is in effect removed once it has run
 (Itai and Rodeh, 1978).  The search is a BFS on hop counts, and a
 Dijkstra on integer weights when the angles differ (Roditty and
-Vassilevska Williams, 2011).  A first pass finds the least key with
-the starts in (-degree, id) order: the hubs go first, and no later
-search runs into a hub's star.  A second pass, in id order over the
-vertices near the least loops that the first pass met, stops at the
-first start that reaches that key, and one DFS from it finds the
-canonical witness.  Angles are read as the link's integer weights over
-one unit of pi, so no comparison is ever in floating point.
+Vassilevska Williams, 2011), both on one adjacency of (neighbour,
+step) pairs.  A first pass finds the least key with the starts in
+(-degree, id) order: the hubs go first, and no later search runs into
+a hub's star.  A second pass, in id order over the vertices near the
+least loops that the first pass met, stops at the first start that
+reaches that key, and one DFS from it finds the canonical witness.
+The hop search runs at most once per link: the link's core holds its
+answer, which the girth and every uniform-angle copy read.  Angles are
+read as the link's integer weights over one unit of pi, so no
+comparison is ever in floating point.
 """
 
 from __future__ import annotations
@@ -105,17 +108,6 @@ def _loop(link: LinkGraph, ids: tuple[int, ...], vertices) -> EmbeddedLoop:
     return EmbeddedLoop(tuple(vertices), tuple(idxs), total)
 
 
-def _reread(link: LinkGraph, loop: EmbeddedLoop) -> EmbeddedLoop:
-    """``loop``, found on a link with the same ids, read on ``link`` by
-    its edge ids: vertex i is the end that edges i - 1 and i share."""
-    ends, n = link.ends, len(link.ends)
-    pairs = [set(ends[ei]) if 0 <= ei < n else set() for ei in loop.edge_indices]
-    ids = tuple(min(a & b, default=-1) for a, b in zip(pairs[-1:] + pairs[:-1], pairs))
-    if -1 in ids or tuple(link._named(ids)) != loop.vertices:
-        raise ValueError(f"loop {loop} is not a closed walk of this link")
-    return _loop(link, ids, loop.vertices)
-
-
 def has_short_loop(link: LinkGraph) -> bool:
     """Whether the link has an embedded loop of length < 6.
 
@@ -137,15 +129,16 @@ def has_short_loop(link: LinkGraph) -> bool:
 
 
 def _least_cycle_through(
-    nbrs: list[list[int]], s: int, best: int
+    steps: list[list[tuple[int, int]]], s: int, best: int
 ) -> tuple[int, dict[int, int]]:
-    """BFS from ``s`` over the ids > s, each vertex labelled with its
-    first hop; an edge between two such branches closes a simple cycle
-    through ``s``.  Returns the least length below ``best`` of such a
-    cycle (else ``best``) and the depth of each vertex reached.  Levels
-    from ``best // 2`` on are not expanded: they close no shorter cycle.
+    """BFS from ``s`` over the ids > s of ``steps``, whose steps it
+    ignores, each vertex labelled with its first hop; an edge between
+    two such branches closes a simple cycle through ``s``.  Returns the
+    least length below ``best`` of such a cycle (else ``best``) and the
+    depth of each vertex reached.  Levels from ``best // 2`` on are not
+    expanded: they close no shorter cycle.
     """
-    branch = {nb: nb for nb in nbrs[s] if nb > s}
+    branch = {nb: nb for nb, _ in steps[s] if nb > s}
     depth = dict.fromkeys(branch, 1)
     depth[s] = 0
     frontier = list(branch)
@@ -154,7 +147,7 @@ def _least_cycle_through(
         ahead = []
         for cur in frontier:
             b = branch[cur]
-            for nb in nbrs[cur]:
+            for nb, _ in steps[cur]:
                 if nb <= s:
                     continue
                 nb_branch = branch.get(nb)
@@ -222,11 +215,13 @@ def _shortest_cycle(
     Without ``weight`` the key is the length and each start runs a BFS.
     With a positive integer weight per edge it is ``weight * n +
     length`` for ``n`` vertices, which orders as the pair, and each
-    start runs a Dijkstra.  A search from ``s`` visits only the
-    vertices labelled above ``s`` and closes only simple loops whose
-    least label is ``s``; it sees every least loop whose least label is
-    ``s``, since a loop whose two arcs meet in one branch leaves a
-    lighter loop.
+    start runs a Dijkstra.  Both passes and the witness DFS read one
+    adjacency of (neighbour id, step) pairs, an edge's step being its
+    share of the key: 1, or ``weight * n + 1``.  A search from ``s``
+    visits only the vertices labelled above ``s`` and closes only
+    simple loops whose least label is ``s``; it sees every least loop
+    whose least label is ``s``, since a loop whose two arcs meet in one
+    branch leaves a lighter loop.
 
     Pass 1 finds the key.  It labels the vertices by rank in (-degree,
     id) order and searches from each rank in turn, so the hubs, the
@@ -247,13 +242,10 @@ def _shortest_cycle(
     farther away than the key left to close up.
     """
     n = len(link.nbrs)
-    if weight is None:
-        adj = [[nb for nb, _ in ns] for ns in link.nbrs]  # sorted ids
-        search, unset = _least_cycle_through, n + 1
-    else:
-        adj = [[(nb, weight[ei] * n + 1) for nb, ei in ns] for ns in link.nbrs]
-        # above every loop key, a Hamiltonian loop's (sum(weight), n) too
-        search, unset = _lightest_cycle_through, (sum(weight) + 1) * n + 1
+    steps = [1] * len(link.ends) if weight is None else [w * n + 1 for w in weight]
+    adj = [[(nb, steps[ei]) for nb, ei in ns] for ns in link.nbrs]  # sorted ids
+    search = _least_cycle_through if weight is None else _lightest_cycle_through
+    unset = sum(steps) + 1  # above every loop key, a loop on all edges' too
     # pass 1, the key: hubs first, and ids in order within a degree, as
     # a reversed sort is still stable
     degree = [len(ns) for ns in adj]
@@ -261,10 +253,7 @@ def _shortest_cycle(
     rank = [0] * n
     for r, v in enumerate(order):
         rank[v] = r
-    if weight is None:
-        ranked = [[rank[nb] for nb in adj[v]] for v in order]
-    else:
-        ranked = [[(rank[nb], step) for nb, step in adj[v]] for v in order]
+    ranked = [[(rank[nb], step) for nb, step in adj[v]] for v in order]
     best = unset
     for r in range(n):
         key, dist = search(ranked, r, best + 1)
@@ -279,8 +268,7 @@ def _shortest_cycle(
         key, start_dist = search(adj, start, best + 1)
         if key == best:
             break
-    steps = adj if weight else [[(nb, 1) for nb in ns] for ns in adj]
-    path, pending = [start], [(iter(steps[start]), 0)]
+    path, pending = [start], [(iter(adj[start]), 0)]
     while pending:
         ahead, prefix = pending[-1]
         nb, step = next(ahead, (None, 0))
@@ -293,8 +281,16 @@ def _shortest_cycle(
         elif nb > start and prefix + step + start_dist.get(nb, best) <= best:
             if nb not in path:
                 path.append(nb)
-                pending.append((iter(steps[nb]), prefix + step))
+                pending.append((iter(adj[nb]), prefix + step))
     raise InternalInconsistencyError("no least loop through its start")
+
+
+def _hop_search(link: LinkGraph) -> tuple[int | None, tuple[int, ...] | None]:
+    """The hop search of ``link``'s integer core, run on first use only:
+    angled copies share the core's holder, and each part has its own."""
+    if not link._hops:
+        link._hops.append(_shortest_cycle(link))
+    return link._hops[0]
 
 
 def girth(link: LinkGraph) -> tuple[int | None, EmbeddedLoop | None]:
@@ -303,14 +299,11 @@ def girth(link: LinkGraph) -> tuple[int | None, EmbeddedLoop | None]:
     Returns ``(None, None)`` for forests.  Ties between witness loops
     are broken by the canonical lexicographic vertex order.
     """
-    length, ids = _shortest_cycle(link)
+    length, ids = _hop_search(link)
     return length, None if ids is None else _loop_of_ids(link, ids)
 
 
-def min_angle_cycle(
-    link: LinkGraph,
-    shortest: tuple[int | None, EmbeddedLoop | None] | None = None,
-) -> tuple[Fraction | None, EmbeddedLoop | None]:
+def min_angle_cycle(link: LinkGraph) -> tuple[Fraction | None, EmbeddedLoop | None]:
     """Minimum total angle over embedded loops, computed exactly.
 
     Angles must be assigned on every edge.  Ties prefer the shorter
@@ -318,11 +311,11 @@ def min_angle_cycle(
     for forests.
 
     With one angle on every edge the lightest loops are the shortest,
-    and the tie-breaks agree, so the answer is the girth loop; a caller
-    that has ``girth(link)`` (of this link, with or without angles)
-    passes it as ``shortest`` to save the search.  Otherwise the
-    shortest-cycle engine runs on the link's integer weights, keyed by
-    (weight, length), and a loop is built just for its winner.
+    and the tie-breaks agree, so the answer is the girth loop, read
+    from the hop search that ``girth`` shares: on a link and its angled
+    copies it runs once.  Otherwise the shortest-cycle engine runs on
+    the link's integer weights, keyed by (weight, length).  A loop is
+    built just for the winner.
     """
     if not link.angles_assigned:
         raise UnassignedAnglesError("link has edges without angles")
@@ -334,14 +327,11 @@ def min_angle_cycle(
         e = link.edges[next(ei for ei, w in enumerate(weight) if w <= 0)]
         raise UnassignedAnglesError(f"non-positive angle on edge {e.a}-{e.b}")
     uniform = least == max(weight)
-    if uniform and shortest is not None:
-        loop = shortest[1] and _reread(link, shortest[1])
-    else:
-        _, ids = _shortest_cycle(link, None if uniform else weight)
-        loop = ids and _loop_of_ids(link, ids)
-    if loop is None:
+    _, ids = _hop_search(link) if uniform else _shortest_cycle(link, weight)
+    if ids is None:
         return None, None
-    return loop.angle_sum, loop  # summed on this link's weights
+    loop = _loop_of_ids(link, ids)
+    return loop.angle_sum, loop
 
 
 def enumerate_short_loops(link: LinkGraph, max_len: int) -> list[EmbeddedLoop]:

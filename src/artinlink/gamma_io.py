@@ -33,7 +33,6 @@ class ParseError(ValueError):
     def __init__(self, line: int | None, message: str):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-        self.message = message
 
 
 def parse_gamma(text: str) -> DefiningGraph:

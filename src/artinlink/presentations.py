@@ -87,6 +87,14 @@ ORIENTATION_SYMBOLS = {
 }
 
 
+def _flipped(o: Orientation) -> Orientation:
+    """``o`` read from the other end: FORWARD and BACKWARD swap."""
+    return {
+        Orientation.FORWARD: Orientation.BACKWARD,
+        Orientation.BACKWARD: Orientation.FORWARD,
+    }.get(o, o)
+
+
 @dataclass(frozen=True)
 class GammaEdge:
     """An edge of a defining graph, stored with u < v lexicographically."""
@@ -103,13 +111,9 @@ class GammaEdge:
             raise ValueError(f"edge label must be an integer >= 2, got {self.label!r}")
         if self.u > self.v:
             u, v = self.v, self.u
-            flipped = {
-                Orientation.FORWARD: Orientation.BACKWARD,
-                Orientation.BACKWARD: Orientation.FORWARD,
-            }.get(self.orientation, self.orientation)
             object.__setattr__(self, "u", u)
             object.__setattr__(self, "v", v)
-            object.__setattr__(self, "orientation", flipped)
+            object.__setattr__(self, "orientation", _flipped(self.orientation))
         if self.orientation == Orientation.WILDCARD and self.label != 2:
             raise ValueError(
                 f"wildcard orientation requires label 2 on edge {self.key}"
@@ -144,11 +148,7 @@ class GammaEdge:
         return self.v if self.tail == self.u else self.u
 
     def reversed(self) -> "GammaEdge":
-        flipped = {
-            Orientation.FORWARD: Orientation.BACKWARD,
-            Orientation.BACKWARD: Orientation.FORWARD,
-        }.get(self.orientation, self.orientation)
-        return GammaEdge(self.u, self.v, self.label, flipped)
+        return GammaEdge(self.u, self.v, self.label, _flipped(self.orientation))
 
 
 def _make_edge(item) -> GammaEdge:

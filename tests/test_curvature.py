@@ -14,6 +14,7 @@ from artinlink import (
     check_link_condition,
     girth,
     link_of,
+    min_angle_cycle,
     triangle_graph,
 )
 from artinlink.curvature import (
@@ -264,6 +265,58 @@ def test_certify_runs_the_shortest_cycle_engine_once(monkeypatch):
         runs.clear()
         assert certify(gamma).scheme == scheme
         assert runs == expected
+
+
+def test_one_hop_search_per_link_in_any_order(monkeypatch):
+    from artinlink import cycles
+
+    engine = cycles._shortest_cycle
+    runs = []
+
+    def counted(link, weight=None):
+        if weight is None:
+            runs.append(link)
+        return engine(link, weight)
+
+    def a2(link):
+        return link.with_angles([Fraction(1, 3)] * len(link.ends))
+
+    monkeypatch.setattr(cycles, "_shortest_cycle", counted)
+    queries = {
+        "girth": girth,
+        "condition": lambda link: check_link_condition(link, assign_metric(link, A2)),
+        "angled": lambda link: min_angle_cycle(a2(link)),
+    }
+    k33 = DefiningGraph(
+        ("a", "b", "c", "x", "y", "z"),
+        [(u, v, 3, F) for u in "abc" for v in "xyz"],
+    )
+    # (3, 3, 3): girth 6 and a middle forest; K3,3: a middle loop of its own
+    for gamma in (triangle_graph(3, 3, 3), k33):
+        answers = []
+        for order in itertools.permutations(queries):
+            link = link_of(gamma)
+            runs.clear()
+            answers.append({name: queries[name](link) for name in order})
+            assert len(runs) == 1  # on the link, or on its angled copy
+        assert all(a == answers[0] for a in answers)
+        g, loop = answers[0]["girth"]
+        condition = answers[0]["condition"]
+        assert condition.min_over_pi == Fraction(g, 3) == answers[0]["angled"][0]
+        assert condition.witness.vertices == loop.vertices
+        # a part is its own graph: its own search, its own answer
+        part = link.middle_subgraph()
+        length, ids = engine(part)  # not counted
+        part_g, part_loop = girth(part)
+        value, witness = min_angle_cycle(a2(part))
+        assert len(runs) == 2 and runs[1] is part
+        assert part_g == length
+        if ids is None:
+            assert part_loop is witness is value is None
+        else:
+            assert tuple(part.index[v] for v in part_loop.vertices) == ids
+            assert value == Fraction(length, 3)
+            assert witness.vertices == part_loop.vertices
 
 
 def test_one_edge_at_the_generator_cap_certifies_within_two_seconds():

@@ -213,7 +213,8 @@ def test_girth_witness_is_least_of_all_minimal_loops():
 
     links = [
         link_of(graph_from_state(state, 5))
-        for state in enumerate_triangle_free_oriented_states(5, (2, 3))
+        for state in enumerate_triangle_free_oriented_states(5)
+        if set(state) <= {0, 1, 2, 5}  # labels 2 and 3 only
     ] + list(assorted_links())
     with_loops = 0
     for link in links:
@@ -280,7 +281,6 @@ def test_min_angle_uniform_is_theta_times_girth(monkeypatch):
         uniform = link.with_angles([theta] * len(link.ends))
         g, girth_loop = girth(link)
         value, witness = min_angle_cycle(uniform)
-        assert min_angle_cycle(uniform, (g, girth_loop)) == (value, witness)
         if g is None:
             assert (value, witness) == (None, None)
         else:
@@ -492,27 +492,6 @@ def test_a2_certify_never_builds_named_vertices(monkeypatch, name):
     report = certify(gamma)
     assert report.scheme == A2
     assert report.to_json_dict() == expected.to_json_dict()
-
-
-def test_a_passed_girth_loop_must_be_a_loop_of_the_link():
-    import dataclasses
-
-    link = classic_link(3, 4, 5)
-    g, loop = girth(link)
-    uniform = a2_link(link)
-    assert min_angle_cycle(uniform, (g, loop)) == min_angle_cycle(uniform)
-    other = girth(classic_link(3, 3, 3))[1]  # its edge ids are all in range
-    assert max(other.edge_indices) < len(link.ends)
-    far = dataclasses.replace(loop, edge_indices=(len(link.ends),) * g)
-    rotated = loop.edge_indices[1:] + loop.edge_indices[:1]
-    for bad in (
-        other,
-        far,
-        dataclasses.replace(loop, edge_indices=rotated),
-        dataclasses.replace(loop, edge_indices=tuple(range(g))),
-    ):
-        with pytest.raises(ValueError, match="loop"):
-            min_angle_cycle(uniform, (g, bad))
 
 
 def test_with_angles_takes_one_angle_per_edge():

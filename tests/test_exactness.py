@@ -216,6 +216,62 @@ def girth(adj):
     ]
 
 
+def hop_search_sites(source: str) -> list[tuple[str | None, int]]:
+    """(top-level definition, line) of every read of ``_shortest_cycle``
+    that can run its hop search: a call with no weight, or with one that
+    may be None, and any read that is not the callee of a call."""
+    sites = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        weight_of = {}  # callee -> its weight argument, a None constant if none
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                kw = [k.value for k in node.keywords if k.arg == "weight"]
+                given = node.args[1:2] + kw
+                weight_of[id(node.func)] = given[0] if given else ast.Constant(None)
+        for node in ast.walk(top):
+            if "_shortest_cycle" not in (
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+            ):
+                continue
+            weight = weight_of.get(id(node))  # None: read but not called
+            if weight is None or any(
+                isinstance(sub, ast.Constant) and sub.value is None
+                for sub in ast.walk(weight)
+            ):
+                sites.append((owner, node.lineno))
+    return sites
+
+
+def test_only_the_hop_accessor_runs_the_hop_search():
+    # the hop search runs once per link because one accessor holds its
+    # answer: a second unweighted call would run it again
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    owners = {
+        (name, owner)
+        for name, source in sources.items()
+        for owner, _ in hop_search_sites(source)
+    }
+    assert owners == {("cycles.py", "_hop_search")}
+
+
+def test_hop_guard_sees_every_hop_search():
+    source = """
+from . import cycles
+def hops(link):
+    return cycles._shortest_cycle(link)
+def weighted(link, weight):
+    return _shortest_cycle(link, weight), _shortest_cycle(link, weight=weight)
+def maybe(link, w):
+    return _shortest_cycle(link, None if w else link.weight)
+def passed_on(link):
+    search = _shortest_cycle
+    return search(link)
+"""
+    assert hop_search_sites(source) == [("hops", 4), ("maybe", 8), ("passed_on", 10)]
+
+
 def chain_builders(sources: dict[str, str]) -> list[tuple[str, str | None]]:
     """(module, top-level definition) of every call to ``build_complex``
     or ``build_link`` in ``sources``, module name -> source."""
