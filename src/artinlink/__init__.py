@@ -47,6 +47,7 @@ from .forbidden import (
     ForbiddenWitness,
     OddDegreeVertexError,
     detect_forbidden,
+    has_forbidden,
     orient_from_rotation_system,
     search_orientation,
     trace_faces,

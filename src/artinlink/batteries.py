@@ -44,7 +44,7 @@ from operator import itemgetter
 from .complex_link import link_of
 from .curvature import B2, assign_metric, check_link_condition
 from .cycles import girth, has_short_loop
-from .forbidden import detect_forbidden
+from .forbidden import has_forbidden
 from .presentations import (
     DefiningGraph,
     Orientation,
@@ -403,15 +403,16 @@ def graph_from_state(state: tuple[int, ...], n: int) -> DefiningGraph:
 
 
 def oracle_case(state: tuple[int, ...], n: int, with_girth: bool = False):
-    """One oracle-equivalence case: pattern detector vs short link loops.
+    """One oracle-equivalence case: :func:`has_forbidden`, the pattern
+    detector's first-hit form, vs short link loops.
 
     Returns (ok, has_short_loop, girth_ok).
     """
     gamma = graph_from_state(state, n)
-    witnesses = detect_forbidden(gamma)
+    hit = has_forbidden(gamma)
     link = link_of(gamma)
     short = has_short_loop(link)
-    ok = bool(witnesses) == short
+    ok = hit == short
     girth_ok = True
     if with_girth:
         g, _ = girth(link)

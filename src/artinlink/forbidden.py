@@ -11,14 +11,15 @@ link:
 
 Label-2 edges read both ways in the link, so during pattern matching
 they are wildcards that may adopt either direction.  One predicate on
-compiled walks, ``_forms_pattern``, decides both patterns for
-``detect_forbidden`` and for ``search_orientation``, which looks for a
-direction assignment avoiding them; ``orient_from_rotation_system``
-builds one from a checkerboard face colouring of an embedded
-even-degree graph.  In a bipartite component type B is a 4-cycle run
-all one way between the sides, so the search first refutes by Reiman's
-(1958) count; on K_{m,n} that matches the rectangle-free grid theorem
-of Fenner, Gasarch, Glover and Purewal (2012).
+walks compiled as they are read, ``_forms_pattern``, decides both
+patterns for ``detect_forbidden``, its first-hit form ``has_forbidden``
+and ``search_orientation``, which looks for a direction assignment
+avoiding them; ``orient_from_rotation_system`` builds one from a
+checkerboard face colouring of an embedded even-degree graph.  In a
+bipartite component type B is a 4-cycle run all one way between the
+sides, so the search first refutes by Reiman's (1958) count; on
+K_{m,n} that matches the rectangle-free grid theorem of Fenner,
+Gasarch, Glover and Purewal (2012).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 
 from .complex_link import HEAD, TAIL, LinkGraph, LinkVertex
 from .errors import InternalInconsistencyError
@@ -92,12 +93,14 @@ def _walk(edge_id: dict[tuple[str, str], int], cycle) -> tuple[tuple[int, int], 
 
 
 def _compile(gamma: DefiningGraph):
-    """The direction array of ``gamma``, its triangles then its 4-cycles
-    (each in sorted order), and the walk of each."""
+    """The direction array of ``gamma`` and a lazy iterator of (cycle,
+    walk) pairs: triangles, then 4-cycles (each in sorted order), each
+    walk compiled as it is read and ``gamma.four_cycles()`` called only
+    once the triangles run out."""
     edge_id = {e.key: i for i, e in enumerate(gamma.edges)}
     dirs = [_DIRECTION.get(e.orientation) for e in gamma.edges]
-    cycles = gamma.triangles() + gamma.four_cycles()
-    return dirs, cycles, [_walk(edge_id, c) for c in cycles]
+    cycles = chain.from_iterable(f() for f in (gamma.triangles, gamma.four_cycles))
+    return dirs, ((c, _walk(edge_id, c)) for c in cycles)
 
 
 def _forms_pattern(walk, dirs) -> bool:
@@ -155,28 +158,38 @@ def _witness(edges, cycle, walk, dirs) -> ForbiddenWitness:
     return ForbiddenWitness("B", cycle, directed, loop)
 
 
+def _hits(gamma: DefiningGraph):
+    """The direction array and a lazy iterator of the (cycle, walk) pairs
+    of ``gamma`` that form a pattern; refuses an undirected non-wildcard
+    edge with :class:`UnorientedEdgeError`."""
+    dirs, pairs = _compile(gamma)
+    if None in dirs:
+        e = gamma.edges[dirs.index(None)]
+        raise UnorientedEdgeError(f"edge {e.key} has no direction")
+    return dirs, ((c, w) for c, w in pairs if _forms_pattern(w, dirs))
+
+
+def has_forbidden(gamma: DefiningGraph) -> bool:
+    """``bool(detect_forbidden(gamma))``, decided at the first hit: no
+    walk after it is compiled and no witness is built."""
+    return next(_hits(gamma)[1], None) is not None
+
+
 def detect_forbidden(
     gamma: DefiningGraph, link: LinkGraph | None = None
 ) -> list[ForbiddenWitness]:
     """All minimal type-A and type-B occurrences in an oriented graph.
 
-    Every triangle and 4-cycle is compiled into its walk and tested
-    with :func:`_forms_pattern`, the predicate that
-    :func:`search_orientation` uses; a witness is built only for a hit.
-    Wildcard (label-2) edges match either direction as needed.  Raises
-    :class:`UnorientedEdgeError` when a non-wildcard edge has no
-    direction.  If ``link`` is given, every witness loop is verified to
-    be present in it.
+    Every triangle and 4-cycle is compiled into its walk as it is read
+    and tested with :func:`_forms_pattern`, the predicate that
+    :func:`has_forbidden` and :func:`search_orientation` use; a witness
+    is built only for a hit.  Wildcard (label-2) edges match either
+    direction as needed.  Raises :class:`UnorientedEdgeError` when a
+    non-wildcard edge has no direction.  If ``link`` is given, every
+    witness loop is verified to be present in it.
     """
-    dirs, cycles, walks = _compile(gamma)
-    if None in dirs:
-        e = gamma.edges[dirs.index(None)]
-        raise UnorientedEdgeError(f"edge {e.key} has no direction")
-    witnesses = [
-        _witness(gamma.edges, cycle, walk, dirs)
-        for cycle, walk in zip(cycles, walks)
-        if _forms_pattern(walk, dirs)
-    ]
+    dirs, hits = _hits(gamma)
+    witnesses = [_witness(gamma.edges, cycle, walk, dirs) for cycle, walk in hits]
     if link is not None:
         for w in witnesses:
             for a, b in zip(w.loop, w.loop[1:] + w.loop[:1]):
@@ -224,18 +237,18 @@ def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
     The search runs on integer edge ids (positions in ``gamma.edges``)
     and one direction array: +1 for u -> v, -1 for v -> u, 0 for a
     wildcard and None while undecided.  Every triangle and 4-cycle is
-    compiled once into its walk of (edge id, sign) steps and checked by
-    :func:`_forms_pattern` at the decision that completes it.  The
-    unoriented edges are decided most-constrained first (most
-    triangles and 4-cycles, then edge order), "forward" before
-    "backward"; backtracking sets a slot of the array and clears it
-    again.  When no edge is oriented in advance, the first searched
+    compiled once into its walk of (edge id, sign) steps, read into one
+    list, and checked by :func:`_forms_pattern` at the decision that
+    completes it.  The unoriented edges are decided most-constrained
+    first (most triangles and 4-cycles, then edge order), "forward"
+    before "backward"; backtracking sets a slot of the array and clears
+    it again.  When no edge is oriented in advance, the first searched
     edge goes forward only: reversing every direction keeps each walk
     clean, so a completion with that edge backward has a mirror image
     with it forward, which the search meets first.  Wildcard edges are
     never assigned.  Returns None when the exhaustive search proves no
     completion works; a completion found is confirmed with
-    :func:`detect_forbidden`, which runs the same predicate on the
+    :func:`has_forbidden`, which runs the same predicate on the
     completed graph, before it is returned.
 
     First, :func:`_refuted_by_counting` returns None by a lemma: in a
@@ -247,8 +260,8 @@ def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
     """
     if _refuted_by_counting(gamma):
         return None
-    edges = gamma.edges
-    dirs, _, walks = _compile(gamma)
+    dirs, pairs = _compile(gamma)
+    walks = [walk for _, walk in pairs]
 
     load = Counter(e for walk in walks for e, _ in walk)
     order = sorted(
@@ -286,9 +299,9 @@ def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
         return None
 
     assignment = OrientationAssignment(
-        {edges[e].key: "forward" if dirs[e] == 1 else "backward" for e in order}
+        {gamma.edges[e].key: "forward" if dirs[e] == 1 else "backward" for e in order}
     )
-    if detect_forbidden(resolve_orientations(gamma, assignment)):
+    if has_forbidden(resolve_orientations(gamma, assignment)):
         raise InternalInconsistencyError(
             "orientation search returned an assignment with a forbidden pattern"
         )

@@ -20,12 +20,14 @@ from artinlink import (
     Orientation,
     UnorientedEdgeError,
     detect_forbidden,
+    has_forbidden,
     link_of,
     orient_from_rotation_system,
     resolve_orientations,
     search_orientation,
     trace_faces,
 )
+from artinlink import forbidden
 from artinlink.batteries import enumerate_oriented_states, graph_from_state, wildcard_variants
 from artinlink.forbidden import _c4_free_edges, _refuted_by_counting
 
@@ -98,6 +100,31 @@ def test_unoriented_edge_rejected():
     g = DefiningGraph(("a", "b", "c"), [("a", "b", 3), ("b", "c", 3, F)])
     with pytest.raises(UnorientedEdgeError):
         detect_forbidden(g)
+    with pytest.raises(UnorientedEdgeError, match=r"\('a', 'b'\) has no direction"):
+        has_forbidden(g)
+
+
+def test_first_hit_form_compiles_one_walk_before_its_hit(monkeypatch):
+    # K5 with every edge u -> v: its first triangle (a, b, c) is
+    # transitive, and 15 four-cycles follow its 10 triangles.
+    names = ("a", "b", "c", "d", "e")
+    k5 = DefiningGraph(
+        names, [(u, v, 3, F) for u, v in itertools.combinations(names, 2)]
+    )
+    walk, four_cycles = forbidden._walk, DefiningGraph.four_cycles
+    walks, listings = [], []
+    monkeypatch.setattr(
+        forbidden, "_walk", lambda ids, c: walks.append(c) or walk(ids, c)
+    )
+    monkeypatch.setattr(
+        DefiningGraph, "four_cycles", lambda g: listings.append(g) or four_cycles(g)
+    )
+    assert has_forbidden(k5)
+    assert walks == [("a", "b", "c")] and listings == []
+    # the detector reads the same iterator to its end
+    walks.clear()
+    detect_forbidden(k5)
+    assert len(walks) == 25 and listings == [k5]
 
 
 def test_witness_loops_exist_in_link():
@@ -312,12 +339,15 @@ def test_reversing_every_direction_keeps_the_predicate():
 
 
 def test_witnesses_match_brute_force_on_sampled_sweep_states():
-    # every 97th graph of the acceptance-06 sweep, wildcard variants included
+    # every 97th graph of the acceptance-06 sweep, wildcard variants
+    # included; the first-hit form must agree with the witness list
     states = enumerate_oriented_states(5)
     work = (states + wildcard_variants(states, 5))[::97]
     for state in work:
         g = graph_from_state(state, 5)
-        assert witness_tuples(g) == brute_force_witnesses(g), state
+        witnesses = witness_tuples(g)
+        assert witnesses == brute_force_witnesses(g), state
+        assert has_forbidden(g) == bool(witnesses), state
 
 
 @st.composite
