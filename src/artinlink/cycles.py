@@ -10,14 +10,16 @@ only for the loops it returns.
 One shortest-cycle engine finds the girth and the minimum-angle loop.
 Each search starts at one vertex and visits only vertices later than
 it in some order, so a start is in effect removed once it has run
-(Itai and Rodeh, 1978).  The search is a BFS on hop counts, and a
-Dijkstra on integer weights when the angles differ (Roditty and
-Vassilevska Williams, 2011), both on one adjacency of (neighbour,
-step) pairs.  A first pass finds the least key with the starts in
-(-degree, id) order: the hubs go first, and no later search runs into
-a hub's star.  A second pass, in id order over the vertices near the
-least loops that the first pass met, stops at the first start that
-reaches that key, and one DFS from it finds the canonical witness.
+(Itai and Rodeh, 1978).  There is one search: a Dijkstra on integer
+keys, hop counts or (weight, length) pairs packed in one integer
+(Roditty and Vassilevska Williams, 2011), with one heap entry per
+distinct key, so that on hop counts it runs as a BFS by levels.  It
+reads one adjacency of (neighbour, step) pairs.  A first pass finds
+the least key with the starts in (-degree, id) order: the hubs go
+first, and no later search runs into a hub's star.  The searches that
+reach that key trace its least loops back from their closing edges,
+and the least id on them is the canonical start.  A second pass is
+one search from it, whose keys prune one DFS to the canonical witness.
 The hop search runs at most once per link: the link's core holds its
 answer, which the girth and every uniform-angle copy read.  Angles are
 read as the link's integer weights over one unit of pi, so no
@@ -130,80 +132,61 @@ def has_short_loop(link: LinkGraph) -> bool:
 
 def _least_cycle_through(
     steps: list[list[tuple[int, int]]], s: int, best: int
-) -> tuple[int, dict[int, int]]:
-    """BFS from ``s`` over the ids > s of ``steps``, whose steps it
-    ignores, each vertex labelled with its first hop; an edge between
-    two such branches closes a simple cycle through ``s``.  Returns the
-    least length below ``best`` of such a cycle (else ``best``) and the
-    depth of each vertex reached.  Levels from ``best // 2`` on are not
-    expanded: they close no shorter cycle.
-    """
-    branch = {nb: nb for nb, _ in steps[s] if nb > s}
-    depth = dict.fromkeys(branch, 1)
-    depth[s] = 0
-    frontier = list(branch)
-    d = 1
-    while frontier and 2 * d + 1 < best:
-        ahead = []
-        for cur in frontier:
-            b = branch[cur]
-            for nb, _ in steps[cur]:
-                if nb <= s:
-                    continue
-                nb_branch = branch.get(nb)
-                if nb_branch is None:
-                    depth[nb] = d + 1
-                    branch[nb] = b
-                    ahead.append(nb)
-                elif nb_branch != b and d + depth[nb] + 1 < best:
-                    best = d + depth[nb] + 1
-        frontier = ahead
-        d += 1
-    return best, depth
+) -> tuple[int, dict[int, int], set[int]]:
+    """The least key below ``best`` of a simple cycle through ``s`` over
+    the ids > s of ``steps`` (else ``best``), the key of each vertex
+    reached, and the ends of the edges that closed a cycle of that key.
 
-
-def _lightest_cycle_through(
-    steps: list[list[tuple[int, int]]], s: int, best: int
-) -> tuple[int, dict[int, int]]:
-    """The weighted form of :func:`_least_cycle_through`: a Dijkstra
-    over the ids > s on the packed keys of ``steps``, with the same
-    branch labels.  Each edge is checked against the branch at its far
-    end before it is relaxed, so a neighbour of ``s`` first reached
-    round another branch closes the cycle back over its edge to ``s``.
-    Returns the least cycle key below ``best`` (else ``best``) and the
-    key of each vertex reached, exact below half the returned key.
+    A Dijkstra over the ids > s, with one heap entry per distinct key
+    and one list of vertices per key, so unit steps run as BFS levels.
+    Each vertex is labelled with its first hop, and an edge between two
+    labels closes a simple cycle through ``s``.  An edge is checked
+    before it is relaxed, so a neighbour of ``s`` first reached round
+    another branch closes the cycle back over its edge to ``s``.  Keys
+    from half of ``best - 1`` on are not expanded, as every lighter
+    cycle closes nearer, so the keys are exact up to there.
     """
-    n = len(steps)
     dist = {s: 0}
     branch = {}
-    heap = []
+    levels: dict[int, list[int]] = {}
     for nb, step in steps[s]:
         if nb > s:
             branch[nb] = nb
             dist[nb] = step
-            heap.append(step * n + nb)
-    heapq.heapify(heap)
-    while heap:
-        key, cur = divmod(heapq.heappop(heap), n)
-        if 2 * key >= best:
+            levels.setdefault(step, []).append(nb)
+    keys = list(levels)
+    heapq.heapify(keys)
+    ends: set[int] = set()
+    while keys:
+        key = heapq.heappop(keys)
+        if 2 * key + 1 >= best:
             break  # no cycle through a farther vertex is lighter
-        if key != dist[cur]:
-            continue  # stale entry
-        b = branch[cur]
-        for nb, step in steps[cur]:
-            if nb <= s:
-                continue
-            cand = key + step
-            old = dist.get(nb)
-            if old is not None:
-                if branch[nb] != b and cand + old < best:
-                    best = cand + old
-                if cand >= old:
+        for cur in levels.pop(key):
+            if key != dist[cur]:
+                continue  # reached again on a lighter key
+            b = branch[cur]
+            for nb, step in steps[cur]:
+                if nb <= s:
                     continue
-            dist[nb] = cand
-            branch[nb] = b
-            heapq.heappush(heap, cand * n + nb)
-    return best, dist
+                cand = key + step
+                old = dist.get(nb)
+                if old is not None:
+                    if branch[nb] != b and cand + old <= best:
+                        if cand + old < best:
+                            best, ends = cand + old, set()
+                        ends.add(cur)
+                        ends.add(nb)
+                    if cand >= old:
+                        continue
+                dist[nb] = cand
+                branch[nb] = b
+                level = levels.get(cand)
+                if level is None:
+                    levels[cand] = [nb]
+                    heapq.heappush(keys, cand)
+                else:
+                    level.append(nb)
+    return best, dist, ends
 
 
 def _shortest_cycle(
@@ -212,62 +195,71 @@ def _shortest_cycle(
     """Least cycle key and the canonically least loop of that key, as
     an id tuple; ``(None, None)`` for forests.
 
-    Without ``weight`` the key is the length and each start runs a BFS.
-    With a positive integer weight per edge it is ``weight * n +
-    length`` for ``n`` vertices, which orders as the pair, and each
-    start runs a Dijkstra.  Both passes and the witness DFS read one
-    adjacency of (neighbour id, step) pairs, an edge's step being its
-    share of the key: 1, or ``weight * n + 1``.  A search from ``s``
-    visits only the vertices labelled above ``s`` and closes only
+    Without ``weight`` the key is the length.  With a positive integer
+    weight per edge it is ``weight * n + length`` for ``n`` vertices,
+    which orders as the pair.  Every search and the witness DFS read
+    one adjacency of (neighbour id, step) pairs, an edge's step being
+    its share of the key: 1, or ``weight * n + 1``.  A search from
+    ``s`` visits only the vertices labelled above ``s`` and closes only
     simple loops whose least label is ``s``; it sees every least loop
     whose least label is ``s``, since a loop whose two arcs meet in one
     branch leaves a lighter loop.
 
-    Pass 1 finds the key.  It labels the vertices by rank in (-degree,
-    id) order and searches from each rank in turn, so the hubs, the
-    vertices of largest degree, are searched first and then left out
-    of every later search.  Each search looks for a loop below the key
-    so far plus one, so the search from the least rank of each least
-    loop reaches the final key, and every vertex of that loop lies
-    within half the key of that rank.  Pass 1 keeps the vertices within
-    half the key of each search that reaches it as candidates.
+    Pass 1 finds the key and the start.  It labels the vertices by rank
+    in (-degree, id) order and searches from each rank in turn, so the
+    hubs, the vertices of largest degree, are searched first and then
+    left out of every later search.  Each search looks for a loop below
+    the key so far plus one, so the search from the least rank of each
+    least loop reaches the final key.  Below half a least key shortest
+    paths are unique, so each least loop through a start is an edge
+    that closed it and a shortest path back from either end.  A search
+    that reaches the key so far collects those vertices: the ends, each
+    once, and every vertex whose key plus a step is the key of one
+    collected.  The start is the least id collected by the searches
+    that reach the final key, since each least loop is collected from
+    its least rank.  A search that reached no id below the start so far
+    cannot lower it and collects nothing.
 
-    Pass 2 finds the start.  It searches from the candidates in id
-    order, with the same bound, and stops at the first that reaches
-    the key.  That start is the least vertex on any least loop: no
-    earlier candidate closes one, since each loop is closed from its
-    least vertex.  A DFS from it over larger ids, in increasing order,
-    meets the canonical loop first.  Each vertex of that loop lies
-    within half the key of the start, so the DFS prunes every vertex
-    farther away than the key left to close up.
+    Pass 2 is one search from the start, in ids, for the keys near it.
+    A DFS from the start over larger ids, in increasing order, meets
+    the canonical loop first.  Each vertex of that loop lies within
+    half the key of the start, so the DFS prunes every vertex farther
+    away than the key left to close up.
     """
     n = len(link.nbrs)
     steps = [1] * len(link.ends) if weight is None else [w * n + 1 for w in weight]
     adj = [[(nb, steps[ei]) for nb, ei in ns] for ns in link.nbrs]  # sorted ids
-    search = _least_cycle_through if weight is None else _lightest_cycle_through
     unset = sum(steps) + 1  # above every loop key, a loop on all edges' too
-    # pass 1, the key: hubs first, and ids in order within a degree, as
-    # a reversed sort is still stable
+    # pass 1, the key and the start: hubs first, and ids in order within
+    # a degree, as a reversed sort is still stable
     degree = [len(ns) for ns in adj]
     order = sorted(range(n), key=degree.__getitem__, reverse=True)
     rank = [0] * n
     for r, v in enumerate(order):
         rank[v] = r
     ranked = [[(rank[nb], step) for nb, step in adj[v]] for v in order]
-    best = unset
+    best, start = unset, n
     for r in range(n):
-        key, dist = search(ranked, r, best + 1)
-        if key <= best:
-            if key < best:
-                best, near = key, set()
-            near.update([order[v] for v, d in dist.items() if 2 * d <= best])
+        key, dist, ends = _least_cycle_through(ranked, r, best + 1)
+        if key < best:
+            best, start = key, n
+        if key > best or min(map(order.__getitem__, dist)) >= start:
+            continue
+        # back from the closing ends over every shortest path: the
+        # vertices on the least loops through r
+        on_loops, pending = set(ends), list(ends)
+        while pending:
+            v = pending.pop()
+            d = dist[v]
+            for nb, step in ranked[v]:
+                if dist.get(nb, d) + step == d and nb not in on_loops:
+                    on_loops.add(nb)
+                    pending.append(nb)
+        start = min(start, *map(order.__getitem__, on_loops))
     if best == unset:
         return None, None
-    # pass 2, the start: the least id on a least loop
-    for start in sorted(near):
-        key, start_dist = search(adj, start, best + 1)
-        if key == best:
-            break
+    # pass 2, the pruning keys of the canonical start
+    _, start_dist, _ = _least_cycle_through(adj, start, best + 1)
     path, pending = [start], [(iter(adj[start]), 0)]
     while pending:
         ahead, prefix = pending[-1]

@@ -333,6 +333,42 @@ def test_one_edge_at_the_generator_cap_certifies_within_two_seconds():
     assert elapsed < 2.0, f"certify took {elapsed:.2f}s"
 
 
+def test_hub_star_loops_at_the_generator_cap_search_within_two_seconds():
+    from test_cycles import late_hub_loops, metric_link
+
+    from artinlink.cycles import _shortest_cycle
+    from artinlink.presentations import MAX_GENERATORS, build_triangular
+
+    # every least loop runs through the hub of the first edge, whose
+    # star of about 2 * label vertices holds the first ids and lies
+    # within half the least key of each least loop
+    label = MAX_GENERATORS - 6
+    gamma = late_hub_loops(label)
+    assert len(build_triangular(gamma).generators) == MAX_GENERATORS
+    link = link_of(gamma)
+    for weight in (None, metric_link(link, B2).weight):
+        start = time.perf_counter()
+        key, ids = _shortest_cycle(link, weight)
+        elapsed = time.perf_counter() - start
+        assert len(ids) == 4 and ids[0] >= 2 * label
+        assert elapsed < 2.0, f"the loop search took {elapsed:.2f}s"
+
+
+def test_certify_b2_of_a_late_hub_star_within_half_a_second(tmp_path, capsys):
+    from test_cycles import late_hub_loops
+
+    from artinlink import cli
+    from artinlink.gamma_io import gamma_to_text
+
+    path = tmp_path / "hub.gamma"
+    path.write_text(gamma_to_text(late_hub_loops(4000)))
+    start = time.perf_counter()
+    assert cli.main(["certify", str(path), "--scheme", "b2"]) == 0
+    elapsed = time.perf_counter() - start
+    assert "min angle over pi: 3/2" in capsys.readouterr().out
+    assert elapsed < 0.5, f"certify took {elapsed:.2f}s"
+
+
 def test_certify_with_explicit_assignment():
     g = DefiningGraph(("a", "b", "c"), [("a", "b", 3), ("b", "c", 3), ("a", "c", 3)])
     cyclic = OrientationAssignment(

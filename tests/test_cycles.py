@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracle_tools import brute_force_girth, dfs_all_cycle_lengths
 
 from artinlink import (
@@ -22,6 +25,8 @@ from artinlink import (
     triangle_presentation,
 )
 from artinlink.cycles import has_short_loop
+
+F, B = Orientation.FORWARD, Orientation.BACKWARD
 
 
 def classic_link(m, n, p):
@@ -168,39 +173,73 @@ def test_two_pass_engine_matches_the_id_order_oracle():
             assert _shortest_cycle(link, weight) == id_order_shortest_cycle(link, weight)
 
 
+@st.composite
+def small_links_and_weights(draw):
+    """The link of a graph on at most 4 vertices, labels 2 to 6 and
+    either direction, with no weight or with one of 1 to 12 per edge:
+    many ties, and edges heavier than the rest of a least loop, which
+    the B2 weights never give."""
+    names = "abcd"[: draw(st.integers(2, 4))]
+    edges = []
+    for u, v in itertools.combinations(names, 2):
+        label = draw(st.sampled_from((0, 2, 3, 4, 5, 6)))  # 0: no edge
+        if label:
+            edges.append((u, v, label, draw(st.sampled_from((F, B)))))
+    link = link_of(DefiningGraph(tuple(names), edges))
+    count = len(link.ends)
+    weights = st.lists(st.integers(1, 12), min_size=count, max_size=count)
+    return link, draw(st.none() | weights)
+
+
+HEXAGON = link_of(DefiningGraph(("a", "b"), [("a", "b", 2, F)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_links_and_weights())
+# the link is one loop whose last edge outweighs the other five: each
+# end of that edge is reached round the loop, and the loop closes over
+# the edge only as that end is relabelled
+@example((HEXAGON, [1, 1, 1, 1, 1, 6]))
+def test_engine_matches_the_id_order_oracle_on_random_weights(case):
+    from oracle_tools import id_order_shortest_cycle
+
+    from artinlink.cycles import _shortest_cycle
+
+    link, weight = case
+    assert _shortest_cycle(link, weight) == id_order_shortest_cycle(link, weight)
+
+
 def test_two_pass_engine_when_every_least_loop_starts_late(monkeypatch):
+    """Pass 1 searches once from each vertex and pass 2 once in all,
+    from the canonical start, however late it comes in id order and
+    however many vertices lie near the least loops."""
     from oracle_tools import id_order_shortest_cycle
 
     from artinlink import cycles
 
+    search = cycles._least_cycle_through
     starts = []
-    for name in ("_least_cycle_through", "_lightest_cycle_through"):
-        search = getattr(cycles, name)
 
-        def counted(adj, s, best, search=search):
-            starts.append(s)
-            return search(adj, s, best)
+    def counted(adj, s, best):
+        starts.append(s)
+        return search(adj, s, best)
 
-        monkeypatch.setattr(cycles, name, counted)
+    monkeypatch.setattr(cycles, "_least_cycle_through", counted)
     label = 200
-    link = link_of(late_least_loops(label))
-    for weight in (None, metric_link(link, B2).weight):
-        starts.clear()
-        key, ids = cycles._shortest_cycle(link, weight)
-        assert (key, ids) == id_order_shortest_cycle(link, weight)
-        assert len(ids) == 4 and ids[0] > 2 * label
-        assert all("z" in v.gen for v in link._named(ids))
-        # pass 1 searches from each rank, and pass 2 only from the
-        # square's link: from none of the edge's 2 * label vertices,
-        # each of them next to its hub star
-        pass_2 = starts[len(link.nbrs) :]
-        assert all("z" in v.gen for v in link._named(pass_2))
-    # here pass 2 walks the hub's star, one start at a time
-    link = link_of(late_hub_loops(label))
-    for weight in (None, metric_link(link, B2).weight):
-        key, ids = cycles._shortest_cycle(link, weight)
-        assert (key, ids) == id_order_shortest_cycle(link, weight)
-        assert len(ids) == 4 and ids[0] >= 2 * label
+    # late_least_loops: every least loop lies in the square's link, whose
+    # ids follow the edge's 2 * label vertices; late_hub_loops: every
+    # least loop runs through a hub whose star holds the first ids
+    for graph, first in (late_least_loops, 2 * label + 1), (late_hub_loops, 2 * label):
+        link = link_of(graph(label))
+        for weight in (None, metric_link(link, B2).weight):
+            starts.clear()
+            key, ids = cycles._shortest_cycle(link, weight)
+            assert (key, ids) == id_order_shortest_cycle(link, weight)
+            assert len(ids) == 4 and ids[0] >= first
+            assert len(starts) == len(link.nbrs) + 1
+            assert starts[-1] == ids[0]  # pass 2, in ids, from the start
+            if graph is late_least_loops:
+                assert all("z" in v.gen for v in link._named(ids))
 
 
 def test_girth_witness_is_least_of_all_minimal_loops():
@@ -270,10 +309,13 @@ def test_min_angle_forest_is_none():
 def test_min_angle_uniform_is_theta_times_girth(monkeypatch):
     from artinlink import cycles
 
-    def no_weighted_search(*args):
-        raise AssertionError("uniform angles must not run the weighted search")
+    engine = cycles._shortest_cycle
 
-    monkeypatch.setattr(cycles, "_lightest_cycle_through", no_weighted_search)
+    def hops_only(link, weight=None):
+        assert weight is None, "uniform angles must not run a weighted search"
+        return engine(link)
+
+    monkeypatch.setattr(cycles, "_shortest_cycle", hops_only)
     link = classic_link(3, 3, 3)
     forest = link.neighborhood(link.vertex("y", "head"), 2)
     for link in [*assorted_links(), forest]:

@@ -46,16 +46,11 @@ def test_loop_engine_is_guarded_and_keys_are_integers():
     from fractions import Fraction
 
     from artinlink import build_complex, build_link, make_loop, triangle_presentation
-    from artinlink.cycles import (
-        _least_cycle_through,
-        _lightest_cycle_through,
-        _shortest_cycle,
-        min_angle_cycle,
-    )
+    from artinlink.cycles import _least_cycle_through, _shortest_cycle, min_angle_cycle
 
-    # moving a search out of the guarded modules would hide it from
+    # moving the search out of the guarded modules would hide it from
     # the static check above
-    for fn in (_least_cycle_through, _lightest_cycle_through, _shortest_cycle):
+    for fn in (_least_cycle_through, _shortest_cycle):
         assert Path(inspect.getsourcefile(fn)).name in GUARDED
     link = build_link(build_complex(triangle_presentation(3, 4, 5)))
     weight = [1 + i % 3 for i in range(len(link.edges))]
@@ -188,15 +183,14 @@ def name_uses(source: str, name: str) -> list[tuple[str | None, int]]:
 
 def test_only_the_engine_runs_the_loop_searches():
     # one loop engine: a second search order or witness path would have
-    # to read one of the two searches outside _shortest_cycle
+    # to read the one search from a start outside _shortest_cycle
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
-    for search in ("_least_cycle_through", "_lightest_cycle_through"):
-        owners = {
-            (name, owner)
-            for name, source in sources.items()
-            for owner, _ in name_uses(source, search)
-        }
-        assert owners == {("cycles.py", "_shortest_cycle")}
+    owners = {
+        (name, owner)
+        for name, source in sources.items()
+        for owner, _ in name_uses(source, "_least_cycle_through")
+    }
+    assert owners == {("cycles.py", "_shortest_cycle")}
 
 
 def test_search_guard_sees_every_use():
