@@ -143,8 +143,12 @@ def _least_cycle_through(
     labels closes a simple cycle through ``s``.  An edge is checked
     before it is relaxed, so a neighbour of ``s`` first reached round
     another branch closes the cycle back over its edge to ``s``.  Keys
-    from half of ``best - 1`` on are not expanded, as every lighter
-    cycle closes nearer, so the keys are exact up to there.
+    from half of ``best - slack`` on are not expanded, as every lighter
+    cycle closes nearer, so the keys are exact up to there.  ``slack``
+    is 1, as in a BFS, until a key is lowered by one, and then 0: a
+    vertex lowered to half of ``best - 1`` may close a least loop over
+    the edge it was first reached by, checked only as it is expanded.
+    On a link, which is bipartite, no key is ever lowered by one.
     """
     dist = {s: 0}
     branch = {}
@@ -157,9 +161,10 @@ def _least_cycle_through(
     keys = list(levels)
     heapq.heapify(keys)
     ends: set[int] = set()
+    slack = 1
     while keys:
         key = heapq.heappop(keys)
-        if 2 * key + 1 >= best:
+        if 2 * key + slack >= best:
             break  # no cycle through a farther vertex is lighter
         for cur in levels.pop(key):
             if key != dist[cur]:
@@ -178,6 +183,8 @@ def _least_cycle_through(
                         ends.add(nb)
                     if cand >= old:
                         continue
+                    if cand + 1 == old:
+                        slack = 0
                 dist[nb] = cand
                 branch[nb] = b
                 level = levels.get(cand)

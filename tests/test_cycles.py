@@ -191,16 +191,61 @@ def small_links_and_weights(draw):
     return link, draw(st.none() | weights)
 
 
+class Core:
+    """The integer core of a simple graph on ids ``0..n-1``, as a link
+    holds it: ``ends[ei]``, lower id first, and sorted ``nbrs``."""
+
+    def __init__(self, n, edges):
+        self.ends = [(min(e), max(e)) for e in edges]
+        self.nbrs = [[] for _ in range(n)]
+        for ei, (a, b) in enumerate(self.ends):
+            self.nbrs[a].append((b, ei))
+            self.nbrs[b].append((a, ei))
+        for ns in self.nbrs:
+            ns.sort()
+
+
+@st.composite
+def small_graphs_and_weights(draw):
+    """The core of a simple graph on 3 to 9 ids, odd loops allowed,
+    which no link has, with no weight or with one of 1 to 3 per edge."""
+    n = draw(st.integers(3, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    core = Core(n, [e for e, keep in zip(pairs, chosen) if keep])
+    count = len(core.ends)
+    weights = st.lists(st.integers(1, 3), min_size=count, max_size=count)
+    return core, draw(st.none() | weights)
+
+
 HEXAGON = link_of(DefiningGraph(("a", "b"), [("a", "b", 2, F)]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(small_links_and_weights())
+@settings(max_examples=400, deadline=None)
+@given(small_links_and_weights() | small_graphs_and_weights())
 # the link is one loop whose last edge outweighs the other five: each
 # end of that edge is reached round the loop, and the loop closes over
 # the edge only as that end is relabelled
 @example((HEXAGON, [1, 1, 1, 1, 1, 6]))
+# graphs with odd loops and odd least keys: a vertex is lowered by one,
+# to half of the least key less one, after the edge it was first reached
+# by was relaxed, so that loop closes only as the vertex is expanded
+@example(
+    (
+        Core(9, [(0, 1), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 7), (7, 8), (1, 8)]),
+        [1, 1, 1, 2, 1, 2, 2, 12, 12, 12],
+    )
+)
+@example((Core(8, [(1, 6), (1, 7), (2, 3), (2, 4), (2, 6), (4, 5), (4, 7)]), [1, 3, 3, 3, 1, 1, 2]))
+@example(
+    (
+        Core(8, [(0, 2), (0, 4), (1, 3), (1, 5), (2, 5), (2, 6), (2, 7), (3, 5), (4, 5), (5, 7)]),
+        [7, 2, 11, 7, 11, 9, 6, 9, 1, 4],
+    )
+)
 def test_engine_matches_the_id_order_oracle_on_random_weights(case):
+    """On links and on any simple graph: the engine reads only the
+    integer core."""
     from oracle_tools import id_order_shortest_cycle
 
     from artinlink.cycles import _shortest_cycle
