@@ -14,9 +14,12 @@ failed verification battery.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import batteries
 from .complex_link import link_of
@@ -117,7 +120,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_json_text(obj))
+
+
+@functools.cache  # one encoder per nesting depth
+def _flat_encoder(sep: str):
+    """C-encodes a scalar, or scalars in a container joined by ``sep``."""
+    return json.JSONEncoder(separators=(sep, ": ")).encode
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` at depth ``indent``, for objects with
+    string keys.  Only containers of containers are joined here: strings,
+    lists of strings (one ``map``), scalars and containers of scalars are
+    encoded in C."""
+    if isinstance(obj, str):
+        return _json_string(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    is_list = isinstance(obj, (list, tuple))
+    if is_list and obj:
+        try:
+            return f"[\n{inner}{sep.join(map(_json_string, obj))}\n{indent}]"
+        except TypeError:  # not all strings
+            pass
+    items = obj if is_list else obj.values() if isinstance(obj, dict) else ()
+    if not any(map(isinstance, items, repeat((dict, list, tuple)))):
+        text = _flat_encoder(sep)(obj)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}" if items else text
+    if is_list:
+        parts = [_json_text(x, inner) for x in obj]
+    else:
+        parts = [f"{_json_string(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+    left, right = "[]" if is_list else "{}"
+    return f"{left}\n{inner}{sep.join(parts)}\n{indent}{right}"
 
 
 def _cmd_certify(args) -> int:

@@ -24,7 +24,8 @@ from fractions import Fraction
 from .complex_link import LinkGraph, link_of
 from .cycles import EmbeddedLoop, girth, min_angle_cycle
 from .errors import InternalInconsistencyError
-from .forbidden import ForbiddenWitness, detect_forbidden, search_orientation
+from .forbidden import SEARCH_INCONSISTENT, ForbiddenWitness, detect_forbidden
+from .forbidden import _search_orientation
 from .presentations import DefiningGraph, OrientationAssignment, resolve_orientations
 from .smallcancel import SmallCancellation, check_conditions
 
@@ -194,21 +195,22 @@ def certify(
     g = resolve_orientations(gamma, assignment) if assignment is not None else gamma
     used: OrientationAssignment | None = assignment
 
-    if g.unoriented_edges():
-        found = search_orientation(g)
-        if found is not None:
-            g = resolve_orientations(g, found)
-            used = found
-            notes.append("orientation found by search")
-        else:
-            notes.append("no pattern-free orientation exists; using u->v defaults")
-            todo = {e.key: "forward" for e in g.unoriented_edges()}
-            g = resolve_orientations(g, OrientationAssignment(todo))
+    found = _search_orientation(g) if g.unoriented_edges() else None
+    if found is not None:
+        g = resolve_orientations(g, found)
+        used = found
+        notes.append("orientation found by search")
+    elif g.unoriented_edges():
+        notes.append("no pattern-free orientation exists; using u->v defaults")
+        todo = {e.key: "forward" for e in g.unoriented_edges()}
+        g = resolve_orientations(g, OrientationAssignment(todo))
 
     link = link_of(g)
-    # One detection serves the verdict and checks its witness loops
-    # against the link.
+    # One detection serves the verdict, checks its witness loops against
+    # the link and confirms a searched orientation.
     witnesses = tuple(detect_forbidden(g, link))
+    if found is not None and witnesses:
+        raise InternalInconsistencyError(SEARCH_INCONSISTENT)
     labels_ok = all(e.label >= 3 for e in g.edges)
     triangle_free = g.is_triangle_free()
 

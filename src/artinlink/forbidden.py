@@ -1,30 +1,19 @@
 """Oriented patterns in the defining graph that force short link loops.
 
 Two configurations, and only these two, create embedded 4-loops in the
-link:
-
-* type A: a triangle whose orientation is acyclic (it has a source and
-  a sink), which hangs a 4-loop through one top or bottom vertex;
-* type B: four vertices u, v, w, t with edges u->v, u->t, w->v, w->t
-  (an alternating 4-cycle), which yields a 4-loop of special middle
-  edges.
-
-Label-2 edges read both ways in the link, so during pattern matching
-they are wildcards that may adopt either direction.  One predicate on
-walks compiled as they are read, ``_forms_pattern``, decides both
-patterns for ``detect_forbidden``, its first-hit form ``has_forbidden``
-and ``search_orientation``, which looks for a direction assignment
-avoiding them; ``orient_from_rotation_system`` builds one from a
-checkerboard face colouring of an embedded even-degree graph.  In a
-bipartite component type B is a 4-cycle run all one way between the
-sides, so the search first refutes by Reiman's (1958) count; on
-K_{m,n} that matches the rectangle-free grid theorem of Fenner,
-Gasarch, Glover and Purewal (2012).
+link: type A, a triangle whose orientation is acyclic (a source and a
+sink), hangs one through a top or bottom vertex; type B, an alternating
+4-cycle u->v, u->t, w->v, w->t, yields one of special middle edges.
+Label-2 edges read both ways, so they match as wildcards.  One
+predicate, ``_forms_pattern``, decides both patterns for
+``detect_forbidden``, its first-hit form ``has_forbidden`` and
+``search_orientation``; README pipeline step 5 describes the compiled
+walks, the search and its counting refutation.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
@@ -72,12 +61,9 @@ class ForbiddenWitness:
         }
 
 
-def _special(gen: str, end: str) -> LinkVertex:
-    return LinkVertex(gen, end, 3 if end == HEAD else 2, True)
-
-
 # Direction array values; an unoriented edge has none (None: undecided).
 _DIRECTION = {Orientation.FORWARD: 1, Orientation.BACKWARD: -1, Orientation.WILDCARD: 0}
+SEARCH_INCONSISTENT = "orientation search returned an assignment with a forbidden pattern"
 
 
 def _walk(edge_id: dict[tuple[str, str], int], cycle) -> tuple[tuple[int, int], ...]:
@@ -121,16 +107,17 @@ def _forms_pattern(walk, dirs) -> bool:
     return p >= 0 >= q and r >= 0 >= s or p <= 0 <= q and r <= 0 <= s
 
 
-def _witness(edges, cycle, walk, dirs) -> ForbiddenWitness:
-    """The witness of a walk on which :func:`_forms_pattern` holds.
+def _witness(edges, cycle, walk, dirs, heads, tails) -> ForbiddenWitness:
+    """The witness of a walk on which :func:`_forms_pattern` holds, its
+    special loop vertices read from ``heads`` and ``tails``.
 
     A triangle reads its wildcards u -> v, reversing the last one in
     (v0v1, v0v2, v1v2) order if that closes a directed cycle; its sink
     is the vertex both edges enter.  A 4-cycle has sources (v0, v2)
     when its products alternate in that phase, else (v1, v3).
     """
-    steps = list(zip(cycle, cycle[1:] + cycle[:1]))
     if len(walk) == 3:
+        steps = zip(cycle, cycle[1:] + cycle[:1])
         prods = [s * (dirs[e] or 1) for e, s in walk]
         if prods[0] == prods[1] == prods[2]:
             k = next(k for k in (1, 2, 0) if not dirs[walk[k][0]])
@@ -141,20 +128,20 @@ def _witness(edges, cycle, walk, dirs) -> ForbiddenWitness:
         q, r = (v for v in cycle if v != sink)
         hub = edges[walk[(k + 1) % 3][0]]
         loop = (
-            _special(sink, TAIL),
-            _special(q, HEAD),
+            tails[sink],
+            heads[q],
             LinkVertex(hub_name(hub.tail, hub.head), HEAD, 4, False),
-            _special(r, HEAD),
+            heads[r],
         )
         return ForbiddenWitness("A", cycle, (arcs[0], arcs[2], arcs[1]), loop)
-    p, q, r, s = (s * dirs[e] for e, s in walk)
+    (a, sa), (b, sb), (c, sc), (d, sd) = walk
     v0, v1, v2, v3 = cycle
-    phase = p >= 0 >= q and r >= 0 >= s
-    (s1, s2), (t1, t2) = ((v0, v2), (v1, v3)) if phase else ((v1, v3), (v0, v2))
-    directed = tuple((a, b) if a in (s1, s2) else (b, a) for a, b in steps)
-    loop = (
-        _special(s1, HEAD), _special(t1, TAIL), _special(s2, HEAD), _special(t2, TAIL)
-    )
+    if sa * dirs[a] >= 0 >= sb * dirs[b] and sc * dirs[c] >= 0 >= sd * dirs[d]:
+        directed = (v0, v1), (v2, v1), (v2, v3), (v0, v3)
+        loop = heads[v0], tails[v1], heads[v2], tails[v3]
+    else:
+        directed = (v1, v0), (v1, v2), (v3, v2), (v3, v0)
+        loop = heads[v1], tails[v0], heads[v3], tails[v2]
     return ForbiddenWitness("B", cycle, directed, loop)
 
 
@@ -175,25 +162,45 @@ def has_forbidden(gamma: DefiningGraph) -> bool:
     return next(_hits(gamma)[1], None) is not None
 
 
+def _link_ids(link: LinkGraph, vertices) -> dict[LinkVertex, int | None]:
+    """Each of ``vertices`` -> its id in ``link``, or None where
+    ``link.has_edge`` would not find it, each named alone: generator rank
+    r names whole ids 2r (head) and 2r + 1 (tail), sorted in ``_vids``."""
+    whole = link._whole or link
+    gens, vids = whole.complex.one_cells, link._vids
+    rank = {gens[gi]: r for r, gi in enumerate(whole._by_rank)}
+    ids = {}
+    for v in vertices:
+        w = 2 * rank[v.gen] + (v.end == TAIL) if v.gen in rank else -1
+        i = bisect_left(vids, w)
+        found = i < len(vids) and link._named([i]) == [v]
+        ids[v] = i if found else None
+    return ids
+
+
 def detect_forbidden(
     gamma: DefiningGraph, link: LinkGraph | None = None
 ) -> list[ForbiddenWitness]:
-    """All minimal type-A and type-B occurrences in an oriented graph.
-
-    Every triangle and 4-cycle is compiled into its walk as it is read
-    and tested with :func:`_forms_pattern`, the predicate that
-    :func:`has_forbidden` and :func:`search_orientation` use; a witness
-    is built only for a hit.  Wildcard (label-2) edges match either
-    direction as needed.  Raises :class:`UnorientedEdgeError` when a
-    non-wildcard edge has no direction.  If ``link`` is given, every
-    witness loop is verified to be present in it.
+    """All minimal type-A and type-B occurrences in an oriented graph, a
+    witness built only for a walk on which :func:`_forms_pattern` holds.
+    Raises :class:`UnorientedEdgeError` when a non-wildcard edge has no
+    direction.  If ``link`` is given, every witness loop step is checked
+    as ``link.has_edge`` would, but on ids, without the named view.
     """
     dirs, hits = _hits(gamma)
-    witnesses = [_witness(gamma.edges, cycle, walk, dirs) for cycle, walk in hits]
-    if link is not None:
-        for w in witnesses:
-            for a, b in zip(w.loop, w.loop[1:] + w.loop[:1]):
-                if not link.has_edge(a, b):
+    hits = list(hits)
+    special = gamma.vertices if hits else ()  # built once, and not for a clean graph
+    heads = {v: LinkVertex(v, HEAD, 3, True) for v in special}
+    tails = {v: LinkVertex(v, TAIL, 2, True) for v in special}
+    witnesses = [_witness(gamma.edges, c, w, dirs, heads, tails) for c, w in hits]
+    if link is not None and witnesses:
+        ids = _link_ids(link, set(chain.from_iterable(w.loop for w in witnesses)))
+        adjacent = [{b for b, _ in ns} for ns in link.nbrs]
+        for wit in witnesses:
+            loop = list(map(ids.__getitem__, wit.loop))
+            for k, x in enumerate(loop):  # step k ends at loop[k + 1 - len(loop)]
+                if x is None or loop[k + 1 - len(loop)] not in adjacent[x]:
+                    a, b = wit.loop[k], wit.loop[k + 1 - len(loop)]
                     raise InternalInconsistencyError(
                         f"witness loop step {a} - {b} missing from the link"
                     )
@@ -232,32 +239,27 @@ def _refuted_by_counting(gamma: DefiningGraph) -> bool:
 
 
 def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
-    """Complete the unoriented edges so that no forbidden pattern occurs.
+    """Complete the unoriented edges so that no forbidden pattern occurs,
+    or return None when no completion works (README pipeline step 5).
 
-    The search runs on integer edge ids (positions in ``gamma.edges``)
-    and one direction array: +1 for u -> v, -1 for v -> u, 0 for a
-    wildcard and None while undecided.  Every triangle and 4-cycle is
-    compiled once into its walk of (edge id, sign) steps, read into one
-    list, and checked by :func:`_forms_pattern` at the decision that
-    completes it.  The unoriented edges are decided most-constrained
-    first (most triangles and 4-cycles, then edge order), "forward"
-    before "backward"; backtracking sets a slot of the array and clears
-    it again.  When no edge is oriented in advance, the first searched
-    edge goes forward only: reversing every direction keeps each walk
-    clean, so a completion with that edge backward has a mirror image
-    with it forward, which the search meets first.  Wildcard edges are
-    never assigned.  Returns None when the exhaustive search proves no
-    completion works; a completion found is confirmed with
-    :func:`has_forbidden`, which runs the same predicate on the
-    completed graph, before it is returned.
-
-    First, :func:`_refuted_by_counting` returns None by a lemma: in a
-    bipartite component a completion splits the edges into an A -> B
-    and a B -> A class, each 4-cycle-free with the wildcards added, so
-    two vertices of one side share at most one neighbour in a class
-    (Reiman, 1958).  Walks never leave a component, so one refuted
-    component refutes the graph.
+    A bipartite component that :func:`_refuted_by_counting` refutes by
+    Reiman's (1958) bound refutes the graph, since walks never leave a
+    component.  Otherwise the unoriented edges are decided on one
+    direction array, most constrained first, "forward" before
+    "backward", each walk checked by :func:`_forms_pattern` at the
+    decision that completes it; wildcards are never assigned.  With
+    nothing oriented in advance the first edge goes forward only, as
+    reversing every direction keeps each walk clean.  A completion is
+    confirmed with :func:`has_forbidden` before it is returned.
     """
+    assignment = _search_orientation(gamma)
+    if assignment is not None and has_forbidden(resolve_orientations(gamma, assignment)):
+        raise InternalInconsistencyError(SEARCH_INCONSISTENT)
+    return assignment
+
+
+def _search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
+    """:func:`search_orientation` without its closing check."""
     if _refuted_by_counting(gamma):
         return None
     dirs, pairs = _compile(gamma)
@@ -298,14 +300,9 @@ def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
     if i < 0:
         return None
 
-    assignment = OrientationAssignment(
+    return OrientationAssignment(
         {gamma.edges[e].key: "forward" if dirs[e] == 1 else "backward" for e in order}
     )
-    if has_forbidden(resolve_orientations(gamma, assignment)):
-        raise InternalInconsistencyError(
-            "orientation search returned an assignment with a forbidden pattern"
-        )
-    return assignment
 
 
 def trace_faces(
@@ -325,14 +322,11 @@ def trace_faces(
                     f"vertex {v!r} has degree {gamma.degree(v)} but no rotation"
                 )
             rotations[v] = gamma.neighbors(v)
-    darts = sorted(
-        [(e.u, e.v) for e in gamma.edges] + [(e.v, e.u) for e in gamma.edges]
-    )
+    darts = sorted(d for e in gamma.edges for d in ((e.u, e.v), (e.v, e.u)))
     succ = {}
     for u, v in darts:
         rot = rotations[v]
-        w = rot[(rot.index(u) + 1) % len(rot)]
-        succ[(u, v)] = (v, w)
+        succ[u, v] = v, rot[(rot.index(u) + 1) % len(rot)]
     faces = []
     unused = set(darts)
     for dart in darts:
@@ -366,10 +360,7 @@ def orient_from_rotation_system(
         if e.is_oriented:
             raise ValueError(f"edge {e.key} is already oriented")
     faces = trace_faces(gamma, rotations)
-    face_of_dart = {}
-    for fi, face in enumerate(faces):
-        for dart in face:
-            face_of_dart[dart] = fi
+    face_of_dart = {dart: fi for fi, face in enumerate(faces) for dart in face}
 
     colour: dict[int, int] = {}
     for start in range(len(faces)):
@@ -394,12 +385,10 @@ def orient_from_rotation_system(
                         "with the even-degree hypothesis"
                     )
 
-    directions = {}
-    for e in gamma.edges:
-        if e.orientation == Orientation.WILDCARD:
-            continue
-        black_dart = (
-            (e.u, e.v) if colour[face_of_dart[(e.u, e.v)]] == 0 else (e.v, e.u)
-        )
-        directions[e.key] = "forward" if black_dart == (e.u, e.v) else "backward"
-    return OrientationAssignment(directions)
+    return OrientationAssignment(
+        {
+            e.key: "forward" if colour[face_of_dart[e.u, e.v]] == 0 else "backward"
+            for e in gamma.edges
+            if e.orientation != Orientation.WILDCARD
+        }
+    )

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from artinlink import batteries, cli
 from artinlink.cli import main
@@ -259,6 +263,69 @@ def test_orient_refutes_unoriented_k11_11_fast(gamma_file, capsys):
     code, out, _ = run(capsys, ["orient", path])
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (0, "no pattern-free orientation exists\n")
+
+
+def test_certify_json_of_k12_12_within_a_second(gamma_file, capsys):
+    # every edge a -> b: 66 * 66 type-B witnesses and 1.3 MB of JSON, in
+    # about 0.2 s; a cost per witness or per byte that grows shows here
+    text = "".join(f"vertex a{i}\nvertex b{i}\n" for i in range(12)) + "".join(
+        f"edge a{i} b{j} 3 >\n" for i in range(12) for j in range(12)
+    )
+    path = gamma_file(text)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["certify", path, "--format", "json"])
+    assert time.perf_counter() - start < 1
+    kinds = [w["kind"] for w in json.loads(out)["witnesses"]]
+    assert code == 0 and kinds.count("type-B") == 4356
+
+
+# -- JSON output is json.dumps(obj, indent=2), byte for byte ------------------
+
+JSON_STRINGS = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ['"', "\\", '\\"\n', "\x00\x1f\x7f\t\r", "\u2028\u00e9\U0001f600", "", " "]
+)
+JSON_VALUES = st.recursive(
+    JSON_STRINGS | st.integers() | st.booleans() | st.none(),
+    lambda inner: st.lists(inner)
+    | st.lists(JSON_STRINGS)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(JSON_STRINGS, inner),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(JSON_VALUES)
+@example({"a": {"": [True], "n": {}, "x": "x"}, "b": [{}, [], ["s", 1, None]]})
+@example([{"k": [[["deep"]]]}, ("t", ("u",)), -(10**30), float("nan")])
+def test_emitted_json_is_json_dumps_indent_2(obj):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(obj)
+    assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", ["grid4", "grid8", "grid12", "k55", "k88",
+                                  "tri345", "tri50", "tri200"])
+def test_every_json_command_on_the_corpus_prints_json_dumps(
+    gamma_file, capsys, monkeypatch, name
+):
+    from test_smallcancel import CORPUS
+
+    emitted = []
+    emit = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda obj: emitted.append(obj) or emit(obj))
+    path = gamma_file(CORPUS[name])
+    oriented = "." not in CORPUS[name] and ">" in CORPUS[name]
+    # loops up to length 4: longer ones take seconds on tri200
+    for argv in (["certify"], ["link"], ["loops", "--max", "4"], ["orient"], ["pieces"]):
+        emitted.clear()
+        code, out, _ = run(capsys, [argv[0], path, *argv[1:], "--format", "json"])
+        if code == 0:
+            assert len(emitted) == 1 and out == json.dumps(emitted[0], indent=2) + "\n"
+        else:  # link, loops and pieces refuse an unoriented graph
+            assert not oriented and argv[0] in ("link", "loops", "pieces")
+            assert (emitted, out) == ([], "")
 
 
 def test_parse_error_exit_code(gamma_file, capsys):

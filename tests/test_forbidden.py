@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +21,7 @@ from artinlink import (
     OddDegreeVertexError,
     Orientation,
     UnorientedEdgeError,
+    certify,
     detect_forbidden,
     has_forbidden,
     link_of,
@@ -27,7 +30,8 @@ from artinlink import (
     search_orientation,
     trace_faces,
 )
-from artinlink import forbidden
+from artinlink import curvature, forbidden
+from artinlink.complex_link import HEAD, TAIL
 from artinlink.batteries import enumerate_oriented_states, graph_from_state, wildcard_variants
 from artinlink.forbidden import _c4_free_edges, _refuted_by_counting
 
@@ -142,6 +146,86 @@ def test_witness_loops_exist_in_link():
             assert len(w.loop) == 4
             for i in range(4):
                 assert link.has_edge(w.loop[i], w.loop[(i + 1) % 4])
+
+
+def _with_loops(monkeypatch, edit):
+    """Make every witness carry ``edit(loop)`` as its loop."""
+    witness = forbidden._witness
+
+    def edited(*args):
+        w = witness(*args)
+        return dataclasses.replace(w, loop=tuple(edit(w.loop)))
+
+    monkeypatch.setattr(forbidden, "_witness", edited)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda v: v._replace(end=HEAD if v.end == TAIL else TAIL),
+        lambda v: v._replace(level=v.level + 1),
+        lambda v: v._replace(gen="nowhere"),
+    ],
+    ids=["wrong-end", "wrong-level", "unknown-generator"],
+)
+def test_witness_loop_check_on_ids_refuses_a_vertex_off_the_link(monkeypatch, fault):
+    _with_loops(monkeypatch, lambda loop: (loop[0], fault(loop[1]), *loop[2:]))
+    for gamma in (transitive_triangle(), alternating_square()):
+        with pytest.raises(InternalInconsistencyError, match="witness loop step .* missing"):
+            detect_forbidden(gamma, link_of(gamma))
+
+
+@pytest.mark.parametrize("part", [False, True], ids=["whole-link", "middle-edges"])
+def test_witness_loop_check_on_ids_agrees_with_has_edge(monkeypatch, part):
+    # Put each vertex of the link, and each with one field changed, at
+    # each place of each witness loop: the check on ids refuses the loop
+    # exactly when link.has_edge refuses a step.  The middle-edge part
+    # numbers its vertices apart from the whole link (its hub vertices,
+    # x_{y0,z0} and so on, rank before y and z); it holds type-B loops
+    # only, so it is given K_{2,3} with every edge y -> z.
+    k23 = DefiningGraph(
+        ("y0", "y1", "z0", "z1", "z2"),
+        [(f"y{i}", f"z{j}", 3, F) for i in range(2) for j in range(3)],
+    )
+    gamma = k23 if part else DefiningGraph(
+        ("a", "b", "c", "t", "u", "v", "w"),
+        [("a", "b", 2, WILD), ("a", "c", 3, F), ("b", "c", 3, F),
+         ("u", "v", 3, F), ("w", "v", 3, F), ("w", "t", 3, F), ("u", "t", 3, F)],
+    )
+    named = link_of(gamma).middle_subgraph() if part else link_of(gamma)
+    if part:  # its ids are not the whole link's
+        assert list(named._vids) != list(range(len(named.levels)))
+    candidates = [
+        u
+        for v in named.vertices
+        for u in (v, v._replace(level=5 - v.level), v._replace(special=not v.special))
+    ]
+    witnesses = detect_forbidden(gamma)
+    assert {w.kind for w in witnesses} == ({"B"} if part else {"A", "B"})
+    loops = [w.loop for w in witnesses]
+    place = {}  # (loop, position) -> the vertex put there
+    _with_loops(monkeypatch, lambda lp: (place.get((lp, i), v) for i, v in enumerate(lp)))
+    refused = 0
+    for loop, k, u in itertools.product(loops, range(4), candidates):
+        place = {(loop, k): u}
+        edited = [[place.get((lp, i), v) for i, v in enumerate(lp)] for lp in loops]
+        ok = all(named.has_edge(a, b) for lp in edited for a, b in zip(lp, lp[1:] + lp[:1]))
+        link = link_of(gamma).middle_subgraph() if part else link_of(gamma)
+        if ok:
+            detect_forbidden(gamma, link)
+        else:
+            refused += 1
+            with pytest.raises(InternalInconsistencyError, match="missing from the link"):
+                detect_forbidden(gamma, link)
+        assert "vertices" not in link.__dict__
+    assert 0 < refused < 4 * len(loops) * len(candidates)
+
+
+def test_witness_loop_check_builds_no_named_view():
+    k55 = complete_bipartite(5, 5, first=[(3, F)] * 25)
+    link = link_of(k55)
+    assert len(detect_forbidden(k55, link)) == 100
+    assert "vertices" not in link.__dict__ and "index" not in link.__dict__
 
 
 def test_reversal_invariance_of_witness_counts():
@@ -520,6 +604,48 @@ def test_search_self_check_raises_on_a_bad_assignment(monkeypatch):
     )
     with pytest.raises(InternalInconsistencyError):
         search_orientation(octahedron())
+
+
+def test_certify_refuses_a_searched_orientation_with_a_pattern(monkeypatch):
+    # As above, but through certify, which runs the search without its
+    # closing check: its own detection must refuse the result.
+    four_cycles = DefiningGraph.four_cycles
+    monkeypatch.setattr(
+        DefiningGraph,
+        "four_cycles",
+        lambda g: [] if g.unoriented_edges() else four_cycles(g),
+    )
+    with pytest.raises(InternalInconsistencyError, match="orientation search returned"):
+        certify(octahedron())
+
+
+def test_certify_resolves_and_compiles_a_searched_orientation_once(monkeypatch):
+    from test_smallcancel import CORPUS
+
+    from artinlink import parse_gamma
+
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    resolve = counted("resolve", resolve_orientations)
+    monkeypatch.setattr(curvature, "resolve_orientations", resolve)
+    monkeypatch.setattr(forbidden, "resolve_orientations", resolve)
+    monkeypatch.setattr(forbidden, "_compile", counted("compile", forbidden._compile))
+    grid4 = parse_gamma(CORPUS["grid4"])
+    report = certify(grid4)
+    assert report.notes == ("orientation found by search",)
+    # one compile in the search and one in the detection
+    assert calls == {"resolve": 1, "compile": 2}
+    calls.clear()
+    # search_orientation alone keeps its closing check
+    assert search_orientation(grid4) == report.orientation
+    assert calls == {"resolve": 1, "compile": 2}
 
 
 # -- checkerboard orientation ----------------------------------------------------
