@@ -34,6 +34,7 @@ vertex with the least sorted row to 0 and sort that row are tried.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -47,6 +48,7 @@ from .cycles import girth, has_short_loop
 from .forbidden import has_forbidden
 from .presentations import (
     DefiningGraph,
+    GammaEdge,
     Orientation,
     triangle_graph,
     verify_tietze_equivalence,
@@ -390,16 +392,24 @@ def wildcard_variants(
     return out
 
 
-def graph_from_state(state: tuple[int, ...], n: int) -> DefiningGraph:
-    pairs = list(combinations(range(n), 2))
+@functools.lru_cache(maxsize=8)
+def _edge_table(n: int):
+    """The names ``v0..v{n-1}`` and, per pair of K_n in ``combinations``
+    order, each pair code's ``GammaEdge``: built by its constructor once
+    per n, and frozen, so that graphs share them."""
     names = tuple(f"v{i}" for i in range(n))
-    edges = []
-    for (a, b), v in zip(pairs, state):
-        if v == 0:
-            continue
-        label, orientation = _ORIENTED_DECODE[v]
-        edges.append((names[a], names[b], label, orientation))
-    return DefiningGraph(names, edges)
+    table = [
+        {v: GammaEdge(u, w, *decoded) for v, decoded in _ORIENTED_DECODE.items()}
+        for u, w in combinations(names, 2)
+    ]
+    return names, table
+
+
+def graph_from_state(state: tuple[int, ...], n: int) -> DefiningGraph:
+    """The defining graph of a state on n vertices, its edges shared from
+    the immutable table of :func:`_edge_table`."""
+    names, table = _edge_table(n)
+    return DefiningGraph(names, [edges[v] for edges, v in zip(table, state) if v])
 
 
 def oracle_case(state: tuple[int, ...], n: int, with_girth: bool = False):

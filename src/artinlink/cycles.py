@@ -114,11 +114,15 @@ def has_short_loop(link: LinkGraph) -> bool:
     """Whether the link has an embedded loop of length < 6.
 
     Links are bipartite and simple, so this is exactly "some two
-    vertices share two neighbours", i.e. girth 4.
+    vertices share two neighbours", i.e. girth 4.  Edges join adjacent
+    levels (``_set_core`` checks it), so two opposite vertices of every
+    4-cycle have even levels: their neighbour pairs alone find it.
     """
     n = len(link.nbrs)
     seen: set[int] = set()
-    for ns in link.nbrs:
+    for ns, level in zip(link.nbrs, link.levels):
+        if level % 2:
+            continue
         ids = [nb for nb, _ in ns]
         for i, x in enumerate(ids):
             base = x * n

@@ -522,15 +522,25 @@ def build_triangular(gamma: DefiningGraph) -> Presentation:
     records: list[HubRecord] = []
     for e in gamma.edges:
         tail, head, m = e.tail, e.head, e.label
-        hub = hub_name(tail, head)
-        chain = [chain_name(tail, head, i) for i in range(3, m + 1)]
+        added, record = _hub_chain(tail, head, m)
         h = len(gens)
         ids = (vertex_id[tail], vertex_id[head], *range(h + 1, h + m - 1))
-        gens.append(hub)
-        gens.extend(chain)
-        records.append(HubRecord(hub, (tail, head, *chain), m, (tail, head)))
+        gens += added
+        records.append(record)
         cells += ((h, ids[i], ids[(i + 1) % m]) for i in range(m))
     return Presentation.from_cells(gens, cells, records)
+
+
+@functools.lru_cache(maxsize=64)
+def _hub_chain(tail: str, head: str, m: int) -> tuple[tuple[str, ...], HubRecord]:
+    """The generators (hub, d3..dm) and the ``HubRecord`` of the edge
+    tail -> head of label m, memoized on (tail, head, m): the sweeps
+    build thousands of graphs on a few names (50 keys on five vertices).
+    An entry holds up to ``MAX_GENERATORS`` names, 2.3 MB at the cap,
+    so the 64 entries keep at most about 150 MB alive."""
+    hub = hub_name(tail, head)
+    chain = [chain_name(tail, head, i) for i in range(3, m + 1)]
+    return (hub, *chain), HubRecord(hub, (tail, head, *chain), m, (tail, head))
 
 
 def _power(gen: str, k: int) -> FreeWord:

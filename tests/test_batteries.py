@@ -160,6 +160,38 @@ def test_graph_from_state_decodes_labels_and_directions():
     assert e12.label == 2 and e12.orientation == Orientation.WILDCARD
 
 
+def decoded_graph(state, n):
+    """The graph of ``state`` built edge by edge from decoded tuples."""
+    decode = {
+        1: (3, Orientation.FORWARD),
+        2: (3, Orientation.BACKWARD),
+        3: (4, Orientation.FORWARD),
+        4: (4, Orientation.BACKWARD),
+        5: (2, Orientation.WILDCARD),
+    }
+    names = tuple(f"v{i}" for i in range(n))
+    pairs = itertools.combinations(range(n), 2)
+    edges = [(names[a], names[b], *decode[v]) for (a, b), v in zip(pairs, state) if v]
+    return DefiningGraph(names, edges)
+
+
+def test_graph_from_state_is_the_graph_of_its_decoded_edges():
+    states4 = enumerate_oriented_states(4)
+    states = states4 + wildcard_variants(states4, 4)
+    states += enumerate_triangle_free_oriented_states(4)
+    rng = random.Random(2207)
+
+    def draws(n, count, codes):
+        m = n * (n - 1) // 2
+        return [(tuple(rng.choice(codes) for _ in range(m)), n) for _ in range(count)]
+
+    cases = [(s, 4) for s in states] + draws(5, 2000, (0, 0, 1, 2, 3, 4, 5))
+    # on 11 vertices "v10" sorts before "v2", so edges flip as they normalise
+    cases += draws(11, 50, (0, 1, 2, 3, 4, 5))
+    for state, n in cases:
+        assert graph_from_state(state, n) == decoded_graph(state, n)
+
+
 def test_oracle_case_round_trip():
     # directed triangle state: v0->v1, v1->v2, v2->v0 with label 3
     ok, short, girth_ok = oracle_case((1, 2, 1), 3, with_girth=True)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,32 @@ def test_girth_matches_brute_force_enumeration():
         if expected is not None:
             assert witness.length == expected
         assert has_short_loop(link) == (expected is not None and expected < 6)
+
+
+def test_one_sided_short_loop_scan_matches_brute_force():
+    """On every 4-vertex sweep link, the assorted links, and the middle
+    subgraphs and radius-2 neighbourhoods of sampled 5-vertex links:
+    parts that keep their levels."""
+    from artinlink.batteries import (
+        enumerate_oriented_states,
+        graph_from_state,
+        wildcard_variants,
+    )
+
+    states4 = enumerate_oriented_states(4)
+    states4 += wildcard_variants(states4, 4)
+    links = [link_of(graph_from_state(state, 4)) for state in states4]
+    links += assorted_links()
+    rng = random.Random(2209)
+    for _ in range(60):
+        state = tuple(rng.choice((0, 1, 2, 3, 4, 5)) for _ in range(10))
+        link = link_of(graph_from_state(state, 5))
+        links.append(link.middle_subgraph())
+        links += (link.neighborhood(v, 2) for v in rng.sample(link.vertices, 3))
+    answers = Counter(has_short_loop(link) for link in links)
+    assert answers[True] > 100 and answers[False] > 100
+    for link in links:
+        assert has_short_loop(link) == (brute_force_girth(link) == 4)
 
 
 def late_least_loops(label):

@@ -30,6 +30,7 @@ from artinlink.gamma_io import (
 )
 
 W = FreeWord.parse
+F, B = Orientation.FORWARD, Orientation.BACKWARD
 
 
 def rel(text):
@@ -181,6 +182,53 @@ def test_triangular_generator_cap_is_checked_before_building():
     # a label far beyond the cap fails at once: nothing is built first
     with pytest.raises(TooManyGeneratorsError, match="1000000001 generators"):
         build_triangular(one_edge(10**9))
+
+
+def memo_free_triangular(gamma, monkeypatch):
+    """``build_triangular`` with every hub chain built afresh."""
+    from artinlink import presentations
+
+    with monkeypatch.context() as m:
+        m.setattr(presentations, "_hub_chain", presentations._hub_chain.__wrapped__)
+        return build_triangular(gamma)
+
+
+def assert_same_presentation(p, q):
+    assert p.generators == q.generators
+    assert (p.cells, p.hub_records) == (q.cells, q.hub_records)
+
+
+def test_memoized_hub_chains_build_the_memo_free_presentation(monkeypatch):
+    from test_smallcancel import CORPUS
+
+    from artinlink.presentations import _hub_chain
+
+    graphs = []
+    for text in CORPUS.values():
+        g = parse_gamma(text)  # the grids and k55 are unoriented: orient them
+        forward = {e.key: "forward" for e in g.unoriented_edges()}
+        graphs.append(resolve_orientations(g, forward))
+    _hub_chain.cache_clear()
+    for g in graphs:
+        fresh = memo_free_triangular(g, monkeypatch)
+        assert_same_presentation(build_triangular(g), fresh)  # cold memo
+        assert_same_presentation(build_triangular(g), fresh)  # warm, up to 64 edges
+    assert _hub_chain.cache_info().hits > 0
+
+
+def test_memo_keeps_labels_and_directions_of_one_pair_apart(monkeypatch):
+    """One (tail, head) pair at labels 2, 3, 4 and 50, in both label
+    orders and both directions, in one process."""
+    for labels in ((2, 3, 4, 50), (50, 4, 3, 2)):
+        for tail, head, o in (("a", "b", F), ("b", "a", B)):
+            for m in labels:
+                g = DefiningGraph(("a", "b"), [("a", "b", m, o)])
+                pres = build_triangular(g)
+                chain = tuple(f"d_{{{tail},{head},{i}}}" for i in range(3, m + 1))
+                assert pres.generators == ("a", "b", f"x_{{{tail},{head}}}", *chain)
+                assert pres.hub_records[0].cycle == (tail, head, *chain)
+                assert pres.hub_records[0].label == m
+                assert_same_presentation(pres, memo_free_triangular(g, monkeypatch))
 
 
 def test_unique_positive_products_across_relators():
