@@ -26,10 +26,11 @@ one scan also gives its automorphisms.  Its orientations are walked
 in lexicographic order: the first one not yet seen is the least of
 its orbit, and its images under the automorphisms are marked seen.
 Wildcard variants are deduplicated by their least image with
-direction flips.  An image opens with the row of new vertex 0 (its
-codes to the others, seen from it), so only a state with a sorted
-vertex-0 row can be canonical, and only permutations that send a
-vertex with the least sorted row to 0 and sort that row are tried.
+direction flips, and each distinct raw variant is canonicalised once.
+An image opens with the row of new vertex 0 (its codes to the others,
+seen from it), so only a state with a sorted vertex-0 row can be
+canonical, and only permutations that send a vertex with the least
+sorted row to 0 and sort that row are tried.
 """
 
 from __future__ import annotations
@@ -375,9 +376,12 @@ def wildcard_variants(
 
     Variants are deduplicated up to isomorphism by their least image
     under vertex permutations (see ``_canonicaliser``), kept in the
-    order they are first seen.
+    order they are first seen.  States that differ only in the code of
+    their first present pair give the same raw variant, so each
+    distinct raw variant is canonicalised once.
     """
     canonical_form = _canonicaliser(n)
+    raws = set()
     seen = set()
     out = []
     for state in states:
@@ -385,7 +389,11 @@ def wildcard_variants(
         rest = codes.lstrip(b"\0")  # from the first present pair on
         if not rest:
             continue
-        canon = canonical_form(codes[: len(codes) - len(rest)] + b"\5" + rest[1:])
+        raw = codes[: len(codes) - len(rest)] + b"\5" + rest[1:]
+        if raw in raws:
+            continue
+        raws.add(raw)
+        canon = canonical_form(raw)
         if canon not in seen:
             seen.add(canon)
             out.append(canon)

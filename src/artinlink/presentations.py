@@ -15,6 +15,7 @@ edge.  The two presentations define the same group, and
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
@@ -50,6 +51,9 @@ class RotationError(ValueError):
         self.vertex = vertex
 
 
+_RESERVED = re.compile(r"[{},^\s]")  # on ``str``, ``\s`` is ``str.isspace``
+
+
 def check_vertex_name(name) -> None:
     """Reject a name that could collide with a generated generator.
 
@@ -62,7 +66,7 @@ def check_vertex_name(name) -> None:
     if (
         not isinstance(name, str)
         or not name
-        or any(c in "{},^" or c.isspace() for c in name)
+        or _RESERVED.search(name)
         or name.endswith("_bar")
     ):
         raise ValueError(
@@ -97,7 +101,12 @@ def _flipped(o: Orientation) -> Orientation:
 
 @dataclass(frozen=True)
 class GammaEdge:
-    """An edge of a defining graph, stored with u < v lexicographically."""
+    """An edge of a defining graph, stored with u < v lexicographically.
+
+    ``key``, ``tail`` and ``head`` are derived once per edge object and
+    cached on it; the edge is frozen, so they never go stale.  Equality,
+    hashing, repr and pickling read the four fields only.
+    """
 
     u: str
     v: str
@@ -119,7 +128,10 @@ class GammaEdge:
                 f"wildcard orientation requires label 2 on edge {self.key}"
             )
 
-    @property
+    def __getstate__(self):
+        return {f: self.__dict__[f] for f in ("u", "v", "label", "orientation")}
+
+    @functools.cached_property
     def key(self) -> tuple[str, str]:
         return (self.u, self.v)
 
@@ -127,13 +139,14 @@ class GammaEdge:
     def is_oriented(self) -> bool:
         return self.orientation in (Orientation.FORWARD, Orientation.BACKWARD)
 
-    @property
+    @functools.cached_property
     def tail(self) -> str:
         """Start of the preserved length-2 subword.
 
         A wildcard (label-2) edge reads both ways in the link, so any
         fixed choice gives the same presentation; we take the
-        lexicographically smaller endpoint.
+        lexicographically smaller endpoint.  An unoriented edge raises
+        on every read: a cached property caches no exception.
         """
         if self.orientation == Orientation.FORWARD:
             return self.u
@@ -143,7 +156,7 @@ class GammaEdge:
             return self.u
         raise UnorientedEdgeError(f"edge {self.key} has no direction")
 
-    @property
+    @functools.cached_property
     def head(self) -> str:
         return self.v if self.tail == self.u else self.u
 

@@ -86,14 +86,6 @@ class SmallCancellation(NamedTuple):
     c_value: int  # largest p with C(p), capped
     t_value: int  # link girth, capped; "T(q)" in the operational sense
 
-    @property
-    def satisfies_c3(self) -> bool:
-        return self.c_value >= 3
-
-    @property
-    def satisfies_t6(self) -> bool:
-        return self.t_value >= 6
-
 
 def check_conditions(link: LinkGraph, link_girth: int | None) -> SmallCancellation:
     """Largest C(p) and T(q) (both capped at 12) for the triangular

@@ -83,24 +83,50 @@ def raw_wildcard_variants(states):
     return out
 
 
-def test_wildcard_variants_match_brute_force_on_four_vertices():
+def counted_wildcard_variants(monkeypatch, states, n):
+    """``wildcard_variants(states, n)`` and the codes it canonicalised,
+    in call order."""
+    calls = []
+    make = batteries._canonicaliser
+
+    def counting(n):
+        canon = make(n)
+
+        def count(codes):
+            calls.append(codes)
+            return canon(codes)
+
+        return count
+
+    monkeypatch.setattr(batteries, "_canonicaliser", counting)
+    return wildcard_variants(states, n), calls
+
+
+def test_wildcard_variants_match_brute_force_on_four_vertices(monkeypatch):
     states = enumerate_oriented_states(4)
-    expected = list(dict.fromkeys(least_images(raw_wildcard_variants(states), 4)))
-    assert wildcard_variants(states, 4) == expected
+    raw = raw_wildcard_variants(states)
+    expected = list(dict.fromkeys(least_images(raw, 4)))
+    wilds, calls = counted_wildcard_variants(monkeypatch, states, 4)
+    assert wilds == expected
     assert len(expected) == 369
+    # each distinct raw variant is canonicalised once
+    assert sorted(calls) == sorted(set(map(bytes, raw)))
+    assert len(calls) < len(raw)
 
 
-def test_wildcard_variants_on_five_vertices_are_the_least_images():
+def test_wildcard_variants_on_five_vertices_are_the_least_images(monkeypatch):
     states = enumerate_oriented_states(5)
-    wilds = wildcard_variants(states, 5)
+    raw = raw_wildcard_variants(states)
+    wilds, calls = counted_wildcard_variants(monkeypatch, states, 5)
     assert len(wilds) == len(set(wilds)) == 41_498
+    assert sorted(calls) == sorted(set(map(bytes, raw)))
+    assert len(calls) == 43_847
     rng = random.Random(20261018)
     # every output is its own least image ...
     sample = rng.sample(wilds, 1_000)
     assert least_images(sample, 5) == sample
     # ... and every raw variant's least image is an output
-    raw = rng.sample(raw_wildcard_variants(states), 2_000)
-    assert set(least_images(raw, 5)) <= set(wilds)
+    assert set(least_images(rng.sample(raw, 2_000), 5)) <= set(wilds)
 
 
 # The sweeps and the bench sample index into the enumerations, so each

@@ -15,8 +15,18 @@ from artinlink.cli import main
 COMMANDS = ("certify", "link", "orient", "pieces")
 
 NAMES = ("a", "b", "c", "d", "e")
-# junk names, with braces, commas, carets, blanks and comment marks
-TOKENS = st.sampled_from(NAMES) | st.text(alphabet="ab{},#:x_^ \t", min_size=1, max_size=4)
+# junk names, with braces, commas, carets, comment marks, ASCII and
+# Unicode blanks (some of them line breaks to ``str.splitlines``),
+# non-ASCII letters and ``_bar`` suffixes
+TOKENS = (
+    st.sampled_from(NAMES)
+    | st.text(
+        alphabet="ab{},#:x_^ \t\x1c\x85\u2003\u2028\u00e9\u03b1\u0436",
+        min_size=1,
+        max_size=4,
+    )
+    | st.builds("{}_bar".format, st.sampled_from(NAMES + ("\u03b1", "_bar", "")))
+)
 # labels stay small: a label near the generator cap takes seconds to certify
 LABELS = st.integers(2, 50)
 SYMBOLS = st.sampled_from([">", "<", ">", "<", "?", ".", ""])

@@ -1,4 +1,6 @@
 import itertools
+import pickle
+import sys
 
 import pytest
 
@@ -20,6 +22,7 @@ from artinlink import (
     triangle_presentation,
     verify_tietze_equivalence,
 )
+from artinlink import presentations
 from artinlink.gamma_io import (
     ParseError,
     gamma_to_json_dict,
@@ -59,6 +62,16 @@ def test_graph_rejects_names_that_clash_with_generators(name):
         DefiningGraph(("a", "b", name), [("a", "b", 3, Orientation.FORWARD)])
 
 
+def test_reserved_name_pattern_is_the_character_test_on_every_code_point():
+    # ``\s`` of ``re`` on ``str`` against ``str.isspace``, per character
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    expected = [c for c in every if c in "{},^" or c.isspace()]
+    assert presentations._RESERVED.findall(every) == expected
+    for c in expected:
+        with pytest.raises(ValueError):
+            presentations.check_vertex_name(f"a{c}b")
+
+
 def brute_force_triangles_and_four_cycles(g):
     vs = sorted(g.vertices)
     tris = [t for t in itertools.combinations(vs, 3)
@@ -90,6 +103,35 @@ def test_edge_normalization_flips_direction():
 def test_wildcard_tail_is_lexicographically_smaller():
     e = GammaEdge("b", "a", 2, Orientation.WILDCARD)
     assert (e.tail, e.head) == ("a", "b")
+
+
+def test_unoriented_edge_refuses_its_ends_on_every_read():
+    e = GammaEdge("a", "b", 3)
+    for _ in range(3):
+        with pytest.raises(UnorientedEdgeError):
+            e.tail
+        with pytest.raises(UnorientedEdgeError):
+            e.head
+    assert e.key == ("a", "b")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("b", "a", 3, Orientation.FORWARD),
+        ("a", "b", 4, Orientation.BACKWARD),
+        ("b", "a", 2, Orientation.WILDCARD),
+    ],
+)
+def test_edge_with_cached_ends_is_its_fresh_self(args):
+    read = GammaEdge(*args)
+    ends = (read.tail, read.head, read.key)
+    fresh = GammaEdge(*args)
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    assert pickle.dumps(read) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(read))
+    assert back == fresh and (back.tail, back.head, back.key) == ends
 
 
 # -- standard presentations --------------------------------------------
