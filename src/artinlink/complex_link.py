@@ -14,27 +14,16 @@ Vertices fall into four levels: hub tails at level 1, non-hub tails at
 level 2, non-hub heads at level 3 and hub heads at level 4.  Every edge
 joins adjacent levels, so links are bipartite.
 
-Both objects are integer-first.  A triangular presentation is its
-2-cells, each the (hub, left, right) triple of its generators'
-positions, plus hub records; its relator words are built only when
-read.  ``build_complex`` takes those cells as they are and refuses a
-presentation without them, and ``build_link`` turns each cell straight
-into the ids of its three corner edges; angles join that core as
-integer weights, one per edge id.  The searches read only that core.
-``link_of`` is the whole chain from a defining graph, and the link
-keeps its complex, so later stages take the link alone.  Every other
-``LinkGraph`` (the middle-edge subgraph, a neighbourhood) is a part of
-one whole link: a subset of its vertex and edge ids.  The named view,
-a ``LinkVertex`` per vertex and a ``LinkEdge`` per edge (with its
-2-cell and corner, the hub of that 2-cell as its local piece, and an
-optional exact angle, a Fraction in units of pi), is built on first
-read, through the whole link.
+Both objects are integer-first: README pipeline step 3 describes the
+cells, the link's integer core and id scheme, its parts and the named
+view that is built on first read.
 """
 
 from __future__ import annotations
 
 import copy
 import functools
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 from itertools import repeat
@@ -125,10 +114,10 @@ class LinkGraph:
     ``levels[id]``, ``ends[ei]`` holding the ids of edge ``ei`` (lower
     first) and ``nbrs[id]`` listing sorted (neighbour id, edge index)
     pairs; an angled link adds ``weight[ei]``, the angle of edge ``ei``
-    in units of pi / ``angle_unit``.  The named view (``vertices``,
-    ``edges`` and ``index``) is built only when read.  A vertex's id is
-    its position in the sorted ``vertices`` tuple, so comparing ids
-    compares vertices.
+    in units of pi / ``angle_unit``.  The named view (``vertices`` and
+    ``edges``) is built only when read.  A vertex's id is its position
+    in the sorted ``vertices`` tuple, so comparing ids compares
+    vertices; every lookup by name goes through :meth:`_find`.
 
     :func:`build_link` makes the whole link from a complex's cells,
     kept as ``complex``, and refuses a cell on an unknown generator;
@@ -170,18 +159,15 @@ class LinkGraph:
         self._edge_ids = edge_ids
         self._hops: list = []  # the hop search's answer: cycles._hop_search
 
-    # -- the named view, read through the whole link -----------------------
+    # -- the named view and the id scheme, read through the whole link ----
 
     @functools.cached_property
     def vertices(self) -> tuple[LinkVertex, ...]:
         return tuple(self._named(range(len(self.levels))))
 
     def _named(self, ids: Iterable[int]) -> list[LinkVertex]:
-        """The vertices of ``ids``, named alone unless the whole named
-        view is already built.  Whole vertex id 2 * r (head) and
+        """The vertices of ``ids``.  Whole vertex id 2 * r (head) and
         2 * r + 1 (tail) belong to generator ``_by_rank[r]``."""
-        if "vertices" in self.__dict__:
-            return [self.vertices[i] for i in ids]
         whole = self._whole or self
         gens = whole.complex.one_cells
         special = whole.complex.presentation.special_generators
@@ -191,6 +177,38 @@ class LinkGraph:
             g = gens[whole._by_rank[w // 2]]
             end = TAIL if w % 2 else HEAD
             out.append(LinkVertex(g, end, self.levels[i], g in special))
+        return out
+
+    @functools.cached_property
+    def _rank(self) -> dict[str, int]:
+        """Generator -> its sorted rank, on the whole link."""
+        gens = self.complex.one_cells
+        return {gens[gi]: r for r, gi in enumerate(self._by_rank)}
+
+    def _find(self, gen: str, end: str) -> int:
+        """The id of ``gen``'s ``end`` here, or -1: the inverse of
+        :meth:`_named`, found by bisection in the sorted ``_vids``."""
+        r = (self._whole or self)._rank.get(gen)
+        if r is None or end not in (HEAD, TAIL):
+            return -1
+        w = 2 * r + (end == TAIL)
+        i = bisect_left(self._vids, w)
+        return i if i < len(self._vids) and self._vids[i] == w else -1
+
+    def _resolve(self, v: LinkVertex) -> int:
+        """The id of ``v`` here, or -1, also for a vertex of another
+        level or ``special`` flag; the named view is not built."""
+        i = self._find(v.gen, v.end)
+        return i if i >= 0 and self._named([i]) == [v] else -1
+
+    def _steps(self, ids: Sequence[int]) -> list[int | None]:
+        """The edge id of each step k, from ``ids[k]`` to ``ids[k + 1]``,
+        of the closed walk through ``ids``; None where no edge joins them."""
+        get, out, b = self._edge_ids.get, [], ids[0]
+        for a in reversed(ids):  # back from the closing step: no slices
+            out.append(get((a, b) if a < b else (b, a)))
+            b = a
+        out.reverse()
         return out
 
     @functools.cached_property
@@ -214,15 +232,11 @@ class LinkGraph:
             for (a, b), c, t in zip(self.ends, self._eids, angles)
         )
 
-    @functools.cached_property
-    def index(self) -> dict[LinkVertex, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
     # -- basic accessors -------------------------------------------------
 
     def _id(self, v: LinkVertex) -> int:
-        i = self.index.get(v)
-        if i is None:
+        i = self._resolve(v)
+        if i < 0:
             raise VertexNotFoundError(str(v))
         return i
 
@@ -233,20 +247,13 @@ class LinkGraph:
         return self._edge_between(a, b) is not None
 
     def _edge_between(self, a: LinkVertex, b: LinkVertex) -> int | None:
-        ia, ib = self.index.get(a), self.index.get(b)
-        if ia is None or ib is None:
-            return None
-        return self._edge_ids.get((ia, ib) if ia < ib else (ib, ia))
+        return self._steps([self._resolve(a), self._resolve(b)])[0]
 
     def vertex(self, gen: str, end: str) -> LinkVertex:
-        v = self._by_name.get((gen, end))
-        if v is None:
+        i = self._find(gen, end)
+        if i < 0:
             raise VertexNotFoundError(f"{gen}/{end}")
-        return v
-
-    @functools.cached_property
-    def _by_name(self) -> dict[tuple[str, str], LinkVertex]:
-        return {(v.gen, v.end): v for v in self.vertices}
+        return self._named([i])[0]
 
     def is_middle(self, ei: int) -> bool:
         """Whether edge ``ei`` is a middle edge: its lower end is on level 2."""
@@ -263,23 +270,24 @@ class LinkGraph:
         if eids and (eids[0] < 0 or eids[-1] >= len(self.ends)):
             n = len(self.ends)
             raise ValueError(f"edge ids {eids[0]}..{eids[-1]} not all in 0..{n - 1}")
-        return self._part(sorted({i for ei in eids for i in self.ends[ei]}), eids)
+        return self._part({i for ei in eids for i in self.ends[ei]}, eids)
 
     def induced(self, vertices: Iterable[LinkVertex]) -> "LinkGraph":
-        ids = {self._id(v) for v in vertices}
-        eids = [ei for a in ids for b, ei in self.nbrs[a] if a < b and b in ids]
-        return self._part(sorted(ids), sorted(eids))
+        return self._part({self._id(v) for v in vertices})
 
-    def _part(self, ids: list[int], eids: list[int]) -> "LinkGraph":
-        """The part on sorted vertex ids ``ids`` and sorted edge ids
-        ``eids`` (each joining two of ``ids``), renumbered ``0..n-1``."""
-        new = {i: j for j, i in enumerate(ids)}
+    def _part(self, ids: Iterable[int], eids: list[int] | None = None) -> "LinkGraph":
+        """The part on vertex ids ``ids`` and sorted edge ids ``eids``,
+        each joining two of ``ids`` (by default every edge that does),
+        renumbered ``0..n-1`` in order."""
+        new = {i: j for j, i in enumerate(sorted(ids))}
+        if eids is None:
+            eids = sorted(e for a in new for b, e in self.nbrs[a] if a < b and b in new)
         part = LinkGraph.__new__(LinkGraph)
         part._whole = self._whole or self
-        part._vids = [self._vids[i] for i in ids]
+        part._vids = [self._vids[i] for i in new]
         part._eids = [self._eids[ei] for ei in eids]
         ends = [(new[a], new[b]) for a, b in map(self.ends.__getitem__, eids)]
-        part._set_core([self.levels[i] for i in ids], ends)
+        part._set_core([self.levels[i] for i in new], ends)
         if self.weight is not None:
             part.weight = [self.weight[ei] for ei in eids]
             part.angle_unit = self.angle_unit
@@ -303,7 +311,7 @@ class LinkGraph:
                 if nb not in dist:
                     dist[nb] = dist[cur] + 1
                     queue.append(nb)
-        return self.induced(self.vertices[i] for i in dist)
+        return self._part(dist)
 
     def components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Connected components as (sorted vertex ids, sorted edge ids)."""

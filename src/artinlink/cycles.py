@@ -79,8 +79,7 @@ def make_loop(link: LinkGraph, vertices: list[LinkVertex]) -> EmbeddedLoop:
     if len(vertices) < 3:
         raise ValueError("a loop needs at least 3 vertices")
     canon = _canonical(vertices)
-    index = link.index
-    return _loop(link, tuple(index.get(v, -1) for v in canon), canon)  # -1: no vertex
+    return _loop(link, tuple(map(link._resolve, canon)), canon)  # -1: no vertex
 
 
 def _canonical(cycle) -> tuple:
@@ -98,9 +97,7 @@ def _loop_of_ids(link: LinkGraph, ids) -> EmbeddedLoop:
 
 def _loop(link: LinkGraph, ids: tuple[int, ...], vertices) -> EmbeddedLoop:
     """The loop through the canonical cycle ``ids``, named ``vertices``."""
-    edge_ids = link._edge_ids
-    steps = zip(ids, ids[1:] + ids[:1])
-    idxs = [edge_ids.get((a, b) if a < b else (b, a)) for a, b in steps]
+    idxs = link._steps(ids)
     if None in idxs:
         i = idxs.index(None)
         v, w = vertices[i], vertices[(i + 1) % len(ids)]

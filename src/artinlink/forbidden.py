@@ -13,7 +13,7 @@ walks, the search and its counting refutation.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
@@ -162,22 +162,6 @@ def has_forbidden(gamma: DefiningGraph) -> bool:
     return next(_hits(gamma)[1], None) is not None
 
 
-def _link_ids(link: LinkGraph, vertices) -> dict[LinkVertex, int | None]:
-    """Each of ``vertices`` -> its id in ``link``, or None where
-    ``link.has_edge`` would not find it, each named alone: generator rank
-    r names whole ids 2r (head) and 2r + 1 (tail), sorted in ``_vids``."""
-    whole = link._whole or link
-    gens, vids = whole.complex.one_cells, link._vids
-    rank = {gens[gi]: r for r, gi in enumerate(whole._by_rank)}
-    ids = {}
-    for v in vertices:
-        w = 2 * rank[v.gen] + (v.end == TAIL) if v.gen in rank else -1
-        i = bisect_left(vids, w)
-        found = i < len(vids) and link._named([i]) == [v]
-        ids[v] = i if found else None
-    return ids
-
-
 def detect_forbidden(
     gamma: DefiningGraph, link: LinkGraph | None = None
 ) -> list[ForbiddenWitness]:
@@ -185,7 +169,7 @@ def detect_forbidden(
     witness built only for a walk on which :func:`_forms_pattern` holds.
     Raises :class:`UnorientedEdgeError` when a non-wildcard edge has no
     direction.  If ``link`` is given, every witness loop step is checked
-    as ``link.has_edge`` would, but on ids, without the named view.
+    on it, each loop vertex resolved once, without the named view.
     """
     dirs, hits = _hits(gamma)
     hits = list(hits)
@@ -194,16 +178,16 @@ def detect_forbidden(
     tails = {v: LinkVertex(v, TAIL, 2, True) for v in special}
     witnesses = [_witness(gamma.edges, c, w, dirs, heads, tails) for c, w in hits]
     if link is not None and witnesses:
-        ids = _link_ids(link, set(chain.from_iterable(w.loop for w in witnesses)))
-        adjacent = [{b for b, _ in ns} for ns in link.nbrs]
+        loop_vertices = set(chain.from_iterable(w.loop for w in witnesses))
+        id_of = {v: link._resolve(v) for v in loop_vertices}.__getitem__
         for wit in witnesses:
-            loop = list(map(ids.__getitem__, wit.loop))
-            for k, x in enumerate(loop):  # step k ends at loop[k + 1 - len(loop)]
-                if x is None or loop[k + 1 - len(loop)] not in adjacent[x]:
-                    a, b = wit.loop[k], wit.loop[k + 1 - len(loop)]
-                    raise InternalInconsistencyError(
-                        f"witness loop step {a} - {b} missing from the link"
-                    )
+            steps = link._steps(list(map(id_of, wit.loop)))
+            if None in steps:
+                k = steps.index(None)
+                a, b = wit.loop[k], wit.loop[k + 1 - len(wit.loop)]
+                raise InternalInconsistencyError(
+                    f"witness loop step {a} - {b} missing from the link"
+                )
     return witnesses
 
 

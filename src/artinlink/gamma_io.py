@@ -42,7 +42,8 @@ def parse_gamma(text: str) -> DefiningGraph:
     edge_lines: dict[tuple[str, str], int] = {}
     rotation_lines: dict[str, int] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # "\n" alone ends a line: str.splitlines also breaks at "\x0c" or "\u2028"
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -62,9 +63,11 @@ def parse_gamma(text: str) -> DefiningGraph:
             if len(fields) not in (4, 5):
                 raise ParseError(lineno, "expected: edge <u> <v> <label> [> < ? .]")
             u, v = fields[1], fields[2]
-            try:
+            try:  # ASCII digits only: int() alone also reads "3_0" and "\uff13"
+                if not (fields[3].removeprefix("-").isdigit() and fields[3].isascii()):
+                    raise ValueError
                 label = int(fields[3])
-            except ValueError:
+            except ValueError:  # also past int()'s digit limit
                 raise ParseError(lineno, f"label must be an integer: {fields[3]!r}")
             symbol = fields[4] if len(fields) == 5 else "."
             if symbol not in ORIENTATION_SYMBOLS:

@@ -422,6 +422,21 @@ def test_directory_as_graph_path_is_a_one_line_error(tmp_path, capsys):
     assert "Is a directory" in err
 
 
+@pytest.mark.parametrize("label", ["3_0", "\u0663", "\uff13", "+3", "3.0"])
+def test_label_is_ascii_digits_only(gamma_file, capsys, label):
+    # int() would read "3_0" as 30 and the Arabic-Indic and fullwidth threes as 3
+    text = f"vertex a\nvertex c\nedge a c {label} >\n"
+    code, out, err = run(capsys, ["certify", gamma_file(text)])
+    assert_one_line_error(code, out, err)
+    assert err == f"parse error: line 3: label must be an integer: {label!r}\n"
+
+
+def test_negative_label_reaches_the_edge_check(gamma_file, capsys):
+    code, out, err = run(capsys, ["certify", gamma_file("vertex a\nvertex c\nedge a c -3 >\n")])
+    assert_one_line_error(code, out, err)
+    assert err == "parse error: line 3: edge label must be an integer >= 2, got -3\n"
+
+
 def test_vertex_named_like_a_hub_is_a_one_line_error(gamma_file, capsys):
     text = "vertex a\nvertex b\nvertex x_{a,b}\nedge a b 3 >\n"
     code, out, err = run(capsys, ["certify", gamma_file(text)])

@@ -16,7 +16,8 @@ COMMANDS = ("certify", "link", "orient", "pieces")
 
 NAMES = ("a", "b", "c", "d", "e")
 # junk names, with braces, commas, carets, comment marks, ASCII and
-# Unicode blanks (some of them line breaks to ``str.splitlines``),
+# Unicode blanks (some of them line breaks to ``str.splitlines``, but
+# not to the parser, which breaks lines at "\n" only),
 # non-ASCII letters and ``_bar`` suffixes
 TOKENS = (
     st.sampled_from(NAMES)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from oracle_tools import reference_link
@@ -354,6 +355,73 @@ def test_degree_of_an_unknown_vertex_names_it():
         link.degree(LinkVertex("q", "head", 3, False))
     with pytest.raises(VertexNotFoundError, match="^'q'$"):
         link.induced([link.vertex("a", HEAD), LinkVertex("q", "head", 3, False)])
+
+
+def link_and_parts():
+    """A whole link, an angled copy and the parts cut from it in
+    test_cycles.py, all built without the named view."""
+    link = classic_link(2, 4, 5)
+    angled = link.with_angles([Fraction(1 + ei % 3, 6) for ei in range(len(link.ends))])
+    some = [angled.vertex(g, end) for g in ("a", "x", "e3", "f4") for end in (HEAD, TAIL)]
+    around_x = angled.neighborhood(angled.vertex("x", HEAD), 2)
+    return [
+        link,
+        angled,
+        angled.subgraph(range(0, len(angled.ends), 3)),
+        angled.middle_subgraph(),
+        angled.induced(some),
+        around_x,
+        around_x.subgraph(range(1, len(around_x.ends), 2)),  # a part's part
+    ]
+
+
+def test_name_lookups_agree_with_a_scan_of_the_named_view():
+    # the reference reads the named view only: positions in ``vertices``
+    # and a scan of ``edges``; every vertex of the whole link is tried,
+    # and each with its level or special flag flipped or its generator unknown
+    whole = classic_link(2, 4, 5).vertices
+    for graph in link_and_parts():
+        candidates = [
+            u
+            for v in whole
+            for u in (
+                v,
+                v._replace(level=5 - v.level),
+                v._replace(special=not v.special),
+                v._replace(gen=v.gen + "?"),
+            )
+        ]
+        assert sum(v in graph.vertices for v in candidates) == len(graph.vertices)
+        edge_of = {frozenset((e.a, e.b)): ei for ei, e in enumerate(graph.edges)}
+        for v in candidates:
+            if v in graph.vertices:
+                i = graph.vertices.index(v)
+                assert graph._id(v) == i and graph.vertex(v.gen, v.end) == v
+                assert graph.degree(v) == sum(v in (e.a, e.b) for e in graph.edges)
+            else:
+                for lookup in (graph._id, graph.degree):
+                    with pytest.raises(VertexNotFoundError) as err:
+                        lookup(v)
+                    assert err.value.args == (str(v),)
+                if all(u[:2] != v[:2] for u in graph.vertices):
+                    with pytest.raises(VertexNotFoundError) as err:
+                        graph.vertex(v.gen, v.end)
+                    assert err.value.args == (f"{v.gen}/{v.end}",)
+            for u in candidates:
+                assert graph._edge_between(v, u) == edge_of.get(frozenset((v, u)))
+                assert graph.has_edge(v, u) == (frozenset((v, u)) in edge_of)
+        with pytest.raises(VertexNotFoundError, match="^'a/middle'$"):
+            graph.vertex("a", "middle")
+
+
+def test_name_lookups_build_no_named_view():
+    graphs = link_and_parts()
+    for graph in graphs:
+        a, b = graph._named(graph.ends[0])
+        assert graph.vertex(a.gen, a.end) == a and graph.has_edge(a, b)
+        assert graph.degree(b) >= 1 and not graph.has_edge(a, a._replace(level=0))
+        assert graph.neighborhood(a, 2).ends
+    assert not any("vertices" in graph.__dict__ for graph in graphs)
 
 
 def test_radius_two_neighborhood_of_y_is_tree():

@@ -314,7 +314,7 @@ def test_one_hop_search_per_link_in_any_order(monkeypatch):
         if ids is None:
             assert part_loop is witness is value is None
         else:
-            assert tuple(part.index[v] for v in part_loop.vertices) == ids
+            assert tuple(map(part.vertices.index, part_loop.vertices)) == ids
             assert value == Fraction(length, 3)
             assert witness.vertices == part_loop.vertices
 

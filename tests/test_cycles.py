@@ -550,7 +550,7 @@ def test_subgraphs_of_an_angled_link_carry_its_weights():
     for part in parts:
         assert part.ends and part.angles_assigned and part.complex is None
         for v in part.vertices:
-            assert v in angled.index
+            assert v in angled.vertices
         for ei, e in enumerate(part.edges):
             # the whole link's edge, with its cell, corner, piece, kind and angle
             assert angled.edges[angled._edge_between(e.a, e.b)] == e

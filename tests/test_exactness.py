@@ -210,6 +210,40 @@ def girth(adj):
     ]
 
 
+ID_SCHEME = ("_whole", "_vids", "_eids", "_by_rank", "_edge_ids")
+
+
+def id_scheme_reads(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of every read of the link's id scheme, the
+    private ``LinkGraph`` fields in ``ID_SCHEME``, outside complex_link.py."""
+    return [
+        (module, name, line)
+        for module, source in sorted(sources.items())
+        if module != "complex_link.py"
+        for name in ID_SCHEME
+        for _, line in name_uses(source, name)
+    ]
+
+
+def test_only_the_link_reads_its_id_scheme():
+    # generator rank r -> vertex ids 2r, 2r + 1 and cell c -> edge ids 3c + i
+    # have one owner: every other module names link vertices through
+    # LinkGraph's resolver and loop lookup
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert id_scheme_reads(sources) == []
+
+
+def test_id_scheme_guard_sees_every_read():
+    source = """
+def ids(link, v):
+    whole = link._whole or link
+    return whole._by_rank, link._vids, link._eids[0], link._edge_ids.get(v)
+"""
+    reads = id_scheme_reads({"complex_link.py": source, "forbidden.py": source})
+    assert [name for _, name, _ in reads] == list(ID_SCHEME)
+    assert {module for module, _, _ in reads} == {"forbidden.py"}
+
+
 def hop_search_sites(source: str) -> list[tuple[str | None, int]]:
     """(top-level definition, line) of every read of ``_shortest_cycle``
     that can run its hop search: a call with no weight, or with one that

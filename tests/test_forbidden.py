@@ -225,7 +225,7 @@ def test_witness_loop_check_builds_no_named_view():
     k55 = complete_bipartite(5, 5, first=[(3, F)] * 25)
     link = link_of(k55)
     assert len(detect_forbidden(k55, link)) == 100
-    assert "vertices" not in link.__dict__ and "index" not in link.__dict__
+    assert "vertices" not in link.__dict__
 
 
 def test_reversal_invariance_of_witness_counts():

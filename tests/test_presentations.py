@@ -444,6 +444,21 @@ def test_parse_gamma_errors(bad, line):
     assert err.value.line == line
 
 
+def test_parse_gamma_breaks_lines_at_newline_only():
+    # str.splitlines would end the comment at U+2028 and read "more"
+    text = "vertex a\nvertex c # note \u2028 more\nedge a c 3 >\nbogus\n"
+    with pytest.raises(ParseError) as err:
+        parse_gamma(text)
+    assert str(err.value) == "line 4: unknown directive 'bogus'"
+    for mark in "\x0c", "\x85", "\u2029":
+        g = parse_gamma(f"vertex a # one {mark} vertex b\nvertex c\nedge a c 3 >\n")
+        assert g.vertices == ("a", "c")
+
+
+def test_parse_gamma_reads_crlf_files():
+    assert parse_gamma(GAMMA_TEXT.replace("\n", "\r\n")) == parse_gamma(GAMMA_TEXT)
+
+
 def test_rotation_error_names_its_line():
     with pytest.raises(ParseError) as err:
         parse_gamma("vertex a\nrot b: a\n")
