@@ -205,13 +205,19 @@ def _cmd_link(args) -> int:
     return 0
 
 
+def _out_of_range(*bounds: tuple[str, int | None, int, int]) -> bool:
+    """Print an error for the first ``(flag, value, low, high)`` whose
+    value is given and outside ``low..high``; whether there was one."""
+    for flag, value, low, high in bounds:
+        if value is not None and not low <= value <= high:
+            error = f"error: {flag} must be between {low} and {high}, got {value}"
+            print(error, file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_loops(args) -> int:
-    if not 3 <= args.max <= LOOP_ENUMERATION_GUARD:
-        print(
-            f"error: --max must be between 3 and {LOOP_ENUMERATION_GUARD}, "
-            f"got {args.max}",
-            file=sys.stderr,
-        )
+    if _out_of_range(("--max", args.max, 3, LOOP_ENUMERATION_GUARD)):
         return 1
     loops = enumerate_short_loops(link_of(load_gamma(args.input)), args.max)
     if args.format == "json":
@@ -260,16 +266,13 @@ def _cmd_pieces(args) -> int:
 def _cmd_verify_lemmas(args) -> int:
     # 5 vertices is the acceptance size; 6 (3^15 labelled states, 720
     # permutations each) is out of reach
-    for flag, value, low, high in (
+    if _out_of_range(
         ("--max-vertices", args.max_vertices, 2, 5),
         ("--max-label", args.max_label, 3, MAX_TRIANGLE_LABEL),
         ("--tietze-max", args.tietze_max, 2, MAX_TIETZE_LABEL),
         ("--processes", args.processes, 1, os.cpu_count() or 1),
     ):
-        if value is not None and not low <= value <= high:
-            bounds = f"between {low} and {high}, got {value}"
-            print(f"error: {flag} must be {bounds}", file=sys.stderr)
-            return 1
+        return 1
     results = batteries.run_all(
         max_label=args.max_label,
         max_vertices=args.max_vertices,

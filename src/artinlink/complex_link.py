@@ -24,7 +24,6 @@ from __future__ import annotations
 import copy
 import functools
 from bisect import bisect_left
-from collections import deque
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
@@ -62,15 +61,16 @@ class LinkVertex(NamedTuple):
 class TwoComplex:
     """One 0-cell, a 1-cell per generator, a triangular 2-cell per relator.
 
-    ``cells`` holds each 2-cell as the (hub, left, right) triple of
-    positions in ``one_cells``, for the boundary h^-1 u v.
+    ``cells`` are the presentation's own, as ``from_cells`` checked
+    them: (hub, left, right) positions in ``one_cells`` for a boundary
+    h^-1 u v.  A presentation without cells raises NotTriangularError.
     """
 
-    def __init__(
-        self, presentation: Presentation, cells: Iterable[tuple[int, int, int]]
-    ):
+    def __init__(self, presentation: Presentation):
+        if presentation.cells is None:
+            raise NotTriangularError(f"{presentation!r} has no triangular 2-cells")
         self.presentation = presentation
-        self.cells = tuple(cells)
+        self.cells = presentation.cells
         self.zero_cells = 1
         self.one_cells = presentation.generators
 
@@ -82,14 +82,8 @@ class TwoComplex:
 
 
 def build_complex(p: Presentation) -> TwoComplex:
-    """Glue one triangular 2-cell per cell h^-1 u v of ``p``.
-
-    Raises :class:`NotTriangularError` if ``p`` has no cells, as for
-    the standard presentation or any other built from relator words.
-    """
-    if p.cells is None:
-        raise NotTriangularError(f"{p!r} has no triangular 2-cells")
-    return TwoComplex(p, p.cells)
+    """Glue one triangular 2-cell per cell h^-1 u v of ``p``."""
+    return TwoComplex(p)
 
 
 class LinkEdge(NamedTuple):
@@ -120,13 +114,14 @@ class LinkGraph:
     vertices; every lookup by name goes through :meth:`_find`.
 
     :func:`build_link` makes the whole link from a complex's cells,
-    kept as ``complex``, and refuses a cell on an unknown generator;
-    its core is checked on integers: every edge joins adjacent levels,
-    and no two edges join the same pair.  ``subgraph``, ``induced`` and
-    ``neighborhood`` cut a part from it: the vertices and edges it
-    takes, renumbered in order, with their levels and weights.  A part
-    names them through the whole link, ``_vids[id]`` and ``_eids[ei]``
-    being their ids there, and has no ``complex``.
+    kept as ``complex``; its core is checked on integers: every edge
+    joins adjacent levels, and no two edges join the same pair.
+    ``subgraph``, ``induced`` and ``neighborhood`` cut a part from it:
+    the vertices and edges it takes, renumbered in order, with their
+    levels and weights.  A part names them through the whole link,
+    ``_vids[id]`` and ``_eids[ei]`` being their ids there, and has no
+    ``complex``.  One breadth-first search, ``_ball``, serves
+    ``neighborhood`` and ``components``.
     """
 
     complex: TwoComplex | None = None  # set for the whole link
@@ -300,40 +295,40 @@ class LinkGraph:
         """Induced subgraph on vertices within edge-distance ``radius``."""
         if radius < 0:
             raise ValueError(f"negative radius {radius}")
-        start = self._id(v)
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            if dist[cur] == radius:
-                continue
-            for nb, _ in self.nbrs[cur]:
-                if nb not in dist:
-                    dist[nb] = dist[cur] + 1
-                    queue.append(nb)
-        return self._part(dist)
+        return self._part(self._ball(self._id(v), radius, [None] * len(self.nbrs)))
 
     def components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Connected components as (sorted vertex ids, sorted edge ids)."""
-        seen = [False] * len(self.nbrs)
-        out = []
-        for start in range(len(self.nbrs)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = [start]
-            edge_idxs = set()
-            queue = deque([start])
-            while queue:
-                cur = queue.popleft()
-                for nb, ei in self.nbrs[cur]:
-                    edge_idxs.add(ei)
-                    if not seen[nb]:
-                        seen[nb] = True
-                        comp.append(nb)
-                        queue.append(nb)
-            out.append((tuple(sorted(comp)), tuple(sorted(edge_idxs))))
-        return out
+        """Connected components as (sorted vertex ids, sorted edge ids),
+        in the order of their least vertex ids."""
+        n = len(self.nbrs)
+        dist: list[int | None] = [None] * n
+        # each ball fills ``dist`` before the next id is tested
+        balls = [self._ball(i, n, dist) for i in range(n) if dist[i] is None]
+        which = [0] * n  # vertex id -> its component
+        for k, ball in enumerate(balls):
+            for i in ball:
+                which[i] = k
+        edges: list[list[int]] = [[] for _ in balls]
+        for ei, (a, _) in enumerate(self.ends):
+            edges[which[a]].append(ei)
+        return [(tuple(sorted(b)), tuple(es)) for b, es in zip(balls, edges)]
+
+    def _ball(self, start: int, radius: int, dist: list[int | None]) -> list[int]:
+        """The ids within ``radius`` steps of ``start``, in breadth-first
+        order; each one's distance is set in ``dist``, which holds None
+        for every id not yet reached."""
+        nbrs, ball = self.nbrs, [start]
+        dist[start] = 0
+        for cur in ball:  # the list is the queue: reached ids append to it
+            d = dist[cur]
+            if d == radius:
+                break
+            d += 1
+            for nb, _ in nbrs[cur]:
+                if dist[nb] is None:
+                    dist[nb] = d
+                    ball.append(nb)
+        return ball
 
     def is_forest(self) -> bool:
         return all(len(vs) == len(es) + 1 for vs, es in self.components())
@@ -410,18 +405,13 @@ def build_link(k: TwoComplex) -> LinkGraph:
         head[gi] = 2 * r
         levels += (4, 1) if gens[gi] in hubs else (3, 2)
     ends = []
-    try:
-        for h, u, v in k.cells:
-            h, u, v = head[h], head[u], head[v]
-            ends += (
-                (h + 1, u + 1) if h < u else (u + 1, h + 1),
-                (u, v + 1) if u <= v else (v + 1, u),
-                (v, h) if v < h else (h, v),
-            )
-    except KeyError as exc:
-        raise InternalInconsistencyError(
-            f"2-cell {len(ends) // 3} uses unknown generator {exc.args[0]!r}"
-        ) from None
+    for h, u, v in k.cells:
+        h, u, v = head[h], head[u], head[v]
+        ends += (
+            (h + 1, u + 1) if h < u else (u + 1, h + 1),
+            (u, v + 1) if u <= v else (v + 1, u),
+            (v, h) if v < h else (h, v),
+        )
     link = LinkGraph.__new__(LinkGraph)
     link.complex, link._by_rank = k, by_rank
     link._vids, link._eids = range(len(levels)), range(len(ends))

@@ -191,7 +191,8 @@ def parse_gamma_json(text: str) -> DefiningGraph:
 
 def load_gamma(path: str) -> DefiningGraph:
     """Read a defining graph from a ``.json`` or line-format file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="": lines end where parse_gamma ends them, not also at "\r"
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from artinlink import HEAD, TAIL, build_triangular, link_of
 from artinlink.cli import main
+from artinlink.gamma_io import parse_gamma_json
+from artinlink.presentations import check_vertex_name
 
 COMMANDS = ("certify", "link", "orient", "pieces")
 
@@ -154,3 +157,71 @@ def test_fuzzed_bytes_exit_cleanly(fuzz_dir, data, suffix):
     path = fuzz_dir / f"graph{suffix}"
     path.write_bytes(data)
     assert_clean_exit(path)
+
+
+def _is_vertex_name(name):
+    try:
+        check_vertex_name(name)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def named_json_graphs(draw):
+    """An oriented graph on valid names drawn from ``TOKENS``, as JSON:
+    a name may hold "#" or ":", which the line format would read apart."""
+    names = TOKENS.filter(_is_vertex_name)
+    vertices = draw(st.lists(names, unique=True, min_size=2, max_size=4))
+    pairs = list(itertools.combinations(vertices, 2))
+    edges = []
+    for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=4)):
+        label = draw(st.integers(2, 6))
+        ways = ["forward", "backward"] + ["wildcard"] * (label == 2)
+        edges.append({"u": u, "v": v, "label": label, "orientation": draw(st.sampled_from(ways))})
+    return json.dumps({"vertices": vertices, "edges": edges})
+
+
+def _stdout_lines(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, ""), argv
+    return out.getvalue().splitlines()
+
+
+@settings(FUZZ_SETTINGS, derandomize=True)
+@given(text=named_json_graphs())
+def test_printed_vertex_names_map_back_to_one_generator(fuzz_dir, text):
+    path = fuzz_dir / "named.json"
+    path.write_text(text, encoding="utf-8")
+    graph = parse_gamma_json(text)
+    gens = build_triangular(graph).generators
+
+    def owners(name):
+        return [
+            (g, end)
+            for g in gens
+            for end, shown in ((HEAD, g), (TAIL, f"{g}_bar"))
+            if shown == name
+        ]
+
+    # "<a> -- <b>  [<kind>, piece <hub>]" per edge, after a count line
+    link_lines = _stdout_lines(["link", str(path), "--format", "text"])
+    names = [w for line in link_lines[1:] for w in line.split()[:3:2]]
+    vertex_count, _, edge_count, _ = link_lines[0].split()
+    assert len(names) == 2 * int(edge_count)
+    for name in names:
+        assert len(owners(name)) == 1, name
+    # and each vertex on an edge has its own name
+    assert int(vertex_count) == 2 * len(gens)
+    assert len(set(names)) == sum(map(bool, link_of(graph).nbrs))
+    # "piece: <word>" and "relator <word>: <n> pieces", "^-1" marking an inverse
+    letters = []
+    for line in _stdout_lines(["pieces", str(path)])[1:]:
+        kind, _, rest = line.partition(" ")
+        words = rest if kind == "piece:" else rest.rpartition(": ")[0]
+        letters += [w.removesuffix("^-1") for w in words.split()]
+    assert letters
+    for letter in letters:
+        assert owners(letter) == [(letter, HEAD)], letter

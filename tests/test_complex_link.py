@@ -1,10 +1,11 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from oracle_tools import reference_link
+from oracle_tools import adjacency, reference_link
 
 from artinlink import (
     HEAD,
@@ -15,6 +16,7 @@ from artinlink import (
     NotTriangularError,
     Orientation,
     Presentation,
+    TwoComplex,
     VertexNotFoundError,
     build_complex,
     build_link,
@@ -45,6 +47,7 @@ def classic_link(m, n, p):
 def test_complex_cell_counts(m, n, p):
     pres = triangle_presentation(m, n, p)
     k = build_complex(pres)
+    assert k.cells is pres.cells and k.one_cells is pres.generators
     assert k.zero_cells == 1
     assert len(k.one_cells) == m + n + p
     assert len(k.cells) == m + n + p
@@ -64,8 +67,11 @@ def test_complex_counts_single_edge():
 
 def test_complex_rejects_non_triangular():
     g = DefiningGraph(("a", "b"), [("a", "b", 3)])
-    with pytest.raises(NotTriangularError):
-        build_complex(build_standard(g))
+    standard = build_standard(g)
+    message = f"^{re.escape(repr(standard))} has no triangular 2-cells$"
+    for build in (TwoComplex, build_complex):
+        with pytest.raises(NotTriangularError, match=message):
+            build(standard)
 
 
 def test_complex_refuses_a_presentation_without_cells():
@@ -251,16 +257,12 @@ def test_edge_kinds_follow_their_levels():
 
 
 def test_unknown_generators_and_level_skips_are_rejected():
-    from artinlink import TwoComplex
-
     pres = triangle_presentation(3, 3, 3)
     # without hub records every tail is on level 2, so bottom edges skip
     hubless = Presentation.from_cells(pres.generators, pres.cells, ())
     with pytest.raises(InternalInconsistencyError, match="joins levels 2 and 2"):
         build_link(build_complex(hubless))
     for cell in ((0, 1, 99), (-1, 0, 1)):
-        with pytest.raises(InternalInconsistencyError, match="unknown generator"):
-            build_link(TwoComplex(pres, [cell]))
         with pytest.raises(ValueError, match="undeclared generator"):
             Presentation.from_cells(pres.generators, [cell], ())
     with pytest.raises(ValueError, match="distinct"):
@@ -436,6 +438,75 @@ def test_radius_two_neighborhoods_all_top_bottom_acyclic(m, n, p):
     for v in link.vertices:
         if v.level in (1, 4):
             assert link.neighborhood(v, 2).is_forest()
+
+
+# -- the one traversal against independent references ----------------------
+
+
+def union_find_components(graph):
+    """Components by union-find over ``ends``, in the order of their
+    least vertex ids: no breadth-first search."""
+    root = list(range(len(graph.nbrs)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for a, b in graph.ends:
+        root[find(a)] = find(b)
+    groups = {}
+    for i in range(len(root)):
+        groups.setdefault(find(i), ([], []))[0].append(i)
+    for ei, (a, _) in enumerate(graph.ends):
+        groups[find(a)][1].append(ei)
+    return [(tuple(vs), tuple(es)) for vs, es in groups.values()]
+
+
+def reference_distances(adj, v, radius):
+    """Named vertex -> its distance from ``v``, up to ``radius``, read
+    from ``oracle_tools.adjacency`` rather than the link's ``nbrs``."""
+    dist, frontier = {v: 0}, [v]
+    for d in range(1, radius + 1):
+        ahead = []
+        for u in frontier:
+            for w, _ in adj[u]:
+                if w not in dist:
+                    dist[w] = d
+                    ahead.append(w)
+        frontier = ahead
+    return dist
+
+
+def traversal_cases():
+    """Sampled sweep links and their middle subgraphs, an empty part,
+    and the whole link, angled copy and parts (a part's part among
+    them) of ``link_and_parts``."""
+    for k, pres in enumerate(sweep_presentations()):
+        if k % 97 == 0:
+            link = build_link(build_complex(pres))
+            yield link
+            yield link.middle_subgraph()
+    yield link.subgraph([])
+    yield from link_and_parts()
+
+
+def test_components_and_neighborhoods_match_independent_references():
+    cases = 0
+    for graph in traversal_cases():
+        assert graph.components() == union_find_components(graph)
+        adj = adjacency(graph)
+        for v in graph.vertices:
+            for radius in range(4):
+                ball = reference_distances(adj, v, radius)
+                part = graph.neighborhood(v, radius)
+                assert part.vertices == tuple(sorted(ball))
+                assert part.edges == tuple(
+                    e for e in graph.edges if e.a in ball and e.b in ball
+                )
+        cases += 1
+    assert cases == 2 * 32 + 1 + 7
 
 
 # -- local pieces: the link edges of one hub's cells -------------------------

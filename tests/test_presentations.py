@@ -22,12 +22,13 @@ from artinlink import (
     triangle_presentation,
     verify_tietze_equivalence,
 )
-from artinlink import presentations
+from artinlink import cli, presentations
 from artinlink.gamma_io import (
     ParseError,
     gamma_to_json_dict,
     gamma_from_json_dict,
     gamma_to_text,
+    load_gamma,
     parse_gamma,
     parse_gamma_json,
 )
@@ -457,6 +458,22 @@ def test_parse_gamma_breaks_lines_at_newline_only():
 
 def test_parse_gamma_reads_crlf_files():
     assert parse_gamma(GAMMA_TEXT.replace("\n", "\r\n")) == parse_gamma(GAMMA_TEXT)
+
+
+def test_a_file_breaks_lines_where_its_text_does(tmp_path, capsys):
+    # a lone "\r" ends no line: the parser, the loader and the CLI agree
+    path = tmp_path / "cr.gamma"
+    path.write_bytes(b"vertex a\rvertex b\nbogus\n")
+    message = "line 1: expected: vertex <name>"
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_gamma(path.read_bytes().decode("utf-8"))
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        load_gamma(str(path))
+    assert cli.main(["certify", str(path)]) == 1
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+    crlf = tmp_path / "crlf.gamma"
+    crlf.write_bytes(GAMMA_TEXT.replace("\n", "\r\n").encode("utf-8"))
+    assert load_gamma(str(crlf)) == parse_gamma(GAMMA_TEXT)
 
 
 def test_rotation_error_names_its_line():
