@@ -240,8 +240,7 @@ def _cmd_orient(args) -> int:
     elif not assignment.directions:
         print("graph is already fully oriented")
     else:
-        for (u, v), d in assignment.items():
-            arrow = f"{u}->{v}" if d == "forward" else f"{v}->{u}"
+        for (u, v), arrow in assignment.arrows().items():
             print(f"edge {u} {v}: {arrow}")
     return 0
 

@@ -71,7 +71,6 @@ class TwoComplex:
             raise NotTriangularError(f"{presentation!r} has no triangular 2-cells")
         self.presentation = presentation
         self.cells = presentation.cells
-        self.zero_cells = 1
         self.one_cells = presentation.generators
 
     def __repr__(self) -> str:

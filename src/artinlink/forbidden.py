@@ -289,16 +289,14 @@ def _search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
     )
 
 
-def trace_faces(
-    gamma: DefiningGraph, rotations: dict[str, tuple[str, ...]] | None = None
-) -> list[tuple[tuple[str, str], ...]]:
-    """Face boundaries of the embedding given by a rotation system.
+def trace_faces(gamma: DefiningGraph) -> list[tuple[tuple[str, str], ...]]:
+    """Face boundaries of the embedding given by ``gamma.rotations``.
 
     Faces are orbits of darts under: after arriving at v along (u, v),
     leave along the neighbour following u in the rotation at v.
     Vertices of degree <= 2 may omit their rotation line.
     """
-    rotations = dict(rotations or gamma.rotations or {})
+    rotations = dict(gamma.rotations or {})
     for v in gamma.vertices:
         if v not in rotations:
             if gamma.degree(v) > 2:
@@ -326,12 +324,10 @@ def trace_faces(
     return faces
 
 
-def orient_from_rotation_system(
-    gamma: DefiningGraph, rotations: dict[str, tuple[str, ...]] | None = None
-) -> OrientationAssignment:
+def orient_from_rotation_system(gamma: DefiningGraph) -> OrientationAssignment:
     """Checkerboard orientation from an embedding of an even-degree graph.
 
-    Faces are traced from the rotation system and 2-coloured so that
+    Faces are traced from ``gamma.rotations`` and 2-coloured so that
     faces sharing an edge differ; every edge is then directed the way
     its black face traverses it.  When all short embedded loops of the
     graph bound faces this forbids both patterns; the caller should
@@ -343,7 +339,7 @@ def orient_from_rotation_system(
     for e in gamma.edges:
         if e.is_oriented:
             raise ValueError(f"edge {e.key} is already oriented")
-    faces = trace_faces(gamma, rotations)
+    faces = trace_faces(gamma)
     face_of_dart = {dart: fi for fi, face in enumerate(faces) for dart in face}
 
     colour: dict[int, int] = {}

@@ -103,9 +103,10 @@ def _flipped(o: Orientation) -> Orientation:
 class GammaEdge:
     """An edge of a defining graph, stored with u < v lexicographically.
 
-    ``key``, ``tail`` and ``head`` are derived once per edge object and
-    cached on it; the edge is frozen, so they never go stale.  Equality,
-    hashing, repr and pickling read the four fields only.
+    ``key``, ``tail``, ``head`` and ``hub_chain`` are derived once per
+    edge object and cached on it; the edge is frozen, so they never go
+    stale.  Equality, hashing, repr and pickling read the four fields
+    only.
     """
 
     u: str
@@ -159,6 +160,16 @@ class GammaEdge:
     @functools.cached_property
     def head(self) -> str:
         return self.v if self.tail == self.u else self.u
+
+    @functools.cached_property
+    def hub_chain(self) -> tuple[tuple[str, ...], HubRecord]:
+        """The generators (hub, d3..dm) and the ``HubRecord`` that
+        :func:`build_triangular` adds for this edge.  Graphs that share
+        the edge share its chain, which is freed with the edge."""
+        tail, head, m = self.tail, self.head, self.label
+        hub = hub_name(tail, head)
+        chain = [chain_name(tail, head, i) for i in range(3, m + 1)]
+        return (hub, *chain), HubRecord(hub, (tail, head, *chain), m, (tail, head))
 
     def reversed(self) -> "GammaEdge":
         return GammaEdge(self.u, self.v, self.label, _flipped(self.orientation))
@@ -313,14 +324,15 @@ class OrientationAssignment:
             and self.directions == other.directions
         )
 
-    def items(self):
-        return self.directions.items()
-
-    def to_json_dict(self) -> dict[str, str]:
+    def arrows(self) -> dict[tuple[str, str], str]:
+        """Each edge's direction written ``tail->head``, keyed by (u, v)."""
         return {
-            f"{u}--{v}": (f"{u}->{v}" if d == "forward" else f"{v}->{u}")
+            (u, v): f"{u}->{v}" if d == "forward" else f"{v}->{u}"
             for (u, v), d in self.directions.items()
         }
+
+    def to_json_dict(self) -> dict[str, str]:
+        return {f"{u}--{v}": arrow for (u, v), arrow in self.arrows().items()}
 
     def __repr__(self) -> str:
         return f"OrientationAssignment({self.directions!r})"
@@ -516,8 +528,9 @@ def build_triangular(gamma: DefiningGraph) -> Presentation:
     fresh generators d3..dm and emits the m relators
     h^-1 (tail)(head), h^-1 (head)d3, h^-1 d3 d4, ..., h^-1 dm (tail).
     The presentation keeps each relator as a 2-cell, the integer
-    triple (h, u, v) of generator positions, and each edge's chain in
-    ``hub_records`` (see :meth:`Presentation.from_cells`).  Raises
+    triple (h, u, v) of generator positions, and each edge's chain,
+    read from its ``GammaEdge.hub_chain``, in ``hub_records`` (see
+    :meth:`Presentation.from_cells`).  Raises
     :class:`UnorientedEdgeError` for non-wildcard edges without a
     direction, and :class:`TooManyGeneratorsError`, before building
     anything, when the generators would number over ``MAX_GENERATORS``.
@@ -534,26 +547,13 @@ def build_triangular(gamma: DefiningGraph) -> Presentation:
     cells: list[tuple[int, int, int]] = []
     records: list[HubRecord] = []
     for e in gamma.edges:
-        tail, head, m = e.tail, e.head, e.label
-        added, record = _hub_chain(tail, head, m)
-        h = len(gens)
-        ids = (vertex_id[tail], vertex_id[head], *range(h + 1, h + m - 1))
+        added, record = e.hub_chain
+        m, h = e.label, len(gens)
+        ids = (vertex_id[e.tail], vertex_id[e.head], *range(h + 1, h + m - 1))
         gens += added
         records.append(record)
         cells += ((h, ids[i], ids[(i + 1) % m]) for i in range(m))
     return Presentation.from_cells(gens, cells, records)
-
-
-@functools.lru_cache(maxsize=64)
-def _hub_chain(tail: str, head: str, m: int) -> tuple[tuple[str, ...], HubRecord]:
-    """The generators (hub, d3..dm) and the ``HubRecord`` of the edge
-    tail -> head of label m, memoized on (tail, head, m): the sweeps
-    build thousands of graphs on a few names (50 keys on five vertices).
-    An entry holds up to ``MAX_GENERATORS`` names, 2.3 MB at the cap,
-    so the 64 entries keep at most about 150 MB alive."""
-    hub = hub_name(tail, head)
-    chain = [chain_name(tail, head, i) for i in range(3, m + 1)]
-    return (hub, *chain), HubRecord(hub, (tail, head, *chain), m, (tail, head))
 
 
 def _power(gen: str, k: int) -> FreeWord:

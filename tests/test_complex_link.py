@@ -48,9 +48,10 @@ def test_complex_cell_counts(m, n, p):
     pres = triangle_presentation(m, n, p)
     k = build_complex(pres)
     assert k.cells is pres.cells and k.one_cells is pres.generators
-    assert k.zero_cells == 1
-    assert len(k.one_cells) == m + n + p
-    assert len(k.cells) == m + n + p
+    total = m + n + p
+    assert repr(k) == f"TwoComplex(1 zero-cell, {total} one-cells, {total} two-cells)"
+    assert len(k.one_cells) == total
+    assert len(k.cells) == total
 
 
 def test_complex_counts_single_edge():

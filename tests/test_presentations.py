@@ -113,6 +113,8 @@ def test_unoriented_edge_refuses_its_ends_on_every_read():
             e.tail
         with pytest.raises(UnorientedEdgeError):
             e.head
+        with pytest.raises(UnorientedEdgeError):
+            e.hub_chain
     assert e.key == ("a", "b")
 
 
@@ -126,13 +128,13 @@ def test_unoriented_edge_refuses_its_ends_on_every_read():
 )
 def test_edge_with_cached_ends_is_its_fresh_self(args):
     read = GammaEdge(*args)
-    ends = (read.tail, read.head, read.key)
+    ends = (read.tail, read.head, read.key, read.hub_chain)
     fresh = GammaEdge(*args)
     assert read == fresh and hash(read) == hash(fresh)
     assert repr(read) == repr(fresh)
     assert pickle.dumps(read) == pickle.dumps(fresh)
     back = pickle.loads(pickle.dumps(read))
-    assert back == fresh and (back.tail, back.head, back.key) == ends
+    assert back == fresh and (back.tail, back.head, back.key, back.hub_chain) == ends
 
 
 # -- standard presentations --------------------------------------------
@@ -227,13 +229,11 @@ def test_triangular_generator_cap_is_checked_before_building():
         build_triangular(one_edge(10**9))
 
 
-def memo_free_triangular(gamma, monkeypatch):
-    """``build_triangular`` with every hub chain built afresh."""
-    from artinlink import presentations
-
-    with monkeypatch.context() as m:
-        m.setattr(presentations, "_hub_chain", presentations._hub_chain.__wrapped__)
-        return build_triangular(gamma)
+def memo_free_triangular(gamma):
+    """``build_triangular`` on a copy of ``gamma`` made of fresh edges,
+    so that every hub chain is built afresh."""
+    edges = (GammaEdge(e.u, e.v, e.label, e.orientation) for e in gamma.edges)
+    return build_triangular(gamma.with_edges(edges))
 
 
 def assert_same_presentation(p, q):
@@ -241,37 +241,66 @@ def assert_same_presentation(p, q):
     assert (p.cells, p.hub_records) == (q.cells, q.hub_records)
 
 
-def test_memoized_hub_chains_build_the_memo_free_presentation(monkeypatch):
+def test_memoized_hub_chains_build_the_memo_free_presentation():
     from test_smallcancel import CORPUS
 
-    from artinlink.presentations import _hub_chain
-
-    graphs = []
     for text in CORPUS.values():
         g = parse_gamma(text)  # the grids and k55 are unoriented: orient them
         forward = {e.key: "forward" for e in g.unoriented_edges()}
-        graphs.append(resolve_orientations(g, forward))
-    _hub_chain.cache_clear()
-    for g in graphs:
-        fresh = memo_free_triangular(g, monkeypatch)
-        assert_same_presentation(build_triangular(g), fresh)  # cold memo
-        assert_same_presentation(build_triangular(g), fresh)  # warm, up to 64 edges
-    assert _hub_chain.cache_info().hits > 0
+        g = resolve_orientations(g, forward)
+        fresh = memo_free_triangular(g)
+        cold = build_triangular(g)
+        assert_same_presentation(cold, fresh)
+        warm = build_triangular(g)  # every chain read back from its edge
+        assert_same_presentation(warm, fresh)
+        assert all(r is s for r, s in zip(warm.hub_records, cold.hub_records))
 
 
-def test_memo_keeps_labels_and_directions_of_one_pair_apart(monkeypatch):
+def test_memo_keeps_labels_and_directions_of_one_pair_apart():
     """One (tail, head) pair at labels 2, 3, 4 and 50, in both label
-    orders and both directions, in one process."""
+    orders and both directions, with each edge built twice."""
     for labels in ((2, 3, 4, 50), (50, 4, 3, 2)):
         for tail, head, o in (("a", "b", F), ("b", "a", B)):
             for m in labels:
                 g = DefiningGraph(("a", "b"), [("a", "b", m, o)])
-                pres = build_triangular(g)
                 chain = tuple(f"d_{{{tail},{head},{i}}}" for i in range(3, m + 1))
-                assert pres.generators == ("a", "b", f"x_{{{tail},{head}}}", *chain)
-                assert pres.hub_records[0].cycle == (tail, head, *chain)
-                assert pres.hub_records[0].label == m
-                assert_same_presentation(pres, memo_free_triangular(g, monkeypatch))
+                for _ in range(2):
+                    pres = build_triangular(g)
+                    assert pres.generators == ("a", "b", f"x_{{{tail},{head}}}", *chain)
+                    assert pres.hub_records[0].cycle == (tail, head, *chain)
+                    assert pres.hub_records[0].label == m
+                    assert_same_presentation(pres, memo_free_triangular(g))
+
+
+def test_built_presentations_leave_no_hub_chains_behind():
+    """A hub chain is cached on its edge only, so it is freed with its
+    graph: at the generator cap one chain is about 2.3 MB."""
+    import gc
+    import tracemalloc
+
+    m = presentations.MAX_GENERATORS - 1
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(4):
+            build_triangular(DefiningGraph((f"a{i}", "b"), [(f"a{i}", "b", m, F)]))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000
+
+
+def test_graphs_of_one_state_share_their_hub_chains():
+    """The sweeps build each state's graph afresh from shared edges, so
+    every build after the first reads its chains from those edges."""
+    from artinlink.batteries import graph_from_state
+
+    state = (1, 4, 5, 2, 3, 5)  # every code, on K_4
+    p, q = (build_triangular(graph_from_state(state, 4)) for _ in range(2))
+    assert len(p.hub_records) == 6
+    assert all(r is s for r, s in zip(p.hub_records, q.hub_records))
 
 
 def test_unique_positive_products_across_relators():
