@@ -26,7 +26,6 @@ import functools
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalInconsistencyError
@@ -124,7 +123,7 @@ class LinkGraph:
     """
 
     complex: TwoComplex | None = None  # set for the whole link
-    weight: list[int] | None = None
+    weight: Sequence[int] | None = None
     angle_unit = 1
     _whole: LinkGraph | None = None  # set for a part
 
@@ -334,21 +333,18 @@ class LinkGraph:
 
     # -- metric ----------------------------------------------------------
 
-    def with_angles(self, angles: Sequence[Fraction]) -> "LinkGraph":
-        """Copy of the link with angle ``angles[ei]`` on edge ``ei``, held
-        as integer weights; it shares the rest."""
-        if len(angles) != len(self.ends):
-            raise ValueError(f"{len(angles)} angles for {len(self.ends)} edges")
+    def with_angles(self, weight: Sequence[int], unit: int) -> "LinkGraph":
+        """Copy of the link with angle ``weight[ei] / unit`` times pi on
+        edge ``ei``, weights and unit ints; it shares the rest."""
+        weight = tuple(weight)
+        if len(weight) != len(self.ends):
+            raise ValueError(f"{len(weight)} angles for {len(self.ends)} edges")
+        if type(unit) is not int or unit < 1 or not {*map(type, weight)} <= {int}:
+            raise TypeError("angle weights must be ints over a positive int unit")
         angled = copy.copy(self)
         angled.__dict__.pop("edges", None)
-        angled._set_weights(angles)
+        angled.weight, angled.angle_unit = weight, unit
         return angled
-
-    def _set_weights(self, angles: Sequence[Fraction]) -> None:
-        """Angle ``angles[ei]`` is ``weight[ei] / angle_unit`` (units of pi)."""
-        unit = lcm(*{a.denominator for a in angles})
-        self.weight = [a.numerator * (unit // a.denominator) for a in angles]
-        self.angle_unit = unit
 
     @property
     def angles_assigned(self) -> bool:

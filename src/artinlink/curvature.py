@@ -8,12 +8,13 @@ sqrt(2) and the others length 1, making each 2-cell a right isosceles
 triangle: the middle corner (opposite the hub side) gets pi/2 and the
 top and bottom corners get pi/4.
 
-Angles are Fractions in units of pi, integer weights on the link; the
-2*pi comparison is exact, never floating point.  The certificate never
-assumes a theorem: the link condition is recomputed for the verdict,
-so the pipeline doubles as a mechanical check of the statements it
-cites.  (At points other than the unique 0-cell the link condition is
-automatic for Euclidean triangles and is not checked.)
+Angles are integer weights over one integer unit of pi, and a
+``Fraction`` only in the reported minimum; the 2*pi comparison is
+exact, never floating point.  The certificate never assumes a theorem:
+the link condition is recomputed for the verdict, so the pipeline
+doubles as a mechanical check of the statements it cites.  (At points
+other than the unique 0-cell the link condition is automatic for
+Euclidean triangles and is not checked.)
 """
 
 from __future__ import annotations
@@ -44,16 +45,19 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 @dataclass(frozen=True)
 class MetricAssignment:
     """Exact 1-cell lengths, squared, of a hub and of every other
-    1-cell, and the corner angles (over pi) that every 2-cell shares,
-    by corner."""
+    1-cell, and the corner angles that every 2-cell shares, by corner,
+    as integer weights: corner i measures ``corner_weights[i] /
+    angle_unit`` times pi."""
 
     scheme: str
     lengths_sq: tuple[int, int]
-    corner_angles: tuple[Fraction, Fraction, Fraction]
+    corner_weights: tuple[int, int, int]
+    angle_unit: int
 
 
-# Squared lengths of a hub 1-cell and of every other 1-cell, per scheme.
-_LENGTHS_SQ = {A2: (1, 1), B2: (2, 1)}
+# Per scheme: the squared lengths of a hub 1-cell and of every other
+# 1-cell, and the corner weights over the angle unit.
+_METRICS = {A2: ((1, 1), (1, 1, 1), 3), B2: ((2, 1), (1, 2, 1), 4)}
 
 
 def assign_metric(link: LinkGraph, scheme: str) -> MetricAssignment:
@@ -66,21 +70,17 @@ def assign_metric(link: LinkGraph, scheme: str) -> MetricAssignment:
     squared side lengths: A2 is equilateral; under B2, hub^2 = u^2 + v^2
     makes the middle corner right and u^2 = v^2 the other two equal.
     """
-    if scheme not in _LENGTHS_SQ:
+    if scheme not in _METRICS:
         raise ValueError(f"unknown metric scheme {scheme!r}")
-    hub_sq, side_sq = _LENGTHS_SQ[scheme]
-    if scheme == A2:
-        corners, fits = (Fraction(1, 3),) * 3, hub_sq == side_sq
-    else:  # u and v are both non-hub sides
-        corners = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
-        fits = hub_sq == side_sq + side_sq
-    if not fits:
+    (hub_sq, side_sq), corners, unit = _METRICS[scheme]
+    # under B2, u and v are both non-hub sides
+    if hub_sq != (side_sq if scheme == A2 else side_sq + side_sq):
         raise InternalInconsistencyError(f"{scheme} side lengths do not fit its angles")
-    if sum(corners) != 1:  # pi per triangle
+    if sum(corners) != unit:  # pi per triangle
         raise InternalInconsistencyError(f"{scheme} corner angles do not sum to pi")
     if link.complex is None:
         raise InternalInconsistencyError(f"{link!r} is not built from cells")
-    return MetricAssignment(scheme, (hub_sq, side_sq), corners)
+    return MetricAssignment(scheme, (hub_sq, side_sq), corners, unit)
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,8 @@ def check_link_condition(link: LinkGraph, metric: MetricAssignment) -> LinkCondi
     """
     if link.complex is None:
         raise InternalInconsistencyError(f"{link!r} is not built from cells")
-    angled = link.with_angles(metric.corner_angles * len(link.complex.cells))
+    weight = metric.corner_weights * len(link.complex.cells)
+    angled = link.with_angles(weight, metric.angle_unit)
     value, witness = min_angle_cycle(angled)
     holds = value is None or value >= TWO_PI
     return LinkCondition(holds, value, witness)

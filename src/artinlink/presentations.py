@@ -59,19 +59,21 @@ def check_vertex_name(name) -> None:
 
     Hub and chain generators are named ``x_{u,v}`` and ``d_{u,v,i}``,
     the link writes the tail of generator g as ``g_bar``, words write
-    its inverse as ``g^-1`` and output separates names by spaces, so a
-    vertex name must be a non-empty string without braces, commas,
-    ``^`` or whitespace that does not end in ``_bar``.
+    its inverse as ``g^-1``, output separates names by spaces and JSON
+    keys an edge ``u--v``, so a vertex name must be a non-empty string
+    without braces, commas, ``^``, ``--`` or whitespace that does not
+    end in ``_bar`` or ``-``: then every key splits at its first ``--``.
     """
     if (
         not isinstance(name, str)
         or not name
         or _RESERVED.search(name)
-        or name.endswith("_bar")
+        or name.endswith(("_bar", "-"))
+        or "--" in name
     ):
         raise ValueError(
-            f"vertex name {name!r} must be a non-empty string without "
-            f"'{{', '}}', ',', '^' or whitespace that does not end in '_bar'"
+            f"vertex name {name!r} must be a non-empty string without '{{', "
+            f"'}}', ',', '^', '--' or whitespace that does not end in '_bar' or '-'"
         )
 
 
@@ -99,67 +101,60 @@ def _flipped(o: Orientation) -> Orientation:
     }.get(o, o)
 
 
+class _NoDirection:
+    """The ``tail`` and ``head`` of an unoriented edge: a read raises."""
+
+    def __get__(self, edge, owner=None):
+        if edge is None:
+            return self
+        raise UnorientedEdgeError(f"edge {edge.key} has no direction")
+
+
 @dataclass(frozen=True)
 class GammaEdge:
     """An edge of a defining graph, stored with u < v lexicographically.
 
-    ``key``, ``tail``, ``head`` and ``hub_chain`` are derived once per
-    edge object and cached on it; the edge is frozen, so they never go
-    stale.  Equality, hashing, repr and pickling read the four fields
-    only.
+    ``key`` (the pair (u, v)) and, on an oriented or wildcard edge,
+    ``tail`` and ``head`` are set once by the constructor; on an
+    unoriented edge every read of ``tail`` or ``head`` raises
+    :class:`UnorientedEdgeError`.  ``hub_chain`` is derived on first
+    read and cached.  Equality, hashing, repr and pickling (through
+    the constructor) read the four fields only.
     """
 
     u: str
     v: str
     label: int
     orientation: Orientation = Orientation.UNORIENTED
+    tail = head = _NoDirection()  # hidden by the ends the constructor sets
 
     def __post_init__(self):
         if self.u == self.v:
             raise ValueError(f"loop edge at {self.u!r} not allowed")
         if not isinstance(self.label, int) or self.label < 2:
             raise ValueError(f"edge label must be an integer >= 2, got {self.label!r}")
+        d = self.__dict__  # frozen fields are set through the dict
         if self.u > self.v:
-            u, v = self.v, self.u
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "v", v)
-            object.__setattr__(self, "orientation", _flipped(self.orientation))
+            d.update(u=self.v, v=self.u, orientation=_flipped(self.orientation))
+        d["key"] = (self.u, self.v)
         if self.orientation == Orientation.WILDCARD and self.label != 2:
             raise ValueError(
                 f"wildcard orientation requires label 2 on edge {self.key}"
             )
+        # tail starts the preserved length-2 subword; a wildcard (label-2)
+        # edge reads both ways in the link, so any fixed choice gives the
+        # same presentation: the lexicographically smaller end
+        if self.orientation == Orientation.BACKWARD:
+            d.update(tail=self.v, head=self.u)
+        elif self.orientation != Orientation.UNORIENTED:
+            d.update(tail=self.u, head=self.v)
 
-    def __getstate__(self):
-        return {f: self.__dict__[f] for f in ("u", "v", "label", "orientation")}
-
-    @functools.cached_property
-    def key(self) -> tuple[str, str]:
-        return (self.u, self.v)
+    def __reduce__(self):
+        return GammaEdge, (self.u, self.v, self.label, self.orientation)
 
     @property
     def is_oriented(self) -> bool:
         return self.orientation in (Orientation.FORWARD, Orientation.BACKWARD)
-
-    @functools.cached_property
-    def tail(self) -> str:
-        """Start of the preserved length-2 subword.
-
-        A wildcard (label-2) edge reads both ways in the link, so any
-        fixed choice gives the same presentation; we take the
-        lexicographically smaller endpoint.  An unoriented edge raises
-        on every read: a cached property caches no exception.
-        """
-        if self.orientation == Orientation.FORWARD:
-            return self.u
-        if self.orientation == Orientation.BACKWARD:
-            return self.v
-        if self.orientation == Orientation.WILDCARD:
-            return self.u
-        raise UnorientedEdgeError(f"edge {self.key} has no direction")
-
-    @functools.cached_property
-    def head(self) -> str:
-        return self.v if self.tail == self.u else self.u
 
     @functools.cached_property
     def hub_chain(self) -> tuple[tuple[str, ...], HubRecord]:
@@ -568,7 +563,8 @@ def build_two_generator_family(
     Returns (G, H, I): the standard alternating presentation, the
     one-relator hub presentation (whose shape depends on the parity of
     m), and the triangular presentation with relators x = a1 a2,
-    x = a2 a3, ..., x = a_m a1.
+    x = a2 a3, ..., x = a_m a1: ``build_triangular`` on the edge
+    a1 -> a2, its hub renamed x and its chain a3..am.
     """
     if m < 2:
         raise ValueError("label must be at least 2")
@@ -593,11 +589,11 @@ def build_two_generator_family(
     h_rel = CyclicWord(h_word)
     h = Presentation((x, a1), (h_rel,))
 
-    chain_gens = tuple(f"a{i}" for i in range(1, m + 1))
-    cells = [(0, i + 1, (i + 1) % m + 1) for i in range(m)]
-    rec = HubRecord(x, chain_gens, m, (a1, a2))
-    i_pres = Presentation.from_cells((x, *chain_gens), cells, (rec,))
-    return g, h, i_pres
+    edge = DefiningGraph((a1, a2), [(a1, a2, m, Orientation.FORWARD)])
+    tri = build_triangular(edge)
+    (rec,) = tri.hub_records
+    names = {d: f"a{i}" for i, d in enumerate(rec.cycle[2:], start=3)}
+    return g, h, tri.rename(names | {rec.hub: x})
 
 
 @dataclass(frozen=True)
@@ -620,8 +616,9 @@ def verify_tietze_equivalence(m: int) -> TietzeReport:
     Direction one substitutes x -> a1 a2 into the one-relator
     presentation and checks the cyclic reduction is the standard
     relator up to rotation and inversion.  Direction two composes the
-    triangular relators in chain order, eliminating a2..am, and checks
-    the result against the one-relator form the same way.
+    cells of I_m in order, each cell h^-1 u v eliminating v = u^-1 h,
+    and checks what the last cell closes to against the one-relator
+    form the same way.
     """
     g, h, i_pres = build_two_generator_family(m)
     g_rel, h_rel = g.relators[0], h.relators[0]
@@ -636,14 +633,15 @@ def verify_tietze_equivalence(m: int) -> TietzeReport:
     traces.append(f"G relator: {g_rel}")
     substitution_ok = reduced in (g_rel, g_rel.inverse())
 
-    x_word = FreeWord([("x", 1)])
-    expr = FreeWord([("a1", 1)])  # running expression for a_i over {x, a1}
+    expr = {w: FreeWord([(w, 1)]) for w in ("x", "a1")}  # each a_i over {x, a1}
     traces.append("a1 = a1")
-    for i in range(2, m + 1):
-        expr = (expr.inverse() * x_word).reduce()
-        traces.append(f"a{i} = {expr}")
-    composed = (x_word.inverse() * expr * FreeWord([("a1", 1)])).reduce()
-    traces.append(f"x^-1 a{m} a1 = {composed}")
+    *cells, closing = [[i_pres.generators[i] for i in c] for c in i_pres.cells]
+    for hub, u, v in cells:
+        expr[v] = (expr[u].inverse() * expr[hub]).reduce()
+        traces.append(f"{v} = {expr[v]}")
+    hub, u, v = closing
+    composed = (expr[hub].inverse() * expr[u] * expr[v]).reduce()
+    traces.append(f"{hub}^-1 {u} {v} = {composed}")
     chain = CyclicWord(composed)
     chain_ok = chain in (h_rel, h_rel.inverse())
 

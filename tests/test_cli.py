@@ -451,6 +451,21 @@ def test_vertex_named_like_a_tail_is_a_one_line_error(gamma_file, capsys):
     assert "line 2:" in err and "a_bar" in err
 
 
+@pytest.mark.parametrize("command", ["orient", "certify"])
+def test_vertex_names_that_would_share_an_edge_key_are_a_one_line_error(
+    gamma_file, capsys, command
+):
+    # edges a -- b--c and a--b -- c would both be keyed "a--b--c" in JSON
+    text = "vertex a\nvertex b--c\nvertex a--b\nvertex c\nedge a b--c 3 >\nedge a--b c 3 >\n"
+    code, out, err = run(capsys, [command, gamma_file(text), "--format", "json"])
+    assert_one_line_error(code, out, err)
+    assert err.startswith("parse error: line 2: vertex name 'b--c' must be")
+    text = "vertex a-\nvertex b\nedge a- b 3 >\n"  # a---b splits as a, -b
+    code, out, err = run(capsys, [command, gamma_file(text), "--format", "json"])
+    assert_one_line_error(code, out, err)
+    assert err.startswith("parse error: line 1: vertex name 'a-' must be")
+
+
 def test_vertex_name_with_caret_or_space_is_a_one_line_error(gamma_file, capsys):
     # `a^-1` would print like the inverse of `a`, and `a b` like two names
     text = "vertex a\nvertex a^-1\nedge a a^-1 3 >\n"

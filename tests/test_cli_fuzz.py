@@ -7,10 +7,10 @@ import itertools
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from artinlink import HEAD, TAIL, build_triangular, link_of
+from artinlink import HEAD, TAIL, OrientationAssignment, build_triangular, link_of
 from artinlink.cli import main
 from artinlink.gamma_io import parse_gamma_json
 from artinlink.presentations import check_vertex_name
@@ -18,14 +18,14 @@ from artinlink.presentations import check_vertex_name
 COMMANDS = ("certify", "link", "orient", "pieces")
 
 NAMES = ("a", "b", "c", "d", "e")
-# junk names, with braces, commas, carets, comment marks, ASCII and
-# Unicode blanks (some of them line breaks to ``str.splitlines``, but
-# not to the parser, which breaks lines at "\n" only),
+# junk names, with braces, commas, carets, dashes, comment marks, ASCII
+# and Unicode blanks (some of them line breaks to ``str.splitlines``,
+# but not to the parser, which breaks lines at "\n" only),
 # non-ASCII letters and ``_bar`` suffixes
 TOKENS = (
     st.sampled_from(NAMES)
     | st.text(
-        alphabet="ab{},#:x_^ \t\x1c\x85\u2003\u2028\u00e9\u03b1\u0436",
+        alphabet="ab{},#:x_^- \t\x1c\x85\u2003\u2028\u00e9\u03b1\u0436",
         min_size=1,
         max_size=4,
     )
@@ -225,3 +225,16 @@ def test_printed_vertex_names_map_back_to_one_generator(fuzz_dir, text):
     assert letters
     for letter in letters:
         assert owners(letter) == [(letter, HEAD)], letter
+
+
+@settings(FUZZ_SETTINGS, derandomize=True)
+@given(pair=st.lists(TOKENS.filter(_is_vertex_name), unique=True, min_size=2, max_size=2))
+@example(pair=["a--b", "c"])
+@example(pair=["a-", "b"])
+@example(pair=["a-b", "-c"])
+def test_edge_keys_of_valid_names_split_at_their_first_dashes(pair):
+    if not all(map(_is_vertex_name, pair)):
+        return  # refused at the input boundary, as the examples with "--" are
+    u, v = sorted(pair)
+    (key,) = OrientationAssignment({(u, v): "forward"}).to_json_dict()
+    assert key.split("--", 1) == [u, v]

@@ -48,9 +48,22 @@ def alternating_square(labels=(3, 3, 3, 3)):
 # -- metric assignment ---------------------------------------------------
 
 
+def corner_angles(metric):
+    """The metric's corner angles over pi, as exact fractions."""
+    return tuple(Fraction(w, metric.angle_unit) for w in metric.corner_weights)
+
+
+def angled_link(link, metric):
+    """``link`` with ``metric``'s corner weights: edge ``ei`` is corner
+    ``ei % 3`` of its cell."""
+    weight = metric.corner_weights * len(link.complex.cells)
+    return link.with_angles(weight, metric.angle_unit)
+
+
 def test_a2_all_angles_third_of_pi():
     metric = assign_metric(link_of(triangle_graph(3, 4, 5)), A2)
-    assert metric.corner_angles == (Fraction(1, 3),) * 3
+    assert (metric.corner_weights, metric.angle_unit) == ((1, 1, 1), 3)
+    assert corner_angles(metric) == (Fraction(1, 3),) * 3
     assert metric.lengths_sq == (1, 1)  # every 1-cell, hub or not
 
 
@@ -60,7 +73,7 @@ def test_b2_angles_and_lengths_single_edge_label_four():
     metric = assign_metric(link, B2)
     assert link.complex.presentation.hubs == {"x_{a,b}"}
     assert metric.lengths_sq == (2, 1)  # hub sqrt(2), "a" and the rest 1
-    angled = link.with_angles(metric.corner_angles * len(link.complex.cells))
+    angled = angled_link(link, metric)
     middle = [e for e in angled.edges if e.kind == "middle"]
     extreme = [e for e in angled.edges if e.kind != "middle"]
     assert len(middle) == 4 and all(e.angle == Fraction(1, 2) for e in middle)
@@ -69,8 +82,9 @@ def test_b2_angles_and_lengths_single_edge_label_four():
 
 def test_b2_triangle_angle_sums():
     metric = assign_metric(link_of(triangle_graph(3, 3, 3)), B2)
-    assert metric.corner_angles == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
-    assert sum(metric.corner_angles) == 1
+    assert (metric.corner_weights, metric.angle_unit) == ((1, 2, 1), 4)
+    assert corner_angles(metric) == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+    assert sum(corner_angles(metric)) == 1
 
 
 def test_angle_sums_are_checked_without_assert(monkeypatch):
@@ -81,7 +95,7 @@ def test_angle_sums_are_checked_without_assert(monkeypatch):
     link = link_of(triangle_graph(3, 3, 3))
     # corners of pi/4 sum to 3*pi/4; the check must not be a bare assert,
     # which python -O strips
-    monkeypatch.setattr(curvature, "Fraction", lambda n, d: Fraction(1, 4))
+    monkeypatch.setitem(curvature._METRICS, A2, ((1, 1), (1, 1, 1), 4))
     with pytest.raises(InternalInconsistencyError, match="do not sum to pi"):
         assign_metric(link, A2)
 
@@ -92,16 +106,38 @@ def test_corner_angles_must_fit_the_side_lengths(monkeypatch):
     from artinlink import InternalInconsistencyError, curvature
 
     link = link_of(alternating_square((2, 2, 2, 2)))
-    # (hub^2, other^2) per scheme: a hub side of length 1 would make the
-    # B2 cell equilateral, and one of length sqrt(3) its middle corner
-    # obtuse; a hub side of length sqrt(2) is no equilateral A2 cell
+    # (hub^2, other^2) per scheme, with the scheme's own corners: a hub
+    # side of length 1 would make the B2 cell equilateral, and one of
+    # length sqrt(3) its middle corner obtuse; a hub side of length
+    # sqrt(2) is no equilateral A2 cell
+    metrics = dict(curvature._METRICS)
     for scheme, lengths_sq in ((B2, (1, 1)), (B2, (3, 1)), (A2, (2, 1))):
-        monkeypatch.setitem(curvature._LENGTHS_SQ, scheme, lengths_sq)
+        _, corners, unit = metrics[scheme]
+        monkeypatch.setitem(curvature._METRICS, scheme, (lengths_sq, corners, unit))
         with pytest.raises(InternalInconsistencyError, match="do not fit"):
             assign_metric(link, scheme)
-    monkeypatch.setitem(curvature._LENGTHS_SQ, B2, (4, 2))  # B2 scaled by sqrt(2)
+    # B2 scaled by sqrt(2)
+    monkeypatch.setitem(curvature._METRICS, B2, ((4, 2),) + metrics[B2][1:])
     assert "u" not in link.complex.presentation.hubs
     assert assign_metric(link, B2).lengths_sq == (4, 2)
+
+
+def test_metric_and_link_weights_build_no_fraction(monkeypatch):
+    """Angles stay integers from the metric to the loop engine; a
+    Fraction is built only for a value that leaves it."""
+    link = link_of(triangle_graph(3, 3, 3))
+
+    def refused(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refused)
+    angled = {}
+    for scheme in (A2, B2):
+        angled[scheme] = angled_link(link, assign_metric(link, scheme))
+        assert {type(w) for w in angled[scheme].weight} == {int}
+    monkeypatch.undo()
+    assert min_angle_cycle(angled[A2])[0] == Fraction(2)  # girth 6 times pi/3
+    assert min_angle_cycle(angled[B2])[0] == Fraction(3, 2)
 
 
 def test_metric_needs_a_link_built_from_cells():
@@ -279,7 +315,7 @@ def test_one_hop_search_per_link_in_any_order(monkeypatch):
         return engine(link, weight)
 
     def a2(link):
-        return link.with_angles([Fraction(1, 3)] * len(link.ends))
+        return link.with_angles([1] * len(link.ends), 3)
 
     monkeypatch.setattr(cycles, "_shortest_cycle", counted)
     queries = {
@@ -438,8 +474,7 @@ def test_b2_loop_structure_sub_checks():
     ]:
         assert g.is_triangle_free()
         link = link_of(g)
-        corners = assign_metric(link, B2).corner_angles
-        angled = link.with_angles(corners * len(link.complex.cells))
+        angled = angled_link(link, assign_metric(link, B2))
         for lp in enumerate_short_loops(angled, 6):
             middles = lp.middle_edge_count(angled)
             if lp.length == 4:

@@ -35,14 +35,15 @@ def classic_link(m, n, p):
 
 
 def a2_link(link):
-    return link.with_angles([Fraction(1, 3)] * len(link.ends))
+    return link.with_angles([1] * len(link.ends), 3)
 
 
 def metric_link(link, scheme):
     """``link`` with the corner angles of ``scheme``'s metric: edge
     ``ei`` is corner ``ei % 3`` of its cell."""
-    corners = assign_metric(link, scheme).corner_angles
-    return link.with_angles(corners * len(link.complex.cells))
+    metric = assign_metric(link, scheme)
+    weight = metric.corner_weights * len(link.complex.cells)
+    return link.with_angles(weight, metric.angle_unit)
 
 
 # -- girth ---------------------------------------------------------------
@@ -392,7 +393,7 @@ def test_min_angle_uniform_is_theta_times_girth(monkeypatch):
     forest = link.neighborhood(link.vertex("y", "head"), 2)
     for link in [*assorted_links(), forest]:
         theta = Fraction(2, 7)
-        uniform = link.with_angles([theta] * len(link.ends))
+        uniform = link.with_angles([2] * len(link.ends), 7)
         g, girth_loop = girth(link)
         value, witness = min_angle_cycle(uniform)
         if g is None:
@@ -473,12 +474,12 @@ def test_min_angle_on_a_link_that_is_one_loop():
     # possible: (total weight, vertex count)
     link = next(assorted_links())
     assert (len(link.vertices), len(link.edges), girth(link)[0]) == (6, 6, 6)
-    angles = [Fraction(1, 2)] + [Fraction(1, 4)] * (len(link.ends) - 1)
-    value, witness = min_angle_cycle(link.with_angles(angles))
+    weight = [2] + [1] * (len(link.ends) - 1)  # pi/2, then pi/4 each
+    value, witness = min_angle_cycle(link.with_angles(weight, 4))
     assert (value, witness.length) == (Fraction(7, 4), 6)
 
 
-RANDOM_ANGLES = (Fraction(1, 12), Fraction(1, 4), Fraction(1, 2), Fraction(1))
+RANDOM_WEIGHTS = (1, 3, 6, 12)  # over 12: pi/12, pi/4, pi/2, pi
 
 
 def assert_weights_are_the_angles(angled, angle_of):
@@ -509,9 +510,9 @@ def test_min_angle_matches_oracle_under_random_angles():
     weighted = 0
     for _ in range(3):
         for link in links:
-            angle_of = [rng.choice(RANDOM_ANGLES) for _ in link.ends]
-            angled = link.with_angles(angle_of)
-            assert_weights_are_the_angles(angled, angle_of)
+            weight = [rng.choice(RANDOM_WEIGHTS) for _ in link.ends]
+            angled = link.with_angles(weight, 12)
+            assert_weights_are_the_angles(angled, [Fraction(w, 12) for w in weight])
             value, witness = min_angle_cycle(angled)
             oracle_value, oracle_len, minimal = dfs_min_loops(
                 angled, len(link.vertices), value
@@ -530,7 +531,8 @@ def test_min_angle_matches_oracle_under_random_angles():
 def test_metric_weights_are_exact(scheme):
     for link in assorted_links():
         angled = metric_link(link, scheme)
-        corners = assign_metric(link, scheme).corner_angles
+        metric = assign_metric(link, scheme)
+        corners = [Fraction(w, metric.angle_unit) for w in metric.corner_weights]
         assert_weights_are_the_angles(angled, [corners[e.corner] for e in link.edges])
         assert link.weight is None and not link.angles_assigned
         assert angled.nbrs is link.nbrs and angled.ends is link.ends
@@ -539,7 +541,7 @@ def test_metric_weights_are_exact(scheme):
 def test_subgraphs_of_an_angled_link_carry_its_weights():
     rng = random.Random(9)
     link = classic_link(2, 4, 5)
-    angled = link.with_angles([rng.choice(RANDOM_ANGLES) for _ in link.ends])
+    angled = link.with_angles([rng.choice(RANDOM_WEIGHTS) for _ in link.ends], 12)
     parts = [
         angled.subgraph(range(0, len(angled.ends), 3)),
         angled.middle_subgraph(),
@@ -556,9 +558,8 @@ def test_subgraphs_of_an_angled_link_carry_its_weights():
             assert angled.edges[angled._edge_between(e.a, e.b)] == e
             assert Fraction(part.weight[ei], part.angle_unit) == e.angle
         # re-angling a part replaces every angle
-        half = [Fraction(1, 2)] * len(part.ends)
-        reangled = part.with_angles(half)
-        assert_weights_are_the_angles(reangled, half)
+        reangled = part.with_angles([1] * len(part.ends), 2)
+        assert_weights_are_the_angles(reangled, [Fraction(1, 2)] * len(part.ends))
     for bad in ([-1], [0, len(angled.ends)]):
         with pytest.raises(ValueError, match="edge ids"):
             angled.subgraph(bad)
@@ -614,7 +615,24 @@ def test_with_angles_takes_one_angle_per_edge():
     for graph in (link, part):
         for count in (len(graph.ends) - 1, len(graph.ends) + 1):
             with pytest.raises(ValueError, match="angles for"):
-                graph.with_angles([Fraction(1, 3)] * count)
+                graph.with_angles([1] * count, 3)
+
+
+def test_with_angles_takes_int_weights_over_a_positive_int_unit():
+    link = classic_link(3, 3, 3)
+    n = len(link.ends)
+    for weight, unit in (
+        ([1.0] * n, 3),
+        ([Fraction(1, 3)] * n, 1),
+        ([1] * (n - 1) + [Fraction(1)], 3),
+        ([True] * n, 3),
+        ([1] * n, 3.0),
+        ([1] * n, Fraction(3)),
+        ([1] * n, 0),
+    ):
+        with pytest.raises(TypeError, match="ints over a positive int unit"):
+            link.with_angles(weight, unit)
+    assert link.weight is None
 
 
 # -- loop enumeration ---------------------------------------------------------

@@ -1,6 +1,6 @@
 """Static guard: no floating point in the modules that decide the 2-pi
-comparison.  Angles are Fractions and the loop searches compare
-integers; a float literal, a ``float(...)`` call or an infinity
+comparison.  Angles are integer weights over one unit and the loop
+searches compare integers; a float literal, a ``float(...)`` call or an infinity
 sentinel would bring rounding next to that comparison."""
 
 import ast
@@ -59,7 +59,7 @@ def test_loop_engine_is_guarded_and_keys_are_integers():
     loop = make_loop(link, [link.vertices[i] for i in ids])
     n = len(link.vertices)
     assert divmod(key, n) == (sum(weight[e] for e in loop.edge_indices), loop.length)
-    angled = link.with_angles([Fraction(w, 12) for w in weight])
+    angled = link.with_angles(weight, 12)
     value, _ = min_angle_cycle(angled)
     assert value == Fraction(key // n, 12)
 

@@ -56,7 +56,9 @@ def test_graph_rejects_loops_multiedges_bad_labels():
 
 
 @pytest.mark.parametrize(
-    "name", ["x_{a,b}", "d_{a,b,3}", "a,b", "", 7, "a_bar", "a^-1", "a b", "a\tb"]
+    "name",
+    ["x_{a,b}", "d_{a,b,3}", "a,b", "", 7, "a_bar", "a^-1", "a b", "a\tb",
+     "a--b", "--", "a-", "-"],
 )
 def test_graph_rejects_names_that_clash_with_generators(name):
     with pytest.raises(ValueError):
@@ -371,8 +373,14 @@ def test_family_label_five():
 
 
 def test_family_label_four():
-    _, h, _ = build_two_generator_family(4)
+    _, h, i4 = build_two_generator_family(4)
     assert h.relators[0] == rel("x x a1 x^-1 x^-1 a1^-1")
+    # I_4 is build_triangular's own presentation of the edge, renamed
+    edge = DefiningGraph(("a1", "a2"), [("a1", "a2", 4, Orientation.FORWARD)])
+    assert i4.cells == build_triangular(edge).cells
+    assert i4.generators == ("a1", "a2", "x", "a3", "a4")
+    record = presentations.HubRecord("x", ("a1", "a2", "a3", "a4"), 4, ("a1", "a2"))
+    assert i4.hub_records == (record,)
 
 
 def test_family_label_two():
@@ -392,6 +400,25 @@ def test_tietze_equivalence_small(m):
 def test_tietze_report_traces_show_elimination():
     report = verify_tietze_equivalence(5)
     assert "a5 = x^-1 x^-1 a1 x x" in report.traces
+
+
+def test_tietze_chain_direction_reads_the_cells_of_i_m(monkeypatch):
+    # a closing cell h^-1 dm (head) instead of h^-1 dm (tail) must fail
+    family = presentations.build_two_generator_family
+
+    def bent(m):
+        g, h, i_pres = family(m)
+        *cells, (hub, u, _) = i_pres.cells
+        head = i_pres.generators.index("a2")
+        bent_i = presentations.Presentation.from_cells(
+            i_pres.generators, [*cells, (hub, u, head)], i_pres.hub_records
+        )
+        return g, h, bent_i
+
+    monkeypatch.setattr(presentations, "build_two_generator_family", bent)
+    for m in range(2, 12):
+        report = verify_tietze_equivalence(m)
+        assert report.substitution_ok and not report.chain_ok
 
 
 # -- orientation resolution ---------------------------------------------
