@@ -19,18 +19,17 @@ turn, with failing cases reported in case order for any pool size.
   label-2 wildcard;
 * triangle-free B2, and seeded random spot checks of the pattern oracle.
 
-Enumeration keeps the least member of each orbit.  A labelled state
-assigns each vertex pair one of {absent, label...}; it is kept if none
-of its images under the n! vertex permutations is smaller, and that
-one scan also gives its automorphisms.  Its orientations are walked
-in lexicographic order: the first one not yet seen is the least of
-its orbit, and its images under the automorphisms are marked seen.
-Wildcard variants are deduplicated by their least image with
-direction flips, and each distinct raw variant is canonicalised once.
-An image opens with the row of new vertex 0 (its codes to the others,
-seen from it), so only a state with a sorted vertex-0 row can be
-canonical, and only permutations that send a vertex with the least
-sorted row to 0 and sort that row are tried.
+Enumeration keeps the least member of each orbit, and one engine,
+:func:`_canonicaliser`, finds it.  An image opens with the row of new
+vertex 0 (its codes to the others, seen from it), so only permutations
+that send a vertex with the least sorted row to 0 and sort that row
+can give the least image.  An undirected labelled state is kept if
+none of them maps it lower, and those that fix it are its
+automorphisms.  Its orientations are walked in lexicographic order:
+the first one not yet seen is the least of its orbit, and its images
+under the automorphisms are marked seen.  Wildcard variants are
+deduplicated by their least image with direction flips, and each
+distinct raw variant is canonicalised once.
 """
 
 from __future__ import annotations
@@ -171,8 +170,7 @@ def _permutation_table(n: int):
 
     ``rows[a]`` reads vertex a's codes to the others, seen from a.
     ``blocks[a]`` holds (order, getter) for each permutation that makes
-    a vertex 0 and its ``order[k]``-th other vertex k + 1.  ``getters``
-    is all blocks in ``permutations(range(n))`` order, identity first.
+    a vertex 0 and its ``order[k]``-th other vertex k + 1.
     """
     pairs = list(combinations(range(n), 2))
     m = len(pairs)
@@ -191,28 +189,12 @@ def _permutation_table(n: int):
             get = _getter([seen_from(new_to_old[x], new_to_old[y]) for x, y in pairs])
             block.append((order, get))
         blocks.append(block)
-    getters = [get for block in blocks for _, get in block]
-    return rows, blocks, getters
+    return rows, blocks
 
 
 def _extended(codes: bytes) -> bytes:
     """``state + flipped state``, the sequence every getter reads."""
     return codes + codes.translate(_FLIP)
-
-
-def _automorphisms(und: tuple[int, ...], getters):
-    """The getters that fix an undirected state, or None if one of them
-    maps it to a smaller state (it is then not canonical).  Undirected
-    codes read the same from both ends of a pair."""
-    ext = bytes(und) * 2
-    auts = []
-    for get in getters:
-        image = get(ext)
-        if image < und:
-            return None
-        if image == und:
-            auts.append(get)
-    return auts
 
 
 def _orientations(und: tuple[int, ...], auts) -> list[tuple[int, ...]]:
@@ -244,24 +226,25 @@ class _SortedRows(dict):
 
 
 def _canonicaliser(n: int):
-    """Least image of an oriented state under vertex permutations.
+    """The orbit engine on n vertices: ``(least_image, automorphisms)``.
 
     The first n-1 entries of an image are new vertex 0's row: its codes
     to the new vertices 1..n-1, seen from it.  So only permutations that
     send a vertex with the least sorted row to 0, and order the others
     to sort that row, can give the least image; their getters are
-    cached per (vertex, row).
+    cached per (vertex, row).  ``automorphisms(und)`` is None if one of
+    them maps an undirected state lower, else the ones that fix it: all
+    its automorphisms, since they fix its sorted, least vertex-0 row.
     """
-    rows, blocks, _ = _permutation_table(n)
+    rows, blocks = _permutation_table(n)
     sorted_rows = _SortedRows()
     winners: dict = {}
 
-    def canon(codes: bytes) -> tuple[int, ...]:
-        ext = _extended(codes)
+    def candidates(ext: bytes) -> list:
         views = [row(ext) for row in rows]
         keys = list(map(sorted_rows.__getitem__, views))
         least = min(keys)
-        best = None
+        out = []
         for a, key in enumerate(keys):
             if key != least:
                 continue
@@ -273,12 +256,26 @@ def _canonicaliser(n: int):
                     for order, get in blocks[a]
                     if all(row[i] <= row[j] for i, j in zip(order, order[1:]))
                 ]
-            cand = min([get(ext) for get in getters])
-            if best is None or cand < best:
-                best = cand
-        return best
+            out += getters
+        return out
 
-    return canon
+    def least_image(codes: bytes) -> tuple[int, ...]:
+        ext = _extended(codes)
+        return min([get(ext) for get in candidates(ext)])
+
+    def automorphisms(und: tuple[int, ...]):
+        # undirected codes read the same from both ends of a pair
+        ext = bytes(und) * 2
+        auts = []
+        for get in candidates(ext):
+            image = get(ext)
+            if image < und:
+                return None
+            if image == und:
+                auts.append(get)
+        return auts
+
+    return least_image, automorphisms
 
 
 def _sorted_head_product(values, head: int, tail: int):
@@ -295,17 +292,17 @@ def enumerate_oriented_states(n: int) -> list[tuple[int, ...]]:
     States are tuples over the vertex pairs of K_n with values 0
     (absent) or an (label, direction) code.
     """
-    _, _, getters = _permutation_table(n)
+    _, automorphisms = _canonicaliser(n)
     m = n * (n - 1) // 2
     out: list[tuple[int, ...]] = []
     for und in _sorted_head_product((0, 3, 4), n - 1, m - (n - 1)):
-        auts = _automorphisms(und, getters)
+        auts = automorphisms(und)
         if auts is not None:
             out.extend(_orientations(und, auts))
     return out
 
 
-def enumerate_triangle_free_oriented_states(n: int = 5) -> list[tuple[int, ...]]:
+def enumerate_triangle_free_oriented_states(n: int) -> list[tuple[int, ...]]:
     """Canonical triangle-free oriented labelled graphs on n vertices.
 
     Label-2 edges are wildcards and carry no direction; every direction
@@ -313,7 +310,7 @@ def enumerate_triangle_free_oriented_states(n: int = 5) -> list[tuple[int, ...]]
     """
     pairs = list(combinations(range(n), 2))
     m = len(pairs)
-    _, _, getters = _permutation_table(n)
+    _, automorphisms = _canonicaliser(n)
     pair_index = {p: i for i, p in enumerate(pairs)}
     triples = [
         tuple(pair_index[p] for p in ((a, b), (a, c), (b, c)))
@@ -321,20 +318,17 @@ def enumerate_triangle_free_oriented_states(n: int = 5) -> list[tuple[int, ...]]
     ]
 
     out = []
-    for bits in product((0, 1), repeat=m):
-        # a canonical state's vertex-0 row (its first n - 1 pairs) is sorted
-        head = sum(bits[: n - 1])
-        if bits[n - 1 - head : n - 1] != (1,) * head:
-            continue
+    for bits in _sorted_head_product((0, 1), n - 1, m - (n - 1)):
         if any(all(bits[i] for i in t) for t in triples):
             continue
+        head = sum(bits[: n - 1])
         present = [i for i, b in enumerate(bits) if b]
         for labelling in _sorted_head_product((2, 3, 4), head, len(present) - head):
             state = [0] * m
             for i, lab in zip(present, labelling):
                 state[i] = lab
             und = tuple(state)
-            auts = _automorphisms(und, getters)
+            auts = automorphisms(und)
             if auts is not None:
                 out.extend(_orientations(und, auts))
     return out
@@ -380,7 +374,7 @@ def wildcard_variants(
     their first present pair give the same raw variant, so each
     distinct raw variant is canonicalised once.
     """
-    canonical_form = _canonicaliser(n)
+    least_image, _ = _canonicaliser(n)
     raws = set()
     seen = set()
     out = []
@@ -393,7 +387,7 @@ def wildcard_variants(
         if raw in raws:
             continue
         raws.add(raw)
-        canon = canonical_form(raw)
+        canon = least_image(raw)
         if canon not in seen:
             seen.add(canon)
             out.append(canon)

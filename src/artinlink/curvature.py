@@ -177,29 +177,23 @@ class CurvatureReport:
         return "\n".join(lines) + "\n"
 
 
-def certify(
-    gamma: DefiningGraph,
-    assignment: OrientationAssignment | None = None,
-    scheme: str = "auto",
-) -> CurvatureReport:
+def certify(gamma: DefiningGraph, scheme: str = "auto") -> CurvatureReport:
     """Run the full pipeline and report a curvature verdict.
 
-    With ``scheme='auto'``: if every label is at least 3 and the
-    (given, or searched-for) orientation avoids both forbidden
-    patterns, the A2 metric applies; otherwise, if the graph is
-    triangle-free, the B2 metric applies; otherwise the verdict is
-    Inconclusive.  The link condition is always recomputed rather than
-    assumed, and an Inconclusive verdict never claims the group is not
-    biautomatic.
+    Unoriented edges are directed by the orientation search, and the
+    report's ``orientation`` is the completion it found, if any.  With
+    ``scheme='auto'``: if every label is at least 3 and the orientation
+    avoids both forbidden patterns, the A2 metric applies; otherwise, if
+    the graph is triangle-free, the B2 metric applies; otherwise the
+    verdict is Inconclusive.  The link condition is always recomputed
+    rather than assumed, and an Inconclusive verdict never claims the
+    group is not biautomatic.
     """
     notes: list[str] = []
-    g = resolve_orientations(gamma, assignment) if assignment is not None else gamma
-    used: OrientationAssignment | None = assignment
-
+    g = gamma
     found = _search_orientation(g) if g.unoriented_edges() else None
     if found is not None:
         g = resolve_orientations(g, found)
-        used = found
         notes.append("orientation found by search")
     elif g.unoriented_edges():
         notes.append("no pattern-free orientation exists; using u->v defaults")
@@ -262,6 +256,6 @@ def certify(
         min_angle_witness=condition.witness,
         forbidden=witnesses,
         small_cancellation=small,
-        orientation=used,
+        orientation=found,
         notes=tuple(notes),
     )

@@ -114,6 +114,7 @@ class _NoDirection:
 class GammaEdge:
     """An edge of a defining graph, stored with u < v lexicographically.
 
+    ``orientation`` must be an :class:`Orientation` or its value.
     ``key`` (the pair (u, v)) and, on an oriented or wildcard edge,
     ``tail`` and ``head`` are set once by the constructor; on an
     unoriented edge every read of ``tail`` or ``head`` raises
@@ -134,6 +135,13 @@ class GammaEdge:
         if not isinstance(self.label, int) or self.label < 2:
             raise ValueError(f"edge label must be an integer >= 2, got {self.label!r}")
         d = self.__dict__  # frozen fields are set through the dict
+        try:
+            d["orientation"] = Orientation(self.orientation)
+        except ValueError:
+            raise ValueError(
+                f"edge {(self.u, self.v)} orientation must be one of "
+                f"{', '.join(Orientation)}, got {self.orientation!r}"
+            ) from None
         if self.u > self.v:
             d.update(u=self.v, v=self.u, orientation=_flipped(self.orientation))
         d["key"] = (self.u, self.v)
@@ -175,12 +183,8 @@ def _make_edge(item) -> GammaEdge:
         return item
     u, v, label, *rest = item
     orientation = rest[0] if rest else Orientation.UNORIENTED
-    if isinstance(orientation, str) and not isinstance(orientation, Orientation):
-        orientation = (
-            ORIENTATION_SYMBOLS[orientation]
-            if orientation in ORIENTATION_SYMBOLS
-            else Orientation(orientation)
-        )
+    if isinstance(orientation, str):
+        orientation = ORIENTATION_SYMBOLS.get(orientation, orientation)
     return GammaEdge(u, v, label, orientation)
 
 

@@ -5,10 +5,10 @@ by exhaustive DFS cycle enumeration, the loop engine's key and witness
 by the one-pass id-order engine with a Dijkstra of its own,
 orientation searches by enumerating every completion,
 forbidden-pattern witnesses by trying every wildcard completion of
-every triangle and 4-cycle, canonical forms of sweep states by trying
-every vertex permutation, links by the named corner rule read from
-each relator's letters, and pieces by indexing every subword of every
-symmetrized relator.
+every triangle and 4-cycle, canonical forms and stabilisers of sweep
+states by trying every vertex permutation, links by the named corner
+rule read from each relator's letters, and pieces by indexing every
+subword of every symmetrized relator.
 """
 
 from __future__ import annotations
@@ -440,12 +440,13 @@ def oriented_copy(gamma: DefiningGraph, assignment: OrientationAssignment):
 # direction codes of the sweep states: 1/2 and 3/4 are the two
 # directions of labels 3 and 4; 0 (absent) and 5 (wildcard) have none
 _REVERSED_CODE = {0: 0, 1: 2, 2: 1, 3: 4, 4: 3, 5: 5}
+# codes of undirected states: absent, or a label, read the same both ways
+_UNDIRECTED_CODE = {0: 0, 2: 2, 3: 3, 4: 4}
 
 
-def least_images(states, n: int) -> list[tuple[int, ...]]:
-    """Least image of each state (a tuple over the vertex pairs of K_n
-    in ``combinations`` order) over all n! vertex permutations, with a
-    pair's direction code reversed when its endpoints swap order."""
+def _pair_moves(n: int) -> list[list[tuple[int, bool]]]:
+    """Per vertex permutation of K_n: where each pair (in
+    ``combinations`` order) goes, and whether its endpoints swap order."""
     pairs = list(combinations(range(n), 2))
     index = {p: i for i, p in enumerate(pairs)}
     perms = []
@@ -455,16 +456,33 @@ def least_images(states, n: int) -> list[tuple[int, ...]]:
             x, y = perm[a], perm[b]
             moves.append((index[(x, y) if x < y else (y, x)], x > y))
         perms.append(moves)
+    return perms
 
+
+def _images(state, perms, code_seen_reversed):
+    """The image of ``state`` under each permutation of ``perms``."""
+    for moves in perms:
+        mapped = [0] * len(moves)
+        for v, (j, reverse) in zip(state, moves):
+            mapped[j] = code_seen_reversed[v] if reverse else v
+        yield tuple(mapped)
+
+
+def least_images(states, n: int) -> list[tuple[int, ...]]:
+    """Least image of each state (a tuple over the vertex pairs of K_n
+    in ``combinations`` order) over all n! vertex permutations, with a
+    pair's direction code reversed when its endpoints swap order."""
+    perms = _pair_moves(n)
+    return [min(_images(state, perms, _REVERSED_CODE)) for state in states]
+
+
+def undirected_orbits(states, n: int) -> list[tuple[tuple[int, ...], int]]:
+    """(least image, stabiliser order) of each undirected state (codes 0
+    absent and 2, 3, 4 labels) over all n! vertex permutations: the
+    image that is least, and the count of images equal to the state."""
+    perms = _pair_moves(n)
     out = []
     for state in states:
-        best = None
-        for moves in perms:
-            mapped = [0] * len(pairs)
-            for v, (j, reverse) in zip(state, moves):
-                mapped[j] = _REVERSED_CODE[v] if reverse else v
-            cand = tuple(mapped)
-            if best is None or cand < best:
-                best = cand
-        out.append(best)
+        images = list(_images(state, perms, _UNDIRECTED_CODE))
+        out.append((min(images), images.count(tuple(state))))
     return out

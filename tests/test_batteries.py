@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from oracle_tools import least_images
+from oracle_tools import least_images, undirected_orbits
 
 from artinlink import (
     DefiningGraph,
@@ -73,6 +73,37 @@ def test_triangle_free_enumeration_matches_brute_force_on_four_vertices():
     assert_one_per_class(states, 4, classes)
 
 
+def assert_engine_matches_brute_force(states, n):
+    """The engine refuses exactly the states that are not their own
+    least image, and finds every automorphism of the others."""
+    _, automorphisms = batteries._canonicaliser(n)
+    canonical = 0
+    for state, (least, order) in zip(states, undirected_orbits(states, n)):
+        auts = automorphisms(state)
+        if least == state:
+            canonical += 1
+            assert auts is not None and len(auts) == order, state
+        else:
+            assert auts is None, state
+    return canonical
+
+
+def test_orbit_engine_automorphisms_match_brute_force_on_four_vertices():
+    states = list(itertools.product((0, 2, 3, 4), repeat=6))
+    # Polya: (4^6 + 9 * 4^4 + 8 * 4^2 + 6 * 4^2) / 24 edge 4-colourings of K_4
+    assert assert_engine_matches_brute_force(states, 4) == 276
+
+
+def test_orbit_engine_automorphisms_match_brute_force_on_five_vertices():
+    rng = random.Random(20261019)
+    raws = [tuple(rng.choice((0, 2, 3, 4)) for _ in range(10)) for _ in range(400)]
+    # the classes of the raw draws, and the most symmetric states
+    canon = [least for least, _ in undirected_orbits(raws, 5)]
+    extremes = [(label,) * 10 for label in (0, 2, 3, 4)] + [(0,) * 9 + (3,)]
+    states = raws + canon + extremes
+    assert assert_engine_matches_brute_force(states, 5) >= len(canon)
+
+
 def raw_wildcard_variants(states):
     """Each state with its first present pair turned into a wildcard."""
     out = []
@@ -90,13 +121,13 @@ def counted_wildcard_variants(monkeypatch, states, n):
     make = batteries._canonicaliser
 
     def counting(n):
-        canon = make(n)
+        least_image, automorphisms = make(n)
 
         def count(codes):
             calls.append(codes)
-            return canon(codes)
+            return least_image(codes)
 
-        return count
+        return count, automorphisms
 
     monkeypatch.setattr(batteries, "_canonicaliser", counting)
     return wildcard_variants(states, n), calls

@@ -103,6 +103,26 @@ def test_edge_normalization_flips_direction():
     assert (e.tail, e.head) == ("b", "a")
 
 
+@pytest.mark.parametrize("value", [None, "bogus", ">", 1])
+def test_edge_refuses_an_orientation_that_is_not_one(value):
+    with pytest.raises(ValueError, match=r"edge \('a', 'b'\) orientation must be"):
+        GammaEdge("a", "b", 3, value)
+
+
+@pytest.mark.parametrize("value", [*Orientation, *(o.value for o in Orientation)])
+def test_edge_stores_its_orientation_as_a_member(value):
+    label = 2 if value == Orientation.WILDCARD else 3
+    e = GammaEdge("a", "b", label, value)
+    assert e.orientation is Orientation(value)
+
+
+def test_graph_tuples_still_read_orientation_symbols():
+    g = DefiningGraph(("a", "b", "c"), [("b", "a", 3, ">"), ("b", "c", 2, "?")])
+    assert g.edge("a", "b").orientation is Orientation.BACKWARD
+    assert g.edge("b", "c").orientation is Orientation.WILDCARD
+    assert g.edge("a", "b") == GammaEdge("b", "a", 3, "forward")
+
+
 def test_wildcard_tail_is_lexicographically_smaller():
     e = GammaEdge("b", "a", 2, Orientation.WILDCARD)
     assert (e.tail, e.head) == ("a", "b")
