@@ -1,29 +1,16 @@
 """Embedded loops in links: girth, minimum-angle cycles, enumeration.
 
 Every search runs on the link's dense integer core (``LinkGraph.nbrs``
-and ``LinkGraph.ends``): vertices are ids, their positions in the
-sorted vertex tuple, so every tie-break on ids is the tie-break on the
-vertices and each witness is the canonically least loop.  A search
-builds an :class:`EmbeddedLoop` (validated, with its exact angle sum)
-only for the loops it returns.
-
-One shortest-cycle engine finds the girth and the minimum-angle loop.
-Each search starts at one vertex and visits only vertices later than
-it in some order, so a start is in effect removed once it has run
-(Itai and Rodeh, 1978).  There is one search: a Dijkstra on integer
-keys, hop counts or (weight, length) pairs packed in one integer
-(Roditty and Vassilevska Williams, 2011), with one heap entry per
-distinct key, so that on hop counts it runs as a BFS by levels.  It
-reads one adjacency of (neighbour, step) pairs.  A first pass finds
-the least key with the starts in (-degree, id) order: the hubs go
-first, and no later search runs into a hub's star.  The searches that
-reach that key trace its least loops back from their closing edges,
-and the least id on them is the canonical start.  A second pass is
-one search from it, whose keys prune one DFS to the canonical witness.
-The hop search runs at most once per link: the link's core holds its
-answer, which the girth and every uniform-angle copy read.  Angles are
-read as the link's integer weights over one unit of pi, so no
-comparison is ever in floating point.
+and ``LinkGraph.ends``).  Ids follow the sorted vertex order, so every
+tie-break on ids is the tie-break on the vertices and each witness is
+the canonically least loop, and angles are the link's integer weights
+over one unit of pi, so no comparison is in floating point.  An
+:class:`EmbeddedLoop` (validated, with its exact angle sum) is built
+only for a loop returned.  One shortest-cycle engine,
+:func:`_shortest_cycle`, finds the girth and the minimum-angle loop,
+as README pipeline step 4 describes; the hop search runs at most once
+per link, whose core holds its answer for the girth and for every
+uniform-angle copy.
 """
 
 from __future__ import annotations
@@ -131,6 +118,33 @@ def has_short_loop(link: LinkGraph) -> bool:
     return False
 
 
+def _least_on_a_four_cycle(nbrs: list[list[tuple[int, int]]]) -> int | None:
+    """The least id on any 4-cycle of the simple graph ``nbrs``, else None.
+
+    Each 4-cycle is met from its vertex v of largest (degree, id) rank:
+    both paths v-u-w to its opposite vertex w run through ranks below
+    v's, so the scan costs O(edges * arboricity) (Chiba and Nishizeki,
+    1985).  It scans the whole graph, as the least id may lie on a
+    4-cycle met late.
+    """
+    n = len(nbrs)
+    rank = [0] * n
+    for r, v in enumerate(sorted(range(n), key=lambda v: len(nbrs[v]))):
+        rank[v] = r
+    least = n
+    for v, ns in enumerate(nbrs):
+        top = rank[v]
+        first: dict[int, int] = {}  # w -> the first u of a path v-u-w
+        for u, _ in ns:
+            if rank[u] < top:
+                for w, _ in nbrs[u]:
+                    if rank[w] < top:
+                        f = first.setdefault(w, u)
+                        if f != u:  # v-f-w-u is a 4-cycle
+                            least = min(least, v, w, f, u)
+    return None if least == n else least
+
+
 def _least_cycle_through(
     steps: list[list[tuple[int, int]]], s: int, best: int
 ) -> tuple[int, dict[int, int], set[int]]:
@@ -206,68 +220,74 @@ def _shortest_cycle(
     Without ``weight`` the key is the length.  With a positive integer
     weight per edge it is ``weight * n + length`` for ``n`` vertices,
     which orders as the pair.  Every search and the witness DFS read
-    one adjacency of (neighbour id, step) pairs, an edge's step being
-    its share of the key: 1, or ``weight * n + 1``.  A search from
-    ``s`` visits only the vertices labelled above ``s`` and closes only
-    simple loops whose least label is ``s``; it sees every least loop
-    whose least label is ``s``, since a loop whose two arcs meet in one
-    branch leaves a lighter loop.
+    one adjacency of (neighbour id, step) pairs, a step being 1 or
+    ``weight * n + 1``.  A search from ``s``
+    over the vertices labelled above ``s`` sees every least loop whose
+    least label is ``s``.
 
-    Pass 1 finds the key and the start.  It labels the vertices by rank
-    in (-degree, id) order and searches from each rank in turn, so the
-    hubs, the vertices of largest degree, are searched first and then
-    left out of every later search.  Each search looks for a loop below
-    the key so far plus one, so the search from the least rank of each
-    least loop reaches the final key.  Below half a least key shortest
-    paths are unique, so each least loop through a start is an edge
-    that closed it and a shortest path back from either end.  A search
-    that reaches the key so far collects those vertices: the ends, each
-    once, and every vertex whose key plus a step is the key of one
-    collected.  The start is the least id collected by the searches
-    that reach the final key, since each least loop is collected from
-    its least rank.  A search that reached no id below the start so far
-    cannot lower it and collects nothing.
+    Pass 1 finds the key and the start, the least id on a least loop.
+    The hop search of a link starts from a proven bound: a link is
+    bipartite, so its girth is 4 if it has a 4-cycle, and the start is
+    then the least id on one; otherwise the start is the first id whose
+    search closes a 6-loop.  Otherwise (girth 8 or more, or a forest),
+    and with weights or on a graph that is not a link, pass 1 searches
+    from each vertex in (-degree, id) order, hubs first, for a loop up
+    to the key so far.  Below half a least key shortest paths are
+    unique, so a search that reaches the key so far traces its least
+    loops back from their closing edges, and the least id collected by
+    the searches that reach the final key is the start.
 
-    Pass 2 is one search from the start, in ids, for the keys near it.
-    A DFS from the start over larger ids, in increasing order, meets
-    the canonical loop first.  Each vertex of that loop lies within
-    half the key of the start, so the DFS prunes every vertex farther
-    away than the key left to close up.
+    Pass 2 is one search from the start, in ids.  A DFS from the start
+    over larger ids, in increasing order, meets the canonical loop
+    first; each vertex of that loop lies within half the key of the
+    start, so the search's keys prune the DFS.
     """
     n = len(link.nbrs)
     steps = [1] * len(link.ends) if weight is None else [w * n + 1 for w in weight]
     adj = [[(nb, steps[ei]) for nb, ei in ns] for ns in link.nbrs]  # sorted ids
     unset = sum(steps) + 1  # above every loop key, a loop on all edges' too
-    # pass 1, the key and the start: hubs first, and ids in order within
-    # a degree, as a reversed sort is still stable
-    degree = [len(ns) for ns in adj]
-    order = sorted(range(n), key=degree.__getitem__, reverse=True)
-    rank = [0] * n
-    for r, v in enumerate(order):
-        rank[v] = r
-    ranked = [[(rank[nb], step) for nb, step in adj[v]] for v in order]
-    best, start = unset, n
-    for r in range(n):
-        key, dist, ends = _least_cycle_through(ranked, r, best + 1)
-        if key < best:
-            best, start = key, n
-        if key > best or min(map(order.__getitem__, dist)) >= start:
-            continue
-        # back from the closing ends over every shortest path: the
-        # vertices on the least loops through r
-        on_loops, pending = set(ends), list(ends)
-        while pending:
-            v = pending.pop()
-            d = dist[v]
-            for nb, step in ranked[v]:
-                if dist.get(nb, d) + step == d and nb not in on_loops:
-                    on_loops.add(nb)
-                    pending.append(nb)
-        start = min(start, *map(order.__getitem__, on_loops))
+    best, start, start_dist = unset, n, None
+    if weight is None and isinstance(link, LinkGraph):
+        # pass 1 from the proven bound: 4, else 6, as links are bipartite
+        four = _least_on_a_four_cycle(link.nbrs)
+        if four is not None:
+            best, start = 4, four
+        else:
+            for s in range(n):
+                key, dist, _ = _least_cycle_through(adj, s, 7)
+                if key == 6:  # this is pass 2's search from s
+                    best, start, start_dist = key, s, dist
+                    break
     if best == unset:
-        return None, None
-    # pass 2, the pruning keys of the canonical start
-    _, start_dist, _ = _least_cycle_through(adj, start, best + 1)
+        # pass 1 by rank: hubs first, and ids in order within a degree,
+        # as a reversed sort is still stable
+        degree = [len(ns) for ns in adj]
+        order = sorted(range(n), key=degree.__getitem__, reverse=True)
+        rank = [0] * n
+        for r, v in enumerate(order):
+            rank[v] = r
+        ranked = [[(rank[nb], step) for nb, step in adj[v]] for v in order]
+        for r in range(n):
+            key, dist, ends = _least_cycle_through(ranked, r, best + 1)
+            if key < best:
+                best, start = key, n
+            if key > best or min(map(order.__getitem__, dist)) >= start:
+                continue
+            # back from the closing ends over every shortest path: the
+            # vertices on the least loops through r
+            on_loops, pending = set(ends), list(ends)
+            while pending:
+                v = pending.pop()
+                d = dist[v]
+                for nb, step in ranked[v]:
+                    if dist.get(nb, d) + step == d and nb not in on_loops:
+                        on_loops.add(nb)
+                        pending.append(nb)
+            start = min(start, *map(order.__getitem__, on_loops))
+        if best == unset:
+            return None, None
+    if start_dist is None:  # pass 2, the pruning keys of the canonical start
+        _, start_dist, _ = _least_cycle_through(adj, start, best + 1)
     path, pending = [start], [(iter(adj[start]), 0)]
     while pending:
         ahead, prefix = pending[-1]

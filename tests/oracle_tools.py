@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: girth is found
 by exhaustive DFS cycle enumeration, the loop engine's key and witness
-by the one-pass id-order engine with a Dijkstra of its own,
+by the one-pass id-order engine with a Dijkstra of its own, the least
+vertex on a 4-cycle by trying every pair for two common neighbours,
 orientation searches by enumerating every completion,
 forbidden-pattern witnesses by trying every wildcard completion of
 every triangle and 4-cycle, canonical forms and stabilisers of sweep
@@ -176,6 +177,19 @@ def dfs_min_loops(link, max_len: int, max_angle=None):
     if best[0] is None:
         return None, None, []
     return best[0][0], best[0][1], sorted(canonical(c) for c in best[1])
+
+
+def least_id_on_a_four_cycle(core) -> int | None:
+    """The least id on any 4-cycle of a simple graph's integer core
+    (``nbrs``), else None: every pair of ids with two or more common
+    neighbours lies on a 4-cycle with each two of them."""
+    adjacent = [{nb for nb, _ in ns} for ns in core.nbrs]
+    on_four_cycles = set()
+    for a, b in combinations(range(len(adjacent)), 2):
+        common = adjacent[a] & adjacent[b]
+        if len(common) > 1:
+            on_four_cycles |= common | {a, b}
+    return min(on_four_cycles, default=None)
 
 
 def id_order_shortest_cycle(link, weight=None):

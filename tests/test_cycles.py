@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -14,6 +15,7 @@ from artinlink import (
     DefiningGraph,
     LimitExceededError,
     Orientation,
+    OrientationAssignment,
     UnassignedAnglesError,
     assign_metric,
     build_complex,
@@ -23,6 +25,9 @@ from artinlink import (
     link_of,
     make_loop,
     min_angle_cycle,
+    parse_gamma,
+    resolve_orientations,
+    search_orientation,
     triangle_presentation,
 )
 from artinlink.cycles import has_short_loop
@@ -283,9 +288,10 @@ def test_engine_matches_the_id_order_oracle_on_random_weights(case):
 
 
 def test_two_pass_engine_when_every_least_loop_starts_late(monkeypatch):
-    """Pass 1 searches once from each vertex and pass 2 once in all,
-    from the canonical start, however late it comes in id order and
-    however many vertices lie near the least loops."""
+    """With weights pass 1 searches once from each vertex, and the hop
+    search of a link with a 4-cycle not at all; pass 2 searches once in
+    all, from the canonical start, however late it comes in id order
+    and however many vertices lie near the least loops."""
     from oracle_tools import id_order_shortest_cycle
 
     from artinlink import cycles
@@ -309,10 +315,129 @@ def test_two_pass_engine_when_every_least_loop_starts_late(monkeypatch):
             key, ids = cycles._shortest_cycle(link, weight)
             assert (key, ids) == id_order_shortest_cycle(link, weight)
             assert len(ids) == 4 and ids[0] >= first
-            assert len(starts) == len(link.nbrs) + 1
+            assert len(starts) == (1 if weight is None else len(link.nbrs) + 1)
             assert starts[-1] == ids[0]  # pass 2, in ids, from the start
             if graph is late_least_loops:
                 assert all("z" in v.gen for v in link._named(ids))
+
+
+@functools.cache
+def corpus_links():
+    """The link ``certify`` builds for each graph of the bench corpus:
+    unoriented edges take the searched orientation, else u -> v."""
+    from test_bench_expected import CORPUS
+
+    links = {}
+    for name, text in CORPUS.items():
+        gamma = parse_gamma(text)
+        todo = gamma.unoriented_edges()
+        if todo:
+            found = search_orientation(gamma) or OrientationAssignment(
+                {e.key: "forward" for e in todo}
+            )
+            gamma = resolve_orientations(gamma, found)
+        links[name] = link_of(gamma)
+    return links
+
+
+@functools.cache
+def sampled_oracle_links():
+    """2,000 links of acceptance 06's cases, the oriented 5-vertex graph
+    classes and their wildcard variants, sampled with a fixed seed."""
+    from artinlink.batteries import (
+        enumerate_oriented_states,
+        graph_from_state,
+        wildcard_variants,
+    )
+
+    states = enumerate_oriented_states(5)
+    states += wildcard_variants(states, 5)
+    sample = random.Random(2901).sample(states, 2_000)
+    return [link_of(graph_from_state(state, 5)) for state in sample]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small_graphs_and_weights())
+def test_least_id_on_a_four_cycle_matches_brute_force(case):
+    """On any simple graph, odd loops allowed: the scan needs no levels."""
+    from oracle_tools import least_id_on_a_four_cycle
+
+    from artinlink.cycles import _least_on_a_four_cycle
+
+    core, _ = case
+    assert _least_on_a_four_cycle(core.nbrs) == least_id_on_a_four_cycle(core)
+
+
+def test_least_id_on_a_four_cycle_on_sampled_oracle_links():
+    from oracle_tools import least_id_on_a_four_cycle
+
+    from artinlink.cycles import _least_on_a_four_cycle
+
+    answers = Counter()
+    for link in sampled_oracle_links():
+        least = least_id_on_a_four_cycle(link)
+        assert _least_on_a_four_cycle(link.nbrs) == least
+        answers[least is None] += 1
+    assert answers[True] > 20 and answers[False] > 1_000
+
+
+def test_girth_from_the_proven_bound_matches_the_id_order_oracle():
+    """``girth`` against the one-pass engine on the corpus links and
+    their middle subgraphs, hub stars of 50 and 500 vertices, the
+    late-loop families and sampled oracle links; at label 4,000, where
+    the one-pass engine is quadratic in the hub star, against the
+    rank-order pass 1 that every other graph takes."""
+    from oracle_tools import id_order_shortest_cycle
+
+    from artinlink.cycles import _shortest_cycle
+
+    def ids_of(link):
+        value, loop = girth(link)
+        return value, loop and tuple(map(link._resolve, loop.vertices))
+
+    links = []
+    for link in corpus_links().values():
+        links += [link, link.middle_subgraph()]
+    edge = DefiningGraph(("a", "b"), [("a", "b", 500, F)])
+    links += [classic_link(50, 50, 50), link_of(edge)]
+    links += [link_of(graph(200)) for graph in (late_least_loops, late_hub_loops)]
+    links += sampled_oracle_links()
+    # parts that keep 6 edges in 10: their least ids often lie on no
+    # least loop, so a start serves only if its search meets the bound
+    rng = random.Random(2902)
+    for link in sampled_oracle_links()[:300]:
+        kept = [ei for ei in range(len(link.ends)) if rng.random() < 0.6]
+        links.append(link.subgraph(kept))
+    girths = Counter()
+    for link in links:
+        value, ids = ids_of(link)
+        assert (value, ids) == id_order_shortest_cycle(link)
+        girths[value] += 1
+    # each step of pass 1 runs: a 4-cycle, else girth 6, else 8 or a forest
+    assert all(girths[value] > 3 for value in (4, 6, 8, None))
+    for graph in (late_least_loops, late_hub_loops):
+        link = link_of(graph(4_000))
+        assert ids_of(link) == _shortest_cycle(Core(len(link.nbrs), link.ends))
+
+
+def test_hop_search_from_the_proven_bound_searches_once(monkeypatch):
+    """On the grids' links and tri(50, 50, 50), girth 6, and on K8,8's,
+    girth 4, the hop search runs one search, from id 0."""
+    from artinlink import cycles
+
+    search = cycles._least_cycle_through
+    starts = []
+
+    def counted(adj, s, best):
+        starts.append(s)
+        return search(adj, s, best)
+
+    monkeypatch.setattr(cycles, "_least_cycle_through", counted)
+    links = [corpus_links()[name] for name in ("grid4", "grid12", "k88")]
+    for link in links + [classic_link(50, 50, 50)]:
+        starts.clear()
+        cycles._shortest_cycle(link)
+        assert starts == [0]
 
 
 def test_girth_witness_is_least_of_all_minimal_loops():
