@@ -10,7 +10,10 @@ only for a loop returned.  One shortest-cycle engine,
 :func:`_shortest_cycle`, finds the girth and the minimum-angle loop,
 as README pipeline step 4 describes; the hop search runs at most once
 per link, whose core holds its answer for the girth and for every
-uniform-angle copy.
+uniform-angle copy.  On a link, loops are even and cross the middle
+an even number of times, so a bound on the loops of six or more edges
+holds; a lighter 4-cycle, else the first search in id order to meet
+the bound, gives the start.
 """
 
 from __future__ import annotations
@@ -145,6 +148,45 @@ def _least_on_a_four_cycle(nbrs: list[list[tuple[int, int]]]) -> int | None:
     return None if least == n else least
 
 
+def _lightest_four_cycle(
+    adj: list[list[tuple[int, int]]], unset: int
+) -> tuple[int, int]:
+    """The least key of a 4-cycle of the simple graph ``adj``, of
+    (neighbour id, step) pairs, and the least id on a 4-cycle of that
+    key; ``(unset, n)`` if it has none.
+
+    The scan of :func:`_least_on_a_four_cycle`, with keys: each path
+    v-u-w is paired with the lightest one met before it, the first of
+    a tie.  The u come in id order, so the pairs met hold the least id
+    on a lightest 4-cycle through v and w.  Hop searches keep the
+    other scan, as this one's keys cost it about a fifth more.
+    """
+    n = len(adj)
+    rank = [0] * n
+    for r, v in enumerate(sorted(range(n), key=lambda v: len(adj[v]))):
+        rank[v] = r
+    best, least = unset, n
+    for v, ns in enumerate(adj):
+        top = rank[v]
+        lightest: dict[int, tuple[int, int]] = {}  # w -> (key, u) of a path v-u-w
+        for u, a in ns:
+            if rank[u] < top:
+                for w, b in adj[u]:
+                    if rank[w] < top:
+                        key = a + b
+                        old = lightest.get(w)
+                        if old is None:
+                            lightest[w] = key, u
+                            continue
+                        if key + old[0] <= best:  # v-u-w-old[1] is a 4-cycle
+                            if key + old[0] < best:
+                                best, least = key + old[0], n
+                            least = min(least, v, w, u, old[1])
+                        if key < old[0]:
+                            lightest[w] = key, u
+    return best, least
+
+
 def _least_cycle_through(
     steps: list[list[tuple[int, int]]], s: int, best: int
 ) -> tuple[int, dict[int, int], set[int]]:
@@ -226,16 +268,22 @@ def _shortest_cycle(
     least label is ``s``.
 
     Pass 1 finds the key and the start, the least id on a least loop.
-    The hop search of a link starts from a proven bound: a link is
-    bipartite, so its girth is 4 if it has a 4-cycle, and the start is
-    then the least id on one; otherwise the start is the first id whose
-    search closes a 6-loop.  Otherwise (girth 8 or more, or a forest),
-    and with weights or on a graph that is not a link, pass 1 searches
-    from each vertex in (-degree, id) order, hubs first, for a loop up
-    to the key so far.  Below half a least key shortest paths are
-    unique, so a search that reaches the key so far traces its least
-    loops back from their closing edges, and the least id collected by
-    the searches that reach the final key is the start.
+    On a link it starts from a bound B on the loops of six or more
+    edges.  Edges join adjacent levels, so each loop crosses the middle
+    (levels 2 to 3) an even number of times, and is light if never;
+    links are bipartite, so loops are even.  So B is 6 on hops, and
+    with weights the least of two middle steps plus four least steps,
+    and of eight light steps, or six if the light edges hold a loop of
+    at most six edges.  (a) A 4-cycle lighter than B gives the key,
+    and the start is the least id on a 4-cycle of that key.  (b)
+    Otherwise the first id whose search meets B is the start; a search
+    below B is an inconsistency.  (c) Otherwise, or on a graph that is
+    not a link, pass 1 searches from each vertex in (-degree, id)
+    order, hubs first, for a loop up to the key so far.  Below half a
+    least key shortest paths are unique, so a search that reaches the
+    key so far traces its least loops back from their closing edges,
+    and the least id collected by the searches that reach the final
+    key is the start.
 
     Pass 2 is one search from the start, in ids.  A DFS from the start
     over larger ids, in increasing order, meets the canonical loop
@@ -247,15 +295,38 @@ def _shortest_cycle(
     adj = [[(nb, steps[ei]) for nb, ei in ns] for ns in link.nbrs]  # sorted ids
     unset = sum(steps) + 1  # above every loop key, a loop on all edges' too
     best, start, start_dist = unset, n, None
-    if weight is None and isinstance(link, LinkGraph):
-        # pass 1 from the proven bound: 4, else 6, as links are bipartite
-        four = _least_on_a_four_cycle(link.nbrs)
-        if four is not None:
-            best, start = 4, four
+    if isinstance(link, LinkGraph) and steps:
+        # pass 1 from the bound on every loop of six or more edges
+        if weight is None:
+            bound, four = 6, _least_on_a_four_cycle(link.nbrs)
+            four_key, four = (unset, n) if four is None else (4, four)
         else:
-            for s in range(n):
-                key, dist, _ = _least_cycle_through(adj, s, 7)
-                if key == 6:  # this is pass 2's search from s
+            levels = link.levels
+            middle = [levels[a] + levels[b] == 5 for a, b in link.ends]
+            lo = min(steps)
+            mid = min((st for st, m in zip(steps, middle) if m), default=unset)
+            light = min((st for st, m in zip(steps, middle) if not m), default=unset)
+            bound = min(2 * mid + 4 * lo, 8 * light)
+            if 6 * light < bound:  # is there a light loop of at most six edges?
+                hops = [[(nb, 1) for nb, e in ns if not middle[e]] for ns in link.nbrs]
+                for s, ns in enumerate(hops):
+                    if len(ns) > 1 and ns[-2][0] > s:
+                        if _least_cycle_through(hops, s, 7)[0] < 7:
+                            bound = 6 * light
+                            break
+            four_key, four = _lightest_four_cycle(adj, unset)
+        if four_key < bound:  # every loop of six or more edges is heavier
+            best, start = four_key, four
+        else:
+            for s, ns in enumerate(adj):
+                if len(ns) < 2 or ns[-2][0] <= s:
+                    continue  # s is the least id on no loop
+                key, dist, _ = _least_cycle_through(adj, s, bound + 1)
+                if key < bound:
+                    raise InternalInconsistencyError(
+                        f"a loop of key {key} below the proven bound {bound}"
+                    )
+                if key == bound:  # this is pass 2's search from s
                     best, start, start_dist = key, s, dist
                     break
     if best == unset:

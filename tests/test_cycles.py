@@ -288,10 +288,12 @@ def test_engine_matches_the_id_order_oracle_on_random_weights(case):
 
 
 def test_two_pass_engine_when_every_least_loop_starts_late(monkeypatch):
-    """With weights pass 1 searches once from each vertex, and the hop
-    search of a link with a 4-cycle not at all; pass 2 searches once in
-    all, from the canonical start, however late it comes in id order
-    and however many vertices lie near the least loops."""
+    """On a link with a lighter 4-cycle than its proven bound, pass 1
+    runs no search on its adjacency, with weights or without; pass 2
+    searches once in all, from the canonical start, however late it
+    comes in id order and however many vertices lie near the least
+    loops.  Under weights the light check's bound-7 searches, on the
+    light edges alone, come first."""
     from oracle_tools import id_order_shortest_cycle
 
     from artinlink import cycles
@@ -300,7 +302,7 @@ def test_two_pass_engine_when_every_least_loop_starts_late(monkeypatch):
     starts = []
 
     def counted(adj, s, best):
-        starts.append(s)
+        starts.append((s, best))
         return search(adj, s, best)
 
     monkeypatch.setattr(cycles, "_least_cycle_through", counted)
@@ -315,8 +317,9 @@ def test_two_pass_engine_when_every_least_loop_starts_late(monkeypatch):
             key, ids = cycles._shortest_cycle(link, weight)
             assert (key, ids) == id_order_shortest_cycle(link, weight)
             assert len(ids) == 4 and ids[0] >= first
-            assert len(starts) == (1 if weight is None else len(link.nbrs) + 1)
-            assert starts[-1] == ids[0]  # pass 2, in ids, from the start
+            light = [s for s, best in starts if weight and best == 7]
+            assert light == sorted(set(light))  # at most one pass, in id order
+            assert starts[len(light) :] == [(ids[0], key + 1)]
             if graph is late_least_loops:
                 assert all("z" in v.gen for v in link._named(ids))
 
@@ -438,6 +441,71 @@ def test_hop_search_from_the_proven_bound_searches_once(monkeypatch):
         starts.clear()
         cycles._shortest_cycle(link)
         assert starts == [0]
+
+
+def test_min_angle_from_the_proven_bound_matches_the_id_order_oracle():
+    """The B2 search against the one-pass engine on the corpus links
+    and on sampled oracle links: these have triangles, so least loops
+    of six bottom and top edges, which only the light check bounds."""
+    from oracle_tools import id_order_shortest_cycle
+
+    from artinlink.cycles import _shortest_cycle
+
+    kinds = Counter()
+    for link in [*corpus_links().values(), *sampled_oracle_links()[:1_000]]:
+        weight = metric_link(link, B2).weight
+        key, ids = _shortest_cycle(link, weight)
+        assert (key, ids) == id_order_shortest_cycle(link, weight)
+        kinds[len(ids), sum(map(link.is_middle, link._steps(ids)))] += 1
+    assert kinds[6, 0] > 10 and kinds[6, 2] > 5 and kinds[4, 2] > 900
+
+
+def test_weighted_search_from_the_proven_bound_searches_once(monkeypatch):
+    """Under B2, K8,8's and grid4's links and sampled B2 sweep links run
+    one search on the weighted adjacency: the least 4-cycle is lighter
+    than the bound, or the first id that can start a loop meets it.
+    The light check's bound-7 searches, on unit steps, count apart."""
+    from artinlink import cycles
+    from artinlink.batteries import (
+        enumerate_triangle_free_oriented_states,
+        graph_from_state,
+    )
+
+    search = cycles._least_cycle_through
+    weighted, light = [], []
+
+    def counted(adj, s, best):
+        unit = all(step == 1 for ns in adj for _, step in ns)
+        (light if unit and best == 7 else weighted).append(s)
+        return search(adj, s, best)
+
+    monkeypatch.setattr(cycles, "_least_cycle_through", counted)
+    states = enumerate_triangle_free_oriented_states(5)[1:]  # 0: no edge
+    links = [link_of(graph_from_state(state, 5)) for state in states]
+    links = random.Random(3001).sample(links, 400)
+    links += [corpus_links()[name] for name in ("grid4", "k88")]
+    for link in links:
+        weighted.clear()
+        light.clear()
+        cycles._shortest_cycle(link, metric_link(link, B2).weight)
+        assert len(weighted) == 1
+        assert light == sorted(set(light))  # at most one pass, in id order
+
+
+def test_a_loop_below_the_proven_bound_is_an_inconsistency(monkeypatch):
+    """A 4-cycle scan that misses the least loops raises the bound that
+    the id-order step starts from; the step's search then meets a loop
+    below it, which it refutes rather than skips."""
+    from artinlink import cycles
+    from artinlink.errors import InternalInconsistencyError
+
+    k88 = corpus_links()["k88"]
+    hub = link_of(late_hub_loops(20))
+    monkeypatch.setattr(cycles, "_least_on_a_four_cycle", lambda nbrs: None)
+    monkeypatch.setattr(cycles, "_lightest_four_cycle", lambda adj, top: (top, len(adj)))
+    for link, weight in (k88, None), (hub, metric_link(hub, B2).weight):
+        with pytest.raises(InternalInconsistencyError, match="below the proven bound"):
+            cycles._shortest_cycle(link, weight)
 
 
 def test_girth_witness_is_least_of_all_minimal_loops():
