@@ -40,6 +40,7 @@ MAX_TRIANGLE_LABEL = 31
 MAX_TIETZE_LABEL = 600
 
 
+@functools.cache  # one tree per process, built at the first main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="artinlink",

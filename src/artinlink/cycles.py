@@ -121,6 +121,15 @@ def has_short_loop(link: LinkGraph) -> bool:
     return False
 
 
+def _degree_rank(adj: list[list[tuple[int, int]]]) -> list[int]:
+    """Each vertex's place in (degree, id) order."""
+    n = len(adj)
+    rank = [0] * n
+    for r, v in enumerate(sorted(range(n), key=list(map(len, adj)).__getitem__)):
+        rank[v] = r
+    return rank
+
+
 def _least_on_a_four_cycle(nbrs: list[list[tuple[int, int]]]) -> int | None:
     """The least id on any 4-cycle of the simple graph ``nbrs``, else None.
 
@@ -131,9 +140,7 @@ def _least_on_a_four_cycle(nbrs: list[list[tuple[int, int]]]) -> int | None:
     4-cycle met late.
     """
     n = len(nbrs)
-    rank = [0] * n
-    for r, v in enumerate(sorted(range(n), key=lambda v: len(nbrs[v]))):
-        rank[v] = r
+    rank = _degree_rank(nbrs)
     least = n
     for v, ns in enumerate(nbrs):
         top = rank[v]
@@ -162,9 +169,7 @@ def _lightest_four_cycle(
     other scan, as this one's keys cost it about a fifth more.
     """
     n = len(adj)
-    rank = [0] * n
-    for r, v in enumerate(sorted(range(n), key=lambda v: len(adj[v]))):
-        rank[v] = r
+    rank = _degree_rank(adj)
     best, least = unset, n
     for v, ns in enumerate(adj):
         top = rank[v]

@@ -36,7 +36,7 @@ class ParseError(ValueError):
 
 
 def parse_gamma(text: str) -> DefiningGraph:
-    vertices: list[str] = []
+    vertices: dict[str, None] = {}  # a set that keeps the file's order
     edges: list[GammaEdge] = []
     rotations: dict[str, tuple[str, ...]] = {}
     edge_lines: dict[tuple[str, str], int] = {}
@@ -58,7 +58,7 @@ def parse_gamma(text: str) -> DefiningGraph:
                 check_vertex_name(fields[1])
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from exc
-            vertices.append(fields[1])
+            vertices[fields[1]] = None
         elif kind == "edge":
             if len(fields) not in (4, 5):
                 raise ParseError(lineno, "expected: edge <u> <v> <label> [> < ? .]")

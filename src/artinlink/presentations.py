@@ -222,7 +222,7 @@ class DefiningGraph:
         if rotations is not None:
             rot = {v: tuple(order) for v, order in rotations.items()}
             for v, order in rot.items():
-                if v not in self.vertices:
+                if v not in self._adj:
                     raise RotationError(v, f"rotation at undeclared vertex {v!r}")
                 if sorted(order) != sorted(self._adj[v]):
                     raise RotationError(

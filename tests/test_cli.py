@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -526,3 +529,124 @@ def test_output_is_deterministic(gamma_file, capsys):
     _, dot1, _ = run(capsys, ["link", path])
     _, dot2, _ = run(capsys, ["link", path])
     assert dot1 == dot2
+
+
+def test_thirty_thousand_rotated_vertices_certify_within_three_seconds(
+    gamma_file, capsys
+):
+    # at the generator cap; a duplicate or rotation check that scans the
+    # vertices makes parsing quadratic (14 s on a 2-core x86-64 host)
+    n = 30_000
+    text = "".join(f"vertex v{i}\n" for i in range(n))
+    path = gamma_file(text + "".join(f"rot v{i}:\n" for i in range(n)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["certify", path, "--format", "json"])
+    assert time.perf_counter() - start < 3
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "NonPositivelyCurved"
+
+
+# -- one argparse tree per process --------------------------------------------
+
+SUBCOMMANDS = ["certify", "link", "loops", "orient", "pieces", "verify-lemmas"]
+
+
+def test_main_builds_one_parser_tree(gamma_file, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    path = gamma_file(TRIANGLE_333)
+    assert run(capsys, ["certify", path])[0] == 0
+    assert run(capsys, ["loops", path, "--max", "4"])[0] == 0
+    assert len(built) == 1 + len(SUBCOMMANDS)
+
+
+def test_a_flag_value_does_not_leak_into_the_next_call(gamma_file, capsys, monkeypatch):
+    seen = []
+    for command in SUBCOMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(args) or 0)
+    path = gamma_file(TRIANGLE_245)
+    for argv in (
+        ["certify", path, "--scheme", "a2", "--format", "json"],
+        ["certify", path],
+        ["loops", path, "--max", "4", "--format", "json"],
+        ["loops", path],
+        ["verify-lemmas", "--seed", "3", "--processes", "1"],
+        ["verify-lemmas"],
+    ):
+        assert main(argv) == 0
+    plain = [vars(args) for args in seen[1::2]]
+    assert plain == [
+        {"command": "certify", "input": path, "scheme": "auto", "format": "text"},
+        {"command": "loops", "input": path, "max": 6, "format": "text"},
+        {"command": "verify-lemmas", "max_label": 5, "max_vertices": 4,
+         "tietze_max": 50, "seed": None, "processes": None},
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["certify"], ["certify", "g", "--scheme", "c3"], ["loops", "g", "--max", "x"],
+     ["flurb"], ["pieces", "g", "--bogus"]],
+)
+def test_an_argparse_error_leaves_the_next_call_working(gamma_file, capsys, argv):
+    path = gamma_file(TRIANGLE_245)
+    good = run(capsys, ["certify", path, "--format", "json"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr()
+    assert exc.value.code == 2 and err.out == "" and err.err.startswith("usage: ")
+    with pytest.raises(SystemExit):
+        cli._build_parser.__wrapped__().parse_args(argv)
+    assert capsys.readouterr() == err  # as from a freshly built tree
+    assert run(capsys, ["certify", path, "--format", "json"]) == good
+
+
+@pytest.mark.parametrize("command", [None, *SUBCOMMANDS])
+def test_help_is_that_of_a_freshly_built_parser(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    fresh = cli._build_parser.__wrapped__()
+    with pytest.raises(SystemExit) as exc:
+        fresh.parse_args(argv)
+    expected = capsys.readouterr()
+    assert exc.value.code == 0 and expected.out.startswith("usage: artinlink")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr() == expected
+
+
+# -- python -m artinlink ------------------------------------------------------
+
+
+def python_m_artinlink(*argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "artinlink", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+
+
+def test_python_m_artinlink_reports_a_malformed_file_in_one_line(gamma_file):
+    proc = python_m_artinlink("certify", gamma_file("vertex a\nvertex a\n"))
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"parse error: line 2: duplicate vertex 'a'\n"
+
+
+def test_python_m_artinlink_prints_what_main_prints(gamma_file, capsys):
+    from test_smallcancel import CORPUS
+
+    path = gamma_file(CORPUS["tri345"])
+    code, out, err = run(capsys, ["certify", path, "--format", "json"])
+    proc = python_m_artinlink("certify", path, "--format", "json")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+    assert (code, err) == (0, "")
