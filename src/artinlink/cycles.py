@@ -121,40 +121,6 @@ def has_short_loop(link: LinkGraph) -> bool:
     return False
 
 
-def _degree_rank(adj: list[list[tuple[int, int]]]) -> list[int]:
-    """Each vertex's place in (degree, id) order."""
-    n = len(adj)
-    rank = [0] * n
-    for r, v in enumerate(sorted(range(n), key=list(map(len, adj)).__getitem__)):
-        rank[v] = r
-    return rank
-
-
-def _least_on_a_four_cycle(nbrs: list[list[tuple[int, int]]]) -> int | None:
-    """The least id on any 4-cycle of the simple graph ``nbrs``, else None.
-
-    Each 4-cycle is met from its vertex v of largest (degree, id) rank:
-    both paths v-u-w to its opposite vertex w run through ranks below
-    v's, so the scan costs O(edges * arboricity) (Chiba and Nishizeki,
-    1985).  It scans the whole graph, as the least id may lie on a
-    4-cycle met late.
-    """
-    n = len(nbrs)
-    rank = _degree_rank(nbrs)
-    least = n
-    for v, ns in enumerate(nbrs):
-        top = rank[v]
-        first: dict[int, int] = {}  # w -> the first u of a path v-u-w
-        for u, _ in ns:
-            if rank[u] < top:
-                for w, _ in nbrs[u]:
-                    if rank[w] < top:
-                        f = first.setdefault(w, u)
-                        if f != u:  # v-f-w-u is a 4-cycle
-                            least = min(least, v, w, f, u)
-    return None if least == n else least
-
-
 def _lightest_four_cycle(
     adj: list[list[tuple[int, int]]], unset: int
 ) -> tuple[int, int]:
@@ -162,14 +128,18 @@ def _lightest_four_cycle(
     (neighbour id, step) pairs, and the least id on a 4-cycle of that
     key; ``(unset, n)`` if it has none.
 
-    The scan of :func:`_least_on_a_four_cycle`, with keys: each path
-    v-u-w is paired with the lightest one met before it, the first of
-    a tie.  The u come in id order, so the pairs met hold the least id
-    on a lightest 4-cycle through v and w.  Hop searches keep the
-    other scan, as this one's keys cost it about a fifth more.
+    Each 4-cycle is met from its vertex v of largest (degree, id) rank:
+    both paths v-u-w to its opposite vertex w run through ranks below
+    v's, so the scan costs O(edges * arboricity) (Chiba and Nishizeki,
+    1985).  Each path v-u-w is paired with the lightest one met before
+    it, the first of a tie.  The u come in id order, so the pairs met
+    hold the least id on a lightest 4-cycle through v and w.  It scans
+    the whole graph, as that id may lie on a 4-cycle met late.
     """
     n = len(adj)
-    rank = _degree_rank(adj)
+    rank = [0] * n
+    for r, v in enumerate(sorted(range(n), key=list(map(len, adj)).__getitem__)):
+        rank[v] = r
     best, least = unset, n
     for v, ns in enumerate(adj):
         top = rank[v]
@@ -303,8 +273,7 @@ def _shortest_cycle(
     if isinstance(link, LinkGraph) and steps:
         # pass 1 from the bound on every loop of six or more edges
         if weight is None:
-            bound, four = 6, _least_on_a_four_cycle(link.nbrs)
-            four_key, four = (unset, n) if four is None else (4, four)
+            bound = 6
         else:
             levels = link.levels
             middle = [levels[a] + levels[b] == 5 for a, b in link.ends]
@@ -319,7 +288,7 @@ def _shortest_cycle(
                         if _least_cycle_through(hops, s, 7)[0] < 7:
                             bound = 6 * light
                             break
-            four_key, four = _lightest_four_cycle(adj, unset)
+        four_key, four = _lightest_four_cycle(adj, unset)
         if four_key < bound:  # every loop of six or more edges is heavier
             best, start = four_key, four
         else:

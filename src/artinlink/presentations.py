@@ -478,10 +478,8 @@ class Presentation:
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
-        return (
-            f"Presentation({len(self.generators)} generators, "
-            f"{len(self.relators)} relators)"
-        )
+        count = len(self.relators if self.cells is None else self.cells)
+        return f"Presentation({len(self.generators)} generators, {count} relators)"
 
 
 def alternating_word(a: str, b: str, m: int) -> FreeWord:
@@ -573,11 +571,8 @@ def build_two_generator_family(
     if m < 2:
         raise ValueError("label must be at least 2")
     a1, a2, x = "a1", "a2", "x"
-
-    g_rel = CyclicWord(
-        alternating_word(a1, a2, m) * alternating_word(a2, a1, m).inverse()
-    )
-    g = Presentation((a1, a2), (g_rel,))
+    edge = DefiningGraph((a1, a2), [(a1, a2, m, Orientation.FORWARD)])
+    g = build_standard(edge)
 
     k = m // 2
     if m % 2 == 0:
@@ -593,7 +588,6 @@ def build_two_generator_family(
     h_rel = CyclicWord(h_word)
     h = Presentation((x, a1), (h_rel,))
 
-    edge = DefiningGraph((a1, a2), [(a1, a2, m, Orientation.FORWARD)])
     tri = build_triangular(edge)
     (rec,) = tri.hub_records
     names = {d: f"a{i}" for i, d in enumerate(rec.cycle[2:], start=3)}

@@ -3,13 +3,13 @@
 These deliberately avoid the library's own algorithms: girth is found
 by exhaustive DFS cycle enumeration, the loop engine's key and witness
 by the one-pass id-order engine with a Dijkstra of its own, the least
-vertex on a 4-cycle by trying every pair for two common neighbours,
-orientation searches by enumerating every completion,
-forbidden-pattern witnesses by trying every wildcard completion of
-every triangle and 4-cycle, canonical forms and stabilisers of sweep
-states by trying every vertex permutation, links by the named corner
-rule read from each relator's letters, and pieces by indexing every
-subword of every symmetrized relator.
+vertex on a 4-cycle and the lightest 4-cycle by trying every pair for
+two common neighbours, orientation searches by enumerating every
+completion, forbidden-pattern witnesses by trying every wildcard
+completion of every triangle and 4-cycle, canonical forms and
+stabilisers of sweep states by trying every vertex permutation, links
+by the named corner rule read from each relator's letters, and pieces
+by indexing every subword of every symmetrized relator.
 """
 
 from __future__ import annotations
@@ -190,6 +190,24 @@ def least_id_on_a_four_cycle(core) -> int | None:
         if len(common) > 1:
             on_four_cycles |= common | {a, b}
     return min(on_four_cycles, default=None)
+
+
+def lightest_four_cycle(core, steps, unset) -> tuple[int, int]:
+    """The least key of a 4-cycle of a simple graph's integer core
+    (``nbrs``), ``steps[ei]`` per edge, and the least id on a 4-cycle
+    of that key; ``(unset, n)`` if it has none.  Every pair of ids a, b
+    with two common neighbours x, y closes the 4-cycle a-x-b-y, keyed
+    by the sum of its four steps."""
+    step = [{nb: steps[ei] for nb, ei in ns} for ns in core.nbrs]
+    best, least = unset, len(core.nbrs)
+    for a, b in combinations(range(len(step)), 2):
+        for x, y in combinations(sorted(step[a].keys() & step[b].keys()), 2):
+            key = step[a][x] + step[x][b] + step[b][y] + step[y][a]
+            if key < best:
+                best, least = key, min(a, b, x, y)
+            elif key == best:
+                least = min(least, a, b, x, y)
+    return best, least
 
 
 def id_order_shortest_cycle(link, weight=None):

@@ -359,29 +359,77 @@ def sampled_oracle_links():
     return [link_of(graph_from_state(state, 5)) for state in sample]
 
 
+def scan_input(core, weight=None):
+    """The 4-cycle scan's adjacency of ``core``, its steps per edge and
+    its ``unset`` key, as the loop engine builds them: unit steps
+    without ``weight``, else ``w * n + 1``."""
+    n = len(core.nbrs)
+    steps = [1] * len(core.ends) if weight is None else [w * n + 1 for w in weight]
+    adj = [[(nb, steps[ei]) for nb, ei in ns] for ns in core.nbrs]
+    return adj, steps, sum(steps) + 1
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(small_graphs_and_weights())
 def test_least_id_on_a_four_cycle_matches_brute_force(case):
-    """On any simple graph, odd loops allowed: the scan needs no levels."""
+    """On any simple graph, odd loops allowed: the scan needs no levels.
+    On unit steps every 4-cycle is keyed 4."""
     from oracle_tools import least_id_on_a_four_cycle
 
-    from artinlink.cycles import _least_on_a_four_cycle
+    from artinlink.cycles import _lightest_four_cycle
 
     core, _ = case
-    assert _least_on_a_four_cycle(core.nbrs) == least_id_on_a_four_cycle(core)
+    adj, _, unset = scan_input(core)
+    least = least_id_on_a_four_cycle(core)
+    expected = (unset, len(adj)) if least is None else (4, least)
+    assert _lightest_four_cycle(adj, unset) == expected
 
 
 def test_least_id_on_a_four_cycle_on_sampled_oracle_links():
     from oracle_tools import least_id_on_a_four_cycle
 
-    from artinlink.cycles import _least_on_a_four_cycle
+    from artinlink.cycles import _lightest_four_cycle
 
     answers = Counter()
     for link in sampled_oracle_links():
+        adj, _, unset = scan_input(link)
         least = least_id_on_a_four_cycle(link)
-        assert _least_on_a_four_cycle(link.nbrs) == least
+        expected = (unset, len(adj)) if least is None else (4, least)
+        assert _lightest_four_cycle(adj, unset) == expected
         answers[least is None] += 1
     assert answers[True] > 20 and answers[False] > 1_000
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small_graphs_and_weights())
+def test_lightest_four_cycle_matches_brute_force(case):
+    """The keyed scan against every pair with two common neighbours,
+    on unit steps and on weighted ones, odd loops allowed."""
+    from oracle_tools import lightest_four_cycle
+
+    from artinlink.cycles import _lightest_four_cycle
+
+    core, weight = case
+    adj, steps, unset = scan_input(core, weight)
+    assert _lightest_four_cycle(adj, unset) == lightest_four_cycle(core, steps, unset)
+
+
+def test_lightest_four_cycle_on_sampled_oracle_links():
+    """The keyed scan on sampled oracle links, under unit steps and
+    under B2 steps."""
+    from oracle_tools import lightest_four_cycle
+
+    from artinlink.cycles import _lightest_four_cycle
+
+    keys = Counter()
+    for link in sampled_oracle_links():
+        for scheme, weight in (None, None), (B2, metric_link(link, B2).weight):
+            adj, steps, unset = scan_input(link, weight)
+            found = _lightest_four_cycle(adj, unset)
+            assert found == lightest_four_cycle(link, steps, unset)
+            keys[scheme, found[0] == unset] += 1
+    assert all(keys[scheme, False] > 1_000 for scheme in (None, B2))
+    assert all(keys[scheme, True] > 20 for scheme in (None, B2))
 
 
 def test_girth_from_the_proven_bound_matches_the_id_order_oracle():
@@ -501,7 +549,6 @@ def test_a_loop_below_the_proven_bound_is_an_inconsistency(monkeypatch):
 
     k88 = corpus_links()["k88"]
     hub = link_of(late_hub_loops(20))
-    monkeypatch.setattr(cycles, "_least_on_a_four_cycle", lambda nbrs: None)
     monkeypatch.setattr(cycles, "_lightest_four_cycle", lambda adj, top: (top, len(adj)))
     for link, weight in (k88, None), (hub, metric_link(hub, B2).weight):
         with pytest.raises(InternalInconsistencyError, match="below the proven bound"):

@@ -340,6 +340,65 @@ class Runner:
     ]
 
 
+# what the brute-force oracles may take from the library: the names
+# that describe an input or a result, never an algorithm they check
+ORACLE_IMPORTS = {
+    "HEAD",
+    "TAIL",
+    "CyclicWord",
+    "DefiningGraph",
+    "FreeWord",
+    "GammaEdge",
+    "LinkVertex",
+    "Orientation",
+    "OrientationAssignment",
+    "presentations.hub_name",
+}
+
+
+def library_imports(source: str) -> set[str]:
+    """Every name imported from ``artinlink`` in ``source``: ``from
+    artinlink import X`` gives ``X``, ``from artinlink.m import X``
+    gives ``m.X``, and ``import artinlink.m`` gives ``artinlink.m``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {
+                alias.name
+                for alias in node.names
+                if alias.name.split(".")[0] == "artinlink"
+            }
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            package, _, module = node.module.partition(".")
+            if package == "artinlink":
+                prefix = f"{module}." if module else ""
+                found |= {prefix + alias.name for alias in node.names}
+    return found
+
+
+def test_oracles_import_no_library_algorithm():
+    # ROADMAP aim 3: an oracle that called the code it checks would
+    # agree with it by construction
+    source = (Path(__file__).parent / "oracle_tools.py").read_text()
+    assert library_imports(source) - ORACLE_IMPORTS == set()
+
+
+def test_oracle_guard_sees_an_engine_import():
+    source = (Path(__file__).parent / "oracle_tools.py").read_text()
+    planted = """
+def lightest(adj, unset):
+    from artinlink.cycles import _lightest_four_cycle
+    import artinlink.forbidden
+    from artinlink import girth
+    return _lightest_four_cycle(adj, unset)
+"""
+    assert library_imports(source + planted) - ORACLE_IMPORTS == {
+        "cycles._lightest_four_cycle",
+        "artinlink.forbidden",
+        "girth",
+    }
+
+
 def count_chain_calls(monkeypatch) -> dict[str, int]:
     """Count the calls of the three build steps through every binding
     of them in the loaded ``artinlink`` modules."""

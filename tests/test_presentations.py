@@ -585,3 +585,18 @@ def test_presentation_validation():
         Presentation(("a",), (CyclicWord(W("")),))  # empty relator
     with pytest.raises(ValueError):
         Presentation(("a",), (CyclicWord(W("a b")),))  # undeclared generator
+
+
+def test_presentation_repr_counts_cells_without_building_relators():
+    from artinlink import Presentation
+
+    edge = DefiningGraph(("a", "b"), [("a", "b", 300, F)])
+    tri = build_triangular(edge)
+    assert repr(tri) == "Presentation(301 generators, 300 relators)"
+    assert "relators" not in tri.__dict__
+    assert len(tri.relators) == 300
+    assert repr(tri) == "Presentation(301 generators, 300 relators)"
+    std = build_standard(edge)
+    assert repr(std) == "Presentation(2 generators, 1 relators)"
+    plain = Presentation(tri.generators, tri.relators)
+    assert repr(plain) == repr(tri)
