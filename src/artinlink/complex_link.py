@@ -138,9 +138,9 @@ class LinkGraph:
                 )
             nbrs[a].append((b, ei))
             nbrs[b].append((a, ei))
-        edge_ids = {pair: ei for ei, pair in enumerate(ends)}
-        if len(edge_ids) != len(ends):
-            ei = next(ei for ei, pair in enumerate(ends) if edge_ids[pair] != ei)
+        self.ends = tuple(ends)
+        if len(set(ends)) != len(ends):
+            ei = next(ei for ei, pair in enumerate(ends) if self._edge_ids[pair] != ei)
             va, vb = (self.vertices[i] for i in ends[ei])
             raise InternalInconsistencyError(
                 f"parallel link edge between {va} and {vb}"
@@ -148,9 +148,13 @@ class LinkGraph:
         for ns in nbrs:
             ns.sort()
         self.nbrs = nbrs
-        self.ends = tuple(ends)
-        self._edge_ids = edge_ids
         self._hops: list = []  # the hop search's answer: cycles._hop_search
+
+    @functools.cached_property
+    def _edge_ids(self) -> dict[tuple[int, int], int]:
+        """Edge ends -> edge id (the last, were two parallel), built on
+        the first read; angled copies made after it share it."""
+        return dict(zip(self.ends, range(len(self.ends))))
 
     # -- the named view and the id scheme, read through the whole link ----
 
@@ -394,7 +398,7 @@ def build_link(k: TwoComplex) -> LinkGraph:
     gens = k.one_cells
     hubs = k.presentation.hubs
     by_rank = sorted(range(len(gens)), key=gens.__getitem__)
-    head = {}
+    head = [0] * len(gens)
     levels = []
     for r, gi in enumerate(by_rank):
         head[gi] = 2 * r

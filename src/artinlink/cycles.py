@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .complex_link import LinkGraph, LinkVertex
 from .errors import InternalInconsistencyError
@@ -104,20 +105,23 @@ def has_short_loop(link: LinkGraph) -> bool:
     vertices share two neighbours", i.e. girth 4.  Edges join adjacent
     levels (``_set_core`` checks it), so two opposite vertices of every
     4-cycle have even levels: their neighbour pairs alone find it.
+
+    The even vertices are visited by descending degree, ids ascending
+    within a degree, so the generators' tails and the hub heads come
+    before the chain tails.  The scan leaves at the first pair met
+    twice; with none, it reads every even vertex, so the answer does
+    not depend on the order.
     """
     n = len(link.nbrs)
     seen: set[int] = set()
-    for ns, level in zip(link.nbrs, link.levels):
-        if level % 2:
-            continue
-        ids = [nb for nb, _ in ns]
-        for i, x in enumerate(ids):
-            base = x * n
-            for y in ids[i + 1 :]:
-                key = base + y
-                if key in seen:
-                    return True
-                seen.add(key)
+    even = [ns for ns, level in zip(link.nbrs, link.levels) if not level % 2]
+    even.sort(key=len, reverse=True)  # stable: ids ascend within a degree
+    for ns in even:
+        for (x, _), (y, _) in combinations(ns, 2):
+            key = x * n + y
+            if key in seen:
+                return True
+            seen.add(key)
     return False
 
 

@@ -18,6 +18,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from .words import CyclicWord, FreeWord, Letter
@@ -205,7 +206,7 @@ class DefiningGraph:
             check_vertex_name(v)
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex names")
-        norm = sorted((_make_edge(e) for e in edges), key=lambda e: e.key)
+        norm = sorted(map(_make_edge, edges), key=attrgetter("key"))
         self.edges = tuple(norm)
         self._by_key: dict[tuple[str, str], GammaEdge] = {}
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}

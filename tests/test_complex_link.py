@@ -280,7 +280,10 @@ def test_parallel_corners_from_cells_are_rejected():
     )
     cells = [(0, 2, 3), (0, 3, 2), (1, 2, 3), (1, 3, 2)]
     pres = Presentation.from_cells(("x", "y", "a", "b"), cells, records)
-    with pytest.raises(InternalInconsistencyError, match="parallel"):
+    # the first edge met again names the pair: the middle corner of cell 0
+    with pytest.raises(
+        InternalInconsistencyError, match="^parallel link edge between a and b_bar$"
+    ):
         build_link(build_complex(pres))
 
 
@@ -425,6 +428,64 @@ def test_name_lookups_build_no_named_view():
         assert graph.degree(b) >= 1 and not graph.has_edge(a, a._replace(level=0))
         assert graph.neighborhood(a, 2).ends
     assert not any("vertices" in graph.__dict__ for graph in graphs)
+
+
+def test_building_and_cutting_a_link_build_no_edge_id_map():
+    graphs = link_and_parts()
+    assert not any("_edge_ids" in graph.__dict__ for graph in graphs)
+
+
+def test_the_first_step_lookup_builds_the_edge_id_map():
+    """On the corpus links, sampled oracle links and their middle
+    subgraphs, built afresh: no map until the first ``_steps``, then the
+    map of every edge's ends to its id."""
+    from test_cycles import corpus_links, sampled_oracle_links
+
+    wholes = [
+        build_link(link.complex)
+        for link in [*corpus_links().values(), *sampled_oracle_links()]
+    ]
+    for graph in [*wholes, *(link.middle_subgraph() for link in wholes)]:
+        assert "_edge_ids" not in graph.__dict__
+        if graph.ends:
+            last = len(graph.ends) - 1
+            assert graph._steps(graph.ends[last]) == [last, last]
+            eager = {pair: ei for ei, pair in enumerate(graph.ends)}
+            assert graph.__dict__["_edge_ids"] == eager
+
+
+def test_an_angled_copy_made_after_girth_shares_the_edge_id_map():
+    from artinlink import girth
+
+    link = classic_link(3, 4, 5)
+    girth(link)  # the witness loop reads its steps
+    edge_ids = link.__dict__["_edge_ids"]
+    angled = link.with_angles([1] * len(link.ends), 3)
+    assert angled.__dict__["_edge_ids"] is edge_ids
+    assert angled._steps(link.ends[0]) == [0, 0]
+
+
+def test_an_oracle_case_without_girth_builds_no_edge_id_map(monkeypatch):
+    from artinlink import batteries
+
+    built = []
+
+    def recording_link_of(gamma):
+        built.append(link_of(gamma))
+        return built[-1]
+
+    monkeypatch.setattr(batteries, "link_of", recording_link_of)
+    rng = random.Random(3301)
+    shorts = Counter()
+    for _ in range(200):
+        state = tuple(rng.choice((0, 0, 0, 1, 2, 3, 4, 5)) for _ in range(10))
+        ok, short, _ = batteries.oracle_case(state, 5, False)
+        assert ok
+        shorts[short] += 1
+    assert shorts[True] > 20 and shorts[False] > 20
+    assert not any("_edge_ids" in link.__dict__ for link in built)
+    batteries.oracle_case((1,) * 10, 5, True)  # the girth cross-check reads it
+    assert "_edge_ids" in built[-1].__dict__
 
 
 def test_radius_two_neighborhood_of_y_is_tree():

@@ -135,7 +135,12 @@ def test_girth_matches_brute_force_enumeration():
 def test_one_sided_short_loop_scan_matches_brute_force():
     """On every 4-vertex sweep link, the assorted links, and the middle
     subgraphs and radius-2 neighbourhoods of sampled 5-vertex links:
-    parts that keep their levels."""
+    parts that keep their levels.  The scan visits the even vertices by
+    descending degree and leaves at its first repeated pair, so both
+    exits are covered: cores whose even vertices of largest degree lie
+    on no 4-cycle (the late-loop graphs, their middle subgraphs and
+    neighbourhoods, and a square behind six hubs), and sampled 5-vertex
+    links without a 4-cycle, which the scan reads to the end."""
     from artinlink.batteries import (
         enumerate_oriented_states,
         graph_from_state,
@@ -152,6 +157,27 @@ def test_one_sided_short_loop_scan_matches_brute_force():
         link = link_of(graph_from_state(state, 5))
         links.append(link.middle_subgraph())
         links += (link.neighborhood(v, 2) for v in rng.sample(link.vertices, 3))
+    for graph in (late_hub_loops, late_least_loops):
+        for label in (3, 4, 10, 40):
+            link = link_of(graph(label))
+            links += (link, link.middle_subgraph())
+            links += (link.neighborhood(v, 2) for v in link.vertices)
+    # six hubs of degree 10 on no 4-cycle, then an alternating square:
+    # its 4-cycle is met at the tenth even vertex, after every hub
+    edges = [(f"a{i}", f"b{i}", 10) for i in range(6)]
+    edges += [("z0", "z1", 3), ("z2", "z1", 3), ("z2", "z3", 3), ("z0", "z3", 3)]
+    names = sorted({v for e in edges for v in e[:2]})
+    forward = [(u, v, m, Orientation.FORWARD) for u, v, m in edges]
+    late_square = link_of(DefiningGraph(names, forward))
+    links += (late_square, late_square.middle_subgraph())
+    rng = random.Random(3301)
+    no_four_cycle = 0
+    while no_four_cycle < 50:  # sparse states: about one link in five
+        state = tuple(rng.choice((0, 0, 0, 1, 2, 3, 4, 5)) for _ in range(10))
+        link = link_of(graph_from_state(state, 5))
+        girth_value = brute_force_girth(link)
+        no_four_cycle += girth_value != 4
+        assert has_short_loop(link) == (girth_value == 4)
     answers = Counter(has_short_loop(link) for link in links)
     assert answers[True] > 100 and answers[False] > 100
     for link in links:
