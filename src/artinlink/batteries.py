@@ -4,32 +4,17 @@ Each battery is a list of cases and a module-level predicate, run by
 one runner, :func:`_sweep`: timed, in chunks, over a process pool or in
 turn, with failing cases reported in case order for any pool size.
 
-* two-generator equivalences: replay the presentation rewriting
-  symbolically for every label in a range;
-* triangle girth: for every labelled oriented triangle the link girth
-  is 6 and the middle-edge subgraph splits into (m+n+p-9) isolated
-  edges plus three 3-chains;
-* pattern oracle: over all oriented labelled graphs on up to five
-  vertices (orbit-reduced: one representative per isomorphism class),
-  the forbidden-pattern detector fires exactly when the link has an
-  embedded 4-loop.  Links are bipartite and simple, so "an embedded
-  4-loop exists" is the same statement as "girth < 6"; the girth
-  routine itself is re-run on every 97th case as a cross-check.  A
-  second sweep turns one edge per graph (the canonically first) into a
-  label-2 wildcard;
+* two-generator equivalences: the rewriting replayed for each label;
+* triangle girth: every labelled oriented triangle's link has girth 6
+  and its middle subgraph splits into (m+n+p-9) isolated edges plus
+  three 3-chains;
+* pattern oracle: on every oriented labelled graph on up to five
+  vertices, one per isomorphism class (the least image of its orbit,
+  from :func:`_canonicaliser`), and on its wildcard variant, the
+  detector fires exactly when the link has an embedded 4-loop, that
+  is girth < 6, links being bipartite and simple; the girth routine
+  re-runs on every 97th case;
 * triangle-free B2, and seeded random spot checks of the pattern oracle.
-
-Enumeration keeps the least member of each orbit, and one engine,
-:func:`_canonicaliser`, finds it.  An image opens with the row of new
-vertex 0 (its codes to the others, seen from it), so only permutations
-that send a vertex with the least sorted row to 0 and sort that row
-can give the least image.  An undirected labelled state is kept if
-none of them maps it lower, and those that fix it are its
-automorphisms.  Its orientations are walked in lexicographic order:
-the first one not yet seen is the least of its orbit, and its images
-under the automorphisms are marked seen.  Wildcard variants are
-deduplicated by their least image with direction flips, and each
-distinct raw variant is canonicalised once.
 """
 
 from __future__ import annotations

@@ -1,10 +1,4 @@
-"""Command-line front end.
-
-Subcommands: ``certify`` (curvature verdict for a defining-graph
-file), ``link`` (DOT or JSON export of the link), ``loops`` (short
-embedded loops), ``orient`` (search for a pattern-free orientation),
-``pieces`` (small-cancellation piece table) and ``verify-lemmas``
-(the exhaustive verification batteries).
+"""Command-line front end; ``artinlink --help`` lists the subcommands.
 
 Exit status 0 means the command ran (an Inconclusive verdict is not a
 failure); nonzero means a parse error, an internal inconsistency, or a

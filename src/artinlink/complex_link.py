@@ -13,10 +13,6 @@ which for a boundary h^-1 u v yields exactly
 Vertices fall into four levels: hub tails at level 1, non-hub tails at
 level 2, non-hub heads at level 3 and hub heads at level 4.  Every edge
 joins adjacent levels, so links are bipartite.
-
-Both objects are integer-first: README pipeline step 3 describes the
-cells, the link's integer core and id scheme, its parts and the named
-view that is built on first read.
 """
 
 from __future__ import annotations
@@ -100,26 +96,14 @@ _KINDS = (BOTTOM, MIDDLE, TOP)  # by the lower level of the edge's ends
 
 class LinkGraph:
     """The link of the unique 0-cell, or a part of it, as an undirected
-    simple graph.
+    simple graph on a dense integer core.
 
-    The graph is a dense integer core: vertex ids ``0..n-1``,
-    ``levels[id]``, ``ends[ei]`` holding the ids of edge ``ei`` (lower
-    first) and ``nbrs[id]`` listing sorted (neighbour id, edge index)
-    pairs; an angled link adds ``weight[ei]``, the angle of edge ``ei``
-    in units of pi / ``angle_unit``.  The named view (``vertices`` and
-    ``edges``) is built only when read.  A vertex's id is its position
-    in the sorted ``vertices`` tuple, so comparing ids compares
-    vertices; every lookup by name goes through :meth:`_find`.
-
-    :func:`build_link` makes the whole link from a complex's cells,
-    kept as ``complex``; its core is checked on integers: every edge
-    joins adjacent levels, and no two edges join the same pair.
-    ``subgraph``, ``induced`` and ``neighborhood`` cut a part from it:
-    the vertices and edges it takes, renumbered in order, with their
-    levels and weights.  A part names them through the whole link,
-    ``_vids[id]`` and ``_eids[ei]`` being their ids there, and has no
-    ``complex``.  One breadth-first search, ``_ball``, serves
-    ``neighborhood`` and ``components``.
+    The core is ``levels[id]``, ``ends[ei]`` (lower id first) and
+    ``nbrs[id]``, sorted (neighbour id, edge id) pairs; an angled link
+    adds ``weight[ei]``, in units of pi / ``angle_unit``.  An id is a
+    position in the sorted ``vertices``, so comparing ids compares
+    vertices.  A part names its vertices and edges through the whole
+    link, ``_vids[id]`` and ``_eids[ei]`` being their ids there.
     """
 
     complex: TwoComplex | None = None  # set for the whole link

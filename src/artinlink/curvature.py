@@ -185,9 +185,8 @@ def certify(gamma: DefiningGraph, scheme: str = "auto") -> CurvatureReport:
     ``scheme='auto'``: if every label is at least 3 and the orientation
     avoids both forbidden patterns, the A2 metric applies; otherwise, if
     the graph is triangle-free, the B2 metric applies; otherwise the
-    verdict is Inconclusive.  The link condition is always recomputed
-    rather than assumed, and an Inconclusive verdict never claims the
-    group is not biautomatic.
+    verdict is Inconclusive, which never claims the group is not
+    biautomatic.
     """
     notes: list[str] = []
     g = gamma

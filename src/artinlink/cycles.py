@@ -1,19 +1,9 @@
 """Embedded loops in links: girth, minimum-angle cycles, enumeration.
 
-Every search runs on the link's dense integer core (``LinkGraph.nbrs``
-and ``LinkGraph.ends``).  Ids follow the sorted vertex order, so every
-tie-break on ids is the tie-break on the vertices and each witness is
-the canonically least loop, and angles are the link's integer weights
-over one unit of pi, so no comparison is in floating point.  An
-:class:`EmbeddedLoop` (validated, with its exact angle sum) is built
-only for a loop returned.  One shortest-cycle engine,
-:func:`_shortest_cycle`, finds the girth and the minimum-angle loop,
-as README pipeline step 4 describes; the hop search runs at most once
-per link, whose core holds its answer for the girth and for every
-uniform-angle copy.  On a link, loops are even and cross the middle
-an even number of times, so a bound on the loops of six or more edges
-holds; a lighter 4-cycle, else the first search in id order to meet
-the bound, gives the start.
+Every search runs on the link's integer core, and angles are its
+integer weights, so no comparison is in floating point.  Ids follow
+the sorted vertex order, so a tie-break on ids is the tie-break on the
+vertices.  An :class:`EmbeddedLoop` is built only for a loop returned.
 """
 
 from __future__ import annotations
@@ -80,10 +70,10 @@ def _canonical(cycle) -> tuple:
     return tuple(min(forward, forward[:1] + forward[:0:-1]))
 
 
-def _loop_of_ids(link: LinkGraph, ids) -> EmbeddedLoop:
-    # ids order as vertices do, so the canonical ids name the canonical loop
-    canon = _canonical(ids)
-    return _loop(link, canon, link._named(canon))
+def _loop_of_ids(link: LinkGraph, ids: tuple[int, ...]) -> EmbeddedLoop:
+    # ids order as vertices do, so the canonical ids that the engine's
+    # DFS and the enumeration return name the canonical loop
+    return _loop(link, ids, link._named(ids))
 
 
 def _loop(link: LinkGraph, ids: tuple[int, ...], vertices) -> EmbeddedLoop:
@@ -173,18 +163,14 @@ def _least_cycle_through(
     the ids > s of ``steps`` (else ``best``), the key of each vertex
     reached, and the ends of the edges that closed a cycle of that key.
 
-    A Dijkstra over the ids > s, with one heap entry per distinct key
-    and one list of vertices per key, so unit steps run as BFS levels.
-    Each vertex is labelled with its first hop, and an edge between two
-    labels closes a simple cycle through ``s``.  An edge is checked
-    before it is relaxed, so a neighbour of ``s`` first reached round
-    another branch closes the cycle back over its edge to ``s``.  Keys
-    from half of ``best - slack`` on are not expanded, as every lighter
-    cycle closes nearer, so the keys are exact up to there.  ``slack``
-    is 1, as in a BFS, until a key is lowered by one, and then 0: a
-    vertex lowered to half of ``best - 1`` may close a least loop over
-    the edge it was first reached by, checked only as it is expanded.
-    On a link, which is bipartite, no key is ever lowered by one.
+    A Dijkstra with one heap entry per distinct key, so unit steps run
+    as BFS levels.  Each vertex is labelled with its first hop, and an
+    edge between two labels, checked before it is relaxed, closes a
+    simple cycle through ``s``.  Keys from half of ``best - slack`` on
+    are not expanded, as every lighter cycle closes nearer, so the keys
+    are exact up to there.  ``slack`` drops from 1 to 0 once a key is
+    lowered by one (never on a bipartite link): that vertex may close a
+    least loop over the edge it was first reached by.
     """
     dist = {s: 0}
     branch = {}
@@ -238,13 +224,10 @@ def _shortest_cycle(
     """Least cycle key and the canonically least loop of that key, as
     an id tuple; ``(None, None)`` for forests.
 
-    Without ``weight`` the key is the length.  With a positive integer
+    Without ``weight`` the key is the length; with a positive integer
     weight per edge it is ``weight * n + length`` for ``n`` vertices,
-    which orders as the pair.  Every search and the witness DFS read
-    one adjacency of (neighbour id, step) pairs, a step being 1 or
-    ``weight * n + 1``.  A search from ``s``
-    over the vertices labelled above ``s`` sees every least loop whose
-    least label is ``s``.
+    which orders as the pair.  A search from ``s`` over the ids above
+    ``s`` sees every least loop whose least id is ``s``.
 
     Pass 1 finds the key and the start, the least id on a least loop.
     On a link it starts from a bound B on the loops of six or more
@@ -253,21 +236,19 @@ def _shortest_cycle(
     links are bipartite, so loops are even.  So B is 6 on hops, and
     with weights the least of two middle steps plus four least steps,
     and of eight light steps, or six if the light edges hold a loop of
-    at most six edges.  (a) A 4-cycle lighter than B gives the key,
-    and the start is the least id on a 4-cycle of that key.  (b)
-    Otherwise the first id whose search meets B is the start; a search
-    below B is an inconsistency.  (c) Otherwise, or on a graph that is
-    not a link, pass 1 searches from each vertex in (-degree, id)
-    order, hubs first, for a loop up to the key so far.  Below half a
-    least key shortest paths are unique, so a search that reaches the
-    key so far traces its least loops back from their closing edges,
-    and the least id collected by the searches that reach the final
-    key is the start.
+    at most six edges.  (a) A 4-cycle lighter than B gives the key and
+    the start.  (b) Otherwise the first id whose search meets B is the
+    start; a search below B is an inconsistency.  (c) Otherwise, or off
+    a link, pass 1 searches from each vertex in (-degree, id) order.
+    Below half a least key shortest paths are unique, so a search that
+    reaches the key so far traces its least loops back from their
+    closing edges, and the least id collected by the searches that
+    reach the final key is the start.
 
-    Pass 2 is one search from the start, in ids.  A DFS from the start
-    over larger ids, in increasing order, meets the canonical loop
-    first; each vertex of that loop lies within half the key of the
-    start, so the search's keys prune the DFS.
+    Pass 2 is one search from the start.  A DFS over larger ids, in
+    increasing order, meets the canonical loop first; each vertex of
+    that loop lies within half the key of the start, so the search's
+    keys prune the DFS.
     """
     n = len(link.nbrs)
     steps = [1] * len(link.ends) if weight is None else [w * n + 1 for w in weight]
@@ -377,14 +358,9 @@ def min_angle_cycle(link: LinkGraph) -> tuple[Fraction | None, EmbeddedLoop | No
 
     Angles must be assigned on every edge.  Ties prefer the shorter
     loop, then the canonically least one.  Returns ``(None, None)``
-    for forests.
-
-    With one angle on every edge the lightest loops are the shortest,
-    and the tie-breaks agree, so the answer is the girth loop, read
-    from the hop search that ``girth`` shares: on a link and its angled
-    copies it runs once.  Otherwise the shortest-cycle engine runs on
-    the link's integer weights, keyed by (weight, length).  A loop is
-    built just for the winner.
+    for forests.  With one angle on every edge the lightest loops are
+    the shortest, and the tie-breaks agree, so the hop search that
+    ``girth`` shares gives the answer.
     """
     if not link.angles_assigned:
         raise UnassignedAnglesError("link has edges without angles")

@@ -4,12 +4,11 @@ A defining graph has one vertex per standard generator and one edge per
 braid relation; the edge label m >= 2 encodes the relation
 (a,b)_m = (b,a)_m, where (a,b)_m alternates a,b for m letters.
 
-``build_standard`` emits those alternating relators directly.
-``build_triangular`` instead rewrites each edge relation into a chain
-of m length-3 relators h = a1 a2, h = a2 a3, ..., h = a_m a1 around a
-fresh hub generator h, with a1 = tail and a2 = head of the (oriented)
-edge.  The two presentations define the same group, and
-``verify_tietze_equivalence`` replays the rewriting symbolically.
+``build_standard`` emits those alternating relators directly;
+``build_triangular`` rewrites each edge relation into a chain of
+length-3 relators around a fresh hub generator.  The two presentations
+define the same group, and ``verify_tietze_equivalence`` replays the
+rewriting symbolically.
 """
 
 from __future__ import annotations
@@ -189,11 +188,16 @@ def _make_edge(item) -> GammaEdge:
     return GammaEdge(u, v, label, orientation)
 
 
+@dataclass(init=False, repr=False)
 class DefiningGraph:
     """A simple labelled graph, optionally oriented, defining an Artin group.
 
     Treat instances as immutable; mutating helpers return new graphs.
     """
+
+    vertices: tuple[str, ...]
+    edges: tuple[GammaEdge, ...]
+    rotations: dict[str, tuple[str, ...]] | None
 
     def __init__(
         self,
@@ -287,24 +291,19 @@ class DefiningGraph:
     def reversed(self) -> "DefiningGraph":
         return self.with_edges(e.reversed() for e in self.edges)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DefiningGraph)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-            and self.rotations == other.rotations
-        )
-
     def __repr__(self) -> str:
         return f"DefiningGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
+@dataclass(init=False, repr=False)
 class OrientationAssignment:
     """A chosen direction for some set of edges.
 
     Directions are keyed by the normalized edge pair (u, v) with u < v
     and take the values ``"forward"`` (u -> v) or ``"backward"``.
     """
+
+    directions: dict[tuple[str, str], str]
 
     def __init__(self, directions: Mapping[tuple[str, str], str] = ()):
         items = dict(directions)
@@ -317,12 +316,6 @@ class OrientationAssignment:
 
     def __len__(self) -> int:
         return len(self.directions)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OrientationAssignment)
-            and self.directions == other.directions
-        )
 
     def arrows(self) -> dict[tuple[str, str], str]:
         """Each edge's direction written ``tail->head``, keyed by (u, v)."""
@@ -385,8 +378,8 @@ class Presentation:
     its 2-cells as integer triples in ``cells`` and its ``hub_records``,
     which say which generators are hubs (the set ``hubs``) and which
     are chain fillers, and it builds ``relators`` from the cells on
-    first read.  Any other
-    presentation has ``cells`` ``None`` and no hub records.
+    first read.  Any other presentation has ``cells`` ``None`` and no
+    hub records.
     """
 
     cells: tuple[tuple[int, int, int], ...] | None = None
@@ -524,11 +517,8 @@ def build_triangular(gamma: DefiningGraph) -> Presentation:
 
     For an edge tail -> head labelled m this introduces a hub h and
     fresh generators d3..dm and emits the m relators
-    h^-1 (tail)(head), h^-1 (head)d3, h^-1 d3 d4, ..., h^-1 dm (tail).
-    The presentation keeps each relator as a 2-cell, the integer
-    triple (h, u, v) of generator positions, and each edge's chain,
-    read from its ``GammaEdge.hub_chain``, in ``hub_records`` (see
-    :meth:`Presentation.from_cells`).  Raises
+    h^-1 (tail)(head), h^-1 (head)d3, h^-1 d3 d4, ..., h^-1 dm (tail),
+    each as a 2-cell, with the chain of ``GammaEdge.hub_chain``.  Raises
     :class:`UnorientedEdgeError` for non-wildcard edges without a
     direction, and :class:`TooManyGeneratorsError`, before building
     anything, when the generators would number over ``MAX_GENERATORS``.

@@ -12,6 +12,7 @@ for inverses, e.g. ``x^-1 a b``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -42,6 +43,14 @@ def _as_letters(letters: Iterable) -> tuple[Letter, ...]:
     return tuple(out)
 
 
+def _new(cls, letters: tuple[Letter, ...]):
+    """A ``cls`` word of ``letters`` as given, without their checks."""
+    w = object.__new__(cls)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class FreeWord:
     """A word in a free group, not necessarily reduced.
 
@@ -49,13 +58,11 @@ class FreeWord:
     for the unique freely reduced form.
     """
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters",)  # not ``slots=True``: that rebuilds the class
+    letters: tuple[Letter, ...]
 
     def __init__(self, letters: Iterable = ()):
         object.__setattr__(self, "letters", _as_letters(letters))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeWord is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "FreeWord":
@@ -76,36 +83,19 @@ class FreeWord:
     def __getitem__(self, i):
         return self.letters[i]
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FreeWord) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
-
     def __lt__(self, other: "FreeWord") -> bool:
         return self.letters < other.letters
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        w = FreeWord.__new__(FreeWord)
-        object.__setattr__(w, "letters", self.letters + other.letters)
-        return w
+        return _new(FreeWord, self.letters + other.letters)
 
     def __pow__(self, n: int) -> "FreeWord":
         if n < 0:
             return self.inverse() ** (-n)
-        w = FreeWord.__new__(FreeWord)
-        object.__setattr__(w, "letters", self.letters * n)
-        return w
+        return _new(FreeWord, self.letters * n)
 
     def inverse(self) -> "FreeWord":
-        w = FreeWord.__new__(FreeWord)
-        object.__setattr__(
-            w, "letters", tuple(lt.inverse() for lt in reversed(self.letters))
-        )
-        return w
+        return _new(FreeWord, tuple(lt.inverse() for lt in reversed(self.letters)))
 
     __invert__ = inverse
 
@@ -117,9 +107,7 @@ class FreeWord:
                 stack.pop()
             else:
                 stack.append(lt)
-        w = FreeWord.__new__(FreeWord)
-        object.__setattr__(w, "letters", tuple(stack))
-        return w
+        return _new(FreeWord, tuple(stack))
 
     def substitute(self, gen: str, replacement: "FreeWord") -> "FreeWord":
         """Replace every occurrence of ``gen``^±1 by ``replacement``^±1.
@@ -165,6 +153,7 @@ def _least_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return min(doubled[i : i + n] for i in range(n))
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class CyclicWord:
     """A word read around a circle, e.g. the boundary of a 2-cell.
 
@@ -174,6 +163,7 @@ class CyclicWord:
     """
 
     __slots__ = ("letters",)
+    letters: tuple[Letter, ...]
 
     def __init__(self, word):
         if isinstance(word, CyclicWord):
@@ -184,27 +174,13 @@ class CyclicWord:
             core = FreeWord(word).cyclic_core()
         object.__setattr__(self, "letters", _least_rotation(core.letters))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicWord is immutable")
-
     @classmethod
     def _from_cyclically_reduced(cls, letters: tuple[Letter, ...]) -> "CyclicWord":
         # Callers guarantee the letters are already cyclically reduced.
-        cw = cls.__new__(cls)
-        object.__setattr__(cw, "letters", _least_rotation(letters))
-        return cw
+        return _new(cls, _least_rotation(letters))
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclicWord) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((CyclicWord, self.letters))
 
     def __lt__(self, other: "CyclicWord") -> bool:
         return self.letters < other.letters

@@ -947,10 +947,17 @@ def test_enumerate_guard():
 
 
 def test_enumerate_matches_dfs_oracle_lengths():
-    for link in assorted_links():
-        oracle = [n for n in dfs_all_cycle_lengths(link) if n <= 6]
-        ours = [lp.length for lp in enumerate_short_loops(link, 6)]
-        assert sorted(ours) == sorted(oracle)
+    from artinlink.cycles import _canonical
+
+    # 100 sampled links: about 16 ms each, with the oracle
+    for link in [*assorted_links(), *sampled_oracle_links()[:100]]:
+        oracle = dfs_all_cycle_lengths(link, 6)
+        loops = enumerate_short_loops(link, 6)
+        assert sorted(lp.length for lp in loops) == sorted(oracle)
+        # loops are built from the enumeration's ids as they come
+        for lp in loops:
+            ids = tuple(map(link._resolve, lp.vertices))
+            assert ids == _canonical(ids)
 
 
 def test_enumerate_reports_each_loop_once():

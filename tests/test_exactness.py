@@ -461,3 +461,51 @@ def test_each_certificate_builds_its_link_once(monkeypatch):
         counts.update(dict.fromkeys(counts, 0))
         run()
         assert counts == dict.fromkeys(counts, 1)
+
+
+VALUE_METHODS = ("__eq__", "__hash__", "__setattr__", "__bool__")
+
+
+def hand_written_value_methods(source: str) -> list[str]:
+    """``Class.name`` of every equality, hashing, assignment or truth
+    method that a class body defines, by ``def`` or by assignment."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign):
+                    names = [getattr(t, "id", None) for t in item.targets]
+                else:
+                    continue
+                found += [f"{node.name}.{n}" for n in names if n in VALUE_METHODS]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_value_semantics_come_from_dataclasses(module):
+    # equality, hashing and immutability come from ``dataclasses`` or
+    # ``NamedTuple``, and truth from ``__len__``: one mechanism each
+    assert hand_written_value_methods((SRC / module).read_text()) == []
+
+
+def test_value_guard_sees_a_planted_method():
+    source = """
+class A:
+    def __eq__(self, other):
+        return True
+    class Inner:
+        __hash__ = None
+def f():
+    class B:
+        __bool__ = __len__ = len
+        def __setattr__(self, name, value):
+            pass
+"""
+    assert hand_written_value_methods(source) == [
+        "A.__eq__",
+        "Inner.__hash__",
+        "B.__bool__",
+        "B.__setattr__",
+    ]

@@ -55,6 +55,24 @@ def test_graph_rejects_loops_multiedges_bad_labels():
         DefiningGraph(("a", "b"), [("a", "b", 3, Orientation.WILDCARD)])
 
 
+def test_graph_and_assignment_equality_read_their_fields_and_neither_hashes():
+    edges = [("a", "b", 3, F), ("b", "c", 2, Orientation.WILDCARD)]
+    g = DefiningGraph("abc", edges)
+    assert g == DefiningGraph("abc", edges[::-1])  # edges are kept sorted
+    assert g != DefiningGraph("acb", edges) and g != g.reversed()
+    rotated = DefiningGraph("abc", edges, {"b": ("c", "a")})
+    assert rotated != g and rotated == DefiningGraph("abc", edges, {"b": ["c", "a"]})
+    assert rotated != DefiningGraph("abc", edges, {"b": ("a", "c")})
+    assert g != "abc" and g != None  # noqa: E711
+    directions = {("a", "b"): "forward"}
+    a = OrientationAssignment(directions)
+    assert a == OrientationAssignment(dict(directions)) and a != OrientationAssignment()
+    assert a != OrientationAssignment({("a", "b"): "backward"}) and a != directions
+    for value in (g, rotated, a):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 @pytest.mark.parametrize(
     "name",
     ["x_{a,b}", "d_{a,b,3}", "a,b", "", 7, "a_bar", "a^-1", "a b", "a\tb",

@@ -121,3 +121,35 @@ def test_letter_validation():
         FreeWord([("a", 2)])
     with pytest.raises(ValueError):
         FreeWord([("", 1)])
+
+
+def _text(letters):
+    return " ".join(g if e == 1 else f"{g}^-1" for g, e in letters)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(words, words, st.integers(min_value=-2, max_value=2))
+def test_words_are_values_of_their_letters(u, v, n):
+    core = (u * v).cyclic_core()
+    free = [u, v, core, u * v, u**n, u.inverse(), ~v, (u * u.inverse()).reduce()]
+    cyclic = [
+        CyclicWord(u),
+        CyclicWord(core),
+        CyclicWord._from_cyclically_reduced(core.letters),
+        CyclicWord(v).inverse(),
+    ]
+    for kind, built in ((FreeWord, free), (CyclicWord, cyclic)):
+        for x in built:
+            for y in built:
+                assert (x == y) == (x.letters == y.letters)
+                assert x != y or hash(x) == hash(y)
+            if kind is FreeWord:  # the fast paths against the constructor
+                assert x == FreeWord(x.letters) and hash(x) == hash(FreeWord(x.letters))
+            else:
+                assert x != FreeWord(x.letters) and FreeWord(x.letters) != x
+            with pytest.raises(AttributeError):
+                x.letters = ()
+            assert bool(x) == bool(x.letters)
+            assert str(x) == _text(x.letters)
+            assert repr(x) == f"{kind.__name__}({_text(x.letters)!r})"
+        assert [x.letters for x in sorted(built)] == sorted(x.letters for x in built)
