@@ -34,7 +34,7 @@ MAX_TRIANGLE_LABEL = 31
 MAX_TIETZE_LABEL = 600
 
 
-@functools.cache  # one tree per process, built at the first main call
+@functools.cache  # one tree per process, built at import (below)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="artinlink",
@@ -112,6 +112,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parallel workers for the sweep, 1 to the CPU count",
     )
     return parser
+
+
+# Built here, not at the first main call, so that no in-process call
+# pays for the tree and argparse's first gettext reads.
+_build_parser()
 
 
 def _emit_json(obj) -> None:

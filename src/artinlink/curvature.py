@@ -1,20 +1,8 @@
-"""Piecewise-Euclidean metrics on the complex and the 2-pi link test.
-
-Two metric schemes are supported.  A2 gives every 1-cell length 1 and
-makes every 2-cell equilateral, so every link edge gets angle pi/3 and
-the link condition (every embedded loop measures at least 2*pi) holds
-exactly when the link girth is at least 6.  B2 gives hub 1-cells length
-sqrt(2) and the others length 1, making each 2-cell a right isosceles
-triangle: the middle corner (opposite the hub side) gets pi/2 and the
-top and bottom corners get pi/4.
-
-Angles are integer weights over one integer unit of pi, and a
-``Fraction`` only in the reported minimum; the 2*pi comparison is
-exact, never floating point.  The certificate never assumes a theorem:
-the link condition is recomputed for the verdict, so the pipeline
-doubles as a mechanical check of the statements it cites.  (At points
-other than the unique 0-cell the link condition is automatic for
-Euclidean triangles and is not checked.)
+"""Piecewise-Euclidean metrics on the complex and the 2-pi link test
+(README pipeline step 6).  Angles are integer weights over one unit of
+pi, so the comparison is exact, and the link condition is recomputed
+for the verdict, never assumed.  At points other than the 0-cell it is
+automatic for Euclidean triangles and is not checked.
 """
 
 from __future__ import annotations

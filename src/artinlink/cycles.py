@@ -12,6 +12,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from .complex_link import LinkGraph, LinkVertex
 from .errors import InternalInconsistencyError
@@ -60,7 +61,12 @@ def make_loop(link: LinkGraph, vertices: list[LinkVertex]) -> EmbeddedLoop:
     if len(vertices) < 3:
         raise ValueError("a loop needs at least 3 vertices")
     canon = _canonical(vertices)
-    return _loop(link, tuple(map(link._resolve, canon)), canon)  # -1: no vertex
+    eids = link._steps(tuple(map(link._resolve, canon)))  # -1: no vertex
+    if None in eids:
+        i = eids.index(None)
+        v, w = canon[i], canon[(i + 1) % len(canon)]
+        raise ValueError(f"loop step {v} - {w} is not a link edge")
+    return _loop(link, canon, eids)
 
 
 def _canonical(cycle) -> tuple:
@@ -70,22 +76,14 @@ def _canonical(cycle) -> tuple:
     return tuple(min(forward, forward[:1] + forward[:0:-1]))
 
 
-def _loop_of_ids(link: LinkGraph, ids: tuple[int, ...]) -> EmbeddedLoop:
-    # ids order as vertices do, so the canonical ids that the engine's
-    # DFS and the enumeration return name the canonical loop
-    return _loop(link, ids, link._named(ids))
-
-
-def _loop(link: LinkGraph, ids: tuple[int, ...], vertices) -> EmbeddedLoop:
-    """The loop through the canonical cycle ``ids``, named ``vertices``."""
-    idxs = link._steps(ids)
-    if None in idxs:
-        i = idxs.index(None)
-        v, w = vertices[i], vertices[(i + 1) % len(ids)]
-        raise ValueError(f"loop step {v} - {w} is not a link edge")
+def _loop(link: LinkGraph, vertices, eids) -> EmbeddedLoop:
+    """The loop through ``vertices`` in canonical order, step k being
+    edge ``eids[k]`` from vertex k to the next.  Ids order as vertices
+    do, so the canonical ids of the engine and the enumeration name the
+    canonical loop."""
     w = link.weight
-    total = None if w is None else Fraction(sum(w[i] for i in idxs), link.angle_unit)
-    return EmbeddedLoop(tuple(vertices), tuple(idxs), total)
+    total = None if w is None else Fraction(sum(w[i] for i in eids), link.angle_unit)
+    return EmbeddedLoop(tuple(vertices), tuple(eids), total)
 
 
 def has_short_loop(link: LinkGraph) -> bool:
@@ -116,11 +114,12 @@ def has_short_loop(link: LinkGraph) -> bool:
 
 
 def _lightest_four_cycle(
-    adj: list[list[tuple[int, int]]], unset: int
+    nbrs: Sequence[list[tuple[int, int]]], steps: Sequence[int], unset: int
 ) -> tuple[int, int]:
-    """The least key of a 4-cycle of the simple graph ``adj``, of
-    (neighbour id, step) pairs, and the least id on a 4-cycle of that
-    key; ``(unset, n)`` if it has none.
+    """The least key of a 4-cycle of the simple graph ``nbrs``, of
+    sorted (neighbour id, edge id) pairs with step ``steps[ei]`` per
+    edge, and the least id on a 4-cycle of that key; ``(unset, n)`` if
+    it has none.
 
     Each 4-cycle is met from its vertex v of largest (degree, id) rank:
     both paths v-u-w to its opposite vertex w run through ranks below
@@ -130,19 +129,20 @@ def _lightest_four_cycle(
     hold the least id on a lightest 4-cycle through v and w.  It scans
     the whole graph, as that id may lie on a 4-cycle met late.
     """
-    n = len(adj)
+    n = len(nbrs)
     rank = [0] * n
-    for r, v in enumerate(sorted(range(n), key=list(map(len, adj)).__getitem__)):
+    for r, v in enumerate(sorted(range(n), key=list(map(len, nbrs)).__getitem__)):
         rank[v] = r
     best, least = unset, n
-    for v, ns in enumerate(adj):
+    for v, ns in enumerate(nbrs):
         top = rank[v]
         lightest: dict[int, tuple[int, int]] = {}  # w -> (key, u) of a path v-u-w
-        for u, a in ns:
+        for u, e in ns:
             if rank[u] < top:
-                for w, b in adj[u]:
+                a = steps[e]
+                for w, f in nbrs[u]:
                     if rank[w] < top:
-                        key = a + b
+                        key = a + steps[f]
                         old = lightest.get(w)
                         if old is None:
                             lightest[w] = key, u
@@ -157,10 +157,11 @@ def _lightest_four_cycle(
 
 
 def _least_cycle_through(
-    steps: list[list[tuple[int, int]]], s: int, best: int
+    nbrs: Sequence[list[tuple[int, int]]], steps: Sequence[int], s: int, best: int
 ) -> tuple[int, dict[int, int], set[int]]:
     """The least key below ``best`` of a simple cycle through ``s`` over
-    the ids > s of ``steps`` (else ``best``), the key of each vertex
+    the ids > s of ``nbrs``, (neighbour id, edge id) pairs with step
+    ``steps[ei]`` per edge (else ``best``), the key of each vertex
     reached, and the ends of the edges that closed a cycle of that key.
 
     A Dijkstra with one heap entry per distinct key, so unit steps run
@@ -175,10 +176,10 @@ def _least_cycle_through(
     dist = {s: 0}
     branch = {}
     levels: dict[int, list[int]] = {}
-    for nb, step in steps[s]:
+    for nb, ei in nbrs[s]:
         if nb > s:
             branch[nb] = nb
-            dist[nb] = step
+            dist[nb] = step = steps[ei]
             levels.setdefault(step, []).append(nb)
     keys = list(levels)
     heapq.heapify(keys)
@@ -192,10 +193,10 @@ def _least_cycle_through(
             if key != dist[cur]:
                 continue  # reached again on a lighter key
             b = branch[cur]
-            for nb, step in steps[cur]:
+            for nb, ei in nbrs[cur]:
                 if nb <= s:
                     continue
-                cand = key + step
+                cand = key + steps[ei]
                 old = dist.get(nb)
                 if old is not None:
                     if branch[nb] != b and cand + old <= best:
@@ -220,9 +221,10 @@ def _least_cycle_through(
 
 def _shortest_cycle(
     link: LinkGraph, weight: list[int] | None = None
-) -> tuple[int | None, tuple[int, ...] | None]:
+) -> tuple[int | None, tuple[int, ...] | None, tuple[int, ...] | None]:
     """Least cycle key and the canonically least loop of that key, as
-    an id tuple; ``(None, None)`` for forests.
+    an id tuple and the edge id of each step; ``(None, None, None)``
+    for forests.
 
     Without ``weight`` the key is the length; with a positive integer
     weight per edge it is ``weight * n + length`` for ``n`` vertices,
@@ -250,9 +252,9 @@ def _shortest_cycle(
     that loop lies within half the key of the start, so the search's
     keys prune the DFS.
     """
-    n = len(link.nbrs)
+    nbrs = link.nbrs  # sorted ids, read in place
+    n = len(nbrs)
     steps = [1] * len(link.ends) if weight is None else [w * n + 1 for w in weight]
-    adj = [[(nb, steps[ei]) for nb, ei in ns] for ns in link.nbrs]  # sorted ids
     unset = sum(steps) + 1  # above every loop key, a loop on all edges' too
     best, start, start_dist = unset, n, None
     if isinstance(link, LinkGraph) and steps:
@@ -267,20 +269,21 @@ def _shortest_cycle(
             light = min((st for st, m in zip(steps, middle) if not m), default=unset)
             bound = min(2 * mid + 4 * lo, 8 * light)
             if 6 * light < bound:  # is there a light loop of at most six edges?
-                hops = [[(nb, 1) for nb, e in ns if not middle[e]] for ns in link.nbrs]
+                hops = [[p for p in ns if not middle[p[1]]] for ns in nbrs]
+                unit = [1] * len(steps)
                 for s, ns in enumerate(hops):
                     if len(ns) > 1 and ns[-2][0] > s:
-                        if _least_cycle_through(hops, s, 7)[0] < 7:
+                        if _least_cycle_through(hops, unit, s, 7)[0] < 7:
                             bound = 6 * light
                             break
-        four_key, four = _lightest_four_cycle(adj, unset)
+        four_key, four = _lightest_four_cycle(nbrs, steps, unset)
         if four_key < bound:  # every loop of six or more edges is heavier
             best, start = four_key, four
         else:
-            for s, ns in enumerate(adj):
+            for s, ns in enumerate(nbrs):
                 if len(ns) < 2 or ns[-2][0] <= s:
                     continue  # s is the least id on no loop
-                key, dist, _ = _least_cycle_through(adj, s, bound + 1)
+                key, dist, _ = _least_cycle_through(nbrs, steps, s, bound + 1)
                 if key < bound:
                     raise InternalInconsistencyError(
                         f"a loop of key {key} below the proven bound {bound}"
@@ -291,14 +294,14 @@ def _shortest_cycle(
     if best == unset:
         # pass 1 by rank: hubs first, and ids in order within a degree,
         # as a reversed sort is still stable
-        degree = [len(ns) for ns in adj]
+        degree = list(map(len, nbrs))
         order = sorted(range(n), key=degree.__getitem__, reverse=True)
         rank = [0] * n
         for r, v in enumerate(order):
             rank[v] = r
-        ranked = [[(rank[nb], step) for nb, step in adj[v]] for v in order]
+        ranked = [[(rank[nb], ei) for nb, ei in nbrs[v]] for v in order]
         for r in range(n):
-            key, dist, ends = _least_cycle_through(ranked, r, best + 1)
+            key, dist, ends = _least_cycle_through(ranked, steps, r, best + 1)
             if key < best:
                 best, start = key, n
             if key > best or min(map(order.__getitem__, dist)) >= start:
@@ -309,33 +312,38 @@ def _shortest_cycle(
             while pending:
                 v = pending.pop()
                 d = dist[v]
-                for nb, step in ranked[v]:
-                    if dist.get(nb, d) + step == d and nb not in on_loops:
+                for nb, ei in ranked[v]:
+                    if dist.get(nb, d) + steps[ei] == d and nb not in on_loops:
                         on_loops.add(nb)
                         pending.append(nb)
             start = min(start, *map(order.__getitem__, on_loops))
         if best == unset:
-            return None, None
+            return None, None, None
     if start_dist is None:  # pass 2, the pruning keys of the canonical start
-        _, start_dist, _ = _least_cycle_through(adj, start, best + 1)
-    path, pending = [start], [(iter(adj[start]), 0)]
+        _, start_dist, _ = _least_cycle_through(nbrs, steps, start, best + 1)
+    path, trail, pending = [start], [], [(iter(nbrs[start]), 0)]
     while pending:
         ahead, prefix = pending[-1]
-        nb, step = next(ahead, (None, 0))
-        if nb is None:
+        for nb, ei in ahead:
+            key = prefix + steps[ei]
+            if nb == start and key == best:
+                # canonical: its reverse, a least loop too, would close first
+                return best, tuple(path), (*trail, ei)
+            if nb > start and key + start_dist.get(nb, best) <= best and nb not in path:
+                path.append(nb)
+                trail.append(ei)
+                pending.append((iter(nbrs[nb]), key))
+                break
+        else:
             pending.pop()
             path.pop()
-        elif nb == start and prefix + step == best:
-            # canonical: its reverse, a least loop too, would close first
-            return best, tuple(path)
-        elif nb > start and prefix + step + start_dist.get(nb, best) <= best:
-            if nb not in path:
-                path.append(nb)
-                pending.append((iter(adj[nb]), prefix + step))
+            del trail[-1:]  # the start was entered by no edge
     raise InternalInconsistencyError("no least loop through its start")
 
 
-def _hop_search(link: LinkGraph) -> tuple[int | None, tuple[int, ...] | None]:
+def _hop_search(
+    link: LinkGraph,
+) -> tuple[int | None, tuple[int, ...] | None, tuple[int, ...] | None]:
     """The hop search of ``link``'s integer core, run on first use only:
     angled copies share the core's holder, and each part has its own."""
     if not link._hops:
@@ -349,8 +357,8 @@ def girth(link: LinkGraph) -> tuple[int | None, EmbeddedLoop | None]:
     Returns ``(None, None)`` for forests.  Ties between witness loops
     are broken by the canonical lexicographic vertex order.
     """
-    length, ids = _hop_search(link)
-    return length, None if ids is None else _loop_of_ids(link, ids)
+    length, ids, eids = _hop_search(link)
+    return length, None if ids is None else _loop(link, link._named(ids), eids)
 
 
 def min_angle_cycle(link: LinkGraph) -> tuple[Fraction | None, EmbeddedLoop | None]:
@@ -372,10 +380,10 @@ def min_angle_cycle(link: LinkGraph) -> tuple[Fraction | None, EmbeddedLoop | No
         e = link.edges[next(ei for ei, w in enumerate(weight) if w <= 0)]
         raise UnassignedAnglesError(f"non-positive angle on edge {e.a}-{e.b}")
     uniform = least == max(weight)
-    _, ids = _hop_search(link) if uniform else _shortest_cycle(link, weight)
+    _, ids, eids = _hop_search(link) if uniform else _shortest_cycle(link, weight)
     if ids is None:
         return None, None
-    loop = _loop_of_ids(link, ids)
+    loop = _loop(link, link._named(ids), eids)
     return loop.angle_sum, loop
 
 
@@ -391,21 +399,28 @@ def enumerate_short_loops(link: LinkGraph, max_len: int) -> list[EmbeddedLoop]:
         )
     if max_len < 3 or not link.ends:
         return []
-    nbrs = [[nb for nb, _ in ns] for ns in link.nbrs]
-    found: list[tuple[int, ...]] = []
+    nbrs = link.nbrs
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def extend(path: list[int]):
+    def extend(path: list[int], trail: list[int], back: dict[int, int]):
         # a path starts at its loop's least vertex and closes only in
         # the canonical direction, so each loop is met once, canonical
-        for nb in nbrs[path[-1]]:
-            if nb == path[0] and path[1] < path[-1]:
-                found.append(tuple(path))
-            elif nb > path[0] and len(path) < max_len and nb not in path:
-                path.append(nb)
-                extend(path)
-                path.pop()
+        s, deeper = path[0], len(path) + 1 < max_len
+        for nb, ei in nbrs[path[-1]]:
+            if nb > s and nb not in path:
+                if nb in back and path[1] < nb:  # nb closes the loop
+                    found.append(((*path, nb), (*trail, ei, back[nb])))
+                if deeper:
+                    path.append(nb)
+                    trail.append(ei)
+                    extend(path, trail, back)
+                    path.pop()
+                    trail.pop()
 
-    for start in range(len(nbrs)):
-        extend([start])
-    found.sort(key=lambda c: (len(c), c))
-    return [_loop_of_ids(link, c) for c in found]
+    for s, ns in enumerate(nbrs):
+        back = dict(ns)  # neighbour of s -> the edge id back to s
+        for nb, ei in ns:
+            if nb > s:
+                extend([s, nb], [ei], back)
+    found.sort(key=lambda c: (len(c[0]), c[0]))
+    return [_loop(link, link._named(ids), eids) for ids, eids in found]

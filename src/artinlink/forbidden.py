@@ -1,14 +1,7 @@
-"""Oriented patterns in the defining graph that force short link loops.
-
-Two configurations, and only these two, create embedded 4-loops in the
-link: type A, a triangle whose orientation is acyclic (a source and a
-sink), hangs one through a top or bottom vertex; type B, an alternating
-4-cycle u->v, u->t, w->v, w->t, yields one of special middle edges.
-Label-2 edges read both ways, so they match as wildcards.  One
-predicate, ``_forms_pattern``, decides both patterns for
-``detect_forbidden``, its first-hit form ``has_forbidden`` and
-``search_orientation``; README pipeline step 5 describes the compiled
-walks, the search and its counting refutation.
+"""Oriented patterns in the defining graph that force short link loops:
+type A, an acyclic triangle, and type B, an alternating 4-cycle, with
+label-2 edges as wildcards.  One predicate, ``_forms_pattern``, decides
+both for every entry point (README pipeline step 5).
 """
 
 from __future__ import annotations
@@ -225,16 +218,8 @@ def _refuted_by_counting(gamma: DefiningGraph) -> bool:
 def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
     """Complete the unoriented edges so that no forbidden pattern occurs,
     or return None when no completion works (README pipeline step 5).
-
-    A bipartite component that :func:`_refuted_by_counting` refutes by
-    Reiman's (1958) bound refutes the graph, since walks never leave a
-    component.  Otherwise the unoriented edges are decided on one
-    direction array, most constrained first, "forward" before
-    "backward", each walk checked by :func:`_forms_pattern` at the
-    decision that completes it; wildcards are never assigned.  With
-    nothing oriented in advance the first edge goes forward only, as
-    reversing every direction keeps each walk clean.  A completion is
-    confirmed with :func:`has_forbidden` before it is returned.
+    Wildcards are never assigned, "forward" is tried before "backward",
+    and a completion is confirmed with :func:`has_forbidden`.
     """
     assignment = _search_orientation(gamma)
     if assignment is not None and has_forbidden(resolve_orientations(gamma, assignment)):
@@ -262,7 +247,9 @@ def _search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
         checks[last].append(walk)
     if any(_forms_pattern(w, dirs) for w in checks[0]):
         return None
-    reversible = not any(dirs)  # nothing oriented in advance
+    # nothing oriented in advance: reversing every direction keeps each
+    # walk clean, so the first edge goes forward only
+    reversible = not any(dirs)
 
     i = 0
     while 0 <= i < len(order):

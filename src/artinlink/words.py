@@ -64,6 +64,9 @@ class FreeWord:
     def __init__(self, letters: Iterable = ()):
         object.__setattr__(self, "letters", _as_letters(letters))
 
+    def __reduce__(self):  # pickle and copy through the constructor
+        return FreeWord, (self.letters,)
+
     @classmethod
     def parse(cls, text: str) -> "FreeWord":
         letters = []
@@ -173,6 +176,9 @@ class CyclicWord:
         else:
             core = FreeWord(word).cyclic_core()
         object.__setattr__(self, "letters", _least_rotation(core.letters))
+
+    def __reduce__(self):
+        return CyclicWord, (self.letters,)
 
     @classmethod
     def _from_cyclically_reduced(cls, letters: tuple[Letter, ...]) -> "CyclicWord":

@@ -567,6 +567,19 @@ def test_main_builds_one_parser_tree(gamma_file, capsys, monkeypatch):
     assert len(built) == 1 + len(SUBCOMMANDS)
 
 
+def test_importing_the_cli_builds_its_parser_tree():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import artinlink.cli as c; print(c._build_parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "1\n")
+
+
 def test_a_flag_value_does_not_leak_into_the_next_call(gamma_file, capsys, monkeypatch):
     seen = []
     for command in SUBCOMMANDS:

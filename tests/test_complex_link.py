@@ -458,7 +458,9 @@ def test_an_angled_copy_made_after_girth_shares_the_edge_id_map():
     from artinlink import girth
 
     link = classic_link(3, 4, 5)
-    girth(link)  # the witness loop reads its steps
+    girth(link)  # the engine's witness carries its edge ids: no map
+    assert "_edge_ids" not in link.__dict__
+    link._steps(link.ends[0])
     edge_ids = link.__dict__["_edge_ids"]
     angled = link.with_angles([1] * len(link.ends), 3)
     assert angled.__dict__["_edge_ids"] is edge_ids
@@ -484,8 +486,10 @@ def test_an_oracle_case_without_girth_builds_no_edge_id_map(monkeypatch):
         shorts[short] += 1
     assert shorts[True] > 20 and shorts[False] > 20
     assert not any("_edge_ids" in link.__dict__ for link in built)
-    batteries.oracle_case((1,) * 10, 5, True)  # the girth cross-check reads it
-    assert "_edge_ids" in built[-1].__dict__
+    ok, short, girth_ok = batteries.oracle_case((1,) * 10, 5, True)
+    assert ok and girth_ok and built[-1].ends
+    # the girth cross-check's witness carries its edge ids
+    assert "_edge_ids" not in built[-1].__dict__
 
 
 def test_radius_two_neighborhood_of_y_is_tree():

@@ -343,7 +343,7 @@ def test_one_hop_search_per_link_in_any_order(monkeypatch):
         assert condition.witness.vertices == loop.vertices
         # a part is its own graph: its own search, its own answer
         part = link.middle_subgraph()
-        length, ids = engine(part)  # not counted
+        length, ids, _ = engine(part)  # not counted
         part_g, part_loop = girth(part)
         value, witness = min_angle_cycle(a2(part))
         assert len(runs) == 2 and runs[1] is part
@@ -385,7 +385,7 @@ def test_hub_star_loops_at_the_generator_cap_search_within_two_seconds():
     link = link_of(gamma)
     for weight in (None, metric_link(link, B2).weight):
         start = time.perf_counter()
-        key, ids = _shortest_cycle(link, weight)
+        key, ids, _ = _shortest_cycle(link, weight)
         elapsed = time.perf_counter() - start
         assert len(ids) == 4 and ids[0] >= 2 * label
         assert elapsed < 2.0, f"the loop search took {elapsed:.2f}s"

@@ -229,7 +229,8 @@ def test_two_pass_engine_matches_the_id_order_oracle():
     links += [classic_link(50, 50, 50), link_of(edge)]
     for link in links:
         for weight in (None, metric_link(link, B2).weight):
-            assert _shortest_cycle(link, weight) == id_order_shortest_cycle(link, weight)
+            expected = id_order_shortest_cycle(link, weight)
+            assert _shortest_cycle(link, weight)[:2] == expected
 
 
 @st.composite
@@ -310,7 +311,7 @@ def test_engine_matches_the_id_order_oracle_on_random_weights(case):
     from artinlink.cycles import _shortest_cycle
 
     link, weight = case
-    assert _shortest_cycle(link, weight) == id_order_shortest_cycle(link, weight)
+    assert _shortest_cycle(link, weight)[:2] == id_order_shortest_cycle(link, weight)
 
 
 def test_two_pass_engine_when_every_least_loop_starts_late(monkeypatch):
@@ -327,9 +328,9 @@ def test_two_pass_engine_when_every_least_loop_starts_late(monkeypatch):
     search = cycles._least_cycle_through
     starts = []
 
-    def counted(adj, s, best):
+    def counted(nbrs, steps, s, best):
         starts.append((s, best))
-        return search(adj, s, best)
+        return search(nbrs, steps, s, best)
 
     monkeypatch.setattr(cycles, "_least_cycle_through", counted)
     label = 200
@@ -340,7 +341,7 @@ def test_two_pass_engine_when_every_least_loop_starts_late(monkeypatch):
         link = link_of(graph(label))
         for weight in (None, metric_link(link, B2).weight):
             starts.clear()
-            key, ids = cycles._shortest_cycle(link, weight)
+            key, ids, _ = cycles._shortest_cycle(link, weight)
             assert (key, ids) == id_order_shortest_cycle(link, weight)
             assert len(ids) == 4 and ids[0] >= first
             light = [s for s, best in starts if weight and best == 7]
@@ -386,13 +387,12 @@ def sampled_oracle_links():
 
 
 def scan_input(core, weight=None):
-    """The 4-cycle scan's adjacency of ``core``, its steps per edge and
-    its ``unset`` key, as the loop engine builds them: unit steps
-    without ``weight``, else ``w * n + 1``."""
+    """The 4-cycle scan's steps per edge of ``core`` and its ``unset``
+    key, as the loop engine builds them: unit steps without ``weight``,
+    else ``w * n + 1``."""
     n = len(core.nbrs)
     steps = [1] * len(core.ends) if weight is None else [w * n + 1 for w in weight]
-    adj = [[(nb, steps[ei]) for nb, ei in ns] for ns in core.nbrs]
-    return adj, steps, sum(steps) + 1
+    return steps, sum(steps) + 1
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -405,10 +405,10 @@ def test_least_id_on_a_four_cycle_matches_brute_force(case):
     from artinlink.cycles import _lightest_four_cycle
 
     core, _ = case
-    adj, _, unset = scan_input(core)
+    steps, unset = scan_input(core)
     least = least_id_on_a_four_cycle(core)
-    expected = (unset, len(adj)) if least is None else (4, least)
-    assert _lightest_four_cycle(adj, unset) == expected
+    expected = (unset, len(core.nbrs)) if least is None else (4, least)
+    assert _lightest_four_cycle(core.nbrs, steps, unset) == expected
 
 
 def test_least_id_on_a_four_cycle_on_sampled_oracle_links():
@@ -418,10 +418,10 @@ def test_least_id_on_a_four_cycle_on_sampled_oracle_links():
 
     answers = Counter()
     for link in sampled_oracle_links():
-        adj, _, unset = scan_input(link)
+        steps, unset = scan_input(link)
         least = least_id_on_a_four_cycle(link)
-        expected = (unset, len(adj)) if least is None else (4, least)
-        assert _lightest_four_cycle(adj, unset) == expected
+        expected = (unset, len(link.nbrs)) if least is None else (4, least)
+        assert _lightest_four_cycle(link.nbrs, steps, unset) == expected
         answers[least is None] += 1
     assert answers[True] > 20 and answers[False] > 1_000
 
@@ -436,8 +436,9 @@ def test_lightest_four_cycle_matches_brute_force(case):
     from artinlink.cycles import _lightest_four_cycle
 
     core, weight = case
-    adj, steps, unset = scan_input(core, weight)
-    assert _lightest_four_cycle(adj, unset) == lightest_four_cycle(core, steps, unset)
+    steps, unset = scan_input(core, weight)
+    found = _lightest_four_cycle(core.nbrs, steps, unset)
+    assert found == lightest_four_cycle(core, steps, unset)
 
 
 def test_lightest_four_cycle_on_sampled_oracle_links():
@@ -450,8 +451,8 @@ def test_lightest_four_cycle_on_sampled_oracle_links():
     keys = Counter()
     for link in sampled_oracle_links():
         for scheme, weight in (None, None), (B2, metric_link(link, B2).weight):
-            adj, steps, unset = scan_input(link, weight)
-            found = _lightest_four_cycle(adj, unset)
+            steps, unset = scan_input(link, weight)
+            found = _lightest_four_cycle(link.nbrs, steps, unset)
             assert found == lightest_four_cycle(link, steps, unset)
             keys[scheme, found[0] == unset] += 1
     assert all(keys[scheme, False] > 1_000 for scheme in (None, B2))
@@ -494,7 +495,7 @@ def test_girth_from_the_proven_bound_matches_the_id_order_oracle():
     assert all(girths[value] > 3 for value in (4, 6, 8, None))
     for graph in (late_least_loops, late_hub_loops):
         link = link_of(graph(4_000))
-        assert ids_of(link) == _shortest_cycle(Core(len(link.nbrs), link.ends))
+        assert ids_of(link) == _shortest_cycle(Core(len(link.nbrs), link.ends))[:2]
 
 
 def test_hop_search_from_the_proven_bound_searches_once(monkeypatch):
@@ -505,9 +506,9 @@ def test_hop_search_from_the_proven_bound_searches_once(monkeypatch):
     search = cycles._least_cycle_through
     starts = []
 
-    def counted(adj, s, best):
+    def counted(nbrs, steps, s, best):
         starts.append(s)
-        return search(adj, s, best)
+        return search(nbrs, steps, s, best)
 
     monkeypatch.setattr(cycles, "_least_cycle_through", counted)
     links = [corpus_links()[name] for name in ("grid4", "grid12", "k88")]
@@ -528,9 +529,9 @@ def test_min_angle_from_the_proven_bound_matches_the_id_order_oracle():
     kinds = Counter()
     for link in [*corpus_links().values(), *sampled_oracle_links()[:1_000]]:
         weight = metric_link(link, B2).weight
-        key, ids = _shortest_cycle(link, weight)
+        key, ids, eids = _shortest_cycle(link, weight)
         assert (key, ids) == id_order_shortest_cycle(link, weight)
-        kinds[len(ids), sum(map(link.is_middle, link._steps(ids)))] += 1
+        kinds[len(ids), sum(map(link.is_middle, eids))] += 1
     assert kinds[6, 0] > 10 and kinds[6, 2] > 5 and kinds[4, 2] > 900
 
 
@@ -548,10 +549,10 @@ def test_weighted_search_from_the_proven_bound_searches_once(monkeypatch):
     search = cycles._least_cycle_through
     weighted, light = [], []
 
-    def counted(adj, s, best):
-        unit = all(step == 1 for ns in adj for _, step in ns)
+    def counted(nbrs, steps, s, best):
+        unit = all(step == 1 for step in steps)
         (light if unit and best == 7 else weighted).append(s)
-        return search(adj, s, best)
+        return search(nbrs, steps, s, best)
 
     monkeypatch.setattr(cycles, "_least_cycle_through", counted)
     states = enumerate_triangle_free_oriented_states(5)[1:]  # 0: no edge
@@ -566,6 +567,109 @@ def test_weighted_search_from_the_proven_bound_searches_once(monkeypatch):
         assert light == sorted(set(light))  # at most one pass, in id order
 
 
+def test_the_searches_read_the_link_core_in_place(monkeypatch):
+    """On whole corpus links and sampled B2 sweep links, with weights
+    and without, the 4-cycle scan, the id-order step and pass 2 read
+    ``link.nbrs`` itself, not a copy; only the light check's searches,
+    on unit steps under weights, read a filtered view of it."""
+    from artinlink import cycles
+    from artinlink.batteries import (
+        enumerate_triangle_free_oriented_states,
+        graph_from_state,
+    )
+
+    scan, search = cycles._lightest_four_cycle, cycles._least_cycle_through
+    calls = []
+
+    def scanned(nbrs, steps, unset):
+        calls.append(("scan", nbrs, steps))
+        return scan(nbrs, steps, unset)
+
+    def searched(nbrs, steps, s, best):
+        calls.append(("search", nbrs, steps))
+        return search(nbrs, steps, s, best)
+
+    monkeypatch.setattr(cycles, "_lightest_four_cycle", scanned)
+    monkeypatch.setattr(cycles, "_least_cycle_through", searched)
+    states = enumerate_triangle_free_oriented_states(5)[1:]  # 0: no edge
+    sample = random.Random(3502).sample(states, 200)
+    sweep = [link_of(graph_from_state(state, 5)) for state in sample]
+    corpus = [corpus_links()[name] for name in ("grid4", "k88", "tri345")]
+    for link in corpus + sweep:
+        for weight in (None, metric_link(link, B2).weight):
+            calls.clear()
+            key, ids, eids = cycles._shortest_cycle(link, weight)
+            # under weights the light check's searches come first, on unit steps
+            light = [c for c in calls if weight and set(c[2]) == {1}]
+            kinds = [kind for kind, _, _ in calls]
+            assert kinds.index("scan") == len(light) and kinds.count("scan") == 1
+            core = calls[len(light) :]
+            assert len(core) >= 2  # the scan, then the id-order step or pass 2
+            assert all(nbrs is link.nbrs for _, nbrs, _ in core)
+            assert all(nbrs is not link.nbrs for _, nbrs, _ in light)
+            assert eids == tuple(link._steps(ids))
+
+
+def test_engine_edge_ids_name_the_steps_of_its_loops():
+    """The witnesses of ``girth`` and of ``min_angle_cycle`` under A2
+    and B2 weights, and the loops of ``enumerate_short_loops`` up to 6
+    edges, carry the edge id of each step as the link's own lookup
+    reads it: on the corpus links, the sampled oracle links and their
+    middle subgraphs.  To keep the time down the enumeration skips
+    tri200 and all but the first 100 sampled whole links (about 220
+    loops each)."""
+
+    def assert_steps(graph, loops):
+        index = {v: i for i, v in enumerate(graph.vertices)}
+        for loop in filter(None, loops):
+            ids = tuple(map(index.__getitem__, loop.vertices))
+            assert loop.edge_indices == tuple(graph._steps(ids))
+
+    corpus = [link for name, link in corpus_links().items() if name != "tri200"]
+    enumerated = {id(link) for link in [*corpus, *sampled_oracle_links()[:100]]}
+    wholes = [corpus_links()["tri200"], *corpus, *sampled_oracle_links()]
+    middles = [link.middle_subgraph() for link in wholes]
+    loops = Counter()
+    for graph in [*wholes, *middles]:
+        found = [girth(graph)[1]]
+        if id(graph) in enumerated or graph._whole:
+            found += enumerate_short_loops(graph, 6)
+        assert_steps(graph, found)
+        loops.update(loop.length for loop in filter(None, found))
+    for scheme in (A2, B2):
+        for link in wholes:
+            angled = metric_link(link, scheme)
+            for graph in (angled, angled.middle_subgraph()):
+                value, loop = min_angle_cycle(graph)
+                if loop is not None:
+                    assert_steps(graph, [loop])
+                    weights = map(graph.weight.__getitem__, loop.edge_indices)
+                    assert value == Fraction(sum(weights), graph.angle_unit)
+                    loops[scheme] += 1
+    assert loops[4] > 5_000 and loops[6] > 20_000
+    assert loops[A2] > 2_000 and loops[B2] > 2_000
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small_graphs_and_weights())
+def test_engine_edge_ids_on_any_simple_graph(case):
+    """The engine's (key, ids) against the id-order oracle, and its edge
+    ids against the core's ends, odd loops allowed."""
+    from oracle_tools import id_order_shortest_cycle
+
+    from artinlink.cycles import _shortest_cycle
+
+    core, weight = case
+    key, ids, eids = _shortest_cycle(core, weight)
+    assert (key, ids) == id_order_shortest_cycle(core, weight)
+    if ids is None:
+        assert eids is None
+    else:
+        edge_of = {pair: ei for ei, pair in enumerate(core.ends)}
+        steps = zip(ids, ids[1:] + ids[:1])
+        assert eids == tuple(edge_of[min(a, b), max(a, b)] for a, b in steps)
+
+
 def test_a_loop_below_the_proven_bound_is_an_inconsistency(monkeypatch):
     """A 4-cycle scan that misses the least loops raises the bound that
     the id-order step starts from; the step's search then meets a loop
@@ -575,7 +679,9 @@ def test_a_loop_below_the_proven_bound_is_an_inconsistency(monkeypatch):
 
     k88 = corpus_links()["k88"]
     hub = link_of(late_hub_loops(20))
-    monkeypatch.setattr(cycles, "_lightest_four_cycle", lambda adj, top: (top, len(adj)))
+    monkeypatch.setattr(
+        cycles, "_lightest_four_cycle", lambda nbrs, steps, top: (top, len(nbrs))
+    )
     for link, weight in (k88, None), (hub, metric_link(hub, B2).weight):
         with pytest.raises(InternalInconsistencyError, match="below the proven bound"):
             cycles._shortest_cycle(link, weight)

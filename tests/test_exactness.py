@@ -54,9 +54,10 @@ def test_loop_engine_is_guarded_and_keys_are_integers():
         assert Path(inspect.getsourcefile(fn)).name in GUARDED
     link = build_link(build_complex(triangle_presentation(3, 4, 5)))
     weight = [1 + i % 3 for i in range(len(link.edges))]
-    key, ids = _shortest_cycle(link, weight)
-    assert type(key) is int and all(type(i) is int for i in ids)
+    key, ids, eids = _shortest_cycle(link, weight)
+    assert type(key) is int and all(type(i) is int for i in ids + eids)
     loop = make_loop(link, [link.vertices[i] for i in ids])
+    assert loop.edge_indices == eids
     n = len(link.vertices)
     assert divmod(key, n) == (sum(weight[e] for e in loop.edge_indices), loop.length)
     angled = link.with_angles(weight, 12)

@@ -153,3 +153,18 @@ def test_words_are_values_of_their_letters(u, v, n):
             assert str(x) == _text(x.letters)
             assert repr(x) == f"{kind.__name__}({_text(x.letters)!r})"
         assert [x.letters for x in sorted(built)] == sorted(x.letters for x in built)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(words)
+def test_words_pickle_and_copy_through_their_constructor(w):
+    import copy
+    import pickle
+
+    for x in (w, w.reduce(), CyclicWord(w)):
+        for twin in (
+            pickle.loads(pickle.dumps(x)),
+            copy.copy(x),
+            copy.deepcopy(x),
+        ):
+            assert twin == x and type(twin) is type(x) and str(twin) == str(x)
