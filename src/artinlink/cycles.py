@@ -113,6 +113,42 @@ def has_short_loop(link: LinkGraph) -> bool:
     return False
 
 
+def _has_short_light_loop(link: LinkGraph) -> bool:
+    """Whether the light (bottom and top) edges hold a loop of at most
+    six edges.
+
+    Edges join adjacent levels (``_set_core`` checks it) and the middle
+    ones join levels 2 and 3, so the light edges are the stars of the
+    level-1 and level-4 vertices, each edge in one star.  A light loop
+    alternates centres and inner vertices, each of these in two stars
+    of two or more edges; the other inner vertices are dropped.  A pair
+    of kept vertices met in two stars closes four edges.  With none,
+    pairs (p, r), (r, t) and (p, t) close six unless one star holds all
+    three, as a star holding two of them holds the third.  Links are
+    bipartite, so loops are even.
+    """
+    nbrs = link.nbrs
+    stars = [ns for ns, lv in zip(nbrs, link.levels) if lv in (1, 4) and len(ns) > 1]
+    held = [0] * len(nbrs)
+    for ns in stars:
+        for x, _ in ns:
+            held[x] += 1
+    above: dict[int, dict[int, int]] = {}  # p -> r -> the star of pair (p, r), p < r
+    for c, ns in enumerate(stars):
+        kept = [x for x, _ in ns if held[x] > 1]
+        for p, r in combinations(kept, 2):
+            paired = above.setdefault(p, {})
+            if r in paired:
+                return True
+            paired[r] = c
+    for paired in above.values():  # from the least inner vertex p of a 6-loop
+        for r, c in paired.items():
+            for t, d in above.get(r, {}).items():
+                if d != c and t in paired:
+                    return True
+    return False
+
+
 def _lightest_four_cycle(
     nbrs: Sequence[list[tuple[int, int]]], steps: Sequence[int], unset: int
 ) -> tuple[int, int]:
@@ -238,10 +274,11 @@ def _shortest_cycle(
     links are bipartite, so loops are even.  So B is 6 on hops, and
     with weights the least of two middle steps plus four least steps,
     and of eight light steps, or six if the light edges hold a loop of
-    at most six edges.  (a) A 4-cycle lighter than B gives the key and
-    the start.  (b) Otherwise the first id whose search meets B is the
-    start; a search below B is an inconsistency.  (c) Otherwise, or off
-    a link, pass 1 searches from each vertex in (-degree, id) order.
+    at most six edges, which one scan of their stars tells.  (a) A
+    4-cycle lighter than B gives the key and the start.  (b) Otherwise
+    the first id whose search meets B is the start; a search below B
+    is an inconsistency.  (c) Otherwise, or off a link, pass 1 searches
+    from each vertex in (-degree, id) order.
     Below half a least key shortest paths are unique, so a search that
     reaches the key so far traces its least loops back from their
     closing edges, and the least id collected by the searches that
@@ -268,14 +305,8 @@ def _shortest_cycle(
             mid = min((st for st, m in zip(steps, middle) if m), default=unset)
             light = min((st for st, m in zip(steps, middle) if not m), default=unset)
             bound = min(2 * mid + 4 * lo, 8 * light)
-            if 6 * light < bound:  # is there a light loop of at most six edges?
-                hops = [[p for p in ns if not middle[p[1]]] for ns in nbrs]
-                unit = [1] * len(steps)
-                for s, ns in enumerate(hops):
-                    if len(ns) > 1 and ns[-2][0] > s:
-                        if _least_cycle_through(hops, unit, s, 7)[0] < 7:
-                            bound = 6 * light
-                            break
+            if 6 * light < bound and _has_short_light_loop(link):
+                bound = 6 * light
         four_key, four = _lightest_four_cycle(nbrs, steps, unset)
         if four_key < bound:  # every loop of six or more edges is heavier
             best, start = four_key, four

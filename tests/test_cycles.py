@@ -316,11 +316,11 @@ def test_engine_matches_the_id_order_oracle_on_random_weights(case):
 
 def test_two_pass_engine_when_every_least_loop_starts_late(monkeypatch):
     """On a link with a lighter 4-cycle than its proven bound, pass 1
-    runs no search on its adjacency, with weights or without; pass 2
-    searches once in all, from the canonical start, however late it
+    runs no search, with weights or without, and the light check
+    under weights runs none either; pass 2 searches once in all on
+    ``link.nbrs`` itself, from the canonical start, however late it
     comes in id order and however many vertices lie near the least
-    loops.  Under weights the light check's bound-7 searches, on the
-    light edges alone, come first."""
+    loops."""
     from oracle_tools import id_order_shortest_cycle
 
     from artinlink import cycles
@@ -329,7 +329,7 @@ def test_two_pass_engine_when_every_least_loop_starts_late(monkeypatch):
     starts = []
 
     def counted(nbrs, steps, s, best):
-        starts.append((s, best))
+        starts.append((nbrs, s, best))
         return search(nbrs, steps, s, best)
 
     monkeypatch.setattr(cycles, "_least_cycle_through", counted)
@@ -344,9 +344,8 @@ def test_two_pass_engine_when_every_least_loop_starts_late(monkeypatch):
             key, ids, _ = cycles._shortest_cycle(link, weight)
             assert (key, ids) == id_order_shortest_cycle(link, weight)
             assert len(ids) == 4 and ids[0] >= first
-            light = [s for s, best in starts if weight and best == 7]
-            assert light == sorted(set(light))  # at most one pass, in id order
-            assert starts[len(light) :] == [(ids[0], key + 1)]
+            assert starts == [(link.nbrs, ids[0], key + 1)]
+            assert starts[0][0] is link.nbrs
             if graph is late_least_loops:
                 assert all("z" in v.gen for v in link._named(ids))
 
@@ -535,11 +534,80 @@ def test_min_angle_from_the_proven_bound_matches_the_id_order_oracle():
     assert kinds[6, 0] > 10 and kinds[6, 2] > 5 and kinds[4, 2] > 900
 
 
+def test_light_loop_scan_matches_a_dfs_on_the_light_edges():
+    """The star scan behind the weighted bound against a DFS on the
+    subgraph of light edges: on every B2 sweep link, the oriented
+    4-vertex oracle links, their middle subgraphs and neighbourhoods,
+    and the corpus links.  Only the links of Γs with a triangle fire."""
+    from artinlink.batteries import (
+        enumerate_oriented_states,
+        enumerate_triangle_free_oriented_states,
+        graph_from_state,
+    )
+    from artinlink.cycles import _has_short_light_loop
+
+    sweep = [
+        link_of(graph_from_state(state, 5))
+        for state in enumerate_triangle_free_oriented_states(5)
+    ]
+    oracle = [link_of(graph_from_state(state, 4)) for state in enumerate_oriented_states(4)]
+    parts = [link.middle_subgraph() for link in oracle]
+    parts += [link.neighborhood(link.vertices[0], 3) for link in oracle]
+    corpus = corpus_links()
+    fired = Counter()
+    for kind, links in (
+        ("sweep", sweep),
+        ("oracle", oracle),
+        ("parts", parts),
+        ("corpus", corpus.values()),
+    ):
+        for link in links:
+            light = [ei for ei in range(len(link.ends)) if not link.is_middle(ei)]
+            found = _has_short_light_loop(link)
+            assert found == bool(dfs_all_cycle_lengths(link.subgraph(light), 6))
+            fired[kind, found] += 1
+    assert fired["sweep", True] == 0 and fired["oracle", True] > 100
+    assert fired["parts", True] > 10
+    assert [name for name, link in corpus.items() if _has_short_light_loop(link)] == [
+        "tri345",
+        "tri50",
+        "tri200",
+    ]
+
+
+def test_light_loop_scan_on_top_edges_alone_and_on_one_centred_pairs():
+    """Two parts that the scan's choices decide.  A triangle link's top
+    (corner 2) edges: their only short loop is a hexagon of top edges,
+    with its centres on level 4.  A hub whose bottom star holds three
+    lefts, each also in a second two-edge star with a leaf at its other
+    end: the three are kept and pairwise paired, but only by that hub,
+    and no loop closes."""
+    from artinlink.cycles import _has_short_light_loop
+    from artinlink.presentations import HubRecord, Presentation
+
+    link = classic_link(3, 3, 3)
+    top = link.subgraph(range(2, len(link.ends), 3))
+    assert {max(top.levels[a], top.levels[b]) for a, b in top.ends} == {4}
+    assert _has_short_light_loop(top) and dfs_all_cycle_lengths(top, 6) == [6]
+
+    hubs = ("h", "hx", "hy", "hz")
+    lefts = ("x", "y", "z", "lx", "ly", "lz")
+    rights = tuple(f"r{i}" for i in range(9))
+    gens = hubs + lefts + rights
+    cells = [("h", "x"), ("h", "y"), ("h", "z")]
+    cells += [(f"h{u}", u) for u in "xyz"] + [(f"h{u}", f"l{u}") for u in "xyz"]
+    ids = [(gens.index(h), gens.index(u), gens.index(r)) for (h, u), r in zip(cells, rights)]
+    records = [HubRecord(h, (h, h), 3, (h, h)) for h in hubs]
+    link = build_link(build_complex(Presentation.from_cells(gens, ids, records)))
+    assert [link.degree(link.vertex(h, "tail")) for h in hubs] == [3, 2, 2, 2]
+    assert not _has_short_light_loop(link) and dfs_all_cycle_lengths(link) == []
+
+
 def test_weighted_search_from_the_proven_bound_searches_once(monkeypatch):
     """Under B2, K8,8's and grid4's links and sampled B2 sweep links run
-    one search on the weighted adjacency: the least 4-cycle is lighter
-    than the bound, or the first id that can start a loop meets it.
-    The light check's bound-7 searches, on unit steps, count apart."""
+    one search in all, on ``link.nbrs`` itself and its weighted steps:
+    the least 4-cycle is lighter than the bound, or the first id that
+    can start a loop meets it.  The light check runs no search."""
     from artinlink import cycles
     from artinlink.batteries import (
         enumerate_triangle_free_oriented_states,
@@ -547,11 +615,10 @@ def test_weighted_search_from_the_proven_bound_searches_once(monkeypatch):
     )
 
     search = cycles._least_cycle_through
-    weighted, light = [], []
+    calls = []
 
     def counted(nbrs, steps, s, best):
-        unit = all(step == 1 for step in steps)
-        (light if unit and best == 7 else weighted).append(s)
+        calls.append((nbrs, steps))
         return search(nbrs, steps, s, best)
 
     monkeypatch.setattr(cycles, "_least_cycle_through", counted)
@@ -560,18 +627,19 @@ def test_weighted_search_from_the_proven_bound_searches_once(monkeypatch):
     links = random.Random(3001).sample(links, 400)
     links += [corpus_links()[name] for name in ("grid4", "k88")]
     for link in links:
-        weighted.clear()
-        light.clear()
+        calls.clear()
         cycles._shortest_cycle(link, metric_link(link, B2).weight)
-        assert len(weighted) == 1
-        assert light == sorted(set(light))  # at most one pass, in id order
+        assert len(calls) == 1
+        nbrs, steps = calls[0]
+        assert nbrs is link.nbrs and 1 not in steps
 
 
 def test_the_searches_read_the_link_core_in_place(monkeypatch):
     """On whole corpus links and sampled B2 sweep links, with weights
-    and without, the 4-cycle scan, the id-order step and pass 2 read
-    ``link.nbrs`` itself, not a copy; only the light check's searches,
-    on unit steps under weights, read a filtered view of it."""
+    and without, the 4-cycle scan comes first, and it, the id-order
+    step and pass 2 read ``link.nbrs`` itself, not a copy; under
+    weights no call runs on unit steps, as the light check reads the
+    stars in place and calls neither."""
     from artinlink import cycles
     from artinlink.batteries import (
         enumerate_triangle_free_oriented_states,
@@ -599,14 +667,12 @@ def test_the_searches_read_the_link_core_in_place(monkeypatch):
         for weight in (None, metric_link(link, B2).weight):
             calls.clear()
             key, ids, eids = cycles._shortest_cycle(link, weight)
-            # under weights the light check's searches come first, on unit steps
-            light = [c for c in calls if weight and set(c[2]) == {1}]
             kinds = [kind for kind, _, _ in calls]
-            assert kinds.index("scan") == len(light) and kinds.count("scan") == 1
-            core = calls[len(light) :]
-            assert len(core) >= 2  # the scan, then the id-order step or pass 2
-            assert all(nbrs is link.nbrs for _, nbrs, _ in core)
-            assert all(nbrs is not link.nbrs for _, nbrs, _ in light)
+            assert kinds[0] == "scan" and kinds.count("scan") == 1
+            assert len(calls) >= 2  # the scan, then the id-order step or pass 2
+            assert all(nbrs is link.nbrs for _, nbrs, _ in calls)
+            if weight:
+                assert all(1 not in steps for _, _, steps in calls)
             assert eids == tuple(link._steps(ids))
 
 
