@@ -133,7 +133,8 @@ def _json_text(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2)`` at depth ``indent``, for objects with
     string keys.  Only containers of containers are joined here: strings,
     lists of strings (one ``map``), scalars and containers of scalars are
-    encoded in C."""
+    encoded in C.  A dict encodes its string and string-list values in
+    place, without a call per value."""
     if isinstance(obj, str):
         return _json_string(obj)
     inner = indent + "  "
@@ -151,7 +152,20 @@ def _json_text(obj, indent: str = "") -> str:
     if is_list:
         parts = [_json_text(x, inner) for x in obj]
     else:
-        parts = [f"{_json_string(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+        deeper = inner + "  "
+        sep2 = ",\n" + deeper
+        parts = []
+        for k, v in obj.items():
+            if isinstance(v, str):
+                text = _json_string(v)
+            elif v and isinstance(v, (list, tuple)):
+                try:  # the list branch above, one depth down
+                    text = f"[\n{deeper}{sep2.join(map(_json_string, v))}\n{inner}]"
+                except TypeError:
+                    text = _json_text(v, inner)
+            else:
+                text = _json_text(v, inner)
+            parts.append(f"{_json_string(k)}: {text}")
     left, right = "[]" if is_list else "{}"
     return f"{left}\n{inner}{sep.join(parts)}\n{indent}{right}"
 

@@ -121,8 +121,10 @@ class CurvatureReport:
             )
             if loop is not None
         ]
-        witnesses.extend(w.to_json_dict() | {"kind": f"type-{w.kind}"}
-                         for w in self.forbidden)
+        for w in self.forbidden:
+            record = w.to_json_dict()
+            record["kind"] = f"type-{w.kind}"  # set in place: the key keeps its position
+            witnesses.append(record)
         return {
             "scheme": self.scheme,
             "verdict": self.verdict,

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
+from typing import NamedTuple
 
 from .complex_link import HEAD, TAIL, LinkGraph, LinkVertex
 from .errors import InternalInconsistencyError
@@ -31,8 +31,7 @@ class DualNotBipartiteError(ValueError):
     """The faces of the given embedding admit no proper 2-colouring."""
 
 
-@dataclass(frozen=True)
-class ForbiddenWitness:
+class ForbiddenWitness(NamedTuple):
     """One occurrence of a forbidden oriented pattern.
 
     ``directed_edges`` lists the pattern's edges as (tail, head) in the
@@ -65,9 +64,11 @@ def _walk(edge_id: dict[tuple[str, str], int], cycle) -> tuple[tuple[int, int], 
     The sign is +1 where the walk runs u -> v along the stored edge
     (u < v) and -1 where it runs against it.
     """
-    steps = []
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+    steps, b = [], cycle[0]
+    for a in reversed(cycle):  # back from the closing step: no slices
         steps.append((edge_id[a, b], 1) if a < b else (edge_id[b, a], -1))
+        b = a
+    steps.reverse()
     return tuple(steps)
 
 
@@ -162,18 +163,27 @@ def detect_forbidden(
     witness built only for a walk on which :func:`_forms_pattern` holds.
     Raises :class:`UnorientedEdgeError` when a non-wildcard edge has no
     direction.  If ``link`` is given, every witness loop step is checked
-    on it, each loop vertex resolved once, without the named view.
+    on it, each loop vertex resolved once and each step, taken in the
+    direction of some loop, looked up once, without the named view.
     """
     dirs, hits = _hits(gamma)
-    hits = list(hits)
-    special = gamma.vertices if hits else ()  # built once, and not for a clean graph
-    heads = {v: LinkVertex(v, HEAD, 3, True) for v in special}
-    tails = {v: LinkVertex(v, TAIL, 2, True) for v in special}
-    witnesses = [_witness(gamma.edges, c, w, dirs, heads, tails) for c, w in hits]
-    if link is not None and witnesses:
-        loop_vertices = set(chain.from_iterable(w.loop for w in witnesses))
-        id_of = {v: link._resolve(v) for v in loop_vertices}.__getitem__
-        for wit in witnesses:
+    first = next(hits, None)
+    if first is None:  # a clean graph builds no special vertices
+        return []
+    heads = {v: LinkVertex(v, HEAD, 3, True) for v in gamma.vertices}
+    tails = {v: LinkVertex(v, TAIL, 2, True) for v in gamma.vertices}
+    witnesses = [
+        _witness(gamma.edges, c, w, dirs, heads, tails) for c, w in chain([first], hits)
+    ]
+    if link is not None:
+        pairs = set()  # each distinct step once, as a pair of loop vertices
+        for w in witnesses:
+            pairs.update(zip(w.loop, w.loop[1:] + w.loop[:1]))
+        walk = list(chain.from_iterable(pairs))  # its even steps are the pairs
+        id_of = {v: link._resolve(v) for v in set(walk)}.__getitem__
+        if None not in link._steps(list(map(id_of, walk)))[::2]:
+            return witnesses
+        for wit in witnesses:  # name the first missing step, in detection order
             steps = link._steps(list(map(id_of, wit.loop)))
             if None in steps:
                 k = steps.index(None)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import time
 from collections import Counter
@@ -31,7 +30,7 @@ from artinlink import (
     trace_faces,
 )
 from artinlink import curvature, forbidden
-from artinlink.complex_link import HEAD, TAIL
+from artinlink.complex_link import HEAD, TAIL, LinkGraph
 from artinlink.batteries import enumerate_oriented_states, graph_from_state, wildcard_variants
 from artinlink.forbidden import _c4_free_edges, _refuted_by_counting
 
@@ -154,7 +153,7 @@ def _with_loops(monkeypatch, edit):
 
     def edited(*args):
         w = witness(*args)
-        return dataclasses.replace(w, loop=tuple(edit(w.loop)))
+        return w._replace(loop=tuple(edit(w.loop)))
 
     monkeypatch.setattr(forbidden, "_witness", edited)
 
@@ -225,6 +224,60 @@ def test_witness_loop_check_builds_no_named_view():
     k55 = complete_bipartite(5, 5, first=[(3, F)] * 25)
     link = link_of(k55)
     assert len(detect_forbidden(k55, link)) == 100
+    assert "vertices" not in link.__dict__
+
+
+@pytest.mark.parametrize("unique_first", [True, False], ids=["unique-first", "shared-first"])
+def test_witness_loop_check_names_the_first_missing_step_in_detection_order(
+    monkeypatch, unique_first
+):
+    # A step missing from one witness loop, and a missing step that
+    # several loops share: however few lookups the check makes, it names
+    # the first missing step of the first failing witness, as a scan of
+    # each loop with has_edge finds it.
+    triangle = [("t", "u", 3, F), ("u", "v", 3, F), ("t", "v", 3, F)]
+    gamma = complete_bipartite(5, 5, first=[(3, F)] * 25, extra=triangle)
+    named = link_of(gamma)
+    loops = [w.loop for w in detect_forbidden(gamma)]
+    assert loops[0][2].level == 4 and len(loops) == 101  # one type A, then type B
+    p, q = loops[1][0], loops[1][2]
+    assert not named.has_edge(p, q)
+    shared = [i for i, lp in enumerate(loops) if i and lp[0] == p][2::7]
+    unique = shared[0] - 1 if unique_first else shared[0] + 1
+    assert len(shared) > 2 and unique not in shared
+    edited = {loops[i]: (p, q, *loops[i][2:]) for i in shared}
+    lp = loops[unique]
+    edited[lp] = (*lp[:3], lp[3]._replace(gen="nowhere"))
+    first = next(
+        (a, b)
+        for lp in (edited.get(lp, lp) for lp in loops)
+        for a, b in zip(lp, lp[1:] + lp[:1])
+        if not named.has_edge(a, b)
+    )
+    assert first == ((lp[2], edited[lp][3]) if unique_first else (p, q))
+    _with_loops(monkeypatch, lambda lp: edited.get(lp, lp))
+    with pytest.raises(InternalInconsistencyError) as info:
+        detect_forbidden(gamma, link_of(gamma))
+    assert str(info.value) == f"witness loop step {first[0]} - {first[1]} missing from the link"
+
+
+def test_witness_loop_check_looks_up_each_distinct_step_once(monkeypatch):
+    k88 = complete_bipartite(8, 8, first=[(3, F)] * 64)
+    link = link_of(k88)
+    loops = [w.loop for w in detect_forbidden(k88)]
+    steps = {frozenset(s) for lp in loops for s in zip(lp, lp[1:] + lp[:1])}
+    calls = Counter()
+    for name in ("_steps", "_resolve"):
+        method = getattr(LinkGraph, name)
+
+        def counted(self, arg, name=name, method=method):
+            calls[name] += 1
+            return method(self, arg)
+
+        monkeypatch.setattr(LinkGraph, name, counted)
+    assert len(detect_forbidden(k88, link)) == len(loops) == 784
+    assert len(steps) == 64 and 1 <= calls["_steps"] <= len(steps)
+    assert calls["_resolve"] == len(set(itertools.chain(*loops))) == 16
     assert "vertices" not in link.__dict__
 
 
