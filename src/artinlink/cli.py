@@ -129,12 +129,20 @@ def _flat_encoder(sep: str):
     return json.JSONEncoder(separators=(sep, ": ")).encode
 
 
+@functools.cache  # one per nesting depth
+def _string_list(indent: str):
+    """Lays out a non-empty list of strings at depth ``indent`` as
+    ``json.dumps`` does; TypeError if an item is not a string."""
+    left, sep, right = f"[\n{indent}  ", f",\n{indent}  ", f"\n{indent}]"
+    return lambda items: f"{left}{sep.join(map(_json_string, items))}{right}"
+
+
 def _json_text(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2)`` at depth ``indent``, for objects with
     string keys.  Only containers of containers are joined here: strings,
     lists of strings (one ``map``), scalars and containers of scalars are
-    encoded in C.  A dict encodes its string and string-list values in
-    place, without a call per value."""
+    encoded in C.  A dict encodes its string and string-list values
+    without recursing."""
     if isinstance(obj, str):
         return _json_string(obj)
     inner = indent + "  "
@@ -142,7 +150,7 @@ def _json_text(obj, indent: str = "") -> str:
     is_list = isinstance(obj, (list, tuple))
     if is_list and obj:
         try:
-            return f"[\n{inner}{sep.join(map(_json_string, obj))}\n{indent}]"
+            return _string_list(indent)(obj)
         except TypeError:  # not all strings
             pass
     items = obj if is_list else obj.values() if isinstance(obj, dict) else ()
@@ -152,16 +160,14 @@ def _json_text(obj, indent: str = "") -> str:
     if is_list:
         parts = [_json_text(x, inner) for x in obj]
     else:
-        deeper = inner + "  "
-        sep2 = ",\n" + deeper
-        parts = []
+        parts, strings = [], _string_list(inner)
         for k, v in obj.items():
             if isinstance(v, str):
                 text = _json_string(v)
             elif v and isinstance(v, (list, tuple)):
-                try:  # the list branch above, one depth down
-                    text = f"[\n{deeper}{sep2.join(map(_json_string, v))}\n{inner}]"
-                except TypeError:
+                try:
+                    text = strings(v)
+                except TypeError:  # not all strings
                     text = _json_text(v, inner)
             else:
                 text = _json_text(v, inner)

@@ -64,11 +64,9 @@ def _walk(edge_id: dict[tuple[str, str], int], cycle) -> tuple[tuple[int, int], 
     The sign is +1 where the walk runs u -> v along the stored edge
     (u < v) and -1 where it runs against it.
     """
-    steps, b = [], cycle[0]
-    for a in reversed(cycle):  # back from the closing step: no slices
+    steps = []
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         steps.append((edge_id[a, b], 1) if a < b else (edge_id[b, a], -1))
-        b = a
-    steps.reverse()
     return tuple(steps)
 
 
@@ -163,8 +161,8 @@ def detect_forbidden(
     witness built only for a walk on which :func:`_forms_pattern` holds.
     Raises :class:`UnorientedEdgeError` when a non-wildcard edge has no
     direction.  If ``link`` is given, every witness loop step is checked
-    on it, each loop vertex resolved once and each step, taken in the
-    direction of some loop, looked up once, without the named view.
+    on it in one lookup of its distinct steps, each loop vertex resolved
+    once, without the named view.
     """
     dirs, hits = _hits(gamma)
     first = next(hits, None)
@@ -176,21 +174,20 @@ def detect_forbidden(
         _witness(gamma.edges, c, w, dirs, heads, tails) for c, w in chain([first], hits)
     ]
     if link is not None:
-        pairs = set()  # each distinct step once, as a pair of loop vertices
-        for w in witnesses:
-            pairs.update(zip(w.loop, w.loop[1:] + w.loop[:1]))
-        walk = list(chain.from_iterable(pairs))  # its even steps are the pairs
+        # Each distinct step once, as a pair in the direction a loop takes it,
+        # in detection order, so the first missing pair is the first missing
+        # step; the even steps of one walk through the pairs are the pairs.
+        pairs = list(dict.fromkeys(
+            chain.from_iterable(zip(w.loop, w.loop[1:] + w.loop[:1]) for w in witnesses)
+        ))
+        walk = list(chain.from_iterable(pairs))
         id_of = {v: link._resolve(v) for v in set(walk)}.__getitem__
-        if None not in link._steps(list(map(id_of, walk)))[::2]:
-            return witnesses
-        for wit in witnesses:  # name the first missing step, in detection order
-            steps = link._steps(list(map(id_of, wit.loop)))
-            if None in steps:
-                k = steps.index(None)
-                a, b = wit.loop[k], wit.loop[k + 1 - len(wit.loop)]
-                raise InternalInconsistencyError(
-                    f"witness loop step {a} - {b} missing from the link"
-                )
+        steps = link._steps(list(map(id_of, walk)))[::2]
+        if None in steps:
+            a, b = pairs[steps.index(None)]
+            raise InternalInconsistencyError(
+                f"witness loop step {a} - {b} missing from the link"
+            )
     return witnesses
 
 

@@ -270,7 +270,7 @@ def test_orient_refutes_unoriented_k11_11_fast(gamma_file, capsys):
 
 def test_certify_json_of_k12_12_within_a_second(gamma_file, capsys):
     # every edge a -> b: 66 * 66 type-B witnesses and 1.3 MB of JSON, in
-    # 0.11-0.15 s on a 2-core x86_64 host; a cost per witness or per byte
+    # 0.11-0.19 s on a 2-core x86_64 host; a cost per witness or per byte
     # that grows shows here
     text = "".join(f"vertex a{i}\nvertex b{i}\n" for i in range(12)) + "".join(
         f"edge a{i} b{j} 3 >\n" for i in range(12) for j in range(12)
