@@ -17,7 +17,6 @@ joins adjacent levels, so links are bipartite.
 
 from __future__ import annotations
 
-import copy
 import functools
 from bisect import bisect_left
 from fractions import Fraction
@@ -99,11 +98,13 @@ class LinkGraph:
     simple graph on a dense integer core.
 
     The core is ``levels[id]``, ``ends[ei]`` (lower id first) and
-    ``nbrs[id]``, sorted (neighbour id, edge id) pairs; an angled link
-    adds ``weight[ei]``, in units of pi / ``angle_unit``.  An id is a
-    position in the sorted ``vertices``, so comparing ids compares
-    vertices.  A part names its vertices and edges through the whole
-    link, ``_vids[id]`` and ``_eids[ei]`` being their ids there.
+    ``nbrs[id]``, (neighbour id, edge id) pairs in no specified order: a
+    reader that needs them in id order sorts them itself, and the loop
+    engine sorts them in place.  An angled link adds ``weight[ei]``, in
+    units of pi / ``angle_unit``.  An id is a position in the sorted
+    ``vertices``, so comparing ids compares vertices.  A part names its
+    vertices and edges through the whole link, ``_vids[id]`` and
+    ``_eids[ei]`` being their ids there.
     """
 
     complex: TwoComplex | None = None  # set for the whole link
@@ -129,8 +130,6 @@ class LinkGraph:
             raise InternalInconsistencyError(
                 f"parallel link edge between {va} and {vb}"
             )
-        for ns in nbrs:
-            ns.sort()
         self.nbrs = nbrs
         self._hops: list = []  # the hop search's answer: cycles._hop_search
 
@@ -329,7 +328,8 @@ class LinkGraph:
             raise ValueError(f"{len(weight)} angles for {len(self.ends)} edges")
         if type(unit) is not int or unit < 1 or not {*map(type, weight)} <= {int}:
             raise TypeError("angle weights must be ints over a positive int unit")
-        angled = copy.copy(self)
+        angled = LinkGraph.__new__(LinkGraph)
+        angled.__dict__.update(self.__dict__)
         angled.__dict__.pop("edges", None)
         angled.weight, angled.angle_unit = weight, unit
         return angled
@@ -377,7 +377,9 @@ def build_link(k: TwoComplex) -> LinkGraph:
     Generator g of sorted rank r gets head id 2 * r and tail id
     2 * r + 1, the order of the named vertices.  A cell h^-1 u v gives
     its bottom {h_bar, u_bar}, middle {u, v_bar} and top {v, h} edges,
-    in that order.
+    in that order.  Each neighbour list holds its edges in the order
+    they were added, which is edge-id order; that order is not part of
+    the core's contract (see :class:`LinkGraph`).
     """
     gens = k.one_cells
     hubs = k.presentation.hubs

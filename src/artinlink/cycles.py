@@ -98,13 +98,15 @@ def has_short_loop(link: LinkGraph) -> bool:
     within a degree, so the generators' tails and the hub heads come
     before the chain tails.  The scan leaves at the first pair met
     twice; with none, it reads every even vertex, so the answer does
-    not depend on the order.
+    not depend on the order.  A pair x < y is keyed ``x * n + y``, so
+    each list visited is sorted in place first; no other order counts.
     """
     n = len(link.nbrs)
     seen: set[int] = set()
     even = [ns for ns, level in zip(link.nbrs, link.levels) if not level % 2]
     even.sort(key=len, reverse=True)  # stable: ids ascend within a degree
     for ns in even:
+        ns.sort()
         for (x, _), (y, _) in combinations(ns, 2):
             key = x * n + y
             if key in seen:
@@ -125,7 +127,9 @@ def _has_short_light_loop(link: LinkGraph) -> bool:
     of kept vertices met in two stars closes four edges.  With none,
     pairs (p, r), (r, t) and (p, t) close six unless one star holds all
     three, as a star holding two of them holds the third.  Links are
-    bipartite, so loops are even.
+    bipartite, so loops are even.  Each star's kept vertices are sorted,
+    so that p < r in every pair; the stars and their lists may come in
+    any order.
     """
     nbrs = link.nbrs
     stars = [ns for ns, lv in zip(nbrs, link.levels) if lv in (1, 4) and len(ns) > 1]
@@ -135,7 +139,7 @@ def _has_short_light_loop(link: LinkGraph) -> bool:
             held[x] += 1
     above: dict[int, dict[int, int]] = {}  # p -> r -> the star of pair (p, r), p < r
     for c, ns in enumerate(stars):
-        kept = [x for x, _ in ns if held[x] > 1]
+        kept = sorted([x for x, _ in ns if held[x] > 1])
         for p, r in combinations(kept, 2):
             paired = above.setdefault(p, {})
             if r in paired:
@@ -153,17 +157,20 @@ def _lightest_four_cycle(
     nbrs: Sequence[list[tuple[int, int]]], steps: Sequence[int], unset: int
 ) -> tuple[int, int]:
     """The least key of a 4-cycle of the simple graph ``nbrs``, of
-    sorted (neighbour id, edge id) pairs with step ``steps[ei]`` per
-    edge, and the least id on a 4-cycle of that key; ``(unset, n)`` if
-    it has none.
+    (neighbour id, edge id) pairs in any order with step ``steps[ei]``
+    per edge, and the least id on a 4-cycle of that key; ``(unset, n)``
+    if it has none.
 
     Each 4-cycle is met from its vertex v of largest (degree, id) rank:
     both paths v-u-w to its opposite vertex w run through ranks below
     v's, so the scan costs O(edges * arboricity) (Chiba and Nishizeki,
     1985).  Each path v-u-w is paired with the lightest one met before
-    it, the first of a tie.  The u come in id order, so the pairs met
-    hold the least id on a lightest 4-cycle through v and w.  It scans
-    the whole graph, as that id may lie on a 4-cycle met late.
+    it, of least u in a tie.  Take p of least u among the lightest
+    paths from v to w, and q of least u among the lightest of the rest:
+    whichever of p and q comes later is paired with the other, so in
+    whatever order the u come, the pairs met hold the least u on a
+    lightest 4-cycle through v and w.  It scans the whole graph, as the
+    least id may lie on a 4-cycle met late.
     """
     n = len(nbrs)
     rank = [0] * n
@@ -187,7 +194,7 @@ def _lightest_four_cycle(
                             if key + old[0] < best:
                                 best, least = key + old[0], n
                             least = min(least, v, w, u, old[1])
-                        if key < old[0]:
+                        if key < old[0] or key == old[0] and u < old[1]:
                             lightest[w] = key, u
     return best, least
 
@@ -288,8 +295,14 @@ def _shortest_cycle(
     increasing order, meets the canonical loop first; each vertex of
     that loop lies within half the key of the start, so the search's
     keys prune the DFS.
+
+    Pass 1's skip and pass 2's DFS read the neighbour lists in id
+    order, so the core's lists are sorted in place first: on a list
+    already sorted, as after a first search, that is one linear pass.
     """
-    nbrs = link.nbrs  # sorted ids, read in place
+    nbrs = link.nbrs  # read in place
+    for ns in nbrs:
+        ns.sort()
     n = len(nbrs)
     steps = [1] * len(link.ends) if weight is None else [w * n + 1 for w in weight]
     unset = sum(steps) + 1  # above every loop key, a loop on all edges' too

@@ -54,6 +54,18 @@ class RotationError(ValueError):
 _RESERVED = re.compile(r"[{},^\s]")  # on ``str``, ``\s`` is ``str.isspace``
 
 
+@functools.lru_cache(maxsize=1024)
+def _is_vertex_name(name: str) -> bool:
+    """The verdict of :func:`check_vertex_name` on the string ``name``,
+    kept per distinct name: graphs are built over the same few names."""
+    return (
+        bool(name)
+        and not _RESERVED.search(name)
+        and not name.endswith(("_bar", "-"))
+        and "--" not in name
+    )
+
+
 def check_vertex_name(name) -> None:
     """Reject a name that could collide with a generated generator.
 
@@ -64,13 +76,7 @@ def check_vertex_name(name) -> None:
     without braces, commas, ``^``, ``--`` or whitespace that does not
     end in ``_bar`` or ``-``: then every key splits at its first ``--``.
     """
-    if (
-        not isinstance(name, str)
-        or not name
-        or _RESERVED.search(name)
-        or name.endswith(("_bar", "-"))
-        or "--" in name
-    ):
+    if not isinstance(name, str) or not _is_vertex_name(name):
         raise ValueError(
             f"vertex name {name!r} must be a non-empty string without '{{', "
             f"'}}', ',', '^', '--' or whitespace that does not end in '_bar' or '-'"

@@ -223,13 +223,15 @@ def id_order_shortest_cycle(link, weight=None):
     itself, closes a simple cycle through s, and the least vertex of a
     least loop sees that loop.  The first start to reach the least key
     is the least vertex of any least loop, and a DFS from it over
-    larger ids, in increasing order, meets the canonical loop first.
+    larger ids, in increasing order, meets the canonical loop first;
+    so it sorts the neighbour lists it reads, whatever their order in
+    ``link.nbrs``.
     """
     import heapq
 
     n = len(link.nbrs)
     steps = [
-        [(nb, 1 if weight is None else weight[ei] * n + 1) for nb, ei in ns]
+        [(nb, 1 if weight is None else weight[ei] * n + 1) for nb, ei in sorted(ns)]
         for ns in link.nbrs
     ]
 
@@ -290,9 +292,10 @@ def reference_link(pres):
     end of l2.
 
     Returns ``(vertices, edges, nbrs, ends)`` in the layout of
-    ``LinkGraph``, with vertices as (gen, end, level, special) and
-    edges as (a, b, kind, cell, corner, piece, angle) plain tuples,
-    which compare equal to ``LinkVertex`` and ``LinkEdge``.
+    ``LinkGraph``, with vertices as (gen, end, level, special), edges
+    as (a, b, kind, cell, corner, piece, angle) plain tuples, which
+    compare equal to ``LinkVertex`` and ``LinkEdge``, and each
+    neighbour list in edge-id order, as ``build_link`` leaves it.
     """
     hubs = {rec.hub for rec in pres.hub_records}
     fillers = {g for rec in pres.hub_records for g in rec.cycle[2:]}
@@ -327,7 +330,7 @@ def reference_link(pres):
     for ei, (a, b) in enumerate(ends):
         nbrs[a].append((b, ei))
         nbrs[b].append((a, ei))
-    return vertices, tuple(edges), [sorted(ns) for ns in nbrs], ends
+    return vertices, tuple(edges), nbrs, ends
 
 
 def symmetrize(pres) -> tuple[CyclicWord, ...]:

@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from oracle_tools import adjacency, reference_link
@@ -198,6 +199,8 @@ def test_link_matches_the_named_corner_rule():
         assert link.edges == edges
         assert link.nbrs == nbrs
         assert link.ends == ends
+        part = link.middle_subgraph()
+        assert all(ns == sorted(ns, key=itemgetter(1)) for ns in part.nbrs)
         cases += 1
     assert cases == 695 + 369 + 2000 + 27 + 6
 

@@ -253,7 +253,8 @@ def small_links_and_weights(draw):
 
 class Core:
     """The integer core of a simple graph on ids ``0..n-1``, as a link
-    holds it: ``ends[ei]``, lower id first, and sorted ``nbrs``."""
+    holds it: ``ends[ei]``, lower id first, and ``nbrs`` in edge-id
+    order."""
 
     def __init__(self, n, edges):
         self.ends = [(min(e), max(e)) for e in edges]
@@ -261,8 +262,6 @@ class Core:
         for ei, (a, b) in enumerate(self.ends):
             self.nbrs[a].append((b, ei))
             self.nbrs[b].append((a, ei))
-        for ns in self.nbrs:
-            ns.sort()
 
 
 @st.composite
@@ -456,6 +455,83 @@ def test_lightest_four_cycle_on_sampled_oracle_links():
             keys[scheme, found[0] == unset] += 1
     assert all(keys[scheme, False] > 1_000 for scheme in (None, B2))
     assert all(keys[scheme, True] > 20 for scheme in (None, B2))
+
+
+def test_lightest_four_cycle_takes_the_least_u_of_a_tie_in_any_order():
+    """K2,3 with v = 4 and w = 3 opposite, u = 2 the one light path
+    between them and u = 0 and 1 two heavier ones: every lightest
+    4-cycle holds 2 and one of 0 and 1, so the least id is 0, whatever
+    the order of the neighbour lists.  Were a tie kept by the first u
+    met, the list 1, 0, 2 would give 1."""
+    from oracle_tools import lightest_four_cycle
+
+    from artinlink.cycles import _lightest_four_cycle
+
+    core = Core(5, [(0, 4), (1, 4), (2, 4), (0, 3), (1, 3), (2, 3)])
+    steps, unset = [2, 2, 1, 2, 2, 1], 11
+    assert lightest_four_cycle(core, steps, unset) == (6, 0)
+    at_v, at_w = core.nbrs[4], core.nbrs[3]
+    for order_v, order_w in itertools.product(itertools.permutations(range(3)), repeat=2):
+        core.nbrs[4] = [at_v[i] for i in order_v]
+        core.nbrs[3] = [at_w[i] for i in order_w]
+        assert _lightest_four_cycle(core.nbrs, steps, unset) == (6, 0)
+
+
+@functools.cache
+def order_cores():
+    """Cores whose neighbour lists the property below reorders: 150
+    sampled oracle links and 150 B2 sweep links under their B2 angles,
+    and the middle subgraph of each, which carries the angles."""
+    from artinlink.batteries import (
+        enumerate_triangle_free_oriented_states,
+        graph_from_state,
+    )
+
+    states = enumerate_triangle_free_oriented_states(5)
+    links = [*sampled_oracle_links()[:150]]
+    links += (link_of(graph_from_state(s, 5)) for s in random.Random(3801).sample(states, 150))
+    angled = [metric_link(link, B2) for link in links]
+    return angled + [link.middle_subgraph() for link in angled]
+
+
+def with_lists(core, order):
+    """A copy of ``core`` with ``order(ns)`` as each neighbour list and
+    no hop answer yet; it shares the rest."""
+    from artinlink.complex_link import LinkGraph
+
+    copy = LinkGraph.__new__(LinkGraph)
+    copy.__dict__.update(core.__dict__)
+    copy.nbrs, copy._hops = [order(ns) for ns in core.nbrs], []
+    return copy
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 599), st.integers(0, 2**32 - 1))
+def test_loop_readers_do_not_depend_on_the_order_of_neighbour_lists(index, seed):
+    """Every reader of the core gives the same answers when each
+    neighbour list is shuffled as when it is sorted; each reader gets
+    a copy of its own, as the engine and the short-loop scan sort the
+    lists they read in place."""
+    from artinlink.cycles import (
+        _has_short_light_loop,
+        _lightest_four_cycle,
+        _shortest_cycle,
+    )
+
+    core = order_cores()[index]
+
+    def answers(order):
+        fresh = functools.partial(with_lists, core, order)
+        out = [has_short_loop(fresh()), _has_short_light_loop(fresh())]
+        for weight in (None, core.weight):
+            steps, unset = scan_input(core, weight)
+            out.append(_lightest_four_cycle(fresh().nbrs, steps, unset))
+            out.append(_shortest_cycle(fresh(), weight))
+        out += girth(fresh()), min_angle_cycle(fresh())
+        return out + [enumerate_short_loops(fresh(), 6)]
+
+    rng = random.Random(seed)
+    assert answers(lambda ns: rng.sample(ns, len(ns))) == answers(sorted)
 
 
 def test_girth_from_the_proven_bound_matches_the_id_order_oracle():
