@@ -377,9 +377,8 @@ def build_link(k: TwoComplex) -> LinkGraph:
     Generator g of sorted rank r gets head id 2 * r and tail id
     2 * r + 1, the order of the named vertices.  A cell h^-1 u v gives
     its bottom {h_bar, u_bar}, middle {u, v_bar} and top {v, h} edges,
-    in that order.  Each neighbour list holds its edges in the order
-    they were added, which is edge-id order; that order is not part of
-    the core's contract (see :class:`LinkGraph`).
+    in that order.  Each neighbour list holds its edges in edge-id
+    order, which a reader may not rely on (see :class:`LinkGraph`).
     """
     gens = k.one_cells
     hubs = k.presentation.hubs
