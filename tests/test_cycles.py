@@ -488,7 +488,7 @@ def order_cores():
     )
 
     states = enumerate_triangle_free_oriented_states(5)
-    links = [*sampled_oracle_links()[:150]]
+    links = sampled_oracle_links()[:150]
     links += (link_of(graph_from_state(s, 5)) for s in random.Random(3801).sample(states, 150))
     angled = [metric_link(link, B2) for link in links]
     return angled + [link.middle_subgraph() for link in angled]
