@@ -121,10 +121,15 @@ class CurvatureReport:
             )
             if loop is not None
         ]
-        for w in self.forbidden:
-            record = w.to_json_dict()
-            record["kind"] = f"type-{w.kind}"  # set in place: the key keeps its position
-            witnesses.append(record)
+        witnesses += [
+            {
+                "kind": f"type-{w.kind}",
+                "vertices": list(w.vertices),
+                "edges": [f"{t}->{h}" for t, h in w.directed_edges],
+                "loop": [v.bar_name for v in w.loop],
+            }
+            for w in self.forbidden
+        ]
         return {
             "scheme": self.scheme,
             "verdict": self.verdict,
@@ -180,14 +185,14 @@ def certify(gamma: DefiningGraph, scheme: str = "auto") -> CurvatureReport:
     """
     notes: list[str] = []
     g = gamma
-    found = _search_orientation(g) if g.unoriented_edges() else None
+    unoriented = g.unoriented_edges()
+    found = _search_orientation(g) if unoriented else None
     if found is not None:
         g = resolve_orientations(g, found)
         notes.append("orientation found by search")
-    elif g.unoriented_edges():
+    elif unoriented:
         notes.append("no pattern-free orientation exists; using u->v defaults")
-        todo = {e.key: "forward" for e in g.unoriented_edges()}
-        g = resolve_orientations(g, OrientationAssignment(todo))
+        g = resolve_orientations(g, {e.key: "forward" for e in unoriented})
 
     link = link_of(g)
     # One detection serves the verdict, checks its witness loops against

@@ -44,14 +44,6 @@ class ForbiddenWitness(NamedTuple):
     directed_edges: tuple[tuple[str, str], ...]
     loop: tuple[LinkVertex, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "vertices": list(self.vertices),
-            "edges": [f"{t}->{h}" for t, h in self.directed_edges],
-            "loop": [v.bar_name for v in self.loop],
-        }
-
 
 # Direction array values; an unoriented edge has none (None: undecided).
 _DIRECTION = {Orientation.FORWARD: 1, Orientation.BACKWARD: -1, Orientation.WILDCARD: 0}

@@ -99,12 +99,11 @@ ORIENTATION_SYMBOLS = {
 }
 
 
-def _flipped(o: Orientation) -> Orientation:
-    """``o`` read from the other end: FORWARD and BACKWARD swap."""
-    return {
-        Orientation.FORWARD: Orientation.BACKWARD,
-        Orientation.BACKWARD: Orientation.FORWARD,
-    }.get(o, o)
+# An orientation read from the other end (``.get(o, o)``): FORWARD and BACKWARD swap.
+_REVERSED = {
+    Orientation.FORWARD: Orientation.BACKWARD,
+    Orientation.BACKWARD: Orientation.FORWARD,
+}
 
 
 class _NoDirection:
@@ -116,52 +115,53 @@ class _NoDirection:
         raise UnorientedEdgeError(f"edge {edge.key} has no direction")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GammaEdge:
     """An edge of a defining graph, stored with u < v lexicographically.
 
-    ``orientation`` must be an :class:`Orientation` or its value.
-    ``key`` (the pair (u, v)) and, on an oriented or wildcard edge,
-    ``tail`` and ``head`` are set once by the constructor; on an
-    unoriented edge every read of ``tail`` or ``head`` raises
-    :class:`UnorientedEdgeError`.  ``hub_chain`` is derived on first
-    read and cached.  Equality, hashing, repr and pickling (through
-    the constructor) read the four fields only.
+    ``orientation`` is an :class:`Orientation` or its value, read on the
+    pair as given.  The constructor checks its arguments, swaps the ends
+    (and FORWARD with BACKWARD) so that u < v and sets each attribute
+    once: the four fields, ``key`` (the pair (u, v)) and, on an oriented
+    or wildcard edge, ``tail`` and ``head``; on an unoriented edge every
+    read of those raises :class:`UnorientedEdgeError`.  ``hub_chain`` is
+    derived on first read and cached.  Equality, hashing, repr and
+    pickling (through the constructor) read the four fields only.
     """
 
     u: str
     v: str
     label: int
-    orientation: Orientation = Orientation.UNORIENTED
+    orientation: Orientation
     tail = head = _NoDirection()  # hidden by the ends the constructor sets
 
-    def __post_init__(self):
-        if self.u == self.v:
-            raise ValueError(f"loop edge at {self.u!r} not allowed")
-        if not isinstance(self.label, int) or self.label < 2:
-            raise ValueError(f"edge label must be an integer >= 2, got {self.label!r}")
-        d = self.__dict__  # frozen fields are set through the dict
+    def __init__(self, u, v, label, orientation=Orientation.UNORIENTED):
+        if u == v:
+            raise ValueError(f"loop edge at {u!r} not allowed")
+        if not isinstance(label, int) or label < 2:
+            raise ValueError(f"edge label must be an integer >= 2, got {label!r}")
         try:
-            d["orientation"] = Orientation(self.orientation)
+            o = Orientation(orientation)
         except ValueError:
             raise ValueError(
-                f"edge {(self.u, self.v)} orientation must be one of "
-                f"{', '.join(Orientation)}, got {self.orientation!r}"
+                f"edge {(u, v)} orientation must be one of "
+                f"{', '.join(Orientation)}, got {orientation!r}"
             ) from None
-        if self.u > self.v:
-            d.update(u=self.v, v=self.u, orientation=_flipped(self.orientation))
-        d["key"] = (self.u, self.v)
-        if self.orientation == Orientation.WILDCARD and self.label != 2:
+        if u > v:
+            u, v, o = v, u, _REVERSED.get(o, o)
+        if o is Orientation.WILDCARD and label != 2:
             raise ValueError(
-                f"wildcard orientation requires label 2 on edge {self.key}"
+                f"wildcard orientation requires label 2 on edge {(u, v)}"
             )
+        d = self.__dict__  # frozen fields are set through the dict
+        d.update(u=u, v=v, label=label, orientation=o, key=(u, v))
         # tail starts the preserved length-2 subword; a wildcard (label-2)
         # edge reads both ways in the link, so any fixed choice gives the
         # same presentation: the lexicographically smaller end
-        if self.orientation == Orientation.BACKWARD:
-            d.update(tail=self.v, head=self.u)
-        elif self.orientation != Orientation.UNORIENTED:
-            d.update(tail=self.u, head=self.v)
+        if o is Orientation.BACKWARD:
+            d.update(tail=v, head=u)
+        elif o is not Orientation.UNORIENTED:
+            d.update(tail=u, head=v)
 
     def __reduce__(self):
         return GammaEdge, (self.u, self.v, self.label, self.orientation)
@@ -181,7 +181,8 @@ class GammaEdge:
         return (hub, *chain), HubRecord(hub, (tail, head, *chain), m, (tail, head))
 
     def reversed(self) -> "GammaEdge":
-        return GammaEdge(self.u, self.v, self.label, _flipped(self.orientation))
+        o = self.orientation
+        return GammaEdge(self.u, self.v, self.label, _REVERSED.get(o, o))
 
 
 def _make_edge(item) -> GammaEdge:
@@ -361,8 +362,7 @@ def resolve_orientations(
     for e in gamma.edges:
         if e.key in assignment.directions:
             d = assignment.directions[e.key]
-            o = Orientation.FORWARD if d == "forward" else Orientation.BACKWARD
-            new_edges.append(GammaEdge(e.u, e.v, e.label, o))
+            new_edges.append(GammaEdge(e.u, e.v, e.label, d))
         else:
             new_edges.append(e)
     return gamma.with_edges(new_edges)

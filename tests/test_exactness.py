@@ -464,12 +464,13 @@ def test_each_certificate_builds_its_link_once(monkeypatch):
         assert counts == dict.fromkeys(counts, 1)
 
 
-VALUE_METHODS = ("__eq__", "__hash__", "__setattr__", "__bool__")
+VALUE_METHODS = ("__eq__", "__hash__", "__setattr__", "__bool__", "__post_init__")
 
 
 def hand_written_value_methods(source: str) -> list[str]:
-    """``Class.name`` of every equality, hashing, assignment or truth
-    method that a class body defines, by ``def`` or by assignment."""
+    """``Class.name`` of every equality, hashing, assignment, truth or
+    post-construction method that a class body defines, by ``def`` or
+    by assignment."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ClassDef):
@@ -487,7 +488,9 @@ def hand_written_value_methods(source: str) -> list[str]:
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_value_semantics_come_from_dataclasses(module):
     # equality, hashing and immutability come from ``dataclasses`` or
-    # ``NamedTuple``, and truth from ``__len__``: one mechanism each
+    # ``NamedTuple``, and truth from ``__len__``: one mechanism each.  A
+    # value gets its fields once, in its constructor: no ``__post_init__``
+    # rewrites what the generated ``__init__`` wrote
     assert hand_written_value_methods((SRC / module).read_text()) == []
 
 
@@ -496,6 +499,8 @@ def test_value_guard_sees_a_planted_method():
 class A:
     def __eq__(self, other):
         return True
+    def __post_init__(self):
+        pass
     class Inner:
         __hash__ = None
 def f():
@@ -506,6 +511,7 @@ def f():
 """
     assert hand_written_value_methods(source) == [
         "A.__eq__",
+        "A.__post_init__",
         "Inner.__hash__",
         "B.__bool__",
         "B.__setattr__",

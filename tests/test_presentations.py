@@ -1,8 +1,11 @@
+import copy
 import itertools
 import pickle
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinlink import (
     CyclicWord,
@@ -175,6 +178,92 @@ def test_edge_with_cached_ends_is_its_fresh_self(args):
     assert pickle.dumps(read) == pickle.dumps(fresh)
     back = pickle.loads(pickle.dumps(read))
     assert back == fresh and (back.tail, back.head, back.key, back.hub_chain) == ends
+
+
+ORIENTATION_VALUES = ("forward", "backward", "unoriented", "wildcard")
+
+
+def expected_edge(u, v, label, o):
+    """What ``GammaEdge(u, v, label, o)`` promises, worked out without
+    it: ``("error", type, message)`` for the first failing check, else
+    ``("edge", u, v, orientation value, (tail, head) or None)``."""
+    if u == v:
+        return "error", ValueError, f"loop edge at {u!r} not allowed"
+    if not isinstance(label, int) or label < 2:
+        return "error", ValueError, f"edge label must be an integer >= 2, got {label!r}"
+    if not isinstance(o, str) or o not in ORIENTATION_VALUES:
+        return "error", ValueError, (
+            f"edge {(u, v)} orientation must be one of forward, backward, "
+            f"unoriented, wildcard, got {o!r}"
+        )
+    value = str.__str__(o)  # a member's value, a value itself
+    if u > v:
+        u, v = v, u
+        value = {"forward": "backward", "backward": "forward"}.get(value, value)
+    if value == "wildcard" and label != 2:
+        message = f"wildcard orientation requires label 2 on edge {(u, v)}"
+        return "error", ValueError, message
+    ends = {"forward": (u, v), "wildcard": (u, v), "backward": (v, u)}.get(value)
+    return "edge", u, v, value, ends
+
+
+def built_edge(u, v, label, o):
+    """``GammaEdge(u, v, label, o)`` read as :func:`expected_edge` writes
+    it."""
+    try:
+        e = GammaEdge(u, v, label, o)
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+    return observed(e)
+
+
+def observed(e):
+    """``e`` read as :func:`expected_edge` writes it; ``tail`` and
+    ``head`` are read twice, so a read that raises must raise every
+    time."""
+    assert e.key == (e.u, e.v) and type(e.orientation) is Orientation
+    reads = []
+    for _ in range(2):
+        try:
+            reads.append((e.tail, e.head))
+        except UnorientedEdgeError:
+            reads.append(None)
+    assert reads[0] == reads[1]
+    return "edge", e.u, e.v, e.orientation.value, reads[0]
+
+
+def reversed_orientation(o):
+    """``o`` read from the other end, in the form it was given: members
+    stay members and values stay values; anything else is kept."""
+    if isinstance(o, Orientation):
+        return {F: B, B: F}.get(o, o)
+    if o in ("forward", "backward"):
+        return "backward" if o == "forward" else "forward"
+    return o
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(
+    u=st.sampled_from("abc"),
+    v=st.sampled_from("abc"),
+    label=st.one_of(st.integers(-1, 6), st.sampled_from([True, 3.0, "3", None])),
+    o=st.one_of(
+        st.sampled_from(list(Orientation)),
+        st.sampled_from(ORIENTATION_VALUES),
+        st.sampled_from([None, "bogus", ">", "FORWARD", 1, ("forward",), ["forward"]]),
+    ),
+)
+def test_edge_constructor_keeps_its_promise_in_both_argument_orders(u, v, label, o):
+    given_order = built_edge(u, v, label, o)
+    assert given_order == expected_edge(u, v, label, o)
+    other = (v, u, label, reversed_orientation(o))
+    assert built_edge(*other) == expected_edge(*other)
+    if given_order[0] == "edge":
+        e, f = GammaEdge(u, v, label, o), GammaEdge(*other)
+        assert e == f and hash(e) == hash(f) and repr(e) == repr(f)
+        assert pickle.dumps(e) == pickle.dumps(f)
+        for twin in (copy.deepcopy(e), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert twin == e and observed(twin) == given_order
 
 
 # -- standard presentations --------------------------------------------
