@@ -16,7 +16,6 @@ from .complex_link import (
     LinkGraph,
     LinkVertex,
     NotTriangularError,
-    TwoComplex,
     VertexNotFoundError,
     build_complex,
     build_link,

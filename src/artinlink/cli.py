@@ -340,7 +340,3 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

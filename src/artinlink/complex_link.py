@@ -1,12 +1,13 @@
 """The presentation 2-complex of a triangular presentation and its link.
 
 The complex has a single 0-cell, one 1-cell per generator and one
-triangular 2-cell per relator h^-1 u v.  The link of the 0-cell is the
-graph of directions there: each 1-cell g contributes a head vertex
-(written ``g``) and a tail vertex (written ``g_bar``), and each corner
-of a 2-cell contributes an edge.  For consecutive boundary letters
-l1 l2 the corner joins the terminal end of l1 to the initial end of l2,
-which for a boundary h^-1 u v yields exactly
+triangular 2-cell per relator h^-1 u v, so the presentation's cells
+determine it and the presentation stands for it.  The link of the
+0-cell is the graph of directions there: each 1-cell g contributes a
+head vertex (written ``g``) and a tail vertex (written ``g_bar``), and
+each corner of a 2-cell contributes an edge.  For consecutive
+boundary letters l1 l2 the corner joins the terminal end of l1 to the
+initial end of l2, which for a boundary h^-1 u v yields exactly
 
     bottom {h_bar, u_bar},  middle {u, v_bar},  top {v, h}.
 
@@ -52,31 +53,13 @@ class LinkVertex(NamedTuple):
         return self.bar_name
 
 
-class TwoComplex:
-    """One 0-cell, a 1-cell per generator, a triangular 2-cell per relator.
-
-    ``cells`` are the presentation's own, as ``from_cells`` checked
-    them: (hub, left, right) positions in ``one_cells`` for a boundary
-    h^-1 u v.  A presentation without cells raises NotTriangularError.
-    """
-
-    def __init__(self, presentation: Presentation):
-        if presentation.cells is None:
-            raise NotTriangularError(f"{presentation!r} has no triangular 2-cells")
-        self.presentation = presentation
-        self.cells = presentation.cells
-        self.one_cells = presentation.generators
-
-    def __repr__(self) -> str:
-        return (
-            f"TwoComplex(1 zero-cell, {len(self.one_cells)} one-cells, "
-            f"{len(self.cells)} two-cells)"
-        )
-
-
-def build_complex(p: Presentation) -> TwoComplex:
-    """Glue one triangular 2-cell per cell h^-1 u v of ``p``."""
-    return TwoComplex(p)
+def build_complex(p: Presentation) -> Presentation:
+    """Glue one triangular 2-cell per cell h^-1 u v of ``p``.  The cells
+    determine the complex, so it is ``p`` itself; a presentation without
+    cells raises NotTriangularError."""
+    if p.cells is None:
+        raise NotTriangularError(f"{p!r} has no triangular 2-cells")
+    return p
 
 
 class LinkEdge(NamedTuple):
@@ -107,7 +90,7 @@ class LinkGraph:
     ``_eids[ei]`` being their ids there.
     """
 
-    complex: TwoComplex | None = None  # set for the whole link
+    complex: Presentation | None = None  # set for the whole link
     weight: Sequence[int] | None = None
     angle_unit = 1
     _whole: LinkGraph | None = None  # set for a part
@@ -149,8 +132,8 @@ class LinkGraph:
         """The vertices of ``ids``.  Whole vertex id 2 * r (head) and
         2 * r + 1 (tail) belong to generator ``_by_rank[r]``."""
         whole = self._whole or self
-        gens = whole.complex.one_cells
-        special = whole.complex.presentation.special_generators
+        gens = whole.complex.generators
+        special = whole.complex.special_generators
         out = []
         for i in ids:
             w = self._vids[i]
@@ -162,7 +145,7 @@ class LinkGraph:
     @functools.cached_property
     def _rank(self) -> dict[str, int]:
         """Generator -> its sorted rank, on the whole link."""
-        gens = self.complex.one_cells
+        gens = self.complex.generators
         return {gens[gi]: r for r, gi in enumerate(self._by_rank)}
 
     def _find(self, gen: str, end: str) -> int:
@@ -197,8 +180,8 @@ class LinkGraph:
         w, unit = self.weight, self.angle_unit
         angles = repeat(None) if w is None else [Fraction(x, unit) for x in w]
         vs, levels = self.vertices, self.levels
-        k = (self._whole or self).complex
-        gens, cells = k.one_cells, k.cells
+        p = (self._whole or self).complex
+        gens, cells = p.generators, p.cells
         return tuple(
             LinkEdge(
                 vs[a],
@@ -370,9 +353,9 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def build_link(k: TwoComplex) -> LinkGraph:
-    """The whole link of ``k``: two vertices per 1-cell, one edge per
-    2-cell corner.
+def build_link(p: Presentation) -> LinkGraph:
+    """The whole link of the complex of ``p``: two vertices per
+    generator, one edge per 2-cell corner.
 
     Generator g of sorted rank r gets head id 2 * r and tail id
     2 * r + 1, the order of the named vertices.  A cell h^-1 u v gives
@@ -380,8 +363,7 @@ def build_link(k: TwoComplex) -> LinkGraph:
     in that order.  Each neighbour list holds its edges in edge-id
     order, which a reader may not rely on (see :class:`LinkGraph`).
     """
-    gens = k.one_cells
-    hubs = k.presentation.hubs
+    gens, hubs = p.generators, p.hubs
     by_rank = sorted(range(len(gens)), key=gens.__getitem__)
     head = [0] * len(gens)
     levels = []
@@ -389,7 +371,7 @@ def build_link(k: TwoComplex) -> LinkGraph:
         head[gi] = 2 * r
         levels += (4, 1) if gens[gi] in hubs else (3, 2)
     ends = []
-    for h, u, v in k.cells:
+    for h, u, v in p.cells:
         h, u, v = head[h], head[u], head[v]
         ends += (
             (h + 1, u + 1) if h < u else (u + 1, h + 1),
@@ -397,7 +379,7 @@ def build_link(k: TwoComplex) -> LinkGraph:
             (v, h) if v < h else (h, v),
         )
     link = LinkGraph.__new__(LinkGraph)
-    link.complex, link._by_rank = k, by_rank
+    link.complex, link._by_rank = p, by_rank
     link._vids, link._eids = range(len(levels)), range(len(ends))
     link._set_core(levels, ends)
     return link
@@ -405,7 +387,7 @@ def build_link(k: TwoComplex) -> LinkGraph:
 
 def link_of(gamma: DefiningGraph) -> LinkGraph:
     """The link of the 0-cell of ``gamma``'s triangular presentation
-    complex, the one handle on a certificate: the complex is
-    ``link.complex`` and the presentation ``link.complex.presentation``.
+    complex, the one handle on a certificate: the complex, which is the
+    triangular presentation, is ``link.complex``.
     """
     return build_link(build_complex(build_triangular(gamma)))

@@ -61,7 +61,10 @@ def make_loop(link: LinkGraph, vertices: list[LinkVertex]) -> EmbeddedLoop:
     if len(vertices) < 3:
         raise ValueError("a loop needs at least 3 vertices")
     canon = _canonical(vertices)
-    eids = link._steps(tuple(map(link._resolve, canon)))  # -1: no vertex
+    ids = tuple(map(link._resolve, canon))
+    if -1 in ids:
+        raise ValueError(f"loop vertex {canon[ids.index(-1)]} is not in the link")
+    eids = link._steps(ids)
     if None in eids:
         i = eids.index(None)
         v, w = canon[i], canon[(i + 1) % len(canon)]

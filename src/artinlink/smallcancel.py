@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from .complex_link import LinkGraph, TwoComplex
+from .complex_link import LinkGraph
 from .errors import InternalInconsistencyError
+from .presentations import Presentation
 from .words import CyclicWord, FreeWord
 
 CONDITION_CAP = 12
@@ -54,30 +55,30 @@ class PieceTable:
         return "\n".join(lines) + "\n"
 
 
-def _occurrences(link: LinkGraph) -> tuple[TwoComplex, Counter]:
-    """The complex of ``link`` and how often each generator id occurs
-    among its cells.
+def _occurrences(link: LinkGraph) -> tuple[Presentation, Counter]:
+    """The presentation of ``link`` and how often each generator id
+    occurs among its cells.
 
     ``link`` must be built from cells, so that its parallel-edge check
     has ruled out pieces longer than one letter.
     """
-    k = link.complex
-    if k is None:
+    pres = link.complex
+    if pres is None:
         raise InternalInconsistencyError(f"{link!r} is not built from cells")
-    return k, Counter(chain.from_iterable(k.cells))
+    return pres, Counter(chain.from_iterable(pres.cells))
 
 
 def compute_pieces(link: LinkGraph) -> PieceTable:
     """The pieces of the presentation of ``link``, sorted, and per
     relator the fewest pieces it is a product of (None if it is none)."""
-    k, occ = _occurrences(link)
-    gens = k.one_cells
+    pres, occ = _occurrences(link)
+    gens = pres.generators
     pieces = sorted(
         FreeWord([(gens[g], e)]) for g, n in occ.items() if n > 1 for e in (1, -1)
     )
     decompositions = {
         r: 3 if all(occ[g] > 1 for g in cell) else None
-        for r, cell in zip(k.presentation.relators, k.cells)
+        for r, cell in zip(pres.relators, pres.cells)
     }
     return PieceTable(tuple(pieces), 1 if pieces else 0, decompositions)
 
@@ -95,10 +96,10 @@ def check_conditions(link: LinkGraph, link_girth: int | None) -> SmallCancellati
     Raises :class:`InternalInconsistencyError` for a link not built from
     cells.
     """
-    k, occ = _occurrences(link)
+    pres, occ = _occurrences(link)
     # A relator of three pieces bounds C(p) by 3; one with a letter that
     # is no piece is no product of pieces and bounds nothing.
-    splits = any(occ[h] > 1 and occ[u] > 1 and occ[v] > 1 for h, u, v in k.cells)
+    splits = any(occ[h] > 1 and occ[u] > 1 and occ[v] > 1 for h, u, v in pres.cells)
     c_value = 3 if splits else CONDITION_CAP
     t_value = CONDITION_CAP if link_girth is None else min(link_girth, CONDITION_CAP)
     return SmallCancellation(c_value, t_value)

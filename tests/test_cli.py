@@ -420,6 +420,7 @@ AB_EDGE = {"u": "a", "v": "b", "label": 3, "orientation": "forward"}
         ({**AB, "edges": [], "rotations": 0}, "rotations must be an object"),
         ({**AB, "edges": [], "rotations": {"a": ["b", 3]}}, "rotations must list vertex names"),
         ({"edges": []}, "vertices must be a list, not null"),
+        ({"vertices": ["a", "a"], "edges": []}, "bad graph object: duplicate vertex names"),
     ],
 )
 def test_json_malformed_field_is_named_in_the_error(gamma_file, capsys, obj, message):
@@ -494,6 +495,26 @@ def test_binary_file_is_a_one_line_error(tmp_path, capsys):
     code, out, err = run(capsys, ["certify", str(path)])
     assert_one_line_error(code, out, err)
     assert "UTF-8" in err
+
+
+@pytest.mark.parametrize("line", ["rot a b", "rot"])
+def test_malformed_rotation_line_is_a_one_line_error(gamma_file, capsys, line):
+    text = f"vertex a\nvertex b\nedge a b 3 >\n{line}\n"
+    code, out, err = run(capsys, ["certify", gamma_file(text)])
+    assert_one_line_error(code, out, err)
+    assert err == "parse error: line 4: expected: rot <v>: <n1> <n2> ...\n"
+
+
+def test_internal_inconsistency_is_a_one_line_error(gamma_file, capsys, monkeypatch):
+    from artinlink import InternalInconsistencyError
+
+    def broken(gamma, scheme):
+        raise InternalInconsistencyError("no least loop through its start")
+
+    monkeypatch.setattr(cli, "certify", broken)
+    code, out, err = run(capsys, ["certify", gamma_file(TRIANGLE_333)])
+    assert (code, out) == (1, "")
+    assert err == "internal inconsistency: no least loop through its start\n"
 
 
 def test_graph_level_error_reports_the_edge_line(gamma_file, capsys):

@@ -16,7 +16,6 @@ from artinlink import (
     NotTriangularError,
     Orientation,
     Presentation,
-    TwoComplex,
     VertexNotFoundError,
     build_complex,
     build_link,
@@ -47,10 +46,9 @@ def classic_link(m, n, p):
 def test_complex_cell_counts(m, n, p):
     pres = triangle_presentation(m, n, p)
     k = build_complex(pres)
-    assert k.cells is pres.cells and k.one_cells is pres.generators
+    assert k is pres
     total = m + n + p
-    assert repr(k) == f"TwoComplex(1 zero-cell, {total} one-cells, {total} two-cells)"
-    assert len(k.one_cells) == total
+    assert len(k.generators) == total
     assert len(k.cells) == total
 
 
@@ -58,21 +56,20 @@ def test_complex_counts_single_edge():
     g2 = DefiningGraph(("a", "b"), [("a", "b", 2, Orientation.WILDCARD)])
     p2 = build_triangular(g2)
     k2 = build_complex(p2)
-    assert (len(k2.one_cells), len(k2.cells)) == (3, 2)
+    assert (len(k2.generators), len(k2.cells)) == (3, 2)
 
     g5 = DefiningGraph(("a", "b"), [("a", "b", 5, Orientation.FORWARD)])
     p5 = build_triangular(g5)
     k5 = build_complex(p5)
-    assert (len(k5.one_cells), len(k5.cells)) == (6, 5)
+    assert (len(k5.generators), len(k5.cells)) == (6, 5)
 
 
 def test_complex_rejects_non_triangular():
     g = DefiningGraph(("a", "b"), [("a", "b", 3)])
     standard = build_standard(g)
     message = f"^{re.escape(repr(standard))} has no triangular 2-cells$"
-    for build in (TwoComplex, build_complex):
-        with pytest.raises(NotTriangularError, match=message):
-            build(standard)
+    with pytest.raises(NotTriangularError, match=message):
+        build_complex(standard)
 
 
 def test_complex_refuses_a_presentation_without_cells():
@@ -144,7 +141,7 @@ def test_link_contains_the_two_example_paths():
 def test_vertex_and_edge_counts():
     for m, n, p in itertools.product((2, 3, 5), repeat=3):
         link = link_of(triangle_graph(m, n, p))
-        pres = link.complex.presentation
+        pres = link.complex
         assert len(link.vertices) == 2 * len(pres.generators)
         assert len(link.edges) == 3 * len(pres.relators)
 
@@ -159,7 +156,7 @@ def test_degree_laws():
     for m, n, p in [(3, 3, 3), (2, 4, 5), (4, 5, 6)]:
         gamma = triangle_graph(m, n, p)
         link = link_of(gamma)
-        pres = link.complex.presentation
+        pres = link.complex
         label_of_hub = {rec.hub: rec.label for rec in pres.hub_records}
         gamma_degree = {v: gamma.degree(v) for v in gamma.vertices}
         for v in link.vertices:

@@ -72,7 +72,7 @@ def test_b2_angles_and_lengths_single_edge_label_four():
     g = DefiningGraph(("a", "b"), [("a", "b", 4, F)])
     link = link_of(g)
     metric = assign_metric(link, B2)
-    assert link.complex.presentation.hubs == {"x_{a,b}"}
+    assert link.complex.hubs == {"x_{a,b}"}
     assert metric.lengths_sq == (2, 1)  # hub sqrt(2), "a" and the rest 1
     angled = angled_link(link, metric)
     middle = [e for e in angled.edges if e.kind == "middle"]
@@ -119,7 +119,7 @@ def test_corner_angles_must_fit_the_side_lengths(monkeypatch):
             assign_metric(link, scheme)
     # B2 scaled by sqrt(2)
     monkeypatch.setitem(curvature._METRICS, B2, ((4, 2),) + metrics[B2][1:])
-    assert "u" not in link.complex.presentation.hubs
+    assert "u" not in link.complex.hubs
     assert assign_metric(link, B2).lengths_sq == (4, 2)
 
 
@@ -139,6 +139,15 @@ def test_metric_and_link_weights_build_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert min_angle_cycle(angled[A2])[0] == Fraction(2)  # girth 6 times pi/3
     assert min_angle_cycle(angled[B2])[0] == Fraction(3, 2)
+
+
+def test_unknown_scheme_is_refused():
+    import pytest
+
+    with pytest.raises(ValueError, match="^unknown metric scheme 'C3'$"):
+        assign_metric(link_of(triangle_graph(3, 3, 3)), "C3")
+    with pytest.raises(ValueError, match="^unknown scheme 'C3'$"):
+        certify(triangle_graph(3, 3, 3), scheme="C3")
 
 
 def test_metric_needs_a_link_built_from_cells():

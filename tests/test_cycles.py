@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from artinlink import (
     B2,
     DefiningGraph,
     LimitExceededError,
+    LinkVertex,
     Orientation,
     OrientationAssignment,
     UnassignedAnglesError,
@@ -873,12 +875,43 @@ def test_girth_witness_is_valid_embedded_loop():
         assert remade == witness
 
 
+def test_make_loop_refuses_what_is_no_loop_of_the_link():
+    link = classic_link(3, 3, 3)
+    a, b, c = girth(link)[1].vertices[:3]
+    with pytest.raises(ValueError, match="^loop vertices must be pairwise distinct$"):
+        make_loop(link, [a, b, a])
+    with pytest.raises(ValueError, match="^a loop needs at least 3 vertices$"):
+        make_loop(link, [a, b])
+    # links are bipartite, so a path a - b - c does not close up
+    with pytest.raises(ValueError, match=r"^loop step \S+ - \S+ is not a link edge$"):
+        make_loop(link, [a, b, c])
+    # a vertex the link lacks is named, not the step that reaches it
+    missing = LinkVertex("zz", "head", 3, True)
+    with pytest.raises(ValueError, match="^loop vertex zz is not in the link$"):
+        make_loop(link, [missing, a, b])
+    flipped = a._replace(special=not a.special)
+    message = re.escape(f"loop vertex {a} is not in the link")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_loop(link, [flipped, b, c])
+
+
 # -- minimum-angle cycles ---------------------------------------------------
 
 
 def test_min_angle_cycle_requires_angles():
     with pytest.raises(UnassignedAnglesError):
         min_angle_cycle(classic_link(3, 3, 3))
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_min_angle_cycle_refuses_a_non_positive_angle(bad):
+    link = classic_link(3, 3, 3)
+    weight = [1] * len(link.ends)
+    weight[4] = bad
+    e = link.edges[4]
+    message = re.escape(f"non-positive angle on edge {e.a}-{e.b}")
+    with pytest.raises(UnassignedAnglesError, match=f"^{message}$"):
+        min_angle_cycle(link.with_angles(weight, 3))
 
 
 def test_min_angle_equilateral_333():

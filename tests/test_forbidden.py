@@ -729,6 +729,14 @@ def test_checkerboard_single_triangle_is_cyclic():
     assert detect_forbidden(oriented) == []
 
 
+def test_checkerboard_refuses_an_oriented_edge():
+    g = DefiningGraph(
+        ("a", "b", "c"), [("a", "b", 3, Orientation.FORWARD), ("b", "c", 3), ("a", "c", 3)]
+    )
+    with pytest.raises(ValueError, match=r"^edge \('a', 'b'\) is already oriented$"):
+        orient_from_rotation_system(g)
+
+
 def test_checkerboard_rejects_odd_degrees():
     g = DefiningGraph(
         ("a", "b", "c", "d"),
@@ -799,6 +807,20 @@ def test_checkerboard_rejects_inconsistent_embedding():
     )
     assert len(trace_faces(g)) == 1
     with pytest.raises(DualNotBipartiteError):
+        orient_from_rotation_system(g)
+
+
+def test_checkerboard_reports_a_face_colouring_conflict():
+    # K5, every label 3: every edge borders two distinct faces, but the
+    # five faces of this embedding admit no 2-colouring
+    rotations = {"a": "ecdb", "b": "daec", "c": "ebda", "d": "bace", "e": "adbc"}
+    g = DefiningGraph(
+        tuple("abcde"),
+        [(u, v, 3) for u, v in itertools.combinations("abcde", 2)],
+        rotations={v: tuple(order) for v, order in rotations.items()},
+    )
+    assert len(trace_faces(g)) == 5
+    with pytest.raises(DualNotBipartiteError, match="^face colouring conflict"):
         orient_from_rotation_system(g)
 
 

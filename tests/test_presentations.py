@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import re
 import sys
 
 import pytest
@@ -17,6 +18,7 @@ from artinlink import (
     OrientationAssignment,
     TooManyGeneratorsError,
     UnorientedEdgeError,
+    alternating_word,
     build_standard,
     build_triangular,
     build_two_generator_family,
@@ -74,6 +76,18 @@ def test_graph_and_assignment_equality_read_their_fields_and_neither_hashes():
     for value in (g, rotated, a):
         with pytest.raises(TypeError):
             hash(value)
+
+
+@pytest.mark.parametrize(
+    "directions,message",
+    [
+        ({("a", "b"): "sideways"}, "direction for ('a', 'b') must be forward/backward"),
+        ({("b", "a"): "forward"}, "edge key ('b', 'a') must be ordered u < v"),
+    ],
+)
+def test_assignment_refuses_a_bad_direction_or_edge_key(directions, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OrientationAssignment(directions)
 
 
 @pytest.mark.parametrize(
@@ -510,6 +524,14 @@ def test_family_label_four():
     assert i4.hub_records == (record,)
 
 
+def test_alternating_word_and_family_refuse_labels_too_small():
+    assert alternating_word("a", "b", 1) == W("a")
+    with pytest.raises(ValueError, match="^alternating word needs m >= 1$"):
+        alternating_word("a", "b", 0)
+    with pytest.raises(ValueError, match="^label must be at least 2$"):
+        build_two_generator_family(1)
+
+
 def test_family_label_two():
     g, h, i2 = build_two_generator_family(2)
     assert g.relators[0] == rel("a1 a2 a1^-1 a2^-1")
@@ -674,6 +696,17 @@ def test_rotation_lines_parse():
     text = GAMMA_TEXT + "rot a: b c\nrot b: a c\nrot c: b a\n"
     g = parse_gamma(text)
     assert g.rotations["a"] == ("b", "c")
+
+
+def test_rotations_round_trip_through_text():
+    g = DefiningGraph(
+        ("a", "b", "c", "d"),
+        [("a", "b", 3), ("b", "c", 4, F), ("c", "d", 3), ("a", "d", 2)],
+        rotations={"a": ("d", "b"), "c": ("b", "d")},
+    )
+    text = gamma_to_text(g)
+    assert text.endswith("rot a: d b\nrot c: b d\n")
+    assert parse_gamma(text) == g
 
 
 def test_presentation_text_format():

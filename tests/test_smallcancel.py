@@ -39,7 +39,7 @@ def rel(text):
 def assert_matches_brute_force(link, cond=None):
     """The piece table and C value from the cells of ``link`` equal the
     oracle's on its presentation."""
-    pieces, max_len, decompositions = brute_force_pieces(link.complex.presentation)
+    pieces, max_len, decompositions = brute_force_pieces(link.complex)
     table = compute_pieces(link)
     assert (table.pieces, table.max_piece_len) == (pieces, max_len)
     assert table.decompositions == decompositions

@@ -61,6 +61,19 @@ def test_word_serialization_round_trip():
     assert FreeWord.parse(str(w)) == w
 
 
+def test_free_word_iterates_and_indexes_its_letters():
+    w = W("a b^-1 c")
+    assert list(w) == [Letter("a", 1), Letter("b", -1), Letter("c", 1)]
+    assert w[1] == Letter("b", -1) and w[-1] == Letter("c", 1)
+    assert w[:2] == (Letter("a", 1), Letter("b", -1))
+
+
+def test_cyclic_word_of_a_cyclic_word_is_equal():
+    c = CyclicWord(W("b x^-1 a"))
+    again = CyclicWord(c)
+    assert again == c and again.letters == c.letters
+
+
 def test_cyclic_word_rotation_invariance():
     c1 = CyclicWord(W("x^-1 a b"))
     c2 = CyclicWord(W("a b x^-1"))
