@@ -140,6 +140,8 @@ _ORIENTED_DECODE = {
 # the codes an undirected entry can take: a label's two directions, or
 # the wildcard for label 2
 _CODES = {0: (0,), 2: (5,), 3: (1, 2), 4: (3, 4)}
+# each code's label: the undirected entry it came from
+_UNDIRECTED = bytes.maketrans(bytes(range(6)), bytes((0, 3, 3, 4, 4, 2)))
 
 
 def _getter(indices):
@@ -220,44 +222,52 @@ def _canonicaliser(n: int):
     cached per (vertex, row).  ``automorphisms(und)`` is None if one of
     them maps an undirected state lower, else the ones that fix it: all
     its automorphisms, since they fix its sorted, least vertex-0 row.
+    ``least_image`` keeps a running minimum of their images.
     """
     rows, blocks = _permutation_table(n)
     sorted_rows = _SortedRows()
     winners: dict = {}
 
-    def candidates(ext: bytes) -> list:
+    def candidates(ext: bytes) -> list[list]:
+        # one list of getters per vertex with the least sorted row
         views = [row(ext) for row in rows]
         keys = list(map(sorted_rows.__getitem__, views))
         least = min(keys)
         out = []
         for a, key in enumerate(keys):
-            if key != least:
-                continue
-            row = views[a]
-            getters = winners.get((a, row))
-            if getters is None:
-                getters = winners[(a, row)] = [
-                    get
-                    for order, get in blocks[a]
-                    if all(row[i] <= row[j] for i, j in zip(order, order[1:]))
-                ]
-            out += getters
+            if key == least:
+                row = views[a]
+                getters = winners.get((a, row))
+                if getters is None:
+                    getters = winners[a, row] = [
+                        get
+                        for order, get in blocks[a]
+                        if all(row[i] <= row[j] for i, j in zip(order, order[1:]))
+                    ]
+                out.append(getters)
         return out
 
     def least_image(codes: bytes) -> tuple[int, ...]:
         ext = _extended(codes)
-        return min([get(ext) for get in candidates(ext)])
+        least = None
+        for getters in candidates(ext):
+            for get in getters:
+                image = get(ext)
+                if least is None or image < least:
+                    least = image
+        return least
 
     def automorphisms(und: tuple[int, ...]):
         # undirected codes read the same from both ends of a pair
         ext = bytes(und) * 2
         auts = []
-        for get in candidates(ext):
-            image = get(ext)
-            if image < und:
-                return None
-            if image == und:
-                auts.append(get)
+        for getters in candidates(ext):
+            for get in getters:
+                image = get(ext)
+                if image < und:
+                    return None
+                if image == und:
+                    auts.append(get)
         return auts
 
     return least_image, automorphisms
@@ -356,11 +366,16 @@ def wildcard_variants(
     Variants are deduplicated up to isomorphism by their least image
     under vertex permutations (see ``_canonicaliser``), kept in the
     order they are first seen.  States that differ only in the code of
-    their first present pair give the same raw variant, so each
-    distinct raw variant is canonicalised once.
+    their first present pair give the same raw variant.  Within a run
+    of states with one undirected pattern, as
+    :func:`enumerate_oriented_states` lists them, each distinct raw
+    variant is canonicalised once; the set of raws seen starts afresh
+    with each pattern, so it holds one run's raws, not the whole
+    sweep's.  A raw met again in a later run is canonicalised again,
+    and ``seen`` keeps the list the same for any order of ``states``.
     """
     least_image, _ = _canonicaliser(n)
-    raws = set()
+    pattern = raws = None
     seen = set()
     out = []
     for state in states:
@@ -368,6 +383,9 @@ def wildcard_variants(
         rest = codes.lstrip(b"\0")  # from the first present pair on
         if not rest:
             continue
+        und = codes.translate(_UNDIRECTED)
+        if und != pattern:
+            pattern, raws = und, set()
         raw = codes[: len(codes) - len(rest)] + b"\5" + rest[1:]
         if raw in raws:
             continue

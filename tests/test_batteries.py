@@ -133,6 +133,17 @@ def counted_wildcard_variants(monkeypatch, states, n):
     return wildcard_variants(states, n), calls
 
 
+def per_run_raws(states):
+    """The raw variants, as bytes, that ``wildcard_variants`` should
+    canonicalise, in call order: each distinct raw once within each run
+    of states with one undirected pattern."""
+    label = {0: 0, 1: 3, 2: 3, 3: 4, 4: 4, 5: 2}
+    out = []
+    for _, run in itertools.groupby(states, lambda s: tuple(map(label.get, s))):
+        out += dict.fromkeys(map(bytes, raw_wildcard_variants(run)))
+    return out
+
+
 def test_wildcard_variants_match_brute_force_on_four_vertices(monkeypatch):
     states = enumerate_oriented_states(4)
     raw = raw_wildcard_variants(states)
@@ -140,9 +151,16 @@ def test_wildcard_variants_match_brute_force_on_four_vertices(monkeypatch):
     wilds, calls = counted_wildcard_variants(monkeypatch, states, 4)
     assert wilds == expected
     assert len(expected) == 369
-    # each distinct raw variant is canonicalised once
-    assert sorted(calls) == sorted(set(map(bytes, raw)))
-    assert len(calls) < len(raw)
+    # each distinct raw variant is canonicalised once per run of one
+    # undirected pattern, and every raw variant is canonicalised
+    assert calls == per_run_raws(states)
+    assert set(calls) == set(map(bytes, raw))
+    assert len(calls) == 489 < len(raw)
+    # out of enumeration order the runs break up, and the list is still
+    # the least images in order of first sight
+    shuffled = random.Random(4).sample(states, len(states))
+    expected = list(dict.fromkeys(least_images(raw_wildcard_variants(shuffled), 4)))
+    assert wildcard_variants(shuffled, 4) == expected
 
 
 def test_wildcard_variants_on_five_vertices_are_the_least_images(monkeypatch):
@@ -150,8 +168,9 @@ def test_wildcard_variants_on_five_vertices_are_the_least_images(monkeypatch):
     raw = raw_wildcard_variants(states)
     wilds, calls = counted_wildcard_variants(monkeypatch, states, 5)
     assert len(wilds) == len(set(wilds)) == 41_498
-    assert sorted(calls) == sorted(set(map(bytes, raw)))
-    assert len(calls) == 43_847
+    assert calls == per_run_raws(states)
+    assert set(calls) == set(map(bytes, raw))
+    assert len(calls) == 50_003
     rng = random.Random(20261018)
     # every output is its own least image ...
     sample = rng.sample(wilds, 1_000)

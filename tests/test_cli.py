@@ -505,6 +505,13 @@ def test_malformed_rotation_line_is_a_one_line_error(gamma_file, capsys, line):
     assert err == "parse error: line 4: expected: rot <v>: <n1> <n2> ...\n"
 
 
+@pytest.mark.parametrize("line", ["edge a b", "edge a b 3 > extra"])
+def test_malformed_edge_line_is_a_one_line_error(gamma_file, capsys, line):
+    code, out, err = run(capsys, ["certify", gamma_file(f"vertex a\nvertex b\n{line}\n")])
+    assert_one_line_error(code, out, err)
+    assert err == "parse error: line 3: expected: edge <u> <v> <label> [> < ? .]\n"
+
+
 def test_internal_inconsistency_is_a_one_line_error(gamma_file, capsys, monkeypatch):
     from artinlink import InternalInconsistencyError
 

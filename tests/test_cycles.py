@@ -616,13 +616,16 @@ def test_light_loop_scan_matches_a_dfs_on_the_light_edges():
     """The star scan behind the weighted bound against a DFS on the
     subgraph of light edges: on every B2 sweep link, the oriented
     4-vertex oracle links, their middle subgraphs and neighbourhoods,
-    and the corpus links.  Only the links of Γs with a triangle fire."""
+    the corpus links, and a link whose light edges close a 4-loop: hubs
+    h1 and h2 share the lefts u and w.  Of the Γ links, only those of
+    Γs with a triangle fire."""
     from artinlink.batteries import (
         enumerate_oriented_states,
         enumerate_triangle_free_oriented_states,
         graph_from_state,
     )
     from artinlink.cycles import _has_short_light_loop
+    from artinlink.presentations import HubRecord, Presentation
 
     sweep = [
         link_of(graph_from_state(state, 5))
@@ -632,12 +635,19 @@ def test_light_loop_scan_matches_a_dfs_on_the_light_edges():
     parts = [link.middle_subgraph() for link in oracle]
     parts += [link.neighborhood(link.vertices[0], 3) for link in oracle]
     corpus = corpus_links()
+    gens = ("h1", "h2", "u", "w", "a", "b", "c", "d")
+    cells = ("h1", "u", "a"), ("h1", "w", "b"), ("h2", "u", "c"), ("h2", "w", "d")
+    records = [HubRecord(h, (h, h), 3, (h, h)) for h in ("h1", "h2")]
+    pres = Presentation.from_cells(gens, [tuple(map(gens.index, c)) for c in cells], records)
+    square = build_link(build_complex(pres))
+    assert girth(square)[0] == 4
     fired = Counter()
     for kind, links in (
         ("sweep", sweep),
         ("oracle", oracle),
         ("parts", parts),
         ("corpus", corpus.values()),
+        ("square", [square]),
     ):
         for link in links:
             light = [ei for ei in range(len(link.ends)) if not link.is_middle(ei)]
@@ -645,7 +655,7 @@ def test_light_loop_scan_matches_a_dfs_on_the_light_edges():
             assert found == bool(dfs_all_cycle_lengths(link.subgraph(light), 6))
             fired[kind, found] += 1
     assert fired["sweep", True] == 0 and fired["oracle", True] > 100
-    assert fired["parts", True] > 10
+    assert fired["parts", True] > 10 and fired["square", True] == 1
     assert [name for name, link in corpus.items() if _has_short_light_loop(link)] == [
         "tri345",
         "tri50",
@@ -1199,6 +1209,12 @@ def test_enumerate_245_short_loops_exactly_two():
 
 def test_enumerate_333_up_to_five_is_empty():
     assert enumerate_short_loops(classic_link(3, 3, 3), 5) == []
+
+
+def test_enumerate_below_three_or_without_edges_is_empty():
+    assert enumerate_short_loops(classic_link(3, 3, 3), 2) == []
+    edgeless = link_of(DefiningGraph(("a", "b"), []))
+    assert edgeless.vertices and enumerate_short_loops(edgeless, 8) == []
 
 
 def test_enumerate_transitive_triangle_has_one_top_or_bottom_loop():

@@ -173,6 +173,8 @@ def test_unoriented_edge_refuses_its_ends_on_every_read():
         with pytest.raises(UnorientedEdgeError):
             e.hub_chain
     assert e.key == ("a", "b")
+    # read on the class, the ends are the descriptor itself
+    assert GammaEdge.tail is GammaEdge.head is vars(GammaEdge)["tail"]
 
 
 @pytest.mark.parametrize(
@@ -740,3 +742,4 @@ def test_presentation_repr_counts_cells_without_building_relators():
     assert repr(std) == "Presentation(2 generators, 1 relators)"
     plain = Presentation(tri.generators, tri.relators)
     assert repr(plain) == repr(tri)
+    assert repr(edge) == "DefiningGraph(2 vertices, 1 edges)"
