@@ -140,8 +140,11 @@ _ORIENTED_DECODE = {
 # the codes an undirected entry can take: a label's two directions, or
 # the wildcard for label 2
 _CODES = {0: (0,), 2: (5,), 3: (1, 2), 4: (3, 4)}
-# each code's label: the undirected entry it came from
-_UNDIRECTED = bytes.maketrans(bytes(range(6)), bytes((0, 3, 3, 4, 4, 2)))
+# each code's undirected entry, read back from _CODES
+_UNDIRECTED = bytes.maketrans(
+    bytes(c for codes in _CODES.values() for c in codes),
+    bytes(label for label, codes in _CODES.items() for _ in codes),
+)
 
 
 def _getter(indices):

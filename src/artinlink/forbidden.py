@@ -63,18 +63,14 @@ def _walk(edge_id: dict[tuple[str, str], int], cycle) -> tuple[tuple[int, int], 
 
 
 def _compile(gamma: DefiningGraph):
-    """The direction array of ``gamma`` and two lazy iterators of (cycle,
-    walk) pairs: its triangles, then its 4-cycles, each in sorted order,
-    each walk compiled as it is read and ``gamma.four_cycles()`` called
-    only once the second iterator is read."""
+    """The direction array of ``gamma`` and a lazy iterator of (cycle,
+    walk) pairs: triangles, then 4-cycles (each in sorted order), each
+    walk compiled as it is read and ``gamma.four_cycles()`` called only
+    once the triangles run out."""
     edge_id = {e.key: i for i, e in enumerate(gamma.edges)}
     dirs = [_DIRECTION.get(e.orientation) for e in gamma.edges]
-
-    def pairs(cycles):
-        for c in cycles():
-            yield c, _walk(edge_id, c)
-
-    return dirs, pairs(gamma.triangles), pairs(gamma.four_cycles)
+    cycles = chain.from_iterable(f() for f in (gamma.triangles, gamma.four_cycles))
+    return dirs, ((c, _walk(edge_id, c)) for c in cycles)
 
 
 def _forms_pattern(walk, dirs) -> bool:
@@ -137,11 +133,11 @@ def _hits(gamma: DefiningGraph):
     """The direction array and a lazy iterator of the (cycle, walk) pairs
     of ``gamma`` that form a pattern; refuses an undirected non-wildcard
     edge with :class:`UnorientedEdgeError`."""
-    dirs, triangles, fours = _compile(gamma)
+    dirs, pairs = _compile(gamma)
     if None in dirs:
         e = gamma.edges[dirs.index(None)]
         raise UnorientedEdgeError(f"edge {e.key} has no direction")
-    return dirs, ((c, w) for c, w in chain(triangles, fours) if _forms_pattern(w, dirs))
+    return dirs, ((c, w) for c, w in pairs if _forms_pattern(w, dirs))
 
 
 def has_forbidden(gamma: DefiningGraph) -> bool:
@@ -199,78 +195,21 @@ def _c4_free_edges(gamma: DefiningGraph, a: list[str], b: list[str]) -> int:
 def _refuted_by_counting(gamma: DefiningGraph) -> bool:
     """Whether a bipartite component has more edges, wildcards counted
     twice, than twice its lesser :func:`_c4_free_edges` bound."""
-    side: dict[str, int] = {}  # 2 * component index + side
-    comps = []
+    side: dict[str, int] = {}
     for root in gamma.vertices:
         if root in side:
             continue
-        side[root], comp, bipartite = 2 * len(comps), [root], True
+        side[root], comp, bipartite, ends = 0, [root], True, 0
         for v in comp:  # breadth first: comp grows as it is read
             for w in gamma.neighbors(v):
                 if w not in side:
-                    side[w] = side[v] ^ 1
+                    side[w] = 1 - side[v]
                     comp.append(w)
-                elif side[w] == side[v]:
-                    bipartite = False
-        comps.append((comp, bipartite))
-    counts = [0] * len(comps)
-    for e in gamma.edges:
-        counts[side[e.u] >> 1] += 1 + (e.orientation == Orientation.WILDCARD)
-    for (comp, bipartite), count in zip(comps, counts):
-        if bipartite:
-            a, b = ([v for v in comp if side[v] & 1 == s] for s in (0, 1))
-            z = min(_c4_free_edges(gamma, a, b), _c4_free_edges(gamma, b, a))
-            if count > 2 * z:
-                return True
-    return False
-
-
-def _refuted_by_triangles(walks, dirs) -> bool:
-    """Whether the compiled triangle ``walks`` leave no clean completion
-    of ``dirs``.
-
-    A triangle is clean only as a directed cycle: its products sign *
-    direction are equal and non-zero.  So a wildcard in a triangle
-    refutes the graph on its own, and otherwise each triangle gives two
-    signed equalities, d_b = sa * sb * d_a and d_c = sa * sc * d_a, while
-    a pre-oriented edge is tied to a fixed node of direction +1.  A
-    completion exists only if this signed graph on the edges is
-    balanced (Harary, 1953), which a union-find that keeps each node's
-    sign over its parent decides: a tie between two nodes already joined
-    with the other sign closes a cycle with an odd number of flips.
-    """
-    fixed = len(dirs)
-    parent = list(range(fixed + 1))
-    flip = [1] * (fixed + 1)  # a node's direction over its parent's; 1 at a root
-
-    def find(x: int) -> int:
-        # the root of x, with every node on the way hung on it directly
-        path = []
-        while parent[x] != x:
-            path.append(x)
-            x = parent[x]
-        f = 1
-        for y in reversed(path):
-            f = flip[y] = f * flip[y]
-            parent[y] = x
-        return x
-
-    def tie(x: int, y: int, s: int) -> bool:
-        # d_x = s * d_y; False when it contradicts the ties made before
-        rx, ry = find(x), find(y)
-        s *= flip[x] * flip[y]
-        if rx == ry:
-            return s == 1
-        parent[rx], flip[rx] = ry, s
-        return True
-
-    for e, d in enumerate(dirs):
-        if d:
-            tie(e, fixed, d)
-    for (a, sa), (b, sb), (c, sc) in walks:
-        if 0 in (dirs[a], dirs[b], dirs[c]):
-            return True
-        if not (tie(b, a, sa * sb) and tie(c, a, sa * sc)):
+                bipartite = bipartite and side[w] != side[v]
+                ends += 1 + (gamma.edge(v, w).orientation == Orientation.WILDCARD)
+        a, b = ([v for v in comp if side[v] == s] for s in (0, 1))
+        z = min(_c4_free_edges(gamma, a, b), _c4_free_edges(gamma, b, a))
+        if bipartite and ends > 4 * z:  # ends meets every edge twice
             return True
     return False
 
@@ -291,11 +230,8 @@ def _search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
     """:func:`search_orientation` without its closing check."""
     if _refuted_by_counting(gamma):
         return None
-    dirs, triangles, fours = _compile(gamma)
-    walks = [walk for _, walk in triangles]
-    if _refuted_by_triangles(walks, dirs):
-        return None
-    walks += [walk for _, walk in fours]
+    dirs, pairs = _compile(gamma)
+    walks = [walk for _, walk in pairs]
 
     load = Counter(e for walk in walks for e, _ in walk)
     order = sorted(

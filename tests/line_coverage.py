@@ -1,12 +1,12 @@
 """Lines of ``src/artinlink`` that a pytest run never executes.
 
-Run as ``python3 tests/line_coverage.py [--baseline FILE] [PYTEST
-ARGS...]`` from the repository root; with no pytest arguments it runs
-``-q -p no:cacheprovider tests``.  Pytest runs in this process under a
-``sys.settrace`` line tracer that follows frames of ``src/artinlink``
-files only.  Each module's executable lines are then read from its
-code objects' ``co_lines``, and those that never ran are printed per
-module, as line ranges.  ``def``, ``class`` and decorator lines are skipped: a
+Run as ``python3 tests/line_coverage.py [PYTEST ARGS...]`` from the
+repository root; with no arguments it runs ``-q -p no:cacheprovider
+tests``.  Pytest runs in this process under a ``sys.settrace`` line
+tracer that follows frames of ``src/artinlink`` files only.  Each
+module's executable lines are then read from its code objects'
+``co_lines``, and those that never ran are printed per module, as
+line ranges.  ``def``, ``class`` and decorator lines are skipped: a
 call reports no line event for them.
 
 The tool reports lines, not test verdicts.  Only code run in this
@@ -15,13 +15,13 @@ are not.  The tracer slows the run several times over, so tests bound
 by wall time may fail under it (acceptance 06, for one); their lines
 still count as run.  The file name keeps it out of pytest's collection.
 
-With ``--baseline FILE`` the tool exits with status 1 when a line that
-never ran is not excused by FILE, a JSON list of entries ``{"module":
-"cycles.py", "text": ..., "reason": ...}``.  An entry names its line by
-module and stripped source text, not by number, so that edits elsewhere
-do not move it, and excuses one never-run line with that text.  Entries
-whose lines ran are listed, to be removed.  ``tests/coverage_baseline.json``
-is the committed baseline; it may shrink, and grows only with a reason.
+The tool exits with status 1 when a line that never ran is not
+excused by ``tests/coverage_baseline.json``, a JSON list of entries
+``{"module": "cycles.py", "text": ..., "reason": ...}``.  An entry names
+its line by module and stripped source text, not by number, so that
+edits elsewhere do not move it, and excuses one never-run line with
+that text.  Entries whose lines ran are listed, to be removed.  The
+baseline may shrink, and grows only with a reason.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "artinlink"
+BASELINE = ROOT / "tests" / "coverage_baseline.json"
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -85,12 +86,6 @@ def unexcused(never: dict[str, list[int]], baseline: list[dict]):
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    baseline = None
-    if args[:1] == ["--baseline"]:
-        if len(args) < 2:
-            sys.exit("usage: line_coverage.py [--baseline FILE] [PYTEST ARGS...]")
-        baseline = json.loads(Path(args[1]).read_text())
-        args = args[2:]
     prefix = str(PACKAGE) + os.sep
     ran: dict[str, set[int]] = {}
     watched: dict[str, set[int] | None] = {}  # co_filename -> its ran lines
@@ -129,9 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         missed += len(never)
         print(f"{path.name:<18}{len(never):>5} of {len(lines):>4}  {ranges(never)}")
     print(f"{'total':<18}{missed:>5} of {total:>4}")
-    if baseline is None:
-        return 0
-    missing, stale = unexcused(never_run, baseline)
+    missing, stale = unexcused(never_run, json.loads(BASELINE.read_text()))
     for entry in stale:
         print(f"baseline entry ran, remove it: {entry['module']}: {entry['text']}")
     for module, n, text in missing:

@@ -6,8 +6,7 @@ by the one-pass id-order engine with a Dijkstra of its own, the least
 vertex on a 4-cycle and the lightest 4-cycle by trying every pair for
 two common neighbours, orientation searches by enumerating every
 completion, forbidden-pattern witnesses by trying every wildcard
-completion of every triangle and 4-cycle, an unbalanced cycle of
-triangles by labelling the edges breadth first, canonical forms and
+completion of every triangle and 4-cycle, canonical forms and
 stabilisers of sweep states by trying every vertex permutation, links
 by the named corner rule read from each relator's letters, and pieces
 by indexing every subword of every symmetrized relator.
@@ -456,73 +455,6 @@ def all_orientation_completions(gamma: DefiningGraph):
     keys = [e.key for e in gamma.unoriented_edges()]
     for choice in product(("forward", "backward"), repeat=len(keys)):
         yield OrientationAssignment(dict(zip(keys, choice)))
-
-
-def unbalanced_triangle_cycle(gamma: DefiningGraph):
-    """A proof from ``gamma.triangles()`` alone that no completion makes
-    every triangle a directed cycle, or None.
-
-    Edge key (u, v) stands for x = +1 when directed u -> v, -1 when
-    v -> u.  The triangle (u, v, w) is a directed cycle exactly when
-    x_uv = x_vw = -x_uw, so it links each two of its edges by a sign;
-    an oriented edge of a triangle is linked to the node ``"fixed"``
-    (x = +1) by its direction.  The proof is ``("wildcard", triangle)``
-    for a triangle with a wildcard edge, else a closed walk of links
-    ``(node, next node, sign, reason)`` whose signs multiply to -1,
-    the reason a triangle or ``"fixed"``: the first link that breaks a
-    breadth-first labelling, closed through the labelling's tree.
-    """
-    links: dict = {}  # node -> [(other node, sign, reason)]
-
-    def link(a, b, sign, reason):
-        links.setdefault(a, []).append((b, sign, reason))
-        links.setdefault(b, []).append((a, sign, reason))
-
-    for t in gamma.triangles():
-        u, v, w = t
-        cyclic = {(u, v): 1, (v, w): 1, (u, w): -1}
-        if any(gamma.edge(*key).orientation == Orientation.WILDCARD for key in cyclic):
-            return ("wildcard", t)
-        for a, b in combinations(cyclic, 2):
-            link(a, b, cyclic[a] * cyclic[b], t)
-    for e in gamma.edges:
-        if e.key in links and e.orientation in (Orientation.FORWARD, Orientation.BACKWARD):
-            link(e.key, "fixed", 1 if e.orientation == Orientation.FORWARD else -1, "fixed")
-
-    label, up = {}, {}  # up: node -> (its parent, sign, reason)
-    for root in links:
-        if root in label:
-            continue
-        label[root], queue = 1, [root]
-        for a in queue:
-            for b, sign, reason in links[a]:
-                if b not in label:
-                    label[b], up[b] = sign * label[a], (a, sign, reason)
-                    queue.append(b)
-                elif label[b] != sign * label[a]:
-                    return _closed_walk(up, a, b, (b, a, sign, reason))
-    return None
-
-
-def _closed_walk(up, a, b, closing):
-    """The tree path from ``a`` up to the least common ancestor with ``b``,
-    down to ``b``, then the ``closing`` link back to ``a``."""
-    above_b = {b}
-    x = b
-    while x in up:
-        x = up[x][0]
-        above_b.add(x)
-    walk, x = [], a
-    while x not in above_b:
-        parent, sign, reason = up[x]
-        walk.append((x, parent, sign, reason))
-        x = parent
-    down, y = [], b
-    while y != x:
-        parent, sign, reason = up[y]
-        down.append((parent, y, sign, reason))
-        y = parent
-    return walk + down[::-1] + [closing]
 
 
 def oriented_copy(gamma: DefiningGraph, assignment: OrientationAssignment):

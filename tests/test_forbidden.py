@@ -1,5 +1,4 @@
 import itertools
-import math
 import time
 from collections import Counter
 from types import SimpleNamespace
@@ -12,7 +11,6 @@ from oracle_tools import (
     brute_force_girth,
     brute_force_witnesses,
     oriented_copy,
-    unbalanced_triangle_cycle,
 )
 
 from artinlink import (
@@ -648,153 +646,6 @@ def test_counting_refutes_only_graphs_without_a_good_completion(g):
         assert not any(good(g, asg) for asg in all_orientation_completions(g))
 
 
-# -- the triangle refutation: balance of the signed triangle ties ---------------
-
-
-def triangles_refute(g):
-    """Whether ``_refuted_by_triangles`` fires on the triangle walks of ``g``."""
-    dirs, triangles, _ = forbidden._compile(g)
-    return forbidden._refuted_by_triangles([w for _, w in triangles], dirs)
-
-
-def assert_unbalanced(g, proof):
-    """``proof``, from ``unbalanced_triangle_cycle``, shows that no
-    completion of ``g`` makes every triangle a directed cycle."""
-    triangles = set(g.triangles())
-    if proof[0] == "wildcard":
-        assert proof[1] in triangles
-        assert WILD in {g.edge(u, v).orientation for u, v in itertools.combinations(proof[1], 2)}
-        return
-    assert [b for _, b, _, _ in proof] == [a for a, _, _, _ in proof[1:] + proof[:1]]
-    assert math.prod(sign for _, _, sign, _ in proof) == -1
-    for a, b, sign, reason in proof:
-        if reason == "fixed":
-            assert sign == {F: 1, B: -1}[g.edge(*(a if b == "fixed" else b)).orientation]
-        else:
-            assert reason in triangles
-            u, v, w = reason
-            cyclic = {(u, v): 1, (v, w): 1, (u, w): -1}
-            assert sign == cyclic[a] * cyclic[b]
-
-
-def complete_graph(n):
-    names = [f"v{i:02d}" for i in range(n)]
-    return DefiningGraph(names, [(u, v, 3) for u, v in itertools.combinations(names, 2)])
-
-
-def wheel(k):
-    """A hub joined to every vertex of a k-cycle, label 3, unoriented."""
-    rim = [f"r{i}" for i in range(k)]
-    edges = [("h", r, 3) for r in rim] + [(rim[i - 1], rim[i], 3) for i in range(k)]
-    return DefiningGraph(["h", *rim], edges)
-
-
-def strip(first=(3,), last=(3,)):
-    """Triangles (p0, p1, p2), (p1, p2, p3), (p2, p3, p4) in a row, the
-    edges p0p1 and p3p4 in the given states, the rest label 3 unoriented.
-    A cyclic first triangle with p0 -> p1 forces p3 -> p4."""
-    names = [f"p{i}" for i in range(5)]
-    edges = [(names[i], names[i + 2], 3) for i in range(3)]
-    edges += [("p0", "p1", *first), ("p1", "p2", 3), ("p2", "p3", 3), ("p3", "p4", *last)]
-    return DefiningGraph(names, edges)
-
-
-def octahedron():
-    return DefiningGraph(
-        ("n", "s", "a", "b", "c", "d"),
-        [("n", "a", 3), ("n", "b", 3), ("n", "c", 3), ("n", "d", 3),
-         ("s", "a", 3), ("s", "b", 3), ("s", "c", 3), ("s", "d", 3),
-         ("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("a", "d", 3)],
-        rotations={
-            "n": ("a", "b", "c", "d"), "s": ("a", "d", "c", "b"),
-            "a": ("n", "d", "s", "b"), "b": ("n", "a", "s", "c"),
-            "c": ("n", "b", "s", "d"), "d": ("n", "c", "s", "a"),
-        },
-    )
-
-
-def test_triangles_refute_complete_graphs_at_once():
-    # every tournament on four vertices has a transitive triangle; the
-    # search alone took 5.3 s on K_22
-    graphs = [complete_graph(n) for n in range(4, 41)]
-    start = time.perf_counter()
-    assert all(search_orientation(g) is None for g in graphs)
-    assert time.perf_counter() - start < 1
-    for g in graphs:
-        assert triangles_refute(g)
-        assert_unbalanced(g, unbalanced_triangle_cycle(g))
-
-
-@pytest.mark.parametrize(
-    "g",
-    [
-        pytest.param(complete_graph(4), id="k4"),
-        pytest.param(wheel(5), id="odd-wheel"),
-        pytest.param(transitive_triangle(), id="transitive-triangle"),
-        pytest.param(
-            DefiningGraph(("a", "b", "c"), [("a", "b", 2, WILD), ("b", "c", 3), ("a", "c", 3)]),
-            id="wildcard-triangle",
-        ),
-        pytest.param(strip((3, F), (3, B)), id="strip-ends-disagree"),
-    ],
-)
-def test_triangles_refute_an_unbalanced_graph(g):
-    assert triangles_refute(g)
-    assert_unbalanced(g, unbalanced_triangle_cycle(g))
-    assert search_orientation(g) is None
-    assert not any(good(g, asg) for asg in all_orientation_completions(g))
-
-
-@pytest.mark.parametrize(
-    "g",
-    [
-        pytest.param(directed_triangle(), id="directed-triangle"),
-        pytest.param(
-            DefiningGraph(("a", "b", "c"), [("a", "b", 3), ("b", "c", 4), ("a", "c", 3)]),
-            id="unoriented-triangle",
-        ),
-        pytest.param(complete_bipartite(3, 3), id="k33"),
-        pytest.param(alternating_square(), id="alternating-square"),
-        pytest.param(strip(), id="strip"),
-        pytest.param(strip((3, F), (3, F)), id="strip-ends-agree"),
-        pytest.param(wheel(4), id="even-wheel"),
-        pytest.param(wheel(6), id="even-wheel-6"),
-        # every face cyclic is balanced; the equators refute it later
-        pytest.param(octahedron(), id="octahedron"),
-    ],
-)
-def test_triangles_do_not_refute_a_balanced_graph(g):
-    assert not triangles_refute(g)
-    assert unbalanced_triangle_cycle(g) is None
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(mixed_graphs())
-def test_triangles_refute_only_graphs_without_a_clean_completion(g):
-    fires = triangles_refute(g)
-    proof = unbalanced_triangle_cycle(g)
-    assert fires == (proof is not None)
-    if fires:
-        assert_unbalanced(g, proof)
-    if any(not has_forbidden(oriented_copy(g, a)) for a in all_orientation_completions(g)):
-        assert not fires
-
-
-def test_search_lists_and_compiles_each_cycle_once(monkeypatch):
-    walk, triangles, four_cycles = forbidden._walk, DefiningGraph.triangles, DefiningGraph.four_cycles
-    calls = Counter()
-    monkeypatch.setattr(forbidden, "_walk", lambda ids, c: calls.update([len(c)]) or walk(ids, c))
-    monkeypatch.setattr(DefiningGraph, "triangles", lambda g: calls.update("t") or triangles(g))
-    monkeypatch.setattr(DefiningGraph, "four_cycles", lambda g: calls.update("f") or four_cycles(g))
-    g = wheel(4)  # balanced triangles; its 4-cycles refute it
-    assert forbidden._search_orientation(g) is None
-    assert calls == {"t": 1, "f": 1, 3: 4, 4: len(four_cycles(g))}
-    # a refutation by the triangles lists no 4-cycle
-    calls.clear()
-    assert forbidden._search_orientation(complete_graph(6)) is None
-    assert calls == {"t": 1, 3: 20}
-
-
 def test_search_self_check_raises_on_a_bad_assignment(monkeypatch):
     # Hide the 4-cycles of graphs that still have unoriented edges, so
     # the search alone misses them: it then makes every octahedron face
@@ -913,6 +764,20 @@ def test_checkerboard_bowtie_is_clean():
     assignment = orient_from_rotation_system(g)
     oriented = resolve_orientations(g, assignment)
     assert detect_forbidden(oriented) == []
+
+
+def octahedron():
+    return DefiningGraph(
+        ("n", "s", "a", "b", "c", "d"),
+        [("n", "a", 3), ("n", "b", 3), ("n", "c", 3), ("n", "d", 3),
+         ("s", "a", 3), ("s", "b", 3), ("s", "c", 3), ("s", "d", 3),
+         ("a", "b", 3), ("b", "c", 3), ("c", "d", 3), ("a", "d", 3)],
+        rotations={
+            "n": ("a", "b", "c", "d"), "s": ("a", "d", "c", "b"),
+            "a": ("n", "d", "s", "b"), "b": ("n", "a", "s", "c"),
+            "c": ("n", "b", "s", "d"), "d": ("n", "c", "s", "a"),
+        },
+    )
 
 
 def test_octahedron_checkerboard_hits_equatorial_squares():
