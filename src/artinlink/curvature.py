@@ -14,7 +14,7 @@ from .complex_link import LinkGraph, link_of
 from .cycles import EmbeddedLoop, girth, min_angle_cycle
 from .errors import InternalInconsistencyError
 from .forbidden import SEARCH_INCONSISTENT, ForbiddenWitness, detect_forbidden
-from .forbidden import _search_orientation
+from .forbidden import search_orientation
 from .presentations import DefiningGraph, OrientationAssignment, resolve_orientations
 from .smallcancel import SmallCancellation, check_conditions
 
@@ -186,7 +186,7 @@ def certify(gamma: DefiningGraph, scheme: str = "auto") -> CurvatureReport:
     notes: list[str] = []
     g = gamma
     unoriented = g.unoriented_edges()
-    found = _search_orientation(g) if unoriented else None
+    found = search_orientation(g) if unoriented else None
     if found is not None:
         g = resolve_orientations(g, found)
         notes.append("orientation found by search")
@@ -196,7 +196,7 @@ def certify(gamma: DefiningGraph, scheme: str = "auto") -> CurvatureReport:
 
     link = link_of(g)
     # One detection serves the verdict, checks its witness loops against
-    # the link and confirms a searched orientation.
+    # the link and confirms that the searched orientation was applied.
     witnesses = tuple(detect_forbidden(g, link))
     if found is not None and witnesses:
         raise InternalInconsistencyError(SEARCH_INCONSISTENT)

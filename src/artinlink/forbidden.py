@@ -19,7 +19,6 @@ from .presentations import (
     OrientationAssignment,
     UnorientedEdgeError,
     hub_name,
-    resolve_orientations,
 )
 
 
@@ -48,29 +47,6 @@ class ForbiddenWitness(NamedTuple):
 # Direction array values; an unoriented edge has none (None: undecided).
 _DIRECTION = {Orientation.FORWARD: 1, Orientation.BACKWARD: -1, Orientation.WILDCARD: 0}
 SEARCH_INCONSISTENT = "orientation search returned an assignment with a forbidden pattern"
-
-
-def _walk(edge_id: dict[tuple[str, str], int], cycle) -> tuple[tuple[int, int], ...]:
-    """The closed walk around ``cycle`` as (edge id, walk sign) steps.
-
-    The sign is +1 where the walk runs u -> v along the stored edge
-    (u < v) and -1 where it runs against it.
-    """
-    steps = []
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        steps.append((edge_id[a, b], 1) if a < b else (edge_id[b, a], -1))
-    return tuple(steps)
-
-
-def _compile(gamma: DefiningGraph):
-    """The direction array of ``gamma`` and a lazy iterator of (cycle,
-    walk) pairs: triangles, then 4-cycles (each in sorted order), each
-    walk compiled as it is read and ``gamma.four_cycles()`` called only
-    once the triangles run out."""
-    edge_id = {e.key: i for i, e in enumerate(gamma.edges)}
-    dirs = [_DIRECTION.get(e.orientation) for e in gamma.edges]
-    cycles = chain.from_iterable(f() for f in (gamma.triangles, gamma.four_cycles))
-    return dirs, ((c, _walk(edge_id, c)) for c in cycles)
 
 
 def _forms_pattern(walk, dirs) -> bool:
@@ -131,12 +107,14 @@ def _witness(edges, cycle, walk, dirs, heads, tails) -> ForbiddenWitness:
 
 def _hits(gamma: DefiningGraph):
     """The direction array and a lazy iterator of the (cycle, walk) pairs
-    of ``gamma`` that form a pattern; refuses an undirected non-wildcard
-    edge with :class:`UnorientedEdgeError`."""
-    dirs, pairs = _compile(gamma)
+    of ``gamma`` that form a pattern, from the walks a search left on the
+    graph or else compiled as read and not kept (keeping costs more);
+    refuses an undirected non-wildcard edge with UnorientedEdgeError."""
+    dirs = [_DIRECTION.get(e.orientation) for e in gamma.edges]
     if None in dirs:
         e = gamma.edges[dirs.index(None)]
         raise UnorientedEdgeError(f"edge {e.key} has no direction")
+    pairs = vars(gamma).get("walks") or gamma.iter_walks()
     return dirs, ((c, w) for c, w in pairs if _forms_pattern(w, dirs))
 
 
@@ -218,20 +196,12 @@ def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
     """Complete the unoriented edges so that no forbidden pattern occurs,
     or return None when no completion works (README pipeline step 5).
     Wildcards are never assigned, "forward" is tried before "backward",
-    and a completion is confirmed with :func:`has_forbidden`.
+    and a completion is confirmed on every walk before it is returned.
     """
-    assignment = _search_orientation(gamma)
-    if assignment is not None and has_forbidden(resolve_orientations(gamma, assignment)):
-        raise InternalInconsistencyError(SEARCH_INCONSISTENT)
-    return assignment
-
-
-def _search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
-    """:func:`search_orientation` without its closing check."""
     if _refuted_by_counting(gamma):
         return None
-    dirs, pairs = _compile(gamma)
-    walks = [walk for _, walk in pairs]
+    dirs = [_DIRECTION.get(e.orientation) for e in gamma.edges]
+    walks = [walk for _, walk in gamma.walks]
 
     load = Counter(e for walk in walks for e, _ in walk)
     order = sorted(
@@ -269,7 +239,8 @@ def _search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
             i -= 1
     if i < 0:
         return None
-
+    if any(map(_forms_pattern, walks, repeat(dirs))):
+        raise InternalInconsistencyError(SEARCH_INCONSISTENT)
     return OrientationAssignment(
         {gamma.edges[e].key: "forward" if dirs[e] == 1 else "backward" for e in order}
     )

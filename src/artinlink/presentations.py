@@ -13,6 +13,7 @@ rewriting symbolically.
 
 from __future__ import annotations
 
+import copy
 import functools
 import re
 from dataclasses import dataclass, field
@@ -292,8 +293,34 @@ class DefiningGraph:
         ]
         return sorted(out)
 
+    def iter_walks(self):
+        """Each triangle, then each 4-cycle, in sorted order, with its
+        closed walk as (edge index, sign) steps, +1 where the walk runs
+        u -> v along ``edges[index]``; compiled as read, the 4-cycles
+        listed only once the triangles run out."""
+        index = {e.key: i for i, e in enumerate(self.edges)}
+        for cycles in (self.triangles, self.four_cycles):
+            for cycle in cycles():
+                yield cycle, tuple([
+                    (index[a, b], 1) if a < b else (index[b, a], -1)
+                    for a, b in zip(cycle, cycle[1:] + cycle[:1])
+                ])
+
+    @functools.cached_property
+    def walks(self) -> list:
+        """:meth:`iter_walks` read once per graph, shared by :meth:`with_edges`."""
+        return list(self.iter_walks())
+
     def with_edges(self, edges: Iterable[GammaEdge]) -> "DefiningGraph":
-        return DefiningGraph(self.vertices, edges, self.rotations)
+        """This graph with ``edges`` on the same keys in place of its own;
+        the vertices, adjacency, rotations and :attr:`walks` read keys
+        only, so they are shared."""
+        g = copy.copy(self)
+        g.edges = tuple(sorted(edges, key=attrgetter("key")))
+        g._by_key = {e.key: e for e in g.edges}
+        if len(g.edges) != len(self.edges) or g._by_key.keys() != self._by_key.keys():
+            raise ValueError("with_edges needs edges on exactly the graph's own keys")
+        return g
 
     def reversed(self) -> "DefiningGraph":
         return self.with_edges(e.reversed() for e in self.edges)

@@ -469,7 +469,7 @@ def oriented_copy(gamma: DefiningGraph, assignment: OrientationAssignment):
             edges.append(GammaEdge(e.u, e.v, e.label, o))
         else:
             edges.append(e)
-    return gamma.with_edges(edges)
+    return DefiningGraph(gamma.vertices, edges, gamma.rotations)
 
 
 # direction codes of the sweep states: 1/2 and 3/4 are the two

@@ -131,7 +131,10 @@ def assert_clean_exit(path):
 
 
 FUZZ_SETTINGS = settings(
-    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
 )
 
 
@@ -190,7 +193,7 @@ def _stdout_lines(argv):
     return out.getvalue().splitlines()
 
 
-@settings(FUZZ_SETTINGS, derandomize=True)
+@FUZZ_SETTINGS
 @given(text=named_json_graphs())
 def test_printed_vertex_names_map_back_to_one_generator(fuzz_dir, text):
     path = fuzz_dir / "named.json"
@@ -227,7 +230,7 @@ def test_printed_vertex_names_map_back_to_one_generator(fuzz_dir, text):
         assert owners(letter) == [(letter, HEAD)], letter
 
 
-@settings(FUZZ_SETTINGS, derandomize=True)
+@FUZZ_SETTINGS
 @given(pair=st.lists(TOKENS.filter(_is_vertex_name), unique=True, min_size=2, max_size=2))
 @example(pair=["a--b", "c"])
 @example(pair=["a-", "b"])

@@ -114,20 +114,29 @@ def test_first_hit_form_compiles_one_walk_before_its_hit(monkeypatch):
     k5 = DefiningGraph(
         names, [(u, v, 3, F) for u, v in itertools.combinations(names, 2)]
     )
-    walk, four_cycles = forbidden._walk, DefiningGraph.four_cycles
+    iter_walks, four_cycles = DefiningGraph.iter_walks, DefiningGraph.four_cycles
     walks, listings = [], []
-    monkeypatch.setattr(
-        forbidden, "_walk", lambda ids, c: walks.append(c) or walk(ids, c)
-    )
+
+    def counted_walks(g):
+        for cycle, walk in iter_walks(g):
+            walks.append(cycle)
+            yield cycle, walk
+
+    monkeypatch.setattr(DefiningGraph, "iter_walks", counted_walks)
     monkeypatch.setattr(
         DefiningGraph, "four_cycles", lambda g: listings.append(g) or four_cycles(g)
     )
     assert has_forbidden(k5)
     assert walks == [("a", "b", "c")] and listings == []
-    # the detector reads the same iterator to its end
+    assert "walks" not in vars(k5)  # nothing is kept on the graph
+    # the detector reads the same iterator to its end, and keeps nothing
     walks.clear()
-    detect_forbidden(k5)
-    assert len(walks) == 25 and listings == [k5]
+    found = detect_forbidden(k5)
+    assert len(walks) == 25 and listings == [k5] and "walks" not in vars(k5)
+    # walks a search left on the graph are read from there
+    assert len(k5.walks) == 25
+    walks.clear()
+    assert has_forbidden(k5) and detect_forbidden(k5) == found and walks == []
 
 
 def test_witness_loops_exist_in_link():
@@ -511,7 +520,7 @@ def mixed_graphs(draw, max_unoriented=8):
     return DefiningGraph(tuple(names), edges)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(mixed_graphs())
 def test_search_agrees_with_exhaustive_completions(g):
     found = search_orientation(g)
@@ -637,7 +646,7 @@ def bipartite_graphs(draw, max_unoriented=10):
     return DefiningGraph(tuple(a + b), edges)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(bipartite_graphs())
 @example(complete_bipartite(3, 4, first=[(3, F)] + WILDCARDS_3))
 def test_counting_refutes_only_graphs_without_a_good_completion(g):
@@ -647,31 +656,37 @@ def test_counting_refutes_only_graphs_without_a_good_completion(g):
 
 
 def test_search_self_check_raises_on_a_bad_assignment(monkeypatch):
-    # Hide the 4-cycles of graphs that still have unoriented edges, so
-    # the search alone misses them: it then makes every octahedron face
-    # cyclic, which forces each equator to alternate, and the closing
-    # detect_forbidden check must refuse the result, even under python -O.
-    four_cycles = DefiningGraph.four_cycles
-    monkeypatch.setattr(
-        DefiningGraph,
-        "four_cycles",
-        lambda g: [] if g.unoriented_edges() else four_cycles(g),
-    )
-    with pytest.raises(InternalInconsistencyError):
-        search_orientation(octahedron())
+    # A search fault: 4-walks pass while any direction is undecided.  The
+    # pendant edge a - z lies on no cycle, so it is decided last and every
+    # 4-walk is checked while it is open.  The search then makes every
+    # octahedron face cyclic, which forces each equator to alternate, and
+    # its closing check must refuse the result, even under python -O.
+    forms_pattern = forbidden._forms_pattern
+
+    def faulty(walk, dirs):
+        return (len(walk) == 3 or None not in dirs) and forms_pattern(walk, dirs)
+
+    monkeypatch.setattr(forbidden, "_forms_pattern", faulty)
+    octa = octahedron()
+    g = DefiningGraph((*octa.vertices, "z"), [*octa.edges, ("a", "z", 3)])
+    with pytest.raises(InternalInconsistencyError, match="orientation search returned"):
+        search_orientation(g)
 
 
 def test_certify_refuses_a_searched_orientation_with_a_pattern(monkeypatch):
-    # As above, but through certify, which runs the search without its
-    # closing check: its own detection must refuse the result.
-    four_cycles = DefiningGraph.four_cycles
-    monkeypatch.setattr(
-        DefiningGraph,
-        "four_cycles",
-        lambda g: [] if g.unoriented_edges() else four_cycles(g),
-    )
+    # certify's own check: a completion applied with one searched edge
+    # flipped leaves a bare label-3 triangle transitive, and the detection
+    # certify runs on the completed graph must refuse it.
+    def flip_one(gamma, assignment):
+        (key, d), *rest = assignment.directions.items()
+        flipped = {key: "backward" if d == "forward" else "forward", **dict(rest)}
+        return resolve_orientations(gamma, flipped)
+
+    monkeypatch.setattr(curvature, "resolve_orientations", flip_one)
+    bare = DefiningGraph(("a", "b", "c"), [("a", "b", 3), ("b", "c", 3), ("a", "c", 3)])
+    assert search_orientation(bare) is not None
     with pytest.raises(InternalInconsistencyError, match="orientation search returned"):
-        certify(octahedron())
+        certify(bare)
 
 
 def test_certify_resolves_and_compiles_a_searched_orientation_once(monkeypatch):
@@ -688,19 +703,26 @@ def test_certify_resolves_and_compiles_a_searched_orientation_once(monkeypatch):
 
         return wrapper
 
-    resolve = counted("resolve", resolve_orientations)
-    monkeypatch.setattr(curvature, "resolve_orientations", resolve)
-    monkeypatch.setattr(forbidden, "resolve_orientations", resolve)
-    monkeypatch.setattr(forbidden, "_compile", counted("compile", forbidden._compile))
-    grid4 = parse_gamma(CORPUS["grid4"])
-    report = certify(grid4)
-    assert report.notes == ("orientation found by search",)
-    # one compile in the search and one in the detection
-    assert calls == {"resolve": 1, "compile": 2}
-    calls.clear()
-    # search_orientation alone keeps its closing check
-    assert search_orientation(grid4) == report.orientation
-    assert calls == {"resolve": 1, "compile": 2}
+    monkeypatch.setattr(
+        curvature, "resolve_orientations", counted("resolve", resolve_orientations)
+    )
+    for name, f in (("apply", "with_edges"), ("compile", "iter_walks")):
+        monkeypatch.setattr(DefiningGraph, f, counted(name, getattr(DefiningGraph, f)))
+    # grid4, grid8 and grid12 search and find a completion; k55 is
+    # refuted and given u -> v defaults; k88 comes fully oriented
+    resolved = {"grid4": 1, "grid8": 1, "grid12": 1, "k55": 1, "k88": 0}
+    for name, n in resolved.items():
+        gamma = parse_gamma(CORPUS[name])
+        calls.clear()
+        report = certify(gamma)
+        assert calls == Counter(resolve=n, apply=n, compile=1), name
+        if name.startswith("grid"):
+            assert report.notes == ("orientation found by search",)
+            # the search alone compiles once and applies nothing
+            calls.clear()
+            assert search_orientation(parse_gamma(CORPUS[name])) == report.orientation
+            assert calls == {"compile": 1}, name
+    assert not hasattr(forbidden, "resolve_orientations")
 
 
 # -- checkerboard orientation ----------------------------------------------------

@@ -378,7 +378,7 @@ def memo_free_triangular(gamma):
     """``build_triangular`` on a copy of ``gamma`` made of fresh edges,
     so that every hub chain is built afresh."""
     edges = (GammaEdge(e.u, e.v, e.label, e.orientation) for e in gamma.edges)
-    return build_triangular(gamma.with_edges(edges))
+    return build_triangular(DefiningGraph(gamma.vertices, edges, gamma.rotations))
 
 
 def assert_same_presentation(p, q):
@@ -603,6 +603,85 @@ def test_resolve_incomplete_assignment_raises():
                 {("a", "b"): "forward", ("b", "c"): "forward", ("a", "c"): "forward"}
             ),
         )
+
+
+@st.composite
+def graphs_and_assignments(draw):
+    """A graph on 2 to 6 vertices with fixed, wildcard and unoriented
+    edges, its rotations reversed or absent, perhaps with its walks
+    compiled, and a direction for each unoriented edge, then perhaps
+    one key dropped or added or one direction misspelt."""
+    names = [f"v{i}" for i in range(draw(st.integers(2, 6)))]
+    pairs = list(itertools.combinations(names, 2))
+    edges = []
+    for u, v in pairs:
+        kind = draw(st.sampled_from(["none", "unoriented", "unoriented", F, B, "wild"]))
+        if kind == "wild":
+            edges.append((u, v, 2, Orientation.WILDCARD))
+        elif kind != "none":
+            label = draw(st.sampled_from((2, 3, 4)))
+            edges.append((u, v, label) if kind == "unoriented" else (u, v, label, kind))
+    g = DefiningGraph(names, edges)
+    if draw(st.booleans()):
+        g = DefiningGraph(names, edges, {v: g.neighbors(v)[::-1] for v in names})
+    if draw(st.booleans()):
+        g.walks
+    keys = [e.key for e in g.unoriented_edges()]
+    directions = {k: draw(st.sampled_from(("forward", "backward"))) for k in keys}
+    fault = draw(st.sampled_from(["none", "none", "drop", "add", "misspell"]))
+    if fault == "drop" and keys:
+        del directions[draw(st.sampled_from(keys))]
+    elif fault == "add":
+        directions[draw(st.sampled_from(pairs))] = "forward"
+    elif fault == "misspell" and keys:
+        directions[draw(st.sampled_from(keys))] = "forwards"
+    return g, directions
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(graphs_and_assignments())
+def test_resolve_matches_a_full_rebuild(case):
+    # resolve_orientations applies the directions in place of the
+    # graph's edges; the oracle builds the same graph from scratch
+    from oracle_tools import oriented_copy
+
+    g, directions = case
+    todo = {e.key for e in g.unoriented_edges()}
+    missing, extra = todo - directions.keys(), directions.keys() - todo
+    if "forwards" in directions.values():
+        with pytest.raises(ValueError, match="must be forward/backward"):
+            resolve_orientations(g, directions)
+        return
+    if missing or extra:
+        named = sorted(missing) if missing else sorted(extra)
+        message = "no direction for" if missing else "covers non-unoriented"
+        with pytest.raises(IncompleteAssignmentError, match=message) as raised:
+            resolve_orientations(g, directions)
+        assert str(raised.value).endswith(", ".join(map(str, named)))
+        return
+    fast = resolve_orientations(g, directions)
+    full = oriented_copy(g, OrientationAssignment(directions))
+    assert fast == full and fast.rotations == full.rotations
+    assert fast.unoriented_edges() == full.unoriented_edges() == ()
+    for v in g.vertices:
+        assert fast.neighbors(v) == full.neighbors(v)
+        assert fast.degree(v) == full.degree(v)
+    for e in full.edges:
+        assert fast.edge(e.v, e.u) == e and fast.has_edge(e.v, e.u)
+    assert fast.triangles() == full.triangles()
+    assert fast.four_cycles() == full.four_cycles()
+    assert fast.walks == full.walks == list(fast.iter_walks())
+
+
+def test_with_edges_refuses_a_different_key_set():
+    g = DefiningGraph(("a", "b", "c"), [("a", "b", 3), ("b", "c", 3)])
+    ab, bc = g.edges
+    ac = GammaEdge("a", "c", 3)
+    for edges in ([ab], [ab, bc, ac], [ab, ac], [ab, ab]):
+        with pytest.raises(ValueError, match="own keys"):
+            g.with_edges(edges)
+    flipped = g.with_edges([GammaEdge("c", "b", 4), ab])
+    assert flipped.edges == (ab, GammaEdge("b", "c", 4)) and g.edges == (ab, bc)
 
 
 # -- file formats --------------------------------------------------------
