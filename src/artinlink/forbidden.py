@@ -201,9 +201,7 @@ def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
     if _refuted_by_counting(gamma):
         return None
     dirs = [_DIRECTION.get(e.orientation) for e in gamma.edges]
-    walks = [walk for _, walk in gamma.walks]
-
-    load = Counter(e for walk in walks for e, _ in walk)
+    load = Counter(e for _, walk in gamma.walks for e, _ in walk)
     order = sorted(
         (i for i, d in enumerate(dirs) if d is None), key=lambda i: (-load[i], i)
     )
@@ -211,7 +209,7 @@ def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
     # checks[i + 1] holds the walks completed by decision i; checks[0]
     # those with no searched edge, which must already be clean.
     checks: list[list] = [[] for _ in range(len(order) + 1)]
-    for walk in walks:
+    for _, walk in gamma.walks:
         last = max((position[e] + 1 for e, _ in walk if e in position), default=0)
         checks[last].append(walk)
     if any(_forms_pattern(w, dirs) for w in checks[0]):
@@ -239,7 +237,7 @@ def search_orientation(gamma: DefiningGraph) -> OrientationAssignment | None:
             i -= 1
     if i < 0:
         return None
-    if any(map(_forms_pattern, walks, repeat(dirs))):
+    if any(_forms_pattern(walk, dirs) for _, walk in gamma.walks):
         raise InternalInconsistencyError(SEARCH_INCONSISTENT)
     return OrientationAssignment(
         {gamma.edges[e].key: "forward" if dirs[e] == 1 else "backward" for e in order}

@@ -220,14 +220,15 @@ class DefiningGraph:
             raise ValueError("duplicate vertex names")
         norm = sorted(map(_make_edge, edges), key=attrgetter("key"))
         self.edges = tuple(norm)
-        self._by_key: dict[tuple[str, str], GammaEdge] = {}
+        # key -> position in ``edges``: the one edge lookup, kept by with_edges
+        self._index: dict[tuple[str, str], int] = {}
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in self.edges:
+        for i, e in enumerate(self.edges):
             if e.u not in adj or e.v not in adj:
                 raise EdgeError(e.key, f"edge {e.key} uses undeclared vertices")
-            if e.key in self._by_key:
+            if e.key in self._index:
                 raise EdgeError(e.key, f"multiple edges between {e.u!r} and {e.v!r}")
-            self._by_key[e.key] = e
+            self._index[e.key] = i
             adj[e.u].append(e.v)
             adj[e.v].append(e.u)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
@@ -245,11 +246,11 @@ class DefiningGraph:
 
     def edge(self, u: str, v: str) -> GammaEdge:
         key = (u, v) if u < v else (v, u)
-        return self._by_key[key]
+        return self.edges[self._index[key]]
 
     def has_edge(self, u: str, v: str) -> bool:
         key = (u, v) if u < v else (v, u)
-        return key in self._by_key
+        return key in self._index
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         return self._adj[v]
@@ -270,9 +271,9 @@ class DefiningGraph:
         adj = self._adj
         return [
             (u, v, w)
-            for u, v in self._by_key
+            for u, v in self._index
             for w in adj[v]
-            if w > v and (u, w) in self._by_key
+            if w > v and (u, w) in self._index
         ]
 
     def four_cycles(self) -> list[tuple[str, str, str, str]]:
@@ -289,7 +290,7 @@ class DefiningGraph:
             for v2 in adj[v1]
             if v2 > v0
             for v3 in adj[v2]
-            if v3 > v1 and (v0, v3) in self._by_key
+            if v3 > v1 and (v0, v3) in self._index
         ]
         return sorted(out)
 
@@ -298,7 +299,7 @@ class DefiningGraph:
         closed walk as (edge index, sign) steps, +1 where the walk runs
         u -> v along ``edges[index]``; compiled as read, the 4-cycles
         listed only once the triangles run out."""
-        index = {e.key: i for i, e in enumerate(self.edges)}
+        index = self._index
         for cycles in (self.triangles, self.four_cycles):
             for cycle in cycles():
                 yield cycle, tuple([
@@ -313,12 +314,11 @@ class DefiningGraph:
 
     def with_edges(self, edges: Iterable[GammaEdge]) -> "DefiningGraph":
         """This graph with ``edges`` on the same keys in place of its own;
-        the vertices, adjacency, rotations and :attr:`walks` read keys
-        only, so they are shared."""
+        sorted by key, each edge keeps its position, so the key index,
+        vertices, adjacency, rotations and :attr:`walks` are shared."""
         g = copy.copy(self)
         g.edges = tuple(sorted(edges, key=attrgetter("key")))
-        g._by_key = {e.key: e for e in g.edges}
-        if len(g.edges) != len(self.edges) or g._by_key.keys() != self._by_key.keys():
+        if [e.key for e in g.edges] != list(self._index):
             raise ValueError("with_edges needs edges on exactly the graph's own keys")
         return g
 
@@ -385,14 +385,11 @@ def resolve_orientations(
         raise IncompleteAssignmentError(
             f"assignment covers non-unoriented edges: {extra}"
         )
-    new_edges = []
-    for e in gamma.edges:
-        if e.key in assignment.directions:
-            d = assignment.directions[e.key]
-            new_edges.append(GammaEdge(e.u, e.v, e.label, d))
-        else:
-            new_edges.append(e)
-    return gamma.with_edges(new_edges)
+    edges = list(gamma.edges)
+    for key, d in assignment.directions.items():
+        i = gamma._index[key]
+        edges[i] = GammaEdge(*key, edges[i].label, d)
+    return gamma.with_edges(edges)
 
 
 class HubRecord(NamedTuple):

@@ -139,6 +139,25 @@ def test_first_hit_form_compiles_one_walk_before_its_hit(monkeypatch):
     assert has_forbidden(k5) and detect_forbidden(k5) == found and walks == []
 
 
+def test_search_reads_the_graphs_walks_in_place():
+    class CountedWalks(list):
+        reads = 0
+
+        def __iter__(self):
+            CountedWalks.reads += 1
+            return super().__iter__()
+
+    # a 4-cycle of unoriented label-3 edges: the search completes it
+    names = ("a", "b", "c", "d")
+    g = DefiningGraph(names, [(u, v, 3) for u, v in zip(names, names[1:] + names[:1])])
+    vars(g)["walks"] = CountedWalks(g.walks)
+    found = search_orientation(g)
+    # the load count, the check lists and the closing check each read the
+    # graph's own list; no stripped copy is kept to read instead
+    assert CountedWalks.reads == 3
+    assert found is not None and not has_forbidden(resolve_orientations(g, found))
+
+
 def test_witness_loops_exist_in_link():
     for gamma in (
         transitive_triangle(),

@@ -682,6 +682,51 @@ def test_with_edges_refuses_a_different_key_set():
             g.with_edges(edges)
     flipped = g.with_edges([GammaEdge("c", "b", 4), ab])
     assert flipped.edges == (ab, GammaEdge("b", "c", 4)) and g.edges == (ab, bc)
+    # as many edges as the graph's, one key twice in two directions and
+    # one key missing: the sorted keys differ from the graph's
+    tri = DefiningGraph(("a", "b", "c"), [("a", "b", 3), ("a", "c", 3), ("b", "c", 3)])
+    twice = [GammaEdge("a", "b", 3, F), GammaEdge("a", "b", 3, B), tri.edge("b", "c")]
+    with pytest.raises(ValueError, match="own keys"):
+        tri.with_edges(twice)
+
+
+def test_reorientations_share_the_key_index_and_the_walks():
+    # an edge's position in ``edges`` is its one identity: a re-orientation
+    # keeps every position, so it shares the graph's key index and walks
+    g = DefiningGraph(
+        ("a", "b", "c", "d"),
+        [("a", "b", 3), ("b", "c", 3, F), ("a", "c", 2, "?"), ("c", "d", 4)],
+    )
+    walks = g.walks
+    assignment = {("a", "b"): "backward", ("c", "d"): "forward"}
+    resolved = resolve_orientations(g, assignment)
+    for h in (resolved, g.with_edges(g.edges[::-1]), g.reversed()):
+        assert h._index is g._index and h.walks is walks
+    # only the assigned positions change; every other edge is the same object
+    for old, new in zip(g.edges, resolved.edges):
+        assert (new is old) == (old.key not in assignment)
+    for (u, v), d in assignment.items():
+        new = GammaEdge(u, v, g.edge(u, v).label, d)
+        assert resolved.edge(u, v) == resolved.edge(v, u) == new
+        assert resolved.edge(v, u) is resolved.edges[g._index[u, v]]
+        assert g.edge(v, u).orientation == Orientation.UNORIENTED
+
+
+def test_iter_walks_reads_the_graphs_own_key_index():
+    class CountedIndex(dict):
+        reads = 0
+
+        def __getitem__(self, key):
+            CountedIndex.reads += 1
+            return super().__getitem__(key)
+
+    names = ("a", "b", "c", "d")
+    g = DefiningGraph(names, [(u, v, 3) for u, v in itertools.combinations(names, 2)])
+    g._index = CountedIndex(g._index)
+    walks = list(g.iter_walks())
+    # one read per step: 4 triangles and 3 four-cycles, no map of its own
+    assert len(walks) == 7
+    assert CountedIndex.reads == sum(len(walk) for _, walk in walks) == 24
 
 
 # -- file formats --------------------------------------------------------
