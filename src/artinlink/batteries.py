@@ -9,12 +9,15 @@ turn, with failing cases reported in case order for any pool size.
   and its middle subgraph splits into (m+n+p-9) isolated edges plus
   three 3-chains;
 * pattern oracle: on every oriented labelled graph on up to five
-  vertices, one per isomorphism class (the least image of its orbit,
-  from :func:`_canonicaliser`), and on its wildcard variant, the
-  detector fires exactly when the link has an embedded 4-loop, that
-  is girth < 6, links being bipartite and simple; the girth routine
-  re-runs on every 97th case;
+  vertices, one per isomorphism class (the least image of its orbit),
+  and on its wildcard variant, the detector fires exactly when the
+  link has an embedded 4-loop, that is girth < 6, links being
+  bipartite and simple; the girth routine re-runs on every 97th case;
 * triangle-free B2, and seeded random spot checks of the pattern oracle.
+
+Both enumerations go shape first (:func:`_shape_first`): canonical 0/1
+shapes, labelled up to their automorphisms, each labelling canonicalised
+once, then oriented up to its own automorphisms.
 """
 
 from __future__ import annotations
@@ -182,19 +185,14 @@ def _permutation_table(n: int):
     return rows, blocks
 
 
-def _extended(codes: bytes) -> bytes:
-    """``state + flipped state``, the sequence every getter reads."""
-    return codes + codes.translate(_FLIP)
+def _least_per_orbit(choices, auts, flip=_FLIP) -> list[tuple[int, ...]]:
+    """The least state of each orbit of ``auts`` on ``product(*choices)``,
+    in lexicographic order; ``flip`` reverses a pair's code (None: none).
 
-
-def _orientations(und: tuple[int, ...], auts) -> list[tuple[int, ...]]:
-    """The least orientation of each orbit of an undirected state's
-    automorphisms, in lexicographic order.
-
-    Orientations run in lexicographic order, so the first one of an
-    orbit reached is its least; its images then mark the rest.
+    States run in lexicographic order, so the first one of an orbit
+    reached is its least; its images then mark the rest.
     """
-    states = product(*map(_CODES.__getitem__, und))
+    states = product(*choices)
     if len(auts) == 1:
         return list(states)
     seen = set()
@@ -202,7 +200,8 @@ def _orientations(und: tuple[int, ...], auts) -> list[tuple[int, ...]]:
     for state in states:
         if state not in seen:
             out.append(state)
-            ext = _extended(bytes(state))
+            codes = bytes(state)
+            ext = codes + codes.translate(flip)
             seen.update([get(ext) for get in auts])
     return out
 
@@ -225,7 +224,8 @@ def _canonicaliser(n: int):
     cached per (vertex, row).  ``automorphisms(und)`` is None if one of
     them maps an undirected state lower, else the ones that fix it: all
     its automorphisms, since they fix its sorted, least vertex-0 row.
-    ``least_image`` keeps a running minimum of their images.
+    ``least_image`` keeps a running minimum of their images (``flip`` as
+    in :func:`_least_per_orbit`).
     """
     rows, blocks = _permutation_table(n)
     sorted_rows = _SortedRows()
@@ -250,8 +250,8 @@ def _canonicaliser(n: int):
                 out.append(getters)
         return out
 
-    def least_image(codes: bytes) -> tuple[int, ...]:
-        ext = _extended(codes)
+    def least_image(codes: bytes, flip=_FLIP) -> tuple[int, ...]:
+        ext = codes + codes.translate(flip)
         least = None
         for getters in candidates(ext):
             for get in getters:
@@ -284,20 +284,40 @@ def _sorted_head_product(values, head: int, tail: int):
             yield first + rest
 
 
+def _shape_first(n: int, labels, keep=None, order=None) -> list[tuple[int, ...]]:
+    """Each canonical undirected state on n vertices with labels from
+    ``labels`` and a shape that ``keep`` accepts, sorted by ``order``,
+    oriented in every way up to its automorphisms.
+
+    Labellings of a canonical 0/1 shape are isomorphic only through the
+    shape's automorphisms, so one per orbit of those meets each labelled
+    class of that shape once; its least image is the canonical state.
+    """
+    least_image, automorphisms = _canonicaliser(n)
+    m = n * (n - 1) // 2
+    shapes = _sorted_head_product((0, 1), n - 1, m - (n - 1))
+    unds = []
+    for shape in filter(keep, shapes) if keep else shapes:
+        auts = automorphisms(shape)
+        if auts is not None:
+            choices = [labels if bit else (0,) for bit in shape]
+            leaders = _least_per_orbit(choices, auts, None)
+            unds += [least_image(bytes(state), None) for state in leaders]
+    unds.sort(key=order)
+    out: list[tuple[int, ...]] = []
+    for und in unds:
+        out.extend(_least_per_orbit(map(_CODES.__getitem__, und), automorphisms(und)))
+    return out
+
+
 def enumerate_oriented_states(n: int) -> list[tuple[int, ...]]:
     """Canonical representatives of oriented graphs with labels 3 and 4.
 
     States are tuples over the vertex pairs of K_n with values 0
-    (absent) or an (label, direction) code.
+    (absent) or an (label, direction) code, sorted by undirected state
+    (lexicographic), then lexicographically.
     """
-    _, automorphisms = _canonicaliser(n)
-    m = n * (n - 1) // 2
-    out: list[tuple[int, ...]] = []
-    for und in _sorted_head_product((0, 3, 4), n - 1, m - (n - 1)):
-        auts = automorphisms(und)
-        if auts is not None:
-            out.extend(_orientations(und, auts))
-    return out
+    return _shape_first(n, (3, 4))
 
 
 def enumerate_triangle_free_oriented_states(n: int) -> list[tuple[int, ...]]:
@@ -305,31 +325,18 @@ def enumerate_triangle_free_oriented_states(n: int) -> list[tuple[int, ...]]:
 
     Label-2 edges are wildcards and carry no direction; every direction
     assignment of the other edges appears once per isomorphism class.
+    Only triangle-free shapes are labelled; states run by shape first.
     """
-    pairs = list(combinations(range(n), 2))
-    m = len(pairs)
-    _, automorphisms = _canonicaliser(n)
-    pair_index = {p: i for i, p in enumerate(pairs)}
+    pair_index = {p: i for i, p in enumerate(combinations(range(n), 2))}
     triples = [
         tuple(pair_index[p] for p in ((a, b), (a, c), (b, c)))
         for a, b, c in combinations(range(n), 3)
     ]
 
-    out = []
-    for bits in _sorted_head_product((0, 1), n - 1, m - (n - 1)):
-        if any(all(bits[i] for i in t) for t in triples):
-            continue
-        head = sum(bits[: n - 1])
-        present = [i for i, b in enumerate(bits) if b]
-        for labelling in _sorted_head_product((2, 3, 4), head, len(present) - head):
-            state = [0] * m
-            for i, lab in zip(present, labelling):
-                state[i] = lab
-            und = tuple(state)
-            auts = automorphisms(und)
-            if auts is not None:
-                out.extend(_orientations(und, auts))
-    return out
+    def triangle_free(shape):
+        return not any(all(shape[i] for i in t) for t in triples)
+
+    return _shape_first(n, (2, 3, 4), triangle_free, lambda u: (tuple(map(bool, u)), u))
 
 
 def b2_case(state: tuple[int, ...], n: int):

@@ -283,8 +283,8 @@ def _cmd_pieces(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    # 5 vertices is the acceptance size; 6 (3^15 labelled states, 720
-    # permutations each) is out of reach
+    # 5 vertices is the acceptance size; 6 has at least 5^15 / 6! (about
+    # 4.2e7) oriented classes, too many to hold as a list
     if _out_of_range(
         ("--max-vertices", args.max_vertices, 2, 5),
         ("--max-label", args.max_label, 3, MAX_TRIANGLE_LABEL),

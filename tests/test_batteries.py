@@ -133,13 +133,17 @@ def counted_wildcard_variants(monkeypatch, states, n):
     return wildcard_variants(states, n), calls
 
 
+def undirected(state):
+    """A state's undirected pattern: each code's label, 0 if absent."""
+    return tuple(map({0: 0, 1: 3, 2: 3, 3: 4, 4: 4, 5: 2}.get, state))
+
+
 def per_run_raws(states):
     """The raw variants, as bytes, that ``wildcard_variants`` should
     canonicalise, in call order: each distinct raw once within each run
     of states with one undirected pattern."""
-    label = {0: 0, 1: 3, 2: 3, 3: 4, 4: 4, 5: 2}
     out = []
-    for _, run in itertools.groupby(states, lambda s: tuple(map(label.get, s))):
+    for _, run in itertools.groupby(states, undirected):
         out += dict.fromkeys(map(bytes, raw_wildcard_variants(run)))
     return out
 
@@ -223,6 +227,115 @@ def test_enumerations_are_pinned_in_order(n):
         digest(enumerate_triangle_free_oriented_states(n)),
     )
     assert got == ORDERED_DIGESTS[n]
+
+
+def counted_enumeration(monkeypatch, enumerate_states, n):
+    """``enumerate_states(n)``, the codes it gave ``least_image`` and the
+    states it gave ``automorphisms``, in call order."""
+    images, auts = [], []
+    make = batteries._canonicaliser
+
+    def counting(n):
+        least_image, automorphisms = make(n)
+
+        def count_image(codes, *flip):
+            images.append(codes)
+            return least_image(codes, *flip)
+
+        def count_auts(state):
+            auts.append(state)
+            return automorphisms(state)
+
+        return count_image, count_auts
+
+    monkeypatch.setattr(batteries, "_canonicaliser", counting)
+    return enumerate_states(n), images, auts
+
+
+@pytest.mark.parametrize(
+    "enumerate_states, shapes, classes",
+    [
+        # every head-sorted 0/1 shape: C(5, 4) vertex-0 rows * 2^6
+        (enumerate_oriented_states, 320, 792),
+        # the triangle-free ones among them
+        (enumerate_triangle_free_oriented_states, 116, 463),
+    ],
+)
+def test_enumerations_canonicalise_each_class_once(
+    monkeypatch, enumerate_states, shapes, classes
+):
+    """Shapes first: one ``automorphisms`` call per head-sorted shape,
+    one ``least_image`` per undirected class, then one ``automorphisms``
+    per class to orient it; no labelling is generated and rejected."""
+    states, images, auts = counted_enumeration(monkeypatch, enumerate_states, 5)
+    patterns = list(dict.fromkeys(map(undirected, states)))
+    assert len(images) == len(patterns) == classes
+    assert len(auts) == shapes + classes
+    shape_calls = auts[:shapes]
+    assert len(set(shape_calls)) == shapes
+    assert all(set(s) <= {0, 1} and list(s[:4]) == sorted(s[:4]) for s in shape_calls)
+    assert auts[shapes:] == patterns
+
+
+def pair_cycles(perm, pairs):
+    """The cycles of ``perm`` acting on ``pairs``, as lists of indices."""
+    index = {p: i for i, p in enumerate(pairs)}
+    image = [index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs]
+    cycles, seen = [], set()
+    for start in range(len(pairs)):
+        cycle, i = [], start
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            i = image[i]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def burnside_classes(n, labels, keep=None):
+    """Labelled graphs on n vertices up to isomorphism, edges labelled
+    from ``labels``, by Burnside's lemma: the mean, over the n!
+    permutations, of the labellings each one fixes.  A fixed labelling
+    is constant on each pair cycle, so its shape is a union of cycles;
+    ``keep`` filters those shapes."""
+    pairs = list(itertools.combinations(range(n), 2))
+    perms = list(itertools.permutations(range(n)))
+    fixed = 0
+    for perm in perms:
+        cycles = pair_cycles(perm, pairs)
+        for chosen in itertools.product((0, 1), repeat=len(cycles)):
+            shape = [0] * len(pairs)
+            for cycle, on in zip(cycles, chosen):
+                for i in cycle:
+                    shape[i] = on
+            if keep is None or keep(shape):
+                fixed += len(labels) ** sum(chosen)
+    assert fixed % len(perms) == 0
+    return fixed // len(perms)
+
+
+def test_burnside_counts_the_classes_each_enumeration_meets():
+    pairs = list(itertools.combinations(range(5), 2))
+
+    def triangle_free(shape):
+        on = {p for p, bit in zip(pairs, shape) if bit}
+        return not any(
+            {(a, b), (a, c), (b, c)} <= on
+            for a, b, c in itertools.combinations(range(5), 3)
+        )
+
+    oriented = burnside_classes(5, (3, 4))
+    without_triangles = burnside_classes(5, (2, 3, 4), triangle_free)
+    assert (oriented, without_triangles) == (792, 463)
+    for states, count in [
+        (enumerate_oriented_states(5), oriented),
+        (enumerate_triangle_free_oriented_states(5), without_triangles),
+    ]:
+        # the distinct patterns are the classes, each its own least image
+        patterns = list(dict.fromkeys(map(undirected, states)))
+        assert len(patterns) == count
+        assert [least for least, _ in undirected_orbits(patterns, 5)] == patterns
 
 
 def test_graph_from_state_decodes_labels_and_directions():
