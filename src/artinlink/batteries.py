@@ -25,10 +25,10 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, permutations, product
 from multiprocessing import Pool
 from operator import itemgetter
+from typing import NamedTuple
 
 from .complex_link import link_of
 from .curvature import B2, assign_metric, check_link_condition
@@ -43,12 +43,11 @@ from .presentations import (
 )
 
 
-@dataclass
-class BatteryResult:
+class BatteryResult(NamedTuple):
     name: str
     cases: int
-    failures: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+    failures: list[str]
+    elapsed: float
 
     @property
     def ok(self) -> bool:

@@ -7,8 +7,8 @@ automatic for Euclidean triangles and is not checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complex_link import LinkGraph, link_of
 from .cycles import EmbeddedLoop, girth, min_angle_cycle
@@ -30,8 +30,7 @@ VERDICT_NPC = "NonPositivelyCurved"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class MetricAssignment:
+class MetricAssignment(NamedTuple):
     """Exact 1-cell lengths, squared, of a hub and of every other
     1-cell, and the corner angles that every 2-cell shares, by corner,
     as integer weights: corner i measures ``corner_weights[i] /
@@ -71,8 +70,7 @@ def assign_metric(link: LinkGraph, scheme: str) -> MetricAssignment:
     return MetricAssignment(scheme, (hub_sq, side_sq), corners, unit)
 
 
-@dataclass(frozen=True)
-class LinkCondition:
+class LinkCondition(NamedTuple):
     holds: bool
     min_over_pi: Fraction | None  # None for forests: no loops at all
     witness: EmbeddedLoop | None
@@ -95,8 +93,7 @@ def check_link_condition(link: LinkGraph, metric: MetricAssignment) -> LinkCondi
     return LinkCondition(holds, value, witness)
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     """Everything the certificate run established, verdict included."""
 
     scheme: str | None
@@ -110,7 +107,7 @@ class CurvatureReport:
     forbidden: tuple[ForbiddenWitness, ...]
     small_cancellation: SmallCancellation
     orientation: OrientationAssignment | None
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
         witnesses = [
@@ -183,6 +180,8 @@ def certify(gamma: DefiningGraph, scheme: str = "auto") -> CurvatureReport:
     verdict is Inconclusive, which never claims the group is not
     biautomatic.
     """
+    if scheme not in ("auto", A2, B2):
+        raise ValueError(f"unknown scheme {scheme!r}")
     notes: list[str] = []
     g = gamma
     unoriented = g.unoriented_edges()
@@ -210,10 +209,8 @@ def certify(gamma: DefiningGraph, scheme: str = "auto") -> CurvatureReport:
             chosen = B2
         else:
             chosen = None
-    elif scheme in (A2, B2):
-        chosen = scheme
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        chosen = scheme
 
     girth_value, girth_loop = girth(link)
     small = check_conditions(link, girth_value)

@@ -277,14 +277,14 @@ class DefiningGraph:
         ]
 
     def four_cycles(self) -> list[tuple[str, str, str, str]]:
-        """Embedded 4-cycles as vertex sequences (v0,v1,v2,v3), each once.
+        """Embedded 4-cycles as vertex sequences, each once, in sorted order.
 
-        Canonical form: v0 is the least vertex and v1 < v3.
+        Canonical form (v0,v1,v2,v3): v0 is the least vertex and v1 < v3.
         """
         adj = self._adj
-        out = [
+        return [
             (v0, v1, v2, v3)
-            for v0 in self.vertices
+            for v0 in sorted(self.vertices)
             for v1 in adj[v0]
             if v1 > v0
             for v2 in adj[v1]
@@ -292,7 +292,6 @@ class DefiningGraph:
             for v3 in adj[v2]
             if v3 > v1 and (v0, v3) in self._index
         ]
-        return sorted(out)
 
     def iter_walks(self):
         """Each triangle, then each 4-cycle, in sorted order, with its

@@ -27,7 +27,6 @@ pieces when g occurs twice among the cells.  A relator is a product of
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -39,8 +38,7 @@ from .words import CyclicWord, FreeWord
 CONDITION_CAP = 12
 
 
-@dataclass(frozen=True)
-class PieceTable:
+class PieceTable(NamedTuple):
     pieces: tuple[FreeWord, ...]
     max_piece_len: int
     decompositions: dict[CyclicWord, int | None]  # min piece count per relator

@@ -150,6 +150,27 @@ def test_unknown_scheme_is_refused():
         certify(triangle_graph(3, 3, 3), scheme="C3")
 
 
+def test_unknown_scheme_is_refused_before_any_stage(monkeypatch):
+    import pytest
+
+    from artinlink import curvature
+
+    # a label this large would stop the link build on the generator cap
+    huge = DefiningGraph(("a", "b"), [("a", "b", 40000, ">")])
+    with pytest.raises(ValueError, match="^unknown scheme 'C3'$"):
+        certify(huge, scheme="C3")
+
+    def stage(*args):
+        raise AssertionError("a stage ran before the scheme was checked")
+
+    monkeypatch.setattr(curvature, "search_orientation", stage)
+    monkeypatch.setattr(curvature, "link_of", stage)
+    square = DefiningGraph("abcd", [(u, v, 3) for u, v in ("ab", "bc", "cd", "ad")])
+    assert square.unoriented_edges()  # so certify would search first
+    with pytest.raises(ValueError, match="^unknown scheme 'b2'$"):
+        certify(square, scheme="b2")
+
+
 def test_metric_needs_a_link_built_from_cells():
     import pytest
 

@@ -516,3 +516,59 @@ def f():
         "B.__bool__",
         "B.__setattr__",
     ]
+
+
+def plain_records():
+    """One record of each plain result type, by type name, built by the
+    pipeline."""
+    from artinlink import batteries, curvature, smallcancel
+    from artinlink import link_of, triangle_graph
+
+    link = link_of(triangle_graph(2, 4, 5))
+    metric = curvature.assign_metric(link, curvature.B2)
+    return {
+        "MetricAssignment": metric,
+        "LinkCondition": curvature.check_link_condition(link, metric),
+        "CurvatureReport": curvature.certify(triangle_graph(2, 4, 5)),
+        "PieceTable": smallcancel.compute_pieces(link),
+        "BatteryResult": batteries.battery_tietze(4),
+    }
+
+
+RECORD_FIELDS = {
+    "MetricAssignment": ("scheme", "lengths_sq", "corner_weights", "angle_unit"),
+    "LinkCondition": ("holds", "min_over_pi", "witness"),
+    "CurvatureReport": (
+        "scheme",
+        "verdict",
+        "biautomatic",
+        "theorem_cited",
+        "girth",
+        "girth_witness",
+        "min_angle_over_pi",
+        "min_angle_witness",
+        "forbidden",
+        "small_cancellation",
+        "orientation",
+        "notes",
+    ),
+    "PieceTable": ("pieces", "max_piece_len", "decompositions"),
+    "BatteryResult": ("name", "cases", "failures", "elapsed"),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_FIELDS)
+def test_plain_records_are_immutable_values(name):
+    record = plain_records()[name]
+    fields = RECORD_FIELDS[name]
+    values = {f: getattr(record, f) for f in fields}
+    for f in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, f, None)
+    assert type(record)(**values) == record
+    if name == "CurvatureReport":  # the one default
+        assert type(record)(*list(values.values())[:-1]).notes == ()
+    for f in fields:
+        assert type(record)(**{**values, f: object()}) != record
+    shown = ", ".join(f"{f}={v!r}" for f, v in values.items())
+    assert repr(record) == f"{name}({shown})"
