@@ -14,10 +14,11 @@ import os
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
+from operator import attrgetter
 
 from . import batteries
 from .complex_link import link_of
-from .curvature import A2, B2, certify
+from .curvature import A2, B2, WITNESS_KIND, WITNESS_LISTS, certify
 from .cycles import LOOP_ENUMERATION_GUARD, enumerate_short_loops
 from .errors import InternalInconsistencyError
 from .forbidden import search_orientation
@@ -129,58 +130,85 @@ def _flat_encoder(sep: str):
     return json.JSONEncoder(separators=(sep, ": ")).encode
 
 
-@functools.cache  # one per nesting depth
-def _string_list(indent: str):
-    """Lays out a non-empty list of strings at depth ``indent`` as
-    ``json.dumps`` does; TypeError if an item is not a string."""
-    left, sep, right = f"[\n{indent}  ", f",\n{indent}  ", f"\n{indent}]"
-    return lambda items: f"{left}{sep.join(map(_json_string, items))}{right}"
-
-
 def _json_text(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2)`` at depth ``indent``, for objects with
     string keys.  Only containers of containers are joined here: strings,
     lists of strings (one ``map``), scalars and containers of scalars are
-    encoded in C.  A dict encodes its string and string-list values
-    without recursing."""
+    encoded in C."""
     if isinstance(obj, str):
         return _json_string(obj)
     inner = indent + "  "
-    sep = ",\n" + inner
     is_list = isinstance(obj, (list, tuple))
     if is_list and obj:
         try:
-            return _string_list(indent)(obj)
+            return _joined(list(map(_json_string, obj)), indent)
         except TypeError:  # not all strings
             pass
     items = obj if is_list else obj.values() if isinstance(obj, dict) else ()
     if not any(map(isinstance, items, repeat((dict, list, tuple)))):
-        text = _flat_encoder(sep)(obj)
+        text = _flat_encoder(",\n" + inner)(obj)
         return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}" if items else text
     if is_list:
-        parts = [_json_text(x, inner) for x in obj]
-    else:
-        parts, strings = [], _string_list(inner)
-        for k, v in obj.items():
-            if isinstance(v, str):
-                text = _json_string(v)
-            elif v and isinstance(v, (list, tuple)):
-                try:
-                    text = strings(v)
-                except TypeError:  # not all strings
-                    text = _json_text(v, inner)
-            else:
-                text = _json_text(v, inner)
-            parts.append(f"{_json_string(k)}: {text}")
-    left, right = "[]" if is_list else "{}"
-    return f"{left}\n{inner}{sep.join(parts)}\n{indent}{right}"
+        return _joined([_json_text(x, inner) for x in obj], indent)
+    parts = [f"{_json_string(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+    return _joined(parts, indent, "{}")
+
+
+def _joined(parts: list[str], indent: str, brackets: str = "[]") -> str:
+    """Encoded ``parts`` in ``brackets`` at depth ``indent``, one a line."""
+    if not parts:
+        return brackets
+    inner = indent + "  "
+    sep = ",\n" + inner
+    return f"{brackets[0]}\n{inner}{sep.join(parts)}\n{indent}{brackets[1]}"
+
+
+class _Encoded(dict):
+    """``_json_string(text(item))`` per item, encoded at its first lookup."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __missing__(self, item):
+        self[item] = encoded = _json_string(self.text(item))
+        return encoded
+
+
+def _witness_rows(witnesses, indent: str) -> list[str]:
+    """The JSON text of each witness's row of ``to_json_dict`` at depth
+    ``indent``: one %-template laid out as ``json.dumps`` lays out a row,
+    over each distinct item encoded once.  No list of a row is empty."""
+    items = _joined(["%s"], indent + "  ")
+    lines = [f"{_json_string(key)}: {items}" for key, _, _ in WITNESS_LISTS]
+    template = _joined([f"{_json_string(WITNESS_KIND[0])}: %s", *lines], indent, "{}")
+    fields = attrgetter(WITNESS_KIND[1], *[field for _, field, _ in WITNESS_LISTS])
+    kinds, join = _Encoded(WITNESS_KIND[2]), f",\n{indent}    ".join
+    # the three joins written out: a loop over them costs a third more
+    a, b, c = [_Encoded(text).__getitem__ for _, _, text in WITNESS_LISTS]
+    return [
+        template % (kinds[k], join(map(a, x)), join(map(b, y)), join(map(c, z)))
+        for k, x, y, z in map(fields, witnesses)
+    ]
+
+
+def _certify_json(report) -> str:
+    """``json.dumps(report.to_json_dict(), indent=2)``, its forbidden-pattern
+    rows written by :func:`_witness_rows` after the loop rows."""
+    obj = report._replace(forbidden=()).to_json_dict()
+    loops = [_json_text(row, "    ") for row in obj["witnesses"]]
+    witnesses = _joined(loops + _witness_rows(report.forbidden, "    "), "  ")
+    parts = [
+        f"{_json_string(k)}: {witnesses if k == 'witnesses' else _json_text(v, '  ')}"
+        for k, v in obj.items()
+    ]
+    return _joined(parts, "", "{}")
 
 
 def _cmd_certify(args) -> int:
     gamma = load_gamma(args.input)
     report = certify(gamma, scheme=_SCHEMES[args.scheme])
     if args.format == "json":
-        _emit_json(report.to_json_dict())
+        print(_certify_json(report))
     else:
         sys.stdout.write(report.to_text())
     return 0

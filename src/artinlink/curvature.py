@@ -8,6 +8,7 @@ automatic for Euclidean triangles and is not checked.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 from .complex_link import LinkGraph, link_of
@@ -93,6 +94,17 @@ def check_link_condition(link: LinkGraph, metric: MetricAssignment) -> LinkCondi
     return LinkCondition(holds, value, witness)
 
 
+# The JSON row of a forbidden-pattern witness: (key, ForbiddenWitness
+# field, text of one item) for its kind, then for each of its lists.
+# The report's dicts and the CLI's row template both read these.
+WITNESS_KIND = ("kind", "kind", "type-{}".format)
+WITNESS_LISTS = (
+    ("vertices", "vertices", str),
+    ("edges", "directed_edges", "{0[0]}->{0[1]}".format),
+    ("loop", "loop", attrgetter("bar_name")),
+)
+
+
 class CurvatureReport(NamedTuple):
     """Everything the certificate run established, verdict included."""
 
@@ -118,13 +130,10 @@ class CurvatureReport(NamedTuple):
             )
             if loop is not None
         ]
+        kind_key, kind_field, kind_text = WITNESS_KIND
         witnesses += [
-            {
-                "kind": f"type-{w.kind}",
-                "vertices": list(w.vertices),
-                "edges": [f"{t}->{h}" for t, h in w.directed_edges],
-                "loop": [v.bar_name for v in w.loop],
-            }
+            {kind_key: kind_text(getattr(w, kind_field))}
+            | {key: list(map(text, getattr(w, f))) for key, f, text in WITNESS_LISTS}
             for w in self.forbidden
         ]
         return {

@@ -35,6 +35,13 @@ class ParseError(ValueError):
         self.line = line
 
 
+def _shown(token: str) -> str:
+    """``token`` quoted, cut to its first 20 characters if longer."""
+    if len(token) <= 20:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
+
+
 def parse_gamma(text: str) -> DefiningGraph:
     vertices: dict[str, None] = {}  # a set that keeps the file's order
     edges: list[GammaEdge] = []
@@ -63,15 +70,16 @@ def parse_gamma(text: str) -> DefiningGraph:
             if len(fields) not in (4, 5):
                 raise ParseError(lineno, "expected: edge <u> <v> <label> [> < ? .]")
             u, v = fields[1], fields[2]
-            try:  # ASCII digits only: int() alone also reads "3_0" and "\uff13"
-                if not (fields[3].removeprefix("-").isdigit() and fields[3].isascii()):
-                    raise ValueError
-                label = int(fields[3])
-            except ValueError:  # also past int()'s digit limit
-                raise ParseError(lineno, f"label must be an integer: {fields[3]!r}")
+            token = fields[3]  # ASCII digits only: int() also reads "3_0" and "\uff13"
+            if not (token.removeprefix("-").isdigit() and token.isascii()):
+                raise ParseError(lineno, f"label must be an integer: {_shown(token)}")
+            try:
+                label = int(token)
+            except ValueError:  # past int()'s digit limit
+                raise ParseError(lineno, f"label is too long: {_shown(token)}") from None
             symbol = fields[4] if len(fields) == 5 else "."
             if symbol not in ORIENTATION_SYMBOLS:
-                raise ParseError(lineno, f"unknown direction symbol {symbol!r}")
+                raise ParseError(lineno, f"unknown direction symbol {_shown(symbol)}")
             try:
                 edge = GammaEdge(u, v, label, ORIENTATION_SYMBOLS[symbol])
             except ValueError as exc:
@@ -87,7 +95,7 @@ def parse_gamma(text: str) -> DefiningGraph:
             rotations[vtx] = tuple(fields[2:])
             rotation_lines[vtx] = lineno
         else:
-            raise ParseError(lineno, f"unknown directive {kind!r}")
+            raise ParseError(lineno, f"unknown directive {_shown(kind)}")
 
     try:
         return DefiningGraph(vertices, edges, rotations or None)
@@ -171,14 +179,24 @@ def gamma_from_json_dict(obj: dict) -> DefiningGraph:
     return DefiningGraph(vertices, edges, rotations or None)
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object, refused if it names a key twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"duplicate key {_shown(key)}")
+    return obj
+
+
 def parse_gamma_json(text: str) -> DefiningGraph:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError(None, "invalid JSON: nested too deeply") from exc
-    except ValueError as exc:  # e.g. an integer over the digit limit
+    except ValueError as exc:  # e.g. an integer over the digit limit, a key twice
         raise ParseError(None, f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         kind = _JSON_TYPES[type(obj)]

@@ -52,7 +52,7 @@ class RotationError(ValueError):
         self.vertex = vertex
 
 
-_RESERVED = re.compile(r"[{},^\s]")  # on ``str``, ``\s`` is ``str.isspace``
+_RESERVED = re.compile(r"[{},^\s\x00-\x1f\x7f]")  # ``\s`` is ``str.isspace``
 
 
 @functools.lru_cache(maxsize=1024)
@@ -74,13 +74,15 @@ def check_vertex_name(name) -> None:
     the link writes the tail of generator g as ``g_bar``, words write
     its inverse as ``g^-1``, output separates names by spaces and JSON
     keys an edge ``u--v``, so a vertex name must be a non-empty string
-    without braces, commas, ``^``, ``--`` or whitespace that does not
+    without braces, commas, ``^``, ``--``, whitespace or control
+    characters (C0 and DEL, which output would print raw) that does not
     end in ``_bar`` or ``-``: then every key splits at its first ``--``.
     """
     if not isinstance(name, str) or not _is_vertex_name(name):
         raise ValueError(
             f"vertex name {name!r} must be a non-empty string without '{{', "
-            f"'}}', ',', '^', '--' or whitespace that does not end in '_bar' or '-'"
+            f"'}}', ',', '^', '--', whitespace or control characters that does not "
+            f"end in '_bar' or '-'"
         )
 
 

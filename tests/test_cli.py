@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from artinlink import batteries, cli
+from artinlink import batteries, certify, cli
 from artinlink.cli import main
+from artinlink.gamma_io import load_gamma, parse_gamma_json
 
 TRIANGLE_333 = """\
 vertex a
@@ -327,8 +329,13 @@ def test_every_json_command_on_the_corpus_prints_json_dumps(
     monkeypatch.setattr(cli, "_emit_json", lambda obj: emitted.append(obj) or emit(obj))
     path = gamma_file(CORPUS[name])
     oriented = "." not in CORPUS[name] and ">" in CORPUS[name]
+    # certify writes its witness rows itself, not through _emit_json
+    code, out, _ = run(capsys, ["certify", path, "--format", "json"])
+    report = certify(load_gamma(path))
+    assert (code, emitted) == (0, [])
+    assert out == json.dumps(report.to_json_dict(), indent=2) + "\n"
     # loops up to length 4: longer ones take seconds on tri200
-    for argv in (["certify"], ["link"], ["loops", "--max", "4"], ["orient"], ["pieces"]):
+    for argv in (["link"], ["loops", "--max", "4"], ["orient"], ["pieces"]):
         emitted.clear()
         code, out, _ = run(capsys, [argv[0], path, *argv[1:], "--format", "json"])
         if code == 0:
@@ -336,6 +343,57 @@ def test_every_json_command_on_the_corpus_prints_json_dumps(
         else:  # link, loops and pieces refuse an unoriented graph
             assert not oriented and argv[0] in ("link", "loops", "pieces")
             assert (emitted, out) == ([], "")
+
+
+CERTIFY_NAMES = st.text(st.sampled_from("ab\"\\'\u00e9\U0001f600"), min_size=1, max_size=3)
+
+
+@st.composite
+def certify_graphs(draw):
+    """Up to six vertices as JSON, labels 2 to 5, each edge forward,
+    backward, unoriented or (label 2) a wildcard."""
+    names = draw(st.lists(CERTIFY_NAMES, unique=True, min_size=1, max_size=6))
+    pairs = list(itertools.combinations(names, 2))
+    edges = []
+    for u, v in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ():
+        label = draw(st.integers(2, 5))
+        ways = ["forward", "backward", "unoriented"] + ["wildcard"] * (label == 2)
+        way = draw(st.sampled_from(ways))
+        edges.append({"u": u, "v": v, "label": label, "orientation": way})
+    return json.dumps({"vertices": names, "edges": edges})
+
+
+def _json_graph(edges):
+    names = sorted({x for e in edges for x in e[:2]})
+    rows = [dict(zip(("u", "v", "label", "orientation"), e)) for e in edges]
+    return json.dumps({"vertices": names, "edges": rows})
+
+
+# an acyclic triangle (type A) and an alternating square (type B), named
+# with a quote, a backslash, an apostrophe, a non-ASCII letter and an emoji
+TRIANGLE_A = [('"', "\\", 3, "forward"), ("\\", "'", 3, "forward"), ('"', "'", 3, "forward")]
+SQUARE_B = [("\u00e9", "a", 3, "forward"), ("b", "a", 3, "forward"),
+            ("b", "\U0001f600", 3, "forward"), ("\u00e9", "\U0001f600", 2, "wildcard")]
+
+
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("certify-json")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(text=certify_graphs(), scheme=st.sampled_from(["auto", "a2", "b2"]))
+@example(text=_json_graph(TRIANGLE_A), scheme="auto")
+@example(text=_json_graph(SQUARE_B), scheme="b2")
+@example(text=_json_graph(TRIANGLE_A + SQUARE_B), scheme="a2")
+def test_certify_json_is_json_dumps_of_the_report(json_dir, text, scheme):
+    path = json_dir / "graph.json"
+    path.write_text(text, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["certify", str(path), "--scheme", scheme, "--format", "json"]) == 0
+    report = certify(parse_gamma_json(text), scheme=cli._SCHEMES[scheme])
+    assert out.getvalue() == json.dumps(report.to_json_dict(), indent=2) + "\n"
 
 
 def test_parse_error_exit_code(gamma_file, capsys):
@@ -427,6 +485,22 @@ def test_json_malformed_field_is_named_in_the_error(gamma_file, capsys, obj, mes
     assert_json_parse_error(gamma_file, capsys, json.dumps(obj), message)
 
 
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"vertices": ["a"], "edges": [], "vertices": ["a", "b"]}', "vertices"),
+        (
+            '{"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "label": 3, '
+            '"orientation": "forward", "label": 4}]}',
+            "label",
+        ),
+    ],
+)
+def test_json_key_given_twice_is_a_one_line_error(gamma_file, capsys, text, key):
+    # json.loads alone keeps the last value and certify exits 0
+    assert_json_parse_error(gamma_file, capsys, text, f"duplicate key {key!r}")
+
+
 def test_directory_as_graph_path_is_a_one_line_error(tmp_path, capsys):
     code, out, err = run(capsys, ["certify", str(tmp_path)])
     assert_one_line_error(code, out, err)
@@ -440,6 +514,21 @@ def test_label_is_ascii_digits_only(gamma_file, capsys, label):
     code, out, err = run(capsys, ["certify", gamma_file(text)])
     assert_one_line_error(code, out, err)
     assert err == f"parse error: line 3: label must be an integer: {label!r}\n"
+
+
+@pytest.mark.parametrize(
+    "label,message",
+    [
+        ("9" * 5000, "label is too long: '99999999999999999999'... (5000 characters)"),
+        ("9x" * 2500, "label must be an integer: '9x9x9x9x9x9x9x9x9x9x'... (5000 characters)"),
+    ],
+)
+def test_long_label_is_cut_in_its_error(gamma_file, capsys, label, message):
+    # int() refuses more than 4300 digits; the line names 20 characters
+    path = gamma_file(f"vertex a\nvertex c\nedge a c {label} >\n")
+    code, out, err = run(capsys, ["certify", path])
+    assert_one_line_error(code, out, err)
+    assert err == f"parse error: line 3: {message}\n"
 
 
 def test_negative_label_reaches_the_edge_check(gamma_file, capsys):
@@ -487,6 +576,16 @@ def test_vertex_name_with_caret_or_space_is_a_one_line_error(gamma_file, capsys)
     code, out, err = run(capsys, ["link", gamma_file(json.dumps(obj), "graph.json")])
     assert_one_line_error(code, out, err)
     assert "'a b'" in err and "whitespace" in err
+
+
+@pytest.mark.parametrize("name", ["a\x00b", "\x01", "a\x7f"])
+def test_vertex_name_with_a_control_character_is_a_one_line_error(
+    gamma_file, capsys, name
+):
+    # the text output would print it raw
+    code, out, err = run(capsys, ["certify", gamma_file(f"vertex {name}\n")])
+    assert_one_line_error(code, out, err)
+    assert err.startswith(f"parse error: line 1: vertex name {name!r} must be")
 
 
 def test_binary_file_is_a_one_line_error(tmp_path, capsys):
@@ -688,6 +787,17 @@ def test_python_m_artinlink_reports_a_malformed_file_in_one_line(gamma_file):
     proc = python_m_artinlink("certify", gamma_file("vertex a\nvertex a\n"))
     assert (proc.returncode, proc.stdout) == (1, b"")
     assert proc.stderr == b"parse error: line 2: duplicate vertex 'a'\n"
+
+
+def test_python_m_artinlink_cuts_a_5000_digit_label_to_a_short_line(gamma_file):
+    text = f"vertex a\nvertex b\nedge a b {'9' * 5000} >\n"
+    proc = python_m_artinlink("certify", gamma_file(text))
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.count(b"\n") == 1 and len(proc.stderr) < 200
+    assert proc.stderr == (
+        b"parse error: line 3: label is too long: '99999999999999999999'... "
+        b"(5000 characters)\n"
+    )
 
 
 def test_python_m_artinlink_prints_what_main_prints(gamma_file, capsys):

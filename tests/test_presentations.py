@@ -101,13 +101,22 @@ def test_graph_rejects_names_that_clash_with_generators(name):
 
 
 def test_reserved_name_pattern_is_the_character_test_on_every_code_point():
-    # ``\s`` of ``re`` on ``str`` against ``str.isspace``, per character
+    # ``\s`` of ``re`` on ``str`` against ``str.isspace``, per character,
+    # with the C0 controls and DEL
     every = "".join(map(chr, range(sys.maxunicode + 1)))
-    expected = [c for c in every if c in "{},^" or c.isspace()]
+    expected = [c for c in every if c in "{},^" or c.isspace() or c < " " or c == "\x7f"]
     assert presentations._RESERVED.findall(every) == expected
     for c in expected:
         with pytest.raises(ValueError):
             presentations.check_vertex_name(f"a{c}b")
+
+
+def test_names_refuse_control_characters_and_keep_quotes_and_letters():
+    for name in ("a\x00b", "\x01", "a\x7f"):
+        with pytest.raises(ValueError, match="control characters"):
+            presentations.check_vertex_name(name)
+    for name in ('a"b', "a\\b", "\u00e9"):
+        presentations.check_vertex_name(name)
 
 
 def brute_force_triangles_and_four_cycles(g):
