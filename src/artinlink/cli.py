@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter
 
@@ -120,38 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
 _build_parser()
 
 
-def _emit_json(obj) -> None:
-    print(_json_text(obj))
-
-
-@functools.cache  # one encoder per nesting depth
-def _flat_encoder(sep: str):
-    """C-encodes a scalar, or scalars in a container joined by ``sep``."""
-    return json.JSONEncoder(separators=(sep, ": ")).encode
-
-
-def _json_text(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2)`` at depth ``indent``, for objects with
-    string keys.  Only containers of containers are joined here: strings,
-    lists of strings (one ``map``), scalars and containers of scalars are
-    encoded in C."""
-    if isinstance(obj, str):
-        return _json_string(obj)
-    inner = indent + "  "
-    is_list = isinstance(obj, (list, tuple))
-    if is_list and obj:
-        try:
-            return _joined(list(map(_json_string, obj)), indent)
-        except TypeError:  # not all strings
-            pass
-    items = obj if is_list else obj.values() if isinstance(obj, dict) else ()
-    if not any(map(isinstance, items, repeat((dict, list, tuple)))):
-        text = _flat_encoder(",\n" + inner)(obj)
-        return f"{text[0]}\n{inner}{text[1:-1]}\n{indent}{text[-1]}" if items else text
-    if is_list:
-        return _joined([_json_text(x, inner) for x in obj], indent)
-    parts = [f"{_json_string(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
-    return _joined(parts, indent, "{}")
+def _dumps(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` at depth ``indent``.  With
+    ``ensure_ascii`` a string's newlines are escaped, so every raw
+    newline of the text is layout."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
 
 
 def _joined(parts: list[str], indent: str, brackets: str = "[]") -> str:
@@ -195,10 +167,10 @@ def _certify_json(report) -> str:
     """``json.dumps(report.to_json_dict(), indent=2)``, its forbidden-pattern
     rows written by :func:`_witness_rows` after the loop rows."""
     obj = report._replace(forbidden=()).to_json_dict()
-    loops = [_json_text(row, "    ") for row in obj["witnesses"]]
+    loops = [_dumps(row, "    ") for row in obj["witnesses"]]
     witnesses = _joined(loops + _witness_rows(report.forbidden, "    "), "  ")
     parts = [
-        f"{_json_string(k)}: {witnesses if k == 'witnesses' else _json_text(v, '  ')}"
+        f"{_json_string(k)}: {witnesses if k == 'witnesses' else _dumps(v, '  ')}"
         for k, v in obj.items()
     ]
     return _joined(parts, "", "{}")
@@ -245,7 +217,7 @@ def _cmd_link(args) -> int:
     if args.format == "dot":
         sys.stdout.write(link.to_dot())
     elif args.format == "json":
-        _emit_json(_link_json_dict(link))
+        print(_dumps(_link_json_dict(link)))
     else:
         print(f"{len(link.vertices)} vertices, {len(link.edges)} edges")
         for e in link.edges:
@@ -269,7 +241,7 @@ def _cmd_loops(args) -> int:
         return 1
     loops = enumerate_short_loops(link_of(load_gamma(args.input)), args.max)
     if args.format == "json":
-        _emit_json([[v.bar_name for v in lp.vertices] for lp in loops])
+        print(_dumps([[v.bar_name for v in lp.vertices] for lp in loops]))
     else:
         if not loops:
             print(f"no embedded loops of length <= {args.max}")
@@ -282,7 +254,7 @@ def _cmd_orient(args) -> int:
     gamma = load_gamma(args.input)
     assignment = search_orientation(gamma)
     if args.format == "json":
-        _emit_json(None if assignment is None else assignment.to_json_dict())
+        print(_dumps(None if assignment is None else assignment.to_json_dict()))
     elif assignment is None:
         print("no pattern-free orientation exists")
     elif not assignment.directions:
@@ -296,15 +268,14 @@ def _cmd_orient(args) -> int:
 def _cmd_pieces(args) -> int:
     table = compute_pieces(link_of(load_gamma(args.input)))
     if args.format == "json":
-        _emit_json(
-            {
-                "max_piece_len": table.max_piece_len,
-                "pieces": [str(w) for w in table.pieces],
-                "decompositions": {
-                    str(r): n for r, n in sorted(table.decompositions.items())
-                },
-            }
-        )
+        obj = {
+            "max_piece_len": table.max_piece_len,
+            "pieces": [str(w) for w in table.pieces],
+            "decompositions": {
+                str(r): n for r, n in sorted(table.decompositions.items())
+            },
+        }
+        print(_dumps(obj))
     else:
         sys.stdout.write(table.to_text())
     return 0

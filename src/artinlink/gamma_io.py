@@ -24,6 +24,7 @@ from .presentations import (
     Orientation,
     RotationError,
     check_vertex_name,
+    shown,
 )
 
 
@@ -33,13 +34,6 @@ class ParseError(ValueError):
     def __init__(self, line: int | None, message: str):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-
-
-def _shown(token: str) -> str:
-    """``token`` quoted, cut to its first 20 characters if longer."""
-    if len(token) <= 20:
-        return repr(token)
-    return f"{token[:20]!r}... ({len(token)} characters)"
 
 
 def parse_gamma(text: str) -> DefiningGraph:
@@ -60,7 +54,7 @@ def parse_gamma(text: str) -> DefiningGraph:
             if len(fields) != 2:
                 raise ParseError(lineno, "expected: vertex <name>")
             if fields[1] in vertices:
-                raise ParseError(lineno, f"duplicate vertex {fields[1]!r}")
+                raise ParseError(lineno, f"duplicate vertex {shown(fields[1])}")
             try:
                 check_vertex_name(fields[1])
             except ValueError as exc:
@@ -72,14 +66,14 @@ def parse_gamma(text: str) -> DefiningGraph:
             u, v = fields[1], fields[2]
             token = fields[3]  # ASCII digits only: int() also reads "3_0" and "\uff13"
             if not (token.removeprefix("-").isdigit() and token.isascii()):
-                raise ParseError(lineno, f"label must be an integer: {_shown(token)}")
+                raise ParseError(lineno, f"label must be an integer: {shown(token)}")
             try:
                 label = int(token)
             except ValueError:  # past int()'s digit limit
-                raise ParseError(lineno, f"label is too long: {_shown(token)}") from None
+                raise ParseError(lineno, f"label is too long: {shown(token)}") from None
             symbol = fields[4] if len(fields) == 5 else "."
             if symbol not in ORIENTATION_SYMBOLS:
-                raise ParseError(lineno, f"unknown direction symbol {_shown(symbol)}")
+                raise ParseError(lineno, f"unknown direction symbol {shown(symbol)}")
             try:
                 edge = GammaEdge(u, v, label, ORIENTATION_SYMBOLS[symbol])
             except ValueError as exc:
@@ -95,7 +89,7 @@ def parse_gamma(text: str) -> DefiningGraph:
             rotations[vtx] = tuple(fields[2:])
             rotation_lines[vtx] = lineno
         else:
-            raise ParseError(lineno, f"unknown directive {_shown(kind)}")
+            raise ParseError(lineno, f"unknown directive {shown(kind)}")
 
     try:
         return DefiningGraph(vertices, edges, rotations or None)
@@ -185,7 +179,7 @@ def _object(pairs: list) -> dict:
     if len(obj) < len(pairs):
         seen: set[str] = set()
         key = next(k for k, _ in pairs if k in seen or seen.add(k))
-        raise ValueError(f"duplicate key {_shown(key)}")
+        raise ValueError(f"duplicate key {shown(key)}")
     return obj
 
 

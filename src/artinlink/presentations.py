@@ -52,6 +52,22 @@ class RotationError(ValueError):
         self.vertex = vertex
 
 
+def shown(value) -> str:
+    """``repr(value)``, cut to its first 20 characters (a string's before
+    quoting) and its length when longer.  An int is cut by arithmetic:
+    ``repr`` refuses one of over 4300 digits."""
+    text, dropped = value, 0
+    if type(value) is int:  # keep about 30 digits
+        dropped = max(0, int(abs(value).bit_length() * 0.30103) - 30)
+        text = "-" * (value < 0) + str(abs(value) // 10**dropped)
+    elif not isinstance(value, str):
+        text = repr(value)
+    if len(text) + dropped <= 20:
+        return repr(value)
+    head = repr(text[:20]) if isinstance(value, str) else text[:20]
+    return f"{head}... ({len(text) + dropped} characters)"
+
+
 _RESERVED = re.compile(r"[{},^\s\x00-\x1f\x7f]")  # ``\s`` is ``str.isspace``
 
 
@@ -80,9 +96,9 @@ def check_vertex_name(name) -> None:
     """
     if not isinstance(name, str) or not _is_vertex_name(name):
         raise ValueError(
-            f"vertex name {name!r} must be a non-empty string without '{{', "
-            f"'}}', ',', '^', '--', whitespace or control characters that does not "
-            f"end in '_bar' or '-'"
+            f"vertex name {shown(name)} must be a non-empty string without braces, "
+            f"',', '^', '--', whitespace or control characters, not ending in "
+            f"'_bar' or '-'"
         )
 
 
@@ -142,7 +158,7 @@ class GammaEdge:
         if u == v:
             raise ValueError(f"loop edge at {u!r} not allowed")
         if not isinstance(label, int) or label < 2:
-            raise ValueError(f"edge label must be an integer >= 2, got {label!r}")
+            raise ValueError(f"edge label must be an integer >= 2, got {shown(label)}")
         try:
             o = Orientation(orientation)
         except ValueError:
@@ -558,7 +574,7 @@ def build_triangular(gamma: DefiningGraph) -> Presentation:
     count = len(gamma.vertices) + sum(e.label - 1 for e in gamma.edges)
     if count > MAX_GENERATORS:
         raise TooManyGeneratorsError(
-            f"the triangular presentation would have {count} generators, "
+            f"the triangular presentation would have {shown(count)} generators, "
             f"over the limit of {MAX_GENERATORS}"
         )
     gens = list(gamma.vertices)

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import multiprocessing
 import random
 import types
@@ -293,26 +294,41 @@ def pair_cycles(perm, pairs):
     return cycles
 
 
-def burnside_classes(n, labels, keep=None):
+def burnside_classes(n, labels, keep=None, directed=False):
     """Labelled graphs on n vertices up to isomorphism, edges labelled
     from ``labels``, by Burnside's lemma: the mean, over the n!
     permutations, of the labellings each one fixes.  A fixed labelling
     is constant on each pair cycle, so its shape is a union of cycles;
-    ``keep`` filters those shapes."""
+    ``keep`` filters those shapes.  With ``directed``, as in the pair
+    codes, a label-2 edge is a wildcard and any other label takes one
+    of two directions, so a cycle that turns its pairs round fixes
+    only wildcards."""
     pairs = list(itertools.combinations(range(n), 2))
     perms = list(itertools.permutations(range(n)))
     fixed = 0
     for perm in perms:
         cycles = pair_cycles(perm, pairs)
+        ways = []
+        for cycle in cycles:
+            a, b = pairs[cycle[0]]
+            for _ in cycle:
+                a = perm[a]
+            turned = a == b
+            ways.append(sum(1 if not directed or label == 2 else 0 if turned else 2
+                            for label in labels))
         for chosen in itertools.product((0, 1), repeat=len(cycles)):
             shape = [0] * len(pairs)
             for cycle, on in zip(cycles, chosen):
                 for i in cycle:
                     shape[i] = on
             if keep is None or keep(shape):
-                fixed += len(labels) ** sum(chosen)
+                fixed += math.prod(w for w, on in zip(ways, chosen) if on)
     assert fixed % len(perms) == 0
     return fixed // len(perms)
+
+
+# the sets the class test checks whole: (vertices, labels, classes)
+CLASS_TEST_SETS = [(4, (2, 3, 4), 2085), (5, (2, 3), 9608), (6, (3,), 21480)]
 
 
 def test_burnside_counts_the_classes_each_enumeration_meets():
@@ -328,14 +344,29 @@ def test_burnside_counts_the_classes_each_enumeration_meets():
     oriented = burnside_classes(5, (3, 4))
     without_triangles = burnside_classes(5, (2, 3, 4), triangle_free)
     assert (oriented, without_triangles) == (792, 463)
-    for states, count in [
-        (enumerate_oriented_states(5), oriented),
-        (enumerate_triangle_free_oriented_states(5), without_triangles),
+    # OEIS A001174, the oriented graphs: 582 on 5 vertices, 21,480 on 6
+    assert [burnside_classes(n, (3,), directed=True) for n in (5, 6)] == [582, 21480]
+    for states, n, labels, keep in [
+        (enumerate_oriented_states(5), 5, (3, 4), None),
+        (enumerate_triangle_free_oriented_states(5), 5, (2, 3, 4), triangle_free),
+        (batteries._shape_first(5, (3,)), 5, (3,), None),
+        *[(batteries._shape_first(n, labels), n, labels, None)
+          for n, labels, _ in CLASS_TEST_SETS],
     ]:
+        assert len(states) == burnside_classes(n, labels, keep, directed=True)
         # the distinct patterns are the classes, each its own least image
         patterns = list(dict.fromkeys(map(undirected, states)))
-        assert len(patterns) == count
-        assert [least for least, _ in undirected_orbits(patterns, 5)] == patterns
+        assert len(patterns) == burnside_classes(n, labels, keep)
+        assert [least for least, _ in undirected_orbits(patterns, n)] == patterns
+
+
+@pytest.mark.parametrize("n,labels,count", CLASS_TEST_SETS)
+def test_pattern_oracle_holds_on_every_class(n, labels, count):
+    # Every class, many wildcards included: acceptance 06 meets at most one
+    # wildcard per graph, the first edge of its canonical form
+    states = batteries._shape_first(n, labels)
+    assert len(states) == count
+    assert [s for s in states if not batteries._oracle_ok(s, n, False)] == []
 
 
 def test_graph_from_state_decodes_labels_and_directions():

@@ -14,7 +14,11 @@ from hypothesis import strategies as st
 
 from artinlink import batteries, certify, cli
 from artinlink.cli import main
+from artinlink.complex_link import link_of
+from artinlink.cycles import enumerate_short_loops
+from artinlink.forbidden import search_orientation
 from artinlink.gamma_io import load_gamma, parse_gamma_json
+from artinlink.smallcancel import compute_pieces
 
 TRIANGLE_333 = """\
 vertex a
@@ -287,62 +291,36 @@ def test_certify_json_of_k12_12_within_a_second(gamma_file, capsys):
 
 # -- JSON output is json.dumps(obj, indent=2), byte for byte ------------------
 
-JSON_STRINGS = st.text(st.characters(exclude_categories=())) | st.sampled_from(
-    ['"', "\\", '\\"\n', "\x00\x1f\x7f\t\r", "\u2028\u00e9\U0001f600", "", " "]
-)
-JSON_VALUES = st.recursive(
-    JSON_STRINGS | st.integers() | st.booleans() | st.none(),
-    lambda inner: st.lists(inner)
-    | st.lists(JSON_STRINGS)
-    | st.lists(inner).map(tuple)
-    | st.dictionaries(JSON_STRINGS, inner),
-    max_leaves=30,
-)
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(JSON_VALUES)
-@example({"a": {"": [True], "n": {}, "x": "x"}, "b": [{}, [], ["s", 1, None]]})
-@example([{"k": [[["deep"]]]}, ("t", ("u",)), -(10**30), float("nan")])
-# dicts whose string and string-list values are encoded in place
-@example({"a": {"s": "x", "l": ["p", "q"], "d": {"s": "y", "l": ["r"]}}, "l": ["z"]})
-@example({"e": [], "f": {}, "s": "x"})
-@example({"l": ["a", 1, "b"], "m": ["x"]})
-@example({"t": ("a", "b"), "u": "v"})
-@example({'"': "q", "\\": ["b"], "\u2028": {"": "e", "l": ["\u2028"]}, "": ["", "x"]})
-def test_emitted_json_is_json_dumps_indent_2(obj):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._emit_json(obj)
-    assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
-
-
 @pytest.mark.parametrize("name", ["grid4", "grid8", "grid12", "k55", "k88",
                                   "tri345", "tri50", "tri200"])
-def test_every_json_command_on_the_corpus_prints_json_dumps(
-    gamma_file, capsys, monkeypatch, name
-):
+def test_every_json_command_on_the_corpus_prints_json_dumps(gamma_file, capsys, name):
     from test_smallcancel import CORPUS
 
-    emitted = []
-    emit = cli._emit_json
-    monkeypatch.setattr(cli, "_emit_json", lambda obj: emitted.append(obj) or emit(obj))
     path = gamma_file(CORPUS[name])
+    gamma = load_gamma(path)
     oriented = "." not in CORPUS[name] and ">" in CORPUS[name]
-    # certify writes its witness rows itself, not through _emit_json
     code, out, _ = run(capsys, ["certify", path, "--format", "json"])
-    report = certify(load_gamma(path))
-    assert (code, emitted) == (0, [])
-    assert out == json.dumps(report.to_json_dict(), indent=2) + "\n"
-    # loops up to length 4: longer ones take seconds on tri200
+    assert (code, out) == (0, json.dumps(certify(gamma).to_json_dict(), indent=2) + "\n")
+    assignment = search_orientation(gamma)
+    expected = {"orient": None if assignment is None else assignment.to_json_dict()}
+    if oriented:
+        link = link_of(gamma)
+        table = compute_pieces(link)
+        # loops up to length 4: longer ones take seconds on tri200
+        loops = enumerate_short_loops(link, 4)
+        expected["link"] = cli._link_json_dict(link)
+        expected["loops"] = [[v.bar_name for v in lp.vertices] for lp in loops]
+        expected["pieces"] = {
+            "max_piece_len": table.max_piece_len,
+            "pieces": [str(w) for w in table.pieces],
+            "decompositions": {str(r): n for r, n in sorted(table.decompositions.items())},
+        }
     for argv in (["link"], ["loops", "--max", "4"], ["orient"], ["pieces"]):
-        emitted.clear()
         code, out, _ = run(capsys, [argv[0], path, *argv[1:], "--format", "json"])
-        if code == 0:
-            assert len(emitted) == 1 and out == json.dumps(emitted[0], indent=2) + "\n"
+        if argv[0] in expected:
+            assert (code, out) == (0, json.dumps(expected[argv[0]], indent=2) + "\n")
         else:  # link, loops and pieces refuse an unoriented graph
-            assert not oriented and argv[0] in ("link", "loops", "pieces")
-            assert (emitted, out) == ([], "")
+            assert (code, out) == (1, "")
 
 
 CERTIFY_NAMES = st.text(st.sampled_from("ab\"\\'\u00e9\U0001f600"), min_size=1, max_size=3)
@@ -535,6 +513,46 @@ def test_negative_label_reaches_the_edge_check(gamma_file, capsys):
     code, out, err = run(capsys, ["certify", gamma_file("vertex a\nvertex c\nedge a c -3 >\n")])
     assert_one_line_error(code, out, err)
     assert err == "parse error: line 3: edge label must be an integer >= 2, got -3\n"
+
+
+@pytest.mark.parametrize("name", ["graph.gamma", "graph.json"])
+def test_long_negative_label_is_cut_in_its_error(gamma_file, capsys, name):
+    label = "-" + "9" * 4000
+    text = (
+        f"vertex a\nvertex c\nedge a c {label} >\n"
+        if name == "graph.gamma"
+        else _json_graph([("a", "c", "LABEL", "forward")]).replace('"LABEL"', label)
+    )
+    code, out, err = run(capsys, ["certify", gamma_file(text, name)])
+    assert_one_line_error(code, out, err)
+    assert len(err) < 200 and err.endswith(
+        "edge label must be an integer >= 2, got -9999999999999999999... (4001 characters)\n"
+    )
+
+
+def test_long_label_past_the_generator_cap_is_cut_in_its_error(gamma_file, capsys):
+    path = gamma_file(f"vertex a\nvertex b\nedge a b {'9' * 4000} >\n")
+    code, out, err = run(capsys, ["certify", path])
+    assert_one_line_error(code, out, err)
+    assert err == (
+        "error: the triangular presentation would have 10000000000000000000... "
+        "(4001 characters) generators, over the limit of 30000\n"
+    )
+
+
+def test_long_vertex_name_is_cut_in_its_error(gamma_file, capsys):
+    name = "{" + "a" * 4998 + "}"
+    code, out, err = run(capsys, ["certify", gamma_file(f"vertex {name}\n")])
+    assert_one_line_error(code, out, err)
+    assert len(err) < 200 and err.startswith(
+        "parse error: line 1: vertex name '{aaaaaaaaaaaaaaaaaaa'... (5000 characters) must be"
+    )
+
+
+def test_long_duplicate_vertex_is_cut_in_its_error(gamma_file, capsys):
+    code, out, err = run(capsys, ["certify", gamma_file(f"vertex {'a' * 5000}\n" * 2)])
+    assert_one_line_error(code, out, err)
+    assert err == "parse error: line 2: duplicate vertex 'aaaaaaaaaaaaaaaaaaaa'... (5000 characters)\n"
 
 
 def test_vertex_named_like_a_hub_is_a_one_line_error(gamma_file, capsys):
@@ -798,6 +816,26 @@ def test_python_m_artinlink_cuts_a_5000_digit_label_to_a_short_line(gamma_file):
         b"parse error: line 3: label is too long: '99999999999999999999'... "
         b"(5000 characters)\n"
     )
+
+
+# the count of a 4,300-nines label has 4,301 digits, one past what str() writes
+CAP_LABEL = "9" * 4300
+
+
+@pytest.mark.parametrize("name,text", [
+    ("graph.gamma", f"vertex a\nvertex b\nedge a b {CAP_LABEL} >\n"),
+    ("graph.json", _json_graph([("a", "b", "LABEL", "forward")]).replace('"LABEL"', CAP_LABEL)),
+])
+def test_python_m_artinlink_cuts_a_4301_digit_generator_count(gamma_file, name, text):
+    path = gamma_file(text, name)
+    for command in ("certify", "link", "loops", "pieces"):
+        proc = python_m_artinlink(command, path)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.count(b"\n") == 1 and len(proc.stderr) < 200
+        assert proc.stderr == (
+            b"error: the triangular presentation would have 10000000000000000000... "
+            b"(4301 characters) generators, over the limit of 30000\n"
+        )
 
 
 def test_python_m_artinlink_prints_what_main_prints(gamma_file, capsys):

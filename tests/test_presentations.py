@@ -381,6 +381,27 @@ def test_triangular_generator_cap_is_checked_before_building():
     # a label far beyond the cap fails at once: nothing is built first
     with pytest.raises(TooManyGeneratorsError, match="1000000001 generators"):
         build_triangular(one_edge(10**9))
+    # a count past the 4300 digits str() writes is cut, not written out
+    with pytest.raises(
+        TooManyGeneratorsError, match=r"have 10000000000000000000\.\.\. \(4301 characters\) gen"
+    ):
+        build_triangular(one_edge(10**4300 - 1))
+
+
+def test_shown_cuts_a_long_value_to_20_characters():
+    # ints past the 4300 digits str() writes are cut too
+    for value, text in [
+        ("a" * 20, repr("a" * 20)),
+        ("a'" * 15, repr("a'" * 10) + "... (30 characters)"),
+        (-3, "-3"),
+        (10**19, "10000000000000000000"),
+        (10**20, "10000000000000000000... (21 characters)"),
+        (-(10**5000) + 1, "-9999999999999999999... (5001 characters)"),
+        (10**9000, "10000000000000000000... (9001 characters)"),
+        (True, "True"),
+        (["x" * 30], "['xxxxxxxxxxxxxxxxxx... (34 characters)"),
+    ]:
+        assert presentations.shown(value) == text
 
 
 def memo_free_triangular(gamma):
