@@ -19,6 +19,7 @@ from .presentations import (
     OrientationAssignment,
     UnorientedEdgeError,
     hub_name,
+    shown,
 )
 
 
@@ -113,7 +114,7 @@ def _hits(gamma: DefiningGraph):
     dirs = [_DIRECTION.get(e.orientation) for e in gamma.edges]
     if None in dirs:
         e = gamma.edges[dirs.index(None)]
-        raise UnorientedEdgeError(f"edge {e.key} has no direction")
+        raise UnorientedEdgeError(f"edge {shown(e.key)} has no direction")
     pairs = vars(gamma).get("walks") or gamma.iter_walks()
     return dirs, ((c, w) for c, w in pairs if _forms_pattern(w, dirs))
 

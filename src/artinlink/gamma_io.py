@@ -19,10 +19,8 @@ import json
 from .presentations import (
     ORIENTATION_SYMBOLS,
     DefiningGraph,
-    EdgeError,
     GammaEdge,
-    Orientation,
-    RotationError,
+    GraphItemError,
     check_vertex_name,
     shown,
 )
@@ -40,8 +38,7 @@ def parse_gamma(text: str) -> DefiningGraph:
     vertices: dict[str, None] = {}  # a set that keeps the file's order
     edges: list[GammaEdge] = []
     rotations: dict[str, tuple[str, ...]] = {}
-    edge_lines: dict[tuple[str, str], int] = {}
-    rotation_lines: dict[str, int] = {}
+    lines: dict[tuple[str, str] | str, int] = {}  # edge key or rotation vertex
 
     # "\n" alone ends a line: str.splitlines also breaks at "\x0c" or "\u2028"
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -79,24 +76,22 @@ def parse_gamma(text: str) -> DefiningGraph:
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from exc
             edges.append(edge)
-            edge_lines[edge.key] = lineno
+            lines[edge.key] = lineno
         elif kind == "rot":
             if len(fields) < 2 or not fields[1].endswith(":"):
                 raise ParseError(lineno, "expected: rot <v>: <n1> <n2> ...")
             vtx = fields[1][:-1]
             if vtx in rotations:
-                raise ParseError(lineno, f"second rotation for vertex {vtx!r}")
+                raise ParseError(lineno, f"second rotation for vertex {shown(vtx)}")
             rotations[vtx] = tuple(fields[2:])
-            rotation_lines[vtx] = lineno
+            lines[vtx] = lineno
         else:
             raise ParseError(lineno, f"unknown directive {shown(kind)}")
 
     try:
         return DefiningGraph(vertices, edges, rotations or None)
-    except EdgeError as exc:
-        raise ParseError(edge_lines[exc.key], str(exc)) from exc
-    except RotationError as exc:
-        raise ParseError(rotation_lines[exc.vertex], str(exc)) from exc
+    except GraphItemError as exc:
+        raise ParseError(lines[exc.item], str(exc)) from exc
     except ValueError as exc:
         raise ParseError(None, str(exc)) from exc
 
@@ -142,17 +137,12 @@ def _json_list(value, what: str) -> list:
     return value
 
 
-_ORIENTATIONS = {o.value: o for o in Orientation}
-
-
 def _json_edge(k: int, e) -> GammaEdge:
     if not isinstance(e, dict) or not {"u", "v", "label", "orientation"} <= e.keys():
         raise TypeError(f"edge {k} must be an object with u, v, label and orientation")
     if not isinstance(e["u"], str) or not isinstance(e["v"], str):
         raise TypeError(f"edge {k}: u and v must be vertex names")
-    if not isinstance(e["orientation"], str) or e["orientation"] not in _ORIENTATIONS:
-        raise ValueError(f"edge {k}: orientation must be one of {', '.join(_ORIENTATIONS)}")
-    return GammaEdge(e["u"], e["v"], e["label"], _ORIENTATIONS[e["orientation"]])
+    return GammaEdge(e["u"], e["v"], e["label"], e["orientation"])
 
 
 def gamma_from_json_dict(obj: dict) -> DefiningGraph:
@@ -164,7 +154,7 @@ def gamma_from_json_dict(obj: dict) -> DefiningGraph:
         if not isinstance(rotations, dict):
             raise TypeError("rotations must be an object from vertex names to lists")
         rotations = {
-            v: _json_list(order, f"rotation at {v!r}")
+            v: _json_list(order, f"rotation at {shown(v)}")
             for v, order in rotations.items()
         }
         if not all(isinstance(w, str) for order in rotations.values() for w in order):

@@ -36,27 +36,23 @@ class IncompleteAssignmentError(ValueError):
     """An orientation assignment misses or mismatches edges."""
 
 
-class EdgeError(ValueError):
-    """A defining graph cannot hold this edge; ``key`` is its (u, v) pair."""
+class GraphItemError(ValueError):
+    """A defining graph cannot hold an item: ``item`` is an edge's (u, v)
+    key or the vertex of a rotation entry."""
 
-    def __init__(self, key: tuple[str, str], message: str):
+    def __init__(self, item: tuple[str, str] | str, message: str):
         super().__init__(message)
-        self.key = key
-
-
-class RotationError(ValueError):
-    """A rotation entry does not fit the graph; ``vertex`` is its vertex."""
-
-    def __init__(self, vertex: str, message: str):
-        super().__init__(message)
-        self.vertex = vertex
+        self.item = item
 
 
 def shown(value) -> str:
     """``repr(value)``, cut to its first 20 characters (a string's before
     quoting) and its length when longer.  An int is cut by arithmetic:
-    ``repr`` refuses one of over 4300 digits."""
+    ``repr`` refuses one of over 4300 digits.  A tuple is cut item by
+    item, so an edge key keeps its (u, v) form."""
     text, dropped = value, 0
+    if type(value) is tuple:
+        return f"({', '.join(map(shown, value))}{',' * (len(value) == 1)})"
     if type(value) is int:  # keep about 30 digits
         dropped = max(0, int(abs(value).bit_length() * 0.30103) - 30)
         text = "-" * (value < 0) + str(abs(value) // 10**dropped)
@@ -131,7 +127,7 @@ class _NoDirection:
     def __get__(self, edge, owner=None):
         if edge is None:
             return self
-        raise UnorientedEdgeError(f"edge {edge.key} has no direction")
+        raise UnorientedEdgeError(f"edge {shown(edge.key)} has no direction")
 
 
 @dataclass(frozen=True, init=False)
@@ -156,21 +152,21 @@ class GammaEdge:
 
     def __init__(self, u, v, label, orientation=Orientation.UNORIENTED):
         if u == v:
-            raise ValueError(f"loop edge at {u!r} not allowed")
+            raise ValueError(f"loop edge at {shown(u)} not allowed")
         if not isinstance(label, int) or label < 2:
             raise ValueError(f"edge label must be an integer >= 2, got {shown(label)}")
         try:
             o = Orientation(orientation)
         except ValueError:
             raise ValueError(
-                f"edge {(u, v)} orientation must be one of "
-                f"{', '.join(Orientation)}, got {orientation!r}"
+                f"edge {shown((u, v))} orientation must be one of "
+                f"{', '.join(Orientation)}, got {shown(orientation)}"
             ) from None
         if u > v:
             u, v, o = v, u, _REVERSED.get(o, o)
         if o is Orientation.WILDCARD and label != 2:
             raise ValueError(
-                f"wildcard orientation requires label 2 on edge {(u, v)}"
+                f"wildcard orientation requires label 2 on edge {shown((u, v))}"
             )
         d = self.__dict__  # frozen fields are set through the dict
         d.update(u=u, v=v, label=label, orientation=o, key=(u, v))
@@ -243,9 +239,13 @@ class DefiningGraph:
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
         for i, e in enumerate(self.edges):
             if e.u not in adj or e.v not in adj:
-                raise EdgeError(e.key, f"edge {e.key} uses undeclared vertices")
+                raise GraphItemError(
+                    e.key, f"edge {shown(e.key)} uses undeclared vertices"
+                )
             if e.key in self._index:
-                raise EdgeError(e.key, f"multiple edges between {e.u!r} and {e.v!r}")
+                raise GraphItemError(
+                    e.key, f"multiple edges between {shown(e.u)} and {shown(e.v)}"
+                )
             self._index[e.key] = i
             adj[e.u].append(e.v)
             adj[e.v].append(e.u)
@@ -255,10 +255,10 @@ class DefiningGraph:
             rot = {v: tuple(order) for v, order in rotations.items()}
             for v, order in rot.items():
                 if v not in self._adj:
-                    raise RotationError(v, f"rotation at undeclared vertex {v!r}")
+                    raise GraphItemError(v, f"rotation at undeclared vertex {shown(v)}")
                 if sorted(order) != sorted(self._adj[v]):
-                    raise RotationError(
-                        v, f"rotation at {v!r} must list its neighbours exactly"
+                    raise GraphItemError(
+                        v, f"rotation at {shown(v)} must list its neighbours exactly"
                     )
             self.rotations = rot
 

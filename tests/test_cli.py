@@ -450,13 +450,17 @@ AB_EDGE = {"u": "a", "v": "b", "label": 3, "orientation": "forward"}
         ({**AB, "edges": [{**AB_EDGE, "u": ["a"]}]}, "edge 0: u and v must be vertex names"),
         (
             {**AB, "edges": [{**AB_EDGE, "orientation": ["x"]}]},
-            "edge 0: orientation must be one of forward, backward",
+            "edge ('a', 'b') orientation must be one of forward, backward, unoriented, "
+            "wildcard, got ['x']",
         ),
         ({**AB, "edges": [], "rotations": ["a"]}, "rotations must be an object"),
         ({**AB, "edges": [], "rotations": 0}, "rotations must be an object"),
         ({**AB, "edges": [], "rotations": {"a": ["b", 3]}}, "rotations must list vertex names"),
         ({"edges": []}, "vertices must be a list, not null"),
         ({"vertices": ["a", "a"], "edges": []}, "bad graph object: duplicate vertex names"),
+        ({**AB, "edges": [{**AB_EDGE, "orientation": 1}]}, "wildcard, got 1"),
+        ({**AB, "edges": [{**AB_EDGE, "orientation": {}}]}, "wildcard, got {}"),
+        ({**AB, "edges": [{**AB_EDGE, "orientation": "FORWARD"}]}, "got 'FORWARD'"),
     ],
 )
 def test_json_malformed_field_is_named_in_the_error(gamma_file, capsys, obj, message):
@@ -528,6 +532,69 @@ def test_long_negative_label_is_cut_in_its_error(gamma_file, capsys, name):
     assert len(err) < 200 and err.endswith(
         "edge label must be an integer >= 2, got -9999999999999999999... (4001 characters)\n"
     )
+
+
+N = "n" * 5000  # a valid vertex name
+N_EDGE = {"u": "a", "v": N, "label": 3, "orientation": "forward"}
+
+
+@pytest.mark.parametrize(
+    "text,obj,commands",
+    [
+        (f"vertex a\nedge a {N} 3 >\n", {"vertices": ["a"], "edges": [N_EDGE]}, ["certify"]),
+        (
+            f"vertex a\nvertex {N}\nedge a {N} 3 >\nedge {N} a 3 <\n",
+            {"vertices": ["a", N], "edges": [N_EDGE, N_EDGE]},
+            ["certify"],
+        ),
+        (
+            f"vertex {N}\nedge {N} {N} 3 >\n",
+            {"vertices": [N], "edges": [{**N_EDGE, "u": N}]},
+            ["certify"],
+        ),
+        (f"vertex a\nrot {N}: a\n", {"vertices": ["a"], "rotations": {N: ["a"]}}, ["certify"]),
+        (f"vertex a\nvertex {N}\nedge a {N} 3 >\nrot {N}: a\nrot {N}: a\n", None, ["certify"]),
+        (
+            f"vertex a\nvertex {N}\nedge a {N} 3\n",
+            {"vertices": ["a", N], "edges": [{**N_EDGE, "orientation": "unoriented"}]},
+            ["link", "loops", "pieces"],
+        ),
+        (
+            f"vertex a\nvertex b\nvertex {N}\nedge a {N} 3 >\nrot {N}: b\n",
+            {"vertices": ["a", "b", N], "edges": [N_EDGE], "rotations": {N: ["b"]}},
+            ["certify"],
+        ),
+        (
+            f"vertex a\nvertex {N}\nedge a {N} 3 ?\n",
+            {"vertices": ["a", N], "edges": [{**N_EDGE, "orientation": "wildcard"}]},
+            ["certify"],
+        ),
+        (None, {"vertices": ["a", N], "edges": [{**N_EDGE, "orientation": 1}]}, ["certify"]),
+        (None, {**AB, "edges": [{**AB_EDGE, "orientation": N}]}, ["certify"]),
+        (None, {"vertices": ["a", N], "edges": [], "rotations": {N: "a"}}, ["certify"]),
+    ],
+    ids=[
+        "undeclared-vertex",
+        "multiple-edges",
+        "loop-edge",
+        "rotation-at-undeclared-vertex",
+        "second-rotation",
+        "no-direction",
+        "rotation-not-the-neighbours",
+        "wildcard-label",
+        "orientation-value",
+        "long-orientation-value",
+        "rotation-not-a-list",
+    ],
+)
+def test_long_name_is_cut_in_every_graph_error(gamma_file, capsys, text, obj, commands):
+    # each message names at most 20 characters of a name or value
+    inputs = [(text, "graph.gamma"), (obj and json.dumps(obj), "graph.json")]
+    for path in [gamma_file(t, name) for t, name in inputs if t]:
+        for command in commands:
+            code, out, err = run(capsys, [command, path])
+            assert_one_line_error(code, out, err)
+            assert len(err.encode()) < 200 and "... (5000 characters)" in err
 
 
 def test_long_label_past_the_generator_cap_is_cut_in_its_error(gamma_file, capsys):

@@ -389,7 +389,7 @@ def test_triangular_generator_cap_is_checked_before_building():
 
 
 def test_shown_cuts_a_long_value_to_20_characters():
-    # ints past the 4300 digits str() writes are cut too
+    # ints past the 4300 digits str() writes are cut too, and a tuple item by item
     for value, text in [
         ("a" * 20, repr("a" * 20)),
         ("a'" * 15, repr("a'" * 10) + "... (30 characters)"),
@@ -400,6 +400,9 @@ def test_shown_cuts_a_long_value_to_20_characters():
         (10**9000, "10000000000000000000... (9001 characters)"),
         (True, "True"),
         (["x" * 30], "['xxxxxxxxxxxxxxxxxx... (34 characters)"),
+        (("a", "b"), "('a', 'b')"),
+        (("forward",), "('forward',)"),
+        (("a", "x" * 30), "('a', 'xxxxxxxxxxxxxxxxxxxx'... (30 characters))"),
     ]:
         assert presentations.shown(value) == text
 
