@@ -250,69 +250,63 @@ def trace_faces(gamma: DefiningGraph) -> list[tuple[tuple[str, str], ...]]:
 
     Faces are orbits of darts under: after arriving at v along (u, v),
     leave along the neighbour following u in the rotation at v.
-    Vertices of degree <= 2 may omit their rotation line.
+    Vertices of degree <= 2 may omit their rotation line.  Each unwalked
+    dart, in sorted order, starts a face that is followed until it
+    returns, so every dart is stepped once.
     """
-    rotations = dict(gamma.rotations or {})
+    rotations = gamma.rotations or {}
+    # v -> {u: the neighbour after u}; walking dart (u, v) pops u from after[v]
+    after = {}
     for v in gamma.vertices:
-        if v not in rotations:
-            if gamma.degree(v) > 2:
-                raise ValueError(
-                    f"vertex {v!r} has degree {gamma.degree(v)} but no rotation"
-                )
-            rotations[v] = gamma.neighbors(v)
-    darts = sorted(d for e in gamma.edges for d in ((e.u, e.v), (e.v, e.u)))
-    succ = {}
-    for u, v in darts:
-        rot = rotations[v]
-        succ[u, v] = v, rot[(rot.index(u) + 1) % len(rot)]
+        if v not in rotations and gamma.degree(v) > 2:
+            raise ValueError(
+                f"vertex {shown(v)} has degree {gamma.degree(v)} but no rotation"
+            )
+        rot = rotations.get(v, gamma.neighbors(v))
+        after[v] = dict(zip(rot, rot[1:] + rot[:1]))
     faces = []
-    unused = set(darts)
-    for dart in darts:
-        if dart not in unused:
-            continue
+    for u, v in sorted(d for e in gamma.edges for d in ((e.u, e.v), (e.v, e.u))):
         face = []
-        cur = dart
-        while cur in unused:
-            unused.remove(cur)
-            face.append(cur)
-            cur = succ[cur]
-        faces.append(tuple(face))
+        while u in after[v]:
+            face.append((u, v))
+            u, v = v, after[v].pop(u)
+        if face:
+            faces.append(tuple(face))
     return faces
 
 
 def orient_from_rotation_system(gamma: DefiningGraph) -> OrientationAssignment:
     """Checkerboard orientation from an embedding of an even-degree graph.
 
-    Faces are traced from ``gamma.rotations`` and 2-coloured so that
-    faces sharing an edge differ; every edge is then directed the way
-    its black face traverses it.  When all short embedded loops of the
-    graph bound faces this forbids both patterns; the caller should
-    still confirm with :func:`detect_forbidden`.
+    Faces are traced from ``gamma.rotations`` and 2-coloured, depth
+    first, so that faces sharing an edge differ; every edge is then
+    directed the way its black face traverses it.  When all short
+    embedded loops of the graph bound faces this forbids both patterns;
+    the caller should still confirm with :func:`detect_forbidden`.
     """
     for v in gamma.vertices:
         if gamma.degree(v) % 2 != 0:
-            raise OddDegreeVertexError(f"vertex {v!r} has odd degree")
+            raise OddDegreeVertexError(f"vertex {shown(v)} has odd degree")
     for e in gamma.edges:
         if e.is_oriented:
-            raise ValueError(f"edge {e.key} is already oriented")
+            raise ValueError(f"edge {shown(e.key)} is already oriented")
     faces = trace_faces(gamma)
-    face_of_dart = {dart: fi for fi, face in enumerate(faces) for dart in face}
-
-    colour: dict[int, int] = {}
+    face_of = {dart: fi for fi, face in enumerate(faces) for dart in face}
+    colour = [None] * len(faces)
     for start in range(len(faces)):
-        if start in colour:
+        if colour[start] is not None:
             continue
         colour[start] = 0
         stack = [start]
         while stack:
             fi = stack.pop()
             for u, v in faces[fi]:
-                gj = face_of_dart[(v, u)]
+                gj = face_of[v, u]
                 if gj == fi:
                     raise DualNotBipartiteError(
-                        f"edge {(min(u, v), max(u, v))} borders a single face"
+                        f"edge {shown((min(u, v), max(u, v)))} borders a single face"
                     )
-                if gj not in colour:
+                if colour[gj] is None:
                     colour[gj] = 1 - colour[fi]
                     stack.append(gj)
                 elif colour[gj] == colour[fi]:
@@ -323,7 +317,7 @@ def orient_from_rotation_system(gamma: DefiningGraph) -> OrientationAssignment:
 
     return OrientationAssignment(
         {
-            e.key: "forward" if colour[face_of_dart[e.u, e.v]] == 0 else "backward"
+            e.key: "forward" if colour[face_of[e.u, e.v]] == 0 else "backward"
             for e in gamma.edges
             if e.orientation != Orientation.WILDCARD
         }

@@ -89,7 +89,7 @@ def parse_gamma(text: str) -> DefiningGraph:
             raise ParseError(lineno, f"unknown directive {shown(kind)}")
 
     try:
-        return DefiningGraph(vertices, edges, rotations or None)
+        return DefiningGraph(vertices, edges, rotations)
     except GraphItemError as exc:
         raise ParseError(lines[exc.item], str(exc)) from exc
     except ValueError as exc:
@@ -103,10 +103,8 @@ def gamma_to_text(gamma: DefiningGraph) -> str:
     lines = [f"vertex {v}" for v in gamma.vertices]
     for e in gamma.edges:
         lines.append(f"edge {e.u} {e.v} {e.label} {_SYMBOL_OF[e.orientation]}")
-    if gamma.rotations:
-        for v in gamma.vertices:
-            if v in gamma.rotations and gamma.rotations[v]:
-                lines.append(f"rot {v}: " + " ".join(gamma.rotations[v]))
+    rot = gamma.rotations or {}
+    lines += [" ".join((f"rot {v}:", *rot[v])) for v in gamma.vertices if v in rot]
     return "\n".join(lines) + "\n"
 
 
@@ -160,7 +158,7 @@ def gamma_from_json_dict(obj: dict) -> DefiningGraph:
         if not all(isinstance(w, str) for order in rotations.values() for w in order):
             raise TypeError("rotations must list vertex names")
     vertices = _json_list(obj.get("vertices"), "vertices")
-    return DefiningGraph(vertices, edges, rotations or None)
+    return DefiningGraph(vertices, edges, rotations)
 
 
 def _object(pairs: list) -> dict:

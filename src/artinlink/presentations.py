@@ -250,8 +250,8 @@ class DefiningGraph:
             adj[e.u].append(e.v)
             adj[e.v].append(e.u)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        self.rotations = None
-        if rotations is not None:
+        self.rotations = None  # no embedding: never an empty table
+        if rotations:
             rot = {v: tuple(order) for v, order in rotations.items()}
             for v, order in rot.items():
                 if v not in self._adj:

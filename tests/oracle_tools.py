@@ -8,8 +8,10 @@ two common neighbours, orientation searches by enumerating every
 completion, forbidden-pattern witnesses by trying every wildcard
 completion of every triangle and 4-cycle, canonical forms and
 stabilisers of sweep states by trying every vertex permutation, links
-by the named corner rule read from each relator's letters, and pieces
-by indexing every subword of every symmetrized relator.
+by the named corner rule read from each relator's letters, pieces
+by indexing every subword of every symmetrized relator, and the faces
+and checkerboard of an embedding by reading each step from its rotation
+with ``index`` and 2-colouring the faces with a parity union-find.
 """
 
 from __future__ import annotations
@@ -470,6 +472,80 @@ def oriented_copy(gamma: DefiningGraph, assignment: OrientationAssignment):
         else:
             edges.append(e)
     return DefiningGraph(gamma.vertices, edges, gamma.rotations)
+
+
+def face_faults(gamma: DefiningGraph, faces) -> list[str]:
+    """What is wrong with ``faces`` as the face boundaries of ``gamma``'s
+    embedding: an empty face, darts that are not each in exactly one
+    face, or a step that does not leave along the neighbour after its
+    arrival in the rotation at its vertex, read with ``index`` (a
+    vertex with no rotation goes round its sorted neighbours)."""
+    darts = sorted(d for e in gamma.edges for d in ((e.u, e.v), (e.v, e.u)))
+    faults = [f"face {i} is empty" for i, face in enumerate(faces) if not face]
+    if sorted(d for face in faces for d in face) != darts:
+        faults.append("the faces do not partition the darts")
+    rotations = gamma.rotations or {}
+    for face in faces:
+        for (u, v), (w, x) in zip(face, face[1:] + face[:1]):
+            rot = list(rotations.get(v, gamma.neighbors(v)))
+            if w != v or x != rot[(rot.index(u) + 1) % len(rot)]:
+                faults.append(f"step {(u, v)} -> {(w, x)}")
+    return faults
+
+
+def checkerboard_faults(gamma: DefiningGraph, faces, directions) -> list[str]:
+    """What is wrong with ``directions`` (edge key -> "forward" or
+    "backward") as a checkerboard orientation over ``faces``: a key set
+    other than the edges that are not wildcards, a face whose directed
+    darts do not all run with, or all against, their edges, or an edge
+    whose two darts lie in faces of one colour.  A face's colour is the
+    way its directed darts run; a face of wildcards only has none."""
+    wild = {e.key for e in gamma.edges if e.orientation == Orientation.WILDCARD}
+    if directions.keys() != {e.key for e in gamma.edges} - wild:
+        return ["the directions do not cover exactly the edges that are not wildcards"]
+    faults = []
+    face_of = {}
+    colour = []
+    for i, face in enumerate(faces):
+        runs = set()
+        for u, v in face:
+            face_of[u, v] = i
+            key = (u, v) if u < v else (v, u)
+            if key not in wild:
+                runs.add((directions[key] == "forward") == (u < v))
+        if len(runs) > 1:
+            faults.append(f"face {i} runs both ways")
+        colour.append(runs)
+    for e in gamma.edges:
+        here, there = colour[face_of[e.u, e.v]], colour[face_of[e.v, e.u]]
+        if here and here == there:
+            faults.append(f"edge {e.key} lies between faces of one colour")
+    return faults
+
+
+def dual_conflict(gamma: DefiningGraph, faces) -> tuple[str, str] | None:
+    """An edge that borders a single face, or that closes an odd cycle
+    of faces across edges, found by a union-find that keeps each face's
+    parity against its root; None when the faces can be 2-coloured with
+    different colours on the two sides of every edge."""
+    face_of = {d: i for i, face in enumerate(faces) for d in face}
+    parent = list(range(len(faces)))
+    parity = [0] * len(faces)
+
+    def root(i):
+        p = 0
+        while parent[i] != i:
+            p ^= parity[i]
+            i = parent[i]
+        return i, p
+
+    for e in gamma.edges:
+        (a, pa), (b, pb) = root(face_of[e.u, e.v]), root(face_of[e.v, e.u])
+        if a == b and pa == pb:
+            return e.key
+        if a != b:
+            parent[a], parity[a] = b, pa ^ pb ^ 1
+    return None
 
 
 # direction codes of the sweep states: 1/2 and 3/4 are the two

@@ -10,6 +10,9 @@ from oracle_tools import (
     all_orientation_completions,
     brute_force_girth,
     brute_force_witnesses,
+    checkerboard_faults,
+    dual_conflict,
+    face_faults,
     oriented_copy,
 )
 
@@ -853,15 +856,19 @@ def test_checkerboard_rejects_inconsistent_embedding():
         orient_from_rotation_system(g)
 
 
-def test_checkerboard_reports_a_face_colouring_conflict():
+def k5_with_five_faces():
     # K5, every label 3: every edge borders two distinct faces, but the
     # five faces of this embedding admit no 2-colouring
     rotations = {"a": "ecdb", "b": "daec", "c": "ebda", "d": "bace", "e": "adbc"}
-    g = DefiningGraph(
+    return DefiningGraph(
         tuple("abcde"),
         [(u, v, 3) for u, v in itertools.combinations("abcde", 2)],
         rotations={v: tuple(order) for v, order in rotations.items()},
     )
+
+
+def test_checkerboard_reports_a_face_colouring_conflict():
+    g = k5_with_five_faces()
     assert len(trace_faces(g)) == 5
     with pytest.raises(DualNotBipartiteError, match="^face colouring conflict"):
         orient_from_rotation_system(g)
@@ -875,3 +882,96 @@ def test_trace_faces_requires_rotations_for_high_degree():
     )
     with pytest.raises(ValueError):
         trace_faces(g)
+
+
+LONG = "n" * 5000  # a valid vertex name
+
+
+@pytest.mark.parametrize(
+    "call, gamma, message",
+    [
+        (trace_faces,
+         DefiningGraph(("a", "b", "c", LONG), [(LONG, x, 3) for x in "abc"]),
+         "has degree 3 but no rotation"),
+        (orient_from_rotation_system,
+         DefiningGraph((LONG, "a"), [("a", LONG, 3)]),
+         "has odd degree"),
+        (orient_from_rotation_system,
+         DefiningGraph(("a", "b", LONG), [("a", LONG, 3, F), ("b", LONG, 3), ("a", "b", 3)]),
+         "is already oriented"),
+        (orient_from_rotation_system,
+         DefiningGraph(
+             (LONG, "p", "q", "r", "s"),
+             [(LONG, "p", 3), (LONG, "q", 3), ("p", "q", 3),
+              (LONG, "r", 3), (LONG, "s", 3), ("r", "s", 3)],
+             rotations={LONG: ("p", "r", "q", "s")},
+         ),
+         "borders a single face"),
+    ],
+)
+def test_embedding_messages_cut_long_names(call, gamma, message):
+    with pytest.raises(ValueError, match=message) as raised:
+        call(gamma)
+    text = str(raised.value)
+    assert "\n" not in text and len(text) < 200
+    assert "(5000 characters)" in text
+
+
+def test_trace_faces_steps_each_dart_once():
+    # one face of 32,000 darts round a hub of degree 16,000; finding each
+    # arrival in the hub's rotation by a scan made this quadratic
+    leaves = [f"x{i}" for i in range(16000)]
+    g = DefiningGraph(["c", *leaves], [("c", x, 3) for x in leaves], {"c": leaves})
+    start = time.perf_counter()
+    faces = trace_faces(g)
+    assert time.perf_counter() - start < 0.5
+    assert [len(face) for face in faces] == [32000]
+
+
+@st.composite
+def rotation_systems(draw):
+    """A graph on 1 to 7 vertices with a random rotation at each vertex
+    (left out at some of degree <= 2): the symmetric difference of a few
+    cycles, so every degree is even, then perhaps one edge more; label 3,
+    or a wildcard label 2."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 7)))]
+    keys = set()
+    for _ in range(draw(st.integers(0, 5))):
+        if len(names) < 3:
+            break
+        cycle = draw(st.permutations(names))[: draw(st.integers(3, len(names)))]
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            keys ^= {(min(u, v), max(u, v))}
+    if len(names) > 1 and draw(st.integers(0, 3)) == 0:
+        keys ^= {tuple(sorted(draw(st.permutations(names))[:2]))}
+    edges = [
+        (u, v, 2, WILD) if draw(st.integers(0, 5)) == 0 else (u, v, 3)
+        for u, v in sorted(keys)
+    ]
+    g = DefiningGraph(names, edges)
+    rotations = {
+        v: draw(st.permutations(g.neighbors(v)))
+        for v in names
+        if g.degree(v) > 2 or draw(st.booleans())
+    }
+    return DefiningGraph(names, edges, rotations)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(rotation_systems())
+@example(k5_with_five_faces())
+@example(DefiningGraph(bowtie().vertices, bowtie().edges, {"c": ("p", "r", "q", "s")}))
+def test_checkerboard_matches_the_embedding_oracles(g):
+    # faces checked step by step against the rotations, and the verdict
+    # against a parity union-find over those faces
+    faces = trace_faces(g)
+    assert face_faults(g, faces) == []
+    try:
+        assignment = orient_from_rotation_system(g)
+    except OddDegreeVertexError:
+        assert any(g.degree(v) % 2 for v in g.vertices)
+    except DualNotBipartiteError:
+        assert dual_conflict(g, faces) is not None
+    else:
+        assert dual_conflict(g, faces) is None
+        assert checkerboard_faults(g, faces, assignment.directions) == []

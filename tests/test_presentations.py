@@ -5,7 +5,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artinlink import (
@@ -866,6 +866,38 @@ def test_rotations_round_trip_through_text():
     text = gamma_to_text(g)
     assert text.endswith("rot a: d b\nrot c: b d\n")
     assert parse_gamma(text) == g
+
+
+@st.composite
+def embedded_graphs(draw):
+    """A graph on 0 to 5 vertices, some of them isolated, with fixed,
+    wildcard and unoriented edges, and no rotation table, an empty one,
+    or rotations at some vertices (an empty order at an isolated one)."""
+    names = [f"v{i}" for i in range(draw(st.integers(0, 5)))]
+    pairs = list(itertools.combinations(names, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []
+    edges = []
+    for u, v in chosen:
+        o = draw(st.sampled_from([F, B, Orientation.UNORIENTED, Orientation.WILDCARD]))
+        edges.append((u, v, 2 if o == Orientation.WILDCARD else draw(st.integers(2, 5)), o))
+    kind = draw(st.sampled_from(["none", "empty", "some"]))
+    if kind != "some":
+        return DefiningGraph(names, edges, None if kind == "none" else {})
+    g = DefiningGraph(names, edges)
+    at = draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+    return DefiningGraph(names, edges, {v: draw(st.permutations(g.neighbors(v))) for v in at})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(embedded_graphs())
+@example(DefiningGraph(("a",), (), rotations={"a": ()}))
+@example(DefiningGraph(("a",), (), rotations={}))
+def test_graphs_round_trip_through_both_writers(g):
+    assert g.rotations is None or len(g.rotations) > 0  # {} is no embedding
+    text = gamma_to_text(g)
+    assert parse_gamma(text) == g
+    assert " \n" not in text  # an empty rotation is "rot v:"
+    assert gamma_from_json_dict(gamma_to_json_dict(g)) == g
 
 
 def test_presentation_text_format():
