@@ -22,7 +22,7 @@ from .cycles import LOOP_ENUMERATION_GUARD, enumerate_short_loops
 from .errors import InternalInconsistencyError
 from .forbidden import search_orientation
 from .gamma_io import ParseError, load_gamma
-from .presentations import TooManyGeneratorsError, UnorientedEdgeError
+from .presentations import TooManyGeneratorsError, UnorientedEdgeError, shown
 from .smallcancel import compute_pieces
 
 _SCHEMES = {"auto": "auto", "a2": A2, "b2": B2}
@@ -33,9 +33,21 @@ _SCHEMES = {"auto": "auto", "a2": A2, "b2": B2}
 MAX_TRIANGLE_LABEL = 31
 MAX_TIETZE_LABEL = 600
 
+# Each bounded flag's (low, high), in the order main checks them.
+_BOUNDS = {
+    "--max": (3, LOOP_ENUMERATION_GUARD),
+    # 5 vertices is the acceptance size; 6 has at least 5^15 / 6! (about
+    # 4.2e7) oriented classes, too many to hold as a list
+    "--max-vertices": (2, 5),
+    "--max-label": (3, MAX_TRIANGLE_LABEL),
+    "--tietze-max": (2, MAX_TIETZE_LABEL),
+    "--processes": (1, os.cpu_count() or 1),
+}
+
 
 @functools.cache  # one tree per process, built at import (below)
 def _build_parser() -> argparse.ArgumentParser:
+    span = {flag: "%d to %d" % bounds for flag, bounds in _BOUNDS.items()}
     parser = argparse.ArgumentParser(
         prog="artinlink",
         description=(
@@ -67,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     loops_p = sub.add_parser("loops", help="enumerate short embedded loops")
     loops_p.add_argument("input")
     loops_p.add_argument(
-        "--max", type=int, default=6, help="maximum loop length, 3 to 8"
+        "--max", type=int, default=6, help=f"maximum loop length, {span['--max']}"
     )
     loops_p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -88,19 +100,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-label",
         type=int,
         default=5,
-        help=f"largest triangle label to sweep, 3 to {MAX_TRIANGLE_LABEL}",
+        help=f"largest triangle label to sweep, {span['--max-label']}",
     )
     lemmas_p.add_argument(
         "--max-vertices",
         type=int,
         default=4,
-        help="graph size for the pattern oracle sweep, 2 to 5",
+        help=f"graph size for the pattern oracle sweep, {span['--max-vertices']}",
     )
     lemmas_p.add_argument(
         "--tietze-max",
         type=int,
         default=50,
-        help=f"largest two-generator label, 2 to {MAX_TIETZE_LABEL}",
+        help=f"largest two-generator label, {span['--tietze-max']}",
     )
     lemmas_p.add_argument(
         "--seed", type=int, default=None, help="also run seeded random spot checks"
@@ -225,20 +237,7 @@ def _cmd_link(args) -> int:
     return 0
 
 
-def _out_of_range(*bounds: tuple[str, int | None, int, int]) -> bool:
-    """Print an error for the first ``(flag, value, low, high)`` whose
-    value is given and outside ``low..high``; whether there was one."""
-    for flag, value, low, high in bounds:
-        if value is not None and not low <= value <= high:
-            error = f"error: {flag} must be between {low} and {high}, got {value}"
-            print(error, file=sys.stderr)
-            return True
-    return False
-
-
 def _cmd_loops(args) -> int:
-    if _out_of_range(("--max", args.max, 3, LOOP_ENUMERATION_GUARD)):
-        return 1
     loops = enumerate_short_loops(link_of(load_gamma(args.input)), args.max)
     if args.format == "json":
         print(_dumps([[v.bar_name for v in lp.vertices] for lp in loops]))
@@ -282,15 +281,6 @@ def _cmd_pieces(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    # 5 vertices is the acceptance size; 6 has at least 5^15 / 6! (about
-    # 4.2e7) oriented classes, too many to hold as a list
-    if _out_of_range(
-        ("--max-vertices", args.max_vertices, 2, 5),
-        ("--max-label", args.max_label, 3, MAX_TRIANGLE_LABEL),
-        ("--tietze-max", args.tietze_max, 2, MAX_TIETZE_LABEL),
-        ("--processes", args.processes, 1, os.cpu_count() or 1),
-    ):
-        return 1
     results = batteries.run_all(
         max_label=args.max_label,
         max_vertices=args.max_vertices,
@@ -321,6 +311,12 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag, (low, high) in _BOUNDS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and not low <= value <= high:
+            error = f"error: {flag} must be between {low} and {high}, got "
+            print(error + shown(value), file=sys.stderr)
+            return 1
     try:
         return _COMMANDS[args.command](args)
     except (OSError, TooManyGeneratorsError) as exc:

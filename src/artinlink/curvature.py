@@ -17,6 +17,7 @@ from .errors import InternalInconsistencyError
 from .forbidden import SEARCH_INCONSISTENT, ForbiddenWitness, detect_forbidden
 from .forbidden import search_orientation
 from .presentations import DefiningGraph, OrientationAssignment, resolve_orientations
+from .presentations import shown
 from .smallcancel import SmallCancellation, check_conditions
 
 A2 = "A2"
@@ -59,7 +60,7 @@ def assign_metric(link: LinkGraph, scheme: str) -> MetricAssignment:
     makes the middle corner right and u^2 = v^2 the other two equal.
     """
     if scheme not in _METRICS:
-        raise ValueError(f"unknown metric scheme {scheme!r}")
+        raise ValueError(f"unknown metric scheme {shown(scheme)}")
     (hub_sq, side_sq), corners, unit = _METRICS[scheme]
     # under B2, u and v are both non-hub sides
     if hub_sq != (side_sq if scheme == A2 else side_sq + side_sq):
@@ -190,7 +191,7 @@ def certify(gamma: DefiningGraph, scheme: str = "auto") -> CurvatureReport:
     biautomatic.
     """
     if scheme not in ("auto", A2, B2):
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise ValueError(f"unknown scheme {shown(scheme)}")
     notes: list[str] = []
     g = gamma
     unoriented = g.unoriented_edges()

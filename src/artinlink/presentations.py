@@ -360,9 +360,9 @@ class OrientationAssignment:
         items = dict(directions)
         for key, d in items.items():
             if d not in ("forward", "backward"):
-                raise ValueError(f"direction for {key} must be forward/backward")
+                raise ValueError(f"direction for {shown(key)} must be forward/backward")
             if key[0] > key[1]:
-                raise ValueError(f"edge key {key} must be ordered u < v")
+                raise ValueError(f"edge key {shown(key)} must be ordered u < v")
         self.directions = dict(sorted(items.items()))
 
     def __len__(self) -> int:
@@ -394,14 +394,13 @@ def resolve_orientations(
         assignment = OrientationAssignment(assignment)
     todo = {e.key for e in gamma.unoriented_edges()}
     given = set(assignment.directions)
-    if todo - given:
-        missing = ", ".join(map(str, sorted(todo - given)))
-        raise IncompleteAssignmentError(f"no direction for edges: {missing}")
-    if given - todo:
-        extra = ", ".join(map(str, sorted(given - todo)))
-        raise IncompleteAssignmentError(
-            f"assignment covers non-unoriented edges: {extra}"
-        )
+    missing, extra = sorted(todo - given), sorted(given - todo)
+    if missing or extra:
+        keys = missing or extra
+        listed = ", ".join(map(shown, keys[:3]))
+        more = f", ... ({len(keys)} edges)" if len(keys) > 3 else ""
+        fault = "no direction for" if missing else "assignment covers non-unoriented"
+        raise IncompleteAssignmentError(f"{fault} edges: {listed}{more}")
     edges = list(gamma.edges)
     for key, d in assignment.directions.items():
         i = gamma._index[key]

@@ -27,7 +27,7 @@ from artinlink import (
     triangle_presentation,
     verify_tietze_equivalence,
 )
-from artinlink import cli, presentations
+from artinlink import assign_metric, certify, cli, link_of, presentations
 from artinlink.gamma_io import (
     ParseError,
     gamma_to_json_dict,
@@ -88,6 +88,41 @@ def test_graph_and_assignment_equality_read_their_fields_and_neither_hashes():
 def test_assignment_refuses_a_bad_direction_or_edge_key(directions, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         OrientationAssignment(directions)
+
+
+LONG = "n" * 5000  # a valid vertex name
+CUT = "'nnnnnnnnnnnnnnnnnnnn'... (5000 characters)"
+LEAVES = [f"v{i}" for i in range(2000)]
+STAR = DefiningGraph(["h", *LEAVES], [("h", v, 3) for v in LEAVES])
+FIRST_THREE = "('h', 'v0'), ('h', 'v1'), ('h', 'v10'), ... (2000 edges)"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: OrientationAssignment({("a", LONG): "sideways"}),
+         f"direction for ('a', {CUT}) must be forward/backward"),
+        (lambda: OrientationAssignment({(LONG, "a"): "forward"}),
+         f"edge key ({CUT}, 'a') must be ordered u < v"),
+        (lambda: resolve_orientations(DefiningGraph(["a", LONG], [("a", LONG, 3)]), {}),
+         f"no direction for edges: ('a', {CUT})"),
+        (lambda: resolve_orientations(STAR, {}), f"no direction for edges: {FIRST_THREE}"),
+        (lambda: resolve_orientations(
+            STAR.with_edges(GammaEdge("h", v, 3, Orientation.FORWARD) for v in LEAVES),
+            dict.fromkeys([("h", v) for v in LEAVES], "forward"),
+        ), f"assignment covers non-unoriented edges: {FIRST_THREE}"),
+        (lambda: certify(triangle_graph(3, 3, 3), scheme=LONG), f"unknown scheme {CUT}"),
+        (lambda: assign_metric(link_of(triangle_graph(3, 3, 3)), LONG),
+         f"unknown metric scheme {CUT}"),
+    ],
+    ids=["direction", "edge-key", "missing-key", "missing-star", "extra-star",
+         "scheme", "metric-scheme"],
+)
+def test_assignment_and_scheme_messages_cut_long_values(call, message):
+    # a 5,000-character vertex or scheme, or 2,000 keys, in under 200 characters
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+    assert len(message) < 200
 
 
 @pytest.mark.parametrize(
