@@ -16,8 +16,9 @@ turn, with failing cases reported in case order for any pool size.
 * triangle-free B2, and seeded random spot checks of the pattern oracle.
 
 Both enumerations go shape first (:func:`_shape_first`): canonical 0/1
-shapes, labelled up to their automorphisms, each labelling canonicalised
-once, then oriented up to its own automorphisms.
+shapes, labelled up to their automorphisms, each shape's labellings
+canonicalised as one batch, then each class oriented up to its own
+automorphisms.
 """
 
 from __future__ import annotations
@@ -25,9 +26,15 @@ from __future__ import annotations
 import functools
 import random
 import time
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    groupby,
+    permutations,
+    product,
+)
 from multiprocessing import Pool
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import NamedTuple
 
 from .complex_link import link_of
@@ -161,8 +168,9 @@ def _permutation_table(n: int):
     (``ext[i + m]`` is pair i seen from its larger end).
 
     ``rows[a]`` reads vertex a's codes to the others, seen from a.
-    ``blocks[a]`` holds (order, getter) for each permutation that makes
-    a vertex 0 and its ``order[k]``-th other vertex k + 1.
+    ``blocks[a]`` holds (pick, getter) for each permutation that makes
+    a vertex 0 and its ``order[k]``-th other vertex k + 1, the identity
+    first; ``pick`` reads a row in that order.
     """
     pairs = list(combinations(range(n), 2))
     m = len(pairs)
@@ -179,7 +187,7 @@ def _permutation_table(n: int):
         for order in permutations(range(n - 1)):
             new_to_old = [a] + [others[k] for k in order]
             get = _getter([seen_from(new_to_old[x], new_to_old[y]) for x, y in pairs])
-            block.append((order, get))
+            block.append((_getter(order), get))
         blocks.append(block)
     return rows, blocks
 
@@ -189,10 +197,13 @@ def _least_per_orbit(choices, auts, flip=_FLIP) -> list[tuple[int, ...]]:
     in lexicographic order; ``flip`` reverses a pair's code (None: none).
 
     States run in lexicographic order, so the first one of an orbit
-    reached is its least; its images then mark the rest.
+    reached is its least; its images then mark the rest.  ``auts[0]``
+    is the identity, and a kept state is not met again, so only the
+    others' images are marked.
     """
     states = product(*choices)
-    if len(auts) == 1:
+    others = auts[1:]
+    if not others:
         return list(states)
     seen = set()
     out = []
@@ -201,70 +212,63 @@ def _least_per_orbit(choices, auts, flip=_FLIP) -> list[tuple[int, ...]]:
             out.append(state)
             codes = bytes(state)
             ext = codes + codes.translate(flip)
-            seen.update([get(ext) for get in auts])
+            seen.update([get(ext) for get in others])
     return out
 
 
-class _SortedRows(dict):
-    """Memo: row -> its codes in sorted order."""
+class _Winners(dict):
+    """Memo for one vertex a: row -> the getters of the permutations
+    that send a to 0 and order the others to sort its row."""
+
+    def __init__(self, block):
+        self.block = block
 
     def __missing__(self, row):
-        key = self[row] = tuple(sorted(row))
-        return key
+        key = tuple(sorted(row))
+        getters = self[row] = [get for pick, get in self.block if pick(row) == key]
+        return getters
 
 
 def _canonicaliser(n: int):
-    """The orbit engine on n vertices: ``(least_image, automorphisms)``.
+    """The orbit engine on n vertices: ``(least_images, automorphisms)``.
 
     The first n-1 entries of an image are new vertex 0's row: its codes
-    to the new vertices 1..n-1, seen from it.  So only permutations that
-    send a vertex with the least sorted row to 0, and order the others
-    to sort that row, can give the least image; their getters are
-    cached per (vertex, row).  ``automorphisms(und)`` is None if one of
-    them maps an undirected state lower, else the ones that fix it: all
-    its automorphisms, since they fix its sorted, least vertex-0 row.
-    ``least_image`` keeps a running minimum of their images (``flip`` as
-    in :func:`_least_per_orbit`).
+    to the new vertices 1..n-1, seen from it.  0 is the least code, so a
+    sorted row with more zeros sorts lower, and only permutations that
+    send a vertex of least degree to 0, and order the others to sort
+    its row, can give the least image; their getters are cached per
+    (vertex, row).  Degrees depend on the 0/1 shape alone, so
+    ``least_images(batch, flip)`` takes codes that all share one shape,
+    finds the least-degree vertices once, from the first, and reads
+    only their rows: one least image per code, in order (``flip`` as
+    in :func:`_least_per_orbit`).  ``automorphisms(und)`` is None if a
+    candidate maps an undirected state lower, else the candidates that
+    fix it, the identity first: all its automorphisms, since they fix
+    its vertex-0 row, sorted and of least degree.
     """
     rows, blocks = _permutation_table(n)
-    sorted_rows = _SortedRows()
-    winners: dict = {}
+    winners = [_Winners(block) for block in blocks]
 
-    def candidates(ext: bytes) -> list[list]:
-        # one list of getters per vertex with the least sorted row
-        views = [row(ext) for row in rows]
-        keys = list(map(sorted_rows.__getitem__, views))
-        least = min(keys)
-        out = []
-        for a, key in enumerate(keys):
-            if key == least:
-                row = views[a]
-                getters = winners.get((a, row))
-                if getters is None:
-                    getters = winners[a, row] = [
-                        get
-                        for order, get in blocks[a]
-                        if all(row[i] <= row[j] for i, j in zip(order, order[1:]))
-                    ]
-                out.append(getters)
-        return out
+    def least_degree(ext: bytes) -> list:
+        # (row getter, memo) of each vertex of least degree
+        zeros = [row(ext).count(0) for row in rows]
+        most = max(zeros)
+        return [(rows[a], winners[a]) for a, z in enumerate(zeros) if z == most]
 
-    def least_image(codes: bytes, flip=_FLIP) -> tuple[int, ...]:
-        ext = codes + codes.translate(flip)
-        least = None
-        for getters in candidates(ext):
-            for get in getters:
-                image = get(ext)
-                if least is None or image < least:
-                    least = image
-        return least
+    def least_images(batch: list[bytes], flip=_FLIP) -> list[tuple[int, ...]]:
+        exts = [codes + codes.translate(flip) for codes in batch]
+        vertices = least_degree(exts[0])
+        return [
+            min([get(ext) for row, memo in vertices for get in memo[row(ext)]])
+            for ext in exts
+        ]
 
     def automorphisms(und: tuple[int, ...]):
         # undirected codes read the same from both ends of a pair
         ext = bytes(und) * 2
         auts = []
-        for getters in candidates(ext):
-            for get in getters:
+        for row, memo in least_degree(ext):
+            for get in memo[row(ext)]:
                 image = get(ext)
                 if image < und:
                     return None
@@ -272,7 +276,7 @@ def _canonicaliser(n: int):
                     auts.append(get)
         return auts
 
-    return least_image, automorphisms
+    return least_images, automorphisms
 
 
 def _sorted_head_product(values, head: int, tail: int):
@@ -292,7 +296,7 @@ def _shape_first(n: int, labels, keep=None, order=None) -> list[tuple[int, ...]]
     shape's automorphisms, so one per orbit of those meets each labelled
     class of that shape once; its least image is the canonical state.
     """
-    least_image, automorphisms = _canonicaliser(n)
+    least_images, automorphisms = _canonicaliser(n)
     m = n * (n - 1) // 2
     shapes = _sorted_head_product((0, 1), n - 1, m - (n - 1))
     unds = []
@@ -301,7 +305,7 @@ def _shape_first(n: int, labels, keep=None, order=None) -> list[tuple[int, ...]]
         if auts is not None:
             choices = [labels if bit else (0,) for bit in shape]
             leaders = _least_per_orbit(choices, auts, None)
-            unds += [least_image(bytes(state), None) for state in leaders]
+            unds += least_images(list(map(bytes, leaders)), None)
     unds.sort(key=order)
     out: list[tuple[int, ...]] = []
     for und in unds:
@@ -375,35 +379,25 @@ def wildcard_variants(
     Variants are deduplicated up to isomorphism by their least image
     under vertex permutations (see ``_canonicaliser``), kept in the
     order they are first seen.  States that differ only in the code of
-    their first present pair give the same raw variant.  Within a run
-    of states with one undirected pattern, as
-    :func:`enumerate_oriented_states` lists them, each distinct raw
-    variant is canonicalised once; the set of raws seen starts afresh
-    with each pattern, so it holds one run's raws, not the whole
+    their first present pair give the same raw variant.  A run of
+    states with one undirected pattern, as
+    :func:`enumerate_oriented_states` lists them, shares one first pair
+    and one 0/1 shape, so its distinct raws, in order, are
+    canonicalised as one batch: the least-degree vertices are found
+    once per run, and the raws kept are one run's, not the whole
     sweep's.  A raw met again in a later run is canonicalised again,
     and ``seen`` keeps the list the same for any order of ``states``.
     """
-    least_image, _ = _canonicaliser(n)
-    pattern = raws = None
-    seen = set()
-    out = []
-    for state in states:
-        codes = bytes(state)
-        rest = codes.lstrip(b"\0")  # from the first present pair on
-        if not rest:
-            continue
-        und = codes.translate(_UNDIRECTED)
-        if und != pattern:
-            pattern, raws = und, set()
-        raw = codes[: len(codes) - len(rest)] + b"\5" + rest[1:]
-        if raw in raws:
-            continue
-        raws.add(raw)
-        canon = least_image(raw)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-    return out
+    least_images, _ = _canonicaliser(n)
+    seen: dict = {}
+    undirected = methodcaller("translate", _UNDIRECTED)
+    for und, run in groupby(map(bytes, states), undirected):
+        first = len(und) - len(und.lstrip(b"\0"))
+        if first < len(und):
+            head = und[:first] + b"\5"  # the zeros, then a wildcard
+            raws = dict.fromkeys([head + codes[first + 1 :] for codes in run])
+            seen.update(dict.fromkeys(least_images(list(raws))))
+    return list(seen)
 
 
 @functools.lru_cache(maxsize=8)

@@ -15,7 +15,6 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter
 
-from . import batteries
 from .complex_link import link_of
 from .curvature import A2, B2, WITNESS_KIND, WITNESS_LISTS, certify
 from .cycles import LOOP_ENUMERATION_GUARD, enumerate_short_loops
@@ -281,6 +280,8 @@ def _cmd_pieces(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    from . import batteries  # with multiprocessing: loaded for this command only
+
     results = batteries.run_all(
         max_label=args.max_label,
         max_vertices=args.max_vertices,

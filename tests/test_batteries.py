@@ -84,6 +84,9 @@ def assert_engine_matches_brute_force(states, n):
         if least == state:
             canonical += 1
             assert auts is not None and len(auts) == order, state
+            # the identity comes first: the orbit walk marks only the others
+            m = len(state)
+            assert auts[0](bytes(range(2 * m))) == tuple(range(m)), state
         else:
             assert auts is None, state
     return canonical
@@ -105,6 +108,60 @@ def test_orbit_engine_automorphisms_match_brute_force_on_five_vertices():
     assert assert_engine_matches_brute_force(states, 5) >= len(canon)
 
 
+def shapes_by_least_degree(n):
+    """Named edge lists on n vertices whose counts of least-degree
+    vertices run from 1 to n between them."""
+    return {
+        "path": [(i, i + 1) for i in range(n - 1)],
+        "matching plus an isolated vertex": [(i, i + 1) for i in range(0, n - 2, 2)],
+        "path plus an isolated vertex": [(i, i + 1) for i in range(n - 2)],
+        "star": [(0, i) for i in range(1, n)],
+        "K(2, n-2)": [(a, b) for a in (0, 1) for b in range(2, n)],
+        "cycle": [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)],
+        "complete": list(itertools.combinations(range(n), 2)),
+        "empty": [],
+    }
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_batch_least_images_match_the_permutation_scan(n):
+    """One batch per shape, with mixed codes: with ``flip`` against
+    oriented codes and with ``flip=None`` against undirected labels,
+    each least image is the least over all n! permutations."""
+    batch_images, _ = batteries._canonicaliser(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    rng = random.Random(n)
+    least_counts = set()
+    for name, edges in shapes_by_least_degree(n).items():
+        on = [p in edges for p in pairs]
+        degrees = Counter(v for p in edges for v in p)
+        low = min(degrees[v] for v in range(n))
+        least_counts.add(sum(degrees[v] == low for v in range(n)))
+        for codes, flip in (((1, 2, 3, 4, 5), batteries._FLIP), ((2, 3, 4), None)):
+            batch = [
+                tuple(rng.choice(codes) if bit else 0 for bit in on) for _ in range(40)
+            ]
+            if flip is None:
+                expected = [least for least, _ in undirected_orbits(batch, n)]
+            else:
+                expected = least_images(batch, n)
+            got = batch_images([bytes(state) for state in batch], flip)
+            assert got == expected, name
+    assert least_counts == set(range(1, n + 1))
+
+
+def test_both_callers_pass_single_shape_batches(monkeypatch):
+    batches, _ = record_canonicaliser(monkeypatch)
+    for n in (4, 5):
+        states = enumerate_oriented_states(n)
+        enumerate_triangle_free_oriented_states(n)
+        wildcard_variants(states, n)
+        wildcard_variants(random.Random(n).sample(states, len(states)), n)
+    assert max(map(len, batches)) > 1
+    for batch in batches:
+        assert batch and len({bytes(map(bool, codes)) for codes in batch}) == 1
+
+
 def raw_wildcard_variants(states):
     """Each state with its first present pair turned into a wildcard."""
     out = []
@@ -115,23 +172,35 @@ def raw_wildcard_variants(states):
     return out
 
 
+def record_canonicaliser(monkeypatch):
+    """Patch ``batteries._canonicaliser`` to record, in call order, each
+    batch given to ``least_images`` and each state given to
+    ``automorphisms``."""
+    batches, auts = [], []
+    make = batteries._canonicaliser
+
+    def recording(n):
+        least_images, automorphisms = make(n)
+
+        def record_images(batch, *flip):
+            batches.append(list(batch))
+            return least_images(batch, *flip)
+
+        def record_auts(state):
+            auts.append(state)
+            return automorphisms(state)
+
+        return record_images, record_auts
+
+    monkeypatch.setattr(batteries, "_canonicaliser", recording)
+    return batches, auts
+
+
 def counted_wildcard_variants(monkeypatch, states, n):
     """``wildcard_variants(states, n)`` and the codes it canonicalised,
     in call order."""
-    calls = []
-    make = batteries._canonicaliser
-
-    def counting(n):
-        least_image, automorphisms = make(n)
-
-        def count(codes):
-            calls.append(codes)
-            return least_image(codes)
-
-        return count, automorphisms
-
-    monkeypatch.setattr(batteries, "_canonicaliser", counting)
-    return wildcard_variants(states, n), calls
+    batches, _ = record_canonicaliser(monkeypatch)
+    return wildcard_variants(states, n), [codes for b in batches for codes in b]
 
 
 def undirected(state):
@@ -231,26 +300,11 @@ def test_enumerations_are_pinned_in_order(n):
 
 
 def counted_enumeration(monkeypatch, enumerate_states, n):
-    """``enumerate_states(n)``, the codes it gave ``least_image`` and the
+    """``enumerate_states(n)``, the codes it gave ``least_images`` and the
     states it gave ``automorphisms``, in call order."""
-    images, auts = [], []
-    make = batteries._canonicaliser
-
-    def counting(n):
-        least_image, automorphisms = make(n)
-
-        def count_image(codes, *flip):
-            images.append(codes)
-            return least_image(codes, *flip)
-
-        def count_auts(state):
-            auts.append(state)
-            return automorphisms(state)
-
-        return count_image, count_auts
-
-    monkeypatch.setattr(batteries, "_canonicaliser", counting)
-    return enumerate_states(n), images, auts
+    batches, auts = record_canonicaliser(monkeypatch)
+    states = enumerate_states(n)
+    return states, [codes for b in batches for codes in b], auts
 
 
 @pytest.mark.parametrize(
@@ -266,7 +320,7 @@ def test_enumerations_canonicalise_each_class_once(
     monkeypatch, enumerate_states, shapes, classes
 ):
     """Shapes first: one ``automorphisms`` call per head-sorted shape,
-    one ``least_image`` per undirected class, then one ``automorphisms``
+    one least image per undirected class, then one ``automorphisms``
     per class to orient it; no labelling is generated and rejected."""
     states, images, auts = counted_enumeration(monkeypatch, enumerate_states, 5)
     patterns = list(dict.fromkeys(map(undirected, states)))

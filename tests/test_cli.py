@@ -808,6 +808,25 @@ def test_importing_the_cli_builds_its_parser_tree():
     assert (proc.returncode, proc.stdout) == (0, "1\n")
 
 
+def test_certify_loads_neither_multiprocessing_nor_random(gamma_file):
+    # only verify-lemmas imports batteries, and with it the pool; -S
+    # keeps site hooks, which may import random themselves, out
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (
+        "import sys, artinlink.cli as c\n"
+        f"assert c.main(['certify', {gamma_file(TRIANGLE_333)!r}]) == 0\n"
+        "print(sorted({'multiprocessing', 'random'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "[]")
+
+
 def test_a_flag_value_does_not_leak_into_the_next_call(gamma_file, capsys, monkeypatch):
     seen = []
     for command in SUBCOMMANDS:
