@@ -882,6 +882,25 @@ def test_help_is_that_of_a_freshly_built_parser(capsys, command):
         assert exc.value.code == 0 and capsys.readouterr() == expected
 
 
+def test_subcommands_are_those_of_the_command_table():
+    # the help, leak and echo tests above cover a new subcommand too
+    assert SUBCOMMANDS == list(cli._COMMANDS)
+
+
+HELP = os.path.join(os.path.dirname(__file__), "golden", "help")
+
+
+@pytest.mark.parametrize("command", [None, *SUBCOMMANDS])
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    # argparse wraps help to the terminal width, read from COLUMNS first
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    with open(os.path.join(HELP, f"{command or 'artinlink'}.txt"), encoding="utf-8") as fh:
+        assert (exc.value.code, capsys.readouterr()) == (0, (fh.read(), ""))
+
+
 # -- python -m artinlink ------------------------------------------------------
 
 
