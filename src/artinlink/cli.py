@@ -1,8 +1,10 @@
 """Command-line front end; ``artinlink --help`` lists the subcommands.
 
 Exit status 0 means the command ran (an Inconclusive verdict is not a
-failure); nonzero means a parse error, an internal inconsistency, or a
-failed verification battery.
+failure).  1 means a refused input, an out-of-range flag, a parse error,
+an internal inconsistency or a failed verification battery; 2 is one of
+argparse's usage errors.  Each error is one short line on stderr,
+argparse's after its usage.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .complex_link import link_of
 from .curvature import A2, B2, WITNESS_KIND, WITNESS_LISTS, certify
@@ -42,92 +45,6 @@ _BOUNDS = {
     "--tietze-max": (2, MAX_TIETZE_LABEL),
     "--processes": (1, os.cpu_count() or 1),
 }
-
-
-@functools.cache  # one tree per process, built at import (below)
-def _build_parser() -> argparse.ArgumentParser:
-    span = {flag: "%d to %d" % bounds for flag, bounds in _BOUNDS.items()}
-    parser = argparse.ArgumentParser(
-        prog="artinlink",
-        description=(
-            "Rewrite Artin presentations into triangular form, build the "
-            "link of the presentation complex, and certify non-positive "
-            "curvature with exact arithmetic."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    certify_p = sub.add_parser("certify", help="run the curvature certificate")
-    certify_p.add_argument("input", help="defining-graph file (text or .json)")
-    certify_p.add_argument(
-        "--scheme",
-        choices=sorted(_SCHEMES),
-        default="auto",
-        help="force a metric scheme instead of auto-selection",
-    )
-    certify_p.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-
-    link_p = sub.add_parser("link", help="export the link of the 0-cell")
-    link_p.add_argument("input")
-    link_p.add_argument(
-        "--format", choices=("dot", "json", "text"), default="dot"
-    )
-
-    loops_p = sub.add_parser("loops", help="enumerate short embedded loops")
-    loops_p.add_argument("input")
-    loops_p.add_argument(
-        "--max", type=int, default=6, help=f"maximum loop length, {span['--max']}"
-    )
-    loops_p.add_argument("--format", choices=("text", "json"), default="text")
-
-    orient_p = sub.add_parser(
-        "orient", help="search for a pattern-free orientation"
-    )
-    orient_p.add_argument("input")
-    orient_p.add_argument("--format", choices=("text", "json"), default="text")
-
-    pieces_p = sub.add_parser("pieces", help="small-cancellation piece table")
-    pieces_p.add_argument("input")
-    pieces_p.add_argument("--format", choices=("text", "json"), default="text")
-
-    lemmas_p = sub.add_parser(
-        "verify-lemmas", help="run the exhaustive verification batteries"
-    )
-    lemmas_p.add_argument(
-        "--max-label",
-        type=int,
-        default=5,
-        help=f"largest triangle label to sweep, {span['--max-label']}",
-    )
-    lemmas_p.add_argument(
-        "--max-vertices",
-        type=int,
-        default=4,
-        help=f"graph size for the pattern oracle sweep, {span['--max-vertices']}",
-    )
-    lemmas_p.add_argument(
-        "--tietze-max",
-        type=int,
-        default=50,
-        help=f"largest two-generator label, {span['--tietze-max']}",
-    )
-    lemmas_p.add_argument(
-        "--seed", type=int, default=None, help="also run seeded random spot checks"
-    )
-    lemmas_p.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="parallel workers for the sweep, 1 to the CPU count",
-    )
-    return parser
-
-
-# Built here, not at the first main call, so that no in-process call
-# pays for the tree and argparse's first gettext reads.
-_build_parser()
 
 
 def _dumps(obj, indent: str = "") -> str:
@@ -299,14 +216,96 @@ def _cmd_verify_lemmas(args) -> int:
     return 1
 
 
+class _Command(NamedTuple):
+    """A subcommand: its handler and help, its ``input`` help (None: no
+    input), its ``--format`` choices, default first, and their help, and
+    its other flags as (flag, ``add_argument`` keywords)."""
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    input: str | None = ""
+    formats: tuple[str, ...] = ("text", "json")
+    format_help: str | None = None
+    flags: tuple[tuple[str, dict], ...] = ()
+
+
+def _bounded(flag: str, default: int, text: str) -> tuple[str, dict]:
+    """An int flag whose help ends in its ``_BOUNDS`` span."""
+    return flag, {"type": int, "default": default, "help": text + ", %d to %d" % _BOUNDS[flag]}
+
+
 _COMMANDS = {
-    "certify": _cmd_certify,
-    "link": _cmd_link,
-    "loops": _cmd_loops,
-    "orient": _cmd_orient,
-    "pieces": _cmd_pieces,
-    "verify-lemmas": _cmd_verify_lemmas,
+    "certify": _Command(
+        _cmd_certify, "run the curvature certificate", "defining-graph file (text or .json)",
+        format_help="output format",
+        flags=(("--scheme", {"choices": sorted(_SCHEMES), "default": "auto",
+                             "help": "force a metric scheme instead of auto-selection"}),),
+    ),
+    "link": _Command(_cmd_link, "export the link of the 0-cell", formats=("dot", "json", "text")),
+    "loops": _Command(
+        _cmd_loops, "enumerate short embedded loops",
+        flags=(_bounded("--max", 6, "maximum loop length"),),
+    ),
+    "orient": _Command(_cmd_orient, "search for a pattern-free orientation"),
+    "pieces": _Command(_cmd_pieces, "small-cancellation piece table"),
+    "verify-lemmas": _Command(
+        _cmd_verify_lemmas, "run the exhaustive verification batteries", input=None, formats=(),
+        flags=(
+            _bounded("--max-label", 5, "largest triangle label to sweep"),
+            _bounded("--max-vertices", 4, "graph size for the pattern oracle sweep"),
+            _bounded("--tietze-max", 50, "largest two-generator label"),
+            ("--seed", {"type": int, "help": "also run seeded random spot checks"}),
+            ("--processes",
+             {"type": int, "help": "parallel workers for the sweep, 1 to the CPU count"}),
+        ),
+    ),
 }
+
+
+def _cut(line: str) -> str:
+    """``line``, or its head and tail when over 150 bytes: argparse and
+    ``OSError`` echo a bad value or path whole."""
+    data = line.encode(errors="backslashreplace")
+    if len(data) <= 150:
+        return line
+    return (data[:70] + b"..." + data[-70:]).decode(errors="ignore")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose error message is cut by :func:`_cut`; its
+    subparsers are of this class too (``add_subparsers`` takes the
+    parser's class)."""
+
+    def error(self, message):
+        super().error(_cut(message))
+
+
+@functools.cache  # one tree per process, built at import (below)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="artinlink",
+        description=(
+            "Rewrite Artin presentations into triangular form, build the "
+            "link of the presentation complex, and certify non-positive "
+            "curvature with exact arithmetic."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        sub_p = sub.add_parser(name, help=command.help)
+        if command.input is not None:
+            sub_p.add_argument("input", help=command.input)
+        for flag, keywords in command.flags:
+            sub_p.add_argument(flag, **keywords)
+        if command.formats:
+            sub_p.add_argument("--format", choices=command.formats,
+                               default=command.formats[0], help=command.format_help)
+    return parser
+
+
+# Built here, not at the first main call, so that no in-process call
+# pays for the tree and argparse's first gettext reads.
+_build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -319,19 +318,16 @@ def main(argv: list[str] | None = None) -> int:
             print(error + shown(value), file=sys.stderr)
             return 1
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except (OSError, TooManyGeneratorsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_cut(str(exc))}", file=sys.stderr)
         return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     except UnorientedEdgeError as exc:
-        print(
-            f"error: {exc}; direct the edges in the file or run "
-            f"'artinlink orient' to search for an orientation",
-            file=sys.stderr,
-        )
+        hint = "direct the edges in the file or run 'artinlink orient'"
+        print(f"error: {exc}; {hint}", file=sys.stderr)
         return 1
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

@@ -569,6 +569,12 @@ N_EDGE = {"u": "a", "v": N, "label": 3, "orientation": "forward"}
             ["link", "loops", "pieces"],
         ),
         (
+            f"vertex {'m' * 5000}\nvertex {N}\nedge {'m' * 5000} {N} 3\n",
+            {"vertices": ["m" * 5000, N],
+             "edges": [{**N_EDGE, "u": "m" * 5000, "orientation": "unoriented"}]},
+            ["link", "loops", "pieces"],
+        ),
+        (
             f"vertex a\nvertex b\nvertex {N}\nedge a {N} 3 >\nrot {N}: b\n",
             {"vertices": ["a", "b", N], "edges": [N_EDGE], "rotations": {N: ["b"]}},
             ["certify"],
@@ -589,6 +595,7 @@ N_EDGE = {"u": "a", "v": N, "label": 3, "orientation": "forward"}
         "rotation-at-undeclared-vertex",
         "second-rotation",
         "no-direction",
+        "no-direction-two-names",
         "rotation-not-the-neighbours",
         "wildcard-label",
         "orientation-value",
@@ -830,7 +837,8 @@ def test_certify_loads_neither_multiprocessing_nor_random(gamma_file):
 def test_a_flag_value_does_not_leak_into_the_next_call(gamma_file, capsys, monkeypatch):
     seen = []
     for command in SUBCOMMANDS:
-        monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(args) or 0)
+        row = cli._COMMANDS[command]._replace(run=lambda args: seen.append(args) or 0)
+        monkeypatch.setitem(cli._COMMANDS, command, row)
     path = gamma_file(TRIANGLE_245)
     for argv in (
         ["certify", path, "--scheme", "a2", "--format", "json"],
@@ -866,6 +874,25 @@ def test_an_argparse_error_leaves_the_next_call_working(gamma_file, capsys, argv
         cli._build_parser.__wrapped__().parse_args(argv)
     assert capsys.readouterr() == err  # as from a freshly built tree
     assert run(capsys, ["certify", path, "--format", "json"]) == good
+
+
+NINES, X = "9" * 5000, "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["loops", "g", "--max", NINES], ["verify-lemmas", "--seed", NINES],
+     ["verify-lemmas", "--tietze-max", NINES], ["certify", "g", "--scheme", X],
+     ["link", "g", "--format", X], [X], ["pieces", "g", "--" + X], ["orient", "g", X]],
+    ids=["max", "seed", "tietze-max", "scheme", "format", "command", "option", "positional"],
+)
+def test_an_argparse_error_cuts_a_long_value(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: artinlink") and "Traceback" not in err
+    assert max(len(line.encode()) for line in err.splitlines()) <= 200
 
 
 @pytest.mark.parametrize("command", [None, *SUBCOMMANDS])

@@ -1,5 +1,6 @@
-"""Fuzzed input boundary: any file ends in exit 0, or exit 1 with one
-line on stderr, never a traceback."""
+"""Fuzzed input boundary: any file or argv ends in exit 0, exit 1 with
+one line on stderr, or argparse's exit 2 after its usage, with every
+stderr line at most ``MAX_LINE_BYTES`` and never a traceback."""
 
 import contextlib
 import io
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from artinlink import HEAD, TAIL, OrientationAssignment, build_triangular, link_of
+from artinlink import HEAD, TAIL, OrientationAssignment, build_triangular, cli, link_of
 from artinlink.cli import main
 from artinlink.gamma_io import parse_gamma_json
 from artinlink.presentations import check_vertex_name
 
 COMMANDS = ("certify", "link", "orient", "pieces")
+MAX_LINE_BYTES = 200
 
 NAMES = ("a", "b", "c", "d", "e")
 # junk names, with braces, commas, carets, dashes, comment marks, ASCII
@@ -117,17 +119,34 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def run_main(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean(argv, code, message):
+    """The boundary's invariant, stated once; the terminal breaks lines at "\n"."""
+    lines = message.split("\n")
+    assert "Traceback" not in message, argv
+    assert max(len(line.encode()) for line in lines) <= MAX_LINE_BYTES, (argv, message)
+    if code == 2:
+        assert message.startswith("usage: artinlink"), (argv, message)
+    else:
+        assert code in (0, 1), (argv, code, message)
+        assert len(lines) <= 2 and (code == 0 or message), (argv, message)
+
+
 def assert_clean_exit(path):
     for command in COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(path)])
-        message = err.getvalue()
-        assert code in (0, 1), (command, code, message)
-        assert message.count("\n") <= 1, (command, message)
-        assert "Traceback" not in message
-        if code == 1:
-            assert message, command
+        code, _, message = run_main([command, str(path)])
+        assert code != 2
+        assert_clean([command, path], code, message)
 
 
 FUZZ_SETTINGS = settings(
@@ -138,8 +157,13 @@ FUZZ_SETTINGS = settings(
 )
 
 
+LONG_M, LONG_N = "m" * 5000, "n" * 5000
+
+
 @FUZZ_SETTINGS
 @given(text=TEXT_FILES)
+# two long names in one message: 205 bytes once the orient hint was added
+@example(text=f"vertex {LONG_M}\nvertex {LONG_N}\nedge {LONG_M} {LONG_N} 3\n")
 def test_fuzzed_line_format_files_exit_cleanly(fuzz_dir, text):
     path = fuzz_dir / "graph.gamma"
     path.write_text(text, encoding="utf-8")
@@ -241,3 +265,63 @@ def test_edge_keys_of_valid_names_split_at_their_first_dashes(pair):
     u, v = sorted(pair)
     (key,) = OrientationAssignment({(u, v): "forward"}).to_json_dict()
     assert key.split("--", 1) == [u, v]
+
+
+# -- argv ---------------------------------------------------------------------
+
+GRAPH = "<graph>"  # stands for a small oriented graph file
+# 1 to 5,000 characters, some of them 2 to 4 bytes in UTF-8
+ARG_TOKENS = st.text(alphabet="ab9-=_ \téж\U0001d49c", min_size=1, max_size=5) | (
+    st.integers(1, 5000).flatmap(lambda n: st.text(alphabet="x-é\U0001d49c", min_size=n, max_size=n))
+)
+# up to 5,000 digits, often past the 4,300 that int() takes
+INT_TOKENS = st.integers(-3, 40).map(str) | st.builds(
+    "{}{}".format,
+    st.sampled_from(["", "-"]),
+    (st.integers(1, 5000) | st.integers(4300, 5000)).flatmap(
+        lambda n: st.text(alphabet="0123456789", min_size=n, max_size=n)
+    ),
+)
+
+
+def _flag_values(keywords):
+    """Tokens, plus ints for an int flag and the choices of a choice flag."""
+    values = ARG_TOKENS
+    if keywords.get("type") is int:
+        values |= INT_TOKENS
+    if "choices" in keywords:
+        values |= st.sampled_from(keywords["choices"])
+    return values
+
+
+@st.composite
+def argvs(draw):
+    """An argv over the command table: a subcommand or a token, the input
+    or a token, the subcommand's flags with drawn values, a stray token."""
+    name = draw(st.sampled_from([*cli._COMMANDS, None])) or draw(ARG_TOKENS)
+    argv = [name]
+    command = cli._COMMANDS.get(name)
+    if command is not None:
+        if command.input is not None and draw(st.integers(0, 4)):
+            argv.append(draw(st.just(GRAPH) | ARG_TOKENS))
+        flags = list(command.flags)
+        if command.formats:
+            flags.append(("--format", {"choices": command.formats}))
+        for flag, keywords in draw(st.lists(st.sampled_from(flags), max_size=3)):
+            argv += [flag, draw(_flag_values(keywords))]
+    return argv + draw(st.lists(ARG_TOKENS, max_size=1))
+
+
+@settings(FUZZ_SETTINGS, max_examples=300)
+@given(argv=argvs())
+@example(argv=["loops", GRAPH, "--max", "9" * 5000])  # past int()'s digit limit
+@example(argv=["verify-lemmas", "--seed", "9" * 5000])
+def test_fuzzed_argv_exits_cleanly(fuzz_dir, argv):
+    path = fuzz_dir / "argv.gamma"
+    path.write_text("vertex a\nvertex b\nvertex c\nedge a b 2 ?\nedge b c 4 >\nedge c a 5 >\n")
+    argv = [str(path) if arg == GRAPH else arg for arg in argv]
+    with pytest.MonkeyPatch.context() as patch:  # the batteries would run for seconds
+        row = cli._COMMANDS["verify-lemmas"]._replace(run=lambda args: 0)
+        patch.setitem(cli._COMMANDS, "verify-lemmas", row)
+        code, _, message = run_main(argv)
+    assert_clean(argv, code, message)
