@@ -131,7 +131,8 @@ def run_main(argv):
 
 
 def assert_clean(argv, code, message):
-    """The boundary's invariant, stated once; the terminal breaks lines at "\n"."""
+    """The boundary's invariant, stated once.  Lines are split at newlines
+    only, as a terminal breaks them."""
     lines = message.split("\n")
     assert "Traceback" not in message, argv
     assert max(len(line.encode()) for line in lines) <= MAX_LINE_BYTES, (argv, message)
@@ -162,7 +163,7 @@ LONG_M, LONG_N = "m" * 5000, "n" * 5000
 
 @FUZZ_SETTINGS
 @given(text=TEXT_FILES)
-# two long names in one message: 205 bytes once the orient hint was added
+# two cut names and the orient hint in one line
 @example(text=f"vertex {LONG_M}\nvertex {LONG_N}\nedge {LONG_M} {LONG_N} 3\n")
 def test_fuzzed_line_format_files_exit_cleanly(fuzz_dir, text):
     path = fuzz_dir / "graph.gamma"
@@ -272,7 +273,9 @@ def test_edge_keys_of_valid_names_split_at_their_first_dashes(pair):
 GRAPH = "<graph>"  # stands for a small oriented graph file
 # 1 to 5,000 characters, some of them 2 to 4 bytes in UTF-8
 ARG_TOKENS = st.text(alphabet="ab9-=_ \téж\U0001d49c", min_size=1, max_size=5) | (
-    st.integers(1, 5000).flatmap(lambda n: st.text(alphabet="x-é\U0001d49c", min_size=n, max_size=n))
+    st.integers(1, 5000).flatmap(
+        lambda n: st.text(alphabet="x-é\U0001d49c", min_size=n, max_size=n)
+    )
 )
 # up to 5,000 digits, often past the 4,300 that int() takes
 INT_TOKENS = st.integers(-3, 40).map(str) | st.builds(
