@@ -24,7 +24,7 @@ from .cycles import LOOP_ENUMERATION_GUARD, enumerate_short_loops
 from .errors import InternalInconsistencyError
 from .forbidden import search_orientation
 from .gamma_io import ParseError, load_gamma
-from .presentations import TooManyGeneratorsError, UnorientedEdgeError, shown
+from .presentations import TooManyGeneratorsError, UnorientedEdgeError, cut_line, shown
 from .smallcancel import compute_pieces
 
 _SCHEMES = {"auto": "auto", "a2": A2, "b2": B2}
@@ -262,22 +262,13 @@ _COMMANDS = {
 }
 
 
-def _cut(line: str) -> str:
-    """``line``, or its head and tail when over 150 bytes: argparse and
-    ``OSError`` echo a bad value or path whole."""
-    data = line.encode(errors="backslashreplace")
-    if len(data) <= 150:
-        return line
-    return (data[:70] + b"..." + data[-70:]).decode(errors="ignore")
-
-
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose error message is cut by :func:`_cut`; its
+    """An argparse parser whose error message is cut by ``cut_line``; its
     subparsers are of this class too (``add_subparsers`` takes the
     parser's class)."""
 
     def error(self, message):
-        super().error(_cut(message))
+        super().error(cut_line(message))
 
 
 @functools.cache  # one tree per process, built at import (below)
@@ -320,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command].run(args)
     except (OSError, TooManyGeneratorsError) as exc:
-        print(f"error: {_cut(str(exc))}", file=sys.stderr)
+        print(f"error: {cut_line(str(exc))}", file=sys.stderr)
         return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

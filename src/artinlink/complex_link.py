@@ -115,6 +115,7 @@ class LinkGraph:
             )
         self.nbrs = nbrs
         self._hops: list = []  # the hop search's answer: cycles._hop_search
+        self._four: list = []  # the least id on a 4-cycle: cycles._shortest_cycle
 
     @functools.cached_property
     def _edge_ids(self) -> dict[tuple[int, int], int]:

@@ -222,12 +222,14 @@ def certify(gamma: DefiningGraph, scheme: str = "auto") -> CurvatureReport:
     else:
         chosen = scheme
 
-    girth_value, girth_loop = girth(link)
-    small = check_conditions(link, girth_value)
-
+    # the link condition first: under B2 its weighted search leaves the
+    # 4-cycle start that girth's hop search then reads
     diagnostic_scheme = chosen or A2
     metric = assign_metric(link, diagnostic_scheme)
     condition = check_link_condition(link, metric)
+
+    girth_value, girth_loop = girth(link)
+    small = check_conditions(link, girth_value)
 
     if chosen is None:
         verdict, theorem = VERDICT_INCONCLUSIVE, None

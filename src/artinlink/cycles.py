@@ -158,11 +158,11 @@ def _has_short_light_loop(link: LinkGraph) -> bool:
 
 def _lightest_four_cycle(
     nbrs: Sequence[list[tuple[int, int]]], steps: Sequence[int], unset: int
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """The least key of a 4-cycle of the simple graph ``nbrs``, of
     (neighbour id, edge id) pairs in any order with step ``steps[ei]``
-    per edge, and the least id on a 4-cycle of that key; ``(unset, n)``
-    if it has none.
+    per edge, the least id on a 4-cycle of that key and the least id on
+    any 4-cycle; ``(unset, n, n)`` if it has none.
 
     Each 4-cycle is met from its vertex v of largest (degree, id) rank:
     both paths v-u-w to its opposite vertex w run through ranks below
@@ -172,14 +172,17 @@ def _lightest_four_cycle(
     paths from v to w, and q of least u among the lightest of the rest:
     whichever of p and q comes later is paired with the other, so in
     whatever order the u come, the pairs met hold the least u on a
-    lightest 4-cycle through v and w.  It scans the whole graph, as the
-    least id may lie on a 4-cycle met late.
+    lightest 4-cycle through v and w.  The first path to w is paired
+    with the next, and every later one with the path then held, so the
+    pairs met hold every vertex on a 4-cycle, whatever the steps.  It
+    scans the whole graph, as the least id may lie on a 4-cycle met
+    late.
     """
     n = len(nbrs)
     rank = [0] * n
     for r, v in enumerate(sorted(range(n), key=list(map(len, nbrs)).__getitem__)):
         rank[v] = r
-    best, least = unset, n
+    best, least, anywhere = unset, n, n
     for v, ns in enumerate(nbrs):
         top = rank[v]
         lightest: dict[int, tuple[int, int]] = {}  # w -> (key, u) of a path v-u-w
@@ -193,13 +196,16 @@ def _lightest_four_cycle(
                         if old is None:
                             lightest[w] = key, u
                             continue
-                        if key + old[0] <= best:  # v-u-w-old[1] is a 4-cycle
+                        o = old[1]  # v-u-w-o is a 4-cycle
+                        if u < anywhere or o < anywhere or w < anywhere or v < anywhere:
+                            anywhere = min(v, w, u, o)
+                        if key + old[0] <= best:
                             if key + old[0] < best:
                                 best, least = key + old[0], n
-                            least = min(least, v, w, u, old[1])
+                            least = min(least, v, w, u, o)
                         if key < old[0] or key == old[0] and u < old[1]:
                             lightest[w] = key, u
-    return best, least
+    return best, least, anywhere
 
 
 def _least_cycle_through(
@@ -288,7 +294,11 @@ def _shortest_cycle(
     4-cycle lighter than B gives the key and the start.  (b) Otherwise
     the first id whose search meets B is the start; a search below B
     is an inconsistency.  (c) Otherwise, or off a link, pass 1 searches
-    from each vertex in (-degree, id) order.
+    from each vertex in (-degree, id) order.  The 4-cycle scan of (a)
+    also keeps the least id on any 4-cycle in the core's holder
+    ``_four``, which angled copies share.  That id is the hop start
+    when there is a 4-cycle, so a hop search after a weighted search
+    reads it and scans nothing.
     Below half a least key shortest paths are unique, so a search that
     reaches the key so far traces its least loops back from their
     closing edges, and the least id collected by the searches that
@@ -323,7 +333,12 @@ def _shortest_cycle(
             bound = min(2 * mid + 4 * lo, 8 * light)
             if 6 * light < bound and _has_short_light_loop(link):
                 bound = 6 * light
-        four_key, four = _lightest_four_cycle(nbrs, steps, unset)
+        if weight is None and link._four:  # a scan has met every 4-cycle
+            four = link._four[0]
+            four_key = 4 if four < n else unset
+        else:
+            four_key, four, anywhere = _lightest_four_cycle(nbrs, steps, unset)
+            link._four[:] = [anywhere]
         if four_key < bound:  # every loop of six or more edges is heavier
             best, start = four_key, four
         else:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, pairwise, repeat
 from typing import NamedTuple
 
 from .complex_link import HEAD, TAIL, LinkGraph, LinkVertex
@@ -68,6 +68,9 @@ def _forms_pattern(walk, dirs) -> bool:
     return p >= 0 >= q and r >= 0 >= s or p <= 0 <= q and r <= 0 <= s
 
 
+_record = tuple.__new__  # a NamedTuple from a tuple of its fields, skipping __new__
+
+
 def _witness(edges, cycle, walk, dirs, heads, tails) -> ForbiddenWitness:
     """The witness of a walk on which :func:`_forms_pattern` holds, its
     special loop vertices read from ``heads`` and ``tails``.
@@ -94,7 +97,8 @@ def _witness(edges, cycle, walk, dirs, heads, tails) -> ForbiddenWitness:
             LinkVertex(hub_name(hub.tail, hub.head), HEAD, 4, False),
             heads[r],
         )
-        return ForbiddenWitness("A", cycle, (arcs[0], arcs[2], arcs[1]), loop)
+        arcs = arcs[0], arcs[2], arcs[1]
+        return _record(ForbiddenWitness, ("A", cycle, arcs, loop))
     (a, sa), (b, sb), (c, sc), (d, sd) = walk
     v0, v1, v2, v3 = cycle
     if sa * dirs[a] >= 0 >= sb * dirs[b] and sc * dirs[c] >= 0 >= sd * dirs[d]:
@@ -103,7 +107,7 @@ def _witness(edges, cycle, walk, dirs, heads, tails) -> ForbiddenWitness:
     else:
         directed = (v1, v0), (v1, v2), (v3, v2), (v3, v0)
         loop = heads[v1], tails[v0], heads[v3], tails[v2]
-    return ForbiddenWitness("B", cycle, directed, loop)
+    return _record(ForbiddenWitness, ("B", cycle, directed, loop))
 
 
 def _hits(gamma: DefiningGraph):
@@ -132,8 +136,8 @@ def detect_forbidden(
     witness built only for a walk on which :func:`_forms_pattern` holds.
     Raises :class:`UnorientedEdgeError` when a non-wildcard edge has no
     direction.  If ``link`` is given, every witness loop step is checked
-    on it in one lookup of its distinct steps, each loop vertex resolved
-    once, without the named view.
+    on it on ids, in one lookup of its distinct steps, each loop vertex
+    resolved once, without the named view.
     """
     dirs, hits = _hits(gamma)
     first = next(hits, None)
@@ -145,17 +149,27 @@ def detect_forbidden(
         _witness(gamma.edges, c, w, dirs, heads, tails) for c, w in chain([first], hits)
     ]
     if link is not None:
-        # Each distinct step once, as a pair in the direction a loop takes it,
-        # in detection order, so the first missing pair is the first missing
-        # step; the even steps of one walk through the pairs are the pairs.
-        pairs = list(dict.fromkeys(
-            chain.from_iterable(zip(w.loop, w.loop[1:] + w.loop[:1]) for w in witnesses)
-        ))
-        walk = list(chain.from_iterable(pairs))
-        id_of = {v: link._resolve(v) for v in set(walk)}.__getitem__
-        steps = link._steps(list(map(id_of, walk)))[::2]
+        # Each distinct loop vertex resolved once and each distinct step
+        # looked up once, as an id pair, in one _steps call on a walk
+        # whose even steps are the pairs.  Every loop has four vertices,
+        # so step k of the flat id list ends at k + 1, or at k - 3 where
+        # a loop closes.  A missing step depends on its id pair alone, so
+        # the loops are read again, in detection order, to name one.
+        loops = [w.loop for w in witnesses]
+        id_of = {v: link._resolve(v) for v in set(chain.from_iterable(loops))}
+        ids = [id_of[v] for loop in loops for v in loop]
+        ends = ids[1:] + ids[:1]
+        ends[3::4] = ids[0::4]
+        pairs = list({(a, b) if a < b else (b, a) for a, b in set(zip(ids, ends))})
+        steps = link._steps(list(chain.from_iterable(pairs)))[::2]
         if None in steps:
-            a, b = pairs[steps.index(None)]
+            missing = {frozenset(p) for p, e in zip(pairs, steps) if e is None}
+            a, b = next(
+                (a, b)
+                for loop in loops
+                for a, b in pairwise((*loop, loop[0]))
+                if frozenset((id_of[a], id_of[b])) in missing
+            )
             raise InternalInconsistencyError(
                 f"witness loop step {a} - {b} missing from the link"
             )

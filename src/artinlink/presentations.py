@@ -18,6 +18,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import takewhile
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -46,10 +47,12 @@ class GraphItemError(ValueError):
 
 
 def shown(value) -> str:
-    """``repr(value)``, cut to its first 20 characters (a string's before
-    quoting) and its length when longer.  An int is cut by arithmetic:
-    ``repr`` refuses one of over 4300 digits.  A tuple is cut item by
-    item, so an edge key keeps its (u, v) form."""
+    """``repr(value)``, cut when it is long to its longest head of at most
+    20 characters (a string's before quoting) that ``repr`` writes in at
+    most 20 UTF-8 bytes (a string's quotes aside), and its length.  So a
+    name of 4-byte or escaped characters keeps fewer of them.  An int is
+    cut by arithmetic: ``repr`` refuses one of over 4300 digits.  A tuple
+    is cut item by item, so an edge key keeps its (u, v) form."""
     text, dropped = value, 0
     if type(value) is tuple:
         return f"({', '.join(map(shown, value))}{',' * (len(value) == 1)})"
@@ -58,10 +61,23 @@ def shown(value) -> str:
         text = "-" * (value < 0) + str(abs(value) // 10**dropped)
     elif not isinstance(value, str):
         text = repr(value)
-    if len(text) + dropped <= 20:
+    quote, budget = (repr, 22) if isinstance(value, str) else (str, 20)
+    k = min(len(text), 20)
+    while len(quote(text[:k]).encode()) > budget:
+        k -= 1
+    if k == len(text) and not dropped:
         return repr(value)
-    head = repr(text[:20]) if isinstance(value, str) else text[:20]
-    return f"{head}... ({len(text) + dropped} characters)"
+    return f"{quote(text[:k])}... ({len(text) + dropped} characters)"
+
+
+def cut_line(line: str) -> str:
+    """``line``, or its head and tail when over 150 bytes: for a message
+    that echoes a value whole (argparse, ``OSError``) or names more
+    long values than fit."""
+    data = line.encode(errors="backslashreplace")
+    if len(data) <= 150:
+        return line
+    return (data[:70] + b"..." + data[-70:]).decode(errors="ignore")
 
 
 _RESERVED = re.compile(r"[{},^\s\x00-\x1f\x7f]")  # ``\s`` is ``str.isspace``
@@ -158,10 +174,10 @@ class GammaEdge:
         try:
             o = Orientation(orientation)
         except ValueError:
-            raise ValueError(
+            raise ValueError(cut_line(
                 f"edge {shown((u, v))} orientation must be one of "
                 f"{', '.join(Orientation)}, got {shown(orientation)}"
-            ) from None
+            )) from None
         if u > v:
             u, v, o = v, u, _REVERSED.get(o, o)
         if o is Orientation.WILDCARD and label != 2:
@@ -236,9 +252,11 @@ class DefiningGraph:
         self.edges = tuple(norm)
         # key -> position in ``edges``: the one edge lookup, kept by with_edges
         self._index: dict[tuple[str, str], int] = {}
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
+        # v -> {w: (position, +1 if v < w else -1)}, the step from v to w;
+        # sorted keys give each vertex its neighbours in ascending order
+        step: dict[str, dict[str, tuple[int, int]]] = {v: {} for v in self.vertices}
         for i, e in enumerate(self.edges):
-            if e.u not in adj or e.v not in adj:
+            if e.u not in step or e.v not in step:
                 raise GraphItemError(
                     e.key, f"edge {shown(e.key)} uses undeclared vertices"
                 )
@@ -247,9 +265,10 @@ class DefiningGraph:
                     e.key, f"multiple edges between {shown(e.u)} and {shown(e.v)}"
                 )
             self._index[e.key] = i
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+            step[e.u][e.v] = i, 1
+            step[e.v][e.u] = i, -1
+        self._step = step
+        self._adj = {v: tuple(ns) for v, ns in step.items()}
         self.rotations = None  # no embedding: never an empty table
         if rotations:
             rot = {v: tuple(order) for v, order in rotations.items()}
@@ -285,44 +304,42 @@ class DefiningGraph:
         return not self.triangles()
 
     def triangles(self) -> list[tuple[str, str, str]]:
-        """Triangles as sorted vertex triples (u, v, w), in sorted order."""
-        adj = self._adj
-        return [
-            (u, v, w)
-            for u, v in self._index
-            for w in adj[v]
-            if w > v and (u, w) in self._index
-        ]
+        """Triangles as sorted vertex triples (u, v, w), in sorted order:
+        the walks kept on the graph, or else compiled up to the first
+        4-cycle."""
+        walks = vars(self).get("walks") or self.iter_walks()
+        return [cycle for cycle, _ in takewhile(lambda pair: len(pair[0]) == 3, walks)]
 
     def four_cycles(self) -> list[tuple[str, str, str, str]]:
         """Embedded 4-cycles as vertex sequences, each once, in sorted order.
 
         Canonical form (v0,v1,v2,v3): v0 is the least vertex and v1 < v3.
         """
-        adj = self._adj
-        return [
-            (v0, v1, v2, v3)
-            for v0 in sorted(self.vertices)
-            for v1 in adj[v0]
-            if v1 > v0
-            for v2 in adj[v1]
-            if v2 > v0
-            for v3 in adj[v2]
-            if v3 > v1 and (v0, v3) in self._index
-        ]
+        return [cycle for cycle, _ in self.iter_walks() if len(cycle) == 4]
 
     def iter_walks(self):
         """Each triangle, then each 4-cycle, in sorted order, with its
         closed walk as (edge index, sign) steps, +1 where the walk runs
-        u -> v along ``edges[index]``; compiled as read, the 4-cycles
-        listed only once the triangles run out."""
-        index = self._index
-        for cycles in (self.triangles, self.four_cycles):
-            for cycle in cycles():
-                yield cycle, tuple([
-                    (index[a, b], 1) if a < b else (index[b, a], -1)
-                    for a, b in zip(cycle, cycle[1:] + cycle[:1])
-                ])
+        u -> v along ``edges[index]``: each step read from the step map
+        as the cycle is listed, the 4-cycles only once the triangles run
+        out.  A triangle is (u, v, w) with u < v < w; a 4-cycle starts at
+        its least vertex, v0, and v1 < v3."""
+        step = self._step
+        ordered = sorted(step.items())
+        for u, at_u in ordered:
+            for v, uv in at_u.items():
+                if v > u:
+                    for w, vw in step[v].items():
+                        if w > v and w in at_u:
+                            yield (u, v, w), (uv, vw, step[w][u])
+        for v0, at0 in ordered:
+            for v1, s01 in at0.items():
+                if v1 > v0:
+                    for v2, s12 in step[v1].items():
+                        if v2 > v0:
+                            for v3, s23 in step[v2].items():
+                                if v3 > v1 and v3 in at0:
+                                    yield (v0, v1, v2, v3), (s01, s12, s23, step[v3][v0])
 
     @functools.cached_property
     def walks(self) -> list:
@@ -331,8 +348,9 @@ class DefiningGraph:
 
     def with_edges(self, edges: Iterable[GammaEdge]) -> "DefiningGraph":
         """This graph with ``edges`` on the same keys in place of its own;
-        sorted by key, each edge keeps its position, so the key index,
-        vertices, adjacency, rotations and :attr:`walks` are shared."""
+        sorted by key, each edge keeps its position, so the key index, the
+        step map, vertices, adjacency, rotations and :attr:`walks` are
+        shared."""
         g = copy.copy(self)
         g.edges = tuple(sorted(edges, key=attrgetter("key")))
         if [e.key for e in g.edges] != list(self._index):
@@ -397,10 +415,12 @@ def resolve_orientations(
     missing, extra = sorted(todo - given), sorted(given - todo)
     if missing or extra:
         keys = missing or extra
-        listed = ", ".join(map(shown, keys[:3]))
-        more = f", ... ({len(keys)} edges)" if len(keys) > 3 else ""
+        listed = [shown(key) for key in keys[:3]]  # at most 3, in 120 bytes
+        while len(", ".join(listed).encode()) > 120 and len(listed) > 1:
+            listed.pop()
+        more = f", ... ({len(keys)} edges)" if len(listed) < len(keys) else ""
         fault = "no direction for" if missing else "assignment covers non-unoriented"
-        raise IncompleteAssignmentError(f"{fault} edges: {listed}{more}")
+        raise IncompleteAssignmentError(f"{fault} edges: {', '.join(listed)}{more}")
     edges = list(gamma.edges)
     for key, d in assignment.directions.items():
         i = gamma._index[key]

@@ -6,12 +6,14 @@ by the one-pass id-order engine with a Dijkstra of its own, the least
 vertex on a 4-cycle and the lightest 4-cycle by trying every pair for
 two common neighbours, orientation searches by enumerating every
 completion, forbidden-pattern witnesses by trying every wildcard
-completion of every triangle and 4-cycle, canonical forms and
-stabilisers of sweep states by trying every vertex permutation, links
-by the named corner rule read from each relator's letters, pieces
-by indexing every subword of every symmetrized relator, and the faces
-and checkerboard of an embedding by reading each step from its rotation
-with ``index`` and 2-colouring the faces with a parity union-find.
+completion of every triangle and 4-cycle, the cycles of a defining
+graph and their walks by trying every ordered tuple of vertices,
+canonical forms and stabilisers of sweep states by trying every vertex
+permutation, links by the named corner rule read from each relator's
+letters, pieces by indexing every subword of every symmetrized
+relator, and the faces and checkerboard of an embedding by reading
+each step from its rotation with ``index`` and 2-colouring the faces
+with a parity union-find.
 """
 
 from __future__ import annotations
@@ -194,22 +196,50 @@ def least_id_on_a_four_cycle(core) -> int | None:
     return min(on_four_cycles, default=None)
 
 
-def lightest_four_cycle(core, steps, unset) -> tuple[int, int]:
+def lightest_four_cycle(core, steps, unset) -> tuple[int, int, int]:
     """The least key of a 4-cycle of a simple graph's integer core
-    (``nbrs``), ``steps[ei]`` per edge, and the least id on a 4-cycle
-    of that key; ``(unset, n)`` if it has none.  Every pair of ids a, b
-    with two common neighbours x, y closes the 4-cycle a-x-b-y, keyed
-    by the sum of its four steps."""
+    (``nbrs``), ``steps[ei]`` per edge, the least id on a 4-cycle of
+    that key and the least id on any 4-cycle; ``(unset, n, n)`` if it
+    has none.  Every pair of ids a, b with two common neighbours x, y
+    closes the 4-cycle a-x-b-y, keyed by the sum of its four steps."""
     step = [{nb: steps[ei] for nb, ei in ns} for ns in core.nbrs]
-    best, least = unset, len(core.nbrs)
+    n = len(core.nbrs)
+    best, least, anywhere = unset, n, n
     for a, b in combinations(range(len(step)), 2):
         for x, y in combinations(sorted(step[a].keys() & step[b].keys()), 2):
             key = step[a][x] + step[x][b] + step[b][y] + step[y][a]
+            anywhere = min(anywhere, a, b, x, y)
             if key < best:
                 best, least = key, min(a, b, x, y)
             elif key == best:
                 least = min(least, a, b, x, y)
-    return best, least
+    return best, least, anywhere
+
+
+def brute_force_walks(gamma: DefiningGraph) -> list[tuple[tuple, tuple]]:
+    """Every triangle, then every 4-cycle, of ``gamma``, each group
+    sorted, with its closed walk of (edge index, sign) steps.  Every
+    ordered tuple of distinct vertices whose steps are all edges is a
+    cycle; it is kept in the rotation that starts at its least vertex,
+    in the direction whose second vertex is the lesser of that vertex's
+    two neighbours on it.  Each step is read from the graph's key index
+    ``_index``: +1 from u to v on the edge keyed (u, v), u < v."""
+    index = gamma._index
+    out = []
+    for k in (3, 4):
+        cycles = set()
+        for tup in permutations(gamma.vertices, k):
+            steps = list(zip(tup, tup[1:] + tup[:1]))
+            if all((min(a, b), max(a, b)) in index for a, b in steps):
+                i = tup.index(min(tup))
+                turned = tup[i:] + tup[:i]
+                cycles.add(min(turned, turned[:1] + turned[:0:-1]))
+        for cycle in sorted(cycles):
+            steps = zip(cycle, cycle[1:] + cycle[:1])
+            out.append((cycle, tuple(
+                (index[a, b], 1) if a < b else (index[b, a], -1) for a, b in steps
+            )))
+    return out
 
 
 def id_order_shortest_cycle(link, weight=None):

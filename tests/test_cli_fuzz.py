@@ -20,12 +20,24 @@ COMMANDS = ("certify", "link", "orient", "pieces")
 MAX_LINE_BYTES = 200
 
 NAMES = ("a", "b", "c", "d", "e")
+# valid names of 1,000 to 5,000 characters, of 1 to 4 UTF-8 bytes each,
+# some of them (U+1D49D is unassigned) written by ``repr`` as 10-byte escapes
+LONG_NAMES = st.builds(
+    "{}{}".format,
+    st.sampled_from(NAMES),
+    st.builds(
+        str.__mul__,
+        st.sampled_from(["m", "\u00e9", "\u0436\U0001d49c", "\U0001d49c", "\U0001d49d"]),
+        st.integers(1000, 5000),
+    ),
+).map(lambda name: name[:5000])
 # junk names, with braces, commas, carets, dashes, comment marks, ASCII
 # and Unicode blanks (some of them line breaks to ``str.splitlines``,
 # but not to the parser, which breaks lines at "\n" only),
-# non-ASCII letters and ``_bar`` suffixes
+# non-ASCII letters, ``_bar`` suffixes and long valid names
 TOKENS = (
     st.sampled_from(NAMES)
+    | LONG_NAMES
     | st.text(
         alphabet="ab{},#:x_^- \t\x1c\x85\u2003\u2028\u00e9\u03b1\u0436",
         min_size=1,
@@ -50,7 +62,7 @@ JSON_VALUES = st.recursive(
 def graphs(draw):
     """(vertices, edges as (u, v, label), rotations), well formed so
     that the commands get past parsing."""
-    vertices = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=5))
+    vertices = draw(st.lists(st.sampled_from(NAMES) | LONG_NAMES, unique=True, max_size=5))
     pairs = list(itertools.combinations(vertices, 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []
     edges = [(u, v, draw(LABELS)) for u, v in chosen]
@@ -159,12 +171,20 @@ FUZZ_SETTINGS = settings(
 
 
 LONG_M, LONG_N = "m" * 5000, "n" * 5000
+# 4-byte characters, printable (U+1D49C) or written by ``repr`` as 10-byte
+# escapes (U+1D49D, unassigned)
+LONG_A, LONG_B, LONG_X = "\U0001d49c" * 5000, "\U0001d49c" * 4999 + "b", "\U0001d49d" * 5000
 
 
 @FUZZ_SETTINGS
 @given(text=TEXT_FILES)
 # two cut names and the orient hint in one line
 @example(text=f"vertex {LONG_M}\nvertex {LONG_N}\nedge {LONG_M} {LONG_N} 3\n")
+# names cut to a byte budget: an undeclared escaped one, two printable
+# ones and one of each (282, 296 and 416 bytes when cut to 20 characters)
+@example(text=f"vertex a\nedge a {LONG_X} 3 >\n")
+@example(text=f"vertex {LONG_A}\nvertex {LONG_B}\nedge {LONG_A} {LONG_B} 3\n")
+@example(text=f"vertex {LONG_A}\nvertex {LONG_X}\nedge {LONG_A} {LONG_X} 3\n")
 def test_fuzzed_line_format_files_exit_cleanly(fuzz_dir, text):
     path = fuzz_dir / "graph.gamma"
     path.write_text(text, encoding="utf-8")
@@ -328,3 +348,80 @@ def test_fuzzed_argv_exits_cleanly(fuzz_dir, argv):
         patch.setitem(cli._COMMANDS, "verify-lemmas", row)
         code, _, message = run_main(argv)
     assert_clean(argv, code, message)
+
+
+# -- the library boundary ------------------------------------------------------
+
+# bad values for one slot of a call: long text of 1- to 4-byte characters,
+# escaped ones and NULs, or ints of up to 5,000 digits
+BAD_VALUES = st.builds(
+    str.__mul__,
+    st.sampled_from(["9", "x", "é", "\U0001d49c", "\U0001d49d", "\x00"]),
+    st.integers(1000, 5000),
+) | st.builds(lambda digits: -(10**digits), st.integers(1, 5000))
+
+
+def _library_errors(u, v, bad):
+    """Calls that each raise an error naming the vertex names ``u`` and
+    ``v`` (``u < v``, neither of them f to j) or the bad value ``bad``,
+    one for each message of the library's entry points."""
+    from artinlink import (
+        DefiningGraph,
+        GammaEdge,
+        assign_metric,
+        certify,
+        orient_from_rotation_system,
+        resolve_orientations,
+        trace_faces,
+    )
+
+    edge = DefiningGraph([u, v], [(u, v, 3, ">")])
+    star = DefiningGraph([u, v, "f", "g"], [(u, v, 3), (u, "f", 3), (u, "g", 3)])
+    triangle = DefiningGraph([u, v, "g"], [(u, v, 3, ">"), (v, "g", 3), (u, "g", 3)])
+    # a bowtie on the torus: its one face borders every edge twice
+    torus = DefiningGraph(
+        (u, v, "h", "i", "j"),
+        [(u, v, 3), (u, "h", 3), (v, "h", 3), (u, "i", 3), (u, "j", 3), ("i", "j", 3)],
+        rotations={u: (v, "i", "h", "j")},
+    )
+    return [
+        lambda: GammaEdge(v, v, 3),
+        lambda: GammaEdge(v, u, bad),
+        lambda: GammaEdge(v, u, 3, bad),
+        lambda: GammaEdge(v, u, 3, "wildcard"),
+        lambda: DefiningGraph([v, u, v]),
+        lambda: DefiningGraph([v + "{}"]),
+        lambda: DefiningGraph([bad, bad]),
+        lambda: DefiningGraph([v], [(v, u, 3)]),
+        lambda: DefiningGraph([u, v], [(u, v, 3), (v, u, 3)]),
+        lambda: DefiningGraph([u, v], [(u, v, 3)], {bad: [u]}),
+        lambda: DefiningGraph([u, v], [(u, v, 3)], {v: [v]}),
+        lambda: OrientationAssignment({(u, v): bad}),
+        lambda: OrientationAssignment({(v, u): "forward"}),
+        lambda: resolve_orientations(star, {}),
+        lambda: resolve_orientations(edge, {(u, v): "forward"}),
+        lambda: certify(edge, bad),
+        lambda: assign_metric(link_of(edge), bad),
+        lambda: trace_faces(star),
+        lambda: orient_from_rotation_system(edge),
+        lambda: orient_from_rotation_system(triangle),
+        lambda: orient_from_rotation_system(torus),
+    ]
+
+
+CALLS = len(_library_errors("a", "b", 0))
+
+
+@settings(FUZZ_SETTINGS, max_examples=200)
+@given(
+    names=st.lists(st.sampled_from(NAMES) | LONG_NAMES, min_size=2, max_size=2, unique=True),
+    bad=BAD_VALUES,
+    call=st.integers(0, CALLS - 1),
+)
+@example(names=["\U0001d49c" * 5000, "\U0001d49d" * 5000], bad="\U0001d49d" * 5000, call=8)
+def test_library_errors_name_long_values_in_one_short_line(names, bad, call):
+    u, v = sorted(names)
+    with pytest.raises((ValueError, TypeError)) as raised:
+        _library_errors(u, v, bad)[call]()
+    text = str(raised.value)
+    assert "\n" not in text and len(text.encode()) <= MAX_LINE_BYTES, (call, text)

@@ -310,28 +310,42 @@ def test_certify_edgeless_graph_is_vacuously_npc():
 def test_certify_runs_the_shortest_cycle_engine_once(monkeypatch):
     from artinlink import cycles
 
-    engine = cycles._shortest_cycle
+    engine, scan = cycles._shortest_cycle, cycles._lightest_four_cycle
     runs = []
 
     def counted(link, weight=None):
         runs.append("hops" if weight is None else "weights")
         return engine(link, weight)
 
+    def scanned(*args):
+        runs.append("scan")
+        return scan(*args)
+
     monkeypatch.setattr(cycles, "_shortest_cycle", counted)
+    monkeypatch.setattr(cycles, "_lightest_four_cycle", scanned)
     k33 = DefiningGraph(
         ("a", "b", "c", "x", "y", "z"),
         [(u, v, 3, F) for u in "abc" for v in "xyz"],
     )
+    k55 = DefiningGraph(
+        [f"{side}{i}" for side in "ab" for i in range(5)],
+        [(f"a{i}", f"b{j}", 3, F) for i in range(5) for j in range(5)],
+    )
     for gamma, scheme, expected in [
         # one angle everywhere: the girth answers the min-angle question
-        (triangle_graph(3, 3, 3), A2, ["hops"]),
-        (triangle_graph(2, 4, 5), None, ["hops"]),  # A2 diagnostics
-        # girth, then one weighted run for the B2 angles
-        (k33, B2, ["hops", "weights"]),
+        (triangle_graph(3, 3, 3), A2, ["hops", "scan"]),
+        (triangle_graph(2, 4, 5), None, ["hops", "scan"]),  # A2 diagnostics
+        # one weighted run for the B2 angles, then girth's hop search,
+        # which reads the 4-cycle start that the weighted scan held
+        (k33, B2, ["weights", "scan", "hops"]),
+        (k55, B2, ["weights", "scan", "hops"]),  # the hop start is a 4-cycle's
     ]:
         runs.clear()
-        assert certify(gamma).scheme == scheme
+        report = certify(gamma)
+        assert report.scheme == scheme
         assert runs == expected
+        if gamma is k55:
+            assert report.girth == 4 and len(report.forbidden) == 100
 
 
 def test_one_hop_search_per_link_in_any_order(monkeypatch):

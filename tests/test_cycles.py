@@ -399,7 +399,8 @@ def scan_input(core, weight=None):
 @given(small_graphs_and_weights())
 def test_least_id_on_a_four_cycle_matches_brute_force(case):
     """On any simple graph, odd loops allowed: the scan needs no levels.
-    On unit steps every 4-cycle is keyed 4."""
+    On unit steps every 4-cycle is keyed 4, so both ids it gives are
+    the least id on a 4-cycle."""
     from oracle_tools import least_id_on_a_four_cycle
 
     from artinlink.cycles import _lightest_four_cycle
@@ -407,7 +408,8 @@ def test_least_id_on_a_four_cycle_matches_brute_force(case):
     core, _ = case
     steps, unset = scan_input(core)
     least = least_id_on_a_four_cycle(core)
-    expected = (unset, len(core.nbrs)) if least is None else (4, least)
+    n = len(core.nbrs)
+    expected = (unset, n, n) if least is None else (4, least, least)
     assert _lightest_four_cycle(core.nbrs, steps, unset) == expected
 
 
@@ -420,7 +422,8 @@ def test_least_id_on_a_four_cycle_on_sampled_oracle_links():
     for link in sampled_oracle_links():
         steps, unset = scan_input(link)
         least = least_id_on_a_four_cycle(link)
-        expected = (unset, len(link.nbrs)) if least is None else (4, least)
+        n = len(link.nbrs)
+        expected = (unset, n, n) if least is None else (4, least, least)
         assert _lightest_four_cycle(link.nbrs, steps, unset) == expected
         answers[least is None] += 1
     assert answers[True] > 20 and answers[False] > 1_000
@@ -464,19 +467,20 @@ def test_lightest_four_cycle_takes_the_least_u_of_a_tie_in_any_order():
     between them and u = 0 and 1 two heavier ones: every lightest
     4-cycle holds 2 and one of 0 and 1, so the least id is 0, whatever
     the order of the neighbour lists.  Were a tie kept by the first u
-    met, the list 1, 0, 2 would give 1."""
+    met, the list 1, 0, 2 would give 1.  The least id on any 4-cycle is
+    0 too."""
     from oracle_tools import lightest_four_cycle
 
     from artinlink.cycles import _lightest_four_cycle
 
     core = Core(5, [(0, 4), (1, 4), (2, 4), (0, 3), (1, 3), (2, 3)])
     steps, unset = [2, 2, 1, 2, 2, 1], 11
-    assert lightest_four_cycle(core, steps, unset) == (6, 0)
+    assert lightest_four_cycle(core, steps, unset) == (6, 0, 0)
     at_v, at_w = core.nbrs[4], core.nbrs[3]
     for order_v, order_w in itertools.product(itertools.permutations(range(3)), repeat=2):
         core.nbrs[4] = [at_v[i] for i in order_v]
         core.nbrs[3] = [at_w[i] for i in order_w]
-        assert _lightest_four_cycle(core.nbrs, steps, unset) == (6, 0)
+        assert _lightest_four_cycle(core.nbrs, steps, unset) == (6, 0, 0)
 
 
 @functools.cache
@@ -498,12 +502,12 @@ def order_cores():
 
 def with_lists(core, order):
     """A copy of ``core`` with ``order(ns)`` as each neighbour list and
-    no hop answer yet; it shares the rest."""
+    no hop answer or 4-cycle start yet; it shares the rest."""
     from artinlink.complex_link import LinkGraph
 
     copy = LinkGraph.__new__(LinkGraph)
     copy.__dict__.update(core.__dict__)
-    copy.nbrs, copy._hops = [order(ns) for ns in core.nbrs], []
+    copy.nbrs, copy._hops, copy._four = [order(ns) for ns in core.nbrs], [], []
     return copy
 
 
@@ -534,6 +538,54 @@ def test_loop_readers_do_not_depend_on_the_order_of_neighbour_lists(index, seed)
 
     rng = random.Random(seed)
     assert answers(lambda ns: rng.sample(ns, len(ns))) == answers(sorted)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 599))
+def test_hop_search_reads_the_four_cycle_start_of_the_weighted_scan(index):
+    """On sampled oracle links and B2 sweep links under their B2 angles,
+    and on the middle subgraph of each: the weighted search holds the
+    least id on any 4-cycle, which equals a fresh unit-step scan's start
+    and the brute-force least id on a 4-cycle (the id count if none).
+    A hop search after it scans nothing and gives what a fresh hop
+    search gives."""
+    from oracle_tools import least_id_on_a_four_cycle
+
+    from artinlink import cycles
+
+    core = order_cores()[index]
+    n = len(core.nbrs)
+    least = least_id_on_a_four_cycle(core)
+    steps, unset = scan_input(core)
+    fresh_start = cycles._lightest_four_cycle(with_lists(core, list).nbrs, steps, unset)[1]
+    expected = cycles._shortest_cycle(with_lists(core, list))
+    link = with_lists(core, list)
+    cycles._shortest_cycle(link, link.weight)
+    assert link._four == [fresh_start] == [n if least is None else least]
+    scans = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycles, "_lightest_four_cycle", lambda *args: scans.append(args))
+        assert cycles._shortest_cycle(link) == expected
+    assert scans == []
+
+
+def test_hop_start_held_by_a_weighted_scan_is_not_its_lightest_cycles():
+    """Under B2 angles the lightest 4-cycles of this oracle link miss
+    the least id on a 4-cycle: the weighted scan's start is 16, and the
+    hop start it holds is 14, from which girth's search then runs."""
+    from artinlink import cycles
+    from artinlink.batteries import graph_from_state
+
+    gamma = graph_from_state((0, 0, 1, 1, 1, 0, 3, 1, 1, 0), 5)
+    link = metric_link(link_of(gamma), B2)
+    steps, unset = scan_input(link, link.weight)
+    assert cycles._lightest_four_cycle(link.nbrs, steps, unset)[1:] == (16, 14)
+    length, loop = girth(link_of(gamma))
+    cycles._shortest_cycle(link, link.weight)
+    assert link._four == [14]
+    held_length, held_loop = girth(link)  # the angled copy's loop has its angle sum
+    assert (held_length, held_loop.vertices) == (length, loop.vertices)
+    assert length == 4 and link._named([14])[0] == loop.vertices[0]
 
 
 def test_girth_from_the_proven_bound_matches_the_id_order_oracle():
@@ -727,7 +779,8 @@ def test_the_searches_read_the_link_core_in_place(monkeypatch):
     and without, the 4-cycle scan comes first, and it, the id-order
     step and pass 2 read ``link.nbrs`` itself, not a copy; under
     weights no call runs on unit steps, as the light check reads the
-    stars in place and calls neither."""
+    stars in place and calls neither.  Each search starts with no
+    4-cycle start held, so the hop search scans too."""
     from artinlink import cycles
     from artinlink.batteries import (
         enumerate_triangle_free_oriented_states,
@@ -754,6 +807,7 @@ def test_the_searches_read_the_link_core_in_place(monkeypatch):
     for link in corpus + sweep:
         for weight in (None, metric_link(link, B2).weight):
             calls.clear()
+            link._four.clear()
             key, ids, eids = cycles._shortest_cycle(link, weight)
             kinds = [kind for kind, _, _ in calls]
             assert kinds[0] == "scan" and kinds.count("scan") == 1
@@ -827,14 +881,20 @@ def test_engine_edge_ids_on_any_simple_graph(case):
 def test_a_loop_below_the_proven_bound_is_an_inconsistency(monkeypatch):
     """A 4-cycle scan that misses the least loops raises the bound that
     the id-order step starts from; the step's search then meets a loop
-    below it, which it refutes rather than skips."""
+    below it, which it refutes rather than skips.  The links are built
+    here, so that no 4-cycle start is held and the false scan leaves
+    none on a shared link."""
+    from test_bench_expected import CORPUS
+
     from artinlink import cycles
     from artinlink.errors import InternalInconsistencyError
 
-    k88 = corpus_links()["k88"]
+    k88 = link_of(parse_gamma(CORPUS["k88"]))
     hub = link_of(late_hub_loops(20))
     monkeypatch.setattr(
-        cycles, "_lightest_four_cycle", lambda nbrs, steps, top: (top, len(nbrs))
+        cycles,
+        "_lightest_four_cycle",
+        lambda nbrs, steps, top: (top, len(nbrs), len(nbrs)),
     )
     for link, weight in (k88, None), (hub, metric_link(hub, B2).weight):
         with pytest.raises(InternalInconsistencyError, match="below the proven bound"):

@@ -780,21 +780,55 @@ def test_reorientations_share_the_key_index_and_the_walks():
         assert g.edge(v, u).orientation == Orientation.UNORIENTED
 
 
-def test_iter_walks_reads_the_graphs_own_key_index():
-    class CountedIndex(dict):
-        reads = 0
-
+def test_iter_walks_reads_the_graphs_own_step_map():
+    class Unread(dict):
         def __getitem__(self, key):
-            CountedIndex.reads += 1
-            return super().__getitem__(key)
+            raise AssertionError("the walks read the key index")
+
+        __contains__ = get = __getitem__
 
     names = ("a", "b", "c", "d")
     g = DefiningGraph(names, [(u, v, 3) for u, v in itertools.combinations(names, 2)])
-    g._index = CountedIndex(g._index)
+    g._index = Unread(g._index)
     walks = list(g.iter_walks())
-    # one read per step: 4 triangles and 3 four-cycles, no map of its own
+    # 4 triangles and 3 four-cycles, each step the map's own (index, sign)
+    # pair: no key tuple and no step is built per walk
     assert len(walks) == 7
-    assert CountedIndex.reads == sum(len(walk) for _, walk in walks) == 24
+    for cycle, walk in walks:
+        pairs = zip(cycle, cycle[1:] + cycle[:1])
+        assert all(s is g._step[a][b] for s, (a, b) in zip(walk, pairs))
+    assert sum(len(walk) for _, walk in walks) == 24
+
+
+@st.composite
+def walk_graphs(draw):
+    """A graph on 0 to 8 vertices, declared in any order, with fixed,
+    wildcard and unoriented edges of labels 2 to 4."""
+    names = draw(st.permutations(["a", "b", "c", "d", "e", "f", "g", "h"]))
+    vertices = names[: draw(st.integers(0, 8))]
+    pairs = list(itertools.combinations(vertices, 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = []
+    for (u, v), keep in zip(pairs, chosen):
+        if keep:
+            label = draw(st.integers(2, 4))
+            ways = [">", "<", "."] + ["?"] * (label == 2)
+            edges.append((u, v, label, draw(st.sampled_from(ways))))
+    return DefiningGraph(vertices, edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(walk_graphs())
+def test_iter_walks_lists_the_cycles_of_the_brute_force_lister(g):
+    from oracle_tools import brute_force_walks
+
+    expected = brute_force_walks(g)
+    assert list(g.iter_walks()) == expected
+    assert g.triangles() == [cycle for cycle, _ in expected if len(cycle) == 3]
+    assert g.four_cycles() == [cycle for cycle, _ in expected if len(cycle) == 4]
+    assert g.is_triangle_free() == (not expected or len(expected[0][0]) == 4)
+    # walks kept on the graph are shared by a re-oriented copy, and read
+    assert g.walks == expected and g.reversed().triangles() == g.triangles()
 
 
 # -- file formats --------------------------------------------------------
