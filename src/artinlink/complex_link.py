@@ -198,21 +198,6 @@ class LinkGraph:
 
     # -- basic accessors -------------------------------------------------
 
-    def _id(self, v: LinkVertex) -> int:
-        i = self._resolve(v)
-        if i < 0:
-            raise VertexNotFoundError(str(v))
-        return i
-
-    def degree(self, v: LinkVertex) -> int:
-        return len(self.nbrs[self._id(v)])
-
-    def has_edge(self, a: LinkVertex, b: LinkVertex) -> bool:
-        return self._edge_between(a, b) is not None
-
-    def _edge_between(self, a: LinkVertex, b: LinkVertex) -> int | None:
-        return self._steps([self._resolve(a), self._resolve(b)])[0]
-
     def vertex(self, gen: str, end: str) -> LinkVertex:
         i = self._find(gen, end)
         if i < 0:
@@ -235,9 +220,6 @@ class LinkGraph:
             n = len(self.ends)
             raise ValueError(f"edge ids {eids[0]}..{eids[-1]} not all in 0..{n - 1}")
         return self._part({i for ei in eids for i in self.ends[ei]}, eids)
-
-    def induced(self, vertices: Iterable[LinkVertex]) -> "LinkGraph":
-        return self._part({self._id(v) for v in vertices})
 
     def _part(self, ids: Iterable[int], eids: list[int] | None = None) -> "LinkGraph":
         """The part on vertex ids ``ids`` and sorted edge ids ``eids``,
@@ -264,7 +246,10 @@ class LinkGraph:
         """Induced subgraph on vertices within edge-distance ``radius``."""
         if radius < 0:
             raise ValueError(f"negative radius {radius}")
-        return self._part(self._ball(self._id(v), radius, [None] * len(self.nbrs)))
+        i = self._resolve(v)
+        if i < 0:
+            raise VertexNotFoundError(str(v))
+        return self._part(self._ball(i, radius, [None] * len(self.nbrs)))
 
     def components(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Connected components as (sorted vertex ids, sorted edge ids),

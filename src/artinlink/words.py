@@ -100,8 +100,6 @@ class FreeWord:
     def inverse(self) -> "FreeWord":
         return _new(FreeWord, tuple(lt.inverse() for lt in reversed(self.letters)))
 
-    __invert__ = inverse
-
     def reduce(self) -> "FreeWord":
         """Unique freely reduced form; never longer than the input."""
         stack: list[Letter] = []

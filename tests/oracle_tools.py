@@ -10,10 +10,11 @@ completion of every triangle and 4-cycle, the cycles of a defining
 graph and their walks by trying every ordered tuple of vertices,
 canonical forms and stabilisers of sweep states by trying every vertex
 permutation, links by the named corner rule read from each relator's
-letters, pieces by indexing every subword of every symmetrized
-relator, and the faces and checkerboard of an embedding by reading
-each step from its rotation with ``index`` and 2-colouring the faces
-with a parity union-find.
+letters, a link's edge lookup from its named edges, a reversed graph
+by building each edge afresh, pieces by indexing every subword of
+every symmetrized relator, and the faces and checkerboard of an
+embedding by reading each step from its rotation with ``index`` and
+2-colouring the faces with a parity union-find.
 """
 
 from __future__ import annotations
@@ -42,6 +43,24 @@ def adjacency(link) -> dict:
         out[e.a].append((e.b, ei))
         out[e.b].append((e.a, ei))
     return {v: sorted(pairs) for v, pairs in out.items()}
+
+
+def named_edge_ids(link) -> dict:
+    """(a, b) -> edge index for the two named ends of each edge, both
+    ways round, read from the named edges."""
+    return {(a, b): ei for a, pairs in adjacency(link).items() for b, ei in pairs}
+
+
+def reversed_graph(gamma: DefiningGraph) -> DefiningGraph:
+    """``gamma`` built afresh with each edge's direction turned round:
+    forward and backward swap, wildcard and unoriented edges stay."""
+    f, b = Orientation.FORWARD, Orientation.BACKWARD
+    turn = {f: b, b: f}
+    edges = [
+        GammaEdge(e.u, e.v, e.label, turn.get(e.orientation, e.orientation))
+        for e in gamma.edges
+    ]
+    return DefiningGraph(gamma.vertices, edges, gamma.rotations)
 
 
 def dfs_all_cycle_lengths(link, max_len: int | None = None) -> list[int]:
@@ -446,8 +465,10 @@ def brute_force_witnesses(gamma: DefiningGraph) -> list[tuple]:
     def special(gen, end):
         return LinkVertex(gen, end, 3 if end == HEAD else 2, True)
 
+    keys = {e.key for e in gamma.edges}
+
     def joined(pairs):
-        return all(gamma.has_edge(a, b) for a, b in pairs)
+        return all((min(a, b), max(a, b)) in keys for a, b in pairs)
 
     vs = sorted(gamma.vertices)
     out = []

@@ -5,6 +5,7 @@ sentinel would bring rounding next to that comparison."""
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -377,11 +378,38 @@ def library_imports(source: str) -> set[str]:
     return found
 
 
+# what the oracles may not read off a graph: each of these is, or runs,
+# the cycle lister ``iter_walks`` that ``brute_force_walks`` checks
+ORACLE_REFUSED_READS = ("triangles", "is_triangle_free", "walks", "iter_walks", "_step")
+
+
+def refused_reads(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every attribute read of a name in
+    ``ORACLE_REFUSED_READS`` in ``source``."""
+    return [
+        (node.attr, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ORACLE_REFUSED_READS
+    ]
+
+
 def test_oracles_import_no_library_algorithm():
     # ROADMAP aim 3: an oracle that called the code it checks would
     # agree with it by construction
     source = (Path(__file__).parent / "oracle_tools.py").read_text()
     assert library_imports(source) - ORACLE_IMPORTS == set()
+    assert refused_reads(source) == []
+
+
+def test_oracle_guard_sees_an_engine_read():
+    source = (Path(__file__).parent / "oracle_tools.py").read_text()
+    planted = """
+def cycles(gamma):
+    lister = gamma.iter_walks
+    return gamma.triangles(), gamma.is_triangle_free(), gamma.walks, lister(), gamma._step
+"""
+    reads = refused_reads(source + planted)
+    assert sorted(name for name, _ in reads) == sorted(ORACLE_REFUSED_READS)
 
 
 def test_oracle_guard_sees_an_engine_import():
@@ -398,6 +426,89 @@ def lightest(adj, unset):
         "artinlink.forbidden",
         "girth",
     }
+
+
+REPO = Path(__file__).parent.parent
+
+# definitions that nothing in src/, demos/ or bench/ reads, kept for what
+# they give a user of the library
+UNREFERENCED_ALLOWED = {
+    "gamma_to_text": "writes the text format; the README documents the round trip",
+    "gamma_to_json_dict": "writes the JSON format; the README documents the round trip",
+    "parse": "FreeWord.parse reads the word format that the words module documents",
+}
+_READ_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is read in ``tree``: as an ``ast.Name``, an
+    ``ast.Attribute`` or an import alias."""
+    return Counter(
+        getattr(node, _READ_FIELD[type(node)])
+        for node in ast.walk(tree)
+        if type(node) in _READ_FIELD
+    )
+
+
+def unreferenced_definitions(sources: dict[str, str], defining: str) -> list[str]:
+    """``path:name`` of every function and class, nested ones too,
+    defined in a path of ``sources`` that starts with ``defining``,
+    whose name nothing in ``sources`` reads outside its own definition.
+    Dunders, which Python calls, are left out.
+
+    A read is matched by name alone, so a name shared by two
+    definitions, or with a builtin, goes unseen: once ``DefiningGraph.
+    degree`` is called, an unread ``LinkGraph.degree`` passes too."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    reads = sum(map(_reads, trees.values()), Counter())
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        f"{path}:{node.name}"
+        for path, tree in trees.items()
+        if path.startswith(defining)
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and reads[node.name] == _reads(node)[node.name]
+    )
+
+
+def test_every_library_definition_is_read_outside_the_tests():
+    # a method that only tests call is surface nothing in the program
+    # needs; the tests check such facts through the oracles instead
+    sources = {
+        str(p.relative_to(REPO)): p.read_text()
+        for folder in ("src", "demos", "bench")
+        for p in sorted((REPO / folder).rglob("*.py"))
+    }
+    unread = unreferenced_definitions(sources, "src/artinlink/")
+    assert [d for d in unread if d.split(":")[1] not in UNREFERENCED_ALLOWED] == []
+
+
+def test_definition_ratchet_sees_an_unread_method():
+    library = """
+class Link:
+    def used(self):
+        return self.helper()
+    def helper(self):
+        return self.nested()
+    def unread(self):
+        return self.unread()
+    def nested(self):
+        def inner():
+            return 1
+        return []
+    def __repr__(self):
+        return "Link"
+def recurse(n):
+    return recurse(n - 1) if n else 0
+"""
+    demo = "from lib import Link\nLink().used()\n"
+    assert unreferenced_definitions({"lib.py": library, "demo.py": demo}, "lib") == [
+        "lib.py:inner",
+        "lib.py:recurse",
+        "lib.py:unread",
+    ]
 
 
 def count_chain_calls(monkeypatch) -> dict[str, int]:

@@ -13,7 +13,9 @@ from oracle_tools import (
     checkerboard_faults,
     dual_conflict,
     face_faults,
+    named_edge_ids,
     oriented_copy,
+    reversed_graph,
 )
 
 from artinlink import (
@@ -171,10 +173,11 @@ def test_witness_loops_exist_in_link():
     ):
         link = link_of(gamma)
         ws = detect_forbidden(gamma, link)  # raises if a loop is missing
+        edge_of = named_edge_ids(link)
         for w in ws:
             assert len(w.loop) == 4
             for i in range(4):
-                assert link.has_edge(w.loop[i], w.loop[(i + 1) % 4])
+                assert (w.loop[i], w.loop[(i + 1) % 4]) in edge_of
 
 
 def _with_loops(monkeypatch, edit):
@@ -205,13 +208,14 @@ def test_witness_loop_check_on_ids_refuses_a_vertex_off_the_link(monkeypatch, fa
 
 
 @pytest.mark.parametrize("part", [False, True], ids=["whole-link", "middle-edges"])
-def test_witness_loop_check_on_ids_agrees_with_has_edge(monkeypatch, part):
+def test_witness_loop_check_on_ids_agrees_with_the_named_edges(monkeypatch, part):
     # Put each vertex of the link, and each with one field changed, at
     # each place of each witness loop: the check on ids refuses the loop
-    # exactly when link.has_edge refuses a step.  The middle-edge part
-    # numbers its vertices apart from the whole link (its hub vertices,
-    # x_{y0,z0} and so on, rank before y and z); it holds type-B loops
-    # only, so it is given K_{2,3} with every edge y -> z.
+    # exactly when some step is not the two ends of a named edge.  The
+    # middle-edge part numbers its vertices apart from the whole link
+    # (its hub vertices, x_{y0,z0} and so on, rank before y and z); it
+    # holds type-B loops only, so it is given K_{2,3} with every edge
+    # y -> z.
     k23 = DefiningGraph(
         ("y0", "y1", "z0", "z1", "z2"),
         [(f"y{i}", f"z{j}", 3, F) for i in range(2) for j in range(3)],
@@ -229,6 +233,7 @@ def test_witness_loop_check_on_ids_agrees_with_has_edge(monkeypatch, part):
         for v in named.vertices
         for u in (v, v._replace(level=5 - v.level), v._replace(special=not v.special))
     ]
+    edge_of = named_edge_ids(named)
     witnesses = detect_forbidden(gamma)
     assert {w.kind for w in witnesses} == ({"B"} if part else {"A", "B"})
     loops = [w.loop for w in witnesses]
@@ -238,7 +243,7 @@ def test_witness_loop_check_on_ids_agrees_with_has_edge(monkeypatch, part):
     for loop, k, u in itertools.product(loops, range(4), candidates):
         place = {(loop, k): u}
         edited = [[place.get((lp, i), v) for i, v in enumerate(lp)] for lp in loops]
-        ok = all(named.has_edge(a, b) for lp in edited for a, b in zip(lp, lp[1:] + lp[:1]))
+        ok = all(step in edge_of for lp in edited for step in zip(lp, lp[1:] + lp[:1]))
         link = link_of(gamma).middle_subgraph() if part else link_of(gamma)
         if ok:
             detect_forbidden(gamma, link)
@@ -264,14 +269,14 @@ def test_witness_loop_check_names_the_first_missing_step_in_detection_order(
     # A step missing from one witness loop, and a missing step that
     # several loops share: however few lookups the check makes, it names
     # the first missing step of the first failing witness, as a scan of
-    # each loop with has_edge finds it.
+    # each loop against the named edges finds it.
     triangle = [("t", "u", 3, F), ("u", "v", 3, F), ("t", "v", 3, F)]
     gamma = complete_bipartite(5, 5, first=[(3, F)] * 25, extra=triangle)
-    named = link_of(gamma)
+    edge_of = named_edge_ids(link_of(gamma))
     loops = [w.loop for w in detect_forbidden(gamma)]
     assert loops[0][2].level == 4 and len(loops) == 101  # one type A, then type B
     p, q = loops[1][0], loops[1][2]
-    assert not named.has_edge(p, q)
+    assert (p, q) not in edge_of
     shared = [i for i, lp in enumerate(loops) if i and lp[0] == p][2::7]
     unique = shared[0] - 1 if unique_first else shared[0] + 1
     assert len(shared) > 2 and unique not in shared
@@ -282,7 +287,7 @@ def test_witness_loop_check_names_the_first_missing_step_in_detection_order(
         (a, b)
         for lp in (edited.get(lp, lp) for lp in loops)
         for a, b in zip(lp, lp[1:] + lp[:1])
-        if not named.has_edge(a, b)
+        if (a, b) not in edge_of
     )
     assert first == ((lp[2], edited[lp][3]) if unique_first else (p, q))
     _with_loops(monkeypatch, lambda lp: edited.get(lp, lp))
@@ -335,7 +340,7 @@ def test_reversal_invariance_of_witness_counts():
     ]
     for g in graphs:
         fwd = detect_forbidden(g)
-        rev = detect_forbidden(g.reversed())
+        rev = detect_forbidden(reversed_graph(g))
         assert len(fwd) == len(rev)
         assert sorted(w.kind for w in fwd) == sorted(w.kind for w in rev)
 
