@@ -355,6 +355,18 @@ def test_neighborhood_unknown_vertex():
         link.neighborhood(LinkVertex("q", "head", 3, False), 0)
 
 
+def test_degree_of_an_unknown_vertex_names_it():
+    """A vertex the link lacks has no star: a ball of any radius around
+    it and a lookup of its name both refuse it, naming it in the error."""
+    link = classic_link(3, 3, 3)
+    with pytest.raises(VertexNotFoundError, match="^'q_bar'$"):
+        link.neighborhood(LinkVertex("q", TAIL, 2, False), 1)
+    with pytest.raises(VertexNotFoundError, match="^'q'$"):
+        link.neighborhood(LinkVertex("q", HEAD, 3, False), 2)
+    with pytest.raises(VertexNotFoundError, match="^'q/head'$"):
+        link.vertex("q", HEAD)
+
+
 def link_and_parts():
     """A whole link, an angled copy and the parts cut from it in
     test_cycles.py, all built without the named view."""
