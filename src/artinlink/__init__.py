@@ -37,7 +37,6 @@ from .cycles import (
     UnassignedAnglesError,
     enumerate_short_loops,
     girth,
-    make_loop,
     min_angle_cycle,
 )
 from .errors import InternalInconsistencyError

@@ -54,31 +54,6 @@ class EmbeddedLoop:
         return " - ".join(names + [names[0]])
 
 
-def make_loop(link: LinkGraph, vertices: list[LinkVertex]) -> EmbeddedLoop:
-    """Canonicalize and validate a vertex cycle against ``link``."""
-    if len(vertices) != len(set(vertices)):
-        raise ValueError("loop vertices must be pairwise distinct")
-    if len(vertices) < 3:
-        raise ValueError("a loop needs at least 3 vertices")
-    canon = _canonical(vertices)
-    ids = tuple(map(link._resolve, canon))
-    if -1 in ids:
-        raise ValueError(f"loop vertex {canon[ids.index(-1)]} is not in the link")
-    eids = link._steps(ids)
-    if None in eids:
-        i = eids.index(None)
-        v, w = canon[i], canon[(i + 1) % len(canon)]
-        raise ValueError(f"loop step {v} - {w} is not a link edge")
-    return _loop(link, canon, eids)
-
-
-def _canonical(cycle) -> tuple:
-    """The least rotation of either direction: it starts at the least entry."""
-    i = cycle.index(min(cycle))
-    forward = cycle[i:] + cycle[:i]
-    return tuple(min(forward, forward[:1] + forward[:0:-1]))
-
-
 def _loop(link: LinkGraph, vertices, eids) -> EmbeddedLoop:
     """The loop through ``vertices`` in canonical order, step k being
     edge ``eids[k]`` from vertex k to the next.  Ids order as vertices

@@ -106,11 +106,12 @@ def check_vertex_name(name) -> None:
     characters (C0 and DEL, which output would print raw) that does not
     end in ``_bar`` or ``-``: then every key splits at its first ``--``.
     """
-    if not isinstance(name, str) or not _is_vertex_name(name):
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"vertex name {shown(name)} must be a non-empty string")
+    if not _is_vertex_name(name):
         raise ValueError(
-            f"vertex name {shown(name)} must be a non-empty string without braces, "
-            f"',', '^', '--', whitespace or control characters, not ending in "
-            f"'_bar' or '-'"
+            f"vertex name {shown(name)} must be free of braces, ',', '^', '--', "
+            f"whitespace and control characters, and not end in '_bar' or '-'"
         )
 
 
@@ -513,11 +514,6 @@ class Presentation:
             for rec in self.hub_records
         )
         return Presentation.from_cells(table.values(), self.cells, recs)
-
-    def to_text(self) -> str:
-        lines = [f"gen: {g}" for g in self.generators]
-        lines += [f"rel: {r}" for r in self.relators]
-        return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
         count = len(self.relators if self.cells is None else self.cells)

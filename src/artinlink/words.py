@@ -6,8 +6,8 @@ presentation rewriting (link corners, piece tables, curvature reports)
 reduces to exact manipulation of these words, so free reduction and the
 cyclic canonical form live here.
 
-Words serialize as whitespace-separated letters with a ``^-1`` suffix
-for inverses, e.g. ``x^-1 a b``.
+Words print as space-separated letters with a ``^-1`` suffix for
+inverses, e.g. ``x^-1 a b``.
 """
 
 from __future__ import annotations
@@ -66,16 +66,6 @@ class FreeWord:
 
     def __reduce__(self):  # pickle and copy through the constructor
         return FreeWord, (self.letters,)
-
-    @classmethod
-    def parse(cls, text: str) -> "FreeWord":
-        letters = []
-        for tok in text.split():
-            if tok.endswith("^-1"):
-                letters.append(Letter(tok[:-3], -1))
-            else:
-                letters.append(Letter(tok, 1))
-        return cls(letters)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -10,11 +10,13 @@ completion of every triangle and 4-cycle, the cycles of a defining
 graph and their walks by trying every ordered tuple of vertices,
 canonical forms and stabilisers of sweep states by trying every vertex
 permutation, links by the named corner rule read from each relator's
-letters, a link's edge lookup from its named edges, a reversed graph
-by building each edge afresh, pieces by indexing every subword of
-every symmetrized relator, and the faces and checkerboard of an
-embedding by reading each step from its rotation with ``index`` and
-2-colouring the faces with a parity union-find.
+letters, a link's edge lookup from its named edges, a loop's canonical
+rotation by trying every rotation both ways, a reversed graph by
+building each edge afresh, a word from its text letter by letter,
+pieces by indexing every subword of every symmetrized relator, and the
+faces and checkerboard of an embedding by reading each step from its
+rotation with ``index`` and 2-colouring the faces with a parity
+union-find.
 """
 
 from __future__ import annotations
@@ -49,6 +51,20 @@ def named_edge_ids(link) -> dict:
     """(a, b) -> edge index for the two named ends of each edge, both
     ways round, read from the named edges."""
     return {(a, b): ei for a, pairs in adjacency(link).items() for b, ei in pairs}
+
+
+def canonical_rotation(cycle) -> tuple:
+    """The least of the rotations of ``cycle`` read either way round."""
+    ways = (tuple(cycle), tuple(reversed(cycle)))
+    return min(way[i:] + way[:i] for way in ways for i in range(len(way)))
+
+
+def word(text: str) -> FreeWord:
+    """The word ``text`` prints as: space-separated letters, ``^-1``
+    marking an inverse."""
+    return FreeWord(
+        (tok[:-3], -1) if tok.endswith("^-1") else (tok, 1) for tok in text.split()
+    )
 
 
 def reversed_graph(gamma: DefiningGraph) -> DefiningGraph:

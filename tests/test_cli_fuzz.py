@@ -6,6 +6,7 @@ import contextlib
 import io
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -45,17 +46,43 @@ TOKENS = (
     )
     | st.builds("{}_bar".format, st.sampled_from(NAMES + ("\u03b1", "_bar", "")))
 )
-# labels stay small: a label near the generator cap takes seconds to certify
-LABELS = st.integers(2, 50)
+# the text of ints of 6 to 5,000 digits: past the generator cap, and often
+# past the 4,300 digits that ``int()`` reads
+LONG_INTS = st.builds(
+    "{}{}".format,
+    st.sampled_from(["", "-"]),
+    st.builds(str.__mul__, st.sampled_from("19"), st.integers(6, 5000)),
+)
+# labels are small or long: one near the generator cap takes seconds to certify
+LABELS = st.integers(2, 50).map(str) | LONG_INTS
 SYMBOLS = st.sampled_from([">", "<", ">", "<", "?", ".", ""])
 ORIENTATIONS = st.sampled_from(["forward", "backward", "forward", "wildcard", "unoriented"])
 
+# a JSON string that starts with NUMBER is written as the number its digits spell
+NUMBER = "\ue000"
+# JSON keys and strings: short, or 1,000 to 5,000 characters of 1 to 4
+# UTF-8 bytes, some of them escaped by ``repr``
+JSON_TEXT = st.text(max_size=4) | st.builds(
+    str.__mul__,
+    st.sampled_from(["k", "\u00e9", "\U0001d49c", "\U0001d49d"]),
+    st.integers(1000, 5000),
+)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-1, 50) | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 50)
+    | LONG_INTS.map(NUMBER.__add__)
+    | st.floats()
+    | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXT, inner, max_size=3),
     max_leaves=8,
 )
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj)``, each string that starts with ``NUMBER`` written
+    as a number: ``json.dumps`` refuses an int of over 4,300 digits."""
+    return re.sub(r'"\\ue000(-?\d+)"', r"\1", json.dumps(obj))
 
 
 @st.composite
@@ -103,27 +130,25 @@ def json_files(draw):
     obj = {
         "vertices": vertices,
         "edges": [
-            {"u": u, "v": v, "label": label, "orientation": draw(ORIENTATIONS)}
+            {"u": u, "v": v, "label": NUMBER + label, "orientation": draw(ORIENTATIONS)}
             for u, v, label in edges
         ],
         "rotations": {v: list(order) for v, order in rotations.items()} or None,
     }
-    # corrupt a few fields, at the top level or inside one edge
+    # corrupt a few fields, at the top level or inside one edge, or add one
     targets = [obj] + obj["edges"]
     for _ in range(draw(st.integers(0, 2))):
         target = draw(st.sampled_from(targets))
-        if not target:
-            continue
-        key = draw(st.sampled_from(sorted(target)))
+        key = draw(st.sampled_from(sorted(target)) | JSON_TEXT)
         if draw(st.booleans()):
-            del target[key]
+            target.pop(key, None)
         else:
             target[key] = draw(JSON_VALUES)
-    return json.dumps(obj)
+    return json_text(obj)
 
 
 TEXT_FILES = text_files() | st.text(max_size=60)
-JSON_FILES = json_files() | JSON_VALUES.map(json.dumps) | st.text(max_size=60)
+JSON_FILES = json_files() | JSON_VALUES.map(json_text) | st.text(max_size=60)
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +218,10 @@ def test_fuzzed_line_format_files_exit_cleanly(fuzz_dir, text):
 
 @FUZZ_SETTINGS
 @given(text=JSON_FILES)
+# refused vertex names: a long int and a long string, 203 and 207 bytes
+# when every refusal named the whole rule
+@example(text='{"vertices": [111111111111111111111], "edges": []}')
+@example(text=json.dumps({"vertices": ["{" * 5000], "edges": []}))
 def test_fuzzed_json_files_exit_cleanly(fuzz_dir, text):
     path = fuzz_dir / "graph.json"
     path.write_text(text, encoding="utf-8")

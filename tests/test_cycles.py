@@ -8,14 +8,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle_tools import adjacency, brute_force_girth, dfs_all_cycle_lengths, named_edge_ids
+from oracle_tools import (
+    adjacency,
+    brute_force_girth,
+    canonical_rotation,
+    dfs_all_cycle_lengths,
+    named_edge_ids,
+)
 
 from artinlink import (
     A2,
     B2,
     DefiningGraph,
     LimitExceededError,
-    LinkVertex,
     Orientation,
     OrientationAssignment,
     UnassignedAnglesError,
@@ -25,7 +30,6 @@ from artinlink import (
     enumerate_short_loops,
     girth,
     link_of,
-    make_loop,
     min_angle_cycle,
     parse_gamma,
     resolve_orientations,
@@ -940,29 +944,12 @@ def test_girth_witness_is_valid_embedded_loop():
         value, witness = girth(link)
         if witness is None:
             continue
-        assert len(set(witness.vertices)) == witness.length
-        remade = make_loop(link, list(witness.vertices))
-        assert remade == witness
-
-
-def test_make_loop_refuses_what_is_no_loop_of_the_link():
-    link = classic_link(3, 3, 3)
-    a, b, c = girth(link)[1].vertices[:3]
-    with pytest.raises(ValueError, match="^loop vertices must be pairwise distinct$"):
-        make_loop(link, [a, b, a])
-    with pytest.raises(ValueError, match="^a loop needs at least 3 vertices$"):
-        make_loop(link, [a, b])
-    # links are bipartite, so a path a - b - c does not close up
-    with pytest.raises(ValueError, match=r"^loop step \S+ - \S+ is not a link edge$"):
-        make_loop(link, [a, b, c])
-    # a vertex the link lacks is named, not the step that reaches it
-    missing = LinkVertex("zz", "head", 3, True)
-    with pytest.raises(ValueError, match="^loop vertex zz is not in the link$"):
-        make_loop(link, [missing, a, b])
-    flipped = a._replace(special=not a.special)
-    message = re.escape(f"loop vertex {a} is not in the link")
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        make_loop(link, [flipped, b, c])
+        vs = witness.vertices
+        assert len(set(vs)) == witness.length == value
+        assert vs == canonical_rotation(vs)
+        edge_ids = named_edge_ids(link)
+        assert witness.edge_indices == tuple(map(edge_ids.get, zip(vs, vs[1:] + vs[:1])))
+        assert witness.angle_sum is None
 
 
 # -- minimum-angle cycles ---------------------------------------------------
@@ -1305,8 +1292,6 @@ def test_enumerate_guard():
 
 
 def test_enumerate_matches_dfs_oracle_lengths():
-    from artinlink.cycles import _canonical
-
     # 100 sampled links: about 16 ms each, with the oracle
     for link in [*assorted_links(), *sampled_oracle_links()[:100]]:
         oracle = dfs_all_cycle_lengths(link, 6)
@@ -1315,7 +1300,7 @@ def test_enumerate_matches_dfs_oracle_lengths():
         # loops are built from the enumeration's ids as they come
         for lp in loops:
             ids = tuple(map(link._resolve, lp.vertices))
-            assert ids == _canonical(ids)
+            assert ids == canonical_rotation(ids)
 
 
 def test_enumerate_reports_each_loop_once():

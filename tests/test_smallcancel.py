@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from oracle_tools import brute_force_pieces, symmetrize
+from oracle_tools import brute_force_pieces, symmetrize, word
 from test_complex_link import sweep_presentations
 
 from artinlink import (
@@ -27,7 +27,7 @@ from artinlink import (
 )
 from artinlink.smallcancel import CONDITION_CAP
 
-W = FreeWord.parse
+W = word
 
 F, WILD = Orientation.FORWARD, Orientation.WILDCARD
 
